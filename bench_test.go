@@ -10,19 +10,11 @@
 package murmuration
 
 import (
-	"math/rand"
-	"sort"
 	"strconv"
-	"sync"
 	"testing"
-	"time"
 
 	"murmuration/internal/experiments"
 	"murmuration/internal/rl/env"
-	"murmuration/internal/runtime"
-	"murmuration/internal/serve"
-	"murmuration/internal/supernet"
-	"murmuration/internal/tensor"
 )
 
 func parseCell(b *testing.B, s string) float64 {
@@ -303,84 +295,4 @@ func BenchmarkFig19ModelSwitchTime(b *testing.B) {
 		}
 		b.ReportMetric(minReload/reconfig, "reload_vs_reconfig_x")
 	}
-}
-
-// BenchmarkServeThroughput measures the serving gateway end to end: b.N
-// latency-SLO requests from parallel clients through admission control,
-// dynamic batching, and local supernet execution. Reports achieved
-// requests/sec, per-request latency percentiles, the mean coalesced batch
-// size, and allocations per request. The same metrics feed the checked-in
-// BENCH_6.json snapshot (see bench_json_test.go).
-func BenchmarkServeThroughput(b *testing.B) {
-	a := supernet.TinyArch(4)
-	net := supernet.New(a, 42)
-	decider := runtime.DeciderFunc(func(c env.Constraint) (*env.Decision, error) {
-		cfg := a.MinConfig()
-		costs, _ := a.Costs(cfg)
-		return &env.Decision{Config: cfg, Placement: supernet.LocalPlacement(costs)}, nil
-	})
-	rt := runtime.New(runtime.NewScheduler(net, nil), decider,
-		runtime.NewStrategyCache(32, 25, 5, 10), nil)
-	g := serve.New(rt, serve.Options{
-		Workers:    2,
-		MaxBatch:   8,
-		MaxLinger:  500 * time.Microsecond,
-		QueueDepth: 1 << 16, // benchmark measures throughput, not shedding
-	})
-	defer g.Close(time.Minute)
-
-	rng := rand.New(rand.NewSource(7))
-	x := tensor.New(1, a.InChannels, 32, 32)
-	x.RandNormal(rng, 0.5)
-	slo := runtime.SLO{Type: env.LatencySLO, Value: 60_000}
-
-	// Per-goroutine latency slices, merged under the mutex at the end —
-	// collection must not serialize the parallel submitters.
-	var mu sync.Mutex
-	var latencies []time.Duration
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := time.Now()
-	b.RunParallel(func(pb *testing.PB) {
-		local := make([]time.Duration, 0, 1024)
-		for pb.Next() {
-			t0 := time.Now()
-			if _, err := g.Submit(x, slo); err != nil {
-				b.Error(err)
-				return
-			}
-			local = append(local, time.Since(t0))
-		}
-		mu.Lock()
-		latencies = append(latencies, local...)
-		mu.Unlock()
-	})
-	elapsed := time.Since(start)
-	b.StopTimer()
-
-	st := g.Stats()
-	b.ReportMetric(float64(st.Served)/elapsed.Seconds(), "req/s")
-	if st.Batches > 0 {
-		b.ReportMetric(float64(st.BatchedRequests)/float64(st.Batches), "batch_size")
-	}
-	if len(latencies) > 0 {
-		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-		b.ReportMetric(benchPercentileMs(latencies, 0.50), "p50_ms")
-		b.ReportMetric(benchPercentileMs(latencies, 0.95), "p95_ms")
-		b.ReportMetric(benchPercentileMs(latencies, 0.99), "p99_ms")
-	}
-}
-
-// benchPercentileMs reads the q-quantile of an ascending latency slice, in
-// milliseconds.
-func benchPercentileMs(sorted []time.Duration, q float64) float64 {
-	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return float64(sorted[idx]) / float64(time.Millisecond)
 }

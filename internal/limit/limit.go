@@ -9,31 +9,33 @@
 package limit
 
 import (
-	"errors"
 	"sync"
 	"time"
+
+	"murmuration/internal/fault"
 )
 
 // ErrLimited is the target for errors.Is when an acquisition is refused
 // because the adaptive limit is saturated. It is an overload shed — never a
 // link or device fault: nothing failed, the system refused to take on work
 // it could not finish.
-var ErrLimited = errors.New("limit: concurrency limit reached")
+var ErrLimited = fault.New(fault.Load, "limit: concurrency limit reached")
 
 // Outcome classifies how a released slot's work ended, driving the AIMD
-// dynamics.
-type Outcome int
+// dynamics. It is the fault policy table's limiter column, so a caller
+// releases with fault.Of(err).Policy().Limiter and no translation.
+type Outcome = fault.Limiter
 
 const (
 	// OK is a comfortable completion: the limit grows additively
 	// (one slot per full window of successes).
-	OK Outcome = iota
+	OK = fault.LimiterOK
 	// Congested is a congestion signal — timeout, budget refusal, overload
 	// rejection, or a misbehaving peer: the limit is cut multiplicatively.
-	Congested
+	Congested = fault.LimiterCongested
 	// Neutral releases the slot without moving the limit (application-level
 	// failures that say nothing about load).
-	Neutral
+	Neutral = fault.LimiterNeutral
 )
 
 // Options configures an AIMD limiter. Zero values select the defaults.
@@ -94,6 +96,10 @@ type Stats struct {
 type AIMD struct {
 	mu   sync.Mutex
 	cond *sync.Cond
+	// wake broadcasts cond under mu. A waiter holds mu until Wait parks it, so
+	// a timer running wake cannot fire between the waiter arming it and
+	// registering on cond — the wakeup a bare cond.Broadcast can lose.
+	wake func()
 	opts Options
 
 	// limit is fractional so additive increase can accumulate +1/limit per
@@ -110,6 +116,11 @@ func New(opts Options) *AIMD {
 	l := &AIMD{opts: opts.withDefaults()}
 	l.limit = float64(l.opts.Start)
 	l.cond = sync.NewCond(&l.mu)
+	l.wake = func() {
+		l.mu.Lock()
+		l.cond.Broadcast()
+		l.mu.Unlock()
+	}
 	return l
 }
 
@@ -149,7 +160,7 @@ func (l *AIMD) AcquireWait(maxWait time.Duration) bool {
 		}
 		// Cond has no timed wait: a timer broadcast bounds the sleep (the
 		// same idiom the serving layer's batch linger uses).
-		t := time.AfterFunc(deadline.Sub(now), l.cond.Broadcast)
+		t := time.AfterFunc(deadline.Sub(now), l.wake)
 		l.cond.Wait()
 		t.Stop()
 	}

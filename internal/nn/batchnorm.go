@@ -16,8 +16,9 @@ type BNCache struct {
 // BatchNormFwd normalizes x (N,C,H,W) per channel.
 //
 // In training mode it uses batch statistics and updates runningMean/
-// runningVar in place with the given momentum. In eval mode it uses the
-// running statistics and returns a nil cache.
+// runningVar in place with the given momentum (nil running statistics skip
+// the update). In eval mode it uses the running statistics and returns a nil
+// cache.
 func BatchNormFwd(x, gamma, beta, runningMean, runningVar *tensor.Tensor,
 	training bool, momentum, eps float32) (*tensor.Tensor, *BNCache) {
 
@@ -71,8 +72,10 @@ func BatchNormFwd(x, gamma, beta, runningMean, runningVar *tensor.Tensor,
 				dst[i] = xh[i]*g + b
 			}
 		}
-		runningMean.Data[cc] = (1-momentum)*runningMean.Data[cc] + momentum*mean
-		runningVar.Data[cc] = (1-momentum)*runningVar.Data[cc] + momentum*variance
+		if runningMean != nil {
+			runningMean.Data[cc] = (1-momentum)*runningMean.Data[cc] + momentum*mean
+			runningVar.Data[cc] = (1-momentum)*runningVar.Data[cc] + momentum*variance
+		}
 	}
 	return y, &BNCache{XHat: xhat, InvStd: invStds, Gamma: gamma}
 }

@@ -6,6 +6,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"murmuration/internal/fault"
 )
 
 // Frame decoders face bytes straight off a (possibly corrupted) socket, so
@@ -78,6 +80,15 @@ func FuzzReadResponse(f *testing.F) {
 		}
 	}
 	f.Add([]byte{0, 0, 0, 0})
+	// statusFault frames a peer should never send: no class byte at all, and a
+	// class byte beyond what this build knows. Both must decode to Unknown.
+	for _, payload := range [][]byte{nil, {0xEE, 'x'}} {
+		var buf bytes.Buffer
+		if err := writeResponse(&buf, statusFault, payload, false); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		status, payload, err := readResponse(bytes.NewReader(data), fuzzFrameCap)
 		if err != nil {
@@ -85,6 +96,11 @@ func FuzzReadResponse(f *testing.F) {
 		}
 		if len(payload) > fuzzFrameCap {
 			t.Fatalf("payload %d bytes escaped the %d cap", len(payload), fuzzFrameCap)
+		}
+		if status == statusFault {
+			if c := decodeFault(payload).Class; c >= fault.NumClasses {
+				t.Fatalf("statusFault payload %v decoded to out-of-range class %d", payload, c)
+			}
 		}
 		var buf bytes.Buffer
 		if err := writeResponse(&buf, status, payload, false); err != nil {

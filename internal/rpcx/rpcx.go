@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"murmuration/internal/fault"
 	"murmuration/internal/netem"
 )
 
@@ -45,10 +46,12 @@ func (e *TimeoutError) Timeout() bool { return true }
 // Unwrap lets errors.Is(err, ErrTimeout) match.
 func (e *TimeoutError) Unwrap() error { return ErrTimeout }
 
-// Sentinel errors for client call failures.
+// Sentinel errors for client call failures. Each is born with its fault class
+// (fault.Of reads it through any wrapper that unwraps to the sentinel), which
+// is what policy — demotion, limiter, health ledger, accounting — keys on.
 var (
 	// ErrTimeout is the target for errors.Is on per-call deadline expiry.
-	ErrTimeout = errors.New("rpcx: call timeout")
+	ErrTimeout = fault.New(fault.Device, "rpcx: call timeout")
 	// ErrClientBroken is returned for calls on a client whose connection was
 	// poisoned by an earlier timeout (the stream may hold a stale response,
 	// so the connection cannot be reused). Clients with a retry policy
@@ -59,34 +62,31 @@ var (
 	// cost estimate exceeds the remaining budget (*BudgetError), or a caller
 	// observed the budget expire locally. It is the typed alternative to a
 	// silent late reply.
-	ErrBudgetExhausted = errors.New("rpcx: budget exhausted")
+	ErrBudgetExhausted = fault.New(fault.BudgetExhausted, "rpcx: budget exhausted")
 	// ErrPanic is the target for errors.Is when a handler panicked on the
 	// server (*PanicError). The panic was recovered — it failed one request,
 	// not the daemon — but the handler ran partway, so like a RemoteError a
 	// panicked call is never retried automatically.
-	ErrPanic = errors.New("rpcx: handler panicked")
+	ErrPanic = fault.New(fault.Request, "rpcx: handler panicked")
 	// ErrOverloaded is the target for errors.Is when the server refused a
 	// call because its in-flight cap was reached (*OverloadError). An
 	// overload refusal is a load signal, not a fault: nothing failed, the
 	// server declined work it could not finish. It is retryable (backoff
 	// gives the server room) and must never count as a link or device fault.
-	ErrOverloaded = errors.New("rpcx: server overloaded")
+	ErrOverloaded = fault.New(fault.Load, "rpcx: server overloaded")
 	// ErrStalled is the target for errors.Is when a call's in-flight progress
 	// watchdog fired (*StallError): the frame transfer stopped advancing for
 	// the configured window even though the connection is nominally alive —
 	// the half-open-link signature. Like a timeout it poisons the connection
 	// so the next call re-dials; like overload it is a link condition, never
 	// a device fault.
-	ErrStalled = errors.New("rpcx: call stalled")
+	ErrStalled = fault.New(fault.LinkStall, "rpcx: call stalled")
 	// ErrRetryBudget is the target for errors.Is when a retry was suppressed
 	// because the shared retry budget (SetRetryGate) refused the withdrawal
 	// (*RetryBudgetError). It is a storm-control shed, not a fault: the first
 	// attempt's failure stands, but the client declined to amplify a
 	// correlated outage with another attempt. Never a device signal.
-	// The message deliberately says "depleted", not "exhausted": the budget-
-	// exhaustion classifier matches "budget exhausted" on remote error
-	// strings, and a retry-budget shed must never read as a deadline miss.
-	ErrRetryBudget = errors.New("rpcx: retry budget depleted")
+	ErrRetryBudget = fault.New(fault.StormShed, "rpcx: retry budget depleted")
 )
 
 // StallError reports that an in-flight call's progress watchdog fired: the
@@ -205,8 +205,9 @@ func (e *BudgetError) Unwrap() error { return ErrBudgetExhausted }
 // RetryBudgetError reports that a retry the policy would have fired was
 // suppressed because the shared retry budget refused it. Cause is the
 // failure the suppressed retry would have addressed, preserved so callers
-// can still classify what actually went wrong. Unwrap yields both
-// ErrRetryBudget and Cause, so errors.Is matches either.
+// can still see what actually went wrong. Unwrap yields both ErrRetryBudget
+// and Cause, so errors.Is matches either; ErrRetryBudget comes first, so the
+// error's fault class is the storm shed, not the cause's.
 type RetryBudgetError struct {
 	Method string
 	Cause  error
@@ -229,13 +230,19 @@ type RetryGate interface {
 
 // RemoteError is an application-level failure reported by the server's
 // handler (response status != 0). It is never retried: the handler ran, so a
-// second attempt could duplicate its effect.
+// second attempt could duplicate its effect. Class is the fault class the
+// handler's error carried across the wire (statusFault); a plain statusError
+// leaves it fault.Unknown.
 type RemoteError struct {
-	Msg string
+	Msg   string
+	Class fault.Class
 }
 
 // Error keeps the historical "rpcx: remote error: ..." string.
 func (e *RemoteError) Error() string { return "rpcx: remote error: " + e.Msg }
+
+// FaultClass reports the class the remote handler's error was born with.
+func (e *RemoteError) FaultClass() fault.Class { return e.Class }
 
 // RetryPolicy configures client-side fault handling. Installing a policy
 // (SetRetryPolicy) enables automatic re-dial for Dial-created clients: a
@@ -682,6 +689,9 @@ func (s *Server) invoke(method string, h Handler, payload []byte) (status byte, 
 	out, err := h(payload)
 	panicked = false
 	if err != nil {
+		if c := fault.Of(err); c != fault.Unknown {
+			return statusFault, append([]byte{byte(c)}, err.Error()...)
+		}
 		return statusError, []byte(err.Error())
 	}
 	s.observeCost(method, time.Since(start))
@@ -760,7 +770,21 @@ const (
 	// statusOverload is a typed refusal at the server's in-flight cap; the
 	// payload names the cap. Retryable: backoff gives the server room.
 	statusOverload = 5
+	// statusFault is a handler error that was born with a fault class; the
+	// payload is the class byte followed by the error text. A peer that
+	// predates it falls to its default arm and sees a plain RemoteError, so
+	// mixed builds degrade to fault.Unknown, never to a refusal.
+	statusFault = 6
 )
+
+// decodeFault rebuilds a handler's classed error from a statusFault payload.
+// An empty payload or a class byte this build does not know is fault.Unknown.
+func decodeFault(payload []byte) *RemoteError {
+	if len(payload) == 0 {
+		return &RemoteError{}
+	}
+	return &RemoteError{Class: fault.FromWire(payload[0]), Msg: string(payload[1:])}
+}
 
 // DefaultMaxFrameSize caps a frame's body length when the peer did not
 // configure an explicit limit. The cap is enforced before the body buffer is
@@ -776,7 +800,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // structurally impossible header. Like a timeout it poisons the connection
 // (the stream may be desynced) and is retried only for idempotent methods;
 // it is never a device fault — the bytes went bad, not the peer.
-var ErrCorruptFrame = errors.New("rpcx: corrupt frame")
+var ErrCorruptFrame = fault.New(fault.CorruptFrame, "rpcx: corrupt frame")
 
 // FrameError is the typed form of a frame-integrity violation. It unwraps
 // to ErrCorruptFrame.
@@ -1454,6 +1478,8 @@ func (c *Client) callOnceLocked(method string, payload []byte, d, budget time.Du
 		c.broken = true
 		c.conn.Close()
 		return nil, &FrameError{Op: "request", Reason: string(resp)}
+	case statusFault:
+		return nil, decodeFault(resp)
 	default:
 		return nil, &RemoteError{Msg: string(resp)}
 	}

@@ -304,6 +304,14 @@ func (r *Runtime) Constraint() env.Constraint {
 // freshest link state. The serving layer uses it to resolve strategies for
 // per-request SLOs without mutating the runtime's global objective.
 func (r *Runtime) ConstraintFor(slo SLO) env.Constraint {
+	return r.constraintAhead(slo, r.PredictAhead)
+}
+
+// constraintAhead is ConstraintFor with the prediction horizon as an
+// argument (> 0 reads each monitor's forecast that far ahead instead of its
+// current estimate), so Precompute can look ahead without touching the
+// PredictAhead field that concurrent serving reads.
+func (r *Runtime) constraintAhead(slo SLO, ahead time.Duration) env.Constraint {
 	r.mu.Lock()
 	manual := append([]monitor.Sample(nil), r.manualLink...)
 	healthy := append([]bool(nil), r.healthy...)
@@ -324,8 +332,8 @@ func (r *Runtime) ConstraintFor(slo SLO) env.Constraint {
 			// avoids it and the cache keys this regime separately.
 			s = monitor.Sample{BandwidthMbps: downBandwidthMbps, DelayMs: downDelayMs}
 		case i < len(r.Monitors) && r.Monitors[i] != nil && r.Monitors[i].Samples() > 0:
-			if r.PredictAhead > 0 {
-				s = r.Monitors[i].Predict(r.PredictAhead)
+			if ahead > 0 {
+				s = r.Monitors[i].Predict(ahead)
 			} else {
 				s = r.Monitors[i].Current()
 			}
@@ -604,10 +612,7 @@ func (r *Runtime) ExecBatchBudget(xs []*tensor.Tensor, d *env.Decision, budget t
 // Predictor forecasts network conditions, allowing for precomputation with
 // RL algorithm and caching of strategies").
 func (r *Runtime) Precompute(ahead time.Duration) error {
-	old := r.PredictAhead
-	r.PredictAhead = ahead
-	c := r.Constraint()
-	r.PredictAhead = old
+	c := r.constraintAhead(r.SLO(), ahead)
 	if r.Cache == nil {
 		return fmt.Errorf("runtime: no cache configured")
 	}

@@ -3,6 +3,7 @@ package runtime
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -245,6 +246,54 @@ func TestPrecomputePopulatesCache(t *testing.T) {
 	}
 	if calls != 1 || rt.CacheHits != 1 {
 		t.Fatalf("inference after precompute should hit the cache (calls=%d hits=%d)", calls, rt.CacheHits)
+	}
+}
+
+// Precompute looks ahead while serving resolves strategies for the present.
+// With a live monitor both read the prediction horizon, so Precompute must
+// not borrow the shared PredictAhead field to do it (run under -race).
+func TestPrecomputeConcurrentWithResolve(t *testing.T) {
+	a := supernet.TinyArch(4)
+	sched, cleanup := testCluster(t, supernet.New(a, 6), 2, 0, 0)
+	defer cleanup()
+	decider := DeciderFunc(func(c env.Constraint) (*env.Decision, error) {
+		cfg := a.MinConfig()
+		costs, _ := a.Costs(cfg)
+		return &env.Decision{Config: cfg, Placement: supernet.LocalPlacement(costs)}, nil
+	})
+	m := monitor.NewLinkMonitor(nil)
+	base := time.Now()
+	for i := 0; i < 5; i++ {
+		m.Observe(monitor.Sample{At: base.Add(time.Duration(i) * time.Second),
+			BandwidthMbps: 500 - float64(i)*40, DelayMs: 10})
+	}
+	rt := New(sched, decider, NewStrategyCache(16, 25, 5, 10), []*monitor.LinkMonitor{m})
+	slo := SLO{Type: env.LatencySLO, Value: 500}
+	rt.SetSLO(slo)
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if err := rt.Precompute(2 * time.Second); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if _, err := rt.ResolveFor(slo); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if rt.PredictAhead != 0 {
+		t.Fatalf("Precompute left PredictAhead = %v", rt.PredictAhead)
 	}
 }
 

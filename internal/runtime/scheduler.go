@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"murmuration/internal/fault"
 	"murmuration/internal/limit"
 	"murmuration/internal/rpcx"
 	"murmuration/internal/stats"
@@ -34,20 +35,16 @@ import (
 //     (bounded by its own deadline). A hedge budget caps hedges to a fraction
 //     of primary calls so retries cannot amplify overload.
 //
-// Corrupt frames (rpcx.ErrCorruptFrame) are classified like budget
-// exhaustion: a link fault, never a device fault, so corruption alone cannot
-// demote a healthy device.
-//
 // Self-protection rides the same path: every remote device has an AIMD
-// concurrency limiter (internal/limit) capping in-flight tile calls —
-// comfortable completions grow the cap, congestion signals (timeouts,
-// budget/overload refusals, panics) cut it — so an overloaded or wedged
-// daemon sheds load at dispatch instead of accumulating goroutines. Overload
-// refusals (limit.ErrLimited locally, rpcx.ErrOverloaded from the server)
-// are load signals, never device faults. A handler panic (rpcx.ErrPanic)
-// fails its one request; only a streak of PanicFaultThreshold consecutive
-// panics from the same device is classified as a device fault, letting the
-// failure detector demote a daemon wedged in a deterministic panic.
+// concurrency limiter (internal/limit) capping in-flight tile calls, so an
+// overloaded or wedged daemon sheds load at dispatch instead of accumulating
+// goroutines.
+//
+// What a tile error means — device fault or not, how the limiter is
+// released, what the health ledger records — is read from the fault policy
+// table (internal/fault, DESIGN.md §13.4), never decided here. The one
+// stateful escalation lives in execLayer: PanicFaultThreshold consecutive
+// panics from one device turn a request fault into a device fault.
 type Scheduler struct {
 	Local *supernet.Supernet
 	// Remotes[i] is the client for device i+1 (device 0 is local).
@@ -82,7 +79,9 @@ type Scheduler struct {
 	// time, and its error (nil on success). The serving layer wires it to
 	// the health tracker's SLI ledger — this is the data-path evidence the
 	// gray-failure detector scores, as opposed to the control-plane
-	// heartbeats. Must be cheap and non-blocking; set before serving starts.
+	// heartbeats. Fenced responses arrive here too; their policy row, not the
+	// scheduler, keeps them out of the ledger. Must be cheap and non-blocking;
+	// set before serving starts.
 	OnTileOutcome func(dev int, elapsed time.Duration, err error)
 
 	// P95 source for hedge-delay derivation: the last N successful remote
@@ -245,24 +244,22 @@ func (s *Scheduler) Limiter(dev int) *limit.AIMD {
 	return s.limiters[dev-1]
 }
 
-// notePanic records a panic response from device dev and returns the streak
-// length; noteSuccess resets it.
-func (s *Scheduler) notePanic(dev int) int32 {
-	if dev < 1 || dev > len(s.panicStreaks) {
-		return 0
+// finishTile settles one completed remote tile call against device dev —
+// primary or hedge alike, exactly once per dispatch: the limiter slot is
+// released with the outcome the error's class dictates, the device's panic
+// streak advances on a request fault and clears on success, and the health
+// observer is told.
+func (s *Scheduler) finishTile(dev int, lim *limit.AIMD, elapsed time.Duration, err error) {
+	if lim != nil {
+		lim.Release(releaseOutcome(err))
 	}
-	return s.panicStreaks[dev-1].Add(1)
-}
-
-func (s *Scheduler) noteSuccess(dev int) {
-	if dev < 1 || dev > len(s.panicStreaks) {
-		return
+	if dev >= 1 && dev <= len(s.panicStreaks) {
+		if err == nil {
+			s.panicStreaks[dev-1].Store(0)
+		} else if fault.Of(err) == fault.Request {
+			s.panicStreaks[dev-1].Add(1)
+		}
 	}
-	s.panicStreaks[dev-1].Store(0)
-}
-
-// noteOutcome feeds a remote tile call's completion to the health observer.
-func (s *Scheduler) noteOutcome(dev int, elapsed time.Duration, err error) {
 	if s.OnTileOutcome != nil {
 		s.OnTileOutcome(dev, elapsed, err)
 	}
@@ -282,34 +279,13 @@ func (s *Scheduler) ResetDevice(dev int) {
 	}
 }
 
-// panicStreak returns the current consecutive-panic count for device dev.
-func (s *Scheduler) panicStreak(dev int) int32 {
-	if dev < 1 || dev > len(s.panicStreaks) {
-		return 0
-	}
-	return s.panicStreaks[dev-1].Load()
-}
-
 // releaseOutcome maps a tile call's result onto the limiter dynamics:
-// success grows the limit, load signals (timeout, budget refusal, overload,
-// panic — a wedged daemon should see fewer concurrent calls, not more) cut
-// it, anything else is neutral. A stall is congestion-shaped too: the link
-// is not moving bytes, so fewer concurrent transfers should be attempted.
-// A fenced response is deliberately Neutral — the call itself completed; the
-// outcome just must not teach the limiter anything about a dead process.
+// success grows the limit, an error moves it as its class's policy row says.
 func releaseOutcome(err error) limit.Outcome {
-	switch {
-	case err == nil:
+	if err == nil {
 		return limit.OK
-	case errors.Is(err, rpcx.ErrTimeout),
-		errors.Is(err, rpcx.ErrBudgetExhausted),
-		errors.Is(err, rpcx.ErrOverloaded),
-		errors.Is(err, rpcx.ErrStalled),
-		errors.Is(err, rpcx.ErrPanic):
-		return limit.Congested
-	default:
-		return limit.Neutral
 	}
+	return fault.Of(err).Policy().Limiter
 }
 
 // ErrFenced is the target for errors.Is when a tile response was fenced: it
@@ -317,7 +293,7 @@ func releaseOutcome(err error) limit.Outcome {
 // is not the one the cluster currently trusts). Fenced responses are dropped,
 // never delivered or fed into adaptive state; the failure is retryable — the
 // client has been poisoned, so the retry lands on the live incarnation.
-var ErrFenced = errors.New("runtime: response from dead incarnation fenced")
+var ErrFenced = fault.New(fault.Fenced, "runtime: response from dead incarnation fenced")
 
 // FencedError reports one fenced tile response.
 type FencedError struct {
@@ -412,6 +388,10 @@ func (e *DeviceError) Error() string {
 
 // Unwrap exposes the transport error to errors.Is/As.
 func (e *DeviceError) Unwrap() error { return e.Err }
+
+// FaultClass pins the failure on the device whatever it wraps: the scheduler
+// only builds a DeviceError once the policy table said so.
+func (e *DeviceError) FaultClass() fault.Class { return fault.Device }
 
 // NumDevices returns the cluster size (local + remotes).
 func (s *Scheduler) NumDevices() int { return 1 + len(s.Remotes) }
@@ -545,66 +525,24 @@ func (s *Scheduler) execLayer(x *tensor.Tensor, stage, index, stride int,
 	}
 	wg.Wait()
 	for t, err := range errs {
-		if err != nil {
-			// A suppressed retry (the shared retry budget refused the
-			// withdrawal) is a storm-control shed, checked before every other
-			// class because the typed error also carries the underlying cause:
-			// the device did nothing new wrong, the system declined to amplify
-			// a correlated outage. Never a device fault — demotion here would
-			// turn the budget's protection into an outage of its own.
-			if errors.Is(err, rpcx.ErrRetryBudget) {
-				return nil, fmt.Errorf("runtime: tile %d: %w", t, err)
-			}
-			// Budget exhaustion is not a device fault: the device did nothing
-			// wrong, the request just ran out of time. Surfacing it typed
-			// (instead of as a DeviceError) keeps the serving layer from
-			// demoting a healthy device over deadline pressure.
-			if errors.Is(err, rpcx.ErrBudgetExhausted) {
-				return nil, fmt.Errorf("runtime: tile %d: %w", t, err)
-			}
-			// Likewise a corrupt frame is a link fault, not a device fault:
-			// the bits were damaged in flight, the device never saw (or never
-			// produced) them. The client has already poisoned and re-dialed
-			// the connection; demoting the device would punish it for the
-			// network's sins.
-			if errors.Is(err, rpcx.ErrCorruptFrame) {
-				return nil, fmt.Errorf("runtime: tile %d: %w", t, err)
-			}
-			// Overload refusals — the limiter's local shed or the server's
-			// typed in-flight-cap refusal — are load signals, never faults:
-			// nothing failed, work was declined. Demoting the device would
-			// turn congestion into an outage.
-			if errors.Is(err, limit.ErrLimited) || errors.Is(err, rpcx.ErrOverloaded) {
-				return nil, fmt.Errorf("runtime: tile %d: %w", t, err)
-			}
-			// A fenced response means the device *restarted* — the live
-			// process is presumed healthy, the dead one's answer just cannot
-			// be used. Surfaced typed (retryable: the connection was already
-			// poisoned toward the live incarnation), never as a device fault.
-			if errors.Is(err, ErrFenced) {
-				return nil, fmt.Errorf("runtime: tile %d: %w", t, err)
-			}
-			// A stalled transfer is a *link* gray failure: heartbeats and
-			// small frames still pass, only bulk tensor traffic is wedged.
-			// The health tracker quarantines the device from data-path
-			// evidence (the stall still reaches OnTileOutcome as a failure);
-			// classifying it as a device fault here would instead demote the
-			// detector's view of a device whose process is perfectly live.
-			if errors.Is(err, rpcx.ErrStalled) {
-				return nil, fmt.Errorf("runtime: tile %d on device %d: %w", t, eff[t], err)
-			}
-			// A lone handler panic is a request fault — the input (or a bug it
-			// tickled) killed one call, the daemon recovered. Only a streak of
-			// consecutive panics marks the device itself as wedged.
-			if errors.Is(err, rpcx.ErrPanic) && eff[t] > 0 &&
-				s.panicStreak(eff[t]) < PanicFaultThreshold {
-				return nil, fmt.Errorf("runtime: tile %d on device %d: %w", t, eff[t], err)
-			}
-			if eff[t] > 0 {
-				return nil, &DeviceError{Device: eff[t], Tile: t, Err: err}
-			}
-			return nil, fmt.Errorf("runtime: tile %d on device %d: %w", t, eff[t], err)
+		if err == nil {
+			continue
 		}
+		dev := eff[t]
+		class := fault.Of(err)
+		demote := class.Policy().Demote
+		// The one stateful escalation: a lone handler panic is a request fault,
+		// a streak of them from one device means the daemon is wedged.
+		if class == fault.Request && dev > 0 && dev <= len(s.panicStreaks) &&
+			s.panicStreaks[dev-1].Load() >= PanicFaultThreshold {
+			demote = true
+		}
+		// Only a remote tile can fault a device; everything else travels typed
+		// (the serving layer reads its class) and demotes nothing.
+		if demote && dev > 0 {
+			return nil, &DeviceError{Device: dev, Tile: t, Err: err}
+		}
+		return nil, fmt.Errorf("runtime: tile %d on device %d: %w", t, dev, err)
 	}
 	for t := range tiles {
 		tensor.PasteSpatial(out, tiles[t], y0s[t]/stride, x0s[t]/stride)
@@ -715,20 +653,6 @@ func (s *Scheduler) callTile(dev int, payload []byte, deadline time.Time) ([]byt
 	if s.RetryBudget != nil {
 		s.RetryBudget.Deposit()
 	}
-	// finishPrimary releases the limiter slot with the call's outcome and
-	// maintains the device's panic streak. Runs exactly once per dispatch,
-	// wherever the primary call actually completes.
-	finishPrimary := func(err error) {
-		if lim != nil {
-			lim.Release(releaseOutcome(err))
-		}
-		if err == nil {
-			s.noteSuccess(dev)
-		} else if errors.Is(err, rpcx.ErrPanic) {
-			s.notePanic(dev)
-		}
-	}
-
 	var policy HedgePolicy
 	alt := 0
 	if s.Hedge != nil {
@@ -746,12 +670,7 @@ func (s *Scheduler) callTile(dev int, payload []byte, deadline time.Time) ([]byt
 		start := time.Now()
 		resp, err := primary.CallBudget(ExecBlockMethod, payload, timeout, budget)
 		err = s.fenceCheck(dev, err)
-		finishPrimary(err)
-		if !errors.Is(err, ErrFenced) {
-			// A fenced outcome is evidence about a dead process; the health
-			// ledger must only score the live one.
-			s.noteOutcome(dev, time.Since(start), err)
-		}
+		s.finishTile(dev, lim, time.Since(start), err)
 		if err == nil {
 			s.observeTileLatency(time.Since(start))
 		}
@@ -769,10 +688,7 @@ func (s *Scheduler) callTile(dev int, payload []byte, deadline time.Time) ([]byt
 		t0 := time.Now()
 		resp, err := primary.CallBudget(ExecBlockMethod, payload, timeout, budget)
 		err = s.fenceCheck(dev, err)
-		finishPrimary(err)
-		if !errors.Is(err, ErrFenced) {
-			s.noteOutcome(dev, time.Since(t0), err)
-		}
+		s.finishTile(dev, lim, time.Since(t0), err)
 		results <- tileResult{resp, err, false}
 	}()
 
@@ -841,17 +757,7 @@ func (s *Scheduler) callTile(dev int, payload []byte, deadline time.Time) ([]byt
 				t0 := time.Now()
 				resp, err := s.Remotes[alt-1].CallBudget(ExecBlockMethod, payload, t2, b2)
 				err = s.fenceCheck(alt, err)
-				if altLim != nil {
-					altLim.Release(releaseOutcome(err))
-				}
-				if err == nil {
-					s.noteSuccess(alt)
-				} else if errors.Is(err, rpcx.ErrPanic) {
-					s.notePanic(alt)
-				}
-				if !errors.Is(err, ErrFenced) {
-					s.noteOutcome(alt, time.Since(t0), err)
-				}
+				s.finishTile(alt, altLim, time.Since(t0), err)
 				results <- tileResult{resp, err, true}
 			}()
 		}

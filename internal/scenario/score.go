@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"murmuration/internal/fault"
 	"murmuration/internal/runtime"
 	"murmuration/internal/serve"
 )
@@ -65,17 +66,16 @@ func (s *Scorer) Record(slo runtime.SLO, rung int, latency time.Duration, err er
 		}
 		return
 	}
-	// Order matters: overload errors carry the "serve: shed" prefix, and
-	// budget exhaustion is a flavor of deadline miss — classify the most
-	// specific refusal first.
-	switch {
-	case serve.IsOverloaded(err):
+	// The column is the ledger bucket of the error's fault class, which
+	// crossed the wire as a code: a refusal is a miss, never a failure.
+	switch fault.Of(err).Policy().Bucket {
+	case fault.BucketOverloaded:
 		agg.overloaded++
-	case serve.IsBudgetExhausted(err):
+	case fault.BucketBudgetExhausted:
 		agg.budgetExhausted++
-	case serve.IsDeadlineMissed(err):
+	case fault.BucketDeadlineMissed:
 		agg.deadlineDropped++
-	case serve.IsShed(err):
+	case fault.BucketShed:
 		agg.shed++
 	default:
 		agg.failed++

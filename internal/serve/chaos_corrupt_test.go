@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"murmuration/internal/cluster"
+	"murmuration/internal/fault"
 	"murmuration/internal/monitor"
 	"murmuration/internal/netem"
 	"murmuration/internal/rl/env"
@@ -186,8 +187,8 @@ func TestChaosCorruption(t *testing.T) {
 	for ; sent < maxCorrupted; sent++ {
 		out, err := g.Submit(input, latSLO(sloMs))
 		if err != nil {
-			if !IsCorruptFrame(err) && !IsBudgetExhausted(err) && !IsDeadlineMissed(err) &&
-				!IsShed(err) && !errors.Is(err, rpcx.ErrTimeout) {
+			if fault.Of(err) != fault.CorruptFrame && fault.Of(err).Policy().Bucket == fault.BucketFailed &&
+				!errors.Is(err, rpcx.ErrTimeout) {
 				t.Fatalf("corruption-phase request %d: unexpected error class: %v", sent, err)
 			}
 			continue

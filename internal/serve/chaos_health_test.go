@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"murmuration/internal/cluster"
+	"murmuration/internal/fault"
 	"murmuration/internal/health"
 	"murmuration/internal/monitor"
 	"murmuration/internal/rpcx"
@@ -145,7 +146,7 @@ func TestChaosGrayFailure(t *testing.T) {
 				switch {
 				case err == nil:
 					pumpOK.Add(1)
-				case serve.IsShed(err) || serve.IsDeadlineMissed(err) || serve.IsBudgetExhausted(err):
+				case fault.Of(err).Policy().Bucket != fault.BucketFailed:
 					// Typed drops are legitimate outcomes under churn.
 				default:
 					pumpBad.Add(1)
@@ -358,7 +359,7 @@ func TestChaosFlappingDevice(t *testing.T) {
 		t.Helper()
 		for i := 0; i < n; i++ {
 			if _, err := g.Submit(chaosInput(int64(base+i)), chaosLatSLO(sloMs)); err != nil &&
-				!serve.IsShed(err) && !serve.IsDeadlineMissed(err) && !serve.IsBudgetExhausted(err) {
+				fault.Of(err).Policy().Bucket == fault.BucketFailed {
 				t.Fatalf("request %d: unexpected error class: %v", base+i, err)
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"murmuration/internal/cluster"
+	"murmuration/internal/fault"
 	"murmuration/internal/monitor"
 	"murmuration/internal/rl/env"
 	"murmuration/internal/rpcx"
@@ -152,9 +153,9 @@ func TestChaosPanicStorm(t *testing.T) {
 					switch {
 					case err == nil:
 						successes.Add(1)
-					case IsPanic(err):
+					case fault.Of(err) == fault.Request:
 						panicsSeen.Add(1)
-					case IsShed(err) || IsDeadlineMissed(err) || IsBudgetExhausted(err) ||
+					case fault.Of(err).Policy().Bucket != fault.BucketFailed ||
 						errors.Is(err, rpcx.ErrTimeout):
 						otherTyped.Add(1)
 					default:

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"murmuration/internal/cluster"
+	"murmuration/internal/fault"
 	"murmuration/internal/monitor"
 	"murmuration/internal/netem"
 	"murmuration/internal/rl/env"
@@ -203,7 +204,7 @@ func TestChaosLatencySpike(t *testing.T) {
 	for i := 0; i < spikeReqs; i++ {
 		out, err := g.Submit(chaosInput(int64(100+i)), chaosLatSLO(sloMs))
 		if err != nil {
-			if !serve.IsBudgetExhausted(err) && !serve.IsDeadlineMissed(err) && !serve.IsShed(err) {
+			if fault.Of(err).Policy().Bucket == fault.BucketFailed {
 				t.Fatalf("spike request %d: unexpected error class: %v", i, err)
 			}
 			continue
@@ -234,7 +235,7 @@ func TestChaosLatencySpike(t *testing.T) {
 	recovered := false
 	for i := 0; i < 60; i++ {
 		if _, err := g.Submit(chaosInput(int64(200+i)), chaosLatSLO(sloMs)); err != nil &&
-			!serve.IsBudgetExhausted(err) && !serve.IsDeadlineMissed(err) && !serve.IsShed(err) {
+			fault.Of(err).Policy().Bucket == fault.BucketFailed {
 			t.Fatalf("recovery request %d: unexpected error class: %v", i, err)
 		}
 		if g.Ladder().Rung() == 0 {
@@ -401,9 +402,9 @@ func TestChaosDeviceKill(t *testing.T) {
 					if res.Logits == nil || res.Logits.Shape[1] != 4 {
 						t.Errorf("client %d: bad logits %v", c, res.Logits)
 					}
-				case serve.IsShed(err):
+				case fault.Of(err) == fault.AdmissionShed || fault.Of(err) == fault.Load:
 					shed.Add(1)
-				case serve.IsDeadlineMissed(err):
+				case fault.Of(err) == fault.DeadlineMissed:
 					missed.Add(1)
 				default:
 					otherErr.Add(1)

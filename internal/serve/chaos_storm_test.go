@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"murmuration/internal/cluster"
+	"murmuration/internal/fault"
 	"murmuration/internal/limit"
 	"murmuration/internal/rl/env"
 	"murmuration/internal/rpcx"
@@ -180,9 +181,9 @@ func TestChaosMassDeviceLoss(t *testing.T) {
 			switch {
 			case err == nil:
 				success.Add(1)
-			case serve.IsShed(err):
+			case fault.Of(err) == fault.AdmissionShed || fault.Of(err) == fault.Load:
 				shed.Add(1)
-			case serve.IsDeadlineMissed(err), serve.IsBudgetExhausted(err):
+			case fault.Of(err) == fault.DeadlineMissed, fault.Of(err) == fault.BudgetExhausted:
 				missed.Add(1)
 			default:
 				otherErr.Add(1)
@@ -234,7 +235,7 @@ func TestChaosMassDeviceLoss(t *testing.T) {
 			go func(i int) {
 				defer bwg.Done()
 				if _, err := g.Submit(chaosInput(int64(200+i)), slo); err != nil &&
-					!serve.IsShed(err) && !serve.IsDeadlineMissed(err) && !serve.IsBudgetExhausted(err) {
+					fault.Of(err).Policy().Bucket == fault.BucketFailed {
 					t.Errorf("burst request %d: unexpected error class: %v", i, err)
 				}
 			}(i)
@@ -248,7 +249,7 @@ func TestChaosMassDeviceLoss(t *testing.T) {
 	for i := 0; i < survivorReqs; i++ {
 		if _, err := g.Submit(chaosInput(int64(300+i)), chaosLatSLO(sloMs)); err == nil {
 			survived++
-		} else if !serve.IsShed(err) && !serve.IsDeadlineMissed(err) && !serve.IsBudgetExhausted(err) {
+		} else if fault.Of(err).Policy().Bucket == fault.BucketFailed {
 			t.Fatalf("survivor request %d: unexpected error class: %v", i, err)
 		}
 	}
@@ -421,7 +422,7 @@ func TestChaosRecoveryStorm(t *testing.T) {
 	// The lone survivor (plus local) keeps the service alive through the hole.
 	for i := 0; i < 3; i++ {
 		if _, err := g.Submit(chaosInput(int64(50+i)), chaosLatSLO(sloMs)); err != nil &&
-			!serve.IsShed(err) && !serve.IsDeadlineMissed(err) && !serve.IsBudgetExhausted(err) {
+			fault.Of(err).Policy().Bucket == fault.BucketFailed {
 			t.Fatalf("outage request %d: unexpected error class: %v", i, err)
 		}
 	}
@@ -466,7 +467,7 @@ func TestChaosRecoveryStorm(t *testing.T) {
 	for i := 0; i < postReqs; i++ {
 		if _, err := g.Submit(chaosInput(int64(100+i)), chaosLatSLO(sloMs)); err == nil {
 			served++
-		} else if !serve.IsShed(err) && !serve.IsDeadlineMissed(err) && !serve.IsBudgetExhausted(err) {
+		} else if fault.Of(err).Policy().Bucket == fault.BucketFailed {
 			t.Fatalf("post-recovery request %d: unexpected error class: %v", i, err)
 		}
 	}

@@ -1,14 +1,11 @@
 package serve
 
 import (
-	"errors"
 	"time"
 
 	"murmuration/internal/cluster"
+	"murmuration/internal/fault"
 	"murmuration/internal/health"
-	"murmuration/internal/limit"
-	"murmuration/internal/rpcx"
-	"murmuration/internal/runtime"
 )
 
 // Gray-failure glue between the gateway and the health layer.
@@ -107,42 +104,30 @@ func (g *Gateway) Health() *health.Tracker {
 	return g.health
 }
 
-// observeTile classifies one remote tile call's outcome into the tracker's
-// SLI ledger. The taxonomy mirrors the scheduler's fault classification:
-// overload refusals are backpressure (recorded but never gray), budget
-// exhaustion, corrupt frames, and fenced responses say nothing about the
-// live device (deadline pressure, link damage, and a dead process's answer
-// respectively), everything else that failed is device-attributable. A
-// stalled call is deliberately a *failure*, not an overload: the link is
-// gray — it passes heartbeats and small frames while wedging tensor
-// transfers — and repeated stalls must quarantine the path even though the
-// liveness detector keeps seeing the device Up. The stall evidence is also
-// remembered so the eventual quarantine is attributed as asymmetric.
+// observeTile books one remote tile call's outcome into the tracker's SLI
+// ledger as the health column of the fault policy table says (DESIGN.md
+// §13.4 gives the reason for each row). A stall is a *failure*, not an
+// overload — repeated stalls must quarantine the path even though the
+// liveness detector keeps seeing the device Up — and is also remembered so
+// the eventual quarantine is attributed as asymmetric.
 func (g *Gateway) observeTile(tr *health.Tracker, dev int, elapsed time.Duration, err error) {
 	i := dev - 1
 	now := time.Now()
-	switch {
-	case err == nil:
+	if err == nil {
 		tr.ObserveOK(i, elapsed, now)
-	case errors.Is(err, rpcx.ErrOverloaded), errors.Is(err, limit.ErrLimited):
+		return
+	}
+	switch fault.Of(err).Policy().Health {
+	case fault.EvidenceOverload:
 		tr.ObserveOverload(i, now)
-	case errors.Is(err, rpcx.ErrBudgetExhausted), errors.Is(err, rpcx.ErrCorruptFrame),
-		errors.Is(err, runtime.ErrFenced), errors.Is(err, rpcx.ErrRetryBudget):
-		// Not the device's fault; keep it out of the ledger entirely. A
-		// retry-budget shed in particular is the storm-control plane refusing
-		// to amplify a correlated outage: it carries a real first-attempt
-		// failure as its cause, but charging gray evidence during a mass
-		// failure would quarantine the fleet exactly when capacity is
-		// scarcest — the liveness detector and data-path demotion already
-		// cover hard faults without the budget's help.
-	case errors.Is(err, rpcx.ErrStalled):
+	case fault.EvidenceStall:
 		g.mu.Lock()
 		if i >= 0 && i < len(g.stallEvidence) {
 			g.stallEvidence[i]++
 		}
 		g.mu.Unlock()
 		tr.ObserveFailure(i, now)
-	default:
+	case fault.EvidenceFailure:
 		tr.ObserveFailure(i, now)
 	}
 }

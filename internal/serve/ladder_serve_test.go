@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"murmuration/internal/fault"
 	"murmuration/internal/netem"
 	"murmuration/internal/rpcx"
 	"murmuration/internal/runtime"
@@ -137,7 +138,7 @@ func TestServeDegradesInsteadOfDropping(t *testing.T) {
 		if err == nil && out.Rung > 0 {
 			servedDegraded++
 		}
-		if err != nil && !IsBudgetExhausted(err) && !IsDeadlineMissed(err) && !IsShed(err) {
+		if err != nil && fault.Of(err).Policy().Bucket == fault.BucketFailed {
 			t.Fatalf("request %d: unexpected error class: %v", i, err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"murmuration/internal/fault"
 	"murmuration/internal/rl/env"
 	"murmuration/internal/rpcx"
 	"murmuration/internal/runtime"
@@ -86,9 +87,9 @@ func TestServeUnderLoad(t *testing.T) {
 					if res.BatchSize < 1 || res.BatchSize > 8 {
 						t.Errorf("client %d: batch size %d out of [1,8]", c, res.BatchSize)
 					}
-				case IsShed(err):
+				case fault.Of(err) == fault.AdmissionShed || fault.Of(err) == fault.Load:
 					shed.Add(1)
-				case IsDeadlineMissed(err):
+				case fault.Of(err) == fault.DeadlineMissed:
 					missed.Add(1)
 				default:
 					otherErr.Add(1)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"murmuration/internal/fault"
 	"murmuration/internal/rpcx"
 	"murmuration/internal/runtime"
 	"murmuration/internal/supernet"
@@ -55,7 +56,7 @@ func TestPanicFailsOnlyBatch(t *testing.T) {
 	defer g.Close(time.Second)
 
 	_, err = g.Submit(testInput(500), latSLO(30000))
-	if !IsPanic(err) {
+	if fault.Of(err) != fault.Request {
 		t.Fatalf("first submit rode the panic: err = %v, want panic-typed", err)
 	}
 	out, err := g.Submit(testInput(501), latSLO(30000))
@@ -117,7 +118,7 @@ func TestRepeatedPanicsDemoteAndFailover(t *testing.T) {
 	// failover.
 	for i := 1; i < runtime.PanicFaultThreshold; i++ {
 		_, err := g.Submit(testInput(int64(510+i)), latSLO(30000))
-		if !IsPanic(err) {
+		if fault.Of(err) != fault.Request {
 			t.Fatalf("submit %d: err = %v, want panic-typed", i, err)
 		}
 	}
@@ -161,7 +162,7 @@ func TestWorkerPanicRecovered(t *testing.T) {
 	defer g.Close(time.Second)
 
 	_, err := g.Submit(testInput(530), latSLO(5000))
-	if !IsPanic(err) {
+	if fault.Of(err) != fault.Request {
 		t.Fatalf("panicked batch: err = %v, want panic-typed", err)
 	}
 	out, err := g.Submit(testInput(531), latSLO(5000))
@@ -199,7 +200,7 @@ func TestBrownoutTightensAdmission(t *testing.T) {
 		t.Fatal("SetBrownout(true) did not take")
 	}
 	_, err := g.Submit(testInput(541), runtime.SLO{})
-	if !errors.Is(err, ErrOverloaded) || !IsShed(err) || !IsOverloaded(err) {
+	if !errors.Is(err, ErrOverloaded) || fault.Of(err) != fault.Load {
 		t.Fatalf("brownout best-effort: err = %v, want a typed overload shed", err)
 	}
 	if g.Ladder().Floor() != BrownoutRung || g.Ladder().Rung() < BrownoutRung {

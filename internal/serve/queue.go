@@ -38,8 +38,14 @@ type Gateway struct {
 	rt   *runtime.Runtime
 	opts Options
 
-	mu      sync.Mutex
-	cond    *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// wake broadcasts cond under mu; it is the linger timer's callback. A
+	// lingering worker holds mu from arming the timer until cond.Wait parks
+	// it, so a timer that fires early blocks on mu until the worker is
+	// registered — a bare cond.Broadcast there is a lost wakeup that leaves
+	// the worker asleep, holding the queue head, until the next admission.
+	wake    func()
 	queues  [numClasses][]*request
 	closing bool
 
@@ -111,6 +117,11 @@ func New(rt *runtime.Runtime, opts Options) *Gateway {
 	g.ladder = runtime.NewLadder(g.opts.MaxRung, g.opts.LadderHysteresis)
 	g.rewarmSem = make(chan struct{}, g.opts.RewarmConcurrency)
 	g.cond = sync.NewCond(&g.mu)
+	g.wake = func() {
+		g.mu.Lock()
+		g.cond.Broadcast()
+		g.mu.Unlock()
+	}
 	for i := 0; i < g.opts.Workers; i++ {
 		g.workers.Add(1)
 		go func() {

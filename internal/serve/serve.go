@@ -15,9 +15,9 @@
 package serve
 
 import (
-	"errors"
 	"time"
 
+	"murmuration/internal/fault"
 	"murmuration/internal/rl/env"
 	"murmuration/internal/runtime"
 	"murmuration/internal/tensor"
@@ -70,23 +70,24 @@ func classOf(slo runtime.SLO) Class {
 	return ClassBestEffort
 }
 
-// Sentinel errors surfaced to submitters. Over the wire they travel as rpcx
-// remote-error strings; Client maps them back with IsShed / errors.Is.
+// Sentinel errors surfaced to submitters, each born with its fault class.
+// Over the wire the class travels as a code (rpcx statusFault), so a remote
+// client classifies with fault.Of exactly as a local submitter does.
 var (
 	// ErrQueueFull sheds a request because its class queue is at depth.
-	ErrQueueFull = errors.New("serve: shed: queue full")
+	ErrQueueFull = fault.New(fault.AdmissionShed, "serve: shed: queue full")
 	// ErrDeadlineUnattainable sheds a latency-SLO request at admission
 	// because the estimated queue wait already exceeds its budget.
-	ErrDeadlineUnattainable = errors.New("serve: shed: deadline unattainable")
+	ErrDeadlineUnattainable = fault.New(fault.AdmissionShed, "serve: shed: deadline unattainable")
 	// ErrDeadlineMissed fails an admitted request whose deadline passed
 	// while it waited in the queue.
-	ErrDeadlineMissed = errors.New("serve: deadline missed in queue")
+	ErrDeadlineMissed = fault.New(fault.DeadlineMissed, "serve: deadline missed in queue")
 	// ErrShuttingDown rejects work during/after gateway shutdown.
-	ErrShuttingDown = errors.New("serve: shed: gateway shutting down")
+	ErrShuttingDown = fault.New(fault.AdmissionShed, "serve: shed: gateway shutting down")
 	// ErrOverloaded sheds a request because the gateway is protecting itself:
 	// a watchdog brownout tightened admission, or dispatch hit a concurrency
 	// limit downstream. Like every shed it is a refusal, not a failure.
-	ErrOverloaded = errors.New("serve: shed: overloaded")
+	ErrOverloaded = fault.New(fault.Load, "serve: shed: overloaded")
 )
 
 // BrownoutRung is the degradation-ladder floor a watchdog brownout raises:

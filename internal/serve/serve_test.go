@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"murmuration/internal/fault"
 	"murmuration/internal/rl/env"
 	"murmuration/internal/runtime"
 	"murmuration/internal/supernet"
@@ -158,7 +159,7 @@ func TestDeadlineExpiredInQueueIsDropped(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	close(gate)
 	wg.Wait()
-	if err := <-errCh; !IsDeadlineMissed(err) {
+	if err := <-errCh; fault.Of(err) != fault.DeadlineMissed {
 		t.Fatalf("expired request: got %v, want deadline-missed", err)
 	}
 	st := g.Stats()
@@ -389,7 +390,7 @@ func TestCloseGraceExpiryFailsQueued(t *testing.T) {
 	time.AfterFunc(300*time.Millisecond, func() { close(gate) })
 	g.Close(50 * time.Millisecond)
 	wg.Wait()
-	if err := <-errCh; !errors.Is(err, ErrShuttingDown) && !IsShed(err) {
+	if err := <-errCh; !errors.Is(err, ErrShuttingDown) && fault.Of(err) != fault.AdmissionShed {
 		t.Fatalf("abandoned request: got %v, want shutting-down", err)
 	}
 	st := g.Stats()

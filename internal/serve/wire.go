@@ -3,10 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"murmuration/internal/rl/env"
@@ -30,7 +28,11 @@ const (
 //	                f64 sloValue | tensor.Encode(image)
 //	infer response: u8 batchSize | u8 cacheHit | u64 queueWaitµs
 //	                u64 execµs | u64 decideµs | tensor.Encode(logits)
-//	stats response: u8 version | 54 × u64 (see encodeStats)
+//	stats response: u8 statsWireVersion | statsFieldCount × u64 (see encodeStats)
+//
+// Errors carry no layout of their own: a handler error born with a fault
+// class crosses as rpcx statusFault (class byte + text) and comes back as an
+// *rpcx.RemoteError reporting that class, so clients switch on fault.Of(err).
 const inferHeaderLen = 1 + 8
 
 // statsWireVersion is the leading byte of the stats frame, bumped whenever
@@ -307,110 +309,4 @@ func (c *Client) Stats() (Stats, error) {
 		return Stats{}, err
 	}
 	return decodeStats(resp)
-}
-
-// IsShed reports whether err (local or remote) represents admission-control
-// shedding: full queue, unattainable deadline, or gateway shutdown.
-func IsShed(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrDeadlineUnattainable) ||
-		errors.Is(err, ErrShuttingDown) {
-		return true
-	}
-	return strings.Contains(err.Error(), "serve: shed")
-}
-
-// IsDeadlineMissed reports whether err (local or remote) is an admitted
-// request dropped because its deadline expired in the queue.
-func IsDeadlineMissed(err error) bool {
-	if err == nil {
-		return false
-	}
-	return errors.Is(err, ErrDeadlineMissed) ||
-		strings.Contains(err.Error(), "serve: deadline missed")
-}
-
-// IsBudgetExhausted reports whether err (local or remote) is a request
-// abandoned because its deadline budget ran out during execution — the
-// typed refusal that replaces a silent late reply.
-func IsBudgetExhausted(err error) bool {
-	if err == nil {
-		return false
-	}
-	return errors.Is(err, rpcx.ErrBudgetExhausted) ||
-		strings.Contains(err.Error(), "budget exhausted")
-}
-
-// IsCorruptFrame reports whether err (local or remote) is a frame rejected
-// by the rpcx integrity layer — a checksum mismatch or framing violation.
-// Corruption is a link fault: the connection was poisoned and re-dialed, no
-// corrupted payload was delivered, and no device was demoted for it.
-func IsCorruptFrame(err error) bool {
-	if err == nil {
-		return false
-	}
-	return errors.Is(err, rpcx.ErrCorruptFrame) ||
-		strings.Contains(err.Error(), "corrupt frame")
-}
-
-// IsPanic reports whether err (local or remote) is a request failed by a
-// recovered panic — a daemon handler's (rpcx.ErrPanic) or the gateway's own
-// batch execution. The panic failed one request; the process survived.
-func IsPanic(err error) bool {
-	if err == nil {
-		return false
-	}
-	return errors.Is(err, rpcx.ErrPanic) ||
-		strings.Contains(err.Error(), "panicked")
-}
-
-// IsOverloaded reports whether err (local or remote) is an overload refusal:
-// a brownout admission shed, a concurrency-limit shed, or a daemon's typed
-// in-flight-cap refusal. Overload is backpressure, not failure — the caller
-// should back off and retry.
-func IsOverloaded(err error) bool {
-	if err == nil {
-		return false
-	}
-	return errors.Is(err, ErrOverloaded) || errors.Is(err, rpcx.ErrOverloaded) ||
-		strings.Contains(err.Error(), "overloaded")
-}
-
-// IsStalled reports whether err (local or remote) is a call aborted by the
-// rpcx progress watchdog — a frame transfer that stopped advancing, the
-// signature of a half-open link. The connection was poisoned and will be
-// re-dialed; the health layer scores stalls as link-gray evidence.
-func IsStalled(err error) bool {
-	if err == nil {
-		return false
-	}
-	return errors.Is(err, rpcx.ErrStalled) ||
-		strings.Contains(err.Error(), "stalled")
-}
-
-// IsRetryBudget reports whether err (local or remote) is a speculative
-// attempt — a retry, failover, or hedge — refused by the shared retry
-// budget. Budget exhaustion is storm backpressure, not a fault: the refusal
-// rides the shed/overload ledger, demotes no device, and clears as soon as
-// primary traffic refills the bucket.
-func IsRetryBudget(err error) bool {
-	if err == nil {
-		return false
-	}
-	return errors.Is(err, rpcx.ErrRetryBudget) ||
-		strings.Contains(err.Error(), "retry budget depleted")
-}
-
-// IsFenced reports whether err (local or remote) is a batch failed because a
-// tile response came from a dead incarnation of a device (the daemon
-// restarted mid-flight). The stale response was dropped, never delivered;
-// the retry path re-dials the live incarnation.
-func IsFenced(err error) bool {
-	if err == nil {
-		return false
-	}
-	return errors.Is(err, runtime.ErrFenced) ||
-		strings.Contains(err.Error(), "fenced")
 }

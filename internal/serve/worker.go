@@ -6,7 +6,7 @@ import (
 	goruntime "runtime"
 	"time"
 
-	"murmuration/internal/limit"
+	"murmuration/internal/fault"
 	"murmuration/internal/rpcx"
 	"murmuration/internal/runtime"
 	"murmuration/internal/tensor"
@@ -44,8 +44,8 @@ func (g *Gateway) executeProtected(batch []*request) {
 		g.mu.Lock()
 		g.stats.Panics++
 		g.mu.Unlock()
-		err := fmt.Errorf("serve: batch execution panicked: %v\n%s", r, stack)
-		g.finishError(batch, err)
+		g.finishError(batch, fault.New(fault.Request,
+			fmt.Sprintf("serve: batch execution panicked: %v\n%s", r, stack)))
 	}()
 	g.execute(batch)
 }
@@ -86,7 +86,7 @@ func (g *Gateway) nextBatch() []*request {
 			if !now.Before(lingerEnd) {
 				break
 			}
-			timer := time.AfterFunc(lingerEnd.Sub(now), g.cond.Broadcast)
+			timer := time.AfterFunc(lingerEnd.Sub(now), g.wake)
 			g.cond.Wait()
 			timer.Stop()
 			batch = append(batch,
@@ -116,14 +116,12 @@ func batchDeadline(batch []*request) time.Time {
 // ladder against the batch's remaining deadline budget, runs the batched
 // inference under that budget, and delivers per-request outcomes.
 //
-// Two recovery paths run before a batch counts as lost:
-//   - A device-attributed error triggers failover — mark the device
-//     unhealthy, invalidate its cached strategies, tell the failure
-//     detector — and the batch is retried once on a re-resolved strategy
-//     (re-degraded at the same rung) before it counts as Failed.
-//   - A budget exhaustion (the typed refusal, never a silent late reply)
-//     feeds the ladder so the next batch plans a cheaper rung, and the
-//     batch's requests are dropped as deadline-missed, not Failed.
+// What an execution error means is read from the fault policy table
+// (internal/fault, DESIGN.md §13.4): runBatch applies the row's demotion and
+// retry-once, and the row's ledger bucket decides below whether the batch is
+// dropped as a typed refusal or counted Failed. The one class with a recovery
+// of its own is budget exhaustion: it feeds the ladder so the next batch
+// plans a cheaper rung, and buys this batch one deeper attempt.
 func (g *Gateway) execute(batch []*request) {
 	start := time.Now()
 	deadline := batchDeadline(batch)
@@ -153,7 +151,7 @@ func (g *Gateway) execute(batch []*request) {
 	attemptStart := time.Now()
 	var outs []*tensor.Tensor
 	outs, res, err = g.runBatch(xs, res, batch[0].slo, rung, deadline)
-	if err != nil && errors.Is(err, rpcx.ErrBudgetExhausted) {
+	if fault.Of(err) == fault.BudgetExhausted {
 		// The budget ran out mid-attempt: teach the ladder this rung is over
 		// budget, then spend whatever budget is left on one deeper attempt —
 		// runBatch capped the failed attempt below the full budget precisely
@@ -165,7 +163,7 @@ func (g *Gateway) execute(batch []*request) {
 				rung = deeper
 				attemptStart = time.Now()
 				outs, res, err = g.runBatch(xs, res, batch[0].slo, rung, deadline)
-				if err != nil && errors.Is(err, rpcx.ErrBudgetExhausted) {
+				if fault.Of(err) == fault.BudgetExhausted {
 					g.ladder.ObserveMiss(rung, time.Since(attemptStart))
 				}
 			}
@@ -173,7 +171,8 @@ func (g *Gateway) execute(batch []*request) {
 	}
 	execTime := time.Since(start)
 	if err != nil {
-		if errors.Is(err, rpcx.ErrBudgetExhausted) {
+		switch fault.Of(err).Policy().Bucket {
+		case fault.BucketBudgetExhausted:
 			// Even the fallback ran out of time: drop the batch as missed,
 			// not failed — the system refused to be late rather than
 			// malfunctioning.
@@ -181,32 +180,19 @@ func (g *Gateway) execute(batch []*request) {
 			g.stats.BudgetExhausted += uint64(len(batch))
 			g.mu.Unlock()
 			g.dropBatch(batch, err)
-			return
-		}
-		if errors.Is(err, rpcx.ErrRetryBudget) {
-			// The shared retry budget refused the speculative attempt that
-			// could have saved this batch. That is storm control doing its
-			// job, not a malfunction: the batch is dropped shed-shaped
-			// (retryable by the caller once primary traffic refills the
-			// bucket), never Failed, and no device is demoted for it.
+		case fault.BucketOverloaded:
+			// A refusal under load — the per-device limiter or a daemon's
+			// in-flight cap declined the dispatch, or the shared retry budget
+			// declined the attempt that could have saved the batch. Not a
+			// malfunction: the batch is dropped shed-shaped (retryable by the
+			// caller), never Failed.
 			g.mu.Lock()
 			g.stats.Overloads += uint64(len(batch))
 			g.mu.Unlock()
 			g.dropBatch(batch, fmt.Errorf("%w: %v", ErrOverloaded, err))
-			return
+		default:
+			g.finishError(batch, err)
 		}
-		if errors.Is(err, limit.ErrLimited) || errors.Is(err, rpcx.ErrOverloaded) {
-			// An overload refusal — the per-device limiter shed the dispatch,
-			// or the daemon's in-flight cap refused it. A refusal is not a
-			// malfunction: the batch is dropped (shed-shaped, retryable by
-			// the caller), never Failed, and no device is demoted for it.
-			g.mu.Lock()
-			g.stats.Overloads += uint64(len(batch))
-			g.mu.Unlock()
-			g.dropBatch(batch, fmt.Errorf("%w: %v", ErrOverloaded, err))
-			return
-		}
-		g.finishError(batch, err)
 		return
 	}
 	// The estimate is the cost of the rung that served, so a fallback serve
@@ -281,9 +267,10 @@ func (g *Gateway) execute(batch []*request) {
 }
 
 // runBatch executes one attempt of the batch at the given rung, retrying
-// once on a device-attributed failure (failover: mark the device, re-resolve,
-// re-degrade at the same rung). It returns the resolution actually used so
-// the caller reports accurate decide/cache metadata after a failover.
+// once when the error's policy row says so (failover: re-resolve, re-degrade
+// at the same rung) after demoting the device if the row says that too. It
+// returns the resolution actually used so the caller reports accurate
+// decide/cache metadata after a failover.
 //
 // When the ladder still has deeper rungs below the planned one, a
 // deadline-bounded attempt is deliberately capped at ~3/5 of the remaining
@@ -299,23 +286,18 @@ func (g *Gateway) runBatch(xs []*tensor.Tensor, res *runtime.Resolution, slo run
 	}
 	decision := g.rt.DegradeDecision(res.Decision, rung)
 	outs, _, err := g.rt.ExecBatchBudget(xs, decision, budget)
-	retry := false
-	var de *runtime.DeviceError
-	switch {
-	case err == nil:
-	case errors.As(err, &de):
-		g.noteDeviceError(de)
-		retry = true
-	case errors.Is(err, runtime.ErrFenced), errors.Is(err, rpcx.ErrStalled):
-		// A fenced response (the device restarted mid-batch) or a stalled
-		// transfer (half-open link) fails the attempt but demotes nothing:
-		// the fence has already redirected the connection to the live
-		// incarnation, and a stall is link-gray evidence the health tracker
-		// scores separately. Either way the batch deserves one retry on a
-		// re-resolved strategy before it counts as Failed.
-		retry = true
+	if err == nil {
+		return outs, res, nil
 	}
-	if retry {
+	policy := fault.Of(err).Policy()
+	// The scheduler names the device it faulted in a DeviceError; the class
+	// alone cannot. An unclassified error that names none (a local failure)
+	// demotes nothing.
+	var de *runtime.DeviceError
+	if policy.Demote && errors.As(err, &de) {
+		g.noteDeviceError(de)
+	}
+	if policy.Retry {
 		// The failover re-execution is a speculative attempt like any rpcx
 		// retry or hedge: it draws from the same shared budget, so a
 		// correlated loss cannot multiply every failing batch into double

@@ -125,13 +125,14 @@ func (s *Supernet) Forward(x *tensor.Tensor, cfg *Config, training bool) (*tenso
 func (s *Supernet) bnFwd(bn *bnParams, x *tensor.Tensor, ch int, training bool) (*tensor.Tensor, *nn.BNCache) {
 	gamma := sliceVec(bn.gamma.W, ch)
 	beta := sliceVec(bn.beta.W, ch)
-	rm := sliceVec(bn.runMean, ch)
-	rv := sliceVec(bn.runVar, ch)
-	momentum := float32(0)
+	// Inference reads no running statistics, so it slices none: nil tells
+	// BatchNormFwd to skip the update.
+	var rm, rv *tensor.Tensor
 	if training {
-		momentum = 0.05
+		rm = sliceVec(bn.runMean, ch)
+		rv = sliceVec(bn.runVar, ch)
 	}
-	y, cache := nn.BatchNormFwd(x, gamma, beta, rm, rv, true, momentum, 1e-5)
+	y, cache := nn.BatchNormFwd(x, gamma, beta, rm, rv, true, 0.05, 1e-5)
 	if training {
 		copy(bn.runMean.Data[:ch], rm.Data)
 		copy(bn.runVar.Data[:ch], rv.Data)
