@@ -75,7 +75,7 @@ func main() {
 	slowFactor := flag.Float64("slow-factor", 10, "generate: compute-latency multiplier inside a slow-compute window (>1)")
 	cerrEvery := flag.Duration("cerr-every", 0, "generate: mean period between compute-error windows (0 = none)")
 	cerrFor := flag.Duration("cerr-for", 2*time.Second, "generate: length of each compute-error window")
-	cerrRate := flag.Float64("cerr-rate", 0.3, "generate: per-block failure probability inside a compute-error window")
+	cerrRate := flag.Float64("cerr-rate", 0.3, "generate: per-call (one fused run of blocks) failure probability inside a compute-error window")
 	restartEvery := flag.Duration("restart-every", 0, "generate: mean period between in-place daemon restarts (0 = none)")
 	asymEvery := flag.Duration("asym-every", 0, "generate: mean period between asymmetric stall windows (0 = none)")
 	asymFor := flag.Duration("asym-for", 2*time.Second, "generate: length of each asymmetric stall window")

@@ -42,7 +42,7 @@ func main() {
 	writeTimeout := flag.Duration("write-timeout", 30*time.Second, "evict a connection whose client will not drain a response within this window (0 = never)")
 	maxInflight := flag.Int("max-inflight", 256, "max concurrently executing requests before new calls get a retryable overload refusal (0 = unlimited)")
 	injectSlowdown := flag.Float64("inject-slowdown", 1, "FAULT INJECTION: multiply compute latency of every block execution (1 = off; heartbeats are unaffected, for gray-failure testing)")
-	injectErrRate := flag.Float64("inject-error-rate", 0, "FAULT INJECTION: fail each block execution with this probability (0 = off)")
+	injectErrRate := flag.Float64("inject-error-rate", 0, "FAULT INJECTION: fail each exec.block call (one fused run of blocks) with this probability (0 = off)")
 	injectSeed := flag.Int64("inject-seed", 1, "FAULT INJECTION: rng seed for -inject-error-rate")
 	incState := flag.String("incarnation-state", "", "path persisting the restart counter; each start mints a fresh incarnation gateways use to fence stale responses (empty = ephemeral, counter restarts at 1)")
 	flag.Parse()

@@ -2,7 +2,7 @@
 //
 // The cluster failure detector (internal/cluster) answers "is the device
 // alive?" — it cannot see a device that answers 1ms heartbeats while serving
-// tiles 10× slow or failing a third of its block calls. This package closes
+// tiles 10× slow or failing a third of its exec.block calls. This package closes
 // that gap with a per-device SLI ledger fed from real tile-RPC outcomes, a
 // gray-failure detector that scores each device's window against the fleet
 // median, a four-state health machine (Active → Probation → Quarantined →

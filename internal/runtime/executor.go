@@ -18,11 +18,36 @@ import (
 // ExecBlockMethod is the RPC method for remote tile execution.
 const ExecBlockMethod = "exec.block"
 
-// blockHeader is the fixed wire header preceding the quantized input tile.
+// An exec.block request carries one tile and a run: the consecutive blocks
+// one device executes on that tile before anything returns to the gateway.
+//
+//	[0] runTag, [1] n = number of blocks (1..Arch.MaxDepthTotal)
+//	n × { stage, block index, kernel, expand, input quant bits }
+//	the input tile, quantized at the first block's bitwidth
+//
+// The reply is the last block's output at 32 bits. A single block is a run of
+// one. The frame an older gateway sends, one block behind a 6-byte header with
+// no tag,
 //
 //	[0] stage, [1] block index, [2] kernel, [3] expand,
 //	[4] request quant bits, [5] response quant bits
-const blockHeaderLen = 6
+//
+// is still served as a run of one. runTag is above any stage index, so the
+// two cannot be confused: an older daemon handed a run frame refuses it as an
+// out-of-range stage instead of executing its first block.
+const (
+	runTag          = 0xFF
+	runHeaderLen    = 2
+	blockDescLen    = 5
+	legacyHeaderLen = 6
+)
+
+// blockRef is one block of a run: where it sits in the supernet and the
+// elastic setting it executes under.
+type blockRef struct {
+	stage, index int
+	ls           supernet.LayerSetting
+}
 
 // Executor serves block execution against an in-memory supernet. Every
 // device keeps the *full* supernet resident (paper §5.1), so any submodel
@@ -47,46 +72,110 @@ func (e *Executor) ExecBlockHandler() func([]byte) ([]byte, error) {
 }
 
 func (e *Executor) handleExecBlock(payload []byte) ([]byte, error) {
-	if len(payload) < blockHeaderLen {
-		return nil, fmt.Errorf("runtime: short exec.block payload")
-	}
-	stage := int(payload[0])
-	index := int(payload[1])
-	ls := supernet.LayerSetting{
-		Kernel: int(payload[2]),
-		Expand: int(payload[3]),
-		Quant:  tensor.Bitwidth(payload[4]),
-		// Partition is irrelevant per tile; the scheduler already tiled.
-		Partition: supernet.Partition{Gy: 1, Gx: 1},
-	}
-	respBits := tensor.Bitwidth(payload[5])
-	if !respBits.Valid() {
-		return nil, fmt.Errorf("runtime: bad response bits %d", respBits)
-	}
-	q, err := tensor.DecodeQuantized(bytes.NewReader(payload[blockHeaderLen:]))
+	run, respBits, body, err := decodeRunHeader(payload, e.Net.Arch.MaxDepthTotal())
 	if err != nil {
 		return nil, err
 	}
-	x := q.Dequantize()
-	y, err := e.Net.ExecBlock(stage, index, x, ls)
+	q, err := tensor.DecodeQuantized(bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := tensor.EncodeQuantized(&buf, tensor.Quantize(y, respBits)); err != nil {
+	y, err := execRun(e.Net, run, q.Dequantize())
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return encodeQuantized(nil, tensor.Quantize(y, respBits))
 }
 
-// encodeBlockRequest builds the exec.block payload.
-func encodeBlockRequest(stage, index int, ls supernet.LayerSetting, respBits tensor.Bitwidth, tile *tensor.Tensor) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write([]byte{
-		byte(stage), byte(index), byte(ls.Kernel), byte(ls.Expand),
-		byte(ls.Quant), byte(respBits),
-	})
-	if err := tensor.EncodeQuantized(&buf, tensor.Quantize(tile, ls.Quant)); err != nil {
+// execRun runs x through the blocks of run on net, the one run executor local
+// and remote tiles share. x is the first block's input as that block must see
+// it, already through its quantization round trip (the wire did it for a
+// remote tile); every later block's input takes the same round trip at that
+// block's bitwidth here, which is what crossing a device boundary per block
+// would have done to it.
+func execRun(net *supernet.Supernet, run []blockRef, x *tensor.Tensor) (*tensor.Tensor, error) {
+	for i, b := range run {
+		if i > 0 {
+			x = requantize(x, b.ls.Quant)
+		}
+		var err error
+		if x, err = net.ExecBlock(b.stage, b.index, x, b.ls); err != nil {
+			return nil, err
+		}
+	}
+	return x, nil
+}
+
+// requantize is the input quantization a block's tile undergoes: the value
+// the training saw (straight-through in stage 1). 32 bits is the identity.
+func requantize(x *tensor.Tensor, q tensor.Bitwidth) *tensor.Tensor {
+	if q == tensor.Bits32 {
+		return x
+	}
+	return tensor.Quantize(x, q).Dequantize()
+}
+
+// decodeRunHeader parses either request header and returns the run, the
+// bitwidth to answer at and the encoded tile that follows. maxBlocks bounds
+// the run length before anything is sized by it.
+func decodeRunHeader(payload []byte, maxBlocks int) (run []blockRef, respBits tensor.Bitwidth, body []byte, err error) {
+	n, descs := 1, payload
+	respBits = tensor.Bits32
+	switch {
+	case len(payload) >= runHeaderLen && payload[0] == runTag:
+		n, descs = int(payload[1]), payload[runHeaderLen:]
+		if n < 1 || n > maxBlocks {
+			return nil, 0, nil, fmt.Errorf("runtime: exec.block run of %d blocks, want 1..%d", n, maxBlocks)
+		}
+		if len(descs) < n*blockDescLen {
+			return nil, 0, nil, fmt.Errorf("runtime: short exec.block payload: run of %d blocks truncated", n)
+		}
+		body = descs[n*blockDescLen:]
+	case len(payload) >= legacyHeaderLen:
+		respBits = tensor.Bitwidth(payload[5])
+		if !respBits.Valid() {
+			return nil, 0, nil, fmt.Errorf("runtime: bad response bits %d", respBits)
+		}
+		body = payload[legacyHeaderLen:]
+	default:
+		return nil, 0, nil, fmt.Errorf("runtime: short exec.block payload")
+	}
+	run = make([]blockRef, n)
+	for i := range run {
+		d := descs[i*blockDescLen:]
+		run[i] = blockRef{stage: int(d[0]), index: int(d[1]), ls: supernet.LayerSetting{
+			Kernel: int(d[2]),
+			Expand: int(d[3]),
+			Quant:  tensor.Bitwidth(d[4]),
+			// Partition is irrelevant per tile; the scheduler already tiled.
+			Partition: supernet.Partition{Gy: 1, Gx: 1},
+		}}
+		if !run[i].ls.Quant.Valid() {
+			return nil, 0, nil, fmt.Errorf("runtime: bad input bits %d at block %d of the run", d[4], i)
+		}
+	}
+	return run, respBits, body, nil
+}
+
+// encodeRunRequest builds the exec.block payload for run on tile.
+func encodeRunRequest(run []blockRef, tile *tensor.Tensor) ([]byte, error) {
+	if len(run) < 1 || len(run) >= runTag {
+		return nil, fmt.Errorf("runtime: cannot encode a run of %d blocks", len(run))
+	}
+	hdr := make([]byte, runHeaderLen, runHeaderLen+len(run)*blockDescLen)
+	hdr[0], hdr[1] = runTag, byte(len(run))
+	for _, b := range run {
+		hdr = append(hdr, byte(b.stage), byte(b.index), byte(b.ls.Kernel), byte(b.ls.Expand), byte(b.ls.Quant))
+	}
+	return encodeQuantized(hdr, tensor.Quantize(tile, run[0].ls.Quant))
+}
+
+// encodeQuantized returns hdr followed by q's wire form, in one buffer sized
+// up front: the codes dominate, the tensor's own header is a few bytes a rank.
+func encodeQuantized(hdr []byte, q *tensor.Quantized) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, len(hdr)+8+4*len(q.Shape)+q.WireBytes()))
+	buf.Write(hdr)
+	if err := tensor.EncodeQuantized(buf, q); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

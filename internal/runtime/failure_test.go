@@ -88,10 +88,10 @@ func TestExecutorRejectsMalformedRequests(t *testing.T) {
 	var good []byte
 	{
 		tile := tensor.New(1, 3, 8, 8)
-		p, err := encodeBlockRequest(9, 0, supernet.LayerSetting{
+		p, err := encodeRunRequest([]blockRef{{stage: 9, index: 0, ls: supernet.LayerSetting{
 			Kernel: 3, Expand: 2, Quant: tensor.Bits32,
 			Partition: supernet.Partition{Gy: 1, Gx: 1},
-		}, tensor.Bits32, tile)
+		}}}, tile)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,6 +99,36 @@ func TestExecutorRejectsMalformedRequests(t *testing.T) {
 	}
 	if _, err := cl.Call(ExecBlockMethod, good); err == nil {
 		t.Fatal("out-of-range stage accepted")
+	}
+
+	// Run headers. A valid two-block run first, so each case below is known
+	// to fail for the one thing it breaks.
+	cfg := a.MaxConfig()
+	tile := ex.Net.ExecStem(tensor.New(1, 3, 16, 16))
+	run := []blockRef{{stage: 0, index: 0, ls: cfg.Layers[0]}, {stage: 0, index: 1, ls: cfg.Layers[1]}}
+	valid, err := encodeRunRequest(run, tile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Call(ExecBlockMethod, valid); err != nil {
+		t.Fatalf("valid two-block run refused: %v", err)
+	}
+	mutate := func(f func(p []byte) []byte) []byte { return f(append([]byte(nil), valid...)) }
+	for name, p := range map[string][]byte{
+		"zero-length run": mutate(func(p []byte) []byte { p[1] = 0; return p }),
+		// One more block than the supernet has, before any descriptor is read.
+		"over-long run":         mutate(func(p []byte) []byte { p[1] = byte(a.MaxDepthTotal() + 1); return p }),
+		"truncated descriptors": valid[:runHeaderLen+blockDescLen+2],
+		"tag alone":             {runTag},
+		"bad bitwidth mid-run": mutate(func(p []byte) []byte {
+			p[runHeaderLen+blockDescLen+4] = 7
+			return p
+		}),
+		"missing tile": valid[:runHeaderLen+2*blockDescLen],
+	} {
+		if _, err := cl.Call(ExecBlockMethod, p); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
 }
 

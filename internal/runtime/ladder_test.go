@@ -10,6 +10,7 @@ import (
 	"murmuration/internal/rl/env"
 	"murmuration/internal/rpcx"
 	"murmuration/internal/supernet"
+	"murmuration/internal/tensor"
 )
 
 func TestLadderDefaultsAndDisable(t *testing.T) {
@@ -236,7 +237,9 @@ func TestBudgetExhaustionIsNotDeviceError(t *testing.T) {
 // TestHedgedTileRPCWinsOverSlowPrimary runs a two-remote cluster where the
 // primary's link is slowed and the alternate is fast: with a hedge policy
 // installed, the hedge fires, wins, and the inference completes well under
-// the primary's delay.
+// the primary's delay. What is hedged is a whole run — four blocks, 8-bit
+// inputs between them — and the alternate's answer is bit-equal to local
+// execution.
 func TestHedgedTileRPCWinsOverSlowPrimary(t *testing.T) {
 	a := supernet.TinyArch(4)
 	net := supernet.New(a, 13)
@@ -276,32 +279,31 @@ func TestHedgedTileRPCWinsOverSlowPrimary(t *testing.T) {
 		return 1
 	}
 
-	cfg := a.MinConfig()
-	costs, err := a.Costs(cfg)
-	if err != nil {
-		t.Fatal(err)
+	cfg := a.MaxConfig()
+	for i := range cfg.Layers {
+		cfg.Layers[i].Quant = tensor.Bits8
 	}
-	p := supernet.LocalPlacement(costs)
-	for k := range p.Devices {
-		for ti := range p.Devices[k] {
-			p.Devices[k][ti] = 1 // every tile targets the slow primary
-		}
-	}
+	// Every tile targets the slow primary.
+	d := allOn(t, a, cfg, func(int) int { return 1 })
 	rng := rand.New(rand.NewSource(5))
 	x := randInput(rng, 1, 3, 32, 32)
 
 	start := time.Now()
-	rep, err := sched.Infer(x, &supernet.Decision{Config: cfg, Placement: p})
+	rep, err := sched.Infer(x, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.RemoteTiles == 0 {
-		t.Fatal("expected remote tiles")
+	if rep.RemoteTiles != cfg.NumLayers() {
+		t.Fatalf("%d remote block executions, want %d", rep.RemoteTiles, cfg.NumLayers())
 	}
 	if elapsed := time.Since(start); elapsed > 300*time.Millisecond {
 		t.Fatalf("hedged inference took %v, want well under the 400ms primary delay", elapsed)
 	}
+	requireSameBits(t, "hedged run", rep.Logits, layerwise(t, net, x, cfg))
 	st := sched.Stats()
+	if st.RemoteCalls != 1 {
+		t.Fatalf("stats %+v: the 1x1 net is one run, want one primary call", st)
+	}
 	if st.Hedges == 0 || st.HedgeWins == 0 {
 		t.Fatalf("stats %+v, want hedges and hedge wins", st)
 	}

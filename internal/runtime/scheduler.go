@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,10 +18,12 @@ import (
 )
 
 // Scheduler executes a joint (config, placement) decision across devices:
-// it runs the stem and head locally, tiles each block's input per the
-// decision's FDSP grid, dispatches tiles to the assigned devices (local
-// inline, remote via rpcx), and reassembles outputs. This is the paper's
-// Scheduler + Remote Execution path (Fig. 10).
+// it runs the stem and head locally, cuts the blocks into segments whose
+// FDSP tiles line up end to end, and inside a segment carries each tile
+// through its runs — the consecutive blocks one device owns, one dispatch
+// each (local inline, remote one exec.block round trip) — gathering and
+// cutting again only between segments. This is the paper's Scheduler +
+// Remote Execution path (Fig. 10).
 //
 // Two tail-tolerance mechanisms ride the remote dispatch path:
 //
@@ -43,7 +46,7 @@ import (
 // What a tile error means — device fault or not, how the limiter is
 // released, what the health ledger records — is read from the fault policy
 // table (internal/fault, DESIGN.md §13.4), never decided here. The one
-// stateful escalation lives in execLayer: PanicFaultThreshold consecutive
+// stateful escalation lives in tileError: PanicFaultThreshold consecutive
 // panics from one device turn a request fault into a device fault.
 type Scheduler struct {
 	Local *supernet.Supernet
@@ -435,124 +438,210 @@ func (s *Scheduler) InferBudget(x *tensor.Tensor, d *supernet.Decision, budget t
 		return nil, err
 	}
 
-	x = tensor.BilinearResize(x, cfg.Resolution, cfg.Resolution)
+	// ExecBatchBudget hands over a batch already at the decision's resolution;
+	// resizing to the same size would only clone it (the stem reads, never
+	// writes, its input).
+	if x.Shape[2] != cfg.Resolution || x.Shape[3] != cfg.Resolution {
+		x = tensor.BilinearResize(x, cfg.Resolution, cfg.Resolution)
+	}
 	y := s.Local.ExecStem(x)
 	report := &InferenceReport{}
 
-	for layer := 0; layer < cfg.NumLayers(); layer++ {
-		ls := cfg.Layers[layer]
-		stage, index, stride, err := arch.BlockAt(cfg, layer)
+	blocks := make([]blockRef, cfg.NumLayers())
+	for layer := range blocks {
+		stage, index, _, err := arch.BlockAt(cfg, layer)
 		if err != nil {
 			return nil, err
 		}
-		y, err = s.execLayer(y, stage, index, stride, ls, d.Placement.Devices[layer], deadline, report)
+		blocks[layer] = blockRef{stage: stage, index: index, ls: cfg.Layers[layer]}
+	}
+	// A segment is a maximal stretch of blocks whose tiles line up end to
+	// end: it breaks exactly where the cost model charges a gather and
+	// re-scatter (costs[0] is the stem).
+	for first := 0; first < len(blocks); {
+		end := first + 1
+		for end < len(blocks) && !costs[1+end].Regather {
+			end++
+		}
+		y, err = s.execSegment(y, blocks[first:end], d.Placement.Devices[first:end], deadline, report)
 		if err != nil {
 			return nil, err
 		}
+		first = end
 	}
 	report.Logits = s.Local.ExecHead(y)
 	report.Elapsed = time.Since(start)
 	return report, nil
 }
 
-// execLayer tiles the input, dispatches tiles concurrently, and pastes the
-// outputs into the layer result.
-func (s *Scheduler) execLayer(x *tensor.Tensor, stage, index, stride int,
-	ls supernet.LayerSetting, assign []int, deadline time.Time, report *InferenceReport) (*tensor.Tensor, error) {
+// tileResult is what one tile's pass through a segment produced.
+type tileResult struct {
+	out *tensor.Tensor
+	// local and remote count the tile's block executions by where they ran.
+	local, remote int
+	// dev is the device the failing run actually ran on when err is set: the
+	// health gate may have redirected it, and fault attribution must follow
+	// the call that really happened.
+	dev int
+	err error
+}
 
+// execSegment runs a segment's blocks over x: it cuts x into the grid's
+// tiles once, sends every tile through all the blocks concurrently, and
+// pastes the outputs into the segment result. assign[k][t] is the device of
+// tile t at the segment's block k. A 1x1 grid is the whole map: it runs on
+// the calling goroutine with nothing to crop or paste.
+func (s *Scheduler) execSegment(x *tensor.Tensor, blocks []blockRef, assign [][]int,
+	deadline time.Time, report *InferenceReport) (*tensor.Tensor, error) {
+
+	grid := blocks[0].ls.Partition
 	h, w := x.Shape[2], x.Shape[3]
-	y0s, x0s, ths, tws, err := supernet.TileSplit(h, w, ls.Partition, stride)
+	y0s, x0s, ths, tws, err := supernet.TileSplit(h, w, grid, s.stride(blocks[:1]))
 	if err != nil {
 		return nil, err
 	}
-	if len(y0s) != len(assign) {
-		return nil, fmt.Errorf("runtime: %d tiles but %d assignments", len(y0s), len(assign))
+	for k := range assign {
+		if len(assign[k]) != len(y0s) {
+			return nil, fmt.Errorf("runtime: %d tiles but %d assignments", len(y0s), len(assign[k]))
+		}
 	}
 
-	// Determine the block's output channel count from the stage spec.
-	outC := s.Local.Arch.Stages[stage].Width
-	out := tensor.New(x.Shape[0], outC, h/stride, w/stride)
-
-	var wg sync.WaitGroup
-	errs := make([]error, len(assign))
-	tiles := make([]*tensor.Tensor, len(assign))
-	// eff[t] is the device tile t actually ran on: the health gate may
-	// redirect an assigned remote tile to local execution, and fault
-	// attribution below must follow the call that really happened.
-	eff := make([]int, len(assign))
-	for t := range assign {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			tile := tensor.CropSpatial(x, y0s[t], x0s[t], ths[t], tws[t])
-			dev := assign[t]
-			if dev != 0 && s.Gate != nil && !s.Gate(dev) {
-				// Health-gate redirect: the device is quarantined or still
-				// ramping through reintegration, so it must not take this
-				// tile — run it locally instead of failing the layer.
-				dev = 0
-			}
-			eff[t] = dev
-			if dev == 0 {
-				// Local execution still simulates the quantization the
-				// training saw (straight-through in stage 1).
-				if ls.Quant != tensor.Bits32 {
-					tile = tensor.Quantize(tile, ls.Quant).Dequantize()
-				}
-				tiles[t], errs[t] = s.Local.ExecBlock(stage, index, tile, ls)
-				return
-			}
-			// The request tile is quantized at the layer's bitwidth (the
-			// paper's input quantization); the response returns lossless so
-			// the result matches single-device execution bit for bit.
-			payload, err := encodeBlockRequest(stage, index, ls, tensor.Bits32, tile)
-			if err != nil {
-				errs[t] = err
-				return
-			}
-			resp, err := s.callTile(dev, payload, deadline)
-			if err != nil {
-				errs[t] = err
-				return
-			}
-			q, err := tensor.DecodeQuantized(bytes.NewReader(resp))
-			if err != nil {
-				errs[t] = err
-				return
-			}
-			tiles[t] = q.Dequantize()
-		}(t)
+	results := make([]tileResult, len(y0s))
+	if len(results) == 1 {
+		results[0] = s.execTile(x, blocks, assign, 0, deadline)
+	} else {
+		var wg sync.WaitGroup
+		for t := range results {
+			wg.Add(1)
+			go func(t int) {
+				defer wg.Done()
+				tile := tensor.CropSpatial(x, y0s[t], x0s[t], ths[t], tws[t])
+				results[t] = s.execTile(tile, blocks, assign, t, deadline)
+			}(t)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	for t, err := range errs {
-		if err == nil {
-			continue
+	for t, r := range results {
+		if r.err != nil {
+			return nil, s.tileError(t, r.dev, r.err)
 		}
-		dev := eff[t]
-		class := fault.Of(err)
-		demote := class.Policy().Demote
-		// The one stateful escalation: a lone handler panic is a request fault,
-		// a streak of them from one device means the daemon is wedged.
-		if class == fault.Request && dev > 0 && dev <= len(s.panicStreaks) &&
-			s.panicStreaks[dev-1].Load() >= PanicFaultThreshold {
-			demote = true
-		}
-		// Only a remote tile can fault a device; everything else travels typed
-		// (the serving layer reads its class) and demotes nothing.
-		if demote && dev > 0 {
-			return nil, &DeviceError{Device: dev, Tile: t, Err: err}
-		}
-		return nil, fmt.Errorf("runtime: tile %d on device %d: %w", t, dev, err)
+		report.LocalTiles += r.local
+		report.RemoteTiles += r.remote
 	}
-	for t := range tiles {
-		tensor.PasteSpatial(out, tiles[t], y0s[t]/stride, x0s[t]/stride)
-		if eff[t] == 0 {
-			report.LocalTiles++
-		} else {
-			report.RemoteTiles++
-		}
+	if len(results) == 1 {
+		return results[0].out, nil
+	}
+	// The tiles tile the output map the way the last block wrote them.
+	outC := s.Local.Arch.Stages[blocks[len(blocks)-1].stage].Width
+	down := s.stride(blocks)
+	out := tensor.New(x.Shape[0], outC, h/down, w/down)
+	oy0s, ox0s, _, _, err := supernet.TileSplit(h/down, w/down, grid, 1)
+	if err != nil {
+		return nil, err
+	}
+	for t, r := range results {
+		tensor.PasteSpatial(out, r.out, oy0s[t], ox0s[t])
 	}
 	return out, nil
+}
+
+// execTile carries tile t through the segment's blocks as a chain of runs: a
+// run is the maximal stretch of consecutive blocks the placement puts on one
+// device, and costs one dispatch.
+func (s *Scheduler) execTile(tile *tensor.Tensor, blocks []blockRef, assign [][]int, t int, deadline time.Time) tileResult {
+	var r tileResult
+	for first := 0; first < len(blocks); {
+		dev := assign[first][t]
+		end := first + 1
+		for end < len(blocks) && assign[end][t] == dev {
+			end++
+		}
+		run := blocks[first:end]
+		if dev != 0 && s.Gate != nil && !s.Gate(dev) {
+			// Health-gate redirect: the device is quarantined or still
+			// ramping through reintegration, so it must not take this
+			// run — execute it locally instead of failing the segment.
+			dev = 0
+		}
+		var err error
+		if dev == 0 {
+			tile, err = execRun(s.Local, run, requantize(tile, run[0].ls.Quant))
+			r.local += len(run)
+		} else {
+			tile, err = s.remoteRun(dev, run, tile, deadline)
+			r.remote += len(run)
+		}
+		if err != nil {
+			return tileResult{dev: dev, err: err}
+		}
+		first = end
+	}
+	r.out = tile
+	return r
+}
+
+// ErrBadRunResponse is the target for errors.Is when a device answered a run
+// with something other than the tensor the run implies. The class says the
+// bytes are unusable, not that the device is down: the request fails typed
+// instead of a wrong-sized tile being clipped into the output.
+var ErrBadRunResponse = fault.New(fault.CorruptFrame, "runtime: run response does not match the run")
+
+// remoteRun executes run on tile at device dev in one exec.block round trip.
+// The request tile is quantized at the first block's bitwidth (the paper's
+// input quantization); the response returns lossless so the result matches
+// single-device execution bit for bit.
+func (s *Scheduler) remoteRun(dev int, run []blockRef, tile *tensor.Tensor, deadline time.Time) (*tensor.Tensor, error) {
+	payload, err := encodeRunRequest(run, tile)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := s.callTile(dev, payload, deadline)
+	if err != nil {
+		return nil, err
+	}
+	q, err := tensor.DecodeQuantized(bytes.NewReader(resp))
+	if err != nil {
+		return nil, fmt.Errorf("%w: device %d: %v", ErrBadRunResponse, dev, err)
+	}
+	// Strides divide the tile exactly (TileSplit cut it in output space), so
+	// the output rectangle is the input rectangle over the run's total stride.
+	down := s.stride(run)
+	want := []int{tile.Shape[0], s.Local.Arch.Stages[run[len(run)-1].stage].Width, tile.Shape[2] / down, tile.Shape[3] / down}
+	if !slices.Equal(q.Shape, want) {
+		return nil, fmt.Errorf("%w: device %d answered shape %v, want %v", ErrBadRunResponse, dev, q.Shape, want)
+	}
+	return q.Dequantize(), nil
+}
+
+// stride is the total spatial downsampling of consecutive blocks: a stage's
+// first block carries the stage stride, the rest have stride 1.
+func (s *Scheduler) stride(blocks []blockRef) int {
+	down := 1
+	for _, b := range blocks {
+		if b.index == 0 {
+			down *= s.Local.Arch.Stages[b.stage].Stride
+		}
+	}
+	return down
+}
+
+// tileError turns tile t's failure on device dev into the error the serving
+// layer acts on.
+func (s *Scheduler) tileError(t, dev int, err error) error {
+	class := fault.Of(err)
+	demote := class.Policy().Demote
+	// The one stateful escalation: a lone handler panic is a request fault,
+	// a streak of them from one device means the daemon is wedged.
+	if class == fault.Request && dev > 0 && dev <= len(s.panicStreaks) &&
+		s.panicStreaks[dev-1].Load() >= PanicFaultThreshold {
+		demote = true
+	}
+	// Only a remote tile can fault a device; everything else travels typed
+	// (the serving layer reads its class) and demotes nothing.
+	if demote && dev > 0 {
+		return &DeviceError{Device: dev, Tile: t, Err: err}
+	}
+	return fmt.Errorf("runtime: tile %d on device %d: %w", t, dev, err)
 }
 
 // tileBudget derives the per-call timeout and wire budget from the remaining
@@ -677,19 +766,19 @@ func (s *Scheduler) callTile(dev int, payload []byte, deadline time.Time) ([]byt
 		return resp, classifyTileErr(err, deadline)
 	}
 
-	type tileResult struct {
+	type attempt struct {
 		resp   []byte
 		err    error
 		hedged bool
 	}
-	results := make(chan tileResult, 2)
+	results := make(chan attempt, 2)
 	start := time.Now()
 	go func() {
 		t0 := time.Now()
 		resp, err := primary.CallBudget(ExecBlockMethod, payload, timeout, budget)
 		err = s.fenceCheck(dev, err)
 		s.finishTile(dev, lim, time.Since(t0), err)
-		results <- tileResult{resp, err, false}
+		results <- attempt{resp, err, false}
 	}()
 
 	var hedgeC <-chan time.Time
@@ -751,14 +840,14 @@ func (s *Scheduler) callTile(dev int, payload []byte, deadline time.Time) ([]byt
 					if altLim != nil {
 						altLim.Release(limit.Neutral)
 					}
-					results <- tileResult{nil, err, true}
+					results <- attempt{nil, err, true}
 					return
 				}
 				t0 := time.Now()
 				resp, err := s.Remotes[alt-1].CallBudget(ExecBlockMethod, payload, t2, b2)
 				err = s.fenceCheck(alt, err)
 				s.finishTile(alt, altLim, time.Since(t0), err)
-				results <- tileResult{resp, err, true}
+				results <- attempt{resp, err, true}
 			}()
 		}
 	}
@@ -784,7 +873,7 @@ func (s *Scheduler) ProbeDevice(dev int, timeout time.Duration) (time.Duration, 
 	}
 	// A tiny input through the stem yields a correctly-shaped block tile.
 	tile := s.Local.ExecStem(tensor.New(1, 3, 8, 8))
-	payload, err := encodeBlockRequest(stage, index, cfg.Layers[0], tensor.Bits32, tile)
+	payload, err := encodeRunRequest([]blockRef{{stage: stage, index: index, ls: cfg.Layers[0]}}, tile)
 	if err != nil {
 		return 0, err
 	}

@@ -349,8 +349,9 @@ type ChurnOptions struct {
 	SlowEvery, SlowFor time.Duration
 	SlowFactor         float64
 	// ComputeErrEvery / ComputeErrFor / ComputeErrRate likewise synthesize
-	// compute-error windows, inside which each block execution fails with
-	// probability ComputeErrRate (seeded per window from the trace rng).
+	// compute-error windows, inside which each exec.block call (one fused
+	// run of blocks) fails with probability ComputeErrRate (seeded per window
+	// from the trace rng).
 	ComputeErrEvery, ComputeErrFor time.Duration
 	ComputeErrRate                 float64
 	// RestartEvery is the mean period between in-place daemon restarts per

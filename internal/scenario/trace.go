@@ -62,8 +62,9 @@ const (
 	// EvSetDelay: the link is honest, the silicon limps.
 	EvSlowCompute
 	// EvComputeError sets a device's compute error-injection rate to Value
-	// (each block execution fails with that probability, seeded by Seed for
-	// reproducible injection; Value <= 0 clears).
+	// (each exec.block call, one fused run of blocks, fails with that
+	// probability, seeded by Seed for reproducible injection; Value <= 0
+	// clears).
 	EvComputeError
 	// EvRestart restarts a device's daemon process in place: the replacement
 	// answers heartbeats under a fresh incarnation, exercising the gateway's

@@ -97,8 +97,9 @@ func TestDeviceErrorResetsWaitEstimates(t *testing.T) {
 
 // TestServeDegradesInsteadOfDropping is the fast, deterministic sibling of
 // the netem chaos test: a gateway whose decider places every tile on a
-// 150ms-delayed remote link receives latency-SLO requests that rung 0
-// cannot meet. The first few requests burn their budgets learning that
+// 300ms-delayed remote link receives latency-SLO requests that rung 0
+// cannot meet (the whole tiny net is one fused run, so one round trip has to
+// outlast the SLO on its own). The first few requests burn their budgets learning that
 // (typed budget drops, not failures); the ladder then descends until the
 // all-local rung serves within the SLO, and keeps serving there.
 func TestServeDegradesInsteadOfDropping(t *testing.T) {
@@ -113,7 +114,7 @@ func TestServeDegradesInsteadOfDropping(t *testing.T) {
 	}
 	defer srv.Close()
 
-	cl, err := rpcx.Dial(addr, netem.NewShaper(0, 150*time.Millisecond))
+	cl, err := rpcx.Dial(addr, netem.NewShaper(0, 300*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestServeDegradesInsteadOfDropping(t *testing.T) {
 	sched := runtime.NewScheduler(net, []*rpcx.Client{cl})
 	sched.RemoteTimeout = 5 * time.Second
 	rt := runtime.New(sched, remoteDecider(a), runtime.NewStrategyCache(32, 25, 5, 10), nil)
-	rt.SetLinkState(0, 100, 150)
+	rt.SetLinkState(0, 100, 300)
 
 	g := New(rt, Options{Workers: 1, MaxRung: 3})
 	defer g.Close(2 * time.Second)

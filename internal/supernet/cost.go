@@ -29,6 +29,15 @@ type LayerCost struct {
 	// Partitionable marks layers the placement may spread across devices
 	// (MBConv blocks). The stem and head always run on the owner device.
 	Partitionable bool
+	// Regather marks a layer whose input tiles are not the rectangles the
+	// previous layer's output tiles cover: the grid changed, or a stride
+	// splits an odd extent differently (10 rows arrive as 5+5, but a stride-2
+	// block under 2x2 reads them as 6+4). Its input must be assembled on
+	// the local device and cut again; every other layer can consume a tile
+	// where its predecessor left it. This is the one alignment predicate: the
+	// scheduler breaks its fused runs where EstimateLatency charges a gather
+	// and re-scatter. The zero value (aligned) is right for 1x1 chains.
+	Regather bool
 }
 
 // InWireBytes returns the wire size of this layer's full input under its
@@ -65,6 +74,7 @@ func (a *Arch) Costs(c *Config) ([]LayerCost, error) {
 	})
 	h, w = oh, ow
 	cin := a.StemChannels
+	prevGrid := Partition{1, 1}
 
 	li := 0
 	for si, st := range a.Stages {
@@ -112,7 +122,9 @@ func (a *Arch) Costs(c *Config) ([]LayerCost, error) {
 				Partition:     ls.Partition,
 				Quant:         ls.Quant,
 				Partitionable: true,
+				Regather:      ls.Partition != prevGrid || !tilesCoincide(h, w, stride, ls.Partition),
 			})
+			prevGrid = ls.Partition
 			h, w = oh, ow
 			cin = cout
 		}
@@ -133,6 +145,28 @@ func (a *Arch) Costs(c *Config) ([]LayerCost, error) {
 		Quant:       tensor.Bits32,
 	})
 	return out, nil
+}
+
+// tilesCoincide reports whether a layer reading an (h, w) map at stride under
+// grid cuts it into the same rectangles a previous layer under the same grid
+// wrote it in. Output tilings split rows and columns as evenly as possible;
+// a strided layer maps its own output split back through the stride, which
+// differs whenever an extent does not divide by grid x stride.
+func tilesCoincide(h, w, stride int, grid Partition) bool {
+	same := func(n, g int) bool {
+		wrote, err1 := splitSizes(n, g)
+		reads, err2 := splitSizes(n/stride, g)
+		if err1 != nil || err2 != nil || n%stride != 0 {
+			return false
+		}
+		for i := range wrote {
+			if wrote[i] != reads[i]*stride {
+				return false
+			}
+		}
+		return true
+	}
+	return same(h, grid.Gy) && same(w, grid.Gx)
 }
 
 // TotalFLOPs sums the cost table's FLOPs.
@@ -223,10 +257,11 @@ type LatencyBreakdown struct {
 // traffic on *distinct* links proceeds in parallel, traffic sharing a link
 // serializes, so a transfer phase costs the maximum over links of
 // (link bytes / link bandwidth + link delay). Tile computations run in
-// parallel across devices (serially per device). A grid change forces a
-// gather to the local device followed by a re-scatter. After the last
-// block, tiles gather back to the local device, which runs the head (the
-// paper's "centrally executed fully connected layers").
+// parallel across devices (serially per device). A layer marked Regather
+// forces a gather to the local device followed by a re-scatter. After the
+// last block, tiles gather back to the local device, which runs the head (the
+// paper's "centrally executed fully connected layers"). A tile leaves for a
+// device at its layer's bitwidth and comes back at 32 bits, as on the wire.
 func EstimateLatency(costs []LayerCost, cluster *device.Cluster, p *Placement) (LatencyBreakdown, error) {
 	if err := p.Validate(costs, cluster.N()); err != nil {
 		return LatencyBreakdown{}, err
@@ -235,7 +270,6 @@ func EstimateLatency(costs []LayerCost, cluster *device.Cluster, p *Placement) (
 
 	// ownership: device per tile of the *previous* layer's output grid.
 	owners := []int{0}
-	prevGrid := Partition{1, 1}
 	prevOutElems := 0
 
 	k := 0 // partitionable-layer index
@@ -244,14 +278,13 @@ func EstimateLatency(costs []LayerCost, cluster *device.Cluster, p *Placement) (
 			// Stem and head run on the local device; any remote tiles
 			// must be gathered first.
 			ph := newPhase(cluster)
-			gatherBytes := gatherBytesPerOwner(owners, prevOutElems, lc.Quant)
+			gatherBytes := gatherBytesPerOwner(owners, prevOutElems)
 			for _, o := range owners {
 				ph.add(o, gatherBytes)
 			}
 			br.TransferSec += ph.time()
 			br.ComputeSec += cluster.Devices[0].Profile.LayerTime(lc.FLOPs, lc.MemBytes)
 			owners = []int{0}
-			prevGrid = Partition{1, 1}
 			prevOutElems = lc.OutElems
 			continue
 		}
@@ -263,19 +296,19 @@ func EstimateLatency(costs []LayerCost, cluster *device.Cluster, p *Placement) (
 		tileInBytes := lc.InWireBytes() / float64(tiles)
 
 		ph := newPhase(cluster)
-		if grid == prevGrid && tiles == len(owners) {
+		gatherBytes := gatherBytesPerOwner(owners, prevOutElems)
+		if !lc.Regather && tiles == len(owners) {
 			// Tile-aligned: each tile moves only if its owner changes
 			// (relayed through the local device: both links are charged).
 			for t := 0; t < tiles; t++ {
 				if owners[t] != assign[t] {
-					ph.add(owners[t], tileInBytes)
+					ph.add(owners[t], gatherBytes)
 					ph.add(assign[t], tileInBytes)
 				}
 			}
 		} else {
-			// Grid change: gather previous output to local, then scatter
+			// Misaligned: gather previous output to local, then scatter
 			// this layer's input tiles to their devices.
-			gatherBytes := gatherBytesPerOwner(owners, prevOutElems, lc.Quant)
 			for _, o := range owners {
 				ph.add(o, gatherBytes)
 			}
@@ -304,7 +337,6 @@ func EstimateLatency(costs []LayerCost, cluster *device.Cluster, p *Placement) (
 		br.ComputeSec += maxComp
 
 		owners = append([]int(nil), assign...)
-		prevGrid = grid
 		prevOutElems = lc.OutElems
 	}
 
@@ -343,10 +375,10 @@ func (p *phase) time() float64 {
 }
 
 // gatherBytesPerOwner is the wire size of one owner's tile when collecting
-// totalElems split evenly among owners at bitwidth q.
-func gatherBytesPerOwner(owners []int, totalElems int, q tensor.Bitwidth) float64 {
+// totalElems split evenly among owners. Results always return at 32 bits.
+func gatherBytesPerOwner(owners []int, totalElems int) float64 {
 	if totalElems == 0 || len(owners) == 0 {
 		return 0
 	}
-	return float64(totalElems*q.BytesPerElement()) / float64(len(owners))
+	return float64(totalElems*tensor.Bits32.BytesPerElement()) / float64(len(owners))
 }

@@ -1,6 +1,7 @@
 package supernet
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -214,5 +215,62 @@ func TestLatencyMonotonicityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMisalignedStrideForcesRegather: under one 2x2 grid throughout, tiles
+// still fail to line up where a stride-2 block halves an odd split. At 160 px
+// the last stage's first block reads a 10x10 map as 6+4 rows where the
+// previous block wrote 5+5, so the model must charge a gather and re-scatter
+// there and nowhere else after the first block — and charge what the wire
+// carries: tiles leave at the layer's bitwidth and come back at 32 bits.
+func TestMisalignedStrideForcesRegather(t *testing.T) {
+	a := DefaultArch()
+	cfg := a.MinConfig() // 160 px, 8-bit, two blocks a stage
+	for i := range cfg.Layers {
+		cfg.Layers[i].Partition = Partition{2, 2}
+	}
+	costs, err := a.Costs(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var regather []string
+	for _, lc := range costs {
+		if lc.Regather {
+			regather = append(regather, lc.Name)
+		}
+	}
+	if len(regather) != 2 || regather[0] != "stage0.block0" || regather[1] != "stage4.block0" {
+		t.Fatalf("regather at %v, want the first block (1x1 stem before it) and stage4.block0 (6+4 against 5+5)", regather)
+	}
+
+	// An even split is not enough for a strided layer: 12 rows split 6+6,
+	// a stride-2 block reads 3+3 output rows, 6+6 input rows — aligned; 10
+	// rows split 5+5 but are read 6+4.
+	if !tilesCoincide(12, 12, 2, Partition{2, 2}) || tilesCoincide(10, 10, 2, Partition{2, 2}) {
+		t.Fatal("tilesCoincide: want 12x12 aligned and 10x10 misaligned at stride 2 under 2x2")
+	}
+	if !tilesCoincide(10, 10, 1, Partition{2, 2}) || !tilesCoincide(10, 10, 2, Partition{1, 1}) {
+		t.Fatal("tilesCoincide: stride 1 and the 1x1 grid always line up")
+	}
+
+	// Everything on device 1 over a link with no delay: the transfer time is
+	// bytes over bandwidth, summed over the two scatters (8-bit) and the two
+	// gathers (32-bit).
+	p := LocalPlacement(costs)
+	for k := range p.Devices {
+		for ti := range p.Devices[k] {
+			p.Devices[k][ti] = 1
+		}
+	}
+	const mbps = 100.0
+	br, err := EstimateLatency(costs, device.NewCluster([]device.Kind{device.RaspberryPi4, device.RaspberryPi4}, mbps, 0), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, entry := costs[1], costs[9] // stage0.block0, stage4.block0
+	wire := float64(first.InElems) + 4*float64(entry.InElems) + float64(entry.InElems) + 4*float64(costs[len(costs)-1].InElems)
+	if want := wire / (mbps * 1e6 / 8); math.Abs(br.TransferSec-want) > 1e-12 {
+		t.Fatalf("TransferSec = %v, want %v (two 8-bit scatters, two 32-bit gathers)", br.TransferSec, want)
 	}
 }

@@ -33,6 +33,14 @@ func (s *Supernet) ExecBlock(stage, index int, x *tensor.Tensor, ls LayerSetting
 		return nil, fmt.Errorf("supernet: block %d out of range in stage %d", index, stage)
 	}
 	b := s.blocks[stage][index]
+	// Tiles and settings arrive off the wire: everything the kernels index
+	// by is checked here, so a malformed request is an error, not a panic.
+	if len(x.Shape) != 4 || x.Len() == 0 {
+		return nil, fmt.Errorf("supernet: block input shape %v, want a non-empty N,C,H,W tile", x.Shape)
+	}
+	if !containsInt(s.Arch.Kernels, ls.Kernel) || !containsInt(s.Arch.Expands, ls.Expand) {
+		return nil, fmt.Errorf("supernet: kernel %d / expand %d outside the search space", ls.Kernel, ls.Expand)
+	}
 	if x.Shape[1] != b.inC {
 		return nil, fmt.Errorf("supernet: block s%d.b%d wants %d channels, got %d",
 			stage, index, b.inC, x.Shape[1])
