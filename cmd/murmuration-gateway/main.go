@@ -155,9 +155,10 @@ func main() {
 		kinds = append(kinds, device.RaspberryPi4)
 
 		if *heartbeatInterval > 0 {
-			// Heartbeats ride a dedicated connection: calls serialize per
-			// client, so probing through the data client would let a slow
-			// batch delay failure detection.
+			// Heartbeats ride a dedicated client: one call at a time on one
+			// connection, so the incarnation it reports is the process behind
+			// that connection, and a probe never waits for a data connection
+			// or pays the data link's emulated delay.
 			hb, err := rpcx.Dial(addr, nil)
 			if err != nil {
 				log.Fatalf("dial heartbeat %s: %v", addr, err)

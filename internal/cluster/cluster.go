@@ -80,10 +80,11 @@ type ProbeFunc func(timeout time.Duration) (rtt time.Duration, incarnation uint6
 // handshake — learning the peer's incarnation and arming automatic
 // re-handshake on every re-dial — so each subsequent ping reports the
 // incarnation of the process behind the live connection. The client should
-// be dedicated to heartbeating (calls serialize per client, so sharing one
-// with the data path would let a long inference inflate — or block — the
-// heartbeat) and should have a retry policy installed so it re-dials a
-// device that comes back after an outage.
+// be dedicated to heartbeating — with one call at a time it holds one
+// connection, so RemoteIncarnation names the process that answered the ping;
+// a data client holds several, possibly opened on both sides of a restart,
+// and can make a probe wait for one — and should have a retry policy
+// installed so it re-dials a device that comes back after an outage.
 func PingProbe(c *rpcx.Client) ProbeFunc {
 	handshaken := false // probes for one member run serially in one goroutine
 	return func(timeout time.Duration) (time.Duration, uint64, error) {

@@ -1,7 +1,8 @@
 // Package rpcx is the stdlib-only transport that replaces the paper's gRPC:
 // a length-prefixed binary request/response protocol over TCP. Servers
 // register byte-level handlers by method name; clients issue synchronous
-// calls. Connections can be wrapped with netem shapers so the link obeys
+// calls, each on a connection of its own for as long as it lasts.
+// Connections can be wrapped with netem shapers so the link obeys
 // emulated bandwidth/delay, which is how the runtime reproduces the paper's
 // tc-controlled testbed.
 package rpcx
@@ -52,11 +53,14 @@ func (e *TimeoutError) Unwrap() error { return ErrTimeout }
 var (
 	// ErrTimeout is the target for errors.Is on per-call deadline expiry.
 	ErrTimeout = fault.New(fault.Device, "rpcx: call timeout")
-	// ErrClientBroken is returned for calls on a client whose connection was
-	// poisoned by an earlier timeout (the stream may hold a stale response,
-	// so the connection cannot be reused). Clients with a retry policy
-	// installed re-dial instead of returning this.
+	// ErrClientBroken is returned for calls on a client that has no usable
+	// connection left and may not open one: every connection it held was
+	// poisoned by a timeout (the stream may hold a stale response, so it
+	// cannot be reused) or retired. Clients with a retry policy installed
+	// re-dial instead of returning this.
 	ErrClientBroken = errors.New("rpcx: client connection broken by earlier timeout")
+	// ErrClientClosed is returned for calls on a client after Close.
+	ErrClientClosed = errors.New("rpcx: client closed")
 	// ErrBudgetExhausted is the target for errors.Is when a call's deadline
 	// budget cannot be met: either the server refused the request because its
 	// cost estimate exceeds the remaining budget (*BudgetError), or a caller
@@ -245,9 +249,9 @@ func (e *RemoteError) Error() string { return "rpcx: remote error: " + e.Msg }
 func (e *RemoteError) FaultClass() fault.Class { return e.Class }
 
 // RetryPolicy configures client-side fault handling. Installing a policy
-// (SetRetryPolicy) enables automatic re-dial for Dial-created clients: a
+// (SetRetryPolicy) enables automatic re-dial for clients that can dial: a
 // connection poisoned by a timeout or torn down by the peer is replaced on
-// the next call instead of failing with ErrClientBroken. MaxAttempts > 1
+// demand instead of the client failing with ErrClientBroken. MaxAttempts > 1
 // additionally retries transport failures with exponential backoff + jitter,
 // but only for methods the caller marked idempotent (MarkIdempotent) —
 // a non-idempotent call may have executed on the server before the failure.
@@ -280,12 +284,12 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 }
 
 // backoff returns the jittered delay before retry number retry (1-based).
-func (p RetryPolicy) backoff(retry int, rng *rand.Rand) time.Duration {
+func (p RetryPolicy) backoff(retry int) time.Duration {
 	d := p.BaseBackoff << uint(retry-1)
 	if d > p.MaxBackoff || d <= 0 {
 		d = p.MaxBackoff
 	}
-	j := 1 + p.JitterFrac*(2*rng.Float64()-1)
+	j := 1 + p.JitterFrac*(2*rand.Float64()-1)
 	return time.Duration(float64(d) * j)
 }
 
@@ -1006,50 +1010,61 @@ func readResponse(r io.Reader, max uint32) (byte, []byte, error) {
 	return body[0] & statusMask, body[1:], nil
 }
 
-// Client is a synchronous RPC client over one TCP connection. Safe for
-// concurrent use; calls serialize on the connection.
+// Client is an RPC client over a small set of TCP connections to one peer.
+// Safe for concurrent use. A call checks a connection out for one exchange,
+// so calls serialize on a connection, never on the client: one that finds
+// none idle opens another when the client has a dialer (Dial's address, or
+// SetDialer), up to maxConns, past which callers wait for a check-in. A
+// NewClient-wrapped connection without a dialer is the set of one. Deadline,
+// watchdog, checksum and poisoning belong to the connection a call holds, so
+// a timeout costs one call one connection and nobody else notices.
 type Client struct {
-	mu     sync.Mutex
-	conn   net.Conn
-	r      *bufio.Reader
-	w      *bufio.Writer
 	shaper *netem.Shaper
-	broken bool // a timed-out call desynced the stream; no further calls
 
-	// Fault handling (see RetryPolicy). addr is empty for NewClient-wrapped
-	// connections, which therefore can never re-dial unless a custom dialer
-	// is installed (SetDialer).
-	addr       string
+	// mu guards the connection set only; no I/O, dial or sleep happens under
+	// it. conns is every live connection, idle the checked-in ones (most
+	// recently used last), dialing the dials in progress, lost the
+	// connections dropped for a fault or retired and not yet replaced, gen
+	// the ForceRedial generation new connections are stamped with.
+	mu      sync.Mutex
+	avail   sync.Cond // broadcast on every check-in, drop and Close
+	conns   map[*clientConn]struct{}
+	idle    []*clientConn
+	dialing int
+	lost    int
+	gen     uint64
+	closed  bool
+
+	// Fault handling (see RetryPolicy). dialer is nil for NewClient-wrapped
+	// connections, which therefore can never open another connection unless a
+	// custom dialer is installed (SetDialer); Dial installs one to its address.
 	dialer     func() (net.Conn, error)
 	retry      RetryPolicy
 	retrySet   bool
 	idempotent map[string]bool
-	rng        *rand.Rand
 	retryGate  RetryGate
 
 	// Integrity (see SetChecksum / SetMaxFrameSize).
 	checksum bool
 	maxFrame int
 
-	// In-flight progress deadline (see SetProgressPolicy). pc is the
-	// byte-counting wrapper installed around conn while a policy is active.
+	// In-flight progress deadline (see SetProgressPolicy).
 	progress    ProgressPolicy
 	progressSet bool
-	pc          *progressConn
 
-	// Incarnation handshake state (see Handshake): once handshaken, every
-	// re-dial re-runs the hello exchange so remoteInc always names the
-	// incarnation living behind the *current* connection.
-	handshaken bool
+	// Incarnation handshake state (see Handshake): once handshaken, every new
+	// connection runs the hello exchange before it carries a call, so each
+	// knows the incarnation it terminates at; remoteInc is the newest answer.
+	handshaken atomic.Bool
 	remoteInc  atomic.Uint64
 
 	// corruptFrames counts integrity violations observed on this client's
 	// calls: response frames that failed their checksum or cap locally, plus
-	// typed statusCorrupt refusals from the server. redials counts successful
-	// connection replacements after poisoning. panics counts statusPanic
-	// responses (the peer's handler panicked); overloads counts statusOverload
-	// refusals (the peer's in-flight cap); stalledCalls counts calls aborted
-	// by the progress watchdog.
+	// typed statusCorrupt refusals from the server. redials counts lost
+	// connections successfully replaced (growth is not a redial). panics
+	// counts statusPanic responses (the peer's handler panicked); overloads
+	// counts statusOverload refusals (the peer's in-flight cap); stalledCalls
+	// counts calls aborted by the progress watchdog.
 	corruptFrames atomic.Uint64
 	redials       atomic.Uint64
 	panics        atomic.Uint64
@@ -1057,54 +1072,90 @@ type Client struct {
 	stalledCalls  atomic.Uint64
 }
 
-// progressConn counts bytes crossing a connection so the progress watchdog
-// can observe transfer advance without hooking bufio internals.
+// A client opens at most maxConns connections (callers past that wait; the
+// scheduler's AIMD limiter stays the only adaptive cap per device) and keeps
+// at most maxIdleConns checked in, so a burst does not pin sockets.
+const (
+	maxConns     = 16
+	maxIdleConns = 4
+)
+
+// progressConn counts bytes crossing a connection, per direction, so the
+// progress watchdog can observe transfer advance — and tell the first
+// response byte from the request's own — without hooking bufio internals.
 type progressConn struct {
 	net.Conn
-	bytes atomic.Int64
+	read, written atomic.Int64
 }
 
 func (p *progressConn) Read(b []byte) (int, error) {
 	n, err := p.Conn.Read(b)
-	p.bytes.Add(int64(n))
+	p.read.Add(int64(n))
 	return n, err
 }
 
 func (p *progressConn) Write(b []byte) (int, error) {
 	n, err := p.Conn.Write(b)
-	p.bytes.Add(int64(n))
+	p.written.Add(int64(n))
 	return n, err
 }
 
+// clientConn is one connection of a Client's set. Between check-out and
+// check-in it belongs to exactly one call, which alone touches its fields:
+// inc is the incarnation it handshook with (0 = never), gen the ForceRedial
+// generation it was opened in, dead a stream its call can no longer trust.
+type clientConn struct {
+	progressConn
+	r        *bufio.Reader
+	w        *bufio.Writer
+	inc, gen uint64
+	dead     bool
+}
+
+func newClientConn(conn net.Conn, gen uint64) *clientConn {
+	cn := &clientConn{gen: gen}
+	cn.Conn = conn
+	cn.r = bufio.NewReaderSize(&cn.progressConn, 64*1024)
+	cn.w = bufio.NewWriterSize(&cn.progressConn, 64*1024)
+	return cn
+}
+
+// poison closes a desynced or torn stream; release then drops it.
+func (cn *clientConn) poison() {
+	cn.dead = true
+	cn.Close()
+}
+
 // Dial connects to addr. If shaper is non-nil, outbound traffic is
-// bandwidth-limited and delayed through it (emulating the device's uplink).
+// bandwidth-limited and delayed through it (emulating the device's uplink);
+// connections the client opens later share it, as they share the link.
 func Dial(addr string, shaper *netem.Shaper) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	dial := func() (net.Conn, error) { return net.DialTimeout("tcp", addr, 5*time.Second) }
+	conn, err := dial()
 	if err != nil {
 		return nil, err
 	}
 	c := NewClient(conn, shaper)
-	c.addr = addr
+	c.dialer = dial
 	return c, nil
 }
 
 // NewClient wraps an existing connection (e.g. a netem.Pipe end).
 func NewClient(conn net.Conn, shaper *netem.Shaper) *Client {
-	c := &Client{conn: conn, shaper: shaper}
-	c.r = bufio.NewReaderSize(conn, 64*1024)
-	c.w = bufio.NewWriterSize(conn, 64*1024)
+	c := &Client{shaper: shaper, conns: make(map[*clientConn]struct{})}
+	c.avail.L = &c.mu
+	cn := newClientConn(conn, 0)
+	c.conns[cn] = struct{}{}
+	c.idle = append(c.idle, cn)
 	return c
 }
 
-// SetRetryPolicy installs a retry policy and enables automatic re-dial for
-// Dial-created clients (see RetryPolicy). Not safe to call concurrently with
+// SetRetryPolicy installs a retry policy and enables replacing lost
+// connections (see RetryPolicy). Not safe to call concurrently with
 // in-flight calls.
 func (c *Client) SetRetryPolicy(p RetryPolicy) {
 	c.retry = p.withDefaults()
 	c.retrySet = true
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
-	}
 }
 
 // SetRetryGate installs a shared retry budget: once set, every in-place
@@ -1129,103 +1180,179 @@ func (c *Client) SetChecksum(enabled bool) { c.checksum = enabled }
 // to call concurrently with in-flight calls.
 func (c *Client) SetMaxFrameSize(n int) { c.maxFrame = n }
 
-// SetDialer installs a custom dialer used to replace a poisoned connection
-// (instead of re-dialing the original address). This is how a NewClient-
+// SetDialer installs a custom dialer used to open every further connection
+// (instead of dialing the original address). This is how a NewClient-
 // wrapped connection — e.g. one wrapped in a netem fault injector — gains
-// re-dial recovery. Not safe to call concurrently with in-flight calls.
+// more connections and re-dial recovery. Not safe to call concurrently with
+// in-flight calls.
 func (c *Client) SetDialer(dial func() (net.Conn, error)) { c.dialer = dial }
 
 // SetProgressPolicy installs a per-call in-flight progress deadline (see
 // ProgressPolicy). The zero policy's fields select the defaults; progress
 // watching stays off entirely until this is called, so clients that never
-// opt in keep the historical single-deadline behavior and pay nothing on the
-// hot path. Not safe to call concurrently with in-flight calls.
+// opt in keep the historical single-deadline behavior. Not safe to call
+// concurrently with in-flight calls.
 func (c *Client) SetProgressPolicy(p ProgressPolicy) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.progress = p.withDefaults()
 	c.progressSet = true
-	c.wrapProgressLocked()
 }
 
-// wrapProgressLocked interposes the byte-counting wrapper on the current
-// connection and rebuilds the buffered reader/writer over it, so every frame
-// byte in either direction moves the progress counter. Caller holds c.mu and
-// has set progressSet.
-func (c *Client) wrapProgressLocked() {
-	c.pc = &progressConn{Conn: c.conn}
-	c.conn = c.pc
-	c.r = bufio.NewReaderSize(c.conn, 64*1024)
-	c.w = bufio.NewWriterSize(c.conn, 64*1024)
+// acquire checks a connection out: the most recently used idle one, else a
+// fresh one, else it waits for a check-in. A client that has lost a
+// connection opens another only with a retry policy installed;
+// ErrClientBroken means none is left and none may be opened.
+func (c *Client) acquire() (*clientConn, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for {
+		open := len(c.conns) + c.dialing
+		mayDial := c.dialer != nil && (c.retrySet || c.lost == 0)
+		switch n := len(c.idle); {
+		case c.closed:
+			return nil, ErrClientClosed
+		case n > 0:
+			cn := c.idle[n-1]
+			c.idle = c.idle[:n-1]
+			return cn, nil
+		case mayDial && open < maxConns:
+			return c.grow()
+		case open == 0:
+			return nil, ErrClientBroken
+		}
+		c.avail.Wait()
+	}
+}
+
+// grow opens one more connection. Called with mu held, it reserves the slot
+// and dials with mu released. A handshaken client learns the peer's identity
+// before the connection serves a call: a silent restart must surface as a
+// changed incarnation here, never as a stale response attributed to the new
+// process.
+func (c *Client) grow() (cn *clientConn, err error) {
+	c.dialing++
+	gen := c.gen
+	c.mu.Unlock()
+	conn, err := c.dialer()
+	if err != nil {
+		err = fmt.Errorf("rpcx: re-dial: %w", err)
+	} else if cn = newClientConn(conn, gen); c.handshaken.Load() {
+		if err = c.hello(cn, 5*time.Second); err != nil {
+			err = fmt.Errorf("rpcx: re-handshake: %w", err)
+		}
+	}
+	c.mu.Lock()
+	c.dialing--
+	if err == nil && c.closed {
+		err = ErrClientClosed
+	}
+	if err != nil {
+		if cn != nil {
+			cn.Close()
+		}
+		c.avail.Broadcast()
+		return nil, err
+	}
+	c.conns[cn] = struct{}{}
+	if c.lost > 0 { // this dial replaces a lost connection; growth is not a redial
+		c.lost--
+		c.redials.Add(1)
+	}
+	return cn, nil
+}
+
+// release checks a connection back in. One its call poisoned, one opened
+// before the last ForceRedial, and any connection of a closed client is
+// closed and dropped instead; so is one beyond the idle cap.
+func (c *Client) release(cn *clientConn) {
+	c.mu.Lock()
+	lost := cn.dead || cn.gen != c.gen
+	keep := !lost && !c.closed && len(c.idle) < maxIdleConns
+	if keep {
+		c.idle = append(c.idle, cn)
+	} else {
+		delete(c.conns, cn)
+		if lost {
+			c.lost++
+		}
+	}
+	c.avail.Broadcast()
+	c.mu.Unlock()
+	if !keep {
+		cn.Close()
+	}
 }
 
 // Handshake performs the builtin hello exchange: it asks the peer for its
 // incarnation, remembers it (RemoteIncarnation), and arms automatic
-// re-handshake — every future re-dial repeats the exchange so the remembered
-// incarnation always describes the process behind the current connection.
-// d bounds the exchange (<= 0 means no deadline).
+// handshake — every connection opened from now on repeats the exchange
+// before it carries a call, so each reply can be attributed to the process
+// that computed it (CallFrom). d bounds the exchange (<= 0 means no
+// deadline).
 func (c *Client) Handshake(d time.Duration) (uint64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.broken {
-		if !c.retrySet || (c.addr == "" && c.dialer == nil) {
-			return 0, ErrClientBroken
-		}
-		// redialLocked re-runs the hello itself once handshaken; arm first so
-		// a successful re-dial leaves remoteInc fresh either way.
-		c.handshaken = true
-		if err := c.redialLocked(); err != nil {
-			return 0, err
-		}
-		return c.remoteInc.Load(), nil
-	}
-	if err := c.helloLocked(d); err != nil {
+	cn, err := c.acquire()
+	if err != nil {
 		return 0, err
 	}
-	c.handshaken = true
-	return c.remoteInc.Load(), nil
+	defer c.release(cn)
+	if err := c.hello(cn, d); err != nil {
+		return 0, err
+	}
+	c.handshaken.Store(true)
+	return cn.inc, nil
 }
 
 // RemoteIncarnation returns the peer incarnation learned by the most recent
-// handshake on the current connection (0 before any Handshake, or when the
-// peer never called SetIncarnation).
+// hello exchange on any of this client's connections (0 before any
+// Handshake, or when the peer never called SetIncarnation).
 func (c *Client) RemoteIncarnation() uint64 { return c.remoteInc.Load() }
 
-// ForceRedial poisons the current connection so the next call (or Handshake)
-// replaces it through the dialer. The cluster layer uses it when a restart is
-// detected on another path: the data connection may still terminate at the
-// dead incarnation's socket, and re-dialing is the only way to reach the new
-// process.
+// ForceRedial retires every connection — idle ones are closed now,
+// checked-out ones when their call checks them in — so every later call is
+// carried by a connection dialed, and handshaken, after this returns. The
+// cluster layer uses it when a restart is detected on another path: the data
+// connections may still terminate at the dead incarnation's socket, and
+// re-dialing is the only way to reach the new process. It never waits for a
+// call in flight.
 func (c *Client) ForceRedial() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.broken = true
-	c.conn.Close()
+	c.gen++
+	idle := c.idle
+	c.idle = nil
+	for _, cn := range idle {
+		delete(c.conns, cn)
+	}
+	c.lost += len(idle)
+	c.avail.Broadcast()
+	c.mu.Unlock()
+	for _, cn := range idle {
+		cn.Close()
+	}
 }
 
-// helloLocked runs one hello request/response on the current connection and
-// records the peer's incarnation. Caller holds c.mu.
-func (c *Client) helloLocked(d time.Duration) error {
+// hello runs one hello request/response on cn, which the caller holds, and
+// records the peer's incarnation.
+func (c *Client) hello(cn *clientConn, d time.Duration) error {
 	if d > 0 {
-		if err := c.conn.SetDeadline(time.Now().Add(d)); err != nil {
+		if err := cn.SetDeadline(time.Now().Add(d)); err != nil {
 			return err
 		}
-		defer c.conn.SetDeadline(time.Time{})
+		defer cn.SetDeadline(time.Time{})
 	}
-	if err := writeRequest(c.w, HelloMethod, nil, 0, c.checksum); err != nil {
-		return c.callErr(HelloMethod, d, err, nil)
+	if err := writeRequest(cn.w, HelloMethod, nil, 0, c.checksum); err != nil {
+		return c.callErr(cn, HelloMethod, d, err, nil)
 	}
-	if err := c.w.Flush(); err != nil {
-		return c.callErr(HelloMethod, d, err, nil)
+	if err := cn.w.Flush(); err != nil {
+		return c.callErr(cn, HelloMethod, d, err, nil)
 	}
-	status, resp, err := readResponse(c.r, frameCap(c.maxFrame))
+	status, resp, err := readResponse(cn.r, frameCap(c.maxFrame))
 	if err != nil {
-		return c.callErr(HelloMethod, d, err, nil)
+		return c.callErr(cn, HelloMethod, d, err, nil)
 	}
 	if status != statusOK || len(resp) < 8 {
 		return &RemoteError{Msg: fmt.Sprintf("hello failed (status %d, %d bytes)", status, len(resp))}
 	}
-	c.remoteInc.Store(binary.LittleEndian.Uint64(resp))
+	cn.inc = binary.LittleEndian.Uint64(resp)
+	c.remoteInc.Store(cn.inc)
 	return nil
 }
 
@@ -1238,8 +1365,9 @@ func (c *Client) StalledCalls() uint64 { return c.stalledCalls.Load() }
 // refusals from the server.
 func (c *Client) CorruptFrames() uint64 { return c.corruptFrames.Load() }
 
-// Redials returns how many times a poisoned connection was successfully
-// replaced with a fresh one.
+// Redials returns how many times a lost connection — poisoned, torn down by
+// the peer, or retired by ForceRedial — was successfully replaced with a
+// fresh one. Connections opened because every other was busy do not count.
 func (c *Client) Redials() uint64 { return c.redials.Load() }
 
 // Panics returns how many typed handler-panic responses (*PanicError) this
@@ -1270,13 +1398,14 @@ func (c *Client) Call(method string, payload []byte) ([]byte, error) {
 
 // CallTimeout issues a request and waits at most d for the full response
 // (d <= 0 means no deadline). On expiry it returns a *TimeoutError (matching
-// errors.Is(err, ErrTimeout)) and poisons the client: the connection may
-// still deliver the stale response, so it is closed and — without a retry
-// policy — every later call fails with ErrClientBroken. With a retry policy
-// installed the client instead re-dials a fresh connection on the next call
-// (or retries in place for idempotent-marked methods, with exponential
-// backoff + jitter). The deadline covers connection I/O, not the emulated
-// link's shaping sleeps.
+// errors.Is(err, ErrTimeout)) and drops the connection the call held: it may
+// still deliver the stale response, so it is closed and never reused. Calls
+// in flight on the client's other connections are unaffected. Without a
+// retry policy the lost connection is not replaced, and once none is left
+// every later call fails with ErrClientBroken; with one, the next call that
+// finds nothing idle dials a fresh connection (and idempotent-marked methods
+// retry in place, with exponential backoff + jitter). The deadline covers
+// connection I/O, not the emulated link's shaping sleeps.
 func (c *Client) CallTimeout(method string, payload []byte, d time.Duration) ([]byte, error) {
 	return c.CallBudget(method, payload, d, 0)
 }
@@ -1290,8 +1419,16 @@ func (c *Client) CallTimeout(method string, payload []byte, d time.Duration) ([]
 // caps the call as a whole — retry attempts share it rather than each
 // getting a fresh timeout, and dispatch with nothing left fails typed.
 func (c *Client) CallBudget(method string, payload []byte, d, budget time.Duration) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	resp, _, err := c.CallFrom(method, payload, d, budget)
+	return resp, err
+}
+
+// CallFrom is CallBudget that also reports who answered: inc is the
+// incarnation the connection that carried the reply handshook with (0 when
+// it never did, or on error). A client's connections may have been opened
+// on either side of a peer restart, so provenance belongs to the reply, not
+// to the client — this is what the scheduler fences on.
+func (c *Client) CallFrom(method string, payload []byte, d, budget time.Duration) (resp []byte, inc uint64, err error) {
 	attempts := 1
 	if c.retrySet && c.retry.MaxAttempts > 1 && c.idempotent[method] {
 		attempts = c.retry.MaxAttempts
@@ -1303,7 +1440,6 @@ func (c *Client) CallBudget(method string, payload []byte, d, budget time.Durati
 	if budget > 0 {
 		overall = time.Now().Add(budget)
 	}
-	var err error
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if attempt > 1 {
 			// The shared retry budget gates every in-place retry: under a
@@ -1312,11 +1448,9 @@ func (c *Client) CallBudget(method string, payload []byte, d, budget time.Durati
 			// refused withdrawal surfaces typed, carrying the first attempt's
 			// failure so classification still sees what broke.
 			if c.retryGate != nil && !c.retryGate.TryWithdraw() {
-				return nil, &RetryBudgetError{Method: method, Cause: err}
+				return nil, 0, &RetryBudgetError{Method: method, Cause: err}
 			}
-			// Backoff holds the client lock by design: the connection is
-			// single-stream, so concurrent callers could not proceed anyway.
-			time.Sleep(c.retry.backoff(attempt-1, c.rng))
+			time.Sleep(c.retry.backoff(attempt - 1))
 		}
 		dAtt, bAtt := d, budget
 		if !overall.IsZero() {
@@ -1326,37 +1460,37 @@ func (c *Client) CallBudget(method string, payload []byte, d, budget time.Durati
 					err = &BudgetError{Method: method, Budget: budget,
 						Msg: "budget exhausted before dispatch"}
 				}
-				return nil, err
+				return nil, 0, err
 			}
 			bAtt = remaining
 			if dAtt <= 0 || remaining < dAtt {
 				dAtt = remaining
 			}
 		}
-		if c.broken {
-			if !c.retrySet || (c.addr == "" && c.dialer == nil) {
-				// Cannot re-dial: surface the failure that broke the stream
-				// when this call caused it, the sentinel otherwise.
-				if err != nil {
-					return nil, err
-				}
-				return nil, ErrClientBroken
-			}
-			if rerr := c.redialLocked(); rerr != nil {
-				err = rerr
-				continue
-			}
+		cn, aerr := c.acquire()
+		switch {
+		case aerr == nil:
+		case errors.Is(aerr, ErrClientBroken) && err != nil:
+			// Cannot replace the connection this call lost: surface the
+			// failure that broke the stream, not the sentinel.
+			return nil, 0, err
+		case errors.Is(aerr, ErrClientBroken), errors.Is(aerr, ErrClientClosed):
+			return nil, 0, aerr
+		default:
+			err = aerr // the dial failed; the next attempt dials again
+			continue
 		}
-		var resp []byte
-		resp, err = c.callOnceLocked(method, payload, dAtt, bAtt)
+		resp, err = c.callOnce(cn, method, payload, dAtt, bAtt)
+		inc = cn.inc
+		c.release(cn)
 		if err == nil {
-			return resp, nil
+			return resp, inc, nil
 		}
 		if !retryable(err) {
-			return nil, err
+			return nil, 0, err
 		}
 	}
-	return nil, err
+	return nil, 0, err
 }
 
 // retryable reports whether an error may be fixed by re-dialing and trying
@@ -1373,52 +1507,17 @@ func retryable(err error) bool {
 	return !errors.As(err, &re) && !errors.As(err, &be) && !errors.As(err, &pe)
 }
 
-// redialLocked replaces a broken connection with a fresh dial to the
-// original address (or via the custom dialer). Caller holds c.mu.
-func (c *Client) redialLocked() error {
-	var conn net.Conn
-	var err error
-	if c.dialer != nil {
-		if conn, err = c.dialer(); err != nil {
-			return fmt.Errorf("rpcx: re-dial: %w", err)
-		}
-	} else if conn, err = net.DialTimeout("tcp", c.addr, 5*time.Second); err != nil {
-		return fmt.Errorf("rpcx: re-dial %s: %w", c.addr, err)
-	}
-	c.conn.Close()
-	c.conn = conn
-	if c.progressSet {
-		c.wrapProgressLocked() // rebuilds c.r/c.w over the counting wrapper
-	} else {
-		c.r = bufio.NewReaderSize(c.conn, 64*1024)
-		c.w = bufio.NewWriterSize(c.conn, 64*1024)
-	}
-	c.broken = false
-	c.redials.Add(1)
-	if c.handshaken {
-		// Re-learn the peer's identity before the connection serves a call:
-		// a silent restart must surface as a changed incarnation here, never
-		// as a stale response attributed to the new process.
-		if herr := c.helloLocked(5 * time.Second); herr != nil {
-			c.broken = true
-			c.conn.Close()
-			return fmt.Errorf("rpcx: re-handshake: %w", herr)
-		}
-	}
-	return nil
-}
-
-// callOnceLocked performs a single request/response exchange. Caller holds
-// c.mu and has ensured the connection is not broken.
-func (c *Client) callOnceLocked(method string, payload []byte, d, budget time.Duration) ([]byte, error) {
-	watching := c.progressSet && c.pc != nil
+// callOnce performs a single request/response exchange on cn, which the
+// caller has checked out.
+func (c *Client) callOnce(cn *clientConn, method string, payload []byte, d, budget time.Duration) ([]byte, error) {
+	watching := c.progressSet
 	if d > 0 || watching {
 		if d > 0 {
-			if err := c.conn.SetDeadline(time.Now().Add(d)); err != nil {
+			if err := cn.SetDeadline(time.Now().Add(d)); err != nil {
 				return nil, err
 			}
 		}
-		defer c.conn.SetDeadline(time.Time{})
+		defer cn.SetDeadline(time.Time{})
 	}
 	if c.shaper != nil {
 		c.shaper.Throttle(len(payload) + len(method) + 5)
@@ -1436,19 +1535,19 @@ func (c *Client) callOnceLocked(method string, payload []byte, d, budget time.Du
 	if watching {
 		sf = &stallFlag{start: time.Now()}
 		stop, done := make(chan struct{}), make(chan struct{})
-		go progressWatch(c.conn, c.pc, c.progress, sf, &writeDone, stop, done)
+		go progressWatch(&cn.progressConn, cn.read.Load(), c.progress, sf, &writeDone, stop, done)
 		defer func() { close(stop); <-done }()
 	}
-	if err := writeRequest(c.w, method, payload, budget, c.checksum); err != nil {
-		return nil, c.callErr(method, d, err, sf)
+	if err := writeRequest(cn.w, method, payload, budget, c.checksum); err != nil {
+		return nil, c.callErr(cn, method, d, err, sf)
 	}
-	if err := c.w.Flush(); err != nil {
-		return nil, c.callErr(method, d, err, sf)
+	if err := cn.w.Flush(); err != nil {
+		return nil, c.callErr(cn, method, d, err, sf)
 	}
 	writeDone.Store(true)
-	status, resp, err := readResponse(c.r, frameCap(c.maxFrame))
+	status, resp, err := readResponse(cn.r, frameCap(c.maxFrame))
 	if err != nil {
-		return nil, c.callErr(method, d, err, sf)
+		return nil, c.callErr(cn, method, d, err, sf)
 	}
 	if c.shaper != nil {
 		// Response pays the downlink: serialize + propagate.
@@ -1473,10 +1572,9 @@ func (c *Client) callOnceLocked(method string, payload []byte, d, budget time.Du
 		return nil, &OverloadError{Method: method, Msg: string(resp)}
 	case statusCorrupt:
 		// The server could not trust our request frame and is closing the
-		// connection; poison it here too so the next attempt re-dials.
+		// connection; poison it here too so the next attempt takes another.
 		c.corruptFrames.Add(1)
-		c.broken = true
-		c.conn.Close()
+		cn.poison()
 		return nil, &FrameError{Op: "request", Reason: string(resp)}
 	case statusFault:
 		return nil, decodeFault(resp)
@@ -1494,31 +1592,30 @@ type stallFlag struct {
 }
 
 // progressWatch is the per-call watchdog goroutine: every Tick it requires
-// MinBytes of connection advance while a frame transfer is in flight (the
-// request is still being written, or the response has started arriving). Two
-// consecutive dead ticks abort the call by expiring the connection deadline.
-// The wait for the server's compute (write done, no response byte yet) is
-// exempt — it is bounded by the call's own deadline.
-func progressWatch(conn net.Conn, pc *progressConn, p ProgressPolicy,
+// MinBytes of advance on the call's connection while a frame transfer is in
+// flight (the request is still being written, or the response has started
+// arriving). Two consecutive dead ticks abort the call by expiring the
+// connection deadline. The wait for the server's compute (write done, no
+// response byte yet) is exempt — it is bounded by the call's own deadline.
+// readBase is the connection's read count when the call began, sampled by
+// the call itself: anything read beyond it is the response arriving.
+func progressWatch(pc *progressConn, readBase int64, p ProgressPolicy,
 	sf *stallFlag, writeDone *atomic.Bool, stop, done chan struct{}) {
 	defer close(done)
 	t := time.NewTicker(p.Tick)
 	defer t.Stop()
-	last := pc.bytes.Load()
-	readStarted := false
+	last := pc.read.Load() + pc.written.Load()
 	strikes := 0
 	for {
 		select {
 		case <-stop:
 			return
 		case <-t.C:
-			cur := pc.bytes.Load()
+			read := pc.read.Load()
+			cur := read + pc.written.Load()
 			advance := cur - last
 			last = cur
-			if writeDone.Load() && advance > 0 {
-				readStarted = true
-			}
-			enforcing := !writeDone.Load() || readStarted
+			enforcing := !writeDone.Load() || read > readBase
 			if !enforcing || advance >= p.MinBytes {
 				strikes = 0
 				continue
@@ -1529,7 +1626,7 @@ func progressWatch(conn net.Conn, pc *progressConn, p ProgressPolicy,
 			sf.Store(true)
 			// Abort the in-flight I/O: the blocked read/write returns a
 			// timeout, which callErr re-types as a *StallError via sf.
-			conn.SetDeadline(time.Now().Add(-time.Second))
+			pc.SetDeadline(time.Now().Add(-time.Second))
 			return
 		}
 	}
@@ -1537,17 +1634,17 @@ func progressWatch(conn net.Conn, pc *progressConn, p ProgressPolicy,
 
 // callErr converts a transport error into a *TimeoutError when it was caused
 // by the per-call deadline — or a *StallError when the progress watchdog
-// aborted the call — poisoning the client so the desynced stream is never
+// aborted the call — poisoning the connection so the desynced stream is never
 // reused. A *FrameError (failed checksum or over-cap length) always poisons
 // too — the stream's framing can no longer be trusted — and counts toward
 // the corruption counter. With a retry policy installed, any other transport
-// error also poisons the connection (the peer likely tore it down) so the
-// next attempt or call re-dials instead of reusing a dead stream.
-func (c *Client) callErr(method string, d time.Duration, err error, sf *stallFlag) error {
+// error also poisons the connection and retires the rest (the peer tore this
+// one down: eviction or a restart took the others idle for longer too) so the
+// next attempt or call dials instead of working through dead streams.
+func (c *Client) callErr(cn *clientConn, method string, d time.Duration, err error, sf *stallFlag) error {
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
-		c.broken = true
-		c.conn.Close()
+		cn.poison()
 		if sf != nil && sf.Load() {
 			c.stalledCalls.Add(1)
 			return &StallError{Method: method, Tick: c.progress.Tick,
@@ -1558,13 +1655,12 @@ func (c *Client) callErr(method string, d time.Duration, err error, sf *stallFla
 	var fe *FrameError
 	if errors.As(err, &fe) {
 		c.corruptFrames.Add(1)
-		c.broken = true
-		c.conn.Close()
+		cn.poison()
 		return err
 	}
 	if c.retrySet {
-		c.broken = true
-		c.conn.Close()
+		cn.poison()
+		c.ForceRedial()
 	}
 	return err
 }
@@ -1578,5 +1674,19 @@ func (c *Client) SetLink(bandwidthMbps float64, delay time.Duration) {
 	c.shaper.SetDelay(delay)
 }
 
-// Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+// Close closes every connection, idle or checked out, and is terminal: a
+// call in flight fails on its closed connection, and every later call fails
+// fast with ErrClientClosed without dialing.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	c.closed = true
+	conns := c.conns
+	c.conns, c.idle = nil, nil
+	c.avail.Broadcast()
+	c.mu.Unlock()
+	var err error
+	for cn := range conns {
+		err = errors.Join(err, cn.Close())
+	}
+	return err
+}

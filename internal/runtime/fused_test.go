@@ -14,6 +14,7 @@ import (
 	"murmuration/internal/rpcx"
 	"murmuration/internal/supernet"
 	"murmuration/internal/tensor"
+	"murmuration/internal/testutil"
 )
 
 // Fused tile runs: a device executes every consecutive block it owns on a
@@ -169,6 +170,43 @@ func allOn(t *testing.T, a *supernet.Arch, cfg *supernet.Config, dev func(tile i
 		}
 	}
 	return &supernet.Decision{Config: cfg, Placement: p}
+}
+
+// TestTilesOfOneDeviceOverlap: the runs one device owns in a segment are in
+// flight together — its daemon has two handler invocations active at once —
+// and the logits still equal layer-by-layer execution bit for bit.
+func TestTilesOfOneDeviceOverlap(t *testing.T) {
+	a := supernet.TinyArch(4)
+	net := supernet.New(a, 21)
+	active := testutil.NewOverlap()
+	srv := rpcx.NewServer()
+	srv.Handle(ExecBlockMethod, active.Wrap(NewExecutor(net).ExecBlockHandler()))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := rpcx.Dial(addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	sched := NewScheduler(net, []*rpcx.Client{cl})
+
+	cfg := a.MinConfig()
+	for i := range cfg.Layers {
+		cfg.Layers[i].Partition = supernet.Partition{Gy: 1, Gx: 2}
+		cfg.Layers[i].Quant = tensor.Bits8
+	}
+	x := randInput(rand.New(rand.NewSource(22)), 1, 3, 32, 32)
+	rep, err := sched.Infer(x, allOn(t, a, cfg, func(int) int { return 1 }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameBits(t, "both tiles on one device", rep.Logits, layerwise(t, net, x, cfg))
+	if peak := active.Peak(); peak < 2 {
+		t.Fatalf("at most %d exec.block invocation active on the daemon at a time, want 2: tiles of one device did not overlap", peak)
+	}
 }
 
 // TestRunSegmentation pins where runs break on the two decisions the

@@ -22,8 +22,10 @@ import (
 // FDSP tiles line up end to end, and inside a segment carries each tile
 // through its runs — the consecutive blocks one device owns, one dispatch
 // each (local inline, remote one exec.block round trip) — gathering and
-// cutting again only between segments. This is the paper's Scheduler +
-// Remote Execution path (Fig. 10).
+// cutting again only between segments. Tiles run concurrently, including
+// tiles placed on the same device: an rpcx.Client carries each call on a
+// connection of its own. This is the paper's Scheduler + Remote Execution
+// path (Fig. 10).
 //
 // Two tail-tolerance mechanisms ride the remote dispatch path:
 //
@@ -335,21 +337,21 @@ func (s *Scheduler) DeviceIncarnation(dev int) uint64 {
 }
 
 // fenceCheck validates a successful tile response against device dev's
-// expected incarnation. The response's provenance is the incarnation its
-// client's connection handshook with: if that sequence is *older* than the
-// expected one, the bytes were computed by a pre-restart process and are
-// dropped — counted, the connection force-redialed (so the retry reaches the
-// live process), and a typed, retryable error returned. A *newer* sequence is
-// adopted: the data path may legitimately learn of a restart before the
-// heartbeat does, and fencing fresh responses would turn every restart into
-// an outage. Comparison is by monotonic sequence, not raw value, so random
-// low bits never order two incarnations.
-func (s *Scheduler) fenceCheck(dev int, err error) error {
+// expected incarnation. The response's provenance is callInc, the incarnation
+// the connection that carried it handshook with (rpcx.Client.CallFrom — a
+// client's connections may straddle a restart, so it is the reply's, not the
+// client's): if that sequence is *older* than the expected one, the bytes
+// were computed by a pre-restart process and are dropped — counted, every
+// connection of the client retired (so the retry reaches the live process),
+// and a typed, retryable error returned. A *newer* sequence is adopted: the
+// data path may legitimately learn of a restart before the heartbeat does,
+// and fencing fresh responses would turn every restart into an outage.
+// Comparison is by monotonic sequence, not raw value, so random low bits
+// never order two incarnations.
+func (s *Scheduler) fenceCheck(dev int, callInc uint64, err error) error {
 	if err != nil || dev < 1 || dev > len(s.expectedInc) {
 		return err
 	}
-	c := s.Remotes[dev-1]
-	callInc := c.RemoteIncarnation()
 	if callInc == 0 {
 		return nil // identity-less peer: nothing to fence against
 	}
@@ -360,7 +362,7 @@ func (s *Scheduler) fenceCheck(dev int, err error) error {
 	}
 	if rpcx.IncarnationSeq(callInc) < rpcx.IncarnationSeq(exp) {
 		s.fencedResponses.Add(1)
-		c.ForceRedial()
+		s.Remotes[dev-1].ForceRedial()
 		return &FencedError{Device: dev, Got: callInc, Want: exp}
 	}
 	if callInc != exp {
@@ -712,9 +714,12 @@ func (s *Scheduler) tryHedgeToken(frac float64) bool {
 // callTile performs one remote tile RPC against placement device dev,
 // hedging to an alternate healthy device after the hedge delay when a policy
 // is installed. The first successful response wins; the loser is abandoned
-// and runs out against its own deadline (the transport is synchronous, so
-// in-flight work cannot be actively revoked — abandonment plus the wire
-// budget is the cancellation this design supports).
+// and runs out against its own deadline on the connection it holds (a call
+// owns its connection until the reply, so in-flight work cannot be actively
+// revoked — abandonment plus the wire budget is the cancellation this design
+// supports). Tiles of one device do not wait for each other here: each call
+// checks out its own connection, so the runs a device owns in a segment are
+// in flight together and the link's delay is paid once per segment.
 func (s *Scheduler) callTile(dev int, payload []byte, deadline time.Time) ([]byte, error) {
 	timeout, budget, err := s.tileBudget(deadline)
 	if err != nil {
@@ -757,8 +762,8 @@ func (s *Scheduler) callTile(dev int, payload []byte, deadline time.Time) ([]byt
 	}
 	if alt <= 0 || alt == dev || alt > len(s.Remotes) {
 		start := time.Now()
-		resp, err := primary.CallBudget(ExecBlockMethod, payload, timeout, budget)
-		err = s.fenceCheck(dev, err)
+		resp, inc, err := primary.CallFrom(ExecBlockMethod, payload, timeout, budget)
+		err = s.fenceCheck(dev, inc, err)
 		s.finishTile(dev, lim, time.Since(start), err)
 		if err == nil {
 			s.observeTileLatency(time.Since(start))
@@ -775,8 +780,8 @@ func (s *Scheduler) callTile(dev int, payload []byte, deadline time.Time) ([]byt
 	start := time.Now()
 	go func() {
 		t0 := time.Now()
-		resp, err := primary.CallBudget(ExecBlockMethod, payload, timeout, budget)
-		err = s.fenceCheck(dev, err)
+		resp, inc, err := primary.CallFrom(ExecBlockMethod, payload, timeout, budget)
+		err = s.fenceCheck(dev, inc, err)
 		s.finishTile(dev, lim, time.Since(t0), err)
 		results <- attempt{resp, err, false}
 	}()
@@ -844,8 +849,8 @@ func (s *Scheduler) callTile(dev int, payload []byte, deadline time.Time) ([]byt
 					return
 				}
 				t0 := time.Now()
-				resp, err := s.Remotes[alt-1].CallBudget(ExecBlockMethod, payload, t2, b2)
-				err = s.fenceCheck(alt, err)
+				resp, inc, err := s.Remotes[alt-1].CallFrom(ExecBlockMethod, payload, t2, b2)
+				err = s.fenceCheck(alt, inc, err)
 				s.finishTile(alt, altLim, time.Since(t0), err)
 				results <- attempt{resp, err, true}
 			}()

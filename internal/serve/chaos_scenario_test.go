@@ -334,8 +334,8 @@ func TestChaosDeviceKill(t *testing.T) {
 	rt.SetLinkState(1, 100, 5)
 	rt.SetSLO(chaosLatSLO(sloMs))
 
-	// Heartbeats ride dedicated connections (data calls serialize per client,
-	// so sharing would let a slow batch delay failure detection).
+	// Heartbeats ride dedicated clients (a probe through the data client
+	// could wait for a connection behind a slow batch).
 	hb1, hb2 := chaosDial(t, addr1, nil), chaosDial(t, addr2, nil)
 	defer hb1.Close()
 	defer hb2.Close()

@@ -161,13 +161,13 @@ func (g *Gateway) handleRestart(ev cluster.Event) {
 	if g.rt.Cache != nil {
 		g.rt.Cache.InvalidateDevice(dev)
 	}
-	// 3. The data connection may still terminate at the dead process's socket
-	// (a zombie that keeps its listener): poison it so the next dispatch
-	// re-dials — and re-handshakes — to the live incarnation. Asynchronous
-	// because ForceRedial serializes behind any in-flight call (that call's
-	// response will be fenced on completion, which poisons the client too).
+	// 3. The data connections may still terminate at the dead process's
+	// socket (a zombie that keeps its listener): retire them all so the next
+	// dispatch dials — and handshakes with — the live incarnation. Calls in
+	// flight are not waited for: each keeps its connection until its reply,
+	// which is fenced on arrival.
 	if ev.Member >= 0 && ev.Member < len(sched.Remotes) && sched.Remotes[ev.Member] != nil {
-		go sched.Remotes[ev.Member].ForceRedial()
+		sched.Remotes[ev.Member].ForceRedial()
 	}
 	// 4. Adaptive state learned against the old process does not transfer.
 	sched.ResetDevice(dev)

@@ -157,6 +157,47 @@ func TestServeUnderLoad(t *testing.T) {
 	}
 }
 
+// TestOneClientCarriesConcurrentInfers: the load generator funnels every
+// in-flight request through one serve.Client (scenario.WireSubmitter,
+// murmuration-loadgen -max-in-flight N). Eight concurrent Infer calls on one
+// client must reach the gateway together — at least two serve.infer
+// invocations active at once — not one at a time.
+func TestOneClientCarriesConcurrentInfers(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	g := New(newTestRuntime(103, nil), Options{Workers: 2, MaxBatch: 8, MaxLinger: time.Millisecond})
+	defer g.Close(5 * time.Second)
+	active := testutil.NewOverlap()
+	srv := rpcx.NewServer()
+	g.Register(srv)
+	srv.Handle(InferMethod, active.Wrap(g.handleInfer))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := DialClient(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := cl.Infer(testInput(int64(300+i)), latSLO(30000), 60*time.Second)
+			if err != nil || res.Logits == nil {
+				t.Errorf("infer %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if peak := active.Peak(); peak < 2 {
+		t.Fatalf("at most %d serve.infer invocation active at a time through one client, want >= 2", peak)
+	}
+}
+
 // TestGatewayOverRPCSingle exercises the wire protocol end to end: encoded
 // image + SLO in, logits + timing out, stats over the wire.
 func TestGatewayOverRPCSingle(t *testing.T) {
