@@ -96,7 +96,6 @@ func main() {
 	retryBudgetFrac := flag.Float64("retry-budget-frac", 0.1, "shared retry budget: speculative attempts (retries, failovers, hedges) allowed as a fraction of first attempts (0 disables the budget)")
 	correlatedLossK := flag.Int("correlated-loss-k", 2, "devices lost within -correlated-loss-window that count as one correlated event and tighten admission (negative disables the detector)")
 	correlatedLossWindow := flag.Duration("correlated-loss-window", 2*time.Second, "window for counting correlated device losses")
-	rewarmConcurrency := flag.Int("rewarm-concurrency", 2, "max concurrent cache-rewarm resolutions after churn (bounds the recovery-storm resolve burst)")
 	flag.Parse()
 
 	var arch *supernet.Arch
@@ -224,7 +223,6 @@ func main() {
 		LadderHysteresis:     *ladderHysteresis,
 		CorrelatedLossK:      *correlatedLossK,
 		CorrelatedLossWindow: *correlatedLossWindow,
-		RewarmConcurrency:    *rewarmConcurrency,
 		OnDeviceError: func(dev int, err error) {
 			log.Printf("device %d failed a batch (failing over): %v", dev, err)
 		},

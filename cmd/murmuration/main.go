@@ -124,5 +124,6 @@ func main() {
 			i, res.Report.Elapsed.Round(time.Microsecond), res.DecideTime.Round(time.Microsecond),
 			res.CacheHit, res.Decision.Config, res.Report.RemoteTiles, res.Report.LocalTiles)
 	}
-	fmt.Printf("strategy cache: %d hits, %d misses\n", rt.CacheHits, rt.CacheMisses)
+	cs := rt.Cache.Stats()
+	fmt.Printf("strategy cache: %d hits, %d misses\n", cs.Hits, cs.Misses)
 }

@@ -112,7 +112,8 @@ func main() {
 			placementSketch(res.Decision), res.Report.Elapsed.Round(time.Microsecond),
 			res.DecideTime.Round(time.Microsecond), res.CacheHit)
 	}
-	fmt.Printf("\nstrategy cache: %d hits / %d misses\n", rt.CacheHits, rt.CacheMisses)
+	cs := rt.Cache.Stats()
+	fmt.Printf("\nstrategy cache: %d hits / %d misses\n", cs.Hits, cs.Misses)
 	fmt.Println("Decisions take microseconds (cache or cheap decider), so adaptation")
 	fmt.Println("never stalls the request path; when the link collapses the runtime")
 	fmt.Println("switches to a small local submodel and latency drops ~100x.")

@@ -621,6 +621,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		var status byte
 		var resp []byte
+		// ok: beginCall counted the request in flight, and it stays counted
+		// until its reply is written — Shutdown drains replies, not handler
+		// returns, or it could close the connection under one.
 		ok, overloaded := false, false
 		if h != nil {
 			ok, overloaded = s.beginCall()
@@ -641,15 +644,12 @@ func (s *Server) serveConn(conn net.Conn) {
 			// Budget guard: the request cannot finish in time, so refuse it
 			// with a typed error instead of executing into a silent late
 			// reply. The cost estimate is only ever built from observed runs,
-			// so the first call of a method is never refused. beginCall above
-			// registered the request, so it must be retired here.
+			// so the first call of a method is never refused.
 			status = statusBudget
 			resp = []byte(fmt.Sprintf("estimated cost %v exceeds remaining budget %v",
 				s.estimatedCost(method).Round(time.Microsecond), budget))
-			s.endCall()
 		default:
 			status, resp = s.invoke(method, h, payload)
-			s.endCall()
 		}
 		if s.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
@@ -657,6 +657,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		err = writeResponse(w, status, resp, respChecksum)
 		if err == nil {
 			err = w.Flush()
+		}
+		if ok {
+			s.endCall()
 		}
 		if err != nil {
 			if isTimeout(err) {

@@ -186,7 +186,7 @@ func TestSetRetryBudgetGatesClientRetries(t *testing.T) {
 
 	clock := &fakeClock{now: time.Unix(1700000000, 0)}
 	budget := limit.NewBudget(limit.BudgetOptions{Ratio: 1e-6, Burst: 2, Now: clock.Now})
-	sched := &Scheduler{Remotes: []*rpcx.Client{nil, c}} // device 1 has no client
+	sched := NewScheduler(nil, []*rpcx.Client{nil, c}) // device 1 has no client
 	sched.SetRetryBudget(budget)
 
 	// Drain the bucket from the scheduler side of the shared ledger.

@@ -114,7 +114,10 @@ func TestCacheClearIsEpochBump(t *testing.T) {
 	}
 }
 
-func TestSetDeviceHealthDegradesConstraint(t *testing.T) {
+// TestDownDeviceDegradesConstraint: a device the table holds down is shown to
+// the decider as a dead link, in a cache bucket of its own, until it is up
+// again.
+func TestDownDeviceDegradesConstraint(t *testing.T) {
 	a := supernet.TinyArch(4)
 	net := supernet.New(a, 30)
 	sched, cleanup := testCluster(t, net, 2, 0, 0)
@@ -133,9 +136,7 @@ func TestSetDeviceHealthDegradesConstraint(t *testing.T) {
 		t.Fatalf("healthy bandwidth %v, want 100", got)
 	}
 
-	if err := rt.SetDeviceHealth(0, false); err != nil {
-		t.Fatal(err)
-	}
+	rt.Devices.Apply(Change{Dev: 1, To: DeviceDown})
 	c := rt.Constraint()
 	if c.BandwidthMbps[0] != downBandwidthMbps || c.DelayMs[0] != downDelayMs {
 		t.Fatalf("down device constraint not degraded: bw=%v delay=%v",
@@ -144,24 +145,21 @@ func TestSetDeviceHealthDegradesConstraint(t *testing.T) {
 	if rt.StrategyKeyFor(rt.SLO()) == healthyKey {
 		t.Fatal("down device must land in a different cache bucket")
 	}
-	if h := rt.HealthyDevices(); len(h) != 1 || h[0] {
-		t.Fatalf("health mask %v, want [false]", h)
+	if h := rt.Devices.Snapshot(); len(h) != 1 || h[0].Up || rt.Devices.Eligible(1) {
+		t.Fatalf("device table %+v, want one record, down", h)
 	}
 
 	// Recovery restores the live link view and the original cache bucket.
-	if err := rt.SetDeviceHealth(0, true); err != nil {
-		t.Fatal(err)
-	}
+	rt.Devices.Apply(Change{Dev: 1, To: DeviceUp})
 	if rt.StrategyKeyFor(rt.SLO()) != healthyKey {
 		t.Fatal("recovered device must return to its healthy cache bucket")
 	}
 
-	// Bounds checking mirrors SetLinkState.
-	if err := rt.SetDeviceHealth(5, false); err == nil {
-		t.Fatal("out-of-range device index accepted")
-	}
-	if err := rt.SetDeviceHealth(-1, false); err == nil {
-		t.Fatal("negative device index accepted")
+	// A device the table has no record of is never eligible, and a change
+	// naming one is skipped; the local device always is.
+	rt.Devices.Apply(Change{Dev: 5, To: DeviceUp}, Change{Dev: -1, To: DeviceUp}, Change{Dev: 0, To: DeviceDown})
+	if rt.Devices.Eligible(5) || rt.Devices.Eligible(-1) || !rt.Devices.Eligible(0) || !rt.Devices.Eligible(1) {
+		t.Fatal("eligibility of unknown / local / recovered devices is wrong")
 	}
 }
 
@@ -202,7 +200,7 @@ func TestResolveSanitizesPlacement(t *testing.T) {
 	// Unhealthy: even though the decider still says device 1, the resolved
 	// placement must not reference it — and the decider's decision object
 	// must not be mutated (cached decisions are shared).
-	rt.SetDeviceHealth(0, false)
+	rt.Devices.Apply(Change{Dev: 1, To: DeviceDown})
 	orig := remote()
 	res, err = rt.ResolveFor(rt.SLO())
 	if err != nil {

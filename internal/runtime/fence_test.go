@@ -74,7 +74,7 @@ func TestFenceFollowsTheAnsweringConnection(t *testing.T) {
 	if err != nil || string(resp) != "new" {
 		t.Fatalf("reply on the replacement's connection: %q, %v; want it served", resp, err)
 	}
-	if got := sched.DeviceIncarnation(1); got != inc2 {
+	if got := sched.Devices.Snapshot()[0].Incarnation; got != inc2 {
 		t.Fatalf("expected incarnation %#x after the replacement answered, want %#x", got, inc2)
 	}
 

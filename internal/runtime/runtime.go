@@ -13,7 +13,7 @@ import (
 	"murmuration/internal/tensor"
 )
 
-// Link parameters substituted for a device that is marked unhealthy. The
+// Link parameters substituted for a device that is not Eligible. The
 // near-zero bandwidth and huge delay make any placement that uses the device
 // so expensive that the decider routes around it, and they land in a
 // different cache bucket than the device's healthy link state, so pre-failure
@@ -81,9 +81,15 @@ type SLO struct {
 // Runtime is the deployment coordinator: it assembles the live constraint
 // from monitors (optionally through the predictor), resolves a strategy via
 // the cache or the decider, and executes inference through the scheduler.
+//
+// Whether a remote device may take a tile is answered in one place,
+// Devices.Eligible: the constraint shows an ineligible device as a dead link,
+// sanitizeDecision strips it from whatever placement was resolved, and
+// AlternateFor never offers it to a hedge.
 type Runtime struct {
 	Scheduler *Scheduler
 	Cache     *StrategyCache
+	Devices   *DeviceTable // the scheduler's device table (devices.go)
 	// decider is the installed Decider behind an atomic pointer, so an
 	// adaptation controller can hot-swap the serving policy while workers
 	// resolve concurrently, without taking the runtime mutex on the hot path.
@@ -99,15 +105,6 @@ type Runtime struct {
 	mu         sync.Mutex
 	slo        SLO
 	manualLink []monitor.Sample // fallback when Monitors are absent
-	// healthy[i] tracks remote device i+1; unhealthy devices get degraded
-	// constraints and are stripped from placements until they recover.
-	healthy []bool
-	// quarantined[i] is the health layer's gray-failure mask for remote
-	// device i+1. It composes with healthy: a quarantined device is excluded
-	// from placement and hedging exactly like a down one, but its
-	// connections stay up so synthetic probes (and eventual reintegration)
-	// need no re-dial.
-	quarantined []bool
 
 	// Resolution singleflight: concurrent cache misses for the same strategy
 	// key collapse into one decider call whose result every waiter shares.
@@ -118,10 +115,6 @@ type Runtime struct {
 	sfMu             sync.Mutex
 	sfCalls          map[string]*sfCall
 	resolveCoalesced atomic.Uint64
-
-	// Counters.
-	CacheHits   int
-	CacheMisses int
 }
 
 // sfCall is one in-flight shared resolution: the leader closes done after
@@ -133,24 +126,20 @@ type sfCall struct {
 	err  error
 }
 
-// New creates a runtime. All remote devices start healthy.
+// New creates a runtime. All remote devices start eligible.
 func New(s *Scheduler, d Decider, cache *StrategyCache, monitors []*monitor.LinkMonitor) *Runtime {
-	healthy := make([]bool, len(s.Remotes))
-	for i := range healthy {
-		healthy[i] = true
-	}
 	r := &Runtime{
-		Scheduler:   s,
-		Cache:       cache,
-		Monitors:    monitors,
-		manualLink:  make([]monitor.Sample, len(s.Remotes)),
-		healthy:     healthy,
-		quarantined: make([]bool, len(s.Remotes)),
+		Scheduler:  s,
+		Cache:      cache,
+		Devices:    s.Devices,
+		Monitors:   monitors,
+		manualLink: make([]monitor.Sample, len(s.Remotes)),
 	}
+	s.Devices.cache = cache // leaving placement invalidates the strategies using the device
 	r.decider.Store(&deciderBox{d: d})
-	// Wire the scheduler's hedged-RPC alternate-device choice to the
-	// runtime's health mask and link estimates, unless the caller already
-	// installed its own policy.
+	// Wire the scheduler's hedged-RPC alternate-device choice to the device
+	// table and link estimates, unless the caller already installed its own
+	// policy.
 	if s.PickAlternate == nil {
 		s.PickAlternate = r.AlternateFor
 	}
@@ -193,21 +182,18 @@ func (r *Runtime) InvalidateStrategies() int {
 	return r.Cache.Clear()
 }
 
-// AlternateFor picks the healthy remote device a hedged tile RPC should be
-// retried on: the lowest-delay healthy device other than the primary, or 0
-// when no such device exists (hedging is then skipped).
+// AlternateFor picks the remote device a hedged tile RPC should be retried
+// on: the lowest-delay eligible device other than the primary, or 0 when no
+// such device exists (hedging is then skipped).
 func (r *Runtime) AlternateFor(primary int) int {
 	r.mu.Lock()
-	healthy := append([]bool(nil), r.healthy...)
-	quarantined := append([]bool(nil), r.quarantined...)
 	manual := append([]monitor.Sample(nil), r.manualLink...)
 	r.mu.Unlock()
 
 	best, bestDelay := 0, math.Inf(1)
 	for i := range r.Scheduler.Remotes {
 		dev := i + 1
-		if dev == primary || (i < len(healthy) && !healthy[i]) ||
-			(i < len(quarantined) && quarantined[i]) {
+		if dev == primary || !r.Devices.Eligible(dev) {
 			continue
 		}
 		var s monitor.Sample
@@ -221,51 +207,6 @@ func (r *Runtime) AlternateFor(primary int) int {
 		}
 	}
 	return best
-}
-
-// SetDeviceHealth marks remote device i+1 (0-based remote index i) healthy or
-// unhealthy. While unhealthy, constraints report the device's link as
-// effectively dead and resolved placements never assign tiles to it.
-func (r *Runtime) SetDeviceHealth(i int, up bool) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i < 0 || i >= len(r.healthy) {
-		return fmt.Errorf("runtime: device index %d out of range", i)
-	}
-	r.healthy[i] = up
-	return nil
-}
-
-// HealthyDevices returns a copy of the remote health mask (index i is remote
-// device i+1).
-func (r *Runtime) HealthyDevices() []bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]bool(nil), r.healthy...)
-}
-
-// SetDeviceQuarantined marks remote device i+1 quarantined or not. The
-// quarantine mask composes with the health mask: while either is set the
-// device is presented to the decider as a dead link, sanitization strips it
-// from placements, and hedging skips it — but unlike SetDeviceHealth(false),
-// quarantine is the gray-failure layer's verdict, so the cluster detector's
-// Up/Down reports never clear it.
-func (r *Runtime) SetDeviceQuarantined(i int, q bool) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i < 0 || i >= len(r.quarantined) {
-		return fmt.Errorf("runtime: device index %d out of range", i)
-	}
-	r.quarantined[i] = q
-	return nil
-}
-
-// QuarantinedDevices returns a copy of the quarantine mask (index i is
-// remote device i+1).
-func (r *Runtime) QuarantinedDevices() []bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]bool(nil), r.quarantined...)
 }
 
 // SetSLO sets the active objective.
@@ -314,8 +255,6 @@ func (r *Runtime) ConstraintFor(slo SLO) env.Constraint {
 func (r *Runtime) constraintAhead(slo SLO, ahead time.Duration) env.Constraint {
 	r.mu.Lock()
 	manual := append([]monitor.Sample(nil), r.manualLink...)
-	healthy := append([]bool(nil), r.healthy...)
-	quarantined := append([]bool(nil), r.quarantined...)
 	r.mu.Unlock()
 
 	c := env.Constraint{Type: slo.Type}
@@ -327,9 +266,9 @@ func (r *Runtime) constraintAhead(slo SLO, ahead time.Duration) env.Constraint {
 	for i := 0; i < len(r.Scheduler.Remotes); i++ {
 		var s monitor.Sample
 		switch {
-		case (i < len(healthy) && !healthy[i]) || (i < len(quarantined) && quarantined[i]):
-			// Down or quarantined device: present a dead link so the decider
-			// avoids it and the cache keys this regime separately.
+		case !r.Devices.Eligible(i + 1):
+			// Present a dead link so the decider avoids the device and the
+			// cache keys this regime separately.
 			s = monitor.Sample{BandwidthMbps: downBandwidthMbps, DelayMs: downDelayMs}
 		case i < len(r.Monitors) && r.Monitors[i] != nil && r.Monitors[i].Samples() > 0:
 			if ahead > 0 {
@@ -347,24 +286,16 @@ func (r *Runtime) constraintAhead(slo SLO, ahead time.Duration) env.Constraint {
 }
 
 // sanitizeDecision returns a decision whose placement assigns no tile to an
-// unhealthy or quarantined device, remapping stray tiles to device 0 (local). It is the hard
-// guarantee behind constraint degradation: even if the decider or a cached
-// entry still points at a lost device, execution never will. The input is not
-// mutated — cached decisions are shared.
+// ineligible device, remapping stray tiles to device 0 (local). It is the
+// hard guarantee behind constraint degradation: even if the decider or a
+// cached entry still points at a lost device, execution never will. The
+// input is not mutated — cached decisions are shared.
 func (r *Runtime) sanitizeDecision(d *env.Decision) *env.Decision {
-	r.mu.Lock()
-	healthy := append([]bool(nil), r.healthy...)
-	quarantined := append([]bool(nil), r.quarantined...)
-	r.mu.Unlock()
-
-	bad := func(dev int) bool {
-		return dev > 0 && (dev-1 >= len(healthy) || !healthy[dev-1] || quarantined[dev-1])
-	}
 	dirty := false
 	if d != nil && d.Placement != nil {
 		for _, layer := range d.Placement.Devices {
 			for _, dev := range layer {
-				if bad(dev) {
+				if !r.Devices.Eligible(dev) {
 					dirty = true
 				}
 			}
@@ -379,7 +310,7 @@ func (r *Runtime) sanitizeDecision(d *env.Decision) *env.Decision {
 	for k, layer := range d.Placement.Devices {
 		row := append([]int(nil), layer...)
 		for t, dev := range row {
-			if bad(dev) {
+			if !r.Devices.Eligible(dev) {
 				row[t] = 0
 			}
 		}
@@ -448,9 +379,6 @@ func (r *Runtime) ResolveFor(slo SLO) (*Resolution, error) {
 			if pv, ok := dec.(PolicyVersioner); ok {
 				meta.PolicyVersion = pv.PolicyVersion()
 			}
-			r.mu.Lock()
-			r.CacheHits++
-			r.mu.Unlock()
 		}
 	}
 	if d == nil {
@@ -464,9 +392,6 @@ func (r *Runtime) ResolveFor(slo SLO) (*Resolution, error) {
 		if d, meta, err = r.decideShared(sfKey, c, dec); err != nil {
 			return nil, err
 		}
-		r.mu.Lock()
-		r.CacheMisses++
-		r.mu.Unlock()
 	}
 	return &Resolution{
 		Decision:      r.sanitizeDecision(d),

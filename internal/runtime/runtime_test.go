@@ -204,8 +204,8 @@ func TestRuntimeCachesDecisions(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("decider ran %d times, want 1 (cache)", calls)
 	}
-	if rt.CacheHits != 2 || rt.CacheMisses != 1 {
-		t.Fatalf("hits/misses = %d/%d, want 2/1", rt.CacheHits, rt.CacheMisses)
+	if cs := rt.Cache.Stats(); cs.Hits != 2 || cs.Misses != 1 {
+		t.Fatalf("hits/misses = %d/%d, want 2/1", cs.Hits, cs.Misses)
 	}
 
 	// Changing conditions re-triggers the decider.
@@ -244,8 +244,8 @@ func TestPrecomputePopulatesCache(t *testing.T) {
 	if _, err := rt.Infer(randInput(rng, 1, 3, 32, 32)); err != nil {
 		t.Fatal(err)
 	}
-	if calls != 1 || rt.CacheHits != 1 {
-		t.Fatalf("inference after precompute should hit the cache (calls=%d hits=%d)", calls, rt.CacheHits)
+	if hits := rt.Cache.Stats().Hits; calls != 1 || hits != 1 {
+		t.Fatalf("inference after precompute should hit the cache (calls=%d hits=%d)", calls, hits)
 	}
 }
 

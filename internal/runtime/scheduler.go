@@ -43,7 +43,9 @@ import (
 // Self-protection rides the same path: every remote device has an AIMD
 // concurrency limiter (internal/limit) capping in-flight tile calls, so an
 // overloaded or wedged daemon sheds load at dispatch instead of accumulating
-// goroutines.
+// goroutines. The limiter, the panic streak and the expected incarnation are
+// fields of the device's record in Devices (devices.go); the scheduler reads
+// and feeds them per call, transitions reset them through DeviceTable.Apply.
 //
 // What a tile error means — device fault or not, how the limiter is
 // released, what the health ledger records — is read from the fault policy
@@ -68,8 +70,8 @@ type Scheduler struct {
 	// rate no matter how many recovery mechanisms fire at once.
 	RetryBudget *limit.Budget
 	// PickAlternate returns the placement device (>= 1) a hedged attempt
-	// should go to, or 0 when no healthy alternate exists. The runtime wires
-	// this to its device-health mask and the monitors' delay estimates.
+	// should go to, or 0 when no eligible alternate exists. The runtime wires
+	// this to the device table and the monitors' delay estimates.
 	PickAlternate func(primary int) int
 
 	// Gate, when non-nil, is consulted before every remote dispatch —
@@ -94,17 +96,7 @@ type Scheduler struct {
 	latMu  sync.Mutex
 	latWin *stats.Window
 
-	// limiters[i] is the adaptive concurrency limiter for device i+1;
-	// panicStreaks[i] counts consecutive panic responses from device i+1
-	// (reset on any success). Both are sized to Remotes by NewScheduler.
-	limiters     []*limit.AIMD
-	panicStreaks []atomic.Int32
-
-	// expectedInc[i] is the incarnation the scheduler expects device i+1's
-	// responses to carry (0 = not yet learned). A response whose connection
-	// handshook with an *older* incarnation is fenced: the bytes were computed
-	// by a process that no longer owns the device's state. See fenceCheck.
-	expectedInc []atomic.Uint64
+	Devices *DeviceTable // one record per remote (devices.go); shared with the Runtime
 
 	remoteCalls     atomic.Uint64
 	hedges          atomic.Uint64
@@ -181,14 +173,8 @@ type SchedStats struct {
 
 // NewScheduler creates a scheduler for a local supernet and remote clients.
 func NewScheduler(local *supernet.Supernet, remotes []*rpcx.Client) *Scheduler {
-	s := &Scheduler{Local: local, Remotes: remotes, latWin: stats.NewWindow(128)}
-	s.limiters = make([]*limit.AIMD, len(remotes))
-	for i := range s.limiters {
-		s.limiters[i] = limit.New(limit.Options{})
-	}
-	s.panicStreaks = make([]atomic.Int32, len(remotes))
-	s.expectedInc = make([]atomic.Uint64, len(remotes))
-	return s
+	return &Scheduler{Local: local, Remotes: remotes, latWin: stats.NewWindow(128),
+		Devices: newDeviceTable(remotes)}
 }
 
 // SetRetryBudget installs the shared retry budget on the scheduler and on
@@ -232,55 +218,33 @@ func (s *Scheduler) Stats() SchedStats {
 		st.Overloads += c.Overloads()
 		st.StalledCalls += c.StalledCalls()
 	}
-	for _, l := range s.limiters {
-		snap := l.Snapshot()
+	for i := range s.Devices.recs {
+		snap := s.Devices.recs[i].limiter.Snapshot()
 		st.LimiterCuts += snap.Cuts
 		st.LimiterLimit += uint64(snap.Limit)
 	}
 	return st
 }
 
-// Limiter returns device dev's concurrency limiter (nil when dev is out of
-// range or the scheduler was built without NewScheduler).
-func (s *Scheduler) Limiter(dev int) *limit.AIMD {
-	if dev < 1 || dev > len(s.limiters) {
-		return nil
-	}
-	return s.limiters[dev-1]
-}
+// Limiter returns the concurrency limiter of remote device dev, which must be
+// one of the scheduler's (a placement that passed Validate names no other).
+func (s *Scheduler) Limiter(dev int) *limit.AIMD { return s.Devices.rec(dev).limiter }
 
 // finishTile settles one completed remote tile call against device dev —
 // primary or hedge alike, exactly once per dispatch: the limiter slot is
 // released with the outcome the error's class dictates, the device's panic
 // streak advances on a request fault and clears on success, and the health
 // observer is told.
-func (s *Scheduler) finishTile(dev int, lim *limit.AIMD, elapsed time.Duration, err error) {
-	if lim != nil {
-		lim.Release(releaseOutcome(err))
-	}
-	if dev >= 1 && dev <= len(s.panicStreaks) {
-		if err == nil {
-			s.panicStreaks[dev-1].Store(0)
-		} else if fault.Of(err) == fault.Request {
-			s.panicStreaks[dev-1].Add(1)
-		}
+func (s *Scheduler) finishTile(dev int, elapsed time.Duration, err error) {
+	r := s.Devices.rec(dev)
+	r.limiter.Release(releaseOutcome(err))
+	if err == nil {
+		r.panicStreak.Store(0)
+	} else if fault.Of(err) == fault.Request {
+		r.panicStreak.Add(1)
 	}
 	if s.OnTileOutcome != nil {
 		s.OnTileOutcome(dev, elapsed, err)
-	}
-}
-
-// ResetDevice clears device dev's adaptive dispatch state: the AIMD limit
-// back to its starting value and the panic streak to zero. The serving layer
-// calls it when a device is reinstated after an outage or completes health
-// reintegration — the old limit was learned against a failing device, and a
-// stale panic streak would misclassify the recovered one's first hiccup.
-func (s *Scheduler) ResetDevice(dev int) {
-	if l := s.Limiter(dev); l != nil {
-		l.Reset()
-	}
-	if dev >= 1 && dev <= len(s.panicStreaks) {
-		s.panicStreaks[dev-1].Store(0)
 	}
 }
 
@@ -316,28 +280,9 @@ func (e *FencedError) Error() string {
 
 func (e *FencedError) Unwrap() error { return ErrFenced }
 
-// SetDeviceIncarnation installs the incarnation the scheduler should expect
-// device dev's responses to carry. The serving layer calls it when the
-// cluster detects a restart; responses still in flight from the previous
-// process then fail fenceCheck and are dropped.
-func (s *Scheduler) SetDeviceIncarnation(dev int, inc uint64) {
-	if dev < 1 || dev > len(s.expectedInc) {
-		return
-	}
-	s.expectedInc[dev-1].Store(inc)
-}
-
-// DeviceIncarnation returns the currently expected incarnation for device
-// dev (0 = never learned).
-func (s *Scheduler) DeviceIncarnation(dev int) uint64 {
-	if dev < 1 || dev > len(s.expectedInc) {
-		return 0
-	}
-	return s.expectedInc[dev-1].Load()
-}
-
 // fenceCheck validates a successful tile response against device dev's
-// expected incarnation. The response's provenance is callInc, the incarnation
+// expected incarnation (raised by a DeviceRestart transition; 0 = not yet
+// learned). The response's provenance is callInc, the incarnation
 // the connection that carried it handshook with (rpcx.Client.CallFrom — a
 // client's connections may straddle a restart, so it is the reply's, not the
 // client's): if that sequence is *older* than the expected one, the bytes
@@ -349,24 +294,25 @@ func (s *Scheduler) DeviceIncarnation(dev int) uint64 {
 // Comparison is by monotonic sequence, not raw value, so random low bits
 // never order two incarnations.
 func (s *Scheduler) fenceCheck(dev int, callInc uint64, err error) error {
-	if err != nil || dev < 1 || dev > len(s.expectedInc) {
+	r := s.Devices.rec(dev)
+	if err != nil || r == nil {
 		return err
 	}
 	if callInc == 0 {
 		return nil // identity-less peer: nothing to fence against
 	}
-	exp := s.expectedInc[dev-1].Load()
+	exp := r.expectedInc.Load()
 	if exp == 0 {
-		s.expectedInc[dev-1].CompareAndSwap(0, callInc)
+		r.expectedInc.CompareAndSwap(0, callInc)
 		return nil
 	}
 	if rpcx.IncarnationSeq(callInc) < rpcx.IncarnationSeq(exp) {
 		s.fencedResponses.Add(1)
-		s.Remotes[dev-1].ForceRedial()
+		r.client.ForceRedial()
 		return &FencedError{Device: dev, Got: callInc, Want: exp}
 	}
 	if callInc != exp {
-		s.expectedInc[dev-1].Store(callInc)
+		r.expectedInc.Store(callInc)
 	}
 	return nil
 }
@@ -634,8 +580,8 @@ func (s *Scheduler) tileError(t, dev int, err error) error {
 	demote := class.Policy().Demote
 	// The one stateful escalation: a lone handler panic is a request fault,
 	// a streak of them from one device means the daemon is wedged.
-	if class == fault.Request && dev > 0 && dev <= len(s.panicStreaks) &&
-		s.panicStreaks[dev-1].Load() >= PanicFaultThreshold {
+	if r := s.Devices.rec(dev); class == fault.Request && r != nil &&
+		r.panicStreak.Load() >= PanicFaultThreshold {
 		demote = true
 	}
 	// Only a remote tile can fault a device; everything else travels typed
@@ -728,16 +674,13 @@ func (s *Scheduler) callTile(dev int, payload []byte, deadline time.Time) ([]byt
 	// Adaptive concurrency limit: dispatch past the device's learned limit is
 	// shed typed instead of queueing as goroutines. The brief wait absorbs
 	// sub-RTT bursts without turning the limiter into a queue.
-	lim := s.Limiter(dev)
-	if lim != nil {
-		wait := 50 * time.Millisecond
-		if timeout > 0 && timeout/4 < wait {
-			wait = timeout / 4
-		}
-		if !lim.AcquireWait(wait) {
-			s.overloads.Add(1)
-			return nil, fmt.Errorf("runtime: tile dispatch to device %d shed: %w", dev, limit.ErrLimited)
-		}
+	wait := 50 * time.Millisecond
+	if timeout > 0 && timeout/4 < wait {
+		wait = timeout / 4
+	}
+	if !s.Limiter(dev).AcquireWait(wait) {
+		s.overloads.Add(1)
+		return nil, fmt.Errorf("runtime: tile dispatch to device %d shed: %w", dev, limit.ErrLimited)
 	}
 	primary := s.Remotes[dev-1]
 	s.remoteCalls.Add(1)
@@ -764,7 +707,7 @@ func (s *Scheduler) callTile(dev int, payload []byte, deadline time.Time) ([]byt
 		start := time.Now()
 		resp, inc, err := primary.CallFrom(ExecBlockMethod, payload, timeout, budget)
 		err = s.fenceCheck(dev, inc, err)
-		s.finishTile(dev, lim, time.Since(start), err)
+		s.finishTile(dev, time.Since(start), err)
 		if err == nil {
 			s.observeTileLatency(time.Since(start))
 		}
@@ -782,7 +725,7 @@ func (s *Scheduler) callTile(dev int, payload []byte, deadline time.Time) ([]byt
 		t0 := time.Now()
 		resp, inc, err := primary.CallFrom(ExecBlockMethod, payload, timeout, budget)
 		err = s.fenceCheck(dev, inc, err)
-		s.finishTile(dev, lim, time.Since(t0), err)
+		s.finishTile(dev, time.Since(t0), err)
 		results <- attempt{resp, err, false}
 	}()
 
@@ -817,13 +760,11 @@ func (s *Scheduler) callTile(dev int, payload []byte, deadline time.Time) ([]byt
 			// alternate is itself saturated, racing more work at it would
 			// only spread the congestion.
 			altLim := s.Limiter(alt)
-			if altLim != nil && !altLim.TryAcquire() {
+			if !altLim.TryAcquire() {
 				continue
 			}
 			if !s.tryHedgeToken(policy.BudgetFrac) {
-				if altLim != nil {
-					altLim.Release(limit.Neutral)
-				}
+				altLim.Release(limit.Neutral)
 				continue
 			}
 			// A hedge is a speculative attempt like any retry: it must also
@@ -833,25 +774,21 @@ func (s *Scheduler) callTile(dev int, payload []byte, deadline time.Time) ([]byt
 			// was never issued.
 			if s.RetryBudget != nil && !s.RetryBudget.TryWithdraw() {
 				s.hedges.Add(^uint64(0))
-				if altLim != nil {
-					altLim.Release(limit.Neutral)
-				}
+				altLim.Release(limit.Neutral)
 				continue
 			}
 			outstanding++
 			go func() {
 				t2, b2, err := s.tileBudget(deadline)
 				if err != nil {
-					if altLim != nil {
-						altLim.Release(limit.Neutral)
-					}
+					altLim.Release(limit.Neutral)
 					results <- attempt{nil, err, true}
 					return
 				}
 				t0 := time.Now()
 				resp, inc, err := s.Remotes[alt-1].CallFrom(ExecBlockMethod, payload, t2, b2)
 				err = s.fenceCheck(alt, inc, err)
-				s.finishTile(alt, altLim, time.Since(t0), err)
+				s.finishTile(alt, time.Since(t0), err)
 				results <- attempt{resp, err, true}
 			}()
 		}

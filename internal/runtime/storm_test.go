@@ -76,10 +76,8 @@ func TestResolveForSingleflight(t *testing.T) {
 	// Every non-leader either coalesced onto the flight or hit the cache the
 	// leader populated; none ran the decider.
 	coalesced := rt.ResolveCoalesced()
-	rt.mu.Lock()
-	hits := rt.CacheHits
-	rt.mu.Unlock()
-	if coalesced+uint64(hits) != G-1 {
+	hits := rt.Cache.Stats().Hits
+	if coalesced+hits != G-1 {
 		t.Fatalf("coalesced=%d + hits=%d, want %d non-leader callers accounted", coalesced, hits, G-1)
 	}
 	if coalesced == 0 {

@@ -245,7 +245,7 @@ func TestChaosCorruption(t *testing.T) {
 			t.Fatalf("device %d is %v under corruption alone, want Up", dev, m.StateOf(dev))
 		}
 	}
-	if h := rt.HealthyDevices(); !h[0] || !h[1] {
+	if h := rt.Devices.Snapshot(); !h[0].Up || !h[1].Up {
 		t.Fatalf("healthy map %v under corruption alone", h)
 	}
 	if st.Admitted != st.Served+st.Dropped+st.Failed {

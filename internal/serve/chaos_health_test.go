@@ -180,13 +180,13 @@ func TestChaosGrayFailure(t *testing.T) {
 	// heartbeat detector still says Up (probes never touched the injector).
 	chaosWaitFor(t, "device 0 quarantined while heartbeats stay Up", func() bool {
 		return tr.StateOf(0) == health.Quarantined &&
-			rt.QuarantinedDevices()[0] &&
+			rt.Devices.Snapshot()[0].Quarantined &&
 			m.StateOf(0) == cluster.Up
 	})
 	if m.StateOf(0) != cluster.Up {
 		t.Fatalf("heartbeat detector reports %v for a compute-only fault, want Up", m.StateOf(0))
 	}
-	if h := rt.HealthyDevices(); !h[0] {
+	if h := rt.Devices.Snapshot(); !h[0].Up {
 		t.Fatalf("gray failure demoted the liveness mask %v — quarantine must be a separate axis", h)
 	}
 	if c := tr.Counters(); c.GraySuspects == 0 || c.Quarantines == 0 {
@@ -221,7 +221,7 @@ func TestChaosGrayFailure(t *testing.T) {
 		t.Fatalf("clear event: applied %d, err=%v; want 1, nil", n, err)
 	}
 	chaosWaitFor(t, "device 0 back to Active", func() bool { return tr.StateOf(0) == health.Active })
-	if rt.QuarantinedDevices()[0] {
+	if rt.Devices.Snapshot()[0].Quarantined {
 		t.Fatal("device 0 still masked quarantined after completing reintegration")
 	}
 	if c := tr.Counters(); c.Reintegrations == 0 {
@@ -378,7 +378,7 @@ func TestChaosFlappingDevice(t *testing.T) {
 	chaosWaitFor(t, "down 1", func() bool { return m.StateOf(0) == cluster.Down })
 	advance(20*time.Millisecond, "join 1")
 	chaosWaitFor(t, "up 1", func() bool { return m.StateOf(0) == cluster.Up })
-	chaosWaitFor(t, "reinstated after flap 1", func() bool { return rt.HealthyDevices()[0] })
+	chaosWaitFor(t, "reinstated after flap 1", func() bool { return rt.Devices.Snapshot()[0].Up })
 	submit(4, 100)
 
 	// Flap 2: the third flip crosses the suppress threshold (3000 >= 2500);
@@ -388,7 +388,7 @@ func TestChaosFlappingDevice(t *testing.T) {
 	advance(40*time.Millisecond, "join 2")
 	chaosWaitFor(t, "up 2", func() bool { return m.StateOf(0) == cluster.Up })
 	chaosWaitFor(t, "flap suppression engaged", func() bool { return g.Stats().FlapSuppressed >= 1 })
-	if rt.HealthyDevices()[0] {
+	if rt.Devices.Snapshot()[0].Up {
 		t.Fatal("flapping device reinstated despite suppression")
 	}
 	submit(4, 200)
@@ -407,7 +407,7 @@ func TestChaosFlappingDevice(t *testing.T) {
 	if m.StateOf(0) != cluster.Up {
 		t.Fatalf("device 0 is %v with a live daemon, want Up", m.StateOf(0))
 	}
-	if rt.HealthyDevices()[0] {
+	if rt.Devices.Snapshot()[0].Up {
 		t.Fatal("flapping device back in placement while suppressed")
 	}
 

@@ -167,7 +167,7 @@ func TestChaosDaemonRestart(t *testing.T) {
 			t.Fatalf("baseline request %d: %v", i, err)
 		}
 	}
-	if got := sched.DeviceIncarnation(1); got != inc1 {
+	if got := sched.Devices.Snapshot()[0].Incarnation; got != inc1 {
 		t.Fatalf("scheduler adopted incarnation %#x, want %#x", got, inc1)
 	}
 	// The detector must know the zombie's identity before the restart, or the
@@ -233,7 +233,7 @@ func TestChaosDaemonRestart(t *testing.T) {
 			t.Fatalf("post-restart request %d: %v", i, err)
 		}
 	}
-	if got := sched.DeviceIncarnation(1); got != inc2 {
+	if got := sched.Devices.Snapshot()[0].Incarnation; got != inc2 {
 		t.Fatalf("scheduler still expects incarnation %#x after restart, want %#x", got, inc2)
 	}
 

@@ -286,7 +286,7 @@ func TestChaosLatencySpike(t *testing.T) {
 			t.Fatalf("device %d is %v after a latency-only spike, want Up", dev, m.StateOf(dev))
 		}
 	}
-	if h := rt.HealthyDevices(); !h[0] || !h[1] {
+	if h := rt.Devices.Snapshot(); !h[0].Up || !h[1].Up {
 		t.Fatalf("healthy map %v after a latency-only spike", h)
 	}
 	if st.Admitted != st.Served+st.Dropped+st.Failed {

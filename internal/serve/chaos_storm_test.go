@@ -305,9 +305,9 @@ func TestChaosMassDeviceLoss(t *testing.T) {
 
 // TestChaosRecoveryStorm kills 3 of 4 devices, then returns them all in one
 // scripted tick (one EvMassRecover → one MarkUpBatch → one batched Up). The
-// gateway must smooth the wave: the reinstatements beyond the first are
-// staggered, the rewarm burst is concurrency-capped (rewarmAsync), and the
-// fleet fully recovers — every device healthy, placements spread again, and
+// gateway must smooth the wave: the reinstatements beyond the first are held
+// and released one stagger apart, rewarms run one at a time, and the fleet
+// fully recovers — every device healthy, placements spread again, and
 // post-recovery traffic serves without the limiter collapsing.
 func TestChaosRecoveryStorm(t *testing.T) {
 	testutil.CheckGoroutines(t)
@@ -370,8 +370,6 @@ func TestChaosRecoveryStorm(t *testing.T) {
 		CorrelatedLossK:      2,
 		CorrelatedLossWindow: 2 * time.Second,
 		CorrelatedLossHold:   500 * time.Millisecond,
-		ReintegrationStagger: 100 * time.Millisecond,
-		RewarmConcurrency:    2,
 	})
 	defer g.Close(30 * time.Second)
 	g.AttachCluster(m)
@@ -438,11 +436,11 @@ func TestChaosRecoveryStorm(t *testing.T) {
 	})
 
 	// Full recovery: every device Up and placement-eligible again once the
-	// stagger timers fire.
+	// staggered holds are released.
 	waitFor("all devices healthy", func() bool {
-		h := rt.HealthyDevices()
+		h := rt.Devices.Snapshot()
 		for i := 0; i < numDevices; i++ {
-			if !h[i] {
+			if !h[i].Up {
 				return false
 			}
 		}

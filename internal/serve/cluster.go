@@ -7,190 +7,155 @@ import (
 	"murmuration/internal/runtime"
 )
 
-// Failover glue between the gateway and the cluster layer.
-//
-// Detection is two-pronged: the data path reacts synchronously the moment a
-// batch fails with a runtime.DeviceError (noteDeviceError), while the
-// heartbeat detector (AttachCluster) catches devices that die between
-// requests and — crucially — is the only path that reintegrates a device once
-// its heartbeats resume.
+// Hard-failure glue between the gateway and the device table: it translates
+// verdicts into transitions (runtime.DeviceTable.Apply, DESIGN.md §6.1) and
+// decides holds, and reconfigures nothing itself. Detection is two-pronged:
+// the data path reports a runtime.DeviceError the moment a batch fails
+// (noteDeviceError → down), while the heartbeat detector (AttachCluster)
+// catches devices that die between requests (→ down / restart) and is the
+// only path that brings a device back (→ up, possibly held first).
 
-// noteDeviceError reacts to a device-attributed batch failure: demote the
-// device in the runtime's health mask so the failover re-resolve avoids it,
-// drop every cached strategy placing work there, and feed the observation to
-// the failure detector so proactive probing converges faster.
+const (
+	// holdRecheck is how long a reinstatement the flap damper refused is held
+	// at a time: the damper does not say when its penalty will have decayed.
+	holdRecheck = 100 * time.Millisecond
+	// reintegrationStagger spaces one mass recovery: of the devices a cluster
+	// batch brings back, device i rejoins i staggers after the first, so
+	// limiter resets and placement shifts ramp instead of landing at once.
+	reintegrationStagger = 200 * time.Millisecond
+)
+
+// noteDeviceError reacts to a device-attributed batch failure: the device
+// goes down in the table so the failover re-resolve avoids it, and the
+// failure detector hears of it so proactive probing converges faster.
 func (g *Gateway) noteDeviceError(de *runtime.DeviceError) {
-	// Placement device d >= 1 is remote index d-1 (cluster member d-1).
-	idx := de.Device - 1
-	g.rt.SetDeviceHealth(idx, false)
-	if g.rt.Cache != nil {
-		g.rt.Cache.InvalidateDevice(de.Device)
-	}
+	g.rt.Devices.Apply(runtime.Change{Dev: de.Device, To: runtime.DeviceDown})
 	g.mu.Lock()
 	m := g.cluster
-	hook := g.opts.OnDeviceError
 	g.mu.Unlock()
 	if m != nil {
-		m.ReportFailure(idx)
+		m.ReportFailure(de.Device - 1) // placement device d is cluster member d-1
 	}
-	// Batch cost just changed regime (the placement lost a device); a wait
-	// estimate learned before the demotion would mis-admit until it decayed.
-	g.ResetWaitEstimates()
-	if hook != nil {
-		hook(de.Device, de.Err)
+	if g.opts.OnDeviceError != nil {
+		g.opts.OnDeviceError(de.Device, de.Err)
 	}
 }
 
 // AttachCluster subscribes the gateway to a failure detector whose member i
-// is the scheduler's remote device i+1. On Down the device is demoted and its
-// cached strategies invalidated; on recovery it is reinstated. Either way the
-// strategy for the gateway's global SLO is re-resolved (re-warmed) so the
-// next batch doesn't pay the decide cost. The event loop exits when the
-// manager is closed; close the manager before or after the gateway, order
-// does not matter.
-//
-// The subscription is the batch channel: same-tick transitions (a mass kill
-// via MarkDownBatch, a sweep that expires several members at once) arrive as
-// one slice, so a correlated loss of K devices costs one demote/invalidate
-// pass, one wait-estimate reset, and one rewarm — not K of each.
+// is the scheduler's remote device i+1. The event loop exits when the manager
+// is closed; close the manager before or after the gateway, order does not
+// matter. The subscription is the batch channel: same-tick transitions (a
+// mass kill via MarkDownBatch, a sweep that expires several members at once)
+// arrive as one slice and are applied as one batch. Holds are only ever
+// placed here, so the same goroutine releases them, sleeping until the
+// earliest one.
 func (g *Gateway) AttachCluster(m *cluster.Manager) {
 	g.mu.Lock()
 	g.cluster = m
 	g.mu.Unlock()
 	batches := m.SubscribeBatch()
 	go func() {
-		for evs := range batches {
-			g.handleClusterBatch(evs)
+		for {
+			var wake <-chan time.Time
+			if next := g.releaseHolds(m, time.Now()); !next.IsZero() {
+				wake = time.After(time.Until(next))
+			}
+			select {
+			case evs, ok := <-batches:
+				if !ok {
+					return
+				}
+				g.handleClusterBatch(evs)
+			case <-wake:
+			}
 		}
 	}()
 }
 
-// handleClusterBatch applies one coalesced batch of cluster transitions.
-// Per-device work (health mask, SLI ledger, O(1) cache epoch bump, damper)
-// still runs per event; the batch-amplified work — wait-estimate resets and
-// strategy rewarms — runs once per batch. Mass reinstatements are staggered:
-// the first device rejoins immediately, device i after i stagger periods
-// (storm.go), so returning capacity ramps instead of slamming.
+// handleClusterBatch translates one coalesced batch of cluster events into
+// one Apply. A Down is always honoured. An Up — and a restart, which is a
+// fenced Down followed by an Up — reinstates the device unless the flap
+// damper refuses it; of the devices one batch brings back, the first rejoins
+// now and the rest are held one stagger apart.
 func (g *Gateway) handleClusterBatch(evs []cluster.Event) {
 	g.mu.Lock()
 	tr, dmp := g.health, g.damper
 	g.mu.Unlock()
-	downs := 0
-	var ups []cluster.Event
+	var changes []runtime.Change
+	restarts, ups := 0, 0
 	for _, ev := range evs {
-		if ev.Restart {
-			g.handleRestart(ev)
+		if ev.To == cluster.Suspect {
+			// The device may still be serving. The data path takes it down
+			// at once if a request actually fails there.
 			continue
 		}
-		switch ev.To {
-		case cluster.Down:
-			// A Down is always honored (safety first); it also charges
-			// one membership flip to the damper.
-			if dmp != nil {
-				dmp.RecordFlip(ev.Member, ev.At)
+		dev, up := ev.Member+1, ev.To == cluster.Up
+		if tr != nil {
+			tr.SetUp(ev.Member, up)
+		}
+		// Either half of a flap — a Down, a recovery from Down — is charged
+		// to the damper.
+		if dmp != nil && (!up || ev.From == cluster.Down) {
+			dmp.RecordFlip(ev.Member, ev.At)
+		}
+		if ev.Restart {
+			// Applied before the hook runs: the old incarnation is fenced and
+			// the device out of placement while capabilities re-negotiate.
+			g.rt.Devices.Apply(runtime.Change{Dev: dev, To: runtime.DeviceRestart, Incarnation: ev.Incarnation})
+			restarts++
+			if g.opts.OnRestart != nil {
+				g.opts.OnRestart(dev, ev.Incarnation)
 			}
-			if tr != nil {
-				tr.SetUp(ev.Member, false)
-			}
-			g.rt.SetDeviceHealth(ev.Member, false)
-			if g.rt.Cache != nil {
-				g.rt.Cache.InvalidateDevice(ev.Member + 1)
-			}
-			downs++
+		}
+		switch {
+		case !up:
+			changes = append(changes, runtime.Change{Dev: dev, To: runtime.DeviceDown})
 			g.noteDown(ev.At)
-		case cluster.Up:
-			if tr != nil {
-				tr.SetUp(ev.Member, true)
-			}
-			if dmp != nil {
-				// A recovery from Down is the other half of a flap.
-				if ev.From == cluster.Down {
-					dmp.RecordFlip(ev.Member, ev.At)
-				}
-				if dmp.Suppressed(ev.Member, ev.At) {
-					// Flap damping: refuse the reinstatement. The health
-					// tick loop (health.go) releases the device once the
-					// penalty decays below the reuse threshold.
-					g.mu.Lock()
-					if ev.Member < len(g.suppressHeld) {
-						g.suppressHeld[ev.Member] = true
-					}
-					g.mu.Unlock()
-					continue
-				}
-			}
-			ups = append(ups, ev)
-		case cluster.Suspect:
-			// No action: the device may still be serving. The data path
-			// demotes it immediately if a request actually fails there.
+		case dmp != nil && dmp.Suppressed(ev.Member, ev.At):
+			g.rt.Devices.Hold(dev, ev.At.Add(holdRecheck))
+		case ups == 0:
+			changes = append(changes, runtime.Change{Dev: dev, To: runtime.DeviceUp})
+			ups++
+		default:
+			g.rt.Devices.Hold(dev, ev.At.Add(time.Duration(ups)*reintegrationStagger))
+			ups++
 		}
 	}
-	if downs > 0 {
-		g.ResetWaitEstimates()
-		g.rewarmAsync()
-	}
-	if len(ups) > 0 {
-		// The first recovered device reinstates now (a lone recovery behaves
-		// exactly as before); the rest of a mass recovery is staggered.
-		g.reinstate(ups[0].Member)
-		g.ResetWaitEstimates()
-		g.rewarmAsync()
-		for i, ev := range ups[1:] {
-			g.staggerReinstate(ev.Member, time.Duration(i+1)*g.opts.ReintegrationStagger)
-		}
-	}
-}
-
-// handleRestart reconfigures around a detected incarnation change — an
-// atomic Down→Up. The device never answered "dead", but the process behind it
-// is new: every piece of state learned against the old process is stale, and
-// every response still in flight from it must be fenced, not delivered.
-// Order matters: the expected incarnation is raised *first*, so a stale
-// response racing this handler fails the scheduler's fence check rather than
-// slipping through mid-reconfiguration.
-func (g *Gateway) handleRestart(ev cluster.Event) {
-	sched := g.rt.Scheduler
-	dev := ev.Member + 1
-	// 1. Fence: responses handshaken with the old incarnation are now dropped.
-	if ev.Incarnation != 0 {
-		sched.SetDeviceIncarnation(dev, ev.Incarnation)
-	}
-	// 2. Demote while reconfiguring: strategies placing work there are stale
-	// (the new process has cold caches and possibly different capabilities).
-	g.rt.SetDeviceHealth(ev.Member, false)
-	if g.rt.Cache != nil {
-		g.rt.Cache.InvalidateDevice(dev)
-	}
-	// 3. The data connections may still terminate at the dead process's
-	// socket (a zombie that keeps its listener): retire them all so the next
-	// dispatch dials — and handshakes with — the live incarnation. Calls in
-	// flight are not waited for: each keeps its connection until its reply,
-	// which is fenced on arrival.
-	if ev.Member >= 0 && ev.Member < len(sched.Remotes) && sched.Remotes[ev.Member] != nil {
-		sched.Remotes[ev.Member].ForceRedial()
-	}
-	// 4. Adaptive state learned against the old process does not transfer.
-	sched.ResetDevice(dev)
+	g.rt.Devices.Apply(changes...)
 	g.mu.Lock()
-	g.stats.Restarts++
-	hook := g.opts.OnRestart
+	g.stats.Restarts += uint64(restarts)
+	g.stats.StaggeredReintegrations += uint64(max(ups-1, 0))
 	g.mu.Unlock()
-	// 5. Re-negotiate capabilities (link probe, monitor refresh) before the
-	// device takes traffic again.
-	if hook != nil {
-		hook(dev, ev.Incarnation)
-	}
-	// 6. Reinstate and rewarm: the new incarnation serves from here on.
-	g.rt.SetDeviceHealth(ev.Member, true)
-	g.ResetWaitEstimates()
-	g.rewarm()
 }
 
-// rewarm re-resolves the strategy for the gateway's global SLO under the
-// current health mask, priming the cache after a topology change. Errors are
-// deliberately ignored — the next request resolves (and surfaces) them.
-func (g *Gateway) rewarm() {
-	if slo := g.rt.SLO(); slo.Value > 0 {
-		g.rt.ResolveFor(slo)
+// releaseHolds is the one place a hold ends, whoever placed it; it returns the
+// earliest hold still pending (zero: none). A device whose time has come stays
+// down if it went Down while it waited (its next Up event decides afresh), is
+// held again if the damper still refuses it, and rejoins otherwise.
+func (g *Gateway) releaseHolds(m *cluster.Manager, now time.Time) (next time.Time) {
+	g.mu.Lock()
+	dmp := g.damper
+	g.mu.Unlock()
+	var changes []runtime.Change
+	for i, d := range g.rt.Devices.Snapshot() {
+		until := d.Hold
+		switch {
+		case until.IsZero() || now.Before(until):
+		case m.StateOf(i) != cluster.Up:
+			until = time.Time{}
+		case dmp != nil && dmp.Suppressed(i, now):
+			until = now.Add(holdRecheck)
+		default:
+			changes = append(changes, runtime.Change{Dev: i + 1, To: runtime.DeviceUp})
+			continue // applying up clears the hold
+		}
+		if until != d.Hold {
+			g.rt.Devices.Hold(i+1, until)
+		}
+		if !until.IsZero() && (next.IsZero() || until.Before(next)) {
+			next = until
+		}
 	}
+	g.rt.Devices.Apply(changes...)
+	return next
 }

@@ -81,14 +81,14 @@ func TestFailoverRetriesOnDeviceError(t *testing.T) {
 	if st.InvalidationEpochs == 0 {
 		t.Fatal("the poisoned cached strategy was not invalidated")
 	}
-	// No detector attached: cluster counts derive from the health mask.
+	// No detector attached: cluster counts derive from the device table.
 	if st.ClusterDown != 1 || st.ClusterUp != 0 {
 		t.Fatalf("derived cluster counts up=%d down=%d, want 0/1", st.ClusterUp, st.ClusterDown)
 	}
 	if hookDevice.Load() != 1 {
 		t.Fatalf("OnDeviceError saw device %d, want 1", hookDevice.Load())
 	}
-	if h := rt.HealthyDevices(); h[0] {
+	if h := rt.Devices.Snapshot(); h[0].Up {
 		t.Fatal("failing device still marked healthy")
 	}
 }
@@ -152,12 +152,12 @@ func TestAttachClusterFailoverEvents(t *testing.T) {
 	}
 
 	ok.Store(false)
-	waitFor("device demoted on Down", func() bool { return !rt.HealthyDevices()[0] })
+	waitFor("device demoted on Down", func() bool { return !rt.Devices.Snapshot()[0].Up })
 	waitFor("cached strategy invalidated", func() bool { return g.Stats().InvalidationEpochs >= 1 })
 	waitFor("cluster counts show the down member", func() bool { return g.Stats().ClusterDown == 1 })
 
 	ok.Store(true)
-	waitFor("device reinstated on recovery", func() bool { return rt.HealthyDevices()[0] })
+	waitFor("device reinstated on recovery", func() bool { return rt.Devices.Snapshot()[0].Up })
 	waitFor("cluster counts show recovery", func() bool {
 		st := g.Stats()
 		return st.ClusterUp == 1 && st.ClusterDown == 0

@@ -3,9 +3,9 @@ package serve
 import (
 	"time"
 
-	"murmuration/internal/cluster"
 	"murmuration/internal/fault"
 	"murmuration/internal/health"
+	"murmuration/internal/runtime"
 )
 
 // Gray-failure glue between the gateway and the health layer.
@@ -19,14 +19,12 @@ import (
 //     call's (device, latency, error) into the tracker's SLI ledger, and the
 //     scheduler's Gate consults the tracker before every dispatch so a
 //     quarantined or ramping device takes only the traffic its state allows.
-//   - Verdicts: tracker transitions drive the runtime's quarantine mask
-//     (placement exclusion without connection teardown), cache invalidation,
-//     wait-estimate resets, and — on completed reintegration — an AIMD
-//     limiter reset.
-//   - Time: a tick-loop goroutine rolls the tracker's windows, probes
+//   - Verdicts: a tracker transition becomes a device-table transition
+//     (quarantine / ramp / ramp-done; DESIGN.md §6.1). What each one
+//     reconfigures is the table's business.
+//   - Time: a tick-loop goroutine rolls the tracker's windows and probes
 //     quarantined devices with synthetic inferences so their ledgers stay
-//     fed, and releases flap-suppressed devices once the damper's penalty
-//     decays.
+//     fed. The flap damper created here is consulted by the cluster glue.
 
 // HealthOptions configures AttachHealth. Zero values select the defaults.
 type HealthOptions struct {
@@ -79,11 +77,7 @@ func (g *Gateway) AttachHealth(opts HealthOptions) *health.Tracker {
 	tr := health.NewTracker(n, opts.Tracker)
 	g.health = tr
 	g.damper = health.NewDamper(n, opts.Damper)
-	g.suppressHeld = make([]bool, n)
-	g.stallEvidence = make([]uint64, n)
-	g.healthStop = make(chan struct{})
-	g.healthDone = make(chan struct{})
-	stop, done := g.healthStop, g.healthDone
+	g.loops.Add(1)
 	g.mu.Unlock()
 
 	tr.OnTransition = g.onHealthTransition
@@ -93,7 +87,7 @@ func (g *Gateway) AttachHealth(opts HealthOptions) *health.Tracker {
 	}
 	sched.Gate = func(dev int) bool { return tr.Admit(dev - 1) }
 
-	go g.healthLoop(tr, opts, stop, done)
+	go g.healthLoop(tr, opts)
 	return tr
 }
 
@@ -121,104 +115,48 @@ func (g *Gateway) observeTile(tr *health.Tracker, dev int, elapsed time.Duration
 	case fault.EvidenceOverload:
 		tr.ObserveOverload(i, now)
 	case fault.EvidenceStall:
-		g.mu.Lock()
-		if i >= 0 && i < len(g.stallEvidence) {
-			g.stallEvidence[i]++
-		}
-		g.mu.Unlock()
+		g.rt.Devices.NoteStall(dev)
 		tr.ObserveFailure(i, now)
 	case fault.EvidenceFailure:
 		tr.ObserveFailure(i, now)
 	}
 }
 
-// onHealthTransition applies a tracker verdict to the serving plane.
+// onHealthTransition translates a tracker verdict into a device transition.
+// Probation changes nothing in the serving plane, and neither does returning
+// from it.
 func (g *Gateway) onHealthTransition(tr health.Transition) {
-	i := tr.Device
-	switch tr.To {
-	case health.Quarantined:
-		// Exclude from placement like Down — but without touching the
-		// cluster detector or the connections, which stay warm for probes.
-		g.rt.SetDeviceQuarantined(i, true)
-		if g.rt.Cache != nil {
-			g.rt.Cache.InvalidateDevice(i + 1)
-		}
-		// Attribution: if stall evidence accrued since the last quarantine,
-		// this is the asymmetric-partition signature — the device stayed Up
-		// on the liveness detector while its bulk transfers wedged.
-		g.mu.Lock()
-		if i >= 0 && i < len(g.stallEvidence) && g.stallEvidence[i] > 0 {
-			g.stats.AsymmetricQuarantines++
-			g.stallEvidence[i] = 0
-		}
-		g.mu.Unlock()
-	case health.Reintegrating:
-		// Placement-eligible again; the scheduler's Gate admits only the
-		// ramp fraction, redirecting the rest to local execution.
-		g.rt.SetDeviceQuarantined(i, false)
-	case health.Active:
-		if tr.From == health.Reintegrating {
-			// Ramp complete: the AIMD limit and panic streak learned against
-			// the sick incarnation must not throttle the recovered one.
-			g.rt.Scheduler.ResetDevice(i + 1)
-		}
+	var to runtime.Transition
+	switch {
+	case tr.To == health.Quarantined:
+		to = runtime.DeviceQuarantine
+	case tr.To == health.Reintegrating:
+		to = runtime.DeviceRamp
+	case tr.To == health.Active && tr.From == health.Reintegrating:
+		to = runtime.DeviceRampDone
 	default:
-		// Probation: full traffic continues, no serving-plane change.
 		return
 	}
-	// Every serving-plane change above shifts batch-cost regime.
-	g.ResetWaitEstimates()
-	g.rewarm()
+	g.rt.Devices.Apply(runtime.Change{Dev: tr.Device + 1, To: to})
 }
 
 // healthLoop is the tick-loop goroutine: it drives the tracker's window
-// clock, probes quarantined/reintegrating devices, and releases
-// flap-suppressed devices whose penalty has decayed.
-func (g *Gateway) healthLoop(tr *health.Tracker, opts HealthOptions, stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
+// clock and probes quarantined/reintegrating devices.
+func (g *Gateway) healthLoop(tr *health.Tracker, opts HealthOptions) {
+	defer g.loops.Done()
 	ticker := time.NewTicker(opts.TickEvery)
 	defer ticker.Stop()
 	lastProbe := make([]time.Time, len(g.rt.Scheduler.Remotes))
 	for {
 		select {
-		case <-stop:
+		case <-g.stop:
 			return
 		case now := <-ticker.C:
 			tr.Tick(now)
-			g.damperSweep(now)
 			if opts.ProbeEvery >= 0 {
 				g.probeSweep(tr, opts, lastProbe, now)
 			}
 		}
-	}
-}
-
-// damperSweep reinstates devices whose reinstatement the flap damper
-// refused, once their penalty has decayed and the detector still says Up.
-func (g *Gateway) damperSweep(now time.Time) {
-	g.mu.Lock()
-	dmp, m := g.damper, g.cluster
-	held := append([]bool(nil), g.suppressHeld...)
-	g.mu.Unlock()
-	for i, h := range held {
-		if !h || dmp.Suppressed(i, now) {
-			continue
-		}
-		if m != nil && m.StateOf(i) != cluster.Up {
-			// Released from damping but genuinely down: leave it to the
-			// detector's next Up event (which now passes the damper).
-			g.mu.Lock()
-			g.suppressHeld[i] = false
-			g.mu.Unlock()
-			continue
-		}
-		g.mu.Lock()
-		g.suppressHeld[i] = false
-		g.mu.Unlock()
-		g.rt.SetDeviceHealth(i, true)
-		g.rt.Scheduler.ResetDevice(i + 1)
-		g.ResetWaitEstimates()
-		g.rewarm()
 	}
 }
 

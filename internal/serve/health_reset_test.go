@@ -71,10 +71,10 @@ func TestReinstateResetsLimiter(t *testing.T) {
 		t.Fatalf("timed out waiting for %s", desc)
 	}
 	m.MarkDown(0)
-	waitFor("demotion", func() bool { return !rt.HealthyDevices()[0] })
+	waitFor("demotion", func() bool { return !rt.Devices.Snapshot()[0].Up })
 	m.ReportSuccess(0, time.Millisecond)
 	waitFor("reinstatement with a fresh limiter", func() bool {
-		return rt.HealthyDevices()[0] && lim.Snapshot().Limit == start
+		return rt.Devices.Snapshot()[0].Up && lim.Snapshot().Limit == start
 	})
 }
 
@@ -128,7 +128,7 @@ func TestReintegrationResetsLimiter(t *testing.T) {
 	if st := tr.StateOf(0); st != health.Quarantined {
 		t.Fatalf("after two gray windows: %v, want Quarantined", st)
 	}
-	if !rt.QuarantinedDevices()[0] {
+	if !rt.Devices.Snapshot()[0].Quarantined {
 		t.Fatal("quarantine did not reach the runtime mask")
 	}
 	// Hedge-alternate eligibility is revoked: with device 2 as primary, the
@@ -148,7 +148,7 @@ func TestReintegrationResetsLimiter(t *testing.T) {
 	if w := tr.Weight(0); w != 0.5 {
 		t.Fatalf("ramp weight %v, want 0.5 — reintegration must not absorb full traffic at once", w)
 	}
-	if rt.QuarantinedDevices()[0] {
+	if rt.Devices.Snapshot()[0].Quarantined {
 		t.Fatal("reintegrating device still masked out of placement")
 	}
 	if got := lim.Snapshot().Limit; got >= start {

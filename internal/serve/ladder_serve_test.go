@@ -76,7 +76,10 @@ func TestAdmissionUsesLadderEstimate(t *testing.T) {
 // the batch-cost regime, so the stale per-class wait estimates must be
 // cleared rather than left to decay.
 func TestDeviceErrorResetsWaitEstimates(t *testing.T) {
-	g := New(newTestRuntime(42, nil), Options{Workers: 1})
+	// One remote the test never dispatches to: the device error must name a
+	// device the table has a record of.
+	sched := runtime.NewScheduler(supernet.New(supernet.TinyArch(4), 42), make([]*rpcx.Client, 1))
+	g := New(runtime.New(sched, remoteDecider(supernet.TinyArch(4)), nil, nil), Options{Workers: 1})
 	defer g.Close(time.Second)
 	g.mu.Lock()
 	for c := range g.emaBatchSec {
@@ -86,12 +89,24 @@ func TestDeviceErrorResetsWaitEstimates(t *testing.T) {
 
 	g.noteDeviceError(&runtime.DeviceError{Device: 1, Tile: 0, Err: errors.New("boom")})
 
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for c, v := range g.emaBatchSec {
-		if v != 0 {
+	// The reset is the device-table subscriber's reaction to the transition
+	// (reconfigure), one goroutine hop after noteDeviceError returns.
+	stale := func() (c int, v float64) {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		for c, v := range g.emaBatchSec {
+			if v != 0 {
+				return c, v
+			}
+		}
+		return -1, 0
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for c, v := stale(); c >= 0; c, v = stale() {
+		if time.Now().After(deadline) {
 			t.Fatalf("class %d wait estimate %v after device error, want reset", c, v)
 		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -164,7 +179,7 @@ func TestServeDegradesInsteadOfDropping(t *testing.T) {
 		t.Fatalf("ladder counters %+v, want at least one descent", c)
 	}
 	// Deadline pressure must never demote the (healthy, just slow) device.
-	if h := rt.HealthyDevices(); !h[0] {
+	if h := rt.Devices.Snapshot(); !h[0].Up {
 		t.Fatal("budget exhaustion demoted a healthy device")
 	}
 	if st.FailoverAttempts != 0 {

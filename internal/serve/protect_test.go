@@ -79,7 +79,7 @@ func TestPanicFailsOnlyBatch(t *testing.T) {
 	if st.FailoverAttempts != 0 {
 		t.Fatalf("a lone panic triggered failover: %+v", st)
 	}
-	if h := rt.HealthyDevices(); !h[0] {
+	if h := rt.Devices.Snapshot(); !h[0].Up {
 		t.Fatal("a lone panic demoted the device")
 	}
 }
@@ -142,7 +142,7 @@ func TestRepeatedPanicsDemoteAndFailover(t *testing.T) {
 	if st.RemotePanics < uint64(runtime.PanicFaultThreshold) {
 		t.Fatalf("RemotePanics=%d, want >= %d", st.RemotePanics, runtime.PanicFaultThreshold)
 	}
-	if h := rt.HealthyDevices(); h[0] {
+	if h := rt.Devices.Snapshot(); h[0].Up {
 		t.Fatal("panic-streaking device still marked healthy")
 	}
 }

@@ -78,33 +78,24 @@ type Gateway struct {
 	adapter AdaptSource
 
 	// health is the gray-failure tracker; damper is the flap damper fed by
-	// cluster transitions. Both are nil until AttachHealth (see health.go).
-	// suppressHeld[i] marks a device whose reinstatement the damper refused;
-	// the health tick loop reinstates it once the penalty decays. All
-	// guarded by mu; healthStop/healthDone bound the tick-loop goroutine.
-	health       *health.Tracker
-	damper       *health.Damper
-	suppressHeld []bool
-	healthStop   chan struct{}
-	healthDone   chan struct{}
-	// stallEvidence[i] counts rpcx.ErrStalled observations for device i+1
-	// since its last quarantine — the attribution trail that marks a
-	// quarantine as asymmetric (link-gray) rather than compute-gray. Guarded
-	// by mu; sized by AttachHealth.
-	stallEvidence []uint64
+	// cluster transitions. Both are nil until AttachHealth (see health.go)
+	// and guarded by mu.
+	health *health.Tracker
+	damper *health.Damper
 
 	// Storm-control state (storm.go). downTimes is the correlated-loss
 	// detector's sliding window of recent Down transitions; stormTight marks
 	// the pre-emptive admission tighten it raised, cleared by stormClear
-	// after the hold. staggerTimers are pending deferred reinstatements from
-	// a mass recovery. All guarded by mu. rewarmSem caps concurrent async
-	// rewarms (capacity RewarmConcurrency); rewarmWG drains them at Close.
-	downTimes     []time.Time
-	stormTight    bool
-	stormClear    *time.Timer
-	staggerTimers []*time.Timer
-	rewarmSem     chan struct{}
-	rewarmWG      sync.WaitGroup
+	// after the hold. All guarded by mu.
+	downTimes  []time.Time
+	stormTight bool
+	stormClear *time.Timer
+
+	// stop is closed by Close (once); loops counts the goroutines that watch
+	// it: the device-table subscriber (reconfigure) and the health tick loop.
+	stop     chan struct{}
+	stopOnce sync.Once
+	loops    sync.WaitGroup
 
 	stats Stats
 
@@ -115,7 +106,9 @@ type Gateway struct {
 func New(rt *runtime.Runtime, opts Options) *Gateway {
 	g := &Gateway{rt: rt, opts: opts.withDefaults()}
 	g.ladder = runtime.NewLadder(g.opts.MaxRung, g.opts.LadderHysteresis)
-	g.rewarmSem = make(chan struct{}, g.opts.RewarmConcurrency)
+	g.stop = make(chan struct{})
+	g.loops.Add(1)
+	go g.reconfigure()
 	g.cond = sync.NewCond(&g.mu)
 	g.wake = func() {
 		g.mu.Lock()
@@ -318,11 +311,10 @@ func (g *Gateway) AttachWatchdog(w *watchdog.Watchdog) {
 	g.mu.Unlock()
 }
 
-// ResetWaitEstimates clears the per-class queue-wait EMAs. The cluster glue
-// calls it when a device is demoted or reinstated: batch cost just changed
-// regime (a placement lost or regained a device), so an estimate learned in
-// the old regime would mis-admit until it lazily decayed. The next batch of
-// each class re-seeds its estimate from a fresh measurement.
+// ResetWaitEstimates clears the per-class queue-wait EMAs when batch cost
+// changed regime — the device table changed (reconfigure), the adaptation
+// controller swapped the policy; the next batch of each class re-seeds its
+// estimate, which would otherwise mis-admit until it decayed.
 func (g *Gateway) ResetWaitEstimates() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -344,6 +336,7 @@ func (g *Gateway) Stats() Stats {
 	s.FencedResponses, s.StalledCalls = ss.FencedResponses, ss.StalledCalls
 	s.RetryBudgetExhausted = ss.RetryBudgetExhausted
 	s.ResolveCoalesced = g.rt.ResolveCoalesced()
+	s.AsymmetricQuarantines = g.rt.Devices.AsymmetricQuarantines()
 	if g.brownout {
 		s.BrownoutActive = 1
 	}
@@ -379,10 +372,10 @@ func (g *Gateway) Stats() Stats {
 		up, suspect, down := g.cluster.Counts()
 		s.ClusterUp, s.ClusterSuspect, s.ClusterDown = uint64(up), uint64(suspect), uint64(down)
 	} else {
-		// No detector attached: derive a coarse view from the runtime's
-		// device-health mask (data-path failures still demote devices).
-		for _, h := range g.rt.HealthyDevices() {
-			if h {
+		// No detector attached: derive a coarse view from the device table
+		// (data-path failures still take devices down).
+		for _, d := range g.rt.Devices.Snapshot() {
+			if d.Up {
 				s.ClusterUp++
 			} else {
 				s.ClusterDown++
@@ -401,30 +394,16 @@ func (g *Gateway) Stats() Stats {
 func (g *Gateway) Close(grace time.Duration) {
 	g.mu.Lock()
 	g.closing = true
-	hstop, hdone := g.healthStop, g.healthDone
-	g.healthStop = nil
 	sc := g.stormClear
-	staggers := g.staggerTimers
-	g.staggerTimers = nil
 	g.cond.Broadcast()
 	g.mu.Unlock()
-	// Storm-control teardown: cancel pending deferred reinstatements and the
-	// tighten-release timer (their callbacks also no-op on closing), then
-	// drain in-flight async rewarms — closing was set under mu first, so no
-	// new rewarm can Add after this Wait starts.
 	if sc != nil {
 		sc.Stop()
 	}
-	for _, t := range staggers {
-		t.Stop()
-	}
-	g.rewarmWG.Wait()
-	if hstop != nil {
-		close(hstop)
-		// The tick loop exits promptly; a probe in flight is bounded by its
-		// own ProbeTimeout.
-		<-hdone
-	}
+	// Both loops exit promptly; a rewarm or a probe in flight is waited out,
+	// the probe bounded by its own ProbeTimeout.
+	g.stopOnce.Do(func() { close(g.stop) })
+	g.loops.Wait()
 
 	done := make(chan struct{})
 	go func() {

@@ -115,9 +115,9 @@ type Options struct {
 	OnDeviceError func(device int, err error)
 	// OnRestart, when set, is called from the cluster event loop when a
 	// device's incarnation changes (a silent restart was detected), after the
-	// gateway has fenced the old incarnation and reset the device's adaptive
-	// state, and before the device is reinstated. The gateway command wires
-	// it to capability re-negotiation: re-probing the link monitor and
+	// old incarnation is fenced and the device is down with its adaptive
+	// state reset, and before the device is reinstated. The gateway command
+	// wires it to capability re-negotiation: re-probing the link monitor and
 	// refreshing the runtime's link state, because the restarted process may
 	// have different performance than the one the estimates were learned on.
 	OnRestart func(device int, incarnation uint64)
@@ -144,17 +144,6 @@ type Options struct {
 	// CorrelatedLossHold is how long the pre-emptive tighten persists after
 	// the last detection (default 5s).
 	CorrelatedLossHold time.Duration
-	// RewarmConcurrency caps concurrent post-topology-change strategy rewarms
-	// (default 2). A mass recovery used to fire one synchronous re-resolve
-	// per event; now rewarms are asynchronous, jittered, and at most this
-	// many run at once — excess requests are dropped, because any rewarm that
-	// runs sees the current health mask.
-	RewarmConcurrency int
-	// ReintegrationStagger spaces mass reinstatements: when one cluster batch
-	// reinstates n devices, device i rejoins after i*stagger so rewarms,
-	// limiter resets, and placement shifts ramp instead of thundering
-	// (default 200ms).
-	ReintegrationStagger time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -181,12 +170,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CorrelatedLossHold <= 0 {
 		o.CorrelatedLossHold = 5 * time.Second
-	}
-	if o.RewarmConcurrency <= 0 {
-		o.RewarmConcurrency = 2
-	}
-	if o.ReintegrationStagger <= 0 {
-		o.ReintegrationStagger = 200 * time.Millisecond
 	}
 	return o
 }
@@ -245,7 +228,7 @@ type Stats struct {
 	Redials       uint64
 	// ClusterUp / ClusterSuspect / ClusterDown are the failure detector's
 	// member counts at snapshot time (from the attached cluster.Manager, or
-	// derived from the runtime's device-health mask when none is attached).
+	// derived from the runtime's device table when none is attached).
 	ClusterUp      uint64
 	ClusterSuspect uint64
 	ClusterDown    uint64

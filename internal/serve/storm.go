@@ -3,8 +3,6 @@ package serve
 import (
 	"math/rand"
 	"time"
-
-	"murmuration/internal/cluster"
 )
 
 // Recovery-storm smoothing: the serving half of the correlated-failure
@@ -16,11 +14,10 @@ import (
 //     a sliding window means the survivors are about to absorb the victims'
 //     traffic, so admission tightens one ladder rung pre-emptively — batches
 //     cheapen before the wave lands, not after the first misses.
-//   - Strategy rewarms after topology changes are asynchronous, jittered,
-//     and concurrency-capped, so a mass reinstatement cannot stampede the
-//     decider with simultaneous re-resolutions.
-//   - Mass reinstatements are staggered (cluster.go): one cluster batch that
-//     returns n devices rejoins them one ReintegrationStagger apart.
+//   - However many devices changed at once, the gateway reacts in one place
+//     (reconfigure): one wait-estimate reset and one jittered rewarm at a
+//     time, so a mass reinstatement cannot stampede the decider.
+//   - Mass reinstatements are staggered (cluster.go, reintegrationStagger).
 
 // stormRung is how many ladder rungs a correlated-loss detection adds to the
 // floor. It composes additively with a watchdog brownout's BrownoutRung —
@@ -28,9 +25,8 @@ import (
 // and the ladder clamps the sum to its own max rung.
 const stormRung = 1
 
-// rewarmJitter bounds the random delay before an async rewarm fires, so the
-// rewarms of near-simultaneous topology changes decorrelate instead of
-// hitting the decider in one pulse.
+// rewarmJitter bounds the random delay before a rewarm, so the rewarms of
+// near-simultaneous topology changes decorrelate instead of pulsing.
 const rewarmJitter = 20 * time.Millisecond
 
 // applyFloor recomputes the degradation-ladder floor from the active
@@ -103,68 +99,25 @@ func (g *Gateway) stormRelease() {
 	}
 }
 
-// rewarmAsync schedules one jittered strategy rewarm, capped at
-// RewarmConcurrency in flight. A refused request is dropped, not queued:
-// any rewarm that runs resolves under the health mask current at that
-// moment, so a rewarm already in flight (or about to run) covers the
-// refused one's work. The synchronous rewarm() remains for paths that need
-// the cache warm before they return (restart handling).
-func (g *Gateway) rewarmAsync() {
-	g.mu.Lock()
-	if g.closing {
-		g.mu.Unlock()
-		return
-	}
-	// Add under mu, ordered before Close's Wait: Close sets closing first,
-	// so no Add can race past a Wait that already started.
-	g.rewarmWG.Add(1)
-	g.mu.Unlock()
-	select {
-	case g.rewarmSem <- struct{}{}:
-	default:
-		g.rewarmWG.Done()
-		return
-	}
-	go func() {
-		defer g.rewarmWG.Done()
-		defer func() { <-g.rewarmSem }()
-		time.Sleep(time.Duration(rand.Int63n(int64(rewarmJitter))))
-		g.rewarm()
-	}()
-}
-
-// reinstate returns a recovered device to service: health mask up, adaptive
-// state (AIMD limit, panic streak) reset — the old values were learned
-// against the incarnation that failed.
-func (g *Gateway) reinstate(member int) {
-	g.rt.SetDeviceHealth(member, true)
-	g.rt.Scheduler.ResetDevice(member + 1)
-}
-
-// staggerReinstate schedules a deferred reinstatement delay from now. The
-// timer re-checks the detector at fire time: a device that went Down again
-// while it waited stays down (its next Up event restarts the process).
-func (g *Gateway) staggerReinstate(member int, delay time.Duration) {
-	g.mu.Lock()
-	if g.closing {
-		g.mu.Unlock()
-		return
-	}
-	g.stats.StaggeredReintegrations++
-	t := time.AfterFunc(delay, func() {
-		g.mu.Lock()
-		closing, m := g.closing, g.cluster
-		g.mu.Unlock()
-		if closing {
+// reconfigure is the device table's one subscriber, a goroutine that lives
+// from New to Close. A notification — one per applied batch of transitions,
+// coalesced while a pass runs — means a placement lost or regained a device,
+// so batch cost changed regime: the wait estimates are reset, and after a
+// jitter the strategy for the gateway's global SLO is re-resolved under the
+// table as it stands (an error is left for the next request to surface), so
+// the next batch does not pay the decide cost.
+func (g *Gateway) reconfigure() {
+	defer g.loops.Done()
+	for {
+		select {
+		case <-g.stop:
 			return
+		case <-g.rt.Devices.Changed():
 		}
-		if m != nil && m.StateOf(member) != cluster.Up {
-			return
-		}
-		g.reinstate(member)
 		g.ResetWaitEstimates()
-		g.rewarmAsync()
-	})
-	g.staggerTimers = append(g.staggerTimers, t)
-	g.mu.Unlock()
+		time.Sleep(time.Duration(rand.Int63n(int64(rewarmJitter))))
+		if slo := g.rt.SLO(); slo.Value > 0 {
+			g.rt.ResolveFor(slo)
+		}
+	}
 }
