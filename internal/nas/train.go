@@ -69,7 +69,9 @@ func Train(s *supernet.Supernet, train *dataset.Dataset, opts TrainOptions) erro
 			return err
 		}
 		loss, dlogits, probs := nn.SoftmaxCrossEntropy(logits, labels)
-		s.Backward(dlogits, caches)
+		if err := s.Backward(dlogits, caches); err != nil {
+			return err
+		}
 
 		if step >= opts.WarmupSteps {
 			cfgs := []*supernet.Config{a.MinConfig()}
@@ -85,7 +87,9 @@ func Train(s *supernet.Supernet, train *dataset.Dataset, opts TrainOptions) erro
 				_, dkd := nn.KLDivSoft(lg, probs)
 				w := float32(opts.DistillWeight)
 				d := dce.Scale(1 - w).Add(dkd.Scale(w))
-				s.Backward(d, cc)
+				if err := s.Backward(d, cc); err != nil {
+					return err
+				}
 			}
 		}
 

@@ -25,7 +25,6 @@ func BatchNormFwd(x, gamma, beta, runningMean, runningVar *tensor.Tensor,
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	y := tensor.New(n, c, h, w)
 	plane := h * w
-	cnt := float32(n * plane)
 
 	if !training {
 		for cc := 0; cc < c; cc++ {
@@ -45,21 +44,7 @@ func BatchNormFwd(x, gamma, beta, runningMean, runningVar *tensor.Tensor,
 	xhat := tensor.New(n, c, h, w)
 	invStds := make([]float32, c)
 	for cc := 0; cc < c; cc++ {
-		var sum float64
-		for bi := 0; bi < n; bi++ {
-			for _, v := range x.Data[(bi*c+cc)*plane : (bi*c+cc+1)*plane] {
-				sum += float64(v)
-			}
-		}
-		mean := float32(sum / float64(cnt))
-		var vsum float64
-		for bi := 0; bi < n; bi++ {
-			for _, v := range x.Data[(bi*c+cc)*plane : (bi*c+cc+1)*plane] {
-				d := float64(v - mean)
-				vsum += d * d
-			}
-		}
-		variance := float32(vsum / float64(cnt))
+		mean, variance := batchStats(x, cc)
 		invStd := float32(1 / math.Sqrt(float64(variance+eps)))
 		invStds[cc] = invStd
 		g, b := gamma.Data[cc], beta.Data[cc]
@@ -78,6 +63,64 @@ func BatchNormFwd(x, gamma, beta, runningMean, runningVar *tensor.Tensor,
 		}
 	}
 	return y, &BNCache{XHat: xhat, InvStd: invStds, Gamma: gamma}
+}
+
+// batchStats returns the mean and the biased variance of channel cc of x
+// (N,C,H,W) over the batch: float64 sums taken image by image and then along
+// the plane — the one order training-mode BatchNormFwd and BatchNormInPlace
+// both take them in.
+func batchStats(x *tensor.Tensor, cc int) (mean, variance float32) {
+	n, c := x.Shape[0], x.Shape[1]
+	plane := x.Shape[2] * x.Shape[3]
+	cnt := float64(n * plane)
+	var sum float64
+	for bi := 0; bi < n; bi++ {
+		for _, v := range x.Data[(bi*c+cc)*plane : (bi*c+cc+1)*plane] {
+			sum += float64(v)
+		}
+	}
+	mean = float32(sum / cnt)
+	var vsum float64
+	for bi := 0; bi < n; bi++ {
+		for _, v := range x.Data[(bi*c+cc)*plane : (bi*c+cc+1)*plane] {
+			d := float64(v - mean)
+			vsum += d * d
+		}
+	}
+	return mean, float32(vsum / cnt)
+}
+
+// BatchNormInPlace normalizes x (N,C,H,W) per channel with batch statistics,
+// overwriting it, and applies hard-swish to the result when hswish is set.
+// It is BatchNormFwd's training mode (followed by HSwishFwd) as inference
+// needs it: the same statistics and the same arithmetic on every element, so
+// the same bits, without the XHat, the cache and the second and third
+// activation tensors only a backward pass reads. gamma and beta may be longer
+// than C — an elastic layer's full-width parameters — and supply their first
+// C entries. Channels are independent and run in parallel.
+func BatchNormInPlace(x, gamma, beta *tensor.Tensor, eps float32, hswish bool) {
+	n, c := x.Shape[0], x.Shape[1]
+	plane := x.Shape[2] * x.Shape[3]
+	tensor.ParallelByCost(c, 3*n*plane, func(cs, ce int) {
+		for cc := cs; cc < ce; cc++ {
+			mean, variance := batchStats(x, cc)
+			invStd := float32(1 / math.Sqrt(float64(variance+eps)))
+			g, b := gamma.Data[cc], beta.Data[cc]
+			for bi := 0; bi < n; bi++ {
+				row := x.Data[(bi*c+cc)*plane : (bi*c+cc+1)*plane]
+				if hswish {
+					for i, v := range row {
+						v = (v-mean)*invStd*g + b
+						row[i] = v * relu6(v+3) / 6
+					}
+				} else {
+					for i, v := range row {
+						row[i] = (v-mean)*invStd*g + b
+					}
+				}
+			}
+		}
+	})
 }
 
 // BatchNormBwd back-propagates dy through a training-mode batch norm and

@@ -393,3 +393,36 @@ func TestClipGradNorm(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchNormInPlaceMatchesTrainingForward holds the inference batch norm
+// to the training one at tolerance 0: same statistics, same arithmetic, with
+// and without the fused h-swish, full-width parameters read through their
+// first C entries, and one worker or four.
+func TestBatchNormInPlaceMatchesTrainingForward(t *testing.T) {
+	old := tensor.Parallelism()
+	defer tensor.SetParallelism(old)
+	rng := rand.New(rand.NewSource(21))
+	for _, workers := range []int{1, 4} {
+		tensor.SetParallelism(workers)
+		for _, sh := range [][4]int{{1, 1, 1, 1}, {1, 3, 5, 7}, {3, 7, 4, 6}, {2, 70, 16, 16}} {
+			x := randT(rng, sh[0], sh[1], sh[2], sh[3])
+			full := sh[1] + 5 // the layer's maximum width
+			gamma, beta := randT(rng, full), randT(rng, full)
+			g, b := tensor.FromSlice(gamma.Data[:sh[1]], sh[1]), tensor.FromSlice(beta.Data[:sh[1]], sh[1])
+			want, _ := BatchNormFwd(x, g, b, nil, nil, true, 0.1, 1e-5)
+			for _, hswish := range []bool{false, true} {
+				if hswish {
+					want, _ = HSwishFwd(want)
+				}
+				got := x.Clone()
+				BatchNormInPlace(got, gamma, beta, 1e-5, hswish)
+				for i := range want.Data {
+					if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+						t.Fatalf("workers %d shape %v hswish %v: element %d is %v, want %v",
+							workers, sh, hswish, i, got.Data[i], want.Data[i])
+					}
+				}
+			}
+		}
+	}
+}

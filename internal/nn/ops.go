@@ -19,45 +19,16 @@ import (
 // ConvCache holds forward-pass state needed by ConvBwd.
 type ConvCache struct {
 	X    *tensor.Tensor
-	Cols *tensor.Tensor
 	W    *tensor.Tensor
 	Opts tensor.ConvOpts
 }
 
 // ConvFwd computes a 2-D convolution and returns the output plus the cache
 // for the backward pass. x is (N,C,H,W), w is (outC,C,kh,kw), b optional.
+// The forward is tensor.Conv2D, the kernels inference runs; the im2col matrix
+// the weight gradient needs is ConvBwd's to build.
 func ConvFwd(x, w, b *tensor.Tensor, o tensor.ConvOpts) (*tensor.Tensor, *ConvCache) {
-	kh, kw := w.Shape[2], w.Shape[3]
-	cols := tensor.Im2Col(x, kh, kw, o)
-	y := convFromCols(cols, x, w, b, o)
-	return y, &ConvCache{X: x, Cols: cols, W: w, Opts: o}
-}
-
-func convFromCols(cols, x, w, b *tensor.Tensor, o tensor.ConvOpts) *tensor.Tensor {
-	n, _, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	outC, c, kh, kw := w.Shape[0], w.Shape[1], w.Shape[2], w.Shape[3]
-	s := o.Stride
-	if s < 1 {
-		s = 1
-	}
-	oh := tensor.ConvOutSize(h, kh, s, o.Padding)
-	ow := tensor.ConvOutSize(wd, kw, s, o.Padding)
-	wmat := w.Reshape(outC, c*kh*kw)
-	prod := tensor.MatMulTransB(cols, wmat) // (N·oh·ow, outC)
-	y := tensor.New(n, outC, oh, ow)
-	for bi := 0; bi < n; bi++ {
-		for oc := 0; oc < outC; oc++ {
-			var bv float32
-			if b != nil {
-				bv = b.Data[oc]
-			}
-			dst := y.Data[(bi*outC+oc)*oh*ow : (bi*outC+oc+1)*oh*ow]
-			for i := range dst {
-				dst[i] = prod.Data[(bi*oh*ow+i)*outC+oc] + bv
-			}
-		}
-	}
-	return y
+	return tensor.Conv2D(x, w, b, o), &ConvCache{X: x, W: w, Opts: o}
 }
 
 // ConvBwd back-propagates dy (N,outC,oh,ow) through the convolution and
@@ -88,7 +59,8 @@ func ConvBwd(dy *tensor.Tensor, c *ConvCache) (dx, dw, db *tensor.Tensor) {
 	}
 
 	// dw = dyMatᵀ · cols, reshaped to the weight shape.
-	dwMat := tensor.MatMulTransA(dyMat, c.Cols) // (outC, C·kh·kw)
+	cols := tensor.Im2Col(c.X, kh, kw, c.Opts)
+	dwMat := tensor.MatMulTransA(dyMat, cols) // (outC, C·kh·kw)
 	dw = dwMat.Reshape(outC, inC, kh, kw)
 
 	// dcols = dyMat · wmat, then scatter with Col2Im.
@@ -166,9 +138,15 @@ type LinearCache struct {
 
 // LinearFwd computes y = x·Wᵀ + b for x (N,in) and W (out,in).
 func LinearFwd(x, w, b *tensor.Tensor) (*tensor.Tensor, *LinearCache) {
-	y := tensor.MatMulTransB(x, w)
+	return LinearView(x, w, b, w.Shape[0]), &LinearCache{X: x, W: w}
+}
+
+// LinearView computes y = x·Wᵀ + b against the top-left out×in block of w
+// (≥out, ≥in) and the first out entries of b, both read in place: the
+// inference form of LinearFwd over a sliced copy, with no copy and no cache.
+func LinearView(x, w, b *tensor.Tensor, out int) *tensor.Tensor {
+	y := tensor.MatMulTransBView(x, w, out)
 	if b != nil {
-		out := w.Shape[0]
 		for r := 0; r < x.Shape[0]; r++ {
 			row := y.Data[r*out : (r+1)*out]
 			for i := range row {
@@ -176,7 +154,7 @@ func LinearFwd(x, w, b *tensor.Tensor) (*tensor.Tensor, *LinearCache) {
 			}
 		}
 	}
-	return y, &LinearCache{X: x, W: w}
+	return y
 }
 
 // LinearBwd back-propagates dy (N,out) and returns (dx, dw, db).
@@ -206,6 +184,15 @@ func ReLUFwd(x *tensor.Tensor) (*tensor.Tensor, []bool) {
 		}
 	}
 	return y, mask
+}
+
+// ReLUInPlace is ReLUFwd for inference: it overwrites x and keeps no mask.
+func ReLUInPlace(x *tensor.Tensor) {
+	for i, v := range x.Data {
+		if !(v > 0) {
+			x.Data[i] = 0
+		}
+	}
 }
 
 // ReLUBwd gates dy by the forward mask.
@@ -248,11 +235,16 @@ func HSwishBwd(dy, x *tensor.Tensor) *tensor.Tensor {
 
 // HSigmoidFwd applies relu6(x+3)/6.
 func HSigmoidFwd(x *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
-	y := tensor.New(x.Shape...)
-	for i, v := range x.Data {
-		y.Data[i] = relu6(v+3) / 6
-	}
+	y := x.Clone()
+	HSigmoidInPlace(y)
 	return y, x
+}
+
+// HSigmoidInPlace is HSigmoidFwd for inference: it overwrites x.
+func HSigmoidInPlace(x *tensor.Tensor) {
+	for i, v := range x.Data {
+		x.Data[i] = relu6(v+3) / 6
+	}
 }
 
 // HSigmoidBwd back-propagates through hard-sigmoid.
@@ -335,17 +327,20 @@ func GlobalAvgPoolBwd(dy *tensor.Tensor, shape []int) *tensor.Tensor {
 // ScaleChannelsFwd multiplies each channel plane of x (N,C,H,W) by the
 // matching gate s (N,C); used by squeeze-and-excitation.
 func ScaleChannelsFwd(x, s *tensor.Tensor) *tensor.Tensor {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	y := tensor.New(n, c, h, w)
-	for r := 0; r < n*c; r++ {
-		g := s.Data[r]
-		src := x.Data[r*h*w : (r+1)*h*w]
-		dst := y.Data[r*h*w : (r+1)*h*w]
-		for i := range src {
-			dst[i] = src[i] * g
+	y := x.Clone()
+	ScaleChannelsInPlace(y, s)
+	return y
+}
+
+// ScaleChannelsInPlace is ScaleChannelsFwd for inference: it overwrites x.
+func ScaleChannelsInPlace(x, s *tensor.Tensor) {
+	plane := x.Shape[2] * x.Shape[3]
+	for r, g := range s.Data {
+		row := x.Data[r*plane : (r+1)*plane]
+		for i := range row {
+			row[i] *= g
 		}
 	}
-	return y
 }
 
 // ScaleChannelsBwd returns (dx, ds) for the channel-scaling op.

@@ -1,6 +1,8 @@
 package supernet
 
 import (
+	"errors"
+
 	"murmuration/internal/nn"
 	"murmuration/internal/tensor"
 )
@@ -9,8 +11,12 @@ import (
 // accumulating gradients into the supernet's shared parameters. Elastic
 // slices scatter their gradients into the corresponding regions of the full
 // weight tensors, which is what lets many submodels train the same weights
-// (one-shot weight sharing).
-func (s *Supernet) Backward(dLogits *tensor.Tensor, c *Caches) {
+// (one-shot weight sharing). Only Forward(…, training=true) returns caches;
+// the nil caches of an inference forward are an error.
+func (s *Supernet) Backward(dLogits *tensor.Tensor, c *Caches) error {
+	if c == nil {
+		return errors.New("supernet: Backward needs the caches of a training-mode Forward")
+	}
 	// Classifier.
 	dPooled, dW, dB := nn.LinearBwd(dLogits, c.clsCache)
 	s.clsW.G.Add(dW)
@@ -42,6 +48,7 @@ func (s *Supernet) Backward(dLogits *tensor.Tensor, c *Caches) {
 	_, dwConv, dbConv = nn.ConvBwd(dy, c.stemCache)
 	s.stemW.G.Add(dwConv)
 	s.stemB.G.Add(dbConv)
+	return nil
 }
 
 // blockBwd back-propagates through one (possibly tiled) MBConv block and
@@ -68,10 +75,7 @@ func (s *Supernet) blockBwd(dy *tensor.Tensor, bc *blockCache) *tensor.Tensor {
 // tileBwd reverses tileFwd for one tile, scattering weight gradients into
 // the shared parameters.
 func (s *Supernet) tileBwd(dy *tensor.Tensor, tc *tileCache, b *mbBlock, ls LayerSetting) *tensor.Tensor {
-	hidden := b.inC * ls.Expand
-	if hidden > b.maxHidden {
-		hidden = b.maxHidden
-	}
+	hidden := hiddenWidth(b, ls)
 
 	// Project BN + conv.
 	d, dg, db := nn.BatchNormBwd(dy, tc.bn3)
@@ -82,10 +86,7 @@ func (s *Supernet) tileBwd(dy *tensor.Tensor, tc *tileCache, b *mbBlock, ls Laye
 
 	// Squeeze-and-excitation.
 	if b.se {
-		seC := b.maxHidden / 4
-		if seC < 1 {
-			seC = 1
-		}
+		seC := seWidth(b)
 		dAct, dGate := nn.ScaleChannelsBwd(d, tc.act2Out, tc.seGate)
 		dz := nn.HSigmoidBwd(dGate, tc.seGateIn)
 		dz, dw2, db2 := nn.LinearBwd(dz, tc.seC2)

@@ -15,9 +15,8 @@ import (
 
 // ExecStem runs the stem on x (N,C,H,W at the config resolution).
 func (s *Supernet) ExecStem(x *tensor.Tensor) *tensor.Tensor {
-	y, _ := nn.ConvFwd(x, s.stemW.W, s.stemB.W, tensor.ConvOpts{Stride: 2, Padding: 1})
-	y, _ = s.bnFwd(s.stemBN, y, s.Arch.StemChannels, false)
-	y, _ = nn.HSwishFwd(y)
+	y := tensor.Conv2D(x, s.stemW.W, s.stemB.W, tensor.ConvOpts{Stride: 2, Padding: 1})
+	nn.BatchNormInPlace(y, s.stemBN.gamma.W, s.stemBN.beta.W, bnEps, true)
 	return y
 }
 
@@ -49,7 +48,7 @@ func (s *Supernet) ExecBlock(stage, index int, x *tensor.Tensor, ls LayerSetting
 		return nil, fmt.Errorf("supernet: tile %dx%d not divisible by stride %d",
 			x.Shape[2], x.Shape[3], b.stride)
 	}
-	_, y := s.tileFwd(b, x, ls, false)
+	y := s.tileInfer(b, x, ls)
 	if b.stride == 1 && b.inC == b.outC {
 		y.Add(x)
 	}
@@ -78,14 +77,9 @@ func (a *Arch) BlockAt(cfg *Config, layer int) (stage, index, stride int, err er
 
 // ExecHead runs the final conv + pooling + classifier on the trunk output.
 func (s *Supernet) ExecHead(x *tensor.Tensor) *tensor.Tensor {
-	cin := x.Shape[1]
-	headW := sliceConv1x1(s.headW.W, s.Arch.HeadChannels, cin)
-	y, _ := nn.ConvFwd(x, headW, s.headB.W, tensor.ConvOpts{Stride: 1, Padding: 0})
-	y, _ = s.bnFwd(s.headBN, y, s.Arch.HeadChannels, false)
-	y, _ = nn.HSwishFwd(y)
-	pooled, _ := nn.GlobalAvgPoolFwd(y)
-	logits, _ := nn.LinearFwd(pooled, s.clsW.W, s.clsB.W)
-	return logits
+	y := tensor.Conv1x1(x, s.headW.W, s.headB.W, s.Arch.HeadChannels)
+	nn.BatchNormInPlace(y, s.headBN.gamma.W, s.headBN.beta.W, bnEps, true)
+	return nn.LinearView(tensor.AvgPoolGlobal(y), s.clsW.W, s.clsB.W, s.Arch.NumClasses)
 }
 
 // TileSplit computes the FDSP tile geometry for an input of spatial size

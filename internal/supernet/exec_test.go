@@ -152,3 +152,30 @@ func TestTileSplitGeometry(t *testing.T) {
 		t.Fatal("stride-indivisible input accepted")
 	}
 }
+
+// TestExecBlockAllocCeiling pins what one tile costs the allocator on the
+// inference path: seven tensors at three allocations each — an output per
+// convolution, the depthwise kernel's center crop, the SE pool and its two
+// gate vectors — plus the closures of the nine kernel calls, 37 in all. A
+// per-tile copy of a 1×1 or SE weight, a BatchNorm output or XHat, or an
+// h-swish output would add a tensor and fail it.
+func TestExecBlockAllocCeiling(t *testing.T) {
+	old := tensor.Parallelism()
+	defer tensor.SetParallelism(old)
+	tensor.SetParallelism(1) // no goroutines: the count is the kernels' own
+
+	a := DefaultArch()
+	s := New(a, 3)
+	// Stage 1, block 1: 40→40 channels, stride 1, SE, residual.
+	x := randInput(rand.New(rand.NewSource(3)), 1, 40, 20, 20)
+	ls := LayerSetting{Kernel: 3, Expand: 3, Partition: Partition{1, 1}, Quant: tensor.Bits32}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := s.ExecBlock(1, 1, x, ls); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const ceiling = 38
+	if allocs > ceiling {
+		t.Fatalf("ExecBlock made %v allocations, ceiling %d", allocs, ceiling)
+	}
+}

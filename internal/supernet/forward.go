@@ -7,15 +7,11 @@ import (
 	"murmuration/internal/tensor"
 )
 
-// Caches holds everything Backward needs for one Forward invocation.
+// Caches holds everything Backward needs for one training-mode Forward.
 type Caches struct {
-	cfg      *Config
-	training bool
-
-	inputResized *tensor.Tensor
-	stemCache    *nn.ConvCache
-	stemBN       *nn.BNCache
-	stemAct      *tensor.Tensor // hswish input cache
+	stemCache *nn.ConvCache
+	stemBN    *nn.BNCache
+	stemAct   *tensor.Tensor // hswish input cache
 
 	blocks []*blockCache
 
@@ -25,7 +21,6 @@ type Caches struct {
 	headAct   *tensor.Tensor
 	poolShape []int
 	clsCache  *nn.LinearCache
-	clsW      *tensor.Tensor // sliced classifier weight used in fwd
 }
 
 // blockCache caches one MBConv block execution (possibly tiled).
@@ -68,77 +63,80 @@ type tileCache struct {
 	bn3      *nn.BNCache
 }
 
+// bnEps is the batch-norm epsilon of every layer, in both forwards.
+const bnEps = 1e-5
+
 // Forward runs submodel cfg over input x (N, C, H, W). The input is resized
-// to cfg.Resolution. When training is true, batch-norm running statistics
-// update and the returned caches support Backward.
+// to cfg.Resolution.
+//
+// When training is true every op keeps what its backward needs, batch-norm
+// running statistics update, and the returned Caches drive Backward. When it
+// is false nothing is kept and the caches are nil: the stem, each tile and the
+// head run the Exec* inference path — the same arithmetic on every element
+// (TestTrainingAndInferenceForwardAgree), in place, against the shared
+// weights where they lie.
 func (s *Supernet) Forward(x *tensor.Tensor, cfg *Config, training bool) (*tensor.Tensor, *Caches, error) {
 	if err := s.Arch.Validate(cfg); err != nil {
 		return nil, nil, err
 	}
-	c := &Caches{cfg: cfg, training: training}
-
 	x = tensor.BilinearResize(x, cfg.Resolution, cfg.Resolution)
-	c.inputResized = x
 
-	// Stem: 3x3 stride-2 conv + BN + hswish.
+	var c *Caches
 	var y *tensor.Tensor
-	y, c.stemCache = nn.ConvFwd(x, s.stemW.W, s.stemB.W, tensor.ConvOpts{Stride: 2, Padding: 1})
-	y, c.stemBN = s.bnFwd(s.stemBN, y, s.Arch.StemChannels, training)
-	y, c.stemAct = nn.HSwishFwd(y)
+	if training {
+		// Stem: 3x3 stride-2 conv + BN + hswish.
+		c = &Caches{}
+		y, c.stemCache = nn.ConvFwd(x, s.stemW.W, s.stemB.W, tensor.ConvOpts{Stride: 2, Padding: 1})
+		y, c.stemBN = s.bnFwd(s.stemBN, y, s.Arch.StemChannels)
+		y, c.stemAct = nn.HSwishFwd(y)
+	} else {
+		y = s.ExecStem(x)
+	}
 
 	li := 0
 	for si := range s.Arch.Stages {
-		d := cfg.Depths[si]
-		for bi := 0; bi < d; bi++ {
-			setting := cfg.Layers[li]
-			li++
-			bc, out, err := s.blockFwd(s.blocks[si][bi], y, setting, training)
+		for bi := 0; bi < cfg.Depths[si]; bi++ {
+			bc, out, err := s.blockFwd(s.blocks[si][bi], y, cfg.Layers[li], training)
 			if err != nil {
 				return nil, nil, err
 			}
-			c.blocks = append(c.blocks, bc)
+			if training {
+				c.blocks = append(c.blocks, bc)
+			}
 			y = out
+			li++
 		}
+	}
+	if !training {
+		return s.ExecHead(y), nil, nil
 	}
 
 	// Head conv + BN + hswish + global pool + classifier.
 	c.headIn = y
-	cin := y.Shape[1]
-	headW := sliceConv1x1(s.headW.W, s.Arch.HeadChannels, cin)
-	var hc *nn.ConvCache
-	y, hc = nn.ConvFwd(y, headW, s.headB.W, tensor.ConvOpts{Stride: 1, Padding: 0})
-	c.headCache = hc
-	y, c.headBN = s.bnFwd(s.headBN, y, s.Arch.HeadChannels, training)
+	headW := sliceConv1x1(s.headW.W, s.Arch.HeadChannels, y.Shape[1])
+	y, c.headCache = nn.ConvFwd(y, headW, s.headB.W, tensor.ConvOpts{Stride: 1, Padding: 0})
+	y, c.headBN = s.bnFwd(s.headBN, y, s.Arch.HeadChannels)
 	y, c.headAct = nn.HSwishFwd(y)
 	var pooled *tensor.Tensor
 	pooled, c.poolShape = nn.GlobalAvgPoolFwd(y)
 	logits, lc := nn.LinearFwd(pooled, s.clsW.W, s.clsB.W)
 	c.clsCache = lc
-	c.clsW = s.clsW.W
 	return logits, c, nil
 }
 
-// bnFwd runs batch normalization over the first `ch` channels using the
-// sliced affine parameters. Batch statistics are always used (the standard
-// weight-sharing NAS practice, since running stats are not valid across
-// submodels); running stats update only in training mode.
-func (s *Supernet) bnFwd(bn *bnParams, x *tensor.Tensor, ch int, training bool) (*tensor.Tensor, *nn.BNCache) {
+// bnFwd is the training-mode batch normalization of the first `ch` channels:
+// sliced copies of the affine parameters and running statistics go in, the
+// updated running statistics are written back, and the cache BatchNormBwd
+// reads comes out. Batch statistics normalize here and on the inference path
+// alike (the standard weight-sharing NAS practice, since running stats are
+// not valid across submodels); inference calls nn.BatchNormInPlace on the
+// unsliced parameters instead and builds none of this.
+func (s *Supernet) bnFwd(bn *bnParams, x *tensor.Tensor, ch int) (*tensor.Tensor, *nn.BNCache) {
 	gamma := sliceVec(bn.gamma.W, ch)
-	beta := sliceVec(bn.beta.W, ch)
-	// Inference reads no running statistics, so it slices none: nil tells
-	// BatchNormFwd to skip the update.
-	var rm, rv *tensor.Tensor
-	if training {
-		rm = sliceVec(bn.runMean, ch)
-		rv = sliceVec(bn.runVar, ch)
-	}
-	y, cache := nn.BatchNormFwd(x, gamma, beta, rm, rv, true, 0.05, 1e-5)
-	if training {
-		copy(bn.runMean.Data[:ch], rm.Data)
-		copy(bn.runVar.Data[:ch], rv.Data)
-	}
-	// Stash the sliced gamma in the cache (BatchNormBwd reads cache.Gamma).
-	cache.Gamma = gamma
+	rm, rv := sliceVec(bn.runMean, ch), sliceVec(bn.runVar, ch)
+	y, cache := nn.BatchNormFwd(x, gamma, sliceVec(bn.beta.W, ch), rm, rv, true, 0.05, bnEps)
+	copy(bn.runMean.Data[:ch], rm.Data)
+	copy(bn.runVar.Data[:ch], rv.Data)
 	return y, cache
 }
 
@@ -169,11 +167,15 @@ func (s *Supernet) blockFwd(b *mbBlock, x *tensor.Tensor, ls LayerSetting, train
 		x = tensor.Quantize(x, ls.Quant).Dequantize()
 	}
 
-	bc := &blockCache{
-		block: b, setting: ls,
-		inShape:  append([]int(nil), x.Shape...),
-		grid:     grid,
-		residual: b.stride == 1 && b.inC == b.outC,
+	residual := b.stride == 1 && b.inC == b.outC
+	var bc *blockCache
+	if training {
+		bc = &blockCache{
+			block: b, setting: ls,
+			inShape:  append([]int(nil), x.Shape...),
+			grid:     grid,
+			residual: residual,
+		}
 	}
 	outH, outW := h/b.stride, w/b.stride
 	out := tensor.New(n, b.outC, outH, outW)
@@ -185,15 +187,22 @@ func (s *Supernet) blockFwd(b *mbBlock, x *tensor.Tensor, ls LayerSetting, train
 			y0, x0 := oy*b.stride, ox*b.stride
 			tileH, tileW := oRows*b.stride, oCols*b.stride
 			xt := tensor.CropSpatial(x, y0, x0, tileH, tileW)
-			tc, yt := s.tileFwd(b, xt, ls, training)
-			if bc.residual {
-				yt = yt.Clone().Add(xt)
+			var yt *tensor.Tensor
+			if training {
+				var tc *tileCache
+				tc, yt = s.tileFwd(b, xt, ls)
+				bc.tiles = append(bc.tiles, tc)
+				bc.tileY = append(bc.tileY, y0)
+				bc.tileX = append(bc.tileX, x0)
+				bc.tileH = append(bc.tileH, tileH)
+				bc.tileW = append(bc.tileW, tileW)
+			} else {
+				yt = s.tileInfer(b, xt, ls)
 			}
-			bc.tiles = append(bc.tiles, tc)
-			bc.tileY = append(bc.tileY, y0)
-			bc.tileX = append(bc.tileX, x0)
-			bc.tileH = append(bc.tileH, tileH)
-			bc.tileW = append(bc.tileW, tileW)
+			if residual {
+				// Nothing else holds yt: bn3's cache keeps XHat, not its output.
+				yt.Add(xt)
+			}
 			tensor.PasteSpatial(out, yt, oy, ox)
 			ox += oCols
 		}
@@ -223,20 +232,29 @@ func splitSizes(n, g int) ([]int, error) {
 	return out, nil
 }
 
+// hiddenWidth is the expanded channel count of block b under setting ls.
+func hiddenWidth(b *mbBlock, ls LayerSetting) int {
+	return min(b.inC*ls.Expand, b.maxHidden)
+}
+
+// seWidth is the squeeze width of block b's SE module.
+func seWidth(b *mbBlock) int {
+	return max(b.maxHidden/4, 1)
+}
+
 // tileFwd runs one tile through the block's expand → depthwise → (SE) →
-// project pipeline using sliced weights.
-func (s *Supernet) tileFwd(b *mbBlock, xt *tensor.Tensor, ls LayerSetting, training bool) (*tileCache, *tensor.Tensor) {
-	hidden := b.inC * ls.Expand
-	if hidden > b.maxHidden {
-		hidden = b.maxHidden
-	}
+// project pipeline in training mode: sliced copies of the weights, every
+// intermediate kept for tileBwd. tileInfer is the same pipeline for
+// inference.
+func (s *Supernet) tileFwd(b *mbBlock, xt *tensor.Tensor, ls LayerSetting) (*tileCache, *tensor.Tensor) {
+	hidden := hiddenWidth(b, ls)
 	tc := &tileCache{xTile: xt}
 
 	// Expand 1x1.
 	tc.expandW = sliceConv1x1(b.expandW.W, hidden, b.inC)
 	y, cc := nn.ConvFwd(xt, tc.expandW, nil, tensor.ConvOpts{Stride: 1, Padding: 0})
 	tc.expC = cc
-	y, tc.bn1 = s.bnFwd(b.bn1, y, hidden, training)
+	y, tc.bn1 = s.bnFwd(b.bn1, y, hidden)
 	y, tc.act1In = nn.HSwishFwd(y)
 
 	// Depthwise kxk.
@@ -245,16 +263,13 @@ func (s *Supernet) tileFwd(b *mbBlock, xt *tensor.Tensor, ls LayerSetting, train
 	var dwc *nn.DWConvCache
 	y, dwc = nn.DepthwiseConvFwd(y, tc.dwW, nil, tensor.ConvOpts{Stride: b.stride, Padding: k / 2})
 	tc.dwC = dwc
-	y, tc.bn2 = s.bnFwd(b.bn2, y, hidden, training)
+	y, tc.bn2 = s.bnFwd(b.bn2, y, hidden)
 	y, tc.act2In = nn.HSwishFwd(y)
 	tc.act2Out = y
 
 	// Squeeze-and-excitation.
 	if b.se {
-		seC := b.maxHidden / 4
-		if seC < 1 {
-			seC = 1
-		}
+		seC := seWidth(b)
 		pooled, shape := nn.GlobalAvgPoolFwd(y)
 		tc.sePooled = pooled
 		tc.seShape = shape
@@ -277,6 +292,39 @@ func (s *Supernet) tileFwd(b *mbBlock, xt *tensor.Tensor, ls LayerSetting, train
 	var pc *nn.ConvCache
 	y, pc = nn.ConvFwd(y, tc.projW, nil, tensor.ConvOpts{Stride: 1, Padding: 0})
 	tc.projC = pc
-	y, tc.bn3 = s.bnFwd(b.bn3, y, b.outC, training)
+	y, tc.bn3 = s.bnFwd(b.bn3, y, b.outC)
 	return tc, y
+}
+
+// tileInfer is tileFwd for inference. Each op produces the bits tileFwd's
+// does, but nothing is kept: the 1×1 convolutions and the SE gates read their
+// block of the shared weights in place, batch norm and h-swish overwrite the
+// convolution's output in one pass, and the SE gate scales in place — one
+// activation tensor per convolution and no weight copy beyond the depthwise
+// kernel's center crop. xt is only read.
+func (s *Supernet) tileInfer(b *mbBlock, xt *tensor.Tensor, ls LayerSetting) *tensor.Tensor {
+	hidden := hiddenWidth(b, ls)
+
+	// Expand 1x1.
+	y := tensor.Conv1x1(xt, b.expandW.W, nil, hidden)
+	nn.BatchNormInPlace(y, b.bn1.gamma.W, b.bn1.beta.W, bnEps, true)
+
+	// Depthwise kxk.
+	k := ls.Kernel
+	y = tensor.DepthwiseConv2D(y, sliceDW(b.dwW.W, hidden, k), nil, tensor.ConvOpts{Stride: b.stride, Padding: k / 2})
+	nn.BatchNormInPlace(y, b.bn2.gamma.W, b.bn2.beta.W, bnEps, true)
+
+	// Squeeze-and-excitation.
+	if b.se {
+		z := nn.LinearView(tensor.AvgPoolGlobal(y), b.seW1.W, b.seB1.W, seWidth(b))
+		nn.ReLUInPlace(z)
+		g := nn.LinearView(z, b.seW2.W, b.seB2.W, hidden)
+		nn.HSigmoidInPlace(g)
+		nn.ScaleChannelsInPlace(y, g)
+	}
+
+	// Project 1x1 + BN (no activation — linear bottleneck).
+	y = tensor.Conv1x1(y, b.projW.W, nil, b.outC)
+	nn.BatchNormInPlace(y, b.bn3.gamma.W, b.bn3.beta.W, bnEps, false)
+	return y
 }

@@ -343,6 +343,22 @@ func BenchmarkTinyForwardMaxConfig(b *testing.B) {
 	}
 }
 
+// BenchmarkDefaultMinForward is the request local_default_closed2 serves: the
+// paper-scale net's smallest submodel, a 224×224 image resized to 160.
+func BenchmarkDefaultMinForward(b *testing.B) {
+	a := DefaultArch()
+	s := New(a, 1)
+	x := randInput(rand.New(rand.NewSource(1)), 1, 3, 224, 224)
+	cfg := a.MinConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := s.Forward(x, cfg, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkCostModel(b *testing.B) {
 	a := DefaultArch()
 	cfg := a.MaxConfig()

@@ -116,8 +116,11 @@ func Col2Im(cols *Tensor, n, c, h, w, kh, kw int, o ConvOpts) *Tensor {
 
 // Conv2D computes a standard convolution of x (N,C,H,W) with weight
 // (outC, C, kh, kw) and optional bias (outC), returning (N,outC,outH,outW).
-// 1×1 stride-1 convolutions take a direct matmul fast path (no im2col copy);
-// they dominate inverted-bottleneck networks.
+// Pointwise (1×1, stride 1, no padding) convolutions — most of the MACs of an
+// inverted-bottleneck network — take the register-blocked conv1x1 kernel;
+// everything else goes through im2col and a matmul. Both produce each output
+// element by the same sum: taps in (channel, ky, kx) order from zero, bias
+// added last.
 func Conv2D(x, weight, bias *Tensor, o ConvOpts) *Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	outC, wc, kh, kw := weight.Shape[0], weight.Shape[1], weight.Shape[2], weight.Shape[3]
@@ -129,7 +132,7 @@ func Conv2D(x, weight, bias *Tensor, o ConvOpts) *Tensor {
 		s = 1
 	}
 	if kh == 1 && kw == 1 && s == 1 && o.Padding == 0 {
-		return conv1x1(x, weight, bias)
+		return conv1x1(x, weight.Data, c, outC, bias)
 	}
 	oh := ConvOutSize(h, kh, s, o.Padding)
 	ow := ConvOutSize(w, kw, s, o.Padding)
@@ -155,40 +158,144 @@ func Conv2D(x, weight, bias *Tensor, o ConvOpts) *Tensor {
 	return out
 }
 
-// conv1x1 computes a pointwise convolution as W (outC×C) times the channel
-// matrix of each image — no im2col materialization.
-func conv1x1(x, weight, bias *Tensor) *Tensor {
+// Conv1x1 computes a pointwise convolution of x (N,C,H,W) with the top-left
+// outC×C block of weight (≥outC, ≥C, 1, 1), read in place through the
+// weight's row stride: an elastic layer runs a narrower submodel against the
+// shared weight without copying the slice out first. bias, when non-nil,
+// supplies its first outC entries.
+func Conv1x1(x, weight, bias *Tensor, outC int) *Tensor {
+	c := x.Shape[1]
+	if weight.Shape[0] < outC || weight.Shape[1] < c || weight.Shape[2] != 1 || weight.Shape[3] != 1 {
+		panic(fmt.Sprintf("tensor: Conv1x1 wants a %dx%d block of a 1x1 weight, have %v", outC, c, weight.Shape))
+	}
+	return conv1x1(x, weight.Data, weight.Shape[1], outC, bias)
+}
+
+// conv1x1Block is the number of plane elements one conv1x1 work item covers:
+// four input rows and two output rows of that length sit in L1 together, and
+// a single large plane still splits into enough items to occupy every worker.
+const conv1x1Block = 1024
+
+// conv1x1 is the pointwise kernel: out[b,oc,i] = Σ_ch wd[oc·wstride+ch] ·
+// x[b,ch,i], channels ascending from zero, bias added last. It is
+// register-blocked two output channels by four input channels: one pass over
+// a block of the plane reads four input rows once and advances two output
+// rows by four terms each, so the inner loop does sixteen flops per eight
+// memory operations with two independent dependency chains. Every output
+// element still receives its terms one at a time in channel order, so the
+// blocking — and the split of the work across goroutines, which never divides
+// one element's sum — leaves each result bit-identical to the plain loop.
+func conv1x1(x *Tensor, wd []float32, wstride, outC int, bias *Tensor) *Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	outC := weight.Shape[0]
 	plane := h * w
 	out := New(n, outC, h, w)
-	wd := weight.Data // (outC, C) row-major (kh=kw=1)
-	parallelFor(n*outC, func(rs, re int) {
+	xd, od := x.Data, out.Data
+	nblk := (plane + conv1x1Block - 1) / conv1x1Block
+	npair := (outC + 1) / 2
+	ParallelByCost(n*nblk*npair, 2*c*min(plane, conv1x1Block), func(rs, re int) {
 		for r := rs; r < re; r++ {
-			b := r / outC
-			oc := r % outC
-			dst := out.Data[r*plane : (r+1)*plane]
-			var bv float32
+			// Pairs vary fastest: consecutive items reuse one block of input
+			// rows against successive weight rows.
+			oc := r % npair * 2
+			blk := r / npair % nblk
+			b := r / (npair * nblk)
+			lo := blk * conv1x1Block
+			hi := min(lo+conv1x1Block, plane)
+			src := xd[b*c*plane : (b+1)*c*plane]
+			d0 := od[(b*outC+oc)*plane+lo : (b*outC+oc)*plane+hi]
+			w0 := wd[oc*wstride : oc*wstride+c]
+			if oc+1 == outC {
+				conv1x1Row(d0, src, plane, lo, w0)
+			} else {
+				d1 := od[(b*outC+oc+1)*plane+lo : (b*outC+oc+1)*plane+hi]
+				w1 := wd[(oc+1)*wstride : (oc+1)*wstride+c]
+				conv1x1Pair(d0, d1, src, plane, lo, w0, w1)
+				if bias != nil {
+					addScalar(d1, bias.Data[oc+1])
+				}
+			}
 			if bias != nil {
-				bv = bias.Data[oc]
-			}
-			for i := range dst {
-				dst[i] = bv
-			}
-			wrow := wd[oc*c : (oc+1)*c]
-			for ch := 0; ch < c; ch++ {
-				wv := wrow[ch]
-				if wv == 0 {
-					continue
-				}
-				src := x.Data[(b*c+ch)*plane : (b*c+ch+1)*plane]
-				for i := range dst {
-					dst[i] += wv * src[i]
-				}
+				addScalar(d0, bias.Data[oc])
 			}
 		}
 	})
 	return out
+}
+
+// conv1x1Pair accumulates two output rows (zero on entry) over every input
+// channel of one image. src holds the image's channel planes, each `plane`
+// long; the rows cover plane elements [lo, lo+len(d0)).
+func conv1x1Pair(d0, d1, src []float32, plane, lo int, w0, w1 []float32) {
+	n := len(d0)
+	d1 = d1[:n]
+	w1 = w1[:len(w0)]
+	ch := 0
+	for ; ch+4 <= len(w0); ch += 4 {
+		x0 := src[ch*plane+lo:][:n]
+		x1 := src[(ch+1)*plane+lo:][:n]
+		x2 := src[(ch+2)*plane+lo:][:n]
+		x3 := src[(ch+3)*plane+lo:][:n]
+		a0, a1, a2, a3 := w0[ch], w0[ch+1], w0[ch+2], w0[ch+3]
+		b0, b1, b2, b3 := w1[ch], w1[ch+1], w1[ch+2], w1[ch+3]
+		for i := range d0 {
+			v0, v1, v2, v3 := x0[i], x1[i], x2[i], x3[i]
+			s := d0[i]
+			s += a0 * v0
+			s += a1 * v1
+			s += a2 * v2
+			s += a3 * v3
+			d0[i] = s
+			t := d1[i]
+			t += b0 * v0
+			t += b1 * v1
+			t += b2 * v2
+			t += b3 * v3
+			d1[i] = t
+		}
+	}
+	for ; ch < len(w0); ch++ {
+		xc := src[ch*plane+lo:][:n]
+		a, b := w0[ch], w1[ch]
+		for i := range d0 {
+			v := xc[i]
+			d0[i] += a * v
+			d1[i] += b * v
+		}
+	}
+}
+
+// conv1x1Row is conv1x1Pair for the last output channel of an odd count.
+func conv1x1Row(d0, src []float32, plane, lo int, w0 []float32) {
+	n := len(d0)
+	ch := 0
+	for ; ch+4 <= len(w0); ch += 4 {
+		x0 := src[ch*plane+lo:][:n]
+		x1 := src[(ch+1)*plane+lo:][:n]
+		x2 := src[(ch+2)*plane+lo:][:n]
+		x3 := src[(ch+3)*plane+lo:][:n]
+		a0, a1, a2, a3 := w0[ch], w0[ch+1], w0[ch+2], w0[ch+3]
+		for i := range d0 {
+			s := d0[i]
+			s += a0 * x0[i]
+			s += a1 * x1[i]
+			s += a2 * x2[i]
+			s += a3 * x3[i]
+			d0[i] = s
+		}
+	}
+	for ; ch < len(w0); ch++ {
+		xc := src[ch*plane+lo:][:n]
+		a := w0[ch]
+		for i := range d0 {
+			d0[i] += a * xc[i]
+		}
+	}
+}
+
+func addScalar(d []float32, v float32) {
+	for i := range d {
+		d[i] += v
+	}
 }
 
 // Conv2DNaive is a direct reference implementation used by tests to validate
@@ -236,6 +343,12 @@ func Conv2DNaive(x, weight, bias *Tensor, o ConvOpts) *Tensor {
 
 // DepthwiseConv2D convolves each channel of x (N,C,H,W) with its own kernel
 // from weight (C, 1, kh, kw), plus optional bias (C).
+//
+// Each output element is bias + Σ taps in (ky, kx) order over the taps that
+// fall inside the plane. Outputs whose whole window is inside — the interior,
+// nearly all of a plane — take a loop with no per-tap bounds test (unrolled
+// for 3×3); the border ring keeps the tested loop. Same taps, same order, so
+// the split changes no bit.
 func DepthwiseConv2D(x, weight, bias *Tensor, o ConvOpts) *Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	if weight.Shape[0] != c {
@@ -249,8 +362,15 @@ func DepthwiseConv2D(x, weight, bias *Tensor, o ConvOpts) *Tensor {
 	oh := ConvOutSize(h, kh, s, p)
 	ow := ConvOutSize(w, kw, s, p)
 	out := New(n, c, oh, ow)
+	// Interior: oy·s−p ≥ 0 and oy·s−p+kh ≤ h (likewise in x); empty when the
+	// plane is smaller than the kernel.
+	oyLo, oyHi := interiorRange(h, kh, s, p, oh)
+	oxLo, oxHi := interiorRange(w, kw, s, p, ow)
+	if oyLo == oyHi || oxLo == oxHi {
+		oyLo, oyHi, oxLo, oxHi = 0, 0, 0, 0
+	}
 	xd, wd, od := x.Data, weight.Data, out.Data
-	parallelFor(n*c, func(rs, re int) {
+	ParallelByCost(n*c, oh*ow*kh*kw, func(rs, re int) {
 		for r := rs; r < re; r++ {
 			ch := r % c
 			var bv float32
@@ -261,27 +381,93 @@ func DepthwiseConv2D(x, weight, bias *Tensor, o ConvOpts) *Tensor {
 			ker := wd[ch*kh*kw : (ch+1)*kh*kw]
 			dst := od[r*oh*ow : (r+1)*oh*ow]
 			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					acc := bv
-					for ky := 0; ky < kh; ky++ {
-						iy := oy*s - p + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						for kx := 0; kx < kw; kx++ {
-							ix := ox*s - p + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							acc += in[iy*w+ix] * ker[ky*kw+kx]
-						}
-					}
-					dst[oy*ow+ox] = acc
+				row := dst[oy*ow : (oy+1)*ow]
+				if oy < oyLo || oy >= oyHi {
+					dwBorder(row, 0, ow, in, h, w, ker, kh, kw, oy, s, p, bv)
+					continue
 				}
+				dwBorder(row, 0, oxLo, in, h, w, ker, kh, kw, oy, s, p, bv)
+				if kh == 3 && kw == 3 {
+					dwInterior3(row[oxLo:oxHi], in[(oy*s-p)*w+oxLo*s-p:], w, ker, s, bv)
+				} else {
+					dwInterior(row[oxLo:oxHi], in[(oy*s-p)*w+oxLo*s-p:], w, ker, kh, kw, s, bv)
+				}
+				dwBorder(row, oxHi, ow, in, h, w, ker, kh, kw, oy, s, p, bv)
 			}
 		}
 	})
 	return out
+}
+
+// interiorRange returns the half-open range of output positions, clamped to
+// [0, out), whose k-wide window lies wholly inside an axis of length in.
+func interiorRange(in, k, s, p, out int) (lo, hi int) {
+	lo = min((p+s-1)/s, out)
+	if in+p >= k {
+		hi = min((in+p-k)/s+1, out)
+	}
+	return lo, max(hi, lo)
+}
+
+// dwBorder computes outputs [ox0, ox1) of output row oy, testing every tap
+// against the plane's edges.
+func dwBorder(row []float32, ox0, ox1 int, in []float32, h, w int, ker []float32, kh, kw, oy, s, p int, bv float32) {
+	for ox := ox0; ox < ox1; ox++ {
+		acc := bv
+		for ky := 0; ky < kh; ky++ {
+			iy := oy*s - p + ky
+			if iy < 0 || iy >= h {
+				continue
+			}
+			for kx := 0; kx < kw; kx++ {
+				ix := ox*s - p + kx
+				if ix < 0 || ix >= w {
+					continue
+				}
+				acc += in[iy*w+ix] * ker[ky*kw+kx]
+			}
+		}
+		row[ox] = acc
+	}
+}
+
+// dwInterior computes a run of interior outputs of one row. in starts at the
+// top-left tap of the first output; w is the plane's row length.
+func dwInterior(row, in []float32, w int, ker []float32, kh, kw, s int, bv float32) {
+	for ox := range row {
+		acc := bv
+		for ky := 0; ky < kh; ky++ {
+			taps := in[ky*w+ox*s:][:kw]
+			kr := ker[ky*kw:][:kw]
+			for kx, v := range taps {
+				acc += v * kr[kx]
+			}
+		}
+		row[ox] = acc
+	}
+}
+
+// dwInterior3 is dwInterior with the nine taps of a 3×3 kernel unrolled.
+func dwInterior3(row, in []float32, w int, ker []float32, s int, bv float32) {
+	k := (*[9]float32)(ker)
+	k0, k1, k2, k3, k4, k5, k6, k7, k8 := k[0], k[1], k[2], k[3], k[4], k[5], k[6], k[7], k[8]
+	r0, r1, r2 := in, in[w:], in[2*w:]
+	for ox := range row {
+		a := (*[3]float32)(r0[ox*s:])
+		b := (*[3]float32)(r1[ox*s:])
+		c := (*[3]float32)(r2[ox*s:])
+		acc := bv
+		acc += a[0] * k0
+		acc += a[1] * k1
+		acc += a[2] * k2
+		acc += b[0] * k3
+		acc += b[1] * k4
+		acc += b[2] * k5
+		acc += c[0] * k6
+		acc += c[1] * k7
+		acc += c[2] * k8
+		row[ox] = acc
+	}
 }
 
 // AvgPoolGlobal reduces (N,C,H,W) to (N,C) by averaging each channel plane.

@@ -53,25 +53,62 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic("tensor: MatMulTransB requires rank-2 operands")
 	}
-	m, k := a.Shape[0], a.Shape[1]
-	n, k2 := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransB inner dims %d != %d", k, k2))
+	if a.Shape[1] != b.Shape[1] {
+		panic(fmt.Sprintf("tensor: MatMulTransB inner dims %d != %d", a.Shape[1], b.Shape[1]))
 	}
+	return matMulTransB(a, b.Data, b.Shape[1], b.Shape[0])
+}
+
+// MatMulTransBView is MatMulTransB against the top-left n×k block of b
+// (≥n, ≥k), k being a's width, read in place through b's row stride: an
+// elastic layer multiplies by a narrower submodel's weight without copying
+// the slice out first.
+func MatMulTransBView(a, b *Tensor, n int) *Tensor {
+	if a.Rank() != 2 || b.Rank() != 2 || b.Shape[0] < n || b.Shape[1] < a.Shape[1] {
+		panic(fmt.Sprintf("tensor: MatMulTransBView wants a %dx%d block, have %v", n, a.Shape[1], b.Shape))
+	}
+	return matMulTransB(a, b.Data, b.Shape[1], n)
+}
+
+// matMulTransB computes c[i,j] = Σ_p a[i,p]·bd[j·bstride+p], p ascending from
+// zero in one accumulator per element. A work item is one row of a against
+// four rows of b: the four dot products share each load of a and advance as
+// independent dependency chains, which is what the single latency-bound chain
+// of the plain loop lacked. Splitting by output column as well as row keeps
+// every worker busy when a is a single row (the classifier, the SE gates).
+func matMulTransB(a *Tensor, bd []float32, bstride, n int) *Tensor {
+	m, k := a.Shape[0], a.Shape[1]
 	c := New(m, n)
-	ad, bd, cd := a.Data, b.Data, c.Data
-	parallelFor(m, func(rs, re int) {
-		for i := rs; i < re; i++ {
+	ad, cd := a.Data, c.Data
+	nq := (n + 3) / 4
+	ParallelByCost(m*nq, 4*k, func(rs, re int) {
+		for r := rs; r < re; r++ {
+			i, j := r/nq, r%nq*4
 			ai := ad[i*k : (i+1)*k]
-			ci := cd[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				bj := bd[j*k : (j+1)*k]
-				var s float32
-				for p := range ai {
-					s += ai[p] * bj[p]
+			ci := cd[i*n+j : min(i*n+j+4, (i+1)*n)]
+			if len(ci) < 4 {
+				for x := range ci {
+					bj := bd[(j+x)*bstride:][:k]
+					var s float32
+					for p, av := range ai {
+						s += av * bj[p]
+					}
+					ci[x] = s
 				}
-				ci[j] = s
+				continue
 			}
+			b0 := bd[j*bstride:][:k]
+			b1 := bd[(j+1)*bstride:][:k]
+			b2 := bd[(j+2)*bstride:][:k]
+			b3 := bd[(j+3)*bstride:][:k]
+			var s0, s1, s2, s3 float32
+			for p, av := range ai {
+				s0 += av * b0[p]
+				s1 += av * b1[p]
+				s2 += av * b2[p]
+				s3 += av * b3[p]
+			}
+			ci[0], ci[1], ci[2], ci[3] = s0, s1, s2, s3
 		}
 	})
 	return c

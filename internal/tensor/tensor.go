@@ -212,23 +212,43 @@ func SetParallelism(n int) {
 func Parallelism() int { return workers }
 
 // parallelFor splits [0, n) into contiguous chunks and runs fn(start, end) on
-// each concurrently. Falls back to inline execution for small n.
+// each concurrently. Falls back to inline execution for small n: it is for
+// kernels whose items are small and many (rows, elements).
 func parallelFor(n int, fn func(start, end int)) {
-	w := workers
-	if w > n {
-		w = n
+	if n < 64 {
+		fn(0, n)
+		return
 	}
-	if w <= 1 || n < 64 {
+	split(n, fn)
+}
+
+// minParallelWork is the number of element operations below which handing a
+// kernel to other goroutines costs more than it saves.
+const minParallelWork = 1 << 15
+
+// ParallelByCost is parallelFor for kernels whose items are few and large (a
+// channel plane, not a row): cost is roughly the element operations one item
+// performs, and the work is split whenever all of it together is worth a
+// goroutine, however few the items. No item is ever divided, so a kernel that
+// computes each item on its own gives the same bits at any worker count.
+func ParallelByCost(n, cost int, fn func(start, end int)) {
+	if n*cost < minParallelWork {
+		fn(0, n)
+		return
+	}
+	split(n, fn)
+}
+
+func split(n int, fn func(start, end int)) {
+	w := min(workers, n)
+	if w <= 1 {
 		fn(0, n)
 		return
 	}
 	var wg sync.WaitGroup
 	chunk := (n + w - 1) / w
 	for s := 0; s < n; s += chunk {
-		e := s + chunk
-		if e > n {
-			e = n
-		}
+		e := min(s+chunk, n)
 		wg.Add(1)
 		go func(s, e int) {
 			defer wg.Done()

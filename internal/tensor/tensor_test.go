@@ -401,14 +401,3 @@ func TestConv1x1FastPathMatchesNaive(t *testing.T) {
 		t.Fatalf("strided 1x1 diff %v", d)
 	}
 }
-
-func BenchmarkConv1x1FastPath(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := randTensor(rng, 1, 64, 56, 56)
-	w := randTensor(rng, 128, 64, 1, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Conv2D(x, w, nil, ConvOpts{Stride: 1, Padding: 0})
-	}
-}
