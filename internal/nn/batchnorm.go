@@ -43,8 +43,12 @@ func BatchNormFwd(x, gamma, beta, runningMean, runningVar *tensor.Tensor,
 
 	xhat := tensor.New(n, c, h, w)
 	invStds := make([]float32, c)
+	var means, variances [4]float32
 	for cc := 0; cc < c; cc++ {
-		mean, variance := batchStats(x, cc)
+		if cc%4 == 0 {
+			means, variances = batchStats(x, cc, min(4, c-cc))
+		}
+		mean, variance := means[cc%4], variances[cc%4]
 		invStd := float32(1 / math.Sqrt(float64(variance+eps)))
 		invStds[cc] = invStd
 		g, b := gamma.Data[cc], beta.Data[cc]
@@ -65,29 +69,47 @@ func BatchNormFwd(x, gamma, beta, runningMean, runningVar *tensor.Tensor,
 	return y, &BNCache{XHat: xhat, InvStd: invStds, Gamma: gamma}
 }
 
-// batchStats returns the mean and the biased variance of channel cc of x
-// (N,C,H,W) over the batch: float64 sums taken image by image and then along
-// the plane — the one order training-mode BatchNormFwd and BatchNormInPlace
-// both take them in.
-func batchStats(x *tensor.Tensor, cc int) (mean, variance float32) {
+// batchStats returns the mean and the biased variance over the batch of the
+// k ≤ 4 channels of x (N,C,H,W) starting at cc: float64 sums taken image by
+// image and then along the plane — the one order training-mode BatchNormFwd
+// and BatchNormInPlace both take them in. The four channels are four
+// independent chains walked together, so the adds of one overlap the latency
+// of the others and no channel's sum is reordered; with fewer than four left
+// the spare chains repeat the last channel and are discarded.
+func batchStats(x *tensor.Tensor, cc, k int) (mean, variance [4]float32) {
 	n, c := x.Shape[0], x.Shape[1]
 	plane := x.Shape[2] * x.Shape[3]
 	cnt := float64(n * plane)
-	var sum float64
+	c1, c2, c3 := cc+min(1, k-1), cc+min(2, k-1), cc+min(3, k-1)
+	rows := func(bi int) (r0, r1, r2, r3 []float32) {
+		d := x.Data[bi*c*plane:]
+		return d[cc*plane:][:plane], d[c1*plane:][:plane], d[c2*plane:][:plane], d[c3*plane:][:plane]
+	}
+	var s0, s1, s2, s3 float64
 	for bi := 0; bi < n; bi++ {
-		for _, v := range x.Data[(bi*c+cc)*plane : (bi*c+cc+1)*plane] {
-			sum += float64(v)
+		r0, r1, r2, r3 := rows(bi)
+		for i := range r0 {
+			s0 += float64(r0[i])
+			s1 += float64(r1[i])
+			s2 += float64(r2[i])
+			s3 += float64(r3[i])
 		}
 	}
-	mean = float32(sum / cnt)
-	var vsum float64
+	mean = [4]float32{float32(s0 / cnt), float32(s1 / cnt), float32(s2 / cnt), float32(s3 / cnt)}
+	m0, m1, m2, m3 := mean[0], mean[1], mean[2], mean[3]
+	var v0, v1, v2, v3 float64
 	for bi := 0; bi < n; bi++ {
-		for _, v := range x.Data[(bi*c+cc)*plane : (bi*c+cc+1)*plane] {
-			d := float64(v - mean)
-			vsum += d * d
+		r0, r1, r2, r3 := rows(bi)
+		for i := range r0 {
+			d0, d1 := float64(r0[i]-m0), float64(r1[i]-m1)
+			d2, d3 := float64(r2[i]-m2), float64(r3[i]-m3)
+			v0 += d0 * d0
+			v1 += d1 * d1
+			v2 += d2 * d2
+			v3 += d3 * d3
 		}
 	}
-	return mean, float32(vsum / cnt)
+	return mean, [4]float32{float32(v0 / cnt), float32(v1 / cnt), float32(v2 / cnt), float32(v3 / cnt)}
 }
 
 // BatchNormInPlace normalizes x (N,C,H,W) per channel with batch statistics,
@@ -102,25 +124,38 @@ func BatchNormInPlace(x, gamma, beta *tensor.Tensor, eps float32, hswish bool) {
 	n, c := x.Shape[0], x.Shape[1]
 	plane := x.Shape[2] * x.Shape[3]
 	tensor.ParallelByCost(c, 3*n*plane, func(cs, ce int) {
-		for cc := cs; cc < ce; cc++ {
-			mean, variance := batchStats(x, cc)
-			invStd := float32(1 / math.Sqrt(float64(variance+eps)))
-			g, b := gamma.Data[cc], beta.Data[cc]
-			for bi := 0; bi < n; bi++ {
-				row := x.Data[(bi*c+cc)*plane : (bi*c+cc+1)*plane]
-				if hswish {
-					for i, v := range row {
-						v = (v-mean)*invStd*g + b
-						row[i] = v * relu6(v+3) / 6
-					}
-				} else {
-					for i, v := range row {
-						row[i] = (v-mean)*invStd*g + b
-					}
+		for c0 := cs; c0 < ce; c0 += 4 {
+			k := min(4, ce-c0)
+			means, variances := batchStats(x, c0, k)
+			for cc := c0; cc < c0+k; cc++ {
+				mean := means[cc-c0]
+				invStd := float32(1 / math.Sqrt(float64(variances[cc-c0]+eps)))
+				g, b := gamma.Data[cc], beta.Data[cc]
+				for bi := 0; bi < n; bi++ {
+					row := x.Data[(bi*c+cc)*plane : (bi*c+cc+1)*plane]
+					// The vector kernel takes the whole registers of the
+					// plane, the portable loop the rest (all of it without AVX2).
+					done := bnApplyVec(row, mean, invStd, g, b, hswish)
+					bnApply(row[done:], mean, invStd, g, b, hswish)
 				}
 			}
 		}
 	})
+}
+
+// bnApply is the apply pass over one channel plane: the affine map of the
+// normalized value, then hard-swish when hswish is set.
+func bnApply(row []float32, mean, invStd, g, b float32, hswish bool) {
+	if hswish {
+		for i, v := range row {
+			v = (v-mean)*invStd*g + b
+			row[i] = v * relu6(v+3) / 6
+		}
+		return
+	}
+	for i, v := range row {
+		row[i] = (v-mean)*invStd*g + b
+	}
 }
 
 // BatchNormBwd back-propagates dy through a training-mode batch norm and

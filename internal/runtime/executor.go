@@ -84,7 +84,7 @@ func (e *Executor) handleExecBlock(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return encodeQuantized(nil, tensor.Quantize(y, respBits))
+	return encodeQuantized(nil, tensor.Quantize(y, respBits)), nil
 }
 
 // execRun runs x through the blocks of run on net, the one run executor local
@@ -112,7 +112,7 @@ func requantize(x *tensor.Tensor, q tensor.Bitwidth) *tensor.Tensor {
 	if q == tensor.Bits32 {
 		return x
 	}
-	return tensor.Quantize(x, q).Dequantize()
+	return tensor.FakeQuantize(x, q)
 }
 
 // decodeRunHeader parses either request header and returns the run, the
@@ -167,16 +167,12 @@ func encodeRunRequest(run []blockRef, tile *tensor.Tensor) ([]byte, error) {
 	for _, b := range run {
 		hdr = append(hdr, byte(b.stage), byte(b.index), byte(b.ls.Kernel), byte(b.ls.Expand), byte(b.ls.Quant))
 	}
-	return encodeQuantized(hdr, tensor.Quantize(tile, run[0].ls.Quant))
+	return encodeQuantized(hdr, tensor.Quantize(tile, run[0].ls.Quant)), nil
 }
 
-// encodeQuantized returns hdr followed by q's wire form, in one buffer sized
-// up front: the codes dominate, the tensor's own header is a few bytes a rank.
-func encodeQuantized(hdr []byte, q *tensor.Quantized) ([]byte, error) {
-	buf := bytes.NewBuffer(make([]byte, 0, len(hdr)+8+4*len(q.Shape)+q.WireBytes()))
-	buf.Write(hdr)
-	if err := tensor.EncodeQuantized(buf, q); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+// encodeQuantized returns hdr followed by q's wire form, appended into one
+// frame sized up front.
+func encodeQuantized(hdr []byte, q *tensor.Quantized) []byte {
+	frame := make([]byte, 0, len(hdr)+q.EncodedLen())
+	return tensor.AppendQuantized(append(frame, hdr...), q)
 }

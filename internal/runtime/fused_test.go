@@ -370,11 +370,7 @@ func TestBadRunResponseIsTyped(t *testing.T) {
 		"wrong batch":  {2, 12, 8, 8},
 		"missing rank": {12, 8, 8},
 	} {
-		b, err := encodeQuantized(nil, tensor.Quantize(tensor.New(shape...), tensor.Bits32))
-		if err != nil {
-			t.Fatal(err)
-		}
-		replies[name] = b
+		replies[name] = encodeQuantized(nil, tensor.Quantize(tensor.New(shape...), tensor.Bits32))
 	}
 	for name, reply := range replies {
 		srv := rpcx.NewServer()

@@ -151,6 +151,22 @@ func (s *Supernet) blockFwd(b *mbBlock, x *tensor.Tensor, ls LayerSetting, train
 	if h%b.stride != 0 || w%b.stride != 0 {
 		return nil, nil, fmt.Errorf("supernet: fmap %dx%d not divisible by stride %d", h, w, b.stride)
 	}
+	// Simulate input feature-map quantization (straight-through gradient).
+	if ls.Quant != tensor.Bits32 {
+		x = tensor.FakeQuantize(x, ls.Quant)
+	}
+
+	residual := b.stride == 1 && b.inC == b.outC
+	if !training && grid.Gy == 1 && grid.Gx == 1 {
+		// One tile is the whole map: nothing to crop, nothing to paste. The
+		// tile's result is the block's; tileInfer only reads x.
+		yt := s.tileInfer(b, x, ls)
+		if residual {
+			yt.Add(x)
+		}
+		return nil, yt, nil
+	}
+
 	// Tile boundaries are chosen in *output* space and mapped back through
 	// the stride, so any grid works for any stride (tiles may be unequal).
 	outRows, err := splitSizes(h/b.stride, grid.Gy)
@@ -162,12 +178,6 @@ func (s *Supernet) blockFwd(b *mbBlock, x *tensor.Tensor, ls LayerSetting, train
 		return nil, nil, err
 	}
 
-	// Simulate input feature-map quantization (straight-through gradient).
-	if ls.Quant != tensor.Bits32 {
-		x = tensor.Quantize(x, ls.Quant).Dequantize()
-	}
-
-	residual := b.stride == 1 && b.inC == b.outC
 	var bc *blockCache
 	if training {
 		bc = &blockCache{

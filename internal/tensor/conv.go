@@ -204,12 +204,16 @@ func conv1x1(x *Tensor, wd []float32, wstride, outC int, bias *Tensor) *Tensor {
 			src := xd[b*c*plane : (b+1)*c*plane]
 			d0 := od[(b*outC+oc)*plane+lo : (b*outC+oc)*plane+hi]
 			w0 := wd[oc*wstride : oc*wstride+c]
+			// The vector kernel takes a block of at least one register, the
+			// portable loop what it leaves (everything, without AVX2).
 			if oc+1 == outC {
-				conv1x1Row(d0, src, plane, lo, w0)
+				done := conv1x1RowVec(d0, src, plane, lo, w0)
+				conv1x1Row(d0[done:], src, plane, lo+done, w0)
 			} else {
 				d1 := od[(b*outC+oc+1)*plane+lo : (b*outC+oc+1)*plane+hi]
 				w1 := wd[(oc+1)*wstride : (oc+1)*wstride+c]
-				conv1x1Pair(d0, d1, src, plane, lo, w0, w1)
+				done := conv1x1PairVec(d0, d1, src, plane, lo, w0, w1)
+				conv1x1Pair(d0[done:], d1[done:], src, plane, lo+done, w0, w1)
 				if bias != nil {
 					addScalar(d1, bias.Data[oc+1])
 				}
@@ -380,6 +384,10 @@ func DepthwiseConv2D(x, weight, bias *Tensor, o ConvOpts) *Tensor {
 			in := xd[r*h*w : (r+1)*h*w]
 			ker := wd[ch*kh*kw : (ch+1)*kh*kw]
 			dst := od[r*oh*ow : (r+1)*oh*ow]
+			// The vector kernel takes the plane's whole interior in one call,
+			// or none of it.
+			vec := oyLo < oyHi && dwInteriorVec(dst[oyLo*ow+oxLo:], ow, in[(oyLo*s-p)*w+oxLo*s-p:], w,
+				oyHi-oyLo, oxHi-oxLo, ker, kh, kw, s, bv)
 			for oy := 0; oy < oh; oy++ {
 				row := dst[oy*ow : (oy+1)*ow]
 				if oy < oyLo || oy >= oyHi {
@@ -387,9 +395,11 @@ func DepthwiseConv2D(x, weight, bias *Tensor, o ConvOpts) *Tensor {
 					continue
 				}
 				dwBorder(row, 0, oxLo, in, h, w, ker, kh, kw, oy, s, p, bv)
-				if kh == 3 && kw == 3 {
+				switch {
+				case vec: // computed above
+				case kh == 3 && kw == 3:
 					dwInterior3(row[oxLo:oxHi], in[(oy*s-p)*w+oxLo*s-p:], w, ker, s, bv)
-				} else {
+				default:
 					dwInterior(row[oxLo:oxHi], in[(oy*s-p)*w+oxLo*s-p:], w, ker, kh, kw, s, bv)
 				}
 				dwBorder(row, oxHi, ow, in, h, w, ker, kh, kw, oy, s, p, bv)
@@ -409,22 +419,23 @@ func interiorRange(in, k, s, p, out int) (lo, hi int) {
 	return lo, max(hi, lo)
 }
 
-// dwBorder computes outputs [ox0, ox1) of output row oy, testing every tap
-// against the plane's edges.
+// dwBorder computes outputs [ox0, ox1) of output row oy over the taps that
+// fall inside the plane: kernel rows [ky0, ky1) for the whole row, kernel
+// columns [kx0, kx1) per output — the taps a per-tap edge test would keep, in
+// the same order.
 func dwBorder(row []float32, ox0, ox1 int, in []float32, h, w int, ker []float32, kh, kw, oy, s, p int, bv float32) {
+	iy0 := oy*s - p
+	ky0, ky1 := max(0, -iy0), min(kh, h-iy0)
 	for ox := ox0; ox < ox1; ox++ {
+		ix0 := ox*s - p
+		kx0 := max(0, -ix0)
+		kx1 := max(min(kw, w-ix0), kx0)
 		acc := bv
-		for ky := 0; ky < kh; ky++ {
-			iy := oy*s - p + ky
-			if iy < 0 || iy >= h {
-				continue
-			}
-			for kx := 0; kx < kw; kx++ {
-				ix := ox*s - p + kx
-				if ix < 0 || ix >= w {
-					continue
-				}
-				acc += in[iy*w+ix] * ker[ky*kw+kx]
+		for ky := ky0; ky < ky1; ky++ {
+			taps := in[(iy0+ky)*w+ix0+kx0 : (iy0+ky)*w+ix0+kx1]
+			kr := ker[ky*kw+kx0:][:len(taps)]
+			for i, v := range taps {
+				acc += v * kr[i]
 			}
 		}
 		row[ox] = acc

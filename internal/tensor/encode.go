@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Wire format (little endian):
@@ -104,47 +105,51 @@ func Decode(r io.Reader) (*Tensor, error) {
 	return t, nil
 }
 
-// EncodeQuantized writes q to w. The payload is the integer codes at the
-// quantized bitwidth, so lower bitwidths genuinely send fewer bytes.
-func EncodeQuantized(w io.Writer, q *Quantized) error {
-	hdr := []byte{'Q', byte(len(q.Shape)), byte(q.Bits)}
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	var b4 [4]byte
+// EncodedLen returns the size of q's wire form: header, shape, scale, codes.
+func (q *Quantized) EncodedLen() int { return 3 + 4*len(q.Shape) + 4 + q.WireBytes() }
+
+// AppendQuantized appends q's wire form to dst and returns the extended
+// slice: header and codes go straight into the caller's buffer, so a frame
+// that reserved EncodedLen bytes is built without a staging copy. The payload
+// is the integer codes at the quantized bitwidth, so lower bitwidths genuinely
+// send fewer bytes.
+func AppendQuantized(dst []byte, q *Quantized) []byte {
+	dst = append(dst, 'Q', byte(len(q.Shape)), byte(q.Bits))
 	for _, s := range q.Shape {
-		binary.LittleEndian.PutUint32(b4[:], uint32(s))
-		if _, err := w.Write(b4[:]); err != nil {
-			return err
-		}
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(s))
 	}
-	binary.LittleEndian.PutUint32(b4[:], math.Float32bits(q.Scale))
-	if _, err := w.Write(b4[:]); err != nil {
-		return err
-	}
+	dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(q.Scale))
+	var codes []byte
 	switch q.Bits {
 	case Bits8:
-		buf := make([]byte, len(q.Q8))
+		dst, codes = extend(dst, len(q.Q8))
 		for i, v := range q.Q8 {
-			buf[i] = byte(v)
+			codes[i] = byte(v)
 		}
-		_, err := w.Write(buf)
-		return err
 	case Bits16:
-		buf := make([]byte, 2*len(q.Q16))
+		dst, codes = extend(dst, 2*len(q.Q16))
 		for i, v := range q.Q16 {
-			binary.LittleEndian.PutUint16(buf[i*2:], uint16(v))
+			binary.LittleEndian.PutUint16(codes[i*2:], uint16(v))
 		}
-		_, err := w.Write(buf)
-		return err
 	default:
-		buf := make([]byte, 4*len(q.F32))
+		dst, codes = extend(dst, 4*len(q.F32))
 		for i, v := range q.F32 {
-			binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(v))
+			binary.LittleEndian.PutUint32(codes[i*4:], math.Float32bits(v))
 		}
-		_, err := w.Write(buf)
-		return err
 	}
+	return dst
+}
+
+// extend lengthens b by n bytes and returns it with the new tail.
+func extend(b []byte, n int) (all, tail []byte) {
+	all = slices.Grow(b, n)[:len(b)+n]
+	return all, all[len(b):]
+}
+
+// EncodeQuantized writes q's wire form (AppendQuantized) to w.
+func EncodeQuantized(w io.Writer, q *Quantized) error {
+	_, err := w.Write(AppendQuantized(make([]byte, 0, q.EncodedLen()), q))
+	return err
 }
 
 // DecodeQuantized reads a quantized tensor written by EncodeQuantized.

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"murmuration/internal/testutil"
 )
 
 // The blocked kernels are checked at tolerance 0 against the plain loops they
@@ -210,31 +212,457 @@ func TestMatMulTransBBitExact(t *testing.T) {
 	})
 }
 
+// ---------------------------------------------------------------------------
+// Assembly against the portable loops
+// ---------------------------------------------------------------------------
+//
+// Every vector kernel is run beside the portable function it stands in for,
+// by name, and must leave the same bits. The portable loops are compiled on
+// every platform (they finish the tails), so the comparison needs no switch:
+// without the assembly the *Vec entry points compute nothing and the tests
+// compare the portable loops with themselves.
+//
+// Sources live in guarded memory (testutil.GuardedFloats): canary NaNs below
+// them, an inaccessible page right behind their last element, so a read one
+// element too far faults and a read one element too early poisons the result.
+// Destinations are sub-slices with canaries on both sides, checked after.
+
+var (
+	canary   = math.Float32frombits(0x7fc0babe)
+	specials = []float32{
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		float32(math.Copysign(0, -1)), 0,
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.Float32frombits(0x007fffff), // largest denormal
+		math.MaxFloat32, -math.MaxFloat32,
+	}
+)
+
+const canaries = 9 // more than one register wide
+
+// source returns n random values in [-1, 1) in guarded memory, about one in
+// `every` of them replaced by a special (every = 0: none).
+func source(tb testing.TB, rng *rand.Rand, n, every int) []float32 {
+	buf := testutil.GuardedFloats(tb, canaries+n)
+	for i := range buf {
+		buf[i] = canary
+	}
+	x := buf[canaries:]
+	for i := range x {
+		x[i] = rng.Float32()*2 - 1
+		if every > 0 && rng.Intn(every) == 0 {
+			x[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	return x
+}
+
+// dest returns a buffer of canaries and the n-element window in its middle.
+func dest(n int) (buf, window []float32) {
+	buf = make([]float32, n+2*canaries)
+	for i := range buf {
+		buf[i] = canary
+	}
+	return buf, buf[canaries : canaries+n]
+}
+
+func isCanary(v float32) bool { return math.Float32bits(v) == math.Float32bits(canary) }
+
+// checkCanaries fails when a kernel wrote outside the window of buf.
+func checkCanaries(tb testing.TB, name string, buf []float32) {
+	tb.Helper()
+	for i, v := range buf {
+		if (i < canaries || i >= len(buf)-canaries) && !isCanary(v) {
+			tb.Fatalf("%s: wrote %v at %d, outside its %d-element destination", name, v, i-canaries, len(buf)-2*canaries)
+		}
+	}
+}
+
+// sameSlice is sameBits for slices, except that a NaN matches any NaN: when
+// two NaNs meet in a multiply or an add, the one whose payload survives is
+// the first operand's, and the compiler commutes those as register allocation
+// suits — between two Go functions as much as between Go and assembly. Which
+// elements are NaN is pinned; their payloads are not part of the contract.
+func sameSlice(tb testing.TB, name string, got, want []float32) {
+	tb.Helper()
+	if len(got) != len(want) {
+		tb.Fatalf("%s: %d elements, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != got[i] && want[i] != want[i] {
+			continue
+		}
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			tb.Fatalf("%s: element %d is %v (%#08x), want %v (%#08x)", name, i,
+				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
+// planeSizes hit every tail of the 1×1 kernel: below one register, exactly
+// one, one over, the 32-wide main loop with and without 8-wide leftovers, and
+// one under and over the 1024-element work item.
+var planeSizes = []struct{ h, w int }{{1, 1}, {2, 2}, {1, 7}, {2, 4}, {3, 3}, {5, 5}, {10, 10}, {31, 33}, {25, 41}, {40, 40}}
+
+// checkConv1x1Kernels runs the pair and the row kernel over rows [lo, lo+n)
+// of a c-channel image and compares each with its portable loop.
+func checkConv1x1Kernels(tb testing.TB, name string, src []float32, plane, lo, n int, w0, w1 []float32) {
+	tb.Helper()
+	zero := func(w []float32) {
+		for i := range w {
+			w[i] = 0
+		}
+	}
+	buf0, got0 := dest(n)
+	buf1, got1 := dest(n)
+	zero(got0)
+	zero(got1)
+	done := conv1x1PairVec(got0, got1, src, plane, lo, w0, w1)
+	if HasAVX2() && n >= 8 && done != n {
+		tb.Fatalf("%s: pair kernel computed %d of %d elements", name, done, n)
+	}
+	conv1x1Pair(got0[done:], got1[done:], src, plane, lo+done, w0, w1)
+	want0, want1 := make([]float32, n), make([]float32, n)
+	conv1x1Pair(want0, want1, src, plane, lo, w0, w1)
+	sameSlice(tb, name+" pair row 0", got0, want0)
+	sameSlice(tb, name+" pair row 1", got1, want1)
+	checkCanaries(tb, name+" pair row 0", buf0)
+	checkCanaries(tb, name+" pair row 1", buf1)
+
+	buf0, got0 = dest(n)
+	zero(got0)
+	done = conv1x1RowVec(got0, src, plane, lo, w1)
+	conv1x1Row(got0[done:], src, plane, lo+done, w1)
+	want1 = make([]float32, n)
+	conv1x1Row(want1, src, plane, lo, w1)
+	sameSlice(tb, name+" row", got0, want1)
+	checkCanaries(tb, name+" row", buf0)
+}
+
+func TestConv1x1KernelsMatchPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, every := range []int{0, 11} {
+		for _, ps := range planeSizes {
+			plane := ps.h * ps.w
+			for _, c := range []int{1, 3, 4, 5, 13} {
+				src := source(t, rng, c*plane, every)
+				w0, w1 := source(t, rng, c, 2*every), source(t, rng, c, 2*every)
+				// The whole plane, which ends at the end of the source's
+				// allocation, and a window strictly inside it.
+				checkConv1x1Kernels(t, fmt.Sprintf("plane %d c %d specials 1/%d", plane, c, every), src, plane, 0, plane, w0, w1)
+				if plane > 12 {
+					checkConv1x1Kernels(t, fmt.Sprintf("plane %d[3:%d] c %d specials 1/%d", plane, plane-2, c, every), src, plane, 3, plane-5, w0, w1)
+				}
+			}
+		}
+	}
+}
+
+// checkDepthwiseInterior runs the interior kernel on one h×w plane and
+// compares every interior row with the portable loops; everything outside
+// the interior rectangle must be left alone.
+func checkDepthwiseInterior(tb testing.TB, name string, in []float32, h, w int, ker []float32, k, s int, bv float32) {
+	tb.Helper()
+	p := k / 2
+	oh, ow := ConvOutSize(h, k, s, p), ConvOutSize(w, k, s, p)
+	oyLo, oyHi := interiorRange(h, k, s, p, oh)
+	oxLo, oxHi := interiorRange(w, k, s, p, ow)
+	if oyLo >= oyHi || oxLo >= oxHi {
+		return
+	}
+	rows, cols := oyHi-oyLo, oxHi-oxLo
+	buf, got := dest(oh * ow)
+	vec := dwInteriorVec(got[oyLo*ow+oxLo:], ow, in[(oyLo*s-p)*w+oxLo*s-p:], w, rows, cols, ker, k, k, s, bv)
+	if !vec {
+		if HasAVX2() && cols >= 8 {
+			tb.Fatalf("%s: the interior kernel declined a %dx%d interior", name, rows, cols)
+		}
+		return
+	}
+	want := make([]float32, cols)
+	for oy := 0; oy < oh; oy++ {
+		row := got[oy*ow : (oy+1)*ow]
+		for ox, v := range row {
+			if inside := oy >= oyLo && oy < oyHi && ox >= oxLo && ox < oxHi; !inside && !isCanary(v) {
+				tb.Fatalf("%s: wrote %v at (%d,%d), outside the interior [%d,%d)x[%d,%d)", name, v, oy, ox, oyLo, oyHi, oxLo, oxHi)
+			}
+		}
+		if oy < oyLo || oy >= oyHi {
+			continue
+		}
+		dwInterior(want, in[(oy*s-p)*w+oxLo*s-p:], w, ker, k, k, s, bv)
+		sameSlice(tb, fmt.Sprintf("%s row %d", name, oy), row[oxLo:oxHi], want)
+		if k == 3 {
+			dwInterior3(want, in[(oy*s-p)*w+oxLo*s-p:], w, ker, s, bv)
+			sameSlice(tb, fmt.Sprintf("%s row %d (unrolled)", name, oy), row[oxLo:oxHi], want)
+		}
+	}
+	checkCanaries(tb, name, buf)
+}
+
+func TestDepthwiseInteriorMatchesPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	// Widths that leave interiors of 7 (no register), 8, 9, 15–17 and 39
+	// columns at some kernel and stride; heights down to a single interior row.
+	planes := []struct{ h, w int }{{3, 9}, {5, 10}, {7, 11}, {4, 17}, {9, 18}, {6, 19}, {12, 24}, {10, 34}, {8, 41}, {5, 80}}
+	for _, every := range []int{0, 13} {
+		for _, pl := range planes {
+			for _, k := range []int{3, 5, 7} {
+				for _, s := range []int{1, 2} {
+					in := source(t, rng, pl.h*pl.w, every)
+					ker := source(t, rng, k*k, 4*every)
+					for _, bv := range []float32{0, rng.Float32()} {
+						checkDepthwiseInterior(t, fmt.Sprintf("%dx%d k=%d s=%d bias=%v specials 1/%d", pl.h, pl.w, k, s, bv, every),
+							in, pl.h, pl.w, ker, k, s, bv)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestMaxAbsMatchesPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	fill := func(x []float32, v float32) []float32 {
+		for i := range x {
+			x[i] = v
+		}
+		return x
+	}
+	// The last length takes more than one bounded assembly call.
+	for _, n := range []int{0, 1, 7, 8, 9, 31, 32, 33, 100, 1025, 1<<16 + 9} {
+		cases := map[string][]float32{
+			"random":   source(t, rng, n, 0),
+			"specials": source(t, rng, n, 5),
+			"all NaN":  fill(source(t, rng, n, 0), float32(math.NaN())),
+			"all -0":   fill(source(t, rng, n, 0), float32(math.Copysign(0, -1))),
+			"all -Inf": fill(source(t, rng, n, 0), float32(math.Inf(-1))),
+		}
+		if n > 0 {
+			// The largest magnitude negative, and last: in the tail when
+			// there is one.
+			x := source(t, rng, n, 0)
+			x[n-1] = -7
+			cases["largest last"] = x
+		}
+		// The maximum with nothing but NaNs after it, at a position that
+		// lands in each accumulator of the kernel in turn: a comparison that
+		// let a NaN displace the running maximum would lose it.
+		for k := n / 3; k < n/3+32 && k < n; k += 8 {
+			x := source(t, rng, n, 0)
+			x[k] = 7
+			fill(x[k+1:], float32(math.NaN()))
+			cases[fmt.Sprintf("NaNs after the maximum at %d", k)] = x
+		}
+		for name, x := range cases {
+			got, want := FromSlice(x, n).MaxAbs(), maxAbs(0, x)
+			if math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("n=%d %s: MaxAbs %v (%#08x), portable %v (%#08x)", n, name, got, math.Float32bits(got), want, math.Float32bits(want))
+			}
+		}
+	}
+}
+
+// fakeQuantCases are tensors whose round trip leaves the beaten path: no
+// magnitude at all, a NaN or an infinity among ordinary values (an infinite
+// maximum makes the scale infinite and every product 0·Inf), only NaNs, a
+// maximum so small the scale underflows to zero, and values that sit exactly
+// on a rounding boundary.
+func fakeQuantCases(tb testing.TB, rng *rand.Rand, n int) map[string][]float32 {
+	set := func(x []float32, at int, v float32) []float32 {
+		if len(x) > 0 {
+			x[at%len(x)] = v
+		}
+		return x
+	}
+	all := func(v float32) []float32 {
+		x := source(tb, rng, n, 0)
+		for i := range x {
+			x[i] = v
+		}
+		return x
+	}
+	halves := source(tb, rng, n, 0)
+	for i := range halves {
+		halves[i] = (float32(i%255) - 127 + 0.5) / 127
+	}
+	set(halves, 0, 1)
+	tiny := source(tb, rng, n, 0)
+	for i := range tiny {
+		tiny[i] *= math.SmallestNonzeroFloat32 * 3
+	}
+	return map[string][]float32{
+		"random":       source(tb, rng, n, 0),
+		"specials":     source(tb, rng, n, 7),
+		"all zero":     all(0),
+		"all -0":       all(float32(math.Copysign(0, -1))),
+		"all NaN":      all(float32(math.NaN())),
+		"one NaN":      set(source(tb, rng, n, 0), n/2, float32(math.NaN())),
+		"one Inf":      set(source(tb, rng, n, 0), n/3, float32(math.Inf(1))),
+		"one -Inf":     set(source(tb, rng, n, 0), n-1, float32(math.Inf(-1))),
+		"NaN and Inf":  set(set(source(tb, rng, n, 0), 1, float32(math.NaN())), 0, float32(math.Inf(-1))),
+		"half-way":     halves,
+		"denormal max": tiny,
+	}
+}
+
+func TestFakeQuantizeMatchesQuantizeDequantize(t *testing.T) {
+	atParallelism(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(44))
+		for _, n := range []int{1, 7, 8, 9, 100, 1025, fakeQuantBlock + 3, 5*fakeQuantBlock + 13} {
+			for name, x := range fakeQuantCases(t, rng, n) {
+				for _, bits := range []Bitwidth{Bits8, Bits16, Bits32} {
+					in := FromSlice(x, n)
+					got, want := FakeQuantize(in, bits), Quantize(in, bits).Dequantize()
+					sameBits(t, fmt.Sprintf("n=%d %s at %d bits", n, name, bits), got, want)
+					if len(got.Data) > 0 && &got.Data[0] == &x[0] {
+						t.Fatalf("n=%d %s at %d bits: FakeQuantize returned its input", n, name, bits)
+					}
+				}
+			}
+		}
+	})
+}
+
+// checkFakeQuantKernel compares the vector pass with the portable one at a
+// given scale, destination canaried.
+func checkFakeQuantKernel(tb testing.TB, name string, src []float32, inv, scale float32, bits Bitwidth) {
+	tb.Helper()
+	buf, got := dest(len(src))
+	done := fakeQuantVec(got, src, inv, scale, bits)
+	fakeQuantRange(got[done:], src[done:], inv, scale, bits)
+	want := make([]float32, len(src))
+	fakeQuantRange(want, src, inv, scale, bits)
+	sameSlice(tb, name, got, want)
+	checkCanaries(tb, name, buf)
+}
+
+func TestFakeQuantKernelMatchesPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for _, n := range []int{1, 7, 8, 9, 100, 1025} {
+		for name, x := range fakeQuantCases(t, rng, n) {
+			for _, bits := range []Bitwidth{Bits8, Bits16} {
+				// The scale FakeQuantize would use, and scales it never
+				// would: codes far out of range, an infinite inverse.
+				m := maxAbs(0, x)
+				for _, scale := range []float32{m / float32(bits.maxCode()), 1e-3, 0, float32(math.Inf(1))} {
+					checkFakeQuantKernel(t, fmt.Sprintf("n=%d %s at %d bits, scale %v", n, name, bits, scale), x, 1/scale, scale, bits)
+				}
+			}
+		}
+	}
+}
+
+// TestKernelsCarrySpecialValues holds the public kernels, assembly and tails
+// and border together, to the plain reference loops on inputs strewn with
+// NaNs, infinities, signed zeros and denormals, with one worker and with four.
+func TestKernelsCarrySpecialValues(t *testing.T) {
+	atParallelism(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(46))
+		for _, ps := range planeSizes {
+			for _, d := range []struct{ n, c, outC, wRows, wCols int }{{1, 3, 5, 5, 3}, {3, 7, 2, 4, 9}, {1, 13, 11, 16, 24}} {
+				x := FromSlice(source(t, rng, d.n*d.c*ps.h*ps.w, 17), d.n, d.c, ps.h, ps.w)
+				full := FromSlice(source(t, rng, d.wRows*d.wCols, 29), d.wRows, d.wCols, 1, 1)
+				for _, bias := range []*Tensor{nil, randTensor(rng, d.wRows)} {
+					name := fmt.Sprintf("Conv1x1 %dx%d %+v bias=%v", ps.h, ps.w, d, bias != nil)
+					sameSlice(t, name, Conv1x1(x, full, bias, d.outC).Data, conv1x1Ref(x, full.Data, d.wCols, d.outC, bias).Data)
+				}
+			}
+		}
+		for _, pl := range []struct{ n, c, h, w int }{{1, 3, 2, 2}, {1, 2, 9, 10}, {3, 5, 12, 19}, {1, 70, 10, 24}} {
+			x := FromSlice(source(t, rng, pl.n*pl.c*pl.h*pl.w, 19), pl.n, pl.c, pl.h, pl.w)
+			for _, k := range []int{3, 5, 7} {
+				wt := FromSlice(source(t, rng, pl.c*k*k, 31), pl.c, 1, k, k)
+				for _, stride := range []int{1, 2} {
+					o := ConvOpts{Stride: stride, Padding: k / 2}
+					name := fmt.Sprintf("DepthwiseConv2D %+v k=%d s=%d", pl, k, stride)
+					bias := randTensor(rng, pl.c)
+					sameSlice(t, name, DepthwiseConv2D(x, wt, bias, o).Data, depthwiseRef(x, wt, bias, o).Data)
+				}
+			}
+		}
+	})
+}
+
+// FuzzKernelsMatchPortable draws a kernel, its shape and its contents from
+// the fuzz input and holds the vector kernel to the portable loop. Contents
+// are raw bit patterns, so every NaN payload, denormal and infinity is fair.
+func FuzzKernelsMatchPortable(f *testing.F) {
+	f.Add([]byte{0, 9, 3, 1, 0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0xc0, 0x7f})
+	f.Add([]byte{1, 17, 5, 3, 1, 0xff, 0xff, 0x7f, 0x7f, 0x01, 0x00, 0x00, 0x80})
+	f.Add([]byte{2, 40, 0, 0, 0x00, 0x00, 0x80, 0xff, 0xab, 0xcd, 0xef, 0x7f})
+	f.Add([]byte{3, 33, 8, 0, 0x00, 0x00, 0xfe, 0x42, 0x00, 0x00, 0x00, 0x3f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		kernel, a, b, c := int(data[0]%4), int(data[1]), int(data[2]), int(data[3])
+		bits := data[4:]
+		next := 0
+		// fill draws n values from the input's bit patterns, round and round.
+		fill := func(n int) []float32 {
+			x := source(t, rand.New(rand.NewSource(1)), n, 0)
+			for i := range x {
+				var u uint32
+				for sh := 0; sh < 32 && len(bits) > 0; sh += 8 {
+					u |= uint32(bits[next%len(bits)]) << sh
+					next++
+				}
+				x[i] = math.Float32frombits(u)
+			}
+			return x
+		}
+		switch kernel {
+		case 0:
+			plane, ch := 1+a+256*(b%5), 1+c%9
+			lo := b % min(plane, 7)
+			checkConv1x1Kernels(t, "fuzz", fill(ch*plane), plane, lo, plane-lo, fill(ch), fill(ch))
+		case 1:
+			k, s := 3+2*(c%3), 1+c/3%2
+			h, w := k+b%6, k+a%90
+			checkDepthwiseInterior(t, "fuzz", fill(h*w), h, w, fill(k*k), k, s, fill(1)[0])
+		case 2:
+			x := fill(a + 256*b)
+			if got, want := FromSlice(x, len(x)).MaxAbs(), maxAbs(0, x); math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("MaxAbs %v (%#08x), portable %v (%#08x)", got, math.Float32bits(got), want, math.Float32bits(want))
+			}
+		case 3:
+			x := fill(1 + a + 256*(b%8))
+			bw := []Bitwidth{Bits8, Bits16}[c%2]
+			sameBits(t, "FakeQuantize", FakeQuantize(FromSlice(x, len(x)), bw), Quantize(FromSlice(x, len(x)), bw).Dequantize())
+			scale := fill(1)[0]
+			checkFakeQuantKernel(t, "fuzz", x, 1/scale, scale, bw)
+		}
+	})
+}
+
 // The two benchmarks run bench/layers.go's shapes and report the number it
-// reports (tensor.conv1x1_gflops, tensor.dwconv_gflops).
+// reports (tensor.conv1x1_gflops, tensor.dwconv_gflops), once as built and
+// once with the portable loops doing all the work, so the ratio between the
+// assembly and its fallback is one command.
+
+func benchKernel(b *testing.B, flops float64, f func()) {
+	run := func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f()
+		}
+		b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+	}
+	b.Run("as-built", run)
+	b.Run("portable", func(b *testing.B) { withoutAssembly(func() { run(b) }) })
+}
 
 func BenchmarkConv1x1(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := randTensor(rng, 1, 16, 80, 80)
 	w := randTensor(rng, 48, 16, 1, 1)
-	flops := 2.0 * 48 * 16 * 80 * 80
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Conv2D(x, w, nil, ConvOpts{Stride: 1})
-	}
-	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+	benchKernel(b, 2.0*48*16*80*80, func() { Conv2D(x, w, nil, ConvOpts{Stride: 1}) })
 }
 
 func BenchmarkDepthwise(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := randTensor(rng, 1, 48, 80, 80)
 	w := randTensor(rng, 48, 1, 3, 3)
-	flops := 2.0 * 48 * 9 * 40 * 40
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DepthwiseConv2D(x, w, nil, ConvOpts{Stride: 2, Padding: 1})
-	}
-	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+	benchKernel(b, 2.0*48*9*40*40, func() { DepthwiseConv2D(x, w, nil, ConvOpts{Stride: 2, Padding: 1}) })
 }

@@ -22,6 +22,10 @@ func (b Bitwidth) Valid() bool { return b == Bits8 || b == Bits16 || b == Bits32
 // BytesPerElement returns the wire size of one quantized element.
 func (b Bitwidth) BytesPerElement() int { return int(b) / 8 }
 
+// maxCode is the largest integer code of a quantized bitwidth: codes span
+// [−maxCode, maxCode].
+func (b Bitwidth) maxCode() int { return 1<<(b-1) - 1 }
+
 // Quantized is a symmetric uniformly quantized tensor: value ≈ scale · q,
 // with q an integer code of the given bitwidth. The 32-bit case stores the
 // raw floats and is lossless.
@@ -105,6 +109,54 @@ func (q *Quantized) Dequantize() *Tensor {
 		}
 	}
 	return t
+}
+
+// fakeQuantBlock is the number of elements one FakeQuantize work item covers.
+const fakeQuantBlock = 1 << 13
+
+// FakeQuantize returns Quantize(t, bits).Dequantize() — the value a tensor has
+// after crossing the wire at that bitwidth, bit for bit — without building
+// the codes: one max-abs reduction, then one parallel pass that rounds each
+// element to its code and scales it back.
+func FakeQuantize(t *Tensor, bits Bitwidth) *Tensor {
+	if !bits.Valid() {
+		panic(fmt.Sprintf("tensor: unsupported bitwidth %d", bits))
+	}
+	if bits == Bits32 {
+		return t.Clone()
+	}
+	out := New(t.Shape...)
+	maxAbs := t.MaxAbs()
+	if maxAbs == 0 {
+		return out // every code is zero
+	}
+	scale := maxAbs / float32(bits.maxCode())
+	inv := 1 / scale
+	n := len(t.Data)
+	ParallelByCost((n+fakeQuantBlock-1)/fakeQuantBlock, 4*fakeQuantBlock, func(bs, be int) {
+		for blk := bs; blk < be; blk++ {
+			lo, hi := blk*fakeQuantBlock, min((blk+1)*fakeQuantBlock, n)
+			src, dst := t.Data[lo:hi], out.Data[lo:hi]
+			done := fakeQuantVec(dst, src, inv, scale, bits)
+			fakeQuantRange(dst[done:], src[done:], inv, scale, bits)
+		}
+	})
+	return out
+}
+
+// fakeQuantRange writes src's quantization round trip into dst, element by
+// element as Quantize and Dequantize do it.
+func fakeQuantRange(dst, src []float32, inv, scale float32, bits Bitwidth) {
+	dst = dst[:len(src)]
+	if bits == Bits8 {
+		for i, v := range src {
+			dst[i] = float32(int8(clampRound(float64(v*inv), -127, 127))) * scale
+		}
+		return
+	}
+	for i, v := range src {
+		dst[i] = float32(int16(clampRound(float64(v*inv), -32767, 32767))) * scale
+	}
 }
 
 // Len returns the number of elements.

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -131,6 +132,66 @@ func TestEncodeDecodeQuantized(t *testing.T) {
 		a, b := q.Dequantize(), q2.Dequantize()
 		if maxDiff(a, b) != 0 {
 			t.Fatalf("bits %d: quantized roundtrip mismatch", bits)
+		}
+	}
+}
+
+// encodeQuantizedRef is EncodeQuantized as it stood before AppendQuantized:
+// header written piecewise, codes staged in a slice of their own. Its bytes
+// are the wire format.
+func encodeQuantizedRef(w *bytes.Buffer, q *Quantized) {
+	w.Write([]byte{'Q', byte(len(q.Shape)), byte(q.Bits)})
+	var b4 [4]byte
+	for _, s := range q.Shape {
+		binary.LittleEndian.PutUint32(b4[:], uint32(s))
+		w.Write(b4[:])
+	}
+	binary.LittleEndian.PutUint32(b4[:], math.Float32bits(q.Scale))
+	w.Write(b4[:])
+	switch q.Bits {
+	case Bits8:
+		buf := make([]byte, len(q.Q8))
+		for i, v := range q.Q8 {
+			buf[i] = byte(v)
+		}
+		w.Write(buf)
+	case Bits16:
+		buf := make([]byte, 2*len(q.Q16))
+		for i, v := range q.Q16 {
+			binary.LittleEndian.PutUint16(buf[i*2:], uint16(v))
+		}
+		w.Write(buf)
+	default:
+		buf := make([]byte, 4*len(q.F32))
+		for i, v := range q.F32 {
+			binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(v))
+		}
+		w.Write(buf)
+	}
+}
+
+// TestAppendQuantizedKeepsWireBytes: encoding into the caller's buffer is the
+// old encoding, byte for byte, at every bitwidth and rank, behind whatever
+// the buffer already held, and EncodedLen is its size.
+func TestAppendQuantizedKeepsWireBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, shape := range [][]int{{7}, {3, 5}, {2, 3, 4}, {1, 4, 6, 6}, {1, 2, 0, 3}} {
+		x := randTensor(rng, shape...)
+		for _, bits := range []Bitwidth{Bits8, Bits16, Bits32} {
+			q := Quantize(x, bits)
+			var want bytes.Buffer
+			encodeQuantizedRef(&want, q)
+			if q.EncodedLen() != want.Len() {
+				t.Fatalf("shape %v at %d bits: EncodedLen %d, wire form is %d bytes", shape, bits, q.EncodedLen(), want.Len())
+			}
+			prefix := []byte{0xff, 2, 9}
+			if got := AppendQuantized(append([]byte(nil), prefix...), q); !bytes.Equal(got[:3], prefix) || !bytes.Equal(got[3:], want.Bytes()) {
+				t.Fatalf("shape %v at %d bits: AppendQuantized wrote % x..., want % x...", shape, bits, got[:min(len(got), 16)], want.Bytes()[:min(want.Len(), 13)])
+			}
+			var got bytes.Buffer
+			if err := EncodeQuantized(&got, q); err != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("shape %v at %d bits: EncodeQuantized differs from the wire form (err %v)", shape, bits, err)
+			}
 		}
 	}
 }

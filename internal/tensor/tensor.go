@@ -170,10 +170,18 @@ func (t *Tensor) AXPY(a float32, o *Tensor) *Tensor {
 	return t
 }
 
-// MaxAbs returns the largest absolute element value (0 for empty tensors).
+// MaxAbs returns the largest absolute element value (0 for empty tensors);
+// NaNs are skipped. A maximum does not depend on the order of the
+// comparisons, so the vector kernel takes the whole registers and maxAbs
+// carries on from its result over the rest.
 func (t *Tensor) MaxAbs() float32 {
-	var m float32
-	for _, v := range t.Data {
+	m, done := maxAbsVec(t.Data)
+	return maxAbs(m, t.Data[done:])
+}
+
+// maxAbs returns the larger of m and the largest |x[i]|.
+func maxAbs(m float32, x []float32) float32 {
+	for _, v := range x {
 		if v < 0 {
 			v = -v
 		}
