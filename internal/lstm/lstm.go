@@ -192,12 +192,13 @@ func (l *LSTM) Backward(caches []*StepCache, dhs []*tensor.Tensor) []*tensor.Ten
 		}
 
 		// gates = x·Wxᵀ + hPrev·Whᵀ + b
-		l.Wx.G.Add(tensor.MatMulTransA(dGates, cc.x))
-		l.Wh.G.Add(tensor.MatMulTransA(dGates, cc.hPrev))
+		l.Wx.Grad().Add(tensor.MatMulTransA(dGates, cc.x))
+		l.Wh.Grad().Add(tensor.MatMulTransA(dGates, cc.hPrev))
+		bg := l.B.Grad().Data
 		for r := 0; r < n; r++ {
 			row := dGates.Data[r*4*H : (r+1)*4*H]
 			for j, v := range row {
-				l.B.G.Data[j] += v
+				bg[j] += v
 			}
 		}
 		dxs[t] = tensor.MatMul(dGates, l.Wx.W)
@@ -234,7 +235,7 @@ func (h *Head) Forward(hidden *tensor.Tensor) (*tensor.Tensor, *nn.LinearCache) 
 // Backward accumulates parameter gradients and returns dHidden.
 func (h *Head) Backward(dLogits *tensor.Tensor, cache *nn.LinearCache) *tensor.Tensor {
 	dx, dw, db := nn.LinearBwd(dLogits, cache)
-	h.W.G.Add(dw)
-	h.B.G.Add(db)
+	h.W.Grad().Add(dw)
+	h.B.Grad().Add(db)
 	return dx
 }

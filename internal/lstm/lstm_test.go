@@ -117,7 +117,7 @@ func TestBPTTGradients(t *testing.T) {
 			lm := loss()
 			p.W.Data[i] = orig
 			want := (lp - lm) / (2 * h)
-			got := float64(p.G.Data[i])
+			got := float64(p.Grad().Data[i])
 			scale := math.Max(1, math.Abs(want))
 			if math.Abs(got-want)/scale > 3e-2 {
 				t.Fatalf("%s grad[%d]: got %v want %v", name, i, got, want)

@@ -328,7 +328,7 @@ func TestSGDConvergesOnQuadratic(t *testing.T) {
 	opt := NewSGD(0.1, 0.9, 0)
 	for step := 0; step < 200; step++ {
 		for i := range p.W.Data {
-			p.G.Data[i] = 2 * (p.W.Data[i] - target[i])
+			p.Grad().Data[i] = 2 * (p.W.Data[i] - target[i])
 		}
 		opt.Step([]*Param{p})
 	}
@@ -345,7 +345,7 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	opt := NewAdam(0.05)
 	for step := 0; step < 500; step++ {
 		for i := range p.W.Data {
-			p.G.Data[i] = 2 * (p.W.Data[i] - target[i])
+			p.Grad().Data[i] = 2 * (p.W.Data[i] - target[i])
 		}
 		opt.Step([]*Param{p})
 	}
@@ -358,39 +358,70 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 
 func TestStepClearsGradients(t *testing.T) {
 	p := NewParam("w", tensor.New(2))
-	p.G.Fill(1)
+	p.Grad().Fill(1)
 	NewSGD(0.1, 0, 0).Step([]*Param{p})
-	if p.G.MaxAbs() != 0 {
+	if p.Grad().MaxAbs() != 0 {
 		t.Fatal("SGD.Step must zero gradients")
 	}
-	p.G.Fill(1)
+	p.Grad().Fill(1)
 	NewAdam(0.1).Step([]*Param{p})
-	if p.G.MaxAbs() != 0 {
+	if p.Grad().MaxAbs() != 0 {
 		t.Fatal("Adam.Step must zero gradients")
 	}
 }
 
 func TestClipGradNorm(t *testing.T) {
 	p := NewParam("w", tensor.New(4))
-	p.G.Fill(3) // norm = 6
+	p.Grad().Fill(3) // norm = 6
 	norm := ClipGradNorm([]*Param{p}, 3)
 	if math.Abs(norm-6) > 1e-6 {
 		t.Fatalf("pre-clip norm = %v, want 6", norm)
 	}
 	var total float64
-	for _, g := range p.G.Data {
+	for _, g := range p.Grad().Data {
 		total += float64(g) * float64(g)
 	}
 	if math.Abs(math.Sqrt(total)-3) > 1e-5 {
 		t.Fatalf("post-clip norm = %v, want 3", math.Sqrt(total))
 	}
 	// Under the limit: unchanged.
-	before := p.G.Clone()
+	before := p.Grad().Clone()
 	ClipGradNorm([]*Param{p}, 100)
 	for i := range before.Data {
-		if before.Data[i] != p.G.Data[i] {
+		if before.Data[i] != p.Grad().Data[i] {
 			t.Fatal("clip should not modify gradients under the limit")
 		}
+	}
+}
+
+// TestGradientIsLazy: a parameter has no gradient until something asks for
+// one, and until then every consumer of gradients leaves it alone — weight
+// decay included, which would otherwise move a weight no backward ever reached.
+func TestGradientIsLazy(t *testing.T) {
+	idle := NewParam("idle", tensor.FromSlice([]float32{1, -2}, 2))
+	live := NewParam("live", tensor.FromSlice([]float32{1, -2}, 2))
+	if idle.HasGrad() || live.HasGrad() {
+		t.Fatal("NewParam allocated a gradient")
+	}
+	idle.ZeroGrad() // nothing to clear, nothing to create
+	live.Grad().Fill(3)
+	if !live.HasGrad() || live.Grad().Len() != 2 {
+		t.Fatal("Grad did not create a gradient of the weight's shape")
+	}
+	params := []*Param{idle, live}
+	if norm := ClipGradNorm(params, 1); math.Abs(norm-3*math.Sqrt2) > 1e-6 {
+		t.Fatalf("gradient norm %v, want that of the one gradient there is", norm)
+	}
+	NewSGD(0.1, 0.9, 0.5).Step(params)
+	NewAdam(0.1).Step(params)
+	if idle.HasGrad() {
+		t.Fatal("an optimizer or ClipGradNorm created a gradient")
+	}
+	if idle.W.Data[0] != 1 || idle.W.Data[1] != -2 {
+		t.Fatalf("a parameter with no gradient moved to %v", idle.W.Data)
+	}
+	if live.W.Data[0] == 1 {
+		t.Fatal("the parameter with a gradient did not move")
 	}
 }
 

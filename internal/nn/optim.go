@@ -10,16 +10,36 @@ import (
 type Param struct {
 	Name string
 	W    *tensor.Tensor
-	G    *tensor.Tensor
+	grad *tensor.Tensor
 }
 
-// NewParam allocates a parameter and matching zero gradient.
+// NewParam wraps w as a trainable parameter. The gradient accumulator, as
+// large as w, is not allocated here: it appears when training first asks for
+// it (Grad), so a network that only serves inference never holds one.
 func NewParam(name string, w *tensor.Tensor) *Param {
-	return &Param{Name: name, W: w, G: tensor.New(w.Shape...)}
+	return &Param{Name: name, W: w}
 }
 
-// ZeroGrad clears the gradient.
-func (p *Param) ZeroGrad() { p.G.Zero() }
+// Grad returns the gradient accumulator, allocating it zeroed on first use.
+// Every write to a gradient goes through here.
+func (p *Param) Grad() *tensor.Tensor {
+	if p.grad == nil {
+		p.grad = tensor.New(p.W.Shape...)
+	}
+	return p.grad
+}
+
+// HasGrad reports whether the parameter has a gradient accumulator, that is
+// whether training ever reached it. An optimizer leaves a parameter without
+// one alone.
+func (p *Param) HasGrad() bool { return p.grad != nil }
+
+// ZeroGrad clears the gradient, if there is one.
+func (p *Param) ZeroGrad() {
+	if p.grad != nil {
+		p.grad.Zero()
+	}
+}
 
 // Optimizer updates parameters from their accumulated gradients.
 type Optimizer interface {
@@ -45,6 +65,9 @@ func NewSGD(lr, momentum, weightDecay float64) *SGD {
 // Step implements Optimizer.
 func (s *SGD) Step(params []*Param) {
 	for _, p := range params {
+		if p.grad == nil {
+			continue
+		}
 		v := s.velocity[p]
 		if v == nil {
 			v = tensor.New(p.W.Shape...)
@@ -54,7 +77,7 @@ func (s *SGD) Step(params []*Param) {
 		mu := float32(s.Momentum)
 		wd := float32(s.WeightDecay)
 		for i := range p.W.Data {
-			g := p.G.Data[i] + wd*p.W.Data[i]
+			g := p.grad.Data[i] + wd*p.W.Data[i]
 			v.Data[i] = mu*v.Data[i] + g
 			p.W.Data[i] -= lr * v.Data[i]
 		}
@@ -85,6 +108,9 @@ func (a *Adam) Step(params []*Param) {
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	for _, p := range params {
+		if p.grad == nil {
+			continue
+		}
 		m := a.m[p]
 		v := a.v[p]
 		if m == nil {
@@ -97,7 +123,7 @@ func (a *Adam) Step(params []*Param) {
 		b2 := float32(a.Beta2)
 		clip := float32(a.MaxGrad)
 		for i := range p.W.Data {
-			g := p.G.Data[i]
+			g := p.grad.Data[i]
 			if clip > 0 {
 				if g > clip {
 					g = clip
@@ -120,7 +146,10 @@ func (a *Adam) Step(params []*Param) {
 func ClipGradNorm(params []*Param, maxNorm float64) float64 {
 	var total float64
 	for _, p := range params {
-		for _, g := range p.G.Data {
+		if p.grad == nil {
+			continue
+		}
+		for _, g := range p.grad.Data {
 			total += float64(g) * float64(g)
 		}
 	}
@@ -128,7 +157,9 @@ func ClipGradNorm(params []*Param, maxNorm float64) float64 {
 	if norm > maxNorm && norm > 0 {
 		scale := float32(maxNorm / norm)
 		for _, p := range params {
-			p.G.Scale(scale)
+			if p.grad != nil {
+				p.grad.Scale(scale)
+			}
 		}
 	}
 	return norm

@@ -80,39 +80,40 @@ func (e *Executor) handleExecBlock(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	y, err := execRun(e.Net, run, q.Dequantize())
+	if len(q.Shape) != 4 {
+		return nil, fmt.Errorf("runtime: exec.block tile of shape %v, want N,C,H,W", q.Shape)
+	}
+	// The handler's goroutine owns one workspace for the run: the decoded
+	// tile and every activation after it live there, and the reply is encoded
+	// out of it before it goes back.
+	ws := e.Net.AcquireWorkspace()
+	defer ws.Release()
+	x := ws.Out(q.Shape[0], q.Shape[1], q.Shape[2], q.Shape[3])
+	q.DequantizeInto(x)
+	y, err := execRun(ws, run, x)
 	if err != nil {
 		return nil, err
 	}
 	return encodeQuantized(nil, tensor.Quantize(y, respBits)), nil
 }
 
-// execRun runs x through the blocks of run on net, the one run executor local
-// and remote tiles share. x is the first block's input as that block must see
-// it, already through its quantization round trip (the wire did it for a
-// remote tile); every later block's input takes the same round trip at that
-// block's bitwidth here, which is what crossing a device boundary per block
-// would have done to it.
-func execRun(net *supernet.Supernet, run []blockRef, x *tensor.Tensor) (*tensor.Tensor, error) {
+// execRun runs x through the blocks of run in workspace ws, the one run
+// executor local and remote tiles share; the result is the workspace's. x is
+// the first block's input as that block must see it, already through its
+// quantization round trip (the wire did it for a remote tile); every later
+// block's input takes the same round trip at that block's bitwidth here,
+// which is what crossing a device boundary per block would have done to it.
+func execRun(ws *supernet.Workspace, run []blockRef, x *tensor.Tensor) (*tensor.Tensor, error) {
 	for i, b := range run {
 		if i > 0 {
-			x = requantize(x, b.ls.Quant)
+			x = ws.Quantize(x, b.ls.Quant)
 		}
 		var err error
-		if x, err = net.ExecBlock(b.stage, b.index, x, b.ls); err != nil {
+		if x, err = ws.Block(b.stage, b.index, x, b.ls); err != nil {
 			return nil, err
 		}
 	}
 	return x, nil
-}
-
-// requantize is the input quantization a block's tile undergoes: the value
-// the training saw (straight-through in stage 1). 32 bits is the identity.
-func requantize(x *tensor.Tensor, q tensor.Bitwidth) *tensor.Tensor {
-	if q == tensor.Bits32 {
-		return x
-	}
-	return tensor.FakeQuantize(x, q)
 }
 
 // decodeRunHeader parses either request header and returns the run, the

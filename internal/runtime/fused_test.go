@@ -77,7 +77,9 @@ func requireSameBits(t *testing.T, what string, got, want *tensor.Tensor) {
 		t.Fatalf("%s: shape %v, want %v", what, got.Shape, want.Shape)
 	}
 	for i := range want.Data {
-		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+		// Two NaNs are no agreement: with poisoned workspaces a NaN logit is a
+		// stale or unwritten activation, on either side.
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) || got.Data[i] != got.Data[i] {
 			t.Fatalf("%s: logit %d is %v, layer-by-layer execution gives %v", what, i, got.Data[i], want.Data[i])
 		}
 	}

@@ -506,13 +506,18 @@ func (r *Runtime) ExecBatchBudget(xs []*tensor.Tensor, d *env.Decision, budget t
 		}
 		n += x.Shape[0]
 	}
-	batch := tensor.New(n, ch, res, res)
-	plane := ch * res * res
-	row := 0
-	for _, x := range xs {
-		rx := tensor.BilinearResize(x, res, res)
-		copy(batch.Data[row*plane:], rx.Data)
-		row += x.Shape[0]
+	// A batch of one input is that input: the scheduler resizes it in its
+	// workspace. Several are resized straight into their rows of one tensor.
+	batch := xs[0]
+	if len(xs) > 1 {
+		batch = tensor.New(n, ch, res, res)
+		plane := ch * res * res
+		row := 0
+		for _, x := range xs {
+			k := x.Shape[0]
+			tensor.BilinearResizeInto(tensor.FromSlice(batch.Data[row*plane:(row+k)*plane], k, ch, res, res), x)
+			row += k
+		}
 	}
 
 	rep, err := r.Scheduler.InferBudget(batch, d, budget)
@@ -521,7 +526,7 @@ func (r *Runtime) ExecBatchBudget(xs []*tensor.Tensor, d *env.Decision, budget t
 	}
 	classes := rep.Logits.Shape[1]
 	outs := make([]*tensor.Tensor, len(xs))
-	row = 0
+	row := 0
 	for i, x := range xs {
 		k := x.Shape[0]
 		t := tensor.New(k, classes)

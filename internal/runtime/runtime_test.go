@@ -96,7 +96,8 @@ func TestDistributedMatchesMonolithic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range want.Data {
-		if d := math.Abs(float64(rep.Logits.Data[i] - want.Data[i])); d > 1e-4 {
+		// Not "d > 1e-4": a NaN logit (a poisoned workspace read) must fail.
+		if d := math.Abs(float64(rep.Logits.Data[i] - want.Data[i])); !(d <= 1e-4) {
 			t.Fatalf("distributed logits differ from monolithic at %d: %v vs %v",
 				i, rep.Logits.Data[i], want.Data[i])
 		}

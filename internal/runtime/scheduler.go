@@ -386,13 +386,12 @@ func (s *Scheduler) InferBudget(x *tensor.Tensor, d *supernet.Decision, budget t
 		return nil, err
 	}
 
-	// ExecBatchBudget hands over a batch already at the decision's resolution;
-	// resizing to the same size would only clone it (the stem reads, never
-	// writes, its input).
-	if x.Shape[2] != cfg.Resolution || x.Shape[3] != cfg.Resolution {
-		x = tensor.BilinearResize(x, cfg.Resolution, cfg.Resolution)
-	}
-	y := s.Local.ExecStem(x)
+	// This goroutine's workspace holds the request's activations from the
+	// resized image to the head's feature map; the logits are allocated, and
+	// are all of the report that outlives it.
+	ws := s.Local.AcquireWorkspace()
+	defer ws.Release()
+	y := ws.Stem(x, cfg.Resolution)
 	report := &InferenceReport{}
 
 	blocks := make([]blockRef, cfg.NumLayers())
@@ -411,19 +410,20 @@ func (s *Scheduler) InferBudget(x *tensor.Tensor, d *supernet.Decision, budget t
 		for end < len(blocks) && !costs[1+end].Regather {
 			end++
 		}
-		y, err = s.execSegment(y, blocks[first:end], d.Placement.Devices[first:end], deadline, report)
+		y, err = s.execSegment(ws, y, blocks[first:end], d.Placement.Devices[first:end], deadline, report)
 		if err != nil {
 			return nil, err
 		}
 		first = end
 	}
-	report.Logits = s.Local.ExecHead(y)
+	report.Logits = ws.Head(y)
 	report.Elapsed = time.Since(start)
 	return report, nil
 }
 
 // tileResult is what one tile's pass through a segment produced.
 type tileResult struct {
+	// out is the tile's output, in the workspace the tile ran in.
 	out *tensor.Tensor
 	// local and remote count the tile's block executions by where they ran.
 	local, remote int
@@ -434,12 +434,15 @@ type tileResult struct {
 	err error
 }
 
-// execSegment runs a segment's blocks over x: it cuts x into the grid's
-// tiles once, sends every tile through all the blocks concurrently, and
-// pastes the outputs into the segment result. assign[k][t] is the device of
-// tile t at the segment's block k. A 1x1 grid is the whole map: it runs on
-// the calling goroutine with nothing to crop or paste.
-func (s *Scheduler) execSegment(x *tensor.Tensor, blocks []blockRef, assign [][]int,
+// execSegment runs a segment's blocks over x in the request's workspace ws: it
+// cuts x into the grid's tiles once, sends every tile through all the blocks
+// concurrently, and pastes the outputs into the segment result. assign[k][t]
+// is the device of tile t at the segment's block k. A 1x1 grid is the whole
+// map: it runs on the calling goroutine, in ws, with nothing to crop or paste.
+// Otherwise each tile's goroutine takes a workspace of its own for the tile's
+// activations and pastes its output into the result — the tiles' rectangles
+// are disjoint and cover it — before handing the workspace back.
+func (s *Scheduler) execSegment(ws *supernet.Workspace, x *tensor.Tensor, blocks []blockRef, assign [][]int,
 	deadline time.Time, report *InferenceReport) (*tensor.Tensor, error) {
 
 	grid := blocks[0].ls.Partition
@@ -455,16 +458,33 @@ func (s *Scheduler) execSegment(x *tensor.Tensor, blocks []blockRef, assign [][]
 	}
 
 	results := make([]tileResult, len(y0s))
+	var out *tensor.Tensor
 	if len(results) == 1 {
-		results[0] = s.execTile(x, blocks, assign, 0, deadline)
+		results[0] = s.execTile(ws, x, blocks, assign, 0, deadline)
+		out = results[0].out
 	} else {
+		// The tiles tile the output map the way the last block wrote them.
+		outC := s.Local.Arch.Stages[blocks[len(blocks)-1].stage].Width
+		down := s.stride(blocks)
+		oy0s, ox0s, _, _, err := supernet.TileSplit(h/down, w/down, grid, 1)
+		if err != nil {
+			return nil, err
+		}
+		out = ws.Out(x.Shape[0], outC, h/down, w/down)
 		var wg sync.WaitGroup
 		for t := range results {
 			wg.Add(1)
 			go func(t int) {
 				defer wg.Done()
+				tileWS := s.Local.AcquireWorkspace()
+				defer tileWS.Release()
 				tile := tensor.CropSpatial(x, y0s[t], x0s[t], ths[t], tws[t])
-				results[t] = s.execTile(tile, blocks, assign, t, deadline)
+				r := s.execTile(tileWS, tile, blocks, assign, t, deadline)
+				if r.err == nil {
+					tensor.PasteSpatial(out, r.out, oy0s[t], ox0s[t])
+					r.out = nil // the tile's workspace is about to move on
+				}
+				results[t] = r
 			}(t)
 		}
 		wg.Wait()
@@ -476,27 +496,13 @@ func (s *Scheduler) execSegment(x *tensor.Tensor, blocks []blockRef, assign [][]
 		report.LocalTiles += r.local
 		report.RemoteTiles += r.remote
 	}
-	if len(results) == 1 {
-		return results[0].out, nil
-	}
-	// The tiles tile the output map the way the last block wrote them.
-	outC := s.Local.Arch.Stages[blocks[len(blocks)-1].stage].Width
-	down := s.stride(blocks)
-	out := tensor.New(x.Shape[0], outC, h/down, w/down)
-	oy0s, ox0s, _, _, err := supernet.TileSplit(h/down, w/down, grid, 1)
-	if err != nil {
-		return nil, err
-	}
-	for t, r := range results {
-		tensor.PasteSpatial(out, r.out, oy0s[t], ox0s[t])
-	}
 	return out, nil
 }
 
-// execTile carries tile t through the segment's blocks as a chain of runs: a
-// run is the maximal stretch of consecutive blocks the placement puts on one
-// device, and costs one dispatch.
-func (s *Scheduler) execTile(tile *tensor.Tensor, blocks []blockRef, assign [][]int, t int, deadline time.Time) tileResult {
+// execTile carries tile t through the segment's blocks in workspace ws as a
+// chain of runs: a run is the maximal stretch of consecutive blocks the
+// placement puts on one device, and costs one dispatch.
+func (s *Scheduler) execTile(ws *supernet.Workspace, tile *tensor.Tensor, blocks []blockRef, assign [][]int, t int, deadline time.Time) tileResult {
 	var r tileResult
 	for first := 0; first < len(blocks); {
 		dev := assign[first][t]
@@ -513,10 +519,10 @@ func (s *Scheduler) execTile(tile *tensor.Tensor, blocks []blockRef, assign [][]
 		}
 		var err error
 		if dev == 0 {
-			tile, err = execRun(s.Local, run, requantize(tile, run[0].ls.Quant))
+			tile, err = execRun(ws, run, ws.Quantize(tile, run[0].ls.Quant))
 			r.local += len(run)
 		} else {
-			tile, err = s.remoteRun(dev, run, tile, deadline)
+			tile, err = s.remoteRun(ws, dev, run, tile, deadline)
 			r.remote += len(run)
 		}
 		if err != nil {
@@ -538,7 +544,7 @@ var ErrBadRunResponse = fault.New(fault.CorruptFrame, "runtime: run response doe
 // The request tile is quantized at the first block's bitwidth (the paper's
 // input quantization); the response returns lossless so the result matches
 // single-device execution bit for bit.
-func (s *Scheduler) remoteRun(dev int, run []blockRef, tile *tensor.Tensor, deadline time.Time) (*tensor.Tensor, error) {
+func (s *Scheduler) remoteRun(ws *supernet.Workspace, dev int, run []blockRef, tile *tensor.Tensor, deadline time.Time) (*tensor.Tensor, error) {
 	payload, err := encodeRunRequest(run, tile)
 	if err != nil {
 		return nil, err
@@ -558,7 +564,9 @@ func (s *Scheduler) remoteRun(dev int, run []blockRef, tile *tensor.Tensor, dead
 	if !slices.Equal(q.Shape, want) {
 		return nil, fmt.Errorf("%w: device %d answered shape %v, want %v", ErrBadRunResponse, dev, q.Shape, want)
 	}
-	return q.Dequantize(), nil
+	y := ws.Out(want[0], want[1], want[2], want[3])
+	q.DequantizeInto(y)
+	return y, nil
 }
 
 // stride is the total spatial downsampling of consecutive blocks: a stage's

@@ -17,23 +17,30 @@ func (s *Supernet) Backward(dLogits *tensor.Tensor, c *Caches) error {
 	if c == nil {
 		return errors.New("supernet: Backward needs the caches of a training-mode Forward")
 	}
+	// The first backward is where a supernet's gradients come into being
+	// (nn.Param.Grad), all of them at once: the optimizer then decays and
+	// moves every weight from the first step on, not only the ones this
+	// submodel reached.
+	for _, p := range s.Params() {
+		p.Grad()
+	}
 	// Classifier.
 	dPooled, dW, dB := nn.LinearBwd(dLogits, c.clsCache)
-	s.clsW.G.Add(dW)
-	s.clsB.G.Add(dB)
+	s.clsW.Grad().Add(dW)
+	s.clsB.Grad().Add(dB)
 
 	// Global pool + head activation + BN + conv.
 	dy := nn.GlobalAvgPoolBwd(dPooled, c.poolShape)
 	dy = nn.HSwishBwd(dy, c.headAct)
 	var dg, db *tensor.Tensor
 	dy, dg, db = nn.BatchNormBwd(dy, c.headBN)
-	scatterVec(s.headBN.gamma.G, dg, s.Arch.HeadChannels)
-	scatterVec(s.headBN.beta.G, db, s.Arch.HeadChannels)
+	scatterVec(s.headBN.gamma.Grad(), dg, s.Arch.HeadChannels)
+	scatterVec(s.headBN.beta.Grad(), db, s.Arch.HeadChannels)
 	var dwConv, dbConv *tensor.Tensor
 	cin := c.headIn.Shape[1]
 	dy, dwConv, dbConv = nn.ConvBwd(dy, c.headCache)
-	scatterConv1x1(s.headW.G, dwConv, s.Arch.HeadChannels, cin)
-	s.headB.G.Add(dbConv)
+	scatterConv1x1(s.headW.Grad(), dwConv, s.Arch.HeadChannels, cin)
+	s.headB.Grad().Add(dbConv)
 
 	// Blocks in reverse.
 	for i := len(c.blocks) - 1; i >= 0; i-- {
@@ -43,11 +50,11 @@ func (s *Supernet) Backward(dLogits *tensor.Tensor, c *Caches) error {
 	// Stem.
 	dy = nn.HSwishBwd(dy, c.stemAct)
 	dy, dg, db = nn.BatchNormBwd(dy, c.stemBN)
-	s.stemBN.gamma.G.Add(dg)
-	s.stemBN.beta.G.Add(db)
+	s.stemBN.gamma.Grad().Add(dg)
+	s.stemBN.beta.Grad().Add(db)
 	_, dwConv, dbConv = nn.ConvBwd(dy, c.stemCache)
-	s.stemW.G.Add(dwConv)
-	s.stemB.G.Add(dbConv)
+	s.stemW.Grad().Add(dwConv)
+	s.stemB.Grad().Add(dbConv)
 	return nil
 }
 
@@ -79,10 +86,10 @@ func (s *Supernet) tileBwd(dy *tensor.Tensor, tc *tileCache, b *mbBlock, ls Laye
 
 	// Project BN + conv.
 	d, dg, db := nn.BatchNormBwd(dy, tc.bn3)
-	scatterVec(b.bn3.gamma.G, dg, b.outC)
-	scatterVec(b.bn3.beta.G, db, b.outC)
+	scatterVec(b.bn3.gamma.Grad(), dg, b.outC)
+	scatterVec(b.bn3.beta.Grad(), db, b.outC)
 	d, dwp, _ := nn.ConvBwd(d, tc.projC)
-	scatterConv1x1(b.projW.G, dwp, b.outC, hidden)
+	scatterConv1x1(b.projW.Grad(), dwp, b.outC, hidden)
 
 	// Squeeze-and-excitation.
 	if b.se {
@@ -90,12 +97,12 @@ func (s *Supernet) tileBwd(dy *tensor.Tensor, tc *tileCache, b *mbBlock, ls Laye
 		dAct, dGate := nn.ScaleChannelsBwd(d, tc.act2Out, tc.seGate)
 		dz := nn.HSigmoidBwd(dGate, tc.seGateIn)
 		dz, dw2, db2 := nn.LinearBwd(dz, tc.seC2)
-		scatterLinear(b.seW2.G, dw2, hidden, seC)
-		scatterVec(b.seB2.G, db2, hidden)
+		scatterLinear(b.seW2.Grad(), dw2, hidden, seC)
+		scatterVec(b.seB2.Grad(), db2, hidden)
 		dz = nn.ReLUBwd(dz, tc.seMask)
 		dPooled, dw1, db1 := nn.LinearBwd(dz, tc.seC1)
-		scatterLinear(b.seW1.G, dw1, seC, hidden)
-		b.seB1.G.Add(db1)
+		scatterLinear(b.seW1.Grad(), dw1, seC, hidden)
+		b.seB1.Grad().Add(db1)
 		dAct.Add(nn.GlobalAvgPoolBwd(dPooled, tc.seShape))
 		d = dAct
 	}
@@ -103,19 +110,19 @@ func (s *Supernet) tileBwd(dy *tensor.Tensor, tc *tileCache, b *mbBlock, ls Laye
 	// Depthwise activation + BN + conv.
 	d = nn.HSwishBwd(d, tc.act2In)
 	d, dg, db = nn.BatchNormBwd(d, tc.bn2)
-	scatterVec(b.bn2.gamma.G, dg, hidden)
-	scatterVec(b.bn2.beta.G, db, hidden)
+	scatterVec(b.bn2.gamma.Grad(), dg, hidden)
+	scatterVec(b.bn2.beta.Grad(), db, hidden)
 	var dwd *tensor.Tensor
 	d, dwd, _ = nn.DepthwiseConvBwd(d, tc.dwC)
-	scatterDW(b.dwW.G, dwd, hidden, ls.Kernel)
+	scatterDW(b.dwW.Grad(), dwd, hidden, ls.Kernel)
 
 	// Expand activation + BN + conv.
 	d = nn.HSwishBwd(d, tc.act1In)
 	d, dg, db = nn.BatchNormBwd(d, tc.bn1)
-	scatterVec(b.bn1.gamma.G, dg, hidden)
-	scatterVec(b.bn1.beta.G, db, hidden)
+	scatterVec(b.bn1.gamma.Grad(), dg, hidden)
+	scatterVec(b.bn1.beta.Grad(), db, hidden)
 	var dwe *tensor.Tensor
 	d, dwe, _ = nn.ConvBwd(d, tc.expC)
-	scatterConv1x1(b.expandW.G, dwe, hidden, b.inC)
+	scatterConv1x1(b.expandW.Grad(), dwe, hidden, b.inC)
 	return d
 }

@@ -72,31 +72,33 @@ const bnEps = 1e-5
 // When training is true every op keeps what its backward needs, batch-norm
 // running statistics update, and the returned Caches drive Backward. When it
 // is false nothing is kept and the caches are nil: the stem, each tile and the
-// head run the Exec* inference path — the same arithmetic on every element
-// (TestTrainingAndInferenceForwardAgree), in place, against the shared
-// weights where they lie.
+// head run the inference path the Exec* functions run — the same arithmetic
+// on every element (TestTrainingAndInferenceForwardAgree), in place, against
+// the shared weights where they lie, every activation in one Workspace.
 func (s *Supernet) Forward(x *tensor.Tensor, cfg *Config, training bool) (*tensor.Tensor, *Caches, error) {
 	if err := s.Arch.Validate(cfg); err != nil {
 		return nil, nil, err
 	}
-	x = tensor.BilinearResize(x, cfg.Resolution, cfg.Resolution)
-
+	var ws *Workspace
 	var c *Caches
 	var y *tensor.Tensor
 	if training {
 		// Stem: 3x3 stride-2 conv + BN + hswish.
 		c = &Caches{}
-		y, c.stemCache = nn.ConvFwd(x, s.stemW.W, s.stemB.W, tensor.ConvOpts{Stride: 2, Padding: 1})
+		x = tensor.BilinearResize(x, cfg.Resolution, cfg.Resolution)
+		y, c.stemCache = nn.ConvFwd(x, s.stemW.W, s.stemB.W, stemOpts)
 		y, c.stemBN = s.bnFwd(s.stemBN, y, s.Arch.StemChannels)
 		y, c.stemAct = nn.HSwishFwd(y)
 	} else {
-		y = s.ExecStem(x)
+		ws = s.AcquireWorkspace()
+		defer ws.Release()
+		y = ws.Stem(x, cfg.Resolution)
 	}
 
 	li := 0
 	for si := range s.Arch.Stages {
 		for bi := 0; bi < cfg.Depths[si]; bi++ {
-			bc, out, err := s.blockFwd(s.blocks[si][bi], y, cfg.Layers[li], training)
+			bc, out, err := s.blockFwd(s.blocks[si][bi], y, cfg.Layers[li], ws)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -108,7 +110,7 @@ func (s *Supernet) Forward(x *tensor.Tensor, cfg *Config, training bool) (*tenso
 		}
 	}
 	if !training {
-		return s.ExecHead(y), nil, nil
+		return ws.Head(y), nil, nil
 	}
 
 	// Head conv + BN + hswish + global pool + classifier.
@@ -143,8 +145,10 @@ func (s *Supernet) bnFwd(bn *bnParams, x *tensor.Tensor, ch int) (*tensor.Tensor
 // blockFwd executes one MBConv block under an elastic setting, tiling the
 // input per the FDSP spatial partition. Tiles are computed independently
 // with zero padding (no halo exchange), exactly as they would execute on
-// separate devices.
-func (s *Supernet) blockFwd(b *mbBlock, x *tensor.Tensor, ls LayerSetting, training bool) (*blockCache, *tensor.Tensor, error) {
+// separate devices. ws is the run's workspace on the inference path — the
+// block's output lives in it and no cache is built — and nil in training.
+func (s *Supernet) blockFwd(b *mbBlock, x *tensor.Tensor, ls LayerSetting, ws *Workspace) (*blockCache, *tensor.Tensor, error) {
+	training := ws == nil
 	n := x.Shape[0]
 	h, w := x.Shape[2], x.Shape[3]
 	grid := ls.Partition
@@ -152,33 +156,37 @@ func (s *Supernet) blockFwd(b *mbBlock, x *tensor.Tensor, ls LayerSetting, train
 		return nil, nil, fmt.Errorf("supernet: fmap %dx%d not divisible by stride %d", h, w, b.stride)
 	}
 	// Simulate input feature-map quantization (straight-through gradient).
-	if ls.Quant != tensor.Bits32 {
-		x = tensor.FakeQuantize(x, ls.Quant)
+	if training {
+		if ls.Quant != tensor.Bits32 {
+			x = tensor.FakeQuantize(x, ls.Quant)
+		}
+	} else {
+		x = ws.Quantize(x, ls.Quant)
 	}
 
+	outH, outW := h/b.stride, w/b.stride
 	residual := b.stride == 1 && b.inC == b.outC
 	if !training && grid.Gy == 1 && grid.Gx == 1 {
 		// One tile is the whole map: nothing to crop, nothing to paste. The
-		// tile's result is the block's; tileInfer only reads x.
-		yt := s.tileInfer(b, x, ls)
-		if residual {
-			yt.Add(x)
-		}
+		// tile's result is the block's.
+		yt := ws.Out(n, b.outC, outH, outW)
+		s.blockInto(ws, yt, b, x, ls)
 		return nil, yt, nil
 	}
 
 	// Tile boundaries are chosen in *output* space and mapped back through
 	// the stride, so any grid works for any stride (tiles may be unequal).
-	outRows, err := splitSizes(h/b.stride, grid.Gy)
+	outRows, err := splitSizes(outH, grid.Gy)
 	if err != nil {
 		return nil, nil, err
 	}
-	outCols, err := splitSizes(w/b.stride, grid.Gx)
+	outCols, err := splitSizes(outW, grid.Gx)
 	if err != nil {
 		return nil, nil, err
 	}
 
 	var bc *blockCache
+	var out *tensor.Tensor
 	if training {
 		bc = &blockCache{
 			block: b, setting: ls,
@@ -186,9 +194,11 @@ func (s *Supernet) blockFwd(b *mbBlock, x *tensor.Tensor, ls LayerSetting, train
 			grid:     grid,
 			residual: residual,
 		}
+		out = tensor.New(n, b.outC, outH, outW)
+	} else {
+		// The tiles cover the map exactly, so the pastes write all of it.
+		out = ws.Out(n, b.outC, outH, outW)
 	}
-	outH, outW := h/b.stride, w/b.stride
-	out := tensor.New(n, b.outC, outH, outW)
 
 	oy := 0
 	for _, oRows := range outRows {
@@ -207,7 +217,10 @@ func (s *Supernet) blockFwd(b *mbBlock, x *tensor.Tensor, ls LayerSetting, train
 				bc.tileH = append(bc.tileH, tileH)
 				bc.tileW = append(bc.tileW, tileW)
 			} else {
-				yt = s.tileInfer(b, xt, ls)
+				// The tile and its result are this loop's own; only the ops
+				// between them run in the workspace.
+				yt = tensor.New(n, b.outC, oRows, oCols)
+				s.tileInfer(ws, yt, b, xt, ls)
 			}
 			if residual {
 				// Nothing else holds yt: bn3's cache keeps XHat, not its output.
@@ -306,35 +319,38 @@ func (s *Supernet) tileFwd(b *mbBlock, xt *tensor.Tensor, ls LayerSetting) (*til
 	return tc, y
 }
 
-// tileInfer is tileFwd for inference. Each op produces the bits tileFwd's
-// does, but nothing is kept: the 1×1 convolutions and the SE gates read their
-// block of the shared weights in place, batch norm and h-swish overwrite the
-// convolution's output in one pass, and the SE gate scales in place — one
-// activation tensor per convolution and no weight copy beyond the depthwise
-// kernel's center crop. xt is only read.
-func (s *Supernet) tileInfer(b *mbBlock, xt *tensor.Tensor, ls LayerSetting) *tensor.Tensor {
+// tileInfer is tileFwd for inference, into dst (N, outC, H/stride, W/stride).
+// Each op produces the bits tileFwd's does, but nothing is kept: the 1×1
+// convolutions and the SE gates read their block of the shared weights in
+// place, the two hidden maps are the workspace's, batch norm and h-swish
+// overwrite the convolution's output in one pass, and the SE gate scales in
+// place — no weight copy beyond the depthwise kernel's center crop. xt is
+// only read, and must not be dst.
+func (s *Supernet) tileInfer(ws *Workspace, dst *tensor.Tensor, b *mbBlock, xt *tensor.Tensor, ls LayerSetting) {
 	hidden := hiddenWidth(b, ls)
+	n := xt.Shape[0]
 
 	// Expand 1x1.
-	y := tensor.Conv1x1(xt, b.expandW.W, nil, hidden)
+	y := ws.buf(roleExpand, n, hidden, xt.Shape[2], xt.Shape[3])
+	tensor.Conv1x1Into(y, xt, b.expandW.W, nil, hidden)
 	nn.BatchNormInPlace(y, b.bn1.gamma.W, b.bn1.beta.W, bnEps, true)
 
-	// Depthwise kxk.
+	// Depthwise kxk: padding k/2, so the map shrinks by the stride alone.
 	k := ls.Kernel
-	y = tensor.DepthwiseConv2D(y, sliceDW(b.dwW.W, hidden, k), nil, tensor.ConvOpts{Stride: b.stride, Padding: k / 2})
-	nn.BatchNormInPlace(y, b.bn2.gamma.W, b.bn2.beta.W, bnEps, true)
+	z := ws.buf(roleDW, n, hidden, dst.Shape[2], dst.Shape[3])
+	tensor.DepthwiseConv2DInto(z, y, sliceDW(b.dwW.W, hidden, k), nil, tensor.ConvOpts{Stride: b.stride, Padding: k / 2})
+	nn.BatchNormInPlace(z, b.bn2.gamma.W, b.bn2.beta.W, bnEps, true)
 
 	// Squeeze-and-excitation.
 	if b.se {
-		z := nn.LinearView(tensor.AvgPoolGlobal(y), b.seW1.W, b.seB1.W, seWidth(b))
-		nn.ReLUInPlace(z)
-		g := nn.LinearView(z, b.seW2.W, b.seB2.W, hidden)
+		g := nn.LinearView(tensor.AvgPoolGlobal(z), b.seW1.W, b.seB1.W, seWidth(b))
+		nn.ReLUInPlace(g)
+		g = nn.LinearView(g, b.seW2.W, b.seB2.W, hidden)
 		nn.HSigmoidInPlace(g)
-		nn.ScaleChannelsInPlace(y, g)
+		nn.ScaleChannelsInPlace(z, g)
 	}
 
 	// Project 1x1 + BN (no activation — linear bottleneck).
-	y = tensor.Conv1x1(y, b.projW.W, nil, b.outC)
-	nn.BatchNormInPlace(y, b.bn3.gamma.W, b.bn3.beta.W, bnEps, false)
-	return y
+	tensor.Conv1x1Into(dst, z, b.projW.W, nil, b.outC)
+	nn.BatchNormInPlace(dst, b.bn3.gamma.W, b.bn3.beta.W, bnEps, false)
 }

@@ -3,6 +3,7 @@ package supernet
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"murmuration/internal/nn"
 	"murmuration/internal/tensor"
@@ -22,6 +23,10 @@ type Supernet struct {
 	headW, headB *nn.Param
 	headBN       *bnParams
 	clsW, clsB   *nn.Param
+
+	// wsIdle are the workspaces no run holds (AcquireWorkspace), a stack.
+	wsMu   sync.Mutex
+	wsIdle []*Workspace
 }
 
 type bnParams struct {

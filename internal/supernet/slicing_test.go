@@ -131,7 +131,7 @@ func TestGradIsolationAcrossSubmodels(t *testing.T) {
 				for ky := 0; ky < maxK; ky++ {
 					for kx := 0; kx < maxK; kx++ {
 						inside := ky >= off && ky < off+minK && kx >= off && kx < off+minK
-						if !inside && p.G.At(c, 0, ky, kx) != 0 {
+						if !inside && p.Grad().At(c, 0, ky, kx) != 0 {
 							t.Fatalf("%s: gradient leaked outside kernel slice at (%d,%d,%d)",
 								p.Name, c, ky, kx)
 						}

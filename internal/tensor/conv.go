@@ -114,48 +114,107 @@ func Col2Im(cols *Tensor, n, c, h, w, kh, kw int, o ConvOpts) *Tensor {
 	return out
 }
 
+// The destination rule. Every function here whose name ends in Into computes
+// into a tensor its caller supplies, shaped as the allocating form would have
+// shaped its result, under one rule: a kernel writes every element of its
+// destination and never reads it. What the destination held before — zeros
+// from the allocator, the last request's activations, NaNs a test put there —
+// cannot reach an answer, so a caller may hand the same memory back run after
+// run (supernet.Workspace). The allocating forms are the Into forms over New:
+// there is one implementation of each kernel.
+
+// checkDst panics unless dst is the (n,c,h,w) tensor op is about to fill.
+func checkDst(op string, dst *Tensor, n, c, h, w int) {
+	if len(dst.Shape) != 4 || dst.Shape[0] != n || dst.Shape[1] != c || dst.Shape[2] != h || dst.Shape[3] != w || len(dst.Data) != n*c*h*w {
+		panic(fmt.Sprintf("tensor: %s destination has shape %v, want [%d %d %d %d]", op, dst.Shape, n, c, h, w))
+	}
+}
+
 // Conv2D computes a standard convolution of x (N,C,H,W) with weight
 // (outC, C, kh, kw) and optional bias (outC), returning (N,outC,outH,outW).
-// Pointwise (1×1, stride 1, no padding) convolutions — most of the MACs of an
-// inverted-bottleneck network — take the register-blocked conv1x1 kernel;
-// everything else goes through im2col and a matmul. Both produce each output
-// element by the same sum: taps in (channel, ky, kx) order from zero, bias
-// added last.
+// Every output element is one sum: taps in (channel, ky, kx) order from zero,
+// a tap that falls in the padding contributing 0·w, bias added last. A nil
+// bias adds nothing; adding a zero instead, as the matmul route this replaced
+// did, could only change a sum of −0, and a sum that starts from +0 never is.
 func Conv2D(x, weight, bias *Tensor, o ConvOpts) *Tensor {
+	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	outC, kh, kw := weight.Shape[0], weight.Shape[2], weight.Shape[3]
+	s := max(o.Stride, 1)
+	oh, ow := ConvOutSize(h, kh, s, o.Padding), ConvOutSize(w, kw, s, o.Padding)
+	var cols *Tensor
+	if !pointwise(kh, kw, s, o.Padding) {
+		cols = New(n, c*kh*kw, oh, ow)
+	}
+	out := New(n, outC, oh, ow)
+	Conv2DInto(out, cols, x, weight, bias, o)
+	return out
+}
+
+func pointwise(kh, kw, s, p int) bool { return kh == 1 && kw == 1 && s == 1 && p == 0 }
+
+// Conv2DInto is Conv2D into dst. There is one convolution kernel, conv1x1: a
+// pointwise convolution (1×1, stride 1, no padding — most of the MACs of an
+// inverted-bottleneck network) is that kernel on x; a k×k one first unrolls x
+// into cols, (N, C·kh·kw, outH, outW) and only needed then, one plane per tap,
+// and is the same kernel on cols with the weight read as outC × C·kh·kw.
+func Conv2DInto(dst, cols, x, weight, bias *Tensor, o ConvOpts) {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	outC, wc, kh, kw := weight.Shape[0], weight.Shape[1], weight.Shape[2], weight.Shape[3]
 	if wc != c {
 		panic(fmt.Sprintf("tensor: Conv2D channels %d != weight %d", c, wc))
 	}
-	s := o.Stride
-	if s < 1 {
-		s = 1
+	s := max(o.Stride, 1)
+	if pointwise(kh, kw, s, o.Padding) {
+		conv1x1Into(dst, x, weight.Data, c, outC, bias)
+		return
 	}
-	if kh == 1 && kw == 1 && s == 1 && o.Padding == 0 {
-		return conv1x1(x, weight.Data, c, outC, bias)
-	}
-	oh := ConvOutSize(h, kh, s, o.Padding)
-	ow := ConvOutSize(w, kw, s, o.Padding)
-	cols := Im2Col(x, kh, kw, o)          // (N·oh·ow, C·kh·kw)
-	wmat := weight.Reshape(outC, c*kh*kw) // (outC, C·kh·kw)
-	prod := MatMulTransB(cols, wmat)      // (N·oh·ow, outC)
-	out := New(n, outC, oh, ow)
-	pd, od := prod.Data, out.Data
-	parallelFor(n*outC, func(rs, re int) {
+	checkDst("Conv2D columns", cols, n, c*kh*kw, ConvOutSize(h, kh, s, o.Padding), ConvOutSize(w, kw, s, o.Padding))
+	planarCols(cols, x, kh, kw, s, o.Padding)
+	conv1x1Into(dst, cols, weight.Data, c*kh*kw, outC, bias)
+}
+
+// planarCols unrolls x (N,C,H,W) into cols (N, C·kh·kw, oh, ow): plane
+// (ch·kh+ky)·kw+kx holds, for every output position, the input element tap
+// (ky,kx) of channel ch reads there, or 0 where the tap falls in the padding.
+// It is Im2Col transposed, which is the layout conv1x1 vectorises over.
+func planarCols(cols, x *Tensor, kh, kw, s, p int) {
+	c, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
+	oh, ow := cols.Shape[2], cols.Shape[3]
+	taps := kh * kw
+	xd, cd := x.Data, cols.Data
+	ParallelByCost(x.Shape[0]*c*taps, oh*ow, func(rs, re int) {
 		for r := rs; r < re; r++ {
-			b := r / outC
-			oc := r % outC
-			var bv float32
-			if bias != nil {
-				bv = bias.Data[oc]
+			ky, kx := r%taps/kw, r%kw
+			in := xd[r/taps*h*w:][:h*w]
+			dst := cd[r*oh*ow:][:oh*ow]
+			// Outputs [oxLo, oxHi) read column ox·s−p+kx inside the plane.
+			oxLo, oxHi := 0, 0
+			if last := w - 1 + p - kx; last >= 0 {
+				oxLo = min(max((p-kx+s-1)/s, 0), ow)
+				oxHi = max(min(last/s+1, ow), oxLo)
 			}
-			dst := od[r*oh*ow : (r+1)*oh*ow]
-			for i := 0; i < oh*ow; i++ {
-				dst[i] = pd[(b*oh*ow+i)*outC+oc] + bv
+			for oy := 0; oy < oh; oy++ {
+				row := dst[oy*ow:][:ow]
+				iy := oy*s - p + ky
+				if iy < 0 || iy >= h {
+					clear(row)
+					continue
+				}
+				clear(row[:oxLo])
+				src := in[iy*w:][:w]
+				switch {
+				case oxLo == oxHi: // the tap is in the padding all along the row
+				case s == 1:
+					copy(row[oxLo:oxHi], src[oxLo-p+kx:])
+				default:
+					for ox := oxLo; ox < oxHi; ox++ {
+						row[ox] = src[ox*s-p+kx]
+					}
+				}
+				clear(row[oxHi:])
 			}
 		}
 	})
-	return out
 }
 
 // Conv1x1 computes a pointwise convolution of x (N,C,H,W) with the top-left
@@ -164,11 +223,18 @@ func Conv2D(x, weight, bias *Tensor, o ConvOpts) *Tensor {
 // shared weight without copying the slice out first. bias, when non-nil,
 // supplies its first outC entries.
 func Conv1x1(x, weight, bias *Tensor, outC int) *Tensor {
+	out := New(x.Shape[0], outC, x.Shape[2], x.Shape[3])
+	Conv1x1Into(out, x, weight, bias, outC)
+	return out
+}
+
+// Conv1x1Into is Conv1x1 into dst (N,outC,H,W).
+func Conv1x1Into(dst, x, weight, bias *Tensor, outC int) {
 	c := x.Shape[1]
 	if weight.Shape[0] < outC || weight.Shape[1] < c || weight.Shape[2] != 1 || weight.Shape[3] != 1 {
 		panic(fmt.Sprintf("tensor: Conv1x1 wants a %dx%d block of a 1x1 weight, have %v", outC, c, weight.Shape))
 	}
-	return conv1x1(x, weight.Data, weight.Shape[1], outC, bias)
+	conv1x1Into(dst, x, weight.Data, weight.Shape[1], outC, bias)
 }
 
 // conv1x1Block is the number of plane elements one conv1x1 work item covers:
@@ -176,7 +242,7 @@ func Conv1x1(x, weight, bias *Tensor, outC int) *Tensor {
 // a single large plane still splits into enough items to occupy every worker.
 const conv1x1Block = 1024
 
-// conv1x1 is the pointwise kernel: out[b,oc,i] = Σ_ch wd[oc·wstride+ch] ·
+// conv1x1Into is the pointwise kernel: dst[b,oc,i] = Σ_ch wd[oc·wstride+ch] ·
 // x[b,ch,i], channels ascending from zero, bias added last. It is
 // register-blocked two output channels by four input channels: one pass over
 // a block of the plane reads four input rows once and advances two output
@@ -185,11 +251,11 @@ const conv1x1Block = 1024
 // element still receives its terms one at a time in channel order, so the
 // blocking — and the split of the work across goroutines, which never divides
 // one element's sum — leaves each result bit-identical to the plain loop.
-func conv1x1(x *Tensor, wd []float32, wstride, outC int, bias *Tensor) *Tensor {
+func conv1x1Into(dst, x *Tensor, wd []float32, wstride, outC int, bias *Tensor) {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	checkDst("Conv1x1", dst, n, outC, h, w)
 	plane := h * w
-	out := New(n, outC, h, w)
-	xd, od := x.Data, out.Data
+	xd, od := x.Data, dst.Data
 	nblk := (plane + conv1x1Block - 1) / conv1x1Block
 	npair := (outC + 1) / 2
 	ParallelByCost(n*nblk*npair, 2*c*min(plane, conv1x1Block), func(rs, re int) {
@@ -204,16 +270,19 @@ func conv1x1(x *Tensor, wd []float32, wstride, outC int, bias *Tensor) *Tensor {
 			src := xd[b*c*plane : (b+1)*c*plane]
 			d0 := od[(b*outC+oc)*plane+lo : (b*outC+oc)*plane+hi]
 			w0 := wd[oc*wstride : oc*wstride+c]
-			// The vector kernel takes a block of at least one register, the
-			// portable loop what it leaves (everything, without AVX2).
+			// The vector kernel takes a block of at least one register — all
+			// of it — and the portable loop what is left: a block narrower
+			// than a register, or everything without AVX2.
 			if oc+1 == outC {
-				done := conv1x1RowVec(d0, src, plane, lo, w0)
-				conv1x1Row(d0[done:], src, plane, lo+done, w0)
+				if done := conv1x1RowVec(d0, src, plane, lo, w0); done < len(d0) {
+					conv1x1Row(d0[done:], src, plane, lo+done, w0)
+				}
 			} else {
 				d1 := od[(b*outC+oc+1)*plane+lo : (b*outC+oc+1)*plane+hi]
 				w1 := wd[(oc+1)*wstride : (oc+1)*wstride+c]
-				done := conv1x1PairVec(d0, d1, src, plane, lo, w0, w1)
-				conv1x1Pair(d0[done:], d1[done:], src, plane, lo+done, w0, w1)
+				if done := conv1x1PairVec(d0, d1, src, plane, lo, w0, w1); done < len(d0) {
+					conv1x1Pair(d0[done:], d1[done:], src, plane, lo+done, w0, w1)
+				}
 				if bias != nil {
 					addScalar(d1, bias.Data[oc+1])
 				}
@@ -223,15 +292,17 @@ func conv1x1(x *Tensor, wd []float32, wstride, outC int, bias *Tensor) *Tensor {
 			}
 		}
 	})
-	return out
 }
 
-// conv1x1Pair accumulates two output rows (zero on entry) over every input
-// channel of one image. src holds the image's channel planes, each `plane`
-// long; the rows cover plane elements [lo, lo+len(d0)).
+// conv1x1Pair computes two output rows over every input channel of one
+// image: it clears them — the sums start from zero whatever the destination
+// held — and accumulates channel by channel. src holds the image's channel
+// planes, each `plane` long; the rows cover plane elements [lo, lo+len(d0)).
 func conv1x1Pair(d0, d1, src []float32, plane, lo int, w0, w1 []float32) {
 	n := len(d0)
 	d1 = d1[:n]
+	clear(d0)
+	clear(d1)
 	w1 = w1[:len(w0)]
 	ch := 0
 	for ; ch+4 <= len(w0); ch += 4 {
@@ -271,6 +342,7 @@ func conv1x1Pair(d0, d1, src []float32, plane, lo int, w0, w1 []float32) {
 // conv1x1Row is conv1x1Pair for the last output channel of an odd count.
 func conv1x1Row(d0, src []float32, plane, lo int, w0 []float32) {
 	n := len(d0)
+	clear(d0)
 	ch := 0
 	for ; ch+4 <= len(w0); ch += 4 {
 		x0 := src[ch*plane+lo:][:n]
@@ -303,7 +375,7 @@ func addScalar(d []float32, v float32) {
 }
 
 // Conv2DNaive is a direct reference implementation used by tests to validate
-// the im2col path. It is O(N·outC·oh·ow·C·kh·kw) with no parallelism.
+// Conv2D. It is O(N·outC·oh·ow·C·kh·kw) with no parallelism.
 func Conv2DNaive(x, weight, bias *Tensor, o ConvOpts) *Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	outC, kh, kw := weight.Shape[0], weight.Shape[2], weight.Shape[3]
@@ -349,31 +421,39 @@ func Conv2DNaive(x, weight, bias *Tensor, o ConvOpts) *Tensor {
 // from weight (C, 1, kh, kw), plus optional bias (C).
 //
 // Each output element is bias + Σ taps in (ky, kx) order over the taps that
-// fall inside the plane. Outputs whose whole window is inside — the interior,
-// nearly all of a plane — take a loop with no per-tap bounds test (unrolled
-// for 3×3); the border ring keeps the tested loop. Same taps, same order, so
+// fall inside the plane. Outputs whose every kx tap is inside — the interior,
+// and the middle of the rows above and below it — take a loop with no per-tap
+// bounds test (unrolled for 3×3) over the kernel rows that are inside; the
+// side columns and corners keep the tested loop. Same taps, same order, so
 // the split changes no bit.
 func DepthwiseConv2D(x, weight, bias *Tensor, o ConvOpts) *Tensor {
+	kh, kw := weight.Shape[2], weight.Shape[3]
+	s := max(o.Stride, 1)
+	out := New(x.Shape[0], x.Shape[1], ConvOutSize(x.Shape[2], kh, s, o.Padding), ConvOutSize(x.Shape[3], kw, s, o.Padding))
+	DepthwiseConv2DInto(out, x, weight, bias, o)
+	return out
+}
+
+// DepthwiseConv2DInto is DepthwiseConv2D into dst (N,C,outH,outW).
+func DepthwiseConv2DInto(dst, x, weight, bias *Tensor, o ConvOpts) {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	if weight.Shape[0] != c {
 		panic(fmt.Sprintf("tensor: DepthwiseConv2D channels %d != weight %d", c, weight.Shape[0]))
 	}
 	kh, kw := weight.Shape[2], weight.Shape[3]
-	s, p := o.Stride, o.Padding
-	if s < 1 {
-		s = 1
-	}
+	s, p := max(o.Stride, 1), o.Padding
 	oh := ConvOutSize(h, kh, s, p)
 	ow := ConvOutSize(w, kw, s, p)
-	out := New(n, c, oh, ow)
-	// Interior: oy·s−p ≥ 0 and oy·s−p+kh ≤ h (likewise in x); empty when the
-	// plane is smaller than the kernel.
+	checkDst("DepthwiseConv2D", dst, n, c, oh, ow)
+	// Interior: oy·s−p ≥ 0 and oy·s−p+kh ≤ h (likewise in x). The columns
+	// [oxLo, oxHi) have every kx tap inside the plane on every row, interior
+	// or not; a plane narrower than the kernel has none, and then no interior.
 	oyLo, oyHi := interiorRange(h, kh, s, p, oh)
 	oxLo, oxHi := interiorRange(w, kw, s, p, ow)
-	if oyLo == oyHi || oxLo == oxHi {
+	if oxLo == oxHi {
 		oyLo, oyHi, oxLo, oxHi = 0, 0, 0, 0
 	}
-	xd, wd, od := x.Data, weight.Data, out.Data
+	xd, wd, od := x.Data, weight.Data, dst.Data
 	ParallelByCost(n*c, oh*ow*kh*kw, func(rs, re int) {
 		for r := rs; r < re; r++ {
 			ch := r % c
@@ -383,30 +463,40 @@ func DepthwiseConv2D(x, weight, bias *Tensor, o ConvOpts) *Tensor {
 			}
 			in := xd[r*h*w : (r+1)*h*w]
 			ker := wd[ch*kh*kw : (ch+1)*kh*kw]
-			dst := od[r*oh*ow : (r+1)*oh*ow]
+			out := od[r*oh*ow : (r+1)*oh*ow]
 			// The vector kernel takes the plane's whole interior in one call,
 			// or none of it.
-			vec := oyLo < oyHi && dwInteriorVec(dst[oyLo*ow+oxLo:], ow, in[(oyLo*s-p)*w+oxLo*s-p:], w,
+			vec := oyLo < oyHi && dwInteriorVec(out[oyLo*ow+oxLo:], ow, in[(oyLo*s-p)*w+oxLo*s-p:], w,
 				oyHi-oyLo, oxHi-oxLo, ker, kh, kw, s, bv)
 			for oy := 0; oy < oh; oy++ {
-				row := dst[oy*ow : (oy+1)*ow]
-				if oy < oyLo || oy >= oyHi {
+				row := out[oy*ow : (oy+1)*ow]
+				// Kernel rows [ky0, ky1) fall inside the plane: all of them on
+				// an interior row, fewer on the rows above and below, where the
+				// middle columns are an interior run of a shorter kernel — the
+				// same taps in the same order. A row no kernel row reaches is
+				// all border (every output is the bias).
+				iy0 := oy*s - p
+				ky0, ky1 := max(0, -iy0), min(kh, h-iy0)
+				if ky1 <= ky0 {
 					dwBorder(row, 0, ow, in, h, w, ker, kh, kw, oy, s, p, bv)
 					continue
 				}
 				dwBorder(row, 0, oxLo, in, h, w, ker, kh, kw, oy, s, p, bv)
-				switch {
-				case vec: // computed above
-				case kh == 3 && kw == 3:
-					dwInterior3(row[oxLo:oxHi], in[(oy*s-p)*w+oxLo*s-p:], w, ker, s, bv)
-				default:
-					dwInterior(row[oxLo:oxHi], in[(oy*s-p)*w+oxLo*s-p:], w, ker, kh, kw, s, bv)
+				interior := oy >= oyLo && oy < oyHi
+				if oxLo < oxHi && !(vec && interior) {
+					mid, taps, k := row[oxLo:oxHi], in[(iy0+ky0)*w+oxLo*s-p:], ker[ky0*kw:ky1*kw]
+					switch {
+					case !interior && dwInteriorVec(mid, ow, taps, w, 1, len(mid), k, ky1-ky0, kw, s, bv):
+					case ky1-ky0 == 3 && kw == 3:
+						dwInterior3(mid, taps, w, k, s, bv)
+					default:
+						dwInterior(mid, taps, w, k, ky1-ky0, kw, s, bv)
+					}
 				}
 				dwBorder(row, oxHi, ow, in, h, w, ker, kh, kw, oy, s, p, bv)
 			}
 		}
 	})
-	return out
 }
 
 // interiorRange returns the half-open range of output positions, clamped to
@@ -610,11 +700,21 @@ func PasteSpatial(dst, tile *Tensor, y0, x0 int) {
 // BilinearResize resizes x (N,C,H,W) to (N,C,outH,outW) with bilinear
 // interpolation; used for elastic input resolution.
 func BilinearResize(x *Tensor, outH, outW int) *Tensor {
+	out := New(x.Shape[0], x.Shape[1], outH, outW)
+	BilinearResizeInto(out, x)
+	return out
+}
+
+// BilinearResizeInto is BilinearResize to the spatial size of dst
+// (N,C,outH,outW); at x's own size it is a copy.
+func BilinearResizeInto(out, x *Tensor) {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	outH, outW := out.Shape[2], out.Shape[3]
+	checkDst("BilinearResize", out, n, c, outH, outW)
 	if outH == h && outW == w {
-		return x.Clone()
+		copy(out.Data, x.Data)
+		return
 	}
-	out := New(n, c, outH, outW)
 	sy := float32(h) / float32(outH)
 	sx := float32(w) / float32(outW)
 	parallelFor(n*c, func(rs, re int) {
@@ -654,5 +754,4 @@ func BilinearResize(x *Tensor, outH, outW int) *Tensor {
 			}
 		}
 	})
-	return out
 }

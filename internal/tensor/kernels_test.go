@@ -165,6 +165,14 @@ func TestDepthwiseBitExact(t *testing.T) {
 		{3, 5, 8, 12},   // batch 3
 		{1, 70, 10, 10}, // enough work that four workers really split
 		{1, 2, 1, 9},    // a single row
+		// Square planes from all border to mostly interior: above and below
+		// the interior rows the middle columns run through the interior
+		// kernels with the kernel rows that are inside.
+		{1, 3, 5, 5},
+		{1, 3, 7, 7},
+		{2, 2, 20, 20},
+		{1, 2, 2, 20}, // no interior row at k ≥ 5, yet columns with every kx tap
+		{1, 2, 3, 33}, // likewise, wide enough for the vector kernel
 	}
 	atParallelism(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(32))
@@ -308,20 +316,17 @@ var planeSizes = []struct{ h, w int }{{1, 1}, {2, 2}, {1, 7}, {2, 4}, {3, 3}, {5
 // of a c-channel image and compares each with its portable loop.
 func checkConv1x1Kernels(tb testing.TB, name string, src []float32, plane, lo, n int, w0, w1 []float32) {
 	tb.Helper()
-	zero := func(w []float32) {
-		for i := range w {
-			w[i] = 0
-		}
-	}
+	// The destinations go in full of canaries, which are NaNs: neither the
+	// vector kernel nor the portable loop may read what a destination held.
 	buf0, got0 := dest(n)
 	buf1, got1 := dest(n)
-	zero(got0)
-	zero(got1)
 	done := conv1x1PairVec(got0, got1, src, plane, lo, w0, w1)
 	if HasAVX2() && n >= 8 && done != n {
 		tb.Fatalf("%s: pair kernel computed %d of %d elements", name, done, n)
 	}
-	conv1x1Pair(got0[done:], got1[done:], src, plane, lo+done, w0, w1)
+	if done < n {
+		conv1x1Pair(got0[done:], got1[done:], src, plane, lo+done, w0, w1)
+	}
 	want0, want1 := make([]float32, n), make([]float32, n)
 	conv1x1Pair(want0, want1, src, plane, lo, w0, w1)
 	sameSlice(tb, name+" pair row 0", got0, want0)
@@ -330,9 +335,10 @@ func checkConv1x1Kernels(tb testing.TB, name string, src []float32, plane, lo, n
 	checkCanaries(tb, name+" pair row 1", buf1)
 
 	buf0, got0 = dest(n)
-	zero(got0)
 	done = conv1x1RowVec(got0, src, plane, lo, w1)
-	conv1x1Row(got0[done:], src, plane, lo+done, w1)
+	if done < n {
+		conv1x1Row(got0[done:], src, plane, lo+done, w1)
+	}
 	want1 = make([]float32, n)
 	conv1x1Row(want1, src, plane, lo, w1)
 	sameSlice(tb, name+" row", got0, want1)
@@ -553,33 +559,139 @@ func TestFakeQuantKernelMatchesPortable(t *testing.T) {
 	}
 }
 
-// TestKernelsCarrySpecialValues holds the public kernels, assembly and tails
-// and border together, to the plain reference loops on inputs strewn with
-// NaNs, infinities, signed zeros and denormals, with one worker and with four.
-func TestKernelsCarrySpecialValues(t *testing.T) {
-	atParallelism(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(46))
-		for _, ps := range planeSizes {
-			for _, d := range []struct{ n, c, outC, wRows, wCols int }{{1, 3, 5, 5, 3}, {3, 7, 2, 4, 9}, {1, 13, 11, 16, 24}} {
-				x := FromSlice(source(t, rng, d.n*d.c*ps.h*ps.w, 17), d.n, d.c, ps.h, ps.w)
-				full := FromSlice(source(t, rng, d.wRows*d.wCols, 29), d.wRows, d.wCols, 1, 1)
-				for _, bias := range []*Tensor{nil, randTensor(rng, d.wRows)} {
-					name := fmt.Sprintf("Conv1x1 %dx%d %+v bias=%v", ps.h, ps.w, d, bias != nil)
-					sameSlice(t, name, Conv1x1(x, full, bias, d.outC).Data, conv1x1Ref(x, full.Data, d.wCols, d.outC, bias).Data)
+// conv2DRef is the sum DESIGN.md §4.6 specifies for a k×k convolution, as the
+// im2col-and-matmul route Conv2D used to take computed it: every tap in
+// (channel, ky, kx) order from zero, a tap in the padding multiplied in as a
+// zero rather than skipped, the bias added last.
+func conv2DRef(x, weight, bias *Tensor, o ConvOpts) *Tensor {
+	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	outC, kh, kw := weight.Shape[0], weight.Shape[2], weight.Shape[3]
+	s, p := max(o.Stride, 1), o.Padding
+	oh, ow := ConvOutSize(h, kh, s, p), ConvOutSize(w, kw, s, p)
+	out := New(n, outC, oh, ow)
+	for b := 0; b < n; b++ {
+		for oc := 0; oc < outC; oc++ {
+			for oy := 0; oy < oh; oy++ {
+				for ox := 0; ox < ow; ox++ {
+					var acc float32
+					for ch := 0; ch < c; ch++ {
+						for ky := 0; ky < kh; ky++ {
+							for kx := 0; kx < kw; kx++ {
+								var v float32
+								if iy, ix := oy*s-p+ky, ox*s-p+kx; iy >= 0 && iy < h && ix >= 0 && ix < w {
+									v = x.Data[((b*c+ch)*h+iy)*w+ix]
+								}
+								acc += v * weight.Data[((oc*c+ch)*kh+ky)*kw+kx]
+							}
+						}
+					}
+					// The old route added a zero for a missing bias; Conv2D adds
+					// nothing. A sum that starts from +0 is never −0, so the two
+					// cannot differ, and this test holds them to it.
+					var bv float32
+					if bias != nil {
+						bv = bias.Data[oc]
+					}
+					out.Data[((b*outC+oc)*oh+oy)*ow+ox] = acc + bv
 				}
 			}
 		}
-		for _, pl := range []struct{ n, c, h, w int }{{1, 3, 2, 2}, {1, 2, 9, 10}, {3, 5, 12, 19}, {1, 70, 10, 24}} {
-			x := FromSlice(source(t, rng, pl.n*pl.c*pl.h*pl.w, 19), pl.n, pl.c, pl.h, pl.w)
-			for _, k := range []int{3, 5, 7} {
-				wt := FromSlice(source(t, rng, pl.c*k*k, 31), pl.c, 1, k, k)
-				for _, stride := range []int{1, 2} {
-					o := ConvOpts{Stride: stride, Padding: k / 2}
-					name := fmt.Sprintf("DepthwiseConv2D %+v k=%d s=%d", pl, k, stride)
-					bias := randTensor(rng, pl.c)
-					sameSlice(t, name, DepthwiseConv2D(x, wt, bias, o).Data, depthwiseRef(x, wt, bias, o).Data)
+	}
+	return out
+}
+
+// intoDest is a destination for an Into kernel, (n,c,h,w): full of canaries —
+// NaNs, so a kernel that reads its destination or skips part of it shows —
+// with more canaries either side for checkCanaries.
+func intoDest(n, c, h, w int) (buf []float32, dst *Tensor) {
+	buf, window := dest(n * c * h * w)
+	return buf, FromSlice(window, n, c, h, w)
+}
+
+// sameInto holds an Into kernel to its allocating form: run on a poisoned,
+// canaried destination it must leave the allocating form's bits and nothing
+// outside the destination.
+func sameInto(tb testing.TB, name string, want *Tensor, into func(dst *Tensor)) {
+	tb.Helper()
+	buf, dst := intoDest(want.Shape[0], want.Shape[1], want.Shape[2], want.Shape[3])
+	into(dst)
+	sameSlice(tb, name+" into a poisoned destination", dst.Data, want.Data)
+	checkCanaries(tb, name, buf)
+}
+
+// TestKernelsCarrySpecialValues holds the public kernels, assembly and tails
+// and border together, to the plain reference loops on inputs strewn with
+// NaNs, infinities, signed zeros and denormals, with one worker and with four
+// — and each kernel's Into form, on a destination full of NaNs, to the
+// allocating form (the destination rule, conv.go). Every shape runs once
+// without specials too: there every expected value is a number, so an element
+// an Into kernel left unwritten cannot hide behind "a NaN matches any NaN".
+func TestKernelsCarrySpecialValues(t *testing.T) {
+	atParallelism(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(46))
+		for _, every := range []int{17, 0} {
+			for _, ps := range planeSizes {
+				for _, d := range []struct{ n, c, outC, wRows, wCols int }{{1, 3, 5, 5, 3}, {3, 7, 2, 4, 9}, {1, 13, 11, 16, 24}} {
+					x := FromSlice(source(t, rng, d.n*d.c*ps.h*ps.w, every), d.n, d.c, ps.h, ps.w)
+					full := FromSlice(source(t, rng, d.wRows*d.wCols, 2*every), d.wRows, d.wCols, 1, 1)
+					for _, bias := range []*Tensor{nil, randTensor(rng, d.wRows)} {
+						name := fmt.Sprintf("Conv1x1 %dx%d %+v bias=%v specials 1/%d", ps.h, ps.w, d, bias != nil, every)
+						got := Conv1x1(x, full, bias, d.outC)
+						sameSlice(t, name, got.Data, conv1x1Ref(x, full.Data, d.wCols, d.outC, bias).Data)
+						sameInto(t, name, got, func(dst *Tensor) { Conv1x1Into(dst, x, full, bias, d.outC) })
+					}
 				}
 			}
+			for _, pl := range []struct{ n, c, h, w int }{{1, 3, 2, 2}, {1, 2, 9, 10}, {3, 5, 12, 19}, {1, 70, 10, 24}} {
+				x := FromSlice(source(t, rng, pl.n*pl.c*pl.h*pl.w, every), pl.n, pl.c, pl.h, pl.w)
+				for _, k := range []int{3, 5, 7} {
+					wt := FromSlice(source(t, rng, pl.c*k*k, 2*every), pl.c, 1, k, k)
+					for _, stride := range []int{1, 2} {
+						o := ConvOpts{Stride: stride, Padding: k / 2}
+						name := fmt.Sprintf("DepthwiseConv2D %+v k=%d s=%d specials 1/%d", pl, k, stride, every)
+						bias := randTensor(rng, pl.c)
+						got := DepthwiseConv2D(x, wt, bias, o)
+						sameSlice(t, name, got.Data, depthwiseRef(x, wt, bias, o).Data)
+						sameInto(t, name, got, func(dst *Tensor) { DepthwiseConv2DInto(dst, x, wt, bias, o) })
+					}
+				}
+			}
+			// The k×k convolution: planar columns, then the 1×1 kernel. Odd
+			// sizes, so strides leave a remainder and every tap meets the
+			// padding somewhere; the columns go in poisoned as well.
+			for _, d := range []struct{ n, c, h, w, outC int }{{1, 3, 9, 11, 4}, {3, 2, 13, 7, 5}, {1, 1, 5, 5, 1}, {1, 2, 1, 2, 3}, {1, 3, 33, 35, 16}} {
+				x := FromSlice(source(t, rng, d.n*d.c*d.h*d.w, every), d.n, d.c, d.h, d.w)
+				for _, k := range []int{3, 5, 7} {
+					wt := FromSlice(source(t, rng, d.outC*d.c*k*k, 2*every), d.outC, d.c, k, k)
+					for _, stride := range []int{1, 2} {
+						for _, bias := range []*Tensor{nil, randTensor(rng, d.outC)} {
+							o := ConvOpts{Stride: stride, Padding: k / 2}
+							name := fmt.Sprintf("Conv2D %+v k=%d s=%d bias=%v specials 1/%d", d, k, stride, bias != nil, every)
+							got := Conv2D(x, wt, bias, o)
+							sameSlice(t, name, got.Data, conv2DRef(x, wt, bias, o).Data)
+							sameInto(t, name, got, func(dst *Tensor) {
+								cbuf, cols := intoDest(d.n, d.c*k*k, dst.Shape[2], dst.Shape[3])
+								Conv2DInto(dst, cols, x, wt, bias, o)
+								checkCanaries(t, name+" columns", cbuf)
+							})
+						}
+					}
+				}
+			}
+			// The copies and the elementwise passes.
+			for _, d := range []struct{ n, c, h, w, oh, ow int }{{1, 3, 9, 11, 5, 7}, {2, 1, 6, 6, 6, 6}, {1, 2, 7, 5, 16, 12}} {
+				x := FromSlice(source(t, rng, d.n*d.c*d.h*d.w, every), d.n, d.c, d.h, d.w)
+				name := fmt.Sprintf("BilinearResize %+v specials 1/%d", d, every)
+				sameInto(t, name, BilinearResize(x, d.oh, d.ow), func(dst *Tensor) { BilinearResizeInto(dst, x) })
+				for _, bits := range []Bitwidth{Bits8, Bits16, Bits32} {
+					name := fmt.Sprintf("FakeQuantize %+v at %d bits specials 1/%d", d, bits, every)
+					sameInto(t, name, FakeQuantize(x, bits), func(dst *Tensor) { FakeQuantizeInto(dst, x, bits) })
+					q := Quantize(x, bits)
+					sameInto(t, "De"+name[4:], q.Dequantize(), q.DequantizeInto)
+				}
+			}
+			zeros := New(1, 2, 3, 3) // no magnitude: every code is zero, and must be written
+			sameInto(t, "FakeQuantize of zeros", FakeQuantize(zeros, Bits8), func(dst *Tensor) { FakeQuantizeInto(dst, zeros, Bits8) })
 		}
 	})
 }
@@ -592,11 +704,12 @@ func FuzzKernelsMatchPortable(f *testing.F) {
 	f.Add([]byte{1, 17, 5, 3, 1, 0xff, 0xff, 0x7f, 0x7f, 0x01, 0x00, 0x00, 0x80})
 	f.Add([]byte{2, 40, 0, 0, 0x00, 0x00, 0x80, 0xff, 0xab, 0xcd, 0xef, 0x7f})
 	f.Add([]byte{3, 33, 8, 0, 0x00, 0x00, 0xfe, 0x42, 0x00, 0x00, 0x00, 0x3f})
+	f.Add([]byte{4, 12, 6, 4, 0x00, 0x00, 0x80, 0x7f, 0x00, 0x00, 0x00, 0x80, 0x00, 0x00, 0x80, 0x3f})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
 		}
-		kernel, a, b, c := int(data[0]%4), int(data[1]), int(data[2]), int(data[3])
+		kernel, a, b, c := int(data[0]%5), int(data[1]), int(data[2]), int(data[3])
 		bits := data[4:]
 		next := 0
 		// fill draws n values from the input's bit patterns, round and round.
@@ -632,6 +745,20 @@ func FuzzKernelsMatchPortable(f *testing.F) {
 			sameBits(t, "FakeQuantize", FakeQuantize(FromSlice(x, len(x)), bw), Quantize(FromSlice(x, len(x)), bw).Dequantize())
 			scale := fill(1)[0]
 			checkFakeQuantKernel(t, "fuzz", x, 1/scale, scale, bw)
+		case 4:
+			// The k×k convolution, columns and all, against the plain sum, and
+			// its Into form on poisoned memory.
+			k, s, ch := 3+2*(c%3), 1+c/3%2, 1+c/6%3
+			h, w := 1+b%9, 1+a%40
+			x, wt := FromSlice(fill(ch*h*w), 1, ch, h, w), FromSlice(fill(2*ch*k*k), 2, ch, k, k)
+			bias := FromSlice(fill(2), 2)
+			o := ConvOpts{Stride: s, Padding: k / 2}
+			got := Conv2D(x, wt, bias, o)
+			sameSlice(t, "Conv2D", got.Data, conv2DRef(x, wt, bias, o).Data)
+			sameInto(t, "Conv2D", got, func(dst *Tensor) {
+				_, cols := intoDest(1, ch*k*k, dst.Shape[2], dst.Shape[3])
+				Conv2DInto(dst, cols, x, wt, bias, o)
+			})
 		}
 	})
 }

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Bitwidth is an activation quantization bitwidth supported by the supernet's
@@ -96,19 +97,29 @@ func clampRound(v, lo, hi float64) float64 {
 // Dequantize reconstructs a float32 tensor from q.
 func (q *Quantized) Dequantize() *Tensor {
 	t := New(q.Shape...)
+	q.DequantizeInto(t)
+	return t
+}
+
+// DequantizeInto is Dequantize into dst, which has q's shape (see the
+// destination rule at Conv2DInto).
+func (q *Quantized) DequantizeInto(dst *Tensor) {
+	if !slices.Equal(dst.Shape, q.Shape) {
+		panic(fmt.Sprintf("tensor: Dequantize destination has shape %v, want %v", dst.Shape, q.Shape))
+	}
+	d := dst.Data
 	switch q.Bits {
 	case Bits32:
-		copy(t.Data, q.F32)
+		copy(d, q.F32[:len(d)])
 	case Bits8:
-		for i, v := range q.Q8 {
-			t.Data[i] = float32(v) * q.Scale
+		for i, v := range q.Q8[:len(d)] {
+			d[i] = float32(v) * q.Scale
 		}
 	case Bits16:
-		for i, v := range q.Q16 {
-			t.Data[i] = float32(v) * q.Scale
+		for i, v := range q.Q16[:len(d)] {
+			d[i] = float32(v) * q.Scale
 		}
 	}
-	return t
 }
 
 // fakeQuantBlock is the number of elements one FakeQuantize work item covers.
@@ -119,16 +130,27 @@ const fakeQuantBlock = 1 << 13
 // the codes: one max-abs reduction, then one parallel pass that rounds each
 // element to its code and scales it back.
 func FakeQuantize(t *Tensor, bits Bitwidth) *Tensor {
+	out := New(t.Shape...)
+	FakeQuantizeInto(out, t, bits)
+	return out
+}
+
+// FakeQuantizeInto is FakeQuantize into dst, which has t's shape.
+func FakeQuantizeInto(dst, t *Tensor, bits Bitwidth) {
 	if !bits.Valid() {
 		panic(fmt.Sprintf("tensor: unsupported bitwidth %d", bits))
 	}
-	if bits == Bits32 {
-		return t.Clone()
+	if !dst.SameShape(t) {
+		panic(fmt.Sprintf("tensor: FakeQuantize destination has shape %v, want %v", dst.Shape, t.Shape))
 	}
-	out := New(t.Shape...)
+	if bits == Bits32 {
+		copy(dst.Data, t.Data)
+		return
+	}
 	maxAbs := t.MaxAbs()
 	if maxAbs == 0 {
-		return out // every code is zero
+		clear(dst.Data) // every code is zero
+		return
 	}
 	scale := maxAbs / float32(bits.maxCode())
 	inv := 1 / scale
@@ -136,12 +158,11 @@ func FakeQuantize(t *Tensor, bits Bitwidth) *Tensor {
 	ParallelByCost((n+fakeQuantBlock-1)/fakeQuantBlock, 4*fakeQuantBlock, func(bs, be int) {
 		for blk := bs; blk < be; blk++ {
 			lo, hi := blk*fakeQuantBlock, min((blk+1)*fakeQuantBlock, n)
-			src, dst := t.Data[lo:hi], out.Data[lo:hi]
-			done := fakeQuantVec(dst, src, inv, scale, bits)
-			fakeQuantRange(dst[done:], src[done:], inv, scale, bits)
+			src, out := t.Data[lo:hi], dst.Data[lo:hi]
+			done := fakeQuantVec(out, src, inv, scale, bits)
+			fakeQuantRange(out[done:], src[done:], inv, scale, bits)
 		}
 	})
-	return out
 }
 
 // fakeQuantRange writes src's quantization round trip into dst, element by
