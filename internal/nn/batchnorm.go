@@ -43,12 +43,12 @@ func BatchNormFwd(x, gamma, beta, runningMean, runningVar *tensor.Tensor,
 
 	xhat := tensor.New(n, c, h, w)
 	invStds := make([]float32, c)
-	var means, variances [4]float32
+	var means, variances [statsWidth]float32
 	for cc := 0; cc < c; cc++ {
-		if cc%4 == 0 {
-			means, variances = batchStats(x, cc, min(4, c-cc))
+		if cc%statsWidth == 0 {
+			means, variances = batchStats(x, cc, min(statsWidth, c-cc))
 		}
-		mean, variance := means[cc%4], variances[cc%4]
+		mean, variance := means[cc%statsWidth], variances[cc%statsWidth]
 		invStd := float32(1 / math.Sqrt(float64(variance+eps)))
 		invStds[cc] = invStd
 		g, b := gamma.Data[cc], beta.Data[cc]
@@ -69,14 +69,32 @@ func BatchNormFwd(x, gamma, beta, runningMean, runningVar *tensor.Tensor,
 	return y, &BNCache{XHat: xhat, InvStd: invStds, Gamma: gamma}
 }
 
+// statsWidth is the number of channels whose statistics are taken together:
+// four float64 accumulator registers of four channels each, enough add chains
+// in flight to hide the add's latency.
+const statsWidth = 16
+
 // batchStats returns the mean and the biased variance over the batch of the
-// k ≤ 4 channels of x (N,C,H,W) starting at cc: float64 sums taken image by
-// image and then along the plane — the one order training-mode BatchNormFwd
-// and BatchNormInPlace both take them in. The four channels are four
+// k ≤ statsWidth channels of x (N,C,H,W) starting at c0: float64 sums taken
+// image by image and then along the plane — the one order training-mode
+// BatchNormFwd and BatchNormInPlace both take them in. Channels are
+// independent, so how many are walked together changes no sum: the vector
+// kernel takes the whole groups of four, all of them at once, and batchStats4
+// whatever it left (every channel without AVX2).
+func batchStats(x *tensor.Tensor, c0, k int) (mean, variance [statsWidth]float32) {
+	for done := batchStatsVec(x, c0, k, &mean, &variance); done < k; done += 4 {
+		m, v := batchStats4(x, c0+done, min(4, k-done))
+		copy(mean[done:], m[:])
+		copy(variance[done:], v[:])
+	}
+	return mean, variance
+}
+
+// batchStats4 is batchStats for k ≤ 4 channels, the portable loop: four
 // independent chains walked together, so the adds of one overlap the latency
 // of the others and no channel's sum is reordered; with fewer than four left
 // the spare chains repeat the last channel and are discarded.
-func batchStats(x *tensor.Tensor, cc, k int) (mean, variance [4]float32) {
+func batchStats4(x *tensor.Tensor, cc, k int) (mean, variance [4]float32) {
 	n, c := x.Shape[0], x.Shape[1]
 	plane := x.Shape[2] * x.Shape[3]
 	cnt := float64(n * plane)
@@ -124,8 +142,8 @@ func BatchNormInPlace(x, gamma, beta *tensor.Tensor, eps float32, hswish bool) {
 	n, c := x.Shape[0], x.Shape[1]
 	plane := x.Shape[2] * x.Shape[3]
 	tensor.ParallelByCost(c, 3*n*plane, func(cs, ce int) {
-		for c0 := cs; c0 < ce; c0 += 4 {
-			k := min(4, ce-c0)
+		for c0 := cs; c0 < ce; c0 += statsWidth {
+			k := min(statsWidth, ce-c0)
 			means, variances := batchStats(x, c0, k)
 			for cc := c0; cc < c0+k; cc++ {
 				mean := means[cc-c0]

@@ -39,17 +39,146 @@ func TestBatchStatsMatchesSingleChannelLoop(t *testing.T) {
 		for _, c := range []int{1, 3, 4, 5, 7} {
 			x := randT(rng, n, c, 5, 7)
 			for c0 := 0; c0 < c; c0 += 4 {
-				k := min(4, c-c0)
-				means, variances := batchStats(x, c0, k)
-				for j := 0; j < k; j++ {
-					mean, variance := batchStatsRef(x, c0+j)
-					if math.Float32bits(means[j]) != math.Float32bits(mean) || math.Float32bits(variances[j]) != math.Float32bits(variance) {
-						t.Fatalf("batch %d, channel %d of %d: mean %v variance %v, want %v %v", n, c0+j, c, means[j], variances[j], mean, variance)
+				checkBatchStats(t, fmt.Sprintf("batch %d, %d channels", n, c), x, c0, min(4, c-c0))
+			}
+		}
+	}
+}
+
+// checkBatchStats holds batchStats over channels [c0, c0+k) of x — the vector
+// kernel for the whole groups of four, the portable loop for the rest — to the
+// single-channel loop, bit for bit; a NaN statistic matches any NaN.
+func checkBatchStats(tb testing.TB, name string, x *tensor.Tensor, c0, k int) {
+	tb.Helper()
+	means, variances := batchStats(x, c0, k)
+	var wantMean, wantVar [statsWidth]float32
+	for j := 0; j < k; j++ {
+		wantMean[j], wantVar[j] = batchStatsRef(x, c0+j)
+	}
+	sameValues(tb, fmt.Sprintf("%s, means of channels %d–%d", name, c0, c0+k-1), means[:k], wantMean[:k])
+	sameValues(tb, fmt.Sprintf("%s, variances of channels %d–%d", name, c0, c0+k-1), variances[:k], wantVar[:k])
+}
+
+// guardedT is an (n,c,h,w) tensor of values in [-1, 1), about one in `every`
+// a special (0: none), whose last element is the last before an inaccessible
+// page and whose first follows canary NaNs.
+func guardedT(tb testing.TB, rng *rand.Rand, every, n, c, h, w int) *tensor.Tensor {
+	size := n * c * h * w
+	buf := testutil.GuardedFloats(tb, canaries+size)
+	for i := range buf {
+		buf[i] = canary
+	}
+	x := buf[canaries:]
+	for i := range x {
+		x[i] = rng.Float32()*2 - 1
+		if every > 0 && rng.Intn(every) == 0 {
+			x[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	return tensor.FromSlice(x, n, c, h, w)
+}
+
+// TestBatchStatsKernelMatchesPortable walks the statistics kernel over planes
+// of 1…70 elements (no block, whole blocks, every tail), channel counts 1…37
+// (one to four groups in flight, spare channels for the portable loop),
+// batches 1…8, from every group start a worker's chunk can have.
+func TestBatchStatsKernelMatchesPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	planes := [][2]int{{1, 1}, {1, 7}, {2, 4}, {3, 3}, {5, 3}, {4, 4}, {1, 17}, {5, 5}, {6, 6}, {7, 9}, {10, 7}}
+	for _, every := range []int{0, 11} {
+		for _, pl := range planes {
+			for _, c := range []int{1, 3, 4, 6, 8, 12, 16, 18, 36, 37} {
+				for _, n := range []int{1, 2, 3, 8} {
+					x := guardedT(t, rng, every, n, c, pl[0], pl[1])
+					name := fmt.Sprintf("%dx%dx%dx%d specials 1/%d", n, c, pl[0], pl[1], every)
+					for _, start := range []int{0, 1, c / 2} {
+						for c0 := start; c0 < c; c0 += statsWidth {
+							checkBatchStats(t, name, x, c0, min(statsWidth, c-c0))
+						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// FuzzBatchStatsMatchPortable draws a shape and raw bit patterns — every NaN
+// payload, denormal and infinity — and holds the statistics kernel and the
+// scaling kernel to the plain loops.
+func FuzzBatchStatsMatchPortable(f *testing.F) {
+	f.Add([]byte{3, 16, 25, 0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0xc0, 0x7f})
+	f.Add([]byte{1, 36, 9, 0xff, 0xff, 0x7f, 0x7f, 0x01, 0x00, 0x00, 0x80})
+	f.Add([]byte{8, 5, 70, 0x00, 0x00, 0x80, 0xff, 0x00, 0x00, 0x00, 0x3f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		n, c, plane := 1+int(data[0])%8, 1+int(data[1])%37, 1+int(data[2])%70
+		x := guardedT(t, rand.New(rand.NewSource(1)), 0, n, c, 1, plane)
+		bits := data[3:]
+		for i := range x.Data {
+			var u uint32
+			for sh := 0; sh < 32; sh += 8 {
+				u |= uint32(bits[(4*i+sh/8)%len(bits)]) << sh
+			}
+			x.Data[i] = math.Float32frombits(u)
+		}
+		for c0 := 0; c0 < c; c0 += statsWidth {
+			checkBatchStats(t, "fuzz", x, c0, min(statsWidth, c-c0))
+		}
+		checkScale(t, "fuzz", x.Data[:plane], x.Data[len(x.Data)-1])
+	})
+}
+
+// checkScale holds ScaleChannelsInPlace's vector pass, finished by the plain
+// loop, to the plain loop on a copy of row that ends at a guard page.
+func checkScale(tb testing.TB, name string, row []float32, g float32) {
+	tb.Helper()
+	buf := testutil.GuardedFloats(tb, canaries+len(row))
+	for i := range buf {
+		buf[i] = canary
+	}
+	got := buf[canaries:]
+	copy(got, row)
+	done := scaleVec(got, g)
+	if tensor.HasAVX2() && done != len(row)&^7 {
+		tb.Fatalf("%s: the vector pass scaled %d of %d elements", name, done, len(row))
+	}
+	want := append([]float32(nil), row...)
+	for i := range want {
+		want[i] *= g
+		if i >= done {
+			got[i] *= g
+		}
+	}
+	sameValues(tb, name, got, want)
+	for i, v := range buf[:canaries] {
+		if math.Float32bits(v) != math.Float32bits(canary) {
+			tb.Fatalf("%s: wrote %v %d elements before the row", name, v, canaries-i)
+		}
+	}
+}
+
+func TestScaleChannelsMatchesPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	for n := 1; n <= 70; n++ {
+		for _, every := range []int{0, 6} {
+			row := guardedT(t, rng, every, 1, 1, 1, n).Data
+			for _, g := range []float32{rng.Float32(), 0, float32(math.Inf(1)), float32(math.NaN())} {
+				checkScale(t, fmt.Sprintf("n=%d gate %v specials 1/%d", n, g, every), row, g)
+			}
+		}
+	}
+	// The layer itself against the training-mode op it stands in for.
+	x, s := randT(rng, 3, 5, 3, 7), randT(rng, 3, 5)
+	want := x.Clone()
+	for r, g := range s.Data {
+		for i := 0; i < 21; i++ {
+			want.Data[r*21+i] *= g
+		}
+	}
+	ScaleChannelsInPlace(x, s)
+	sameValues(t, "ScaleChannelsInPlace", x.Data, want.Data)
 }
 
 var (

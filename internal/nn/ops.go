@@ -337,6 +337,8 @@ func ScaleChannelsInPlace(x, s *tensor.Tensor) {
 	plane := x.Shape[2] * x.Shape[3]
 	for r, g := range s.Data {
 		row := x.Data[r*plane : (r+1)*plane]
+		// The vector kernel takes the whole registers, the loop the rest.
+		row = row[scaleVec(row, g):]
 		for i := range row {
 			row[i] *= g
 		}

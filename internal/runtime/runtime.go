@@ -513,9 +513,10 @@ func (r *Runtime) ExecBatchBudget(xs []*tensor.Tensor, d *env.Decision, budget t
 		batch = tensor.New(n, ch, res, res)
 		plane := ch * res * res
 		row := 0
+		var axes tensor.ResizeAxes // one table allocation for the batch
 		for _, x := range xs {
 			k := x.Shape[0]
-			tensor.BilinearResizeInto(tensor.FromSlice(batch.Data[row*plane:(row+k)*plane], k, ch, res, res), x)
+			tensor.BilinearResizeInto(tensor.FromSlice(batch.Data[row*plane:(row+k)*plane], k, ch, res, res), x, &axes)
 			row += k
 		}
 	}

@@ -2,14 +2,17 @@ package serve
 
 import (
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"murmuration/internal/fault"
+	"murmuration/internal/rl/env"
 	"murmuration/internal/rpcx"
 	"murmuration/internal/runtime"
 	"murmuration/internal/supernet"
+	"murmuration/internal/tensor"
 	"murmuration/internal/testutil"
 	"murmuration/internal/watchdog"
 )
@@ -179,6 +182,48 @@ func TestWorkerPanicRecovered(t *testing.T) {
 	}
 	if st.Failed != 1 || st.Served != 1 {
 		t.Fatalf("failed=%d served=%d, want 1/1: %+v", st.Failed, st.Served, st)
+	}
+}
+
+// TestKernelPanicFailsOneRequest: a panic inside a kernel — here the stem's
+// convolution indexing a weight cut short, on one of the goroutines the kernel
+// splits its work across — fails that request with a typed error, and the
+// gateway serves the next one. Before tensor.split carried a chunk's panic back
+// to its caller this ended the process.
+func TestKernelPanicFailsOneRequest(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	defer tensor.SetParallelism(tensor.Parallelism())
+	tensor.SetParallelism(4)
+
+	// The largest submodel: at 32 px its stem is enough work to be split.
+	a := supernet.TinyArch(4)
+	net := supernet.New(a, 504)
+	decider := runtime.DeciderFunc(func(env.Constraint) (*env.Decision, error) {
+		cfg := a.MaxConfig()
+		costs, _ := a.Costs(cfg)
+		return &env.Decision{Config: cfg, Placement: supernet.LocalPlacement(costs)}, nil
+	})
+	rt := runtime.New(runtime.NewScheduler(net, nil), decider, runtime.NewStrategyCache(32, 25, 5, 10), nil)
+	g := New(rt, Options{Workers: 1})
+	defer g.Close(time.Second)
+
+	stem := net.Params()[0].W
+	whole := stem.Data
+	stem.Data = whole[:1:1]
+	_, err := g.Submit(testInput(550), latSLO(5000))
+	stem.Data = whole
+	if fault.Of(err) != fault.Request || !strings.Contains(err.Error(), "tensor.split") {
+		t.Fatalf("request over a broken kernel: err = %v, want a panic-typed error raised from tensor.split", err)
+	}
+	out, err := g.Submit(testInput(551), latSLO(5000))
+	if err != nil {
+		t.Fatalf("gateway did not survive a kernel panic: %v", err)
+	}
+	if out.Logits == nil || out.Logits.Shape[1] != 4 {
+		t.Fatalf("bad logits after a kernel panic: %v", out.Logits)
+	}
+	if st := g.Stats(); st.Panics != 1 || st.Failed != 1 || st.Served != 1 {
+		t.Fatalf("panics=%d failed=%d served=%d, want 1/1/1: %+v", st.Panics, st.Failed, st.Served, st)
 	}
 }
 

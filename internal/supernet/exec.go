@@ -39,7 +39,7 @@ func (s *Supernet) ExecStem(x *tensor.Tensor) *tensor.Tensor {
 func (ws *Workspace) Stem(x *tensor.Tensor, res int) *tensor.Tensor {
 	if x.Shape[2] != res || x.Shape[3] != res {
 		img := ws.buf(roleImage, x.Shape[0], x.Shape[1], res, res)
-		tensor.BilinearResizeInto(img, x)
+		tensor.BilinearResizeInto(img, x, &ws.resize)
 		x = img
 	}
 	oh, ow := stemOutSize(x)

@@ -42,7 +42,64 @@ func goldenCases() []goldenCase {
 			goldenCase{fmt.Sprintf("tiny/max/n%d", batch), tiny, tiny.MaxConfig(), batch, 32},
 		)
 	}
-	return append(cases, goldenCase{"default/min-2x2-8bit/n1", def, tiled, 1, 224})
+	cases = append(cases, goldenCase{"default/min-2x2-8bit/n1", def, tiled, 1, 224})
+
+	// The cells the bench's workloads serve only when the host stalls and the
+	// degradation ladder descends: every batch the gateway can form, both input
+	// sizes of the tiny workloads, every rung. They reach 3×3 planes under 5×5
+	// kernels, channel counts 36 and 48, and batch-mates sharing statistics.
+	for _, base := range []struct {
+		kind string
+		cfg  *Config
+	}{{"min", tiny.MinConfig()}, {"max", tiny.MaxConfig()}} {
+		for _, side := range []int{24, 32} {
+			for batch := 1; batch <= 8; batch++ {
+				for rung := 0; rung <= 3; rung++ {
+					cases = append(cases, goldenCase{fmt.Sprintf("tiny/%s/in%d/n%d/rung%d", base.kind, side, batch, rung), tiny, ladderRung(tiny, base.cfg, rung), batch, side})
+				}
+			}
+		}
+	}
+	for rung := 1; rung <= 2; rung++ {
+		cases = append(cases, goldenCase{fmt.Sprintf("default/min/n1/rung%d", rung), def, ladderRung(def, def.MinConfig(), rung), 1, 224})
+	}
+	for rung := 1; rung <= 3; rung++ {
+		cases = append(cases, goldenCase{fmt.Sprintf("default/min-2x2-8bit/n1/rung%d", rung), def, ladderRung(def, tiled, rung), 1, 224})
+	}
+	return cases
+}
+
+// ladderRung is cfg as runtime.DegradeDecision degrades it (this package
+// cannot import runtime): resolution one step down from rung 1, every layer's
+// quantization one step coarser from rung 2, a 1×1 grid from rung 3; a step
+// already at the space's minimum is a no-op.
+func ladderRung(a *Arch, cfg *Config, rung int) *Config {
+	cfg = cfg.Clone()
+	if rung >= 1 {
+		res := cfg.Resolution
+		for _, r := range a.Resolutions {
+			if r < cfg.Resolution && (res == cfg.Resolution || r > res) {
+				res = r
+			}
+		}
+		cfg.Resolution = res
+	}
+	for i := range cfg.Layers {
+		l := &cfg.Layers[i]
+		if rung >= 2 {
+			q := l.Quant
+			for _, b := range a.QuantBits {
+				if b < l.Quant && (q == l.Quant || b > q) {
+					q = b
+				}
+			}
+			l.Quant = q
+		}
+		if rung >= 3 {
+			l.Partition = Partition{1, 1}
+		}
+	}
+	return cfg
 }
 
 // logitHash is FNV-64a over the IEEE-754 bits of the logits, in order.

@@ -3,6 +3,7 @@ package supernet
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"murmuration/internal/nn"
@@ -328,12 +329,22 @@ func TestQuantizedConfigExecutes(t *testing.T) {
 	}
 }
 
+// atBenchCPUs sets the kernels' worker count to the GOMAXPROCS the benchmark
+// runs at — go test's -cpu flag sets that per run, long after the tensor
+// package read it at init — and returns the call that restores it.
+func atBenchCPUs() (restore func()) {
+	old := tensor.Parallelism()
+	tensor.SetParallelism(runtime.GOMAXPROCS(0))
+	return func() { tensor.SetParallelism(old) }
+}
+
 func BenchmarkTinyForwardMaxConfig(b *testing.B) {
 	a := TinyArch(4)
 	s := New(a, 1)
 	rng := rand.New(rand.NewSource(1))
 	x := randInput(rng, 1, 3, 32, 32)
 	cfg := a.MaxConfig()
+	defer atBenchCPUs()()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -350,6 +361,7 @@ func BenchmarkDefaultMinForward(b *testing.B) {
 	s := New(a, 1)
 	x := randInput(rand.New(rand.NewSource(1)), 1, 3, 224, 224)
 	cfg := a.MinConfig()
+	defer atBenchCPUs()()
 	b.ReportAllocs()
 	unpoisoned(func() {
 		b.ResetTimer()

@@ -60,6 +60,8 @@ type Workspace struct {
 	// headers either.
 	view [numRoles]tensor.Tensor
 	outB bool // the next Out hands out roleOutB, not roleOutA
+	// resize holds the input resize's per-axis tables, rebuilt per call.
+	resize tensor.ResizeAxes
 }
 
 // AcquireWorkspace returns a workspace for one run on the calling goroutine:

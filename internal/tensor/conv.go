@@ -207,8 +207,13 @@ func planarCols(cols, x *Tensor, kh, kw, s, p int) {
 				case s == 1:
 					copy(row[oxLo:oxHi], src[oxLo-p+kx:])
 				default:
-					for ox := oxLo; ox < oxHi; ox++ {
-						row[ox] = src[ox*s-p+kx]
+					from := src[oxLo*s-p+kx:]
+					ox := oxLo
+					if s == 2 {
+						ox += stride2Vec(row[oxLo:oxHi], from)
+					}
+					for ; ox < oxHi; ox++ {
+						row[ox] = from[(ox-oxLo)*s]
 					}
 				}
 				clear(row[oxHi:])
@@ -424,8 +429,10 @@ func Conv2DNaive(x, weight, bias *Tensor, o ConvOpts) *Tensor {
 // fall inside the plane. Outputs whose every kx tap is inside — the interior,
 // and the middle of the rows above and below it — take a loop with no per-tap
 // bounds test (unrolled for 3×3) over the kernel rows that are inside; the
-// side columns and corners keep the tested loop. Same taps, same order, so
-// the split changes no bit.
+// side columns of the interior rows take the kernel columns that are inside,
+// eight rows at a time where there is a vector kernel for it; the corners, and
+// the side columns otherwise, keep the tested loop (dwBorder). Same taps, same
+// order, so the split changes no bit.
 func DepthwiseConv2D(x, weight, bias *Tensor, o ConvOpts) *Tensor {
 	kh, kw := weight.Shape[2], weight.Shape[3]
 	s := max(o.Stride, 1)
@@ -464,11 +471,16 @@ func DepthwiseConv2DInto(dst, x, weight, bias *Tensor, o ConvOpts) {
 			in := xd[r*h*w : (r+1)*h*w]
 			ker := wd[ch*kh*kw : (ch+1)*kh*kw]
 			out := od[r*oh*ow : (r+1)*oh*ow]
-			// The vector kernel takes the plane's whole interior in one call,
-			// or none of it.
+			// The vector kernels take the plane's whole interior in one call, or
+			// none of it, and likewise the side columns of the interior rows.
 			vec := oyLo < oyHi && dwInteriorVec(out[oyLo*ow+oxLo:], ow, in[(oyLo*s-p)*w+oxLo*s-p:], w,
 				oyHi-oyLo, oxHi-oxLo, ker, kh, kw, s, bv)
+			sides := oyLo < oyHi && dwSidesVec(out, ow, in, w, ker, kh, kw, s, p, oyLo, oyHi, oxLo, oxHi, bv)
 			for oy := 0; oy < oh; oy++ {
+				if vec && sides && oy == oyLo {
+					oy = oyHi - 1 // the interior rows are done
+					continue
+				}
 				row := out[oy*ow : (oy+1)*ow]
 				// Kernel rows [ky0, ky1) fall inside the plane: all of them on
 				// an interior row, fewer on the rows above and below, where the
@@ -481,8 +493,11 @@ func DepthwiseConv2DInto(dst, x, weight, bias *Tensor, o ConvOpts) {
 					dwBorder(row, 0, ow, in, h, w, ker, kh, kw, oy, s, p, bv)
 					continue
 				}
-				dwBorder(row, 0, oxLo, in, h, w, ker, kh, kw, oy, s, p, bv)
 				interior := oy >= oyLo && oy < oyHi
+				if !(sides && interior) {
+					dwBorder(row, 0, oxLo, in, h, w, ker, kh, kw, oy, s, p, bv)
+					dwBorder(row, oxHi, ow, in, h, w, ker, kh, kw, oy, s, p, bv)
+				}
 				if oxLo < oxHi && !(vec && interior) {
 					mid, taps, k := row[oxLo:oxHi], in[(iy0+ky0)*w+oxLo*s-p:], ker[ky0*kw:ky1*kw]
 					switch {
@@ -493,7 +508,6 @@ func DepthwiseConv2DInto(dst, x, weight, bias *Tensor, o ConvOpts) {
 						dwInterior(mid, taps, w, k, ky1-ky0, kw, s, bv)
 					}
 				}
-				dwBorder(row, oxHi, ow, in, h, w, ker, kh, kw, oy, s, p, bv)
 			}
 		}
 	})
@@ -571,18 +585,27 @@ func dwInterior3(row, in []float32, w int, ker []float32, s int, bv float32) {
 	}
 }
 
-// AvgPoolGlobal reduces (N,C,H,W) to (N,C) by averaging each channel plane.
+// AvgPoolGlobal reduces (N,C,H,W) to (N,C) by averaging each channel plane:
+// the plane's elements added first to last into one float32 sum from zero,
+// then one divide. A work item is eight planes, which the vector kernel sums
+// as eight lanes; the loop below finishes each plane's last elements, and does
+// every plane without AVX2.
 func AvgPoolGlobal(x *Tensor) *Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	out := New(n, c)
-	hw := float32(h * w)
-	parallelFor(n*c, func(rs, re int) {
-		for r := rs; r < re; r++ {
-			var s float32
-			for _, v := range x.Data[r*h*w : (r+1)*h*w] {
-				s += v
+	plane := h * w
+	hw := float32(plane)
+	ParallelByCost((n*c+7)/8, 8*plane, func(gs, ge int) {
+		for r0 := 8 * gs; r0 < min(8*ge, n*c); r0 += 8 {
+			sums := out.Data[r0:min(r0+8, n*c)]
+			done := sumRowsVec(sums, x.Data[r0*plane:], plane, plane)
+			for j := range sums {
+				s := sums[j]
+				for _, v := range x.Data[(r0+j)*plane+done : (r0+j+1)*plane] {
+					s += v
+				}
+				sums[j] = s / hw
 			}
-			out.Data[r] = s / hw
 		}
 	})
 	return out
@@ -701,13 +724,60 @@ func PasteSpatial(dst, tile *Tensor, y0, x0 int) {
 // interpolation; used for elastic input resolution.
 func BilinearResize(x *Tensor, outH, outW int) *Tensor {
 	out := New(x.Shape[0], x.Shape[1], outH, outW)
-	BilinearResizeInto(out, x)
+	BilinearResizeInto(out, x, nil)
 	return out
 }
 
+// ResizeAxes is the memory BilinearResizeInto keeps its per-axis sample tables
+// in: where along an axis each output position reads, which is the same for
+// every row of every channel. The zero value is ready to use; a caller that
+// resizes run after run keeps one (supernet.Workspace) and the tables are
+// rebuilt in place per call.
+type ResizeAxes struct {
+	idx  []int32
+	frac []float32
+}
+
+// resizeTaps is the table of one axis: output position o reads input
+// positions lo[o] and hi[o] and takes frac[o] of the way from the first to
+// the second.
+type resizeTaps struct {
+	lo, hi []int32
+	frac   []float32
+}
+
+// tables returns the column and row taps of a resize from (h, w) to
+// (outH, outW).
+func (a *ResizeAxes) tables(h, w, outH, outW int) (cols, rows resizeTaps) {
+	if n := outW + outH; cap(a.frac) < n {
+		a.idx, a.frac = make([]int32, 2*n), make([]float32, n)
+	}
+	cols = resizeTaps{a.idx[:outW], a.idx[outW:][:outW], a.frac[:outW]}
+	rows = resizeTaps{a.idx[2*outW:][:outH], a.idx[2*outW+outH:][:outH], a.frac[outW:][:outH]}
+	cols.fill(w)
+	rows.fill(h)
+	return cols, rows
+}
+
+// fill computes the taps of an axis of length in resized to len(t.frac):
+// output o samples at (o+½)·in/out − ½, clamped to the axis at both ends.
+func (t resizeTaps) fill(in int) {
+	scale := float32(in) / float32(len(t.frac))
+	for o := range t.frac {
+		f := (float32(o)+0.5)*scale - 0.5
+		i0 := int(f)
+		if f < 0 {
+			f, i0 = 0, 0
+		}
+		t.lo[o], t.hi[o], t.frac[o] = int32(i0), int32(min(i0+1, in-1)), f-float32(i0)
+	}
+}
+
 // BilinearResizeInto is BilinearResize to the spatial size of dst
-// (N,C,outH,outW); at x's own size it is a copy.
-func BilinearResizeInto(out, x *Tensor) {
+// (N,C,outH,outW); at x's own size it is a copy. Each output is
+// top + (bot−top)·wy with top and bot the two rows' v0 + (v1−v0)·wx. axes
+// holds the tables between calls; nil allocates them.
+func BilinearResizeInto(out, x *Tensor, axes *ResizeAxes) {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	outH, outW := out.Shape[2], out.Shape[3]
 	checkDst("BilinearResize", out, n, c, outH, outW)
@@ -715,43 +785,34 @@ func BilinearResizeInto(out, x *Tensor) {
 		copy(out.Data, x.Data)
 		return
 	}
-	sy := float32(h) / float32(outH)
-	sx := float32(w) / float32(outW)
+	if axes == nil {
+		axes = new(ResizeAxes)
+	}
+	cols, rows := axes.tables(h, w, outH, outW)
 	parallelFor(n*c, func(rs, re int) {
 		for r := rs; r < re; r++ {
 			src := x.Data[r*h*w : (r+1)*h*w]
 			dst := out.Data[r*outH*outW : (r+1)*outH*outW]
-			for oy := 0; oy < outH; oy++ {
-				fy := (float32(oy)+0.5)*sy - 0.5
-				y0 := int(fy)
-				if fy < 0 {
-					fy, y0 = 0, 0
-				}
-				y1 := y0 + 1
-				if y1 >= h {
-					y1 = h - 1
-				}
-				wy := fy - float32(y0)
-				for ox := 0; ox < outW; ox++ {
-					fx := (float32(ox)+0.5)*sx - 0.5
-					x0 := int(fx)
-					if fx < 0 {
-						fx, x0 = 0, 0
-					}
-					x1 := x0 + 1
-					if x1 >= w {
-						x1 = w - 1
-					}
-					wx := fx - float32(x0)
-					v00 := src[y0*w+x0]
-					v01 := src[y0*w+x1]
-					v10 := src[y1*w+x0]
-					v11 := src[y1*w+x1]
-					top := v00 + (v01-v00)*wx
-					bot := v10 + (v11-v10)*wx
-					dst[oy*outW+ox] = top + (bot-top)*wy
+			for oy, wy := range rows.frac {
+				row := dst[oy*outW:][:outW]
+				r0, r1 := src[int(rows.lo[oy])*w:][:w], src[int(rows.hi[oy])*w:][:w]
+				// The vector kernel takes a row of at least one register, whole.
+				if !resizeRowVec(row, r0, r1, cols, wy) {
+					resizeRow(row, r0, r1, cols, wy)
 				}
 			}
 		}
 	})
+}
+
+// resizeRow computes one output row from input rows r0 and r1.
+func resizeRow(dst, r0, r1 []float32, cols resizeTaps, wy float32) {
+	for ox, wx := range cols.frac {
+		lo, hi := cols.lo[ox], cols.hi[ox]
+		v00, v01 := r0[lo], r0[hi]
+		v10, v11 := r1[lo], r1[hi]
+		top := v00 + (v01-v00)*wx
+		bot := v10 + (v11-v10)*wx
+		dst[ox] = top + (bot-top)*wy
+	}
 }

@@ -596,3 +596,314 @@ fq8:
 	JNZ  fq8
 	VZEROUPPER
 	RET
+
+// The side-column kernel puts rows in the lanes. The few outputs at the left
+// and right ends of a depthwise row lose some kernel columns to the padding —
+// the same columns on every row — so down a column the outputs of eight rows
+// are eight independent sums over the same taps: acc = bias, then acc += x·k,
+// ky outer and kx inner over the kernel columns that are inside, a tap in the
+// padding skipped, never multiplied by a zero. For each kernel row the 8×8
+// block of the input that holds those taps — eight input rows a lane pitch
+// (stride·w) apart, eight columns at the plane's edge — is transposed in
+// registers and spilled, so that spilled row i is input column i down the
+// eight lanes, and every tap is one aligned-in-the-block load.
+
+// Y0–Y3 = columns 0|4, 1|5, 2|6, 3|7 of the four rows at base (pitch R9,
+// AX = 3·R9); Y4–Y7 scratch.
+#define QUADROWS(base) \
+	VMOVUPS (base), Y0        \
+	VMOVUPS (base)(R9*1), Y1  \
+	VMOVUPS (base)(R9*2), Y2  \
+	VMOVUPS (base)(AX*1), Y3  \
+	VUNPCKLPS Y1, Y0, Y4      \
+	VUNPCKHPS Y1, Y0, Y5      \
+	VUNPCKLPS Y3, Y2, Y6      \
+	VUNPCKHPS Y3, Y2, Y7      \
+	VUNPCKLPD Y6, Y4, Y0      \
+	VUNPCKHPD Y6, Y4, Y1      \
+	VUNPCKLPD Y7, Y5, Y2      \
+	VUNPCKHPD Y7, Y5, Y3
+
+// Y8–Y11 = the quad QUADROWS left, while it makes the other.
+#define SAVEQUADS \
+	VMOVAPS Y0, Y8  \
+	VMOVAPS Y1, Y9  \
+	VMOVAPS Y2, Y10 \
+	VMOVAPS Y3, Y11
+
+// One column of all eight rows from each half of the two quads, spilled at
+// byte offsets i and i4.
+#define SPILLCOLS(lo, hi, i, i4) \
+	VPERM2F128 $0x20, hi, lo, Y4 \
+	VPERM2F128 $0x31, hi, lo, Y5 \
+	VMOVUPS Y4, i(SP)            \
+	VMOVUPS Y5, i4(SP)
+
+// acc += x·k over one side column's taps in the current kernel row: desc
+// holds {output column, first block column, first kernel column, taps}.
+#define SIDETAPS(desc, acc, loop, done) \
+	MOVQ  desc+24(R10), CX   \
+	TESTQ CX, CX             \
+	JZ    done               \
+	MOVQ  desc+8(R10), AX    \
+	SHLQ  $5, AX             \
+	ADDQ  SP, AX             \
+	MOVQ  desc+16(R10), BX   \
+	LEAQ  (R12)(BX*4), BX    \
+loop:                        \
+	VBROADCASTSS (BX), Y5    \
+	VMOVUPS (AX), Y4         \
+	VMULPS Y5, Y4, Y4        \
+	VADDPS acc, Y4, acc      \
+	ADDQ  $32, AX            \
+	ADDQ  $4, BX             \
+	DECQ  CX                 \
+	JNZ   loop               \
+done:
+
+// The eight lanes of acc down output column desc[0], one row pitch (R8, AX =
+// 3·R8) apart.
+#define SCATTER(desc, acc, xacc) \
+	MOVQ desc(R10), BX              \
+	LEAQ (DI)(BX*4), BX             \
+	VEXTRACTF128 $1, acc, X4        \
+	VMOVSS xacc, (BX)               \
+	VEXTRACTPS $1, xacc, (BX)(R8*1) \
+	VEXTRACTPS $2, xacc, (BX)(R8*2) \
+	VEXTRACTPS $3, xacc, (BX)(AX*1) \
+	LEAQ (BX)(R8*4), BX             \
+	VMOVSS X4, (BX)                 \
+	VEXTRACTPS $1, X4, (BX)(R8*1)   \
+	VEXTRACTPS $2, X4, (BX)(R8*2)   \
+	VEXTRACTPS $3, X4, (BX)(AX*1)
+
+// func dwSidesAVX2(dst *float32, dstStride int, in *float32, lanePitch, rowPitch int, ker *float32, kh, kw int, cols *[3][4]int, ncols int, bias float32)
+//
+// Eight output rows of up to three side columns of one plane. dst is the
+// first of the rows (column 0), in the block's top-left element for kernel
+// row 0: lane j reads input rows in+j·lanePitch+ky·rowPitch.
+TEXT ·dwSidesAVX2(SB), NOSPLIT, $256-84
+	MOVQ dst+0(FP), DI
+	MOVQ dstStride+8(FP), R8
+	SHLQ $2, R8
+	MOVQ in+16(FP), SI
+	MOVQ lanePitch+24(FP), R9
+	SHLQ $2, R9
+	MOVQ rowPitch+32(FP), R11
+	SHLQ $2, R11
+	MOVQ ker+40(FP), R12
+	MOVQ kh+48(FP), R13
+	MOVQ cols+64(FP), R10
+	MOVQ ncols+72(FP), DX
+	VBROADCASTSS bias+80(FP), Y12
+	VMOVAPS Y12, Y13
+	VMOVAPS Y12, Y14
+sideky:
+	LEAQ (R9)(R9*2), AX
+	LEAQ (SI)(R9*4), BX
+	QUADROWS(BX)
+	SAVEQUADS
+	QUADROWS(SI)
+	SPILLCOLS(Y0, Y8, 0, 128)
+	SPILLCOLS(Y1, Y9, 32, 160)
+	SPILLCOLS(Y2, Y10, 64, 192)
+	SPILLCOLS(Y3, Y11, 96, 224)
+	SIDETAPS(0, Y12, side0, side0done)
+	CMPQ DX, $2
+	JLT  sidenext
+	SIDETAPS(32, Y13, side1, side1done)
+	CMPQ DX, $3
+	JLT  sidenext
+	SIDETAPS(64, Y14, side2, side2done)
+sidenext:
+	ADDQ R11, SI
+	MOVQ kw+56(FP), CX
+	LEAQ (R12)(CX*4), R12
+	DECQ R13
+	JNZ  sideky
+	LEAQ (R8)(R8*2), AX
+	SCATTER(0, Y12, X12)
+	CMPQ DX, $2
+	JLT  sidesdone
+	SCATTER(32, Y13, X13)
+	CMPQ DX, $3
+	JLT  sidesdone
+	SCATTER(64, Y14, X14)
+sidesdone:
+	VZEROUPPER
+	RET
+
+// The row-reduction kernels put rows in the lanes: eight dot products against
+// one vector (MatMulTransB: eight rows of the weight, eight output columns) or
+// eight plane sums (AvgPoolGlobal: eight channels) advance together, each lane
+// receiving its row's terms one at a time, first to last, in one float32
+// accumulator that starts at zero. The rows lie along memory, so each step
+// loads an 8×8 block — eight rows, eight consecutive terms — and transposes it
+// (QUADROWS twice, then VPERM2F128 pairs the halves): vector q is term q of the
+// eight rows. No transposed copy of a weight is kept anywhere.
+
+// acc += a[off]·(term of the eight rows), the term picked from quads lo and
+// hi by sel: $0x20 for terms 0–3, $0x31 for terms 4–7.
+#define DOTTERM(sel, lo, hi, off, acc) \
+	VPERM2F128 sel, hi, lo, Y4   \
+	VBROADCASTSS off(R10), Y5    \
+	VMULPS Y4, Y5, Y5            \
+	VADDPS acc, Y5, acc
+
+// One 8×8 block of the rows at base against a[0:8] (R10).
+#define DOTBLOCK(base, acc) \
+	LEAQ (base)(R9*4), BX            \
+	QUADROWS(BX)                     \
+	SAVEQUADS                        \
+	QUADROWS(base)                   \
+	DOTTERM($0x20, Y0, Y8, 0, acc)   \
+	DOTTERM($0x20, Y1, Y9, 4, acc)   \
+	DOTTERM($0x20, Y2, Y10, 8, acc)  \
+	DOTTERM($0x20, Y3, Y11, 12, acc) \
+	DOTTERM($0x31, Y0, Y8, 16, acc)  \
+	DOTTERM($0x31, Y1, Y9, 20, acc)  \
+	DOTTERM($0x31, Y2, Y10, 24, acc) \
+	DOTTERM($0x31, Y3, Y11, 28, acc) \
+	ADDQ $32, base
+
+// func dotRowsAVX2(c, a *float32, blocks int, b *float32, bstride, chains int)
+//
+// c[j] = Σ_p a[p]·b[j·bstride+p] over p in [0, 8·blocks), p ascending from a
+// zero accumulator, for j in [0, 8·chains), chains 1 or 2: two blocks of eight
+// rows are two independent chains whose adds overlap. blocks ≥ 1.
+TEXT ·dotRowsAVX2(SB), NOSPLIT, $0-48
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), R10
+	MOVQ blocks+16(FP), CX
+	MOVQ b+24(FP), SI
+	MOVQ bstride+32(FP), R9
+	SHLQ $2, R9
+	MOVQ chains+40(FP), DX
+	LEAQ (R9)(R9*2), AX
+	LEAQ (SI)(R9*8), R11
+	VXORPS Y12, Y12, Y12
+	VXORPS Y13, Y13, Y13
+dotblock:
+	DOTBLOCK(SI, Y12)
+	CMPQ DX, $2
+	JLT  dotnext
+	DOTBLOCK(R11, Y13)
+dotnext:
+	ADDQ $32, R10
+	DECQ CX
+	JNZ  dotblock
+	VMOVUPS Y12, (DI)
+	CMPQ DX, $2
+	JLT  dotdone
+	VMOVUPS Y13, 32(DI)
+dotdone:
+	VZEROUPPER
+	RET
+
+#define SUMTERM(sel, lo, hi) \
+	VPERM2F128 sel, hi, lo, Y4 \
+	VADDPS Y4, Y12, Y12
+
+// func sumRowsAVX2(dst, x *float32, stride, blocks int)
+//
+// dst[j] = Σ_i x[j·stride+i] over i in [0, 8·blocks), i ascending from zero,
+// for j in [0, 8). blocks ≥ 1.
+TEXT ·sumRowsAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ stride+16(FP), R9
+	SHLQ $2, R9
+	MOVQ blocks+24(FP), CX
+	LEAQ (R9)(R9*2), AX
+	VXORPS Y12, Y12, Y12
+sumrows:
+	LEAQ (SI)(R9*4), BX
+	QUADROWS(BX)
+	SAVEQUADS
+	QUADROWS(SI)
+	SUMTERM($0x20, Y0, Y8)
+	SUMTERM($0x20, Y1, Y9)
+	SUMTERM($0x20, Y2, Y10)
+	SUMTERM($0x20, Y3, Y11)
+	SUMTERM($0x31, Y0, Y8)
+	SUMTERM($0x31, Y1, Y9)
+	SUMTERM($0x31, Y2, Y10)
+	SUMTERM($0x31, Y3, Y11)
+	ADDQ $32, SI
+	DECQ CX
+	JNZ  sumrows
+	VMOVUPS Y12, (DI)
+	VZEROUPPER
+	RET
+
+// func resizeRowAVX2(dst *float32, n int, r0, r1 *float32, lo, hi *int32, frac *float32, wy float32)
+//
+// One output row of BilinearResizeInto, eight adjacent outputs per register:
+// dst[i] = top + (bot−top)·wy with top = r0[lo[i]] + (r0[hi[i]]−r0[lo[i]])·
+// frac[i] and bot the same on r1 — the scalar loop's operations in its order,
+// the four samples gathered. n ≥ 8; the last n%8 outputs are one more register
+// that ends at the row's end. A gather clears its mask, so each gets a fresh
+// one; every index is inside its row.
+TEXT ·resizeRowAVX2(SB), NOSPLIT, $0-60
+	MOVQ dst+0(FP), DI
+	MOVQ n+8(FP), CX
+	MOVQ r0+16(FP), R8
+	MOVQ r1+24(FP), R9
+	MOVQ lo+32(FP), R10
+	MOVQ hi+40(FP), R11
+	MOVQ frac+48(FP), R12
+	VBROADCASTSS wy+56(FP), Y15
+	XORQ BX, BX
+resize8:
+	LEAQ 8(BX), AX
+	CMPQ AX, CX
+	JLE  resizevec
+	LEAQ -8(CX), BX
+resizevec:
+	VMOVDQU (R10)(BX*4), Y8
+	VMOVDQU (R11)(BX*4), Y9
+	VMOVUPS (R12)(BX*4), Y10
+	VPCMPEQD Y4, Y4, Y4
+	VGATHERDPS Y4, (R8)(Y8*4), Y0
+	VPCMPEQD Y5, Y5, Y5
+	VGATHERDPS Y5, (R8)(Y9*4), Y1
+	VPCMPEQD Y6, Y6, Y6
+	VGATHERDPS Y6, (R9)(Y8*4), Y2
+	VPCMPEQD Y7, Y7, Y7
+	VGATHERDPS Y7, (R9)(Y9*4), Y3
+	VSUBPS Y0, Y1, Y1
+	VMULPS Y10, Y1, Y1
+	VADDPS Y1, Y0, Y0
+	VSUBPS Y2, Y3, Y3
+	VMULPS Y10, Y3, Y3
+	VADDPS Y3, Y2, Y2
+	VSUBPS Y0, Y2, Y2
+	VMULPS Y15, Y2, Y2
+	VADDPS Y2, Y0, Y0
+	VMOVUPS Y0, (DI)(BX*4)
+	ADDQ $8, BX
+	CMPQ BX, CX
+	JLT  resize8
+	VZEROUPPER
+	RET
+
+// func stride2AVX2(dst, src *float32, n int)
+//
+// dst[i] = src[2i] for i in [0, n), n a positive multiple of 8: the even
+// elements of two loads, put back in order as in the stride-2 depthwise
+// kernel. It reads src[0:2n], one element past the last it keeps.
+TEXT ·stride2AVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+stride2:
+	VMOVUPS (SI), Y0
+	VSHUFPS $0x88, 32(SI), Y0, Y0
+	VPERMPD $0xD8, Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ $64, SI
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JNZ  stride2
+	VZEROUPPER
+	RET

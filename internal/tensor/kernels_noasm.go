@@ -16,6 +16,18 @@ func dwInteriorVec(dst []float32, ow int, in []float32, w, rows, cols int, ker [
 	return false
 }
 
+func dwSidesVec(out []float32, ow int, in []float32, w int, ker []float32, kh, kw, s, p, oyLo, oyHi, oxLo, oxHi int, bv float32) bool {
+	return false
+}
+
+func dotRowsVec(c, a, b []float32, bstride int) (cols, terms int) { return 0, 0 }
+
+func sumRowsVec(dst, x []float32, stride, n int) int { return 0 }
+
+func resizeRowVec(dst, r0, r1 []float32, cols resizeTaps, wy float32) bool { return false }
+
+func stride2Vec(dst, src []float32) int { return 0 }
+
 func maxAbsVec(x []float32) (m float32, n int) { return 0, 0 }
 
 func fakeQuantVec(dst, src []float32, inv, scale float32, bits Bitwidth) int { return 0 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"murmuration/internal/testutil"
@@ -92,6 +93,21 @@ func matMulTransBRef(a, b *Tensor) *Tensor {
 		}
 	}
 	return c
+}
+
+// avgPoolRef is one float32 chain per plane, first element to last, then one
+// divide.
+func avgPoolRef(x *Tensor) *Tensor {
+	plane := x.Shape[2] * x.Shape[3]
+	out := New(x.Shape[0], x.Shape[1])
+	for r := range out.Data {
+		var s float32
+		for _, v := range x.Data[r*plane : (r+1)*plane] {
+			s += v
+		}
+		out.Data[r] = s / float32(plane)
+	}
+	return out
 }
 
 // sameBits reports the first element whose bit pattern differs.
@@ -204,7 +220,7 @@ func TestMatMulTransBBitExact(t *testing.T) {
 		rng := rand.New(rand.NewSource(33))
 		// {m, k, n}: n%4 ≠ 0 tails, a single row of a (the classifier and SE
 		// shape, split by column), and enough work for four workers to split.
-		for _, d := range [][3]int{{1, 1, 1}, {1, 7, 3}, {3, 27, 16}, {2, 5, 9}, {70, 13, 6}, {3, 40, 10}, {1, 960, 7}, {1, 96, 401}} {
+		for _, d := range [][3]int{{1, 1, 1}, {1, 7, 3}, {3, 27, 16}, {2, 5, 9}, {70, 13, 6}, {3, 40, 10}, {1, 960, 7}, {1, 96, 401}, {8, 36, 12}, {5, 12, 48}, {1, 61, 37}, {2, 8, 8}} {
 			a := randTensor(rng, d[0], d[1])
 			b := randTensor(rng, d[2], d[1])
 			sameBits(t, fmt.Sprint(d), MatMulTransB(a, b), matMulTransBRef(a, b))
@@ -216,6 +232,22 @@ func TestMatMulTransBBitExact(t *testing.T) {
 				copy(view.Data[j*d[1]:(j+1)*d[1]], full.Data[j*(d[1]+5):])
 			}
 			sameBits(t, fmt.Sprint("view ", d), MatMulTransBView(a, full, d[2]), matMulTransBRef(a, view))
+		}
+	})
+}
+
+func TestAvgPoolAndResizeBitExact(t *testing.T) {
+	atParallelism(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(34))
+		// Planes of 1…70 elements, plane counts that are not multiples of
+		// eight, batches 1…8, and enough planes that four workers split.
+		for _, d := range [][4]int{{1, 1, 1, 1}, {1, 3, 1, 7}, {2, 5, 3, 3}, {8, 36, 3, 3}, {3, 37, 5, 5}, {1, 48, 6, 6}, {1, 13, 7, 10}, {5, 16, 8, 8}, {1, 960, 5, 5}} {
+			x := randTensor(rng, d[0], d[1], d[2], d[3])
+			sameBits(t, fmt.Sprint("AvgPoolGlobal ", d), AvgPoolGlobal(x), avgPoolRef(x))
+		}
+		for _, d := range []struct{ n, c, h, w, oh, ow int }{{1, 3, 224, 224, 160, 160}, {8, 3, 24, 24, 32, 32}, {3, 3, 32, 32, 24, 24}, {1, 1, 5, 9, 7, 3}, {2, 70, 4, 4, 9, 9}, {1, 2, 3, 2, 1, 1}} {
+			x := randTensor(rng, d.n, d.c, d.h, d.w)
+			sameBits(t, fmt.Sprintf("BilinearResize %+v", d), BilinearResize(x, d.oh, d.ow), bilinearRef(x, d.oh, d.ow))
 		}
 	})
 }
@@ -423,6 +455,221 @@ func TestDepthwiseInteriorMatchesPortable(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// checkDepthwiseSides runs the side-column kernel on one h×w plane and
+// compares the side columns of every interior row with dwBorder; everything
+// else in the destination must be left alone.
+func checkDepthwiseSides(tb testing.TB, name string, in []float32, h, w int, ker []float32, k, s int, bv float32) {
+	tb.Helper()
+	p := k / 2
+	oh, ow := ConvOutSize(h, k, s, p), ConvOutSize(w, k, s, p)
+	oyLo, oyHi := interiorRange(h, k, s, p, oh)
+	oxLo, oxHi := interiorRange(w, k, s, p, ow)
+	if oyLo >= oyHi || oxLo >= oxHi {
+		return
+	}
+	buf, got := dest(oh * ow)
+	if !dwSidesVec(got, ow, in, w, ker, k, k, s, p, oyLo, oyHi, oxLo, oxHi, bv) {
+		if HasAVX2() && oyHi-oyLo >= 8 && w >= 8 {
+			tb.Fatalf("%s: the side kernel declined %d interior rows of a %d-wide plane", name, oyHi-oyLo, w)
+		}
+		return
+	}
+	want := make([]float32, ow)
+	for oy := 0; oy < oh; oy++ {
+		row := got[oy*ow : (oy+1)*ow]
+		interior := oy >= oyLo && oy < oyHi
+		for ox, v := range row {
+			if side := interior && (ox < oxLo || ox >= oxHi); !side && !isCanary(v) {
+				tb.Fatalf("%s: wrote %v at (%d,%d), not a side column [0,%d) or [%d,%d) of rows [%d,%d)", name, v, oy, ox, oxLo, oxHi, ow, oyLo, oyHi)
+			}
+		}
+		if !interior {
+			continue
+		}
+		dwBorder(want, 0, oxLo, in, h, w, ker, k, k, oy, s, p, bv)
+		dwBorder(want, oxHi, ow, in, h, w, ker, k, k, oy, s, p, bv)
+		sameSlice(tb, fmt.Sprintf("%s row %d left", name, oy), row[:oxLo], want[:oxLo])
+		sameSlice(tb, fmt.Sprintf("%s row %d right", name, oy), row[oxHi:], want[oxHi:])
+	}
+	checkCanaries(tb, name, buf)
+}
+
+func TestDepthwiseSidesMatchPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	// Interior rows from 7 (declined) through 8, 9 and 15–17 (the last eight
+	// overlap the ones before) to 40; widths from one block (left and right
+	// blocks the same eight columns) upward, odd and even.
+	planes := []struct{ h, w int }{{9, 8}, {10, 10}, {11, 9}, {12, 24}, {14, 8}, {17, 11}, {19, 33}, {25, 12}, {36, 17}, {40, 40}, {20, 70}}
+	for _, every := range []int{0, 13} {
+		for _, pl := range planes {
+			for _, k := range []int{3, 5, 7} {
+				for _, s := range []int{1, 2} {
+					in := source(t, rng, pl.h*pl.w, every)
+					ker := source(t, rng, k*k, 4*every)
+					for _, bv := range []float32{0, rng.Float32()} {
+						checkDepthwiseSides(t, fmt.Sprintf("%dx%d k=%d s=%d bias=%v specials 1/%d", pl.h, pl.w, k, s, bv, every),
+							in, pl.h, pl.w, ker, k, s, bv)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkDotRows runs the dot-product kernel for cols rows of b (bstride apart)
+// against a and holds it, carried to the end by dotRows, to dotRows alone.
+func checkDotRows(tb testing.TB, name string, a, b []float32, bstride, cols int) {
+	tb.Helper()
+	buf, got := dest(cols)
+	clear(got) // MatMulTransB's sums start in a fresh tensor
+	done, terms := dotRowsVec(got, a, b, bstride)
+	if HasAVX2() && cols >= 8 && len(a) >= 8 && (done != min(cols&^7, 16) || terms != len(a)&^7) {
+		tb.Fatalf("%s: the kernel took %d columns and %d terms of %d and %d", name, done, terms, cols, len(a))
+	}
+	dotRows(got[:done], a, b, bstride, terms)
+	if done < cols {
+		dotRows(got[done:], a, b[done*bstride:], bstride, 0)
+	}
+	want := make([]float32, cols)
+	dotRows(want, a, b, bstride, 0)
+	sameSlice(tb, name, got, want)
+	checkCanaries(tb, name, buf)
+}
+
+// checkSumRows holds the row-sum kernel, finished by the plain loop, to the
+// plain loop over eight rows of n elements, stride apart.
+func checkSumRows(tb testing.TB, name string, x []float32, stride, n int) {
+	tb.Helper()
+	buf, got := dest(8)
+	clear(got)
+	done := sumRowsVec(got, x, stride, n)
+	if HasAVX2() && done != n&^7 {
+		tb.Fatalf("%s: the kernel summed %d of %d elements", name, done, n)
+	}
+	want := make([]float32, 8)
+	for j := range want {
+		for _, v := range x[j*stride+done:][:n-done] {
+			got[j] += v
+		}
+		for _, v := range x[j*stride:][:n] {
+			want[j] += v
+		}
+	}
+	sameSlice(tb, name, got, want)
+	checkCanaries(tb, name, buf)
+}
+
+func TestRowReductionsMatchPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	for _, every := range []int{0, 9} {
+		for k := 1; k <= 70; k += 1 + k/12 {
+			for _, pad := range []int{0, 5} { // a weight row wider than k
+				bstride := k + pad
+				for _, cols := range []int{1, 3, 7, 8, 9, 15, 16, 17, 23, 37} {
+					// b ends with its last row's k-th element, not with a
+					// whole stride: the view of a wider weight's last rows.
+					b := source(t, rng, (cols-1)*bstride+k, every)
+					a := source(t, rng, k, 2*every)
+					checkDotRows(t, fmt.Sprintf("k=%d stride=%d cols=%d specials 1/%d", k, bstride, cols, every), a, b, bstride, cols)
+				}
+				x := source(t, rng, 7*bstride+k, every)
+				checkSumRows(t, fmt.Sprintf("n=%d stride=%d specials 1/%d", k, bstride, every), x, bstride, k)
+			}
+		}
+	}
+}
+
+// bilinearRef is BilinearResize as it stood before the per-axis tables: every
+// index and weight worked out again at every pixel.
+func bilinearRef(x *Tensor, outH, outW int) *Tensor {
+	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	out := New(n, c, outH, outW)
+	sy, sx := float32(h)/float32(outH), float32(w)/float32(outW)
+	for r := 0; r < n*c; r++ {
+		src, dst := x.Data[r*h*w:][:h*w], out.Data[r*outH*outW:][:outH*outW]
+		for oy := 0; oy < outH; oy++ {
+			fy := (float32(oy)+0.5)*sy - 0.5
+			y0 := int(fy)
+			if fy < 0 {
+				fy, y0 = 0, 0
+			}
+			y1 := min(y0+1, h-1)
+			wy := fy - float32(y0)
+			for ox := 0; ox < outW; ox++ {
+				fx := (float32(ox)+0.5)*sx - 0.5
+				x0 := int(fx)
+				if fx < 0 {
+					fx, x0 = 0, 0
+				}
+				x1 := min(x0+1, w-1)
+				wx := fx - float32(x0)
+				v00, v01, v10, v11 := src[y0*w+x0], src[y0*w+x1], src[y1*w+x0], src[y1*w+x1]
+				top := v00 + (v01-v00)*wx
+				bot := v10 + (v11-v10)*wx
+				dst[oy*outW+ox] = top + (bot-top)*wy
+			}
+		}
+	}
+	return out
+}
+
+// checkResizeRow holds the gathering row kernel to resizeRow on one pair of
+// input rows resized to outW.
+func checkResizeRow(tb testing.TB, name string, r0, r1 []float32, outW int, wy float32) {
+	tb.Helper()
+	var axes ResizeAxes
+	cols, _ := axes.tables(1, len(r0), 1, outW)
+	buf, got := dest(outW)
+	if !resizeRowVec(got, r0, r1, cols, wy) {
+		if HasAVX2() && outW >= 8 {
+			tb.Fatalf("%s: the row kernel declined %d outputs", name, outW)
+		}
+		return
+	}
+	want := make([]float32, outW)
+	resizeRow(want, r0, r1, cols, wy)
+	sameSlice(tb, name, got, want)
+	checkCanaries(tb, name, buf)
+}
+
+// checkStride2 holds the de-interleaving copy, finished by the plain loop, to
+// the plain loop; src ends with the last element kept.
+func checkStride2(tb testing.TB, name string, src []float32) {
+	tb.Helper()
+	n := (len(src) + 1) / 2
+	buf, got := dest(n)
+	done := stride2Vec(got, src)
+	if HasAVX2() && done != (n-1)&^7 {
+		tb.Fatalf("%s: the kernel copied %d of %d elements", name, done, n)
+	}
+	want := make([]float32, n)
+	for i := range want {
+		want[i] = src[2*i]
+		if i >= done {
+			got[i] = src[2*i]
+		}
+	}
+	sameSlice(tb, name, got, want)
+	checkCanaries(tb, name, buf)
+}
+
+func TestResizeAndStrideKernelsMatchPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	for _, every := range []int{0, 7} {
+		for _, w := range []int{1, 2, 5, 8, 24, 32, 33, 70} {
+			for _, outW := range []int{1, 7, 8, 9, 15, 16, 17, 24, 32, 40, 70} {
+				r0, r1 := source(t, rng, w, every), source(t, rng, w, every)
+				for _, wy := range []float32{0, 0.25, rng.Float32()} {
+					checkResizeRow(t, fmt.Sprintf("%d->%d wy=%v specials 1/%d", w, outW, wy, every), r0, r1, outW, wy)
+				}
+			}
+		}
+		for n := 1; n <= 70; n++ {
+			checkStride2(t, fmt.Sprintf("n=%d specials 1/%d", n, every), source(t, rng, 2*n-1, every))
 		}
 	}
 }
@@ -642,7 +889,7 @@ func TestKernelsCarrySpecialValues(t *testing.T) {
 					}
 				}
 			}
-			for _, pl := range []struct{ n, c, h, w int }{{1, 3, 2, 2}, {1, 2, 9, 10}, {3, 5, 12, 19}, {1, 70, 10, 24}} {
+			for _, pl := range []struct{ n, c, h, w int }{{1, 3, 2, 2}, {1, 2, 9, 10}, {3, 5, 12, 19}, {1, 70, 10, 24}, {2, 3, 3, 3}, {1, 2, 17, 8}, {2, 2, 24, 9}} {
 				x := FromSlice(source(t, rng, pl.n*pl.c*pl.h*pl.w, every), pl.n, pl.c, pl.h, pl.w)
 				for _, k := range []int{3, 5, 7} {
 					wt := FromSlice(source(t, rng, pl.c*k*k, 2*every), pl.c, 1, k, k)
@@ -678,11 +925,29 @@ func TestKernelsCarrySpecialValues(t *testing.T) {
 					}
 				}
 			}
+			// The row reductions: the classifier and SE products against a
+			// view of a wider, taller weight, and the plane averages.
+			for _, d := range [][3]int{{1, 7, 3}, {2, 36, 9}, {3, 48, 37}, {1, 61, 16}, {8, 12, 4}} {
+				a := FromSlice(source(t, rng, d[0]*d[1], every), d[0], d[1])
+				full := FromSlice(source(t, rng, (d[2]+2)*(d[1]+5), 2*every), d[2]+2, d[1]+5)
+				view := New(d[2], d[1])
+				for j := 0; j < d[2]; j++ {
+					copy(view.Data[j*d[1]:(j+1)*d[1]], full.Data[j*(d[1]+5):])
+				}
+				sameSlice(t, fmt.Sprintf("MatMulTransBView %v specials 1/%d", d, every), MatMulTransBView(a, full, d[2]).Data, matMulTransBRef(a, view).Data)
+			}
+			for _, d := range [][4]int{{1, 3, 1, 1}, {2, 5, 3, 3}, {3, 36, 3, 3}, {1, 37, 5, 7}, {8, 12, 6, 6}, {1, 70, 10, 24}} {
+				x := FromSlice(source(t, rng, d[0]*d[1]*d[2]*d[3], every), d[0], d[1], d[2], d[3])
+				sameSlice(t, fmt.Sprintf("AvgPoolGlobal %v specials 1/%d", d, every), AvgPoolGlobal(x).Data, avgPoolRef(x).Data)
+			}
 			// The copies and the elementwise passes.
-			for _, d := range []struct{ n, c, h, w, oh, ow int }{{1, 3, 9, 11, 5, 7}, {2, 1, 6, 6, 6, 6}, {1, 2, 7, 5, 16, 12}} {
+			for _, d := range []struct{ n, c, h, w, oh, ow int }{{1, 3, 9, 11, 5, 7}, {2, 1, 6, 6, 6, 6}, {1, 2, 7, 5, 16, 12}, {8, 3, 24, 24, 32, 32}, {2, 3, 32, 32, 24, 24}, {1, 1, 1, 1, 9, 9}, {1, 2, 33, 70, 21, 37}} {
 				x := FromSlice(source(t, rng, d.n*d.c*d.h*d.w, every), d.n, d.c, d.h, d.w)
 				name := fmt.Sprintf("BilinearResize %+v specials 1/%d", d, every)
-				sameInto(t, name, BilinearResize(x, d.oh, d.ow), func(dst *Tensor) { BilinearResizeInto(dst, x) })
+				if d.oh != d.h || d.ow != d.w { // at x's own size it is a copy
+					sameSlice(t, name, BilinearResize(x, d.oh, d.ow).Data, bilinearRef(x, d.oh, d.ow).Data)
+				}
+				sameInto(t, name, BilinearResize(x, d.oh, d.ow), func(dst *Tensor) { BilinearResizeInto(dst, x, nil) })
 				for _, bits := range []Bitwidth{Bits8, Bits16, Bits32} {
 					name := fmt.Sprintf("FakeQuantize %+v at %d bits specials 1/%d", d, bits, every)
 					sameInto(t, name, FakeQuantize(x, bits), func(dst *Tensor) { FakeQuantizeInto(dst, x, bits) })
@@ -705,11 +970,21 @@ func FuzzKernelsMatchPortable(f *testing.F) {
 	f.Add([]byte{2, 40, 0, 0, 0x00, 0x00, 0x80, 0xff, 0xab, 0xcd, 0xef, 0x7f})
 	f.Add([]byte{3, 33, 8, 0, 0x00, 0x00, 0xfe, 0x42, 0x00, 0x00, 0x00, 0x3f})
 	f.Add([]byte{4, 12, 6, 4, 0x00, 0x00, 0x80, 0x7f, 0x00, 0x00, 0x00, 0x80, 0x00, 0x00, 0x80, 0x3f})
+	f.Add([]byte{5, 20, 11, 4, 0x00, 0x00, 0x80, 0x7f, 0x00, 0x00, 0x00, 0x80, 0x00, 0x00, 0x80, 0x3f})
+	f.Add([]byte{6, 36, 9, 2, 0x00, 0x00, 0xc0, 0x7f, 0x00, 0x00, 0x80, 0x3f, 0x01, 0x00, 0x00, 0x00})
+	f.Add([]byte{7, 25, 3, 0, 0xff, 0xff, 0x7f, 0x7f, 0x00, 0x00, 0x80, 0xff})
+	f.Add([]byte{8, 24, 32, 1, 0x00, 0x00, 0x80, 0x7f, 0x00, 0x00, 0x00, 0x3f})
+	f.Add([]byte{9, 17, 0, 0, 0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0xc0, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
 		}
-		kernel, a, b, c := int(data[0]%5), int(data[1]), int(data[2]), int(data[3])
+		// Ten kernels, 0–4 at the numbers they had when there were five (so
+		// the corpus keeps its meaning), 5–9 drawn twice as often.
+		kernel, a, b, c := int(data[0])%15, int(data[1]), int(data[2]), int(data[3])
+		if kernel >= 10 {
+			kernel -= 5
+		}
 		bits := data[4:]
 		next := 0
 		// fill draws n values from the input's bit patterns, round and round.
@@ -759,6 +1034,21 @@ func FuzzKernelsMatchPortable(f *testing.F) {
 				_, cols := intoDest(1, ch*k*k, dst.Shape[2], dst.Shape[3])
 				Conv2DInto(dst, cols, x, wt, bias, o)
 			})
+		case 5:
+			k, s := 3+2*(c%3), 1+c/3%2
+			h, w := k+b%40, k+a%40
+			checkDepthwiseSides(t, "fuzz", fill(h*w), h, w, fill(k*k), k, s, fill(1)[0])
+		case 6:
+			k, cols, pad := 1+a%70, 1+b%37, c%7
+			checkDotRows(t, "fuzz", fill(k), fill((cols-1)*(k+pad)+k), k+pad, cols)
+		case 7:
+			n, pad := 1+a%70, c%7
+			checkSumRows(t, "fuzz", fill(7*(n+pad)+n), n+pad, n)
+		case 8:
+			w, outW := 1+a%70, 1+b%70
+			checkResizeRow(t, "fuzz", fill(w), fill(w), outW, fill(1)[0])
+		case 9:
+			checkStride2(t, "fuzz", fill(1+2*(a%70)))
 		}
 	})
 }
@@ -769,6 +1059,9 @@ func FuzzKernelsMatchPortable(f *testing.F) {
 // assembly and its fallback is one command.
 
 func benchKernel(b *testing.B, flops float64, f func()) {
+	// go test's -cpu sets GOMAXPROCS per run; the worker count was read at init.
+	defer SetParallelism(Parallelism())
+	SetParallelism(runtime.GOMAXPROCS(0))
 	run := func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -72,46 +72,59 @@ func MatMulTransBView(a, b *Tensor, n int) *Tensor {
 
 // matMulTransB computes c[i,j] = Σ_p a[i,p]·bd[j·bstride+p], p ascending from
 // zero in one accumulator per element. A work item is one row of a against
-// four rows of b: the four dot products share each load of a and advance as
-// independent dependency chains, which is what the single latency-bound chain
-// of the plain loop lacked. Splitting by output column as well as row keeps
-// every worker busy when a is a single row (the classifier, the SE gates).
+// sixteen rows of b: the vector kernel advances them as lanes of two
+// registers, dotRows whatever it left (all of it without AVX2) four dot
+// products at a time — either way independent dependency chains that share
+// each load of a, which is what the single latency-bound chain of the plain
+// loop lacked. Splitting by output column as well as row keeps every worker
+// busy when a is a single row (the classifier, the SE gates).
 func matMulTransB(a *Tensor, bd []float32, bstride, n int) *Tensor {
 	m, k := a.Shape[0], a.Shape[1]
 	c := New(m, n)
 	ad, cd := a.Data, c.Data
-	nq := (n + 3) / 4
-	ParallelByCost(m*nq, 4*k, func(rs, re int) {
+	nq := (n + 15) / 16
+	ParallelByCost(m*nq, 16*k, func(rs, re int) {
 		for r := rs; r < re; r++ {
-			i, j := r/nq, r%nq*4
+			i, j := r/nq, r%nq*16
 			ai := ad[i*k : (i+1)*k]
-			ci := cd[i*n+j : min(i*n+j+4, (i+1)*n)]
-			if len(ci) < 4 {
-				for x := range ci {
-					bj := bd[(j+x)*bstride:][:k]
-					var s float32
-					for p, av := range ai {
-						s += av * bj[p]
-					}
-					ci[x] = s
-				}
-				continue
-			}
-			b0 := bd[j*bstride:][:k]
-			b1 := bd[(j+1)*bstride:][:k]
-			b2 := bd[(j+2)*bstride:][:k]
-			b3 := bd[(j+3)*bstride:][:k]
-			var s0, s1, s2, s3 float32
-			for p, av := range ai {
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
-			}
-			ci[0], ci[1], ci[2], ci[3] = s0, s1, s2, s3
+			ci := cd[i*n+j : min(i*n+j+16, (i+1)*n)]
+			bj := bd[j*bstride:]
+			cols, terms := dotRowsVec(ci, ai, bj, bstride)
+			dotRows(ci[:cols], ai, bj, bstride, terms)
+			dotRows(ci[cols:], ai, bj[cols*bstride:], bstride, 0)
 		}
 	})
 	return c
+}
+
+// dotRows adds to each c[x] the terms a[p]·b[x·bstride+p] for p from p0 up, in
+// order: c holds the sums of the terms before p0 — zeros when p0 is 0.
+func dotRows(c, a, b []float32, bstride, p0 int) {
+	k := len(a)
+	a = a[p0:]
+	x := 0
+	for ; x+4 <= len(c); x += 4 {
+		b0 := b[x*bstride:][p0:k]
+		b1 := b[(x+1)*bstride:][p0:k]
+		b2 := b[(x+2)*bstride:][p0:k]
+		b3 := b[(x+3)*bstride:][p0:k]
+		s0, s1, s2, s3 := c[x], c[x+1], c[x+2], c[x+3]
+		for p, av := range a {
+			s0 += av * b0[p]
+			s1 += av * b1[p]
+			s2 += av * b2[p]
+			s3 += av * b3[p]
+		}
+		c[x], c[x+1], c[x+2], c[x+3] = s0, s1, s2, s3
+	}
+	for ; x < len(c); x++ {
+		bx := b[x*bstride:][p0:k]
+		s := c[x]
+		for p, av := range a {
+			s += av * bx[p]
+		}
+		c[x] = s
+	}
 }
 
 // MatMulTransA computes C = Aᵀ·B for A (k×m) and B (k×n), returning m×n.

@@ -253,15 +253,35 @@ func split(n int, fn func(start, end int)) {
 		fn(0, n)
 		return
 	}
-	var wg sync.WaitGroup
+	var c chunks
 	chunk := (n + w - 1) / w
 	for s := 0; s < n; s += chunk {
-		e := min(s+chunk, n)
-		wg.Add(1)
-		go func(s, e int) {
-			defer wg.Done()
-			fn(s, e)
-		}(s, e)
+		c.wg.Add(1)
+		go c.run(fn, s, min(s+chunk, n))
 	}
-	wg.Wait()
+	c.wg.Wait()
+	if c.panicked != nil {
+		panic(c.panicked)
+	}
+}
+
+// chunks is the set of goroutines one split runs. A panic in a chunk — an
+// index out of range in a kernel — would otherwise unwind a goroutine nobody
+// recovers on and end the process; it is kept, the first of them, and raised
+// again on the goroutine that called the kernel, where the request's own
+// recover (serve, runtime, rpcx) turns it into one failed request.
+type chunks struct {
+	wg       sync.WaitGroup
+	once     sync.Once
+	panicked any
+}
+
+func (c *chunks) run(fn func(start, end int), s, e int) {
+	defer c.wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			c.once.Do(func() { c.panicked = r })
+		}
+	}()
+	fn(s, e)
 }

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 )
 
@@ -373,6 +374,31 @@ func TestParallelismOverride(t *testing.T) {
 	if Parallelism() < 1 {
 		t.Fatal("reset should restore >=1 workers")
 	}
+}
+
+// TestSplitPanicReachesCaller: a panic in a kernel's chunk is raised on the
+// goroutine that called the kernel, where a request's recover can catch it —
+// not on a bare goroutine, where it would end the process — and every chunk
+// has finished by then.
+func TestSplitPanicReachesCaller(t *testing.T) {
+	atParallelism(t, func(t *testing.T) {
+		var ran atomic.Int64
+		defer func() {
+			if r := recover(); r != "kernel chunk" {
+				t.Fatalf("recovered %v, want the chunk's panic", r)
+			}
+			if ran.Load() != 8 {
+				t.Fatalf("%d of 8 items ran before the panic was raised again", ran.Load())
+			}
+		}()
+		ParallelByCost(8, minParallelWork, func(s, e int) {
+			ran.Add(int64(e - s))
+			if s == 0 {
+				panic("kernel chunk")
+			}
+		})
+		t.Fatal("the panic did not reach the caller")
+	})
 }
 
 func TestConv1x1FastPathMatchesNaive(t *testing.T) {
