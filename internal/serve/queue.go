@@ -31,6 +31,13 @@ func (r *request) expired(now time.Time) bool {
 	return !r.deadline.IsZero() && now.After(r.deadline)
 }
 
+// batchesWith reports whether o may ride in r's batch: same class and
+// strategy key. It is the one compatibility predicate — collectCompatible
+// gathers by it and nextBatch's one-linger-per-key rule checks by it.
+func (r *request) batchesWith(o *request) bool {
+	return o.class == r.class && o.key == r.key
+}
+
 // Gateway is the serving front-end: bounded per-class queues, deadline-aware
 // admission, a batching worker pool, and counters. Create with New; stop
 // with Close.
@@ -48,6 +55,9 @@ type Gateway struct {
 	wake    func()
 	queues  [numClasses][]*request
 	closing bool
+	// lingering holds the head of every batch a worker is lingering on. A
+	// worker whose head batches with one of them runs at once (nextBatch).
+	lingering []*request
 
 	// emaBatchSec is a per-class exponential moving average of
 	// batched-inference duration, feeding the admission-time queue-wait
@@ -221,7 +231,7 @@ func (g *Gateway) collectCompatible(head *request, max int, now time.Time) []*re
 	kept := g.queues[q][:0]
 	for _, req := range g.queues[q] {
 		switch {
-		case len(batch) < max && req.key == head.key:
+		case len(batch) < max && head.batchesWith(req):
 			if req.expired(now) {
 				g.failLocked(req, ErrDeadlineMissed)
 				continue

@@ -9,7 +9,10 @@
 // than admitted and missed. A worker pool drains the queues in strict class
 // priority, coalescing compatible requests — same resolved strategy key from
 // the StrategyCache — into one batched Scheduler inference (up to MaxBatch,
-// waiting at most MaxLinger to fill a batch). Everything observable is
+// waiting at most MaxLinger to fill a batch). At most one worker lingers per
+// class and strategy key: it collects every compatible arrival, so a second
+// linger on that key could catch nothing and would only delay its head — a
+// worker that finds one runs what it took at once. Everything observable is
 // counted and exposed via Stats() so experiments and benchmarks can assert
 // on admitted / served / shed / deadline-missed totals.
 package serve
@@ -104,7 +107,10 @@ type Options struct {
 	MaxBatch int
 	// MaxLinger is how long a worker waits to fill a batch after the first
 	// request is taken (default 2ms). Lingering never extends past a
-	// latency-SLO head's feasible slack.
+	// latency-SLO head's feasible slack, and a worker whose head has the
+	// class and strategy key of another worker's lingering head does not
+	// linger: the first linger already collects every arrival the second
+	// could, so the second would only delay its own head.
 	MaxLinger time.Duration
 	// QueueDepth bounds each class queue (default 64).
 	QueueDepth int

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	goruntime "runtime"
+	"slices"
 	"time"
 
 	"murmuration/internal/fault"
@@ -54,7 +55,10 @@ func (g *Gateway) executeProtected(batch []*request) {
 // compatible requests (same class and strategy key), or nil when the
 // gateway is closed and fully drained. After taking a head request it
 // lingers up to MaxLinger for the batch to fill, but never past the point
-// where a latency-SLO head could still make its deadline.
+// where a latency-SLO head could still make its deadline — and only when
+// no other worker is lingering on a head it batches with. That worker
+// already collects every compatible arrival, so a second linger on the key
+// catches nothing and only delays its own head: the batch runs at once.
 func (g *Gateway) nextBatch() []*request {
 	g.mu.Lock()
 	var head *request
@@ -71,7 +75,8 @@ func (g *Gateway) nextBatch() []*request {
 	}
 	batch := append([]*request{head},
 		g.collectCompatible(head, g.opts.MaxBatch-1, time.Now())...)
-	if len(batch) < g.opts.MaxBatch {
+	if len(batch) < g.opts.MaxBatch && !slices.ContainsFunc(g.lingering, head.batchesWith) {
+		g.lingering = append(g.lingering, head)
 		lingerEnd := time.Now().Add(g.opts.MaxLinger)
 		if head.class == ClassLatency {
 			// Leave one estimated batch execution of slack before the
@@ -92,6 +97,10 @@ func (g *Gateway) nextBatch() []*request {
 			batch = append(batch,
 				g.collectCompatible(head, g.opts.MaxBatch-len(batch), time.Now())...)
 		}
+		// Every exit from the loop (batch full, linger over, closing) lands
+		// here with mu held.
+		i := slices.Index(g.lingering, head)
+		g.lingering = slices.Delete(g.lingering, i, i+1)
 	}
 	g.mu.Unlock()
 	return batch
