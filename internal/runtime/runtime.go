@@ -507,10 +507,16 @@ func (r *Runtime) ExecBatchBudget(xs []*tensor.Tensor, d *env.Decision, budget t
 		n += x.Shape[0]
 	}
 	// A batch of one input is that input: the scheduler resizes it in its
-	// workspace. Several are resized straight into their rows of one tensor.
-	batch := xs[0]
-	if len(xs) > 1 {
-		batch = tensor.New(n, ch, res, res)
+	// workspace. Several are resized straight into their rows of the
+	// workspace's image, which the stem then reads in place.
+	var rep *InferenceReport
+	var err error
+	if len(xs) == 1 {
+		rep, err = r.Scheduler.InferBudget(xs[0], d, budget)
+	} else {
+		ws := r.Scheduler.Local.AcquireWorkspace()
+		defer ws.Release()
+		batch := ws.Image(n, ch, res)
 		plane := ch * res * res
 		row := 0
 		var axes tensor.ResizeAxes // one table allocation for the batch
@@ -519,9 +525,8 @@ func (r *Runtime) ExecBatchBudget(xs []*tensor.Tensor, d *env.Decision, budget t
 			tensor.BilinearResizeInto(tensor.FromSlice(batch.Data[row*plane:(row+k)*plane], k, ch, res, res), x, &axes)
 			row += k
 		}
+		rep, err = r.Scheduler.inferIn(ws, batch, d, budget)
 	}
-
-	rep, err := r.Scheduler.InferBudget(batch, d, budget)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -368,6 +368,17 @@ func (s *Scheduler) Infer(x *tensor.Tensor, d *supernet.Decision) (*InferenceRep
 // out surfaces as an error matching rpcx.ErrBudgetExhausted, distinct from
 // device faults.
 func (s *Scheduler) InferBudget(x *tensor.Tensor, d *supernet.Decision, budget time.Duration) (*InferenceReport, error) {
+	// This goroutine's workspace holds the request's activations from the
+	// resized image to the head's feature map; the logits are allocated, and
+	// are all of the report that outlives it.
+	ws := s.Local.AcquireWorkspace()
+	defer ws.Release()
+	return s.inferIn(ws, x, d, budget)
+}
+
+// inferIn is InferBudget in a workspace the caller owns; x may be that
+// workspace's image (Runtime.ExecBatchBudget stacks a batch there).
+func (s *Scheduler) inferIn(ws *supernet.Workspace, x *tensor.Tensor, d *supernet.Decision, budget time.Duration) (*InferenceReport, error) {
 	start := time.Now()
 	var deadline time.Time
 	if budget > 0 {
@@ -386,11 +397,6 @@ func (s *Scheduler) InferBudget(x *tensor.Tensor, d *supernet.Decision, budget t
 		return nil, err
 	}
 
-	// This goroutine's workspace holds the request's activations from the
-	// resized image to the head's feature map; the logits are allocated, and
-	// are all of the report that outlives it.
-	ws := s.Local.AcquireWorkspace()
-	defer ws.Release()
 	y := ws.Stem(x, cfg.Resolution)
 	report := &InferenceReport{}
 

@@ -186,9 +186,9 @@ func TestWorkerPanicRecovered(t *testing.T) {
 }
 
 // TestKernelPanicFailsOneRequest: a panic inside a kernel — here the stem's
-// convolution indexing a weight cut short, on one of the goroutines the kernel
-// splits its work across — fails that request with a typed error, and the
-// gateway serves the next one. Before tensor.split carried a chunk's panic back
+// convolution indexing a weight cut short, in a chunk of a kernel split with
+// the tensor worker team — fails that request with a typed error, and the
+// gateway serves the next one. Before the split carried a chunk's panic back
 // to its caller this ended the process.
 func TestKernelPanicFailsOneRequest(t *testing.T) {
 	testutil.CheckGoroutines(t)
@@ -212,8 +212,8 @@ func TestKernelPanicFailsOneRequest(t *testing.T) {
 	stem.Data = whole[:1:1]
 	_, err := g.Submit(testInput(550), latSLO(5000))
 	stem.Data = whole
-	if fault.Of(err) != fault.Request || !strings.Contains(err.Error(), "tensor.split") {
-		t.Fatalf("request over a broken kernel: err = %v, want a panic-typed error raised from tensor.split", err)
+	if fault.Of(err) != fault.Request || !strings.Contains(err.Error(), "tensor.(*team).split") {
+		t.Fatalf("request over a broken kernel: err = %v, want a panic-typed error raised from the team's split", err)
 	}
 	out, err := g.Submit(testInput(551), latSLO(5000))
 	if err != nil {

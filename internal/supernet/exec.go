@@ -34,11 +34,18 @@ func (s *Supernet) ExecStem(x *tensor.Tensor) *tensor.Tensor {
 	return y
 }
 
+// Image hands out the workspace's buffer for the input at the config's
+// resolution, (n,c,res,res), for a caller to fill — a batch stacked row by row
+// — and pass to Stem, which then reads it in place.
+func (ws *Workspace) Image(n, c, res int) *tensor.Tensor {
+	return ws.buf(roleImage, n, c, res, res)
+}
+
 // Stem resizes x (N,C,H,W) to res×res unless it already is, and runs the stem
 // on it. x is only read.
 func (ws *Workspace) Stem(x *tensor.Tensor, res int) *tensor.Tensor {
 	if x.Shape[2] != res || x.Shape[3] != res {
-		img := ws.buf(roleImage, x.Shape[0], x.Shape[1], res, res)
+		img := ws.Image(x.Shape[0], x.Shape[1], res)
 		tensor.BilinearResizeInto(img, x, &ws.resize)
 		x = img
 	}

@@ -157,15 +157,13 @@ func TestTileSplitGeometry(t *testing.T) {
 // TestExecBlockAllocCeiling pins what one tile costs the allocator on the
 // inference path: 29 allocations, of which five tensors at three each — the
 // output, the depthwise kernel's center crop, the SE pool and its two gate
-// vectors — and the rest the closures the kernels hand to the worker pool. The
+// vectors — and the rest the closures the kernels hand to ParallelByCost. The
 // two hidden maps are the workspace's. A per-tile copy of a 1×1 or SE weight,
 // a BatchNorm output or XHat, an h-swish output, or a hidden map that went
-// back to the allocator would add a tensor and fail it.
+// back to the allocator would add a tensor and fail it. Sharing the kernels
+// with the worker team allocates nothing, so the count holds at any
+// parallelism.
 func TestExecBlockAllocCeiling(t *testing.T) {
-	old := tensor.Parallelism()
-	defer tensor.SetParallelism(old)
-	tensor.SetParallelism(1) // no goroutines: the count is the kernels' own
-
 	a := DefaultArch()
 	s := New(a, 3)
 	// Stage 1, block 1: 40→40 channels, stride 1, SE, residual.

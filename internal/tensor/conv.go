@@ -32,7 +32,7 @@ func Im2Col(x *Tensor, kh, kw int, o ConvOpts) *Tensor {
 	cols := New(n*oh*ow, c*kh*kw)
 	xd, cd := x.Data, cols.Data
 	rowLen := c * kh * kw
-	parallelFor(n*oh*ow, func(rs, re int) {
+	ParallelByCost(n*oh*ow, rowLen, func(rs, re int) {
 		for r := rs; r < re; r++ {
 			b := r / (oh * ow)
 			rem := r % (oh * ow)
@@ -82,7 +82,7 @@ func Col2Im(cols *Tensor, n, c, h, w, kh, kw int, o ConvOpts) *Tensor {
 	cd, od := cols.Data, out.Data
 	rowLen := c * kh * kw
 	// Parallelise over batch: images don't overlap in the output buffer.
-	parallelFor(n, func(bs, be int) {
+	ParallelByCost(n, oh*ow*rowLen, func(bs, be int) {
 		for b := bs; b < be; b++ {
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
@@ -254,7 +254,7 @@ const conv1x1Block = 1024
 // rows by four terms each, so the inner loop does sixteen flops per eight
 // memory operations with two independent dependency chains. Every output
 // element still receives its terms one at a time in channel order, so the
-// blocking — and the split of the work across goroutines, which never divides
+// blocking — and the split of the work across workers, which never divides
 // one element's sum — leaves each result bit-identical to the plain loop.
 func conv1x1Into(dst, x *Tensor, wd []float32, wstride, outC int, bias *Tensor) {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
@@ -620,7 +620,7 @@ func MaxPool2D(x *Tensor, k, s int) *Tensor {
 	oh := (h-k)/s + 1
 	ow := (w-k)/s + 1
 	out := New(n, c, oh, ow)
-	parallelFor(n*c, func(rs, re int) {
+	ParallelByCost(n*c, oh*ow*k*k, func(rs, re int) {
 		for r := rs; r < re; r++ {
 			in := x.Data[r*h*w : (r+1)*h*w]
 			dst := out.Data[r*oh*ow : (r+1)*oh*ow]
@@ -653,7 +653,7 @@ func Pad2D(x *Tensor, p int) *Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	out := New(n, c, h+2*p, w+2*p)
 	ow := w + 2*p
-	parallelFor(n*c, func(rs, re int) {
+	ParallelByCost(n*c, h*w, func(rs, re int) {
 		for r := rs; r < re; r++ {
 			src := x.Data[r*h*w : (r+1)*h*w]
 			dstBase := r * (h + 2*p) * ow
@@ -671,7 +671,7 @@ func Pad2D(x *Tensor, p int) *Tensor {
 func CropSpatial(x *Tensor, y0, x0, ch, cw int) *Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	out := New(n, c, ch, cw)
-	parallelFor(n*c, func(rs, re int) {
+	ParallelByCost(n*c, ch*cw, func(rs, re int) {
 		for r := rs; r < re; r++ {
 			src := x.Data[r*h*w : (r+1)*h*w]
 			dst := out.Data[r*ch*cw : (r+1)*ch*cw]
@@ -699,7 +699,7 @@ func CropSpatial(x *Tensor, y0, x0, ch, cw int) *Tensor {
 func PasteSpatial(dst, tile *Tensor, y0, x0 int) {
 	n, c, h, w := dst.Shape[0], dst.Shape[1], dst.Shape[2], dst.Shape[3]
 	th, tw := tile.Shape[2], tile.Shape[3]
-	parallelFor(n*c, func(rs, re int) {
+	ParallelByCost(n*c, th*tw, func(rs, re int) {
 		for r := rs; r < re; r++ {
 			src := tile.Data[r*th*tw : (r+1)*th*tw]
 			d := dst.Data[r*h*w : (r+1)*h*w]
@@ -789,7 +789,7 @@ func BilinearResizeInto(out, x *Tensor, axes *ResizeAxes) {
 		axes = new(ResizeAxes)
 	}
 	cols, rows := axes.tables(h, w, outH, outW)
-	parallelFor(n*c, func(rs, re int) {
+	ParallelByCost(n*c, outH*outW, func(rs, re int) {
 		for r := rs; r < re; r++ {
 			src := x.Data[r*h*w : (r+1)*h*w]
 			dst := out.Data[r*outH*outW : (r+1)*outH*outW]

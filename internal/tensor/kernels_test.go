@@ -124,12 +124,12 @@ func sameBits(t *testing.T, name string, got, want *Tensor) {
 	}
 }
 
-// atParallelism runs f with one worker and with four, so that a partition of
+// atParallelism runs f with one worker, two and four, so that a partition of
 // the work that changed any element's sum would show.
 func atParallelism(t *testing.T, f func(t *testing.T)) {
 	old := Parallelism()
 	defer SetParallelism(old)
-	for _, p := range []int{1, 4} {
+	for _, p := range []int{1, 2, 4} {
 		SetParallelism(p)
 		t.Run(fmt.Sprintf("workers=%d", p), f)
 	}

@@ -23,7 +23,7 @@ func MatMulInto(c, a, b *Tensor) {
 	m, k := a.Shape[0], a.Shape[1]
 	n := b.Shape[1]
 	ad, bd, cd := a.Data, b.Data, c.Data
-	parallelFor(m, func(rs, re int) {
+	ParallelByCost(m, k*n, func(rs, re int) {
 		for i := rs; i < re; i++ {
 			ci := cd[i*n : (i+1)*n]
 			for x := range ci {
@@ -140,7 +140,7 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 	}
 	c := New(m, n)
 	ad, bd, cd := a.Data, b.Data, c.Data
-	parallelFor(m, func(rs, re int) {
+	ParallelByCost(m, k*n, func(rs, re int) {
 		for i := rs; i < re; i++ {
 			ci := cd[i*n : (i+1)*n]
 			for p := 0; p < k; p++ {
@@ -166,7 +166,7 @@ func MatVec(a, x *Tensor) *Tensor {
 	}
 	y := New(m)
 	ad, xd, yd := a.Data, x.Data, y.Data
-	parallelFor(m, func(rs, re int) {
+	ParallelByCost(m, n, func(rs, re int) {
 		for i := rs; i < re; i++ {
 			ai := ad[i*n : (i+1)*n]
 			var s float32

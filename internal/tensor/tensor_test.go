@@ -1,10 +1,15 @@
 package tensor
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func randTensor(rng *rand.Rand, shape ...int) *Tensor {
@@ -378,26 +383,132 @@ func TestParallelismOverride(t *testing.T) {
 
 // TestSplitPanicReachesCaller: a panic in a kernel's chunk is raised on the
 // goroutine that called the kernel, where a request's recover can catch it —
-// not on a bare goroutine, where it would end the process — and every chunk
-// has finished by then.
+// not on a team member, where it would end the process — and every chunk has
+// finished by then, whether the chunk that panicked ran on the caller or on a
+// member.
 func TestSplitPanicReachesCaller(t *testing.T) {
 	atParallelism(t, func(t *testing.T) {
-		var ran atomic.Int64
-		defer func() {
-			if r := recover(); r != "kernel chunk" {
-				t.Fatalf("recovered %v, want the chunk's panic", r)
-			}
-			if ran.Load() != 8 {
-				t.Fatalf("%d of 8 items ran before the panic was raised again", ran.Load())
-			}
-		}()
-		ParallelByCost(8, minParallelWork, func(s, e int) {
-			ran.Add(int64(e - s))
-			if s == 0 {
-				panic("kernel chunk")
+		for _, side := range []struct {
+			name     string
+			onCaller bool
+		}{{"caller", true}, {"member", false}} {
+			onCaller := side.onCaller
+			t.Run(side.name, func(t *testing.T) {
+				if !onCaller && Parallelism() == 1 {
+					t.Skip("one worker has no team member")
+				}
+				caller := goid()
+				var ran atomic.Int64
+				var panicked atomic.Bool
+				defer func() {
+					if r := recover(); r != "kernel chunk" {
+						t.Fatalf("recovered %v, want the chunk's panic", r)
+					}
+					if ran.Load() != 8 {
+						t.Fatalf("%d of 8 items ran before the panic was raised again", ran.Load())
+					}
+				}()
+				ParallelByCost(8, minParallelWork, func(s, e int) {
+					ran.Add(int64(e - s))
+					if (goid() == caller) == onCaller {
+						panicked.Store(true)
+						panic("kernel chunk")
+					}
+					// A chunk on the other side waits for the panic, so that
+					// side cannot run every chunk before the panicking one
+					// claims its own.
+					for deadline := time.Now().Add(10 * time.Second); !panicked.Load() && time.Now().Before(deadline); {
+						runtime.Gosched()
+					}
+				})
+				t.Fatal("the panic did not reach the caller")
+			})
+		}
+	})
+}
+
+// goid names the calling goroutine: its stack trace's header.
+func goid() string {
+	var buf [64]byte
+	s := buf[:runtime.Stack(buf[:], false)]
+	return string(s[:bytes.IndexByte(s, '[')])
+}
+
+// TestSplitInsideChunk: a kernel called from inside another kernel's chunk —
+// on the caller or on a member — completes, and runs each item once.
+func TestSplitInsideChunk(t *testing.T) {
+	atParallelism(t, func(t *testing.T) {
+		const outer, inner = 8, 16
+		var runs [outer * inner]atomic.Int32
+		ParallelByCost(outer, minParallelWork, func(s, e int) {
+			for i := s; i < e; i++ {
+				ParallelByCost(inner, minParallelWork, func(s, e int) {
+					for j := s; j < e; j++ {
+						runs[i*inner+j].Add(1)
+					}
+				})
 			}
 		})
-		t.Fatal("the panic did not reach the caller")
+		for i := range runs {
+			if c := runs[i].Load(); c != 1 {
+				t.Fatalf("item %d of chunk %d ran %d times", i%inner, i/inner, c)
+			}
+		}
+	})
+}
+
+// TestConcurrentSplitsRunEveryItemOnce: eight goroutines make splits of
+// random sizes at once, sharing the team's slots and members; every item of
+// every split runs exactly once. Run under -race, it also checks that a slot
+// is re-armed only after the members that saw its last split have left.
+func TestConcurrentSplitsRunEveryItemOnce(t *testing.T) {
+	atParallelism(t, func(t *testing.T) {
+		const callers, splits = 8, 2000
+		var wg sync.WaitGroup
+		errs := make(chan string, callers)
+		for g := range callers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(g)))
+				var runs [64]atomic.Int32
+				for k := range splits {
+					n := 1 + rng.Intn(len(runs))
+					ParallelByCost(n, minParallelWork, func(s, e int) {
+						for i := s; i < e; i++ {
+							runs[i].Add(1)
+						}
+					})
+					for i := range runs[:n] {
+						if c := runs[i].Swap(0); c != 1 {
+							errs <- fmt.Sprintf("caller %d, split %d of %d items: item %d ran %d times", g, k, n, i, c)
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Error(e)
+		}
+	})
+}
+
+// TestParallelByCostAllocatesNothing: once the team exists, sharing a kernel
+// with it costs the allocator nothing — no task, no goroutine, no closure.
+func TestParallelByCostAllocatesNothing(t *testing.T) {
+	atParallelism(t, func(t *testing.T) {
+		var sum atomic.Int64
+		fn := func(s, e int) { sum.Add(int64(e - s)) }
+		ParallelByCost(64, minParallelWork, fn)
+		if a := testing.AllocsPerRun(200, func() { ParallelByCost(64, minParallelWork, fn) }); a != 0 {
+			t.Fatalf("ParallelByCost made %v allocations per call, want 0", a)
+		}
+		if got := sum.Load(); got != 64*202 {
+			t.Fatalf("%d items ran, want %d", got, 64*202)
+		}
 	})
 }
 

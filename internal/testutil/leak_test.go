@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"murmuration/internal/tensor"
 )
 
 func TestCheckGoroutinesPassesWhenClean(t *testing.T) {
@@ -22,6 +24,19 @@ func TestCheckGoroutinesWaitsForUnwind(t *testing.T) {
 		go func() { <-release }()
 	}
 	time.AfterFunc(50*time.Millisecond, func() { close(release) })
+}
+
+// TestTensorTeamIsNotALeak: the first kernel call of the process, at a
+// parallelism far past the slack, starts the tensor worker team inside the
+// window; its members live on and are not a leak.
+func TestTensorTeamIsNotALeak(t *testing.T) {
+	defer tensor.SetParallelism(tensor.Parallelism())
+	tensor.SetParallelism(32)
+	CheckGoroutines(t)
+	tensor.ParallelByCost(64, 1<<15, func(start, end int) {})
+	if team := runtime.NumGoroutine() - goroutines(); team < 31 {
+		t.Fatalf("%d team members seen, want 31: the check is not exercised", team)
+	}
 }
 
 func TestCheckGoroutinesDetectsLeak(t *testing.T) {
