@@ -10,7 +10,7 @@
 //
 //	murmuration-gateway -listen :7100 \
 //	  -devices 127.0.0.1:7000,127.0.0.1:7001 -bw 100 -delay 10 \
-//	  -workers 2 -max-batch 8 -linger 2ms
+//	  -workers 2 -max-batch 8
 //
 // SIGINT/SIGTERM drains queued requests for up to -grace before exiting; a
 // second signal forces immediate shutdown.
@@ -44,6 +44,19 @@ import (
 	"murmuration/internal/watchdog"
 )
 
+// Self-protection limits, the values bench/system.go also pins: the watchdog
+// browns out past watchdogGoroutines goroutines or watchdogHeapBytes of heap,
+// and the rpcx server evicts a connection idle for connIdleTimeout or stuck
+// draining a response for writeTimeout, and refuses calls past maxInflight
+// with a retryable overload error.
+const (
+	watchdogGoroutines = 20000
+	watchdogHeapBytes  = 4 << 30
+	connIdleTimeout    = 5 * time.Minute
+	writeTimeout       = 30 * time.Second
+	maxInflight        = 256
+)
+
 func main() {
 	listen := flag.String("listen", ":7100", "address to serve the gateway rpcx API on")
 	devices := flag.String("devices", "", "comma-separated murmurationd addresses (remote devices)")
@@ -57,45 +70,20 @@ func main() {
 	hidden := flag.Int("hidden", 64, "policy LSTM width (must match checkpoint)")
 	workers := flag.Int("workers", 2, "concurrent batch executors")
 	maxBatch := flag.Int("max-batch", 8, "max requests coalesced into one inference")
-	linger := flag.Duration("linger", 2*time.Millisecond, "max wait for a batch to fill; one worker lingers per strategy key, others with the same key run at once (a second linger could only delay its head)")
 	queueDepth := flag.Int("queue-depth", 64, "per-class queue bound; excess is shed")
 	grace := flag.Duration("grace", 10*time.Second, "drain window on shutdown")
 	remoteTimeout := flag.Duration("remote-timeout", 30*time.Second, "per-call deadline on device RPCs (0 = none; finite by default so a stalled device cannot wedge workers or shutdown)")
 	statsEvery := flag.Duration("stats-every", 0, "periodic stats log interval (0 = off)")
 	heartbeatInterval := flag.Duration("heartbeat-interval", 500*time.Millisecond, "device heartbeat probe period (0 disables the failure detector)")
-	suspectAfter := flag.Duration("suspect-after", 0, "silence before a device turns Suspect (default 4x heartbeat interval)")
-	downAfter := flag.Duration("down-after", 0, "silence before a device turns Down and is failed over (default 10x heartbeat interval)")
 	retries := flag.Int("retries", 3, "max attempts per idempotent device RPC (1 disables retry; re-dial stays on)")
-	hedgeAfter := flag.Duration("hedge-after", 0, "fixed delay before hedging an idempotent tile RPC on an alternate device (0 = adaptive, P95 of observed call latencies)")
 	hedgeBudget := flag.Float64("hedge-budget", 0.05, "max hedged attempts as a fraction of primary tile RPCs (0 disables hedging)")
 	minRung := flag.Int("min-rung", runtime.DefaultMaxRung, "deepest degradation rung allowed under deadline pressure (0 pins full quality; see DESIGN.md for the rung table)")
-	ladderHysteresis := flag.Int("ladder-hysteresis", runtime.DefaultLadderHysteresis, "consecutive comfortable completions required to climb one rung back toward full quality")
-	frameChecksum := flag.Bool("frame-checksum", true, "emit CRC32C checksums on rpcx frames (incoming checksums are always verified)")
-	maxFrameMB := flag.Int("max-frame-mb", rpcx.DefaultMaxFrameSize>>20, "largest rpcx frame accepted before allocation, MiB")
-	connIdleTimeout := flag.Duration("conn-idle-timeout", 5*time.Minute, "evict a client connection after this long without a request (0 = never)")
-	writeTimeout := flag.Duration("write-timeout", 30*time.Second, "evict a client connection that will not drain a response within this window (0 = never)")
-	maxInflight := flag.Int("max-inflight", 256, "max concurrently executing gateway RPCs before new calls get a retryable overload refusal (0 = unlimited)")
 	watchdogInterval := flag.Duration("watchdog-interval", 250*time.Millisecond, "resource watchdog sample period (0 disables the watchdog)")
-	watchdogGoroutines := flag.Int("watchdog-goroutines", 20000, "goroutine count that trips a brownout (0 = unchecked)")
-	watchdogHeapMB := flag.Int("watchdog-heap-mb", 4096, "heap allocation that trips a brownout, MiB (0 = unchecked)")
 	adaptOn := flag.Bool("adapt", false, "enable online policy adaptation: live outcomes retrain the policy and candidates roll out shadow->canary->full with automatic rollback")
-	adaptInterval := flag.Duration("adapt-interval", 2*time.Second, "adaptation loop cadence (retrain + evaluate + advance)")
-	canaryFrac := flag.Float64("canary-frac", 0.2, "fraction of decisions routed to the candidate during canary")
-	rollbackSLO := flag.Float64("rollback-slo", 0.7, "SLO-attainment floor; observation windows below it count toward rollback")
 	adaptDir := flag.String("adapt-dir", "", "directory for versioned policy checkpoints and the rollout manifest (empty = promotions do not survive restarts)")
 	healthWindow := flag.Duration("health-window", time.Second, "SLI window for gray-failure detection (0 disables the health layer)")
-	grayLatencyFactor := flag.Float64("gray-latency-factor", 3, "a device is gray when its window p50 tile latency exceeds this multiple of the fleet median")
-	grayFailureRate := flag.Float64("gray-failure-rate", 0.30, "a device is gray when its window failure rate reaches this fraction")
-	grayWindows := flag.Int("gray-windows", 3, "consecutive gray windows before demotion (Active->Probation, Probation->Quarantined)")
-	reintegrateAfter := flag.Duration("reintegrate-after", 10*time.Second, "minimum quarantine dwell before a clean device starts the reintegration ramp")
-	quarantineProbeEvery := flag.Duration("quarantine-probe-every", 500*time.Millisecond, "synthetic probe period per quarantined/reintegrating device (negative disables probing)")
-	flapSuppress := flag.Float64("flap-suppress", 2500, "flap-damping penalty above which a device's reinstatement is suppressed (each Up/Down flip adds 1000)")
-	flapHalfLife := flag.Duration("flap-half-life", 10*time.Second, "flap-damping penalty half-life")
 	progressTick := flag.Duration("progress-tick", 100*time.Millisecond, "in-flight progress deadline: a device RPC's frame I/O must advance every two ticks or the call fails as stalled (0 disables the watchdog)")
-	progressMinBytes := flag.Int64("progress-min-bytes", 1, "minimum bytes of frame progress per watchdog tick")
 	retryBudgetFrac := flag.Float64("retry-budget-frac", 0.1, "shared retry budget: speculative attempts (retries, failovers, hedges) allowed as a fraction of first attempts (0 disables the budget)")
-	correlatedLossK := flag.Int("correlated-loss-k", 2, "devices lost within -correlated-loss-window that count as one correlated event and tighten admission (negative disables the detector)")
-	correlatedLossWindow := flag.Duration("correlated-loss-window", 2*time.Second, "window for counting correlated device losses")
 	flag.Parse()
 
 	var arch *supernet.Arch
@@ -135,13 +123,12 @@ func main() {
 		// data path. Only idempotent methods are ever retried.
 		cl.SetRetryPolicy(rpcx.RetryPolicy{MaxAttempts: *retries})
 		cl.MarkIdempotent(runtime.ExecBlockMethod, monitor.PingMethod, monitor.BulkMethod)
-		cl.SetChecksum(*frameChecksum)
-		cl.SetMaxFrameSize(*maxFrameMB << 20)
+		cl.SetChecksum(true)
 		if *progressTick > 0 {
 			// A half-open link must fail in bounded time: frame reads and
 			// writes that stop advancing abort the call with a typed stall
 			// instead of riding out the full -remote-timeout.
-			cl.SetProgressPolicy(rpcx.ProgressPolicy{Tick: *progressTick, MinBytes: *progressMinBytes})
+			cl.SetProgressPolicy(rpcx.ProgressPolicy{Tick: *progressTick})
 		}
 		// Learn the device's incarnation up front so the very first data-path
 		// responses are fence-checkable; a failure is not fatal (the device
@@ -164,8 +151,7 @@ func main() {
 			}
 			defer hb.Close()
 			hb.SetRetryPolicy(rpcx.RetryPolicy{MaxAttempts: 1})
-			hb.SetChecksum(*frameChecksum)
-			hb.SetMaxFrameSize(*maxFrameMB << 20)
+			hb.SetChecksum(true)
 			probes = append(probes, cluster.PingProbe(hb))
 		}
 	}
@@ -190,7 +176,7 @@ func main() {
 	sched := runtime.NewScheduler(net, clients)
 	sched.RemoteTimeout = *remoteTimeout
 	if *hedgeBudget > 0 {
-		sched.Hedge = &runtime.HedgePolicy{After: *hedgeAfter, BudgetFrac: *hedgeBudget}
+		sched.Hedge = &runtime.HedgePolicy{BudgetFrac: *hedgeBudget}
 	}
 	if *retryBudgetFrac > 0 {
 		// One bucket for every speculative mechanism: rpcx retries, scheduler
@@ -215,14 +201,10 @@ func main() {
 		maxRung = -1
 	}
 	gw := serve.New(rt, serve.Options{
-		Workers:              *workers,
-		MaxBatch:             *maxBatch,
-		MaxLinger:            *linger,
-		QueueDepth:           *queueDepth,
-		MaxRung:              maxRung,
-		LadderHysteresis:     *ladderHysteresis,
-		CorrelatedLossK:      *correlatedLossK,
-		CorrelatedLossWindow: *correlatedLossWindow,
+		Workers:    *workers,
+		MaxBatch:   *maxBatch,
+		QueueDepth: *queueDepth,
+		MaxRung:    maxRung,
 		OnDeviceError: func(dev int, err error) {
 			log.Printf("device %d failed a batch (failing over): %v", dev, err)
 		},
@@ -246,22 +228,8 @@ func main() {
 	// heartbeats stay crisp, ramps them back in gradually, and flap-damps
 	// devices that cycle Up/Down faster than placement can follow.
 	if *healthWindow > 0 && len(clients) > 0 {
-		gw.AttachHealth(serve.HealthOptions{
-			Tracker: health.Options{
-				Window:           *healthWindow,
-				LatencyFactor:    *grayLatencyFactor,
-				FailureRate:      *grayFailureRate,
-				GrayWindows:      *grayWindows,
-				ReintegrateAfter: *reintegrateAfter,
-			},
-			Damper: health.DamperOptions{
-				SuppressThreshold: *flapSuppress,
-				HalfLife:          *flapHalfLife,
-			},
-			ProbeEvery: *quarantineProbeEvery,
-		})
-		log.Printf("gray-failure health layer on (window %v, gray at %.1fx fleet median or %.0f%% failures for %d windows, reintegrate after %v)",
-			*healthWindow, *grayLatencyFactor, *grayFailureRate*100, *grayWindows, *reintegrateAfter)
+		gw.AttachHealth(serve.HealthOptions{Tracker: health.Options{Window: *healthWindow}})
+		log.Printf("gray-failure health layer on (window %v)", *healthWindow)
 	}
 
 	// Online adaptation: the controller becomes the runtime's decider, taps
@@ -287,14 +255,11 @@ func main() {
 		}
 		var err error
 		ctl, err = adapt.New(adapt.Config{
-			Runtime:     rt,
-			Incumbent:   decider,
-			Policy:      pol,
-			Space:       space,
-			Dir:         *adaptDir,
-			Interval:    *adaptInterval,
-			CanaryFrac:  *canaryFrac,
-			RollbackSLO: *rollbackSLO,
+			Runtime:   rt,
+			Incumbent: decider,
+			Policy:    pol,
+			Space:     space,
+			Dir:       *adaptDir,
 		})
 		if err != nil {
 			log.Fatalf("adaptation controller: %v", err)
@@ -302,17 +267,12 @@ func main() {
 		rt.SwapDecider(ctl)
 		ctl.AttachGateway(gw)
 		ctl.Start()
-		log.Printf("online adaptation on (interval %v, canary %.0f%%, rollback floor %.2f, dir %q, policy v%d)",
-			*adaptInterval, *canaryFrac*100, *rollbackSLO, *adaptDir, ctl.PolicyVersion())
+		log.Printf("online adaptation on (dir %q, policy v%d)", *adaptDir, ctl.PolicyVersion())
 	}
 
 	var mgr *cluster.Manager
 	if len(probes) > 0 {
-		mgr = cluster.NewManager(probes, cluster.Options{
-			HeartbeatInterval: *heartbeatInterval,
-			SuspectAfter:      *suspectAfter,
-			DownAfter:         *downAfter,
-		})
+		mgr = cluster.NewManager(probes, cluster.Options{HeartbeatInterval: *heartbeatInterval})
 		gw.AttachCluster(mgr)
 		go func() {
 			for ev := range mgr.Subscribe() {
@@ -328,11 +288,11 @@ func main() {
 	// degradation ladder floors at serve.BrownoutRung until the pressure
 	// clears (hysteresis: several consecutive clear samples).
 	var wd *watchdog.Watchdog
-	if *watchdogInterval > 0 && (*watchdogGoroutines > 0 || *watchdogHeapMB > 0) {
+	if *watchdogInterval > 0 {
 		wd = watchdog.New(watchdog.Options{
 			Interval:      *watchdogInterval,
-			MaxGoroutines: *watchdogGoroutines,
-			MaxHeapBytes:  uint64(*watchdogHeapMB) << 20,
+			MaxGoroutines: watchdogGoroutines,
+			MaxHeapBytes:  watchdogHeapBytes,
 			OnBrownout: func(reason string) {
 				log.Printf("watchdog: brownout (%s)", reason)
 				gw.SetBrownout(true)
@@ -345,15 +305,13 @@ func main() {
 		gw.AttachWatchdog(wd)
 		wd.Start()
 		log.Printf("resource watchdog on (every %v: goroutines > %d or heap > %d MiB)",
-			*watchdogInterval, *watchdogGoroutines, *watchdogHeapMB)
+			*watchdogInterval, watchdogGoroutines, watchdogHeapBytes>>20)
 	}
 
 	srv := rpcx.NewServer()
-	srv.MaxFrameSize = *maxFrameMB << 20
-	srv.SetChecksum(*frameChecksum)
-	srv.ConnIdleTimeout = *connIdleTimeout
-	srv.WriteTimeout = *writeTimeout
-	srv.MaxInflight = *maxInflight
+	srv.ConnIdleTimeout = connIdleTimeout
+	srv.WriteTimeout = writeTimeout
+	srv.MaxInflight = maxInflight
 	gw.Register(srv)
 	addr, err := srv.Listen(*listen)
 	if err != nil {

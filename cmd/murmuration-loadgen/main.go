@@ -248,7 +248,6 @@ func replay(gateway, tracePath string, speed float64, timeout time.Duration, max
 	}
 
 	sc := scenario.NewScorer()
-	start := time.Now()
 	res, err := scenario.Run(tr, scenario.RunOptions{
 		Submitter:   &scenario.WireSubmitter{Client: cl, Timeout: timeout},
 		Speed:       speed,
@@ -287,7 +286,6 @@ func replay(gateway, tracePath string, speed float64, timeout time.Duration, max
 	}
 	if reportPath == "" {
 		fmt.Println(string(js))
-		_ = start
 		return
 	}
 	if err := os.WriteFile(reportPath, append(js, '\n'), 0o644); err != nil {

@@ -42,7 +42,6 @@ func main() {
 	n := flag.Int("n", 5, "number of inferences")
 	policyCkpt := flag.String("policy", "", "trained policy checkpoint (default: structured search)")
 	hidden := flag.Int("hidden", 64, "policy LSTM width (must match checkpoint)")
-	hedgeAfter := flag.Duration("hedge-after", 0, "fixed delay before hedging an idempotent tile RPC on an alternate device (0 = adaptive, P95 of observed call latencies)")
 	hedgeBudget := flag.Float64("hedge-budget", 0, "max hedged attempts as a fraction of primary tile RPCs (0 disables hedging)")
 	flag.Parse()
 
@@ -96,7 +95,7 @@ func main() {
 
 	sched := runtime.NewScheduler(net, clients)
 	if *hedgeBudget > 0 {
-		sched.Hedge = &runtime.HedgePolicy{After: *hedgeAfter, BudgetFrac: *hedgeBudget}
+		sched.Hedge = &runtime.HedgePolicy{BudgetFrac: *hedgeBudget}
 	}
 	rt := runtime.New(sched, decider, runtime.NewStrategyCache(64, 25, 5, 10), monitors)
 	st := env.LatencySLO

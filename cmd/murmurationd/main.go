@@ -29,6 +29,16 @@ import (
 	"murmuration/internal/supernet"
 )
 
+// Connection limits, the values the gateway's server and bench/system.go also
+// run with: evict a connection idle for connIdleTimeout or whose client will
+// not drain a response within writeTimeout, and refuse calls past maxInflight
+// with a retryable overload error.
+const (
+	connIdleTimeout = 5 * time.Minute
+	writeTimeout    = 30 * time.Second
+	maxInflight     = 256
+)
+
 func main() {
 	listen := flag.String("listen", ":7000", "address to serve rpcx on")
 	archName := flag.String("arch", "tiny", "supernet search space: tiny or default")
@@ -36,11 +46,6 @@ func main() {
 	classes := flag.Int("classes", 4, "classifier classes for the tiny arch")
 	checkpoint := flag.String("checkpoint", "", "optional supernet checkpoint to load")
 	grace := flag.Duration("grace", 10*time.Second, "drain window for in-flight requests on shutdown")
-	frameChecksum := flag.Bool("frame-checksum", true, "emit CRC32C checksums on rpcx responses (incoming checksums are always verified)")
-	maxFrameMB := flag.Int("max-frame-mb", rpcx.DefaultMaxFrameSize>>20, "largest rpcx frame accepted before allocation, MiB")
-	connIdleTimeout := flag.Duration("conn-idle-timeout", 5*time.Minute, "evict a connection after this long without a request (0 = never)")
-	writeTimeout := flag.Duration("write-timeout", 30*time.Second, "evict a connection whose client will not drain a response within this window (0 = never)")
-	maxInflight := flag.Int("max-inflight", 256, "max concurrently executing requests before new calls get a retryable overload refusal (0 = unlimited)")
 	injectSlowdown := flag.Float64("inject-slowdown", 1, "FAULT INJECTION: multiply compute latency of every block execution (1 = off; heartbeats are unaffected, for gray-failure testing)")
 	injectErrRate := flag.Float64("inject-error-rate", 0, "FAULT INJECTION: fail each exec.block call (one fused run of blocks) with this probability (0 = off)")
 	injectSeed := flag.Int64("inject-seed", 1, "FAULT INJECTION: rng seed for -inject-error-rate")
@@ -67,11 +72,9 @@ func main() {
 	log.Printf("supernet %s resident in memory: %d parameters", arch.Name, net.NumParams())
 
 	srv := rpcx.NewServer()
-	srv.MaxFrameSize = *maxFrameMB << 20
-	srv.SetChecksum(*frameChecksum)
-	srv.ConnIdleTimeout = *connIdleTimeout
-	srv.WriteTimeout = *writeTimeout
-	srv.MaxInflight = *maxInflight
+	srv.ConnIdleTimeout = connIdleTimeout
+	srv.WriteTimeout = writeTimeout
+	srv.MaxInflight = maxInflight
 	inc, err := rpcx.MintIncarnation(*incState)
 	if err != nil {
 		log.Fatalf("mint incarnation: %v", err)

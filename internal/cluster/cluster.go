@@ -107,9 +107,6 @@ func PingProbe(c *rpcx.Client) ProbeFunc {
 type Options struct {
 	// HeartbeatInterval is the mean probe period per member (default 500ms).
 	HeartbeatInterval time.Duration
-	// JitterFrac randomizes each probe period by ±frac (default 0.2) so the
-	// probers do not synchronize.
-	JitterFrac float64
 	// SuspectAfter demotes a member to Suspect when no heartbeat has been
 	// answered for this long (default 4× the heartbeat interval).
 	SuspectAfter time.Duration
@@ -124,21 +121,11 @@ type Options struct {
 	// RTTMultiplier scales the smoothed RTT into the adaptive probe timeout
 	// (default 6).
 	RTTMultiplier float64
-	// RTTClampFactor caps a single RTT sample's contribution to the smoothed
-	// RTT at this multiple of the current estimate (default 3). Without the
-	// clamp, one pathological probe — a GC pause, a retransmit — inflates
-	// the EMA and with it the adaptive timeout, masking a genuinely
-	// degrading device behind a self-raised bar. A sustained rise still
-	// tracks: each sample may grow the estimate, just not explode it.
-	RTTClampFactor float64
 }
 
 func (o Options) withDefaults() Options {
 	if o.HeartbeatInterval <= 0 {
 		o.HeartbeatInterval = 500 * time.Millisecond
-	}
-	if o.JitterFrac <= 0 {
-		o.JitterFrac = 0.2
 	}
 	if o.SuspectAfter <= 0 {
 		o.SuspectAfter = 4 * o.HeartbeatInterval
@@ -155,14 +142,23 @@ func (o Options) withDefaults() Options {
 	if o.RTTMultiplier <= 0 {
 		o.RTTMultiplier = 6
 	}
-	if o.RTTClampFactor <= 1 {
-		o.RTTClampFactor = 3
-	}
 	return o
 }
 
 // minAdaptiveTimeout floors the EMA-derived probe deadline.
 const minAdaptiveTimeout = 20 * time.Millisecond
+
+// heartbeatJitter randomizes each probe period by ±this fraction so the
+// probers do not synchronize.
+const heartbeatJitter = 0.2
+
+// rttClampFactor caps a single RTT sample's contribution to the smoothed RTT
+// at this multiple of the current estimate. Without the clamp, one
+// pathological probe — a GC pause, a retransmit — inflates the EMA and with
+// it the adaptive timeout, masking a genuinely degrading device behind a
+// self-raised bar. A sustained rise still tracks: each sample may grow the
+// estimate, just not explode it.
+const rttClampFactor = 3
 
 // member is the detector state for one device.
 type member struct {
@@ -337,7 +333,7 @@ func (m *Manager) CountersSnapshot() Counters {
 func (m *Manager) run(i int) {
 	rng := rand.New(rand.NewSource(int64(i)*7919 + time.Now().UnixNano()))
 	for {
-		t := time.NewTimer(monitor.Jittered(m.opts.HeartbeatInterval, m.opts.JitterFrac, rng))
+		t := time.NewTimer(monitor.Jittered(m.opts.HeartbeatInterval, heartbeatJitter, rng))
 		select {
 		case <-m.stop:
 			t.Stop()
@@ -399,8 +395,8 @@ func (m *Manager) ReportHeartbeat(i int, rtt time.Duration, incarnation uint64) 
 	sample := float64(rtt)
 	if mb.rttSamples > 0 {
 		// Outlier clamp: one slow probe may contribute at most
-		// RTTClampFactor× the current estimate to the EMA.
-		if cap := m.opts.RTTClampFactor * mb.emaRTT.Value(); sample > cap {
+		// rttClampFactor× the current estimate to the EMA.
+		if cap := rttClampFactor * mb.emaRTT.Value(); sample > cap {
 			sample = cap
 		}
 	}

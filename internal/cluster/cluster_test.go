@@ -42,7 +42,6 @@ func waitState(t *testing.T, m *Manager, i int, want State) {
 func fastOpts() Options {
 	return Options{
 		HeartbeatInterval: 5 * time.Millisecond,
-		JitterFrac:        0.2,
 		SuspectAfter:      25 * time.Millisecond,
 		DownAfter:         60 * time.Millisecond,
 		ProbeTimeout:      50 * time.Millisecond,

@@ -16,10 +16,16 @@ import (
 // milliseconds therefore converges to "out" instead of thrashing the strategy
 // cache, the wait estimates, and the AIMD limiters faster than they converge.
 
+// flipPenalty is the penalty added per membership flip.
+const flipPenalty = 1000
+
+// maxPenaltyFactor caps the accumulated penalty at this multiple of
+// SuppressThreshold, so the worst-case hold-down after a long flap storm
+// stays bounded.
+const maxPenaltyFactor = 8
+
 // DamperOptions configures a Damper. Zero values select the defaults.
 type DamperOptions struct {
-	// Penalty is added per flip (default 1000).
-	Penalty float64
 	// SuppressThreshold is the figure of merit at which a device is held
 	// down (default 2500 — i.e. the third flip inside one half-life).
 	SuppressThreshold float64
@@ -32,15 +38,9 @@ type DamperOptions struct {
 	// even a penalty that would decay across ReuseThreshold quickly cannot
 	// release the device sooner.
 	HoldDown time.Duration
-	// MaxPenalty caps the accumulated penalty (default 8× SuppressThreshold)
-	// so the worst-case hold-down after a long flap storm stays bounded.
-	MaxPenalty float64
 }
 
 func (o DamperOptions) withDefaults() DamperOptions {
-	if o.Penalty <= 0 {
-		o.Penalty = 1000
-	}
 	if o.SuppressThreshold <= 0 {
 		o.SuppressThreshold = 2500
 	}
@@ -52,9 +52,6 @@ func (o DamperOptions) withDefaults() DamperOptions {
 	}
 	if o.HoldDown <= 0 {
 		o.HoldDown = time.Second
-	}
-	if o.MaxPenalty <= 0 {
-		o.MaxPenalty = 8 * o.SuppressThreshold
 	}
 	return o
 }
@@ -115,9 +112,9 @@ func (d *Damper) RecordFlip(i int, now time.Time) bool {
 	dv := d.devs[i]
 	d.decayLocked(dv, now)
 	dv.flips++
-	dv.penalty += d.opts.Penalty
-	if dv.penalty > d.opts.MaxPenalty {
-		dv.penalty = d.opts.MaxPenalty
+	dv.penalty += flipPenalty
+	if ceiling := maxPenaltyFactor * d.opts.SuppressThreshold; dv.penalty > ceiling {
+		dv.penalty = ceiling
 	}
 	if !dv.suppressed && dv.penalty >= d.opts.SuppressThreshold {
 		dv.suppressed = true

@@ -365,7 +365,6 @@ func TestTransitionCallbackFiresOutsideLock(t *testing.T) {
 func TestDamperSuppressAndPenaltyDecay(t *testing.T) {
 	defer testutil.CheckGoroutines(t)
 	d := NewDamper(2, DamperOptions{
-		Penalty:           1000,
 		SuppressThreshold: 2500,
 		ReuseThreshold:    800,
 		HalfLife:          10 * time.Second,
@@ -425,7 +424,6 @@ func TestDamperHoldDownFloorsRelease(t *testing.T) {
 	// A tiny half-life decays the penalty almost instantly, but the
 	// hold-down still pins the device out for its full duration.
 	d := NewDamper(1, DamperOptions{
-		Penalty:           1000,
 		SuppressThreshold: 2500,
 		ReuseThreshold:    800,
 		HalfLife:          10 * time.Millisecond,
@@ -453,7 +451,7 @@ func TestDamperPenaltyCap(t *testing.T) {
 		d.RecordFlip(0, now)
 	}
 	if p := d.PenaltyOf(0, now); p > 8*2500 {
-		t.Fatalf("penalty %v exceeds MaxPenalty cap", p)
+		t.Fatalf("penalty %v exceeds the penalty cap", p)
 	}
 	if d.Flips(0) != 100 {
 		t.Fatalf("Flips = %d, want 100", d.Flips(0))

@@ -83,10 +83,11 @@ type Options struct {
 	// window advances one step, and completing the ladder restores Active
 	// (default 0.1, 0.25, 0.5).
 	RampWeights []float64
-	// DigestSize bounds the per-window latency digest (default 128 samples,
-	// most recent kept).
-	DigestSize int
 }
+
+// digestSize bounds the per-window latency digest; the most recent samples
+// are kept.
+const digestSize = 128
 
 func (o Options) withDefaults() Options {
 	if o.Window <= 0 {
@@ -112,9 +113,6 @@ func (o Options) withDefaults() Options {
 	}
 	if len(o.RampWeights) == 0 {
 		o.RampWeights = []float64{0.1, 0.25, 0.5}
-	}
-	if o.DigestSize <= 0 {
-		o.DigestSize = 128
 	}
 	return o
 }
@@ -209,12 +207,12 @@ func (t *Tracker) ObserveOK(i int, elapsed time.Duration, now time.Time) {
 	t.primeWindowLocked(now)
 	d.total++
 	ms := float64(elapsed) / float64(time.Millisecond)
-	if len(d.lat) < t.opts.DigestSize {
+	if len(d.lat) < digestSize {
 		d.lat = append(d.lat, ms)
 		return
 	}
 	d.lat[d.latNext] = ms
-	d.latNext = (d.latNext + 1) % t.opts.DigestSize
+	d.latNext = (d.latNext + 1) % digestSize
 }
 
 // ObserveFailure records one failed or timed-out tile call on device i.

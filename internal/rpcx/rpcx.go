@@ -262,10 +262,11 @@ type RetryPolicy struct {
 	// further retry doubles it up to MaxBackoff (default 1s).
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// JitterFrac randomizes each backoff by ±frac (default 0.2) so a fleet
-	// of retrying clients does not synchronize against a recovering server.
-	JitterFrac float64
 }
+
+// backoffJitter randomizes each retry backoff by ±this fraction so a fleet of
+// retrying clients does not synchronize against a recovering server.
+const backoffJitter = 0.2
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts < 1 {
@@ -277,9 +278,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = time.Second
 	}
-	if p.JitterFrac <= 0 {
-		p.JitterFrac = 0.2
-	}
 	return p
 }
 
@@ -289,7 +287,7 @@ func (p RetryPolicy) backoff(retry int) time.Duration {
 	if d > p.MaxBackoff || d <= 0 {
 		d = p.MaxBackoff
 	}
-	j := 1 + p.JitterFrac*(2*rand.Float64()-1)
+	j := 1 + backoffJitter*(2*rand.Float64()-1)
 	return time.Duration(float64(d) * j)
 }
 

@@ -8,6 +8,7 @@ package runtime
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"murmuration/internal/rpcx"
@@ -26,21 +27,18 @@ const ExecBlockMethod = "exec.block"
 //	the input tile, quantized at the first block's bitwidth
 //
 // The reply is the last block's output at 32 bits. A single block is a run of
-// one. The frame an older gateway sends, one block behind a 6-byte header with
-// no tag,
-//
-//	[0] stage, [1] block index, [2] kernel, [3] expand,
-//	[4] request quant bits, [5] response quant bits
-//
-// is still served as a run of one. runTag is above any stage index, so the
-// two cannot be confused: an older daemon handed a run frame refuses it as an
-// out-of-range stage instead of executing its first block.
+// one. A payload that does not open with runTag is refused (ErrUntaggedRun);
+// runTag is above any stage index, so a frame from another build cannot pass
+// for a run.
 const (
-	runTag          = 0xFF
-	runHeaderLen    = 2
-	blockDescLen    = 5
-	legacyHeaderLen = 6
+	runTag       = 0xFF
+	runHeaderLen = 2
+	blockDescLen = 5
 )
+
+// ErrUntaggedRun refuses an exec.block payload that does not open with
+// runTag, before anything is sized by its bytes.
+var ErrUntaggedRun = errors.New("runtime: exec.block payload is not a run frame")
 
 // blockRef is one block of a run: where it sits in the supernet and the
 // elastic setting it executes under.
@@ -72,7 +70,7 @@ func (e *Executor) ExecBlockHandler() func([]byte) ([]byte, error) {
 }
 
 func (e *Executor) handleExecBlock(payload []byte) ([]byte, error) {
-	run, respBits, body, err := decodeRunHeader(payload, e.Net.Arch.MaxDepthTotal())
+	run, body, err := decodeRunHeader(payload, e.Net.Arch.MaxDepthTotal())
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +92,7 @@ func (e *Executor) handleExecBlock(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return encodeQuantized(nil, tensor.Quantize(y, respBits)), nil
+	return encodeQuantized(nil, tensor.Quantize(y, tensor.Bits32)), nil
 }
 
 // execRun runs x through the blocks of run in workspace ws, the one run
@@ -116,30 +114,22 @@ func execRun(ws *supernet.Workspace, run []blockRef, x *tensor.Tensor) (*tensor.
 	return x, nil
 }
 
-// decodeRunHeader parses either request header and returns the run, the
-// bitwidth to answer at and the encoded tile that follows. maxBlocks bounds
-// the run length before anything is sized by it.
-func decodeRunHeader(payload []byte, maxBlocks int) (run []blockRef, respBits tensor.Bitwidth, body []byte, err error) {
-	n, descs := 1, payload
-	respBits = tensor.Bits32
-	switch {
-	case len(payload) >= runHeaderLen && payload[0] == runTag:
-		n, descs = int(payload[1]), payload[runHeaderLen:]
-		if n < 1 || n > maxBlocks {
-			return nil, 0, nil, fmt.Errorf("runtime: exec.block run of %d blocks, want 1..%d", n, maxBlocks)
-		}
-		if len(descs) < n*blockDescLen {
-			return nil, 0, nil, fmt.Errorf("runtime: short exec.block payload: run of %d blocks truncated", n)
-		}
-		body = descs[n*blockDescLen:]
-	case len(payload) >= legacyHeaderLen:
-		respBits = tensor.Bitwidth(payload[5])
-		if !respBits.Valid() {
-			return nil, 0, nil, fmt.Errorf("runtime: bad response bits %d", respBits)
-		}
-		body = payload[legacyHeaderLen:]
-	default:
-		return nil, 0, nil, fmt.Errorf("runtime: short exec.block payload")
+// decodeRunHeader parses a run frame's header and returns the run and the
+// encoded tile that follows. maxBlocks bounds the run length before anything
+// is sized by it.
+func decodeRunHeader(payload []byte, maxBlocks int) (run []blockRef, body []byte, err error) {
+	if len(payload) < runHeaderLen {
+		return nil, nil, fmt.Errorf("runtime: short exec.block payload")
+	}
+	if payload[0] != runTag {
+		return nil, nil, ErrUntaggedRun
+	}
+	n, descs := int(payload[1]), payload[runHeaderLen:]
+	if n < 1 || n > maxBlocks {
+		return nil, nil, fmt.Errorf("runtime: exec.block run of %d blocks, want 1..%d", n, maxBlocks)
+	}
+	if len(descs) < n*blockDescLen {
+		return nil, nil, fmt.Errorf("runtime: short exec.block payload: run of %d blocks truncated", n)
 	}
 	run = make([]blockRef, n)
 	for i := range run {
@@ -152,10 +142,10 @@ func decodeRunHeader(payload []byte, maxBlocks int) (run []blockRef, respBits te
 			Partition: supernet.Partition{Gy: 1, Gx: 1},
 		}}
 		if !run[i].ls.Quant.Valid() {
-			return nil, 0, nil, fmt.Errorf("runtime: bad input bits %d at block %d of the run", d[4], i)
+			return nil, nil, fmt.Errorf("runtime: bad input bits %d at block %d of the run", d[4], i)
 		}
 	}
-	return run, respBits, body, nil
+	return run, descs[n*blockDescLen:], nil
 }
 
 // encodeRunRequest builds the exec.block payload for run on tile.

@@ -323,39 +323,23 @@ func TestModelAndSchedulerAgreeOnTransferPhases(t *testing.T) {
 	check(da, dsched, cfg)
 }
 
-// TestLegacyFrameStillExecutes feeds the handler a request captured from the
-// gateway as it was before runs existed (6-byte header, one block): it must
-// execute as a run of one, so a daemon can be upgraded before its gateway.
-func TestLegacyFrameStillExecutes(t *testing.T) {
+// TestUntaggedFrameRefused feeds the handler a request captured from a gateway
+// that predates run frames (6-byte header, one block, no run tag): it is
+// refused with ErrUntaggedRun, and the refusal sizes nothing.
+func TestUntaggedFrameRefused(t *testing.T) {
 	frame, err := os.ReadFile("testdata/legacy_exec_block.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The frame was cut for TinyArch(4), seed 7: the stem's output for a
-	// 16x16 image, into the first block of the minimum config at 8 bits.
 	a := supernet.TinyArch(4)
-	net := supernet.New(a, 7)
-	resp, err := NewExecutor(net).ExecBlockHandler()(frame)
-	if err != nil {
-		t.Fatalf("legacy frame refused: %v", err)
+	if _, err := NewExecutor(supernet.New(a, 7)).ExecBlockHandler()(frame); !errors.Is(err, ErrUntaggedRun) {
+		t.Fatalf("untagged frame: got %v, want ErrUntaggedRun", err)
 	}
-	got, err := tensor.DecodeQuantized(bytes.NewReader(resp))
-	if err != nil {
-		t.Fatal(err)
+	if allocs := testing.AllocsPerRun(10, func() {
+		decodeRunHeader(frame, a.MaxDepthTotal())
+	}); allocs != 0 {
+		t.Fatalf("refusing an untagged frame allocated %v times", allocs)
 	}
-	in, err := tensor.DecodeQuantized(bytes.NewReader(frame[legacyHeaderLen:]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := a.MinConfig()
-	want, err := net.ExecBlock(0, 0, in.Dequantize(), cfg.Layers[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Bits != tensor.Bits32 {
-		t.Fatalf("answered at %d bits, the frame asked for 32", got.Bits)
-	}
-	requireSameBits(t, "legacy frame", got.Dequantize(), want)
 }
 
 // TestBadRunResponseIsTyped: a daemon that answers a run with a tensor of
@@ -411,11 +395,11 @@ func FuzzExecBlockPayload(f *testing.F) {
 	net := supernet.New(a, 7)
 	handler := NewExecutor(net).ExecBlockHandler()
 
-	legacy, err := os.ReadFile("testdata/legacy_exec_block.bin")
+	untagged, err := os.ReadFile("testdata/legacy_exec_block.bin")
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(legacy)
+	f.Add(untagged)
 	tile := net.ExecStem(tensor.New(1, 3, 16, 16))
 	cfg := a.MaxConfig()
 	var run []blockRef

@@ -115,22 +115,21 @@ const PanicFaultThreshold = 3
 // Scale"). Zero values select the defaults.
 type HedgePolicy struct {
 	// After is the delay before a hedge is issued. 0 derives it from the P95
-	// of observed tile-RPC latencies (no hedging until MinSamples exist).
+	// of observed tile-RPC latencies (no hedging until hedgeMinSamples
+	// exist).
 	After time.Duration
 	// BudgetFrac caps hedges at this fraction of primary tile RPCs (default
 	// 0.05), so hedging cannot amplify an overload.
 	BudgetFrac float64
-	// MinSamples is how many latency observations P95 derivation needs before
-	// hedging activates (default 20). Ignored when After > 0.
-	MinSamples int
 }
+
+// hedgeMinSamples is how many latency observations the P95 hedge delay needs
+// before adaptive hedging activates.
+const hedgeMinSamples = 20
 
 func (p HedgePolicy) withDefaults() HedgePolicy {
 	if p.BudgetFrac <= 0 {
 		p.BudgetFrac = 0.05
-	}
-	if p.MinSamples <= 0 {
-		p.MinSamples = 20
 	}
 	return p
 }
@@ -651,7 +650,7 @@ func (s *Scheduler) hedgeDelay(p HedgePolicy) time.Duration {
 	}
 	s.latMu.Lock()
 	defer s.latMu.Unlock()
-	if s.latWin == nil || s.latWin.Len() < p.MinSamples {
+	if s.latWin == nil || s.latWin.Len() < hedgeMinSamples {
 		return 0
 	}
 	return time.Duration(s.latWin.Quantile(95) * float64(time.Second))

@@ -138,9 +138,7 @@ func TestChaosMassDeviceLoss(t *testing.T) {
 	// exact shape that stampedes a decider without singleflight.
 	g := serve.New(rt, serve.Options{
 		Workers: 4, MaxBatch: 1, MaxLinger: time.Millisecond, QueueDepth: 64,
-		CorrelatedLossK:      2,
-		CorrelatedLossWindow: 2 * time.Second,
-		CorrelatedLossHold:   30 * time.Second, // hold the tighten for the whole test
+		CorrelatedLossHold: 30 * time.Second, // hold the tighten for the whole test
 	})
 	defer g.Close(30 * time.Second)
 	g.AttachCluster(m)
@@ -367,9 +365,7 @@ func TestChaosRecoveryStorm(t *testing.T) {
 
 	g := serve.New(rt, serve.Options{
 		Workers: 2, MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 32,
-		CorrelatedLossK:      2,
-		CorrelatedLossWindow: 2 * time.Second,
-		CorrelatedLossHold:   500 * time.Millisecond,
+		CorrelatedLossHold: 500 * time.Millisecond,
 	})
 	defer g.Close(30 * time.Second)
 	g.AttachCluster(m)

@@ -105,7 +105,7 @@ func TestRestartWhileSuppressedStaysOut(t *testing.T) {
 	g.AttachHealth(serve.HealthOptions{
 		// One flip suppresses; two flips' penalty takes ~2 half-lives to decay
 		// below the reuse threshold.
-		Damper: health.DamperOptions{Penalty: 1000, SuppressThreshold: 900, ReuseThreshold: 450,
+		Damper: health.DamperOptions{SuppressThreshold: 900, ReuseThreshold: 450,
 			HalfLife: 300 * time.Millisecond, HoldDown: 50 * time.Millisecond},
 		ProbeEvery: -1,
 		TickEvery:  time.Hour,

@@ -136,19 +136,8 @@ type Options struct {
 	// needed before the ladder climbs one rung back toward full quality
 	// (default runtime.DefaultLadderHysteresis).
 	LadderHysteresis int
-	// CorrelatedLossK is the correlated-loss threshold: when at least K
-	// devices go Down within CorrelatedLossWindow the gateway records a
-	// CorrelatedLossEvent and pre-emptively raises the degradation-ladder
-	// floor one rung for CorrelatedLossHold — the surviving capacity is about
-	// to absorb the dead devices' traffic, so every batch cheapens before the
-	// wave lands instead of after the first misses. Default 2; negative
-	// disables the detector.
-	CorrelatedLossK int
-	// CorrelatedLossWindow is the sliding window the detector counts Down
-	// events over (default 2s).
-	CorrelatedLossWindow time.Duration
-	// CorrelatedLossHold is how long the pre-emptive tighten persists after
-	// the last detection (default 5s).
+	// CorrelatedLossHold is how long the correlated-loss tighten (storm.go)
+	// persists after the last detection (default 5s).
 	CorrelatedLossHold time.Duration
 }
 
@@ -167,12 +156,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
-	}
-	if o.CorrelatedLossK == 0 {
-		o.CorrelatedLossK = 2
-	}
-	if o.CorrelatedLossWindow <= 0 {
-		o.CorrelatedLossWindow = 2 * time.Second
 	}
 	if o.CorrelatedLossHold <= 0 {
 		o.CorrelatedLossHold = 5 * time.Second

@@ -25,6 +25,17 @@ import (
 // and the ladder clamps the sum to its own max rung.
 const stormRung = 1
 
+// The correlated-loss threshold: when at least correlatedLossK devices go
+// Down within correlatedLossWindow the gateway records a CorrelatedLossEvent
+// and raises the degradation-ladder floor by stormRung for
+// Options.CorrelatedLossHold — the surviving capacity is about to absorb the
+// dead devices' traffic, so every batch cheapens before the wave lands
+// instead of after the first misses.
+const (
+	correlatedLossK      = 2
+	correlatedLossWindow = 2 * time.Second
+)
+
 // rewarmJitter bounds the random delay before a rewarm, so the rewarms of
 // near-simultaneous topology changes decorrelate instead of pulsing.
 const rewarmJitter = 20 * time.Millisecond
@@ -47,21 +58,17 @@ func (g *Gateway) applyFloor() {
 }
 
 // noteDown feeds one Down transition into the correlated-loss detector.
-// When at least CorrelatedLossK Downs land inside CorrelatedLossWindow, the
+// When at least correlatedLossK Downs land inside correlatedLossWindow, the
 // gateway records a correlated-loss event, raises the ladder floor by
 // stormRung, and holds the tighten for CorrelatedLossHold past the last
 // detection. Detection re-arms afterwards: the next event needs K fresh
 // Downs, so a long outage is one event, not one per straggler.
 func (g *Gateway) noteDown(at time.Time) {
 	g.mu.Lock()
-	if g.opts.CorrelatedLossK < 0 {
-		g.mu.Unlock()
-		return
-	}
 	if at.IsZero() {
 		at = time.Now()
 	}
-	cutoff := at.Add(-g.opts.CorrelatedLossWindow)
+	cutoff := at.Add(-correlatedLossWindow)
 	keep := g.downTimes[:0]
 	for _, t := range g.downTimes {
 		if t.After(cutoff) {
@@ -69,7 +76,7 @@ func (g *Gateway) noteDown(at time.Time) {
 		}
 	}
 	g.downTimes = append(keep, at)
-	if len(g.downTimes) < g.opts.CorrelatedLossK {
+	if len(g.downTimes) < correlatedLossK {
 		g.mu.Unlock()
 		return
 	}

@@ -20,10 +20,8 @@ import (
 // threshold disables that check.
 type Options struct {
 	// Interval is the mean sampling period (default 250ms), jittered by
-	// ±JitterFrac (default 0.2) so a fleet of watchdogs does not sample in
-	// lockstep.
-	Interval   time.Duration
-	JitterFrac float64
+	// ±sampleJitter so a fleet of watchdogs does not sample in lockstep.
+	Interval time.Duration
 	// MaxGoroutines trips the brownout when the goroutine count exceeds it
 	// (0 disables the check).
 	MaxGoroutines int
@@ -49,9 +47,6 @@ func (o Options) withDefaults() Options {
 	if o.Interval <= 0 {
 		o.Interval = 250 * time.Millisecond
 	}
-	if o.JitterFrac <= 0 {
-		o.JitterFrac = 0.2
-	}
 	if o.ReleaseFrac <= 0 || o.ReleaseFrac >= 1 {
 		o.ReleaseFrac = 0.8
 	}
@@ -60,6 +55,9 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+// sampleJitter is the ± fraction by which each sampling period is randomized.
+const sampleJitter = 0.2
 
 // Watchdog samples resource gauges and publishes a brownout signal. Create
 // with New, start the loop with Start, stop it with Close; Sample can also
@@ -100,7 +98,7 @@ func (w *Watchdog) Start() {
 		defer w.wg.Done()
 		rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 		for {
-			j := 1 + w.opts.JitterFrac*(2*rng.Float64()-1)
+			j := 1 + sampleJitter*(2*rng.Float64()-1)
 			t := time.NewTimer(time.Duration(float64(w.opts.Interval) * j))
 			select {
 			case <-w.stop:
