@@ -225,8 +225,7 @@ func main() {
 
 	// Gray-failure immunity: tile-call SLIs feed a per-device health tracker
 	// that quarantines devices whose compute path is sick even while their
-	// heartbeats stay crisp, ramps them back in gradually, and flap-damps
-	// devices that cycle Up/Down faster than placement can follow.
+	// heartbeats stay crisp, and ramps them back in gradually.
 	if *healthWindow > 0 && len(clients) > 0 {
 		gw.AttachHealth(serve.HealthOptions{Tracker: health.Options{Window: *healthWindow}})
 		log.Printf("gray-failure health layer on (window %v)", *healthWindow)

@@ -528,8 +528,8 @@ func (m *Manager) MarkDownBatch(members []int) {
 // mirror of MarkDownBatch. It exists for scripted mass recovery (rack power
 // restored, partition healed by an operator): the scenario knows the devices
 // are live the instant it revives them, and delivering the K recoveries as
-// one batch lets the consumer stagger reintegration instead of reacting to K
-// independent Up events trickling in on heartbeat cadence. Organic recovery
+// one batch lets the consumer reintegrate them in one step instead of
+// reacting to K independent Up events trickling in on heartbeat cadence. Organic recovery
 // should keep flowing through heartbeats — this is an override, not the
 // detector. Members already Up (or out of range) contribute no transition.
 func (m *Manager) MarkUpBatch(members []int) {

@@ -7,7 +7,7 @@ import (
 	"murmuration/internal/testutil"
 )
 
-// All tests in this package run the tracker and damper on a synthetic clock:
+// All tests in this package run the tracker on a synthetic clock:
 // time is a variable advanced by hand, never a sleep.
 
 const win = time.Second
@@ -359,101 +359,5 @@ func TestTransitionCallbackFiresOutsideLock(t *testing.T) {
 	}
 	if got[1].From != Probation {
 		t.Fatalf("quarantine From = %v, want Probation", got[1].From)
-	}
-}
-
-func TestDamperSuppressAndPenaltyDecay(t *testing.T) {
-	defer testutil.CheckGoroutines(t)
-	d := NewDamper(2, DamperOptions{
-		SuppressThreshold: 2500,
-		ReuseThreshold:    800,
-		HalfLife:          10 * time.Second,
-		HoldDown:          time.Second,
-	})
-	now := time.Unix(100, 0)
-
-	// Two flips stay below the suppress threshold.
-	if d.RecordFlip(0, now) {
-		t.Fatal("suppressed after 1 flip")
-	}
-	now = now.Add(100 * time.Millisecond)
-	if d.RecordFlip(0, now) {
-		t.Fatal("suppressed after 2 flips")
-	}
-	if d.Suppressed(0, now) {
-		t.Fatal("Suppressed true below threshold")
-	}
-
-	// The third flip inside the half-life crosses it.
-	now = now.Add(100 * time.Millisecond)
-	if !d.RecordFlip(0, now) {
-		t.Fatal("not suppressed after 3 rapid flips")
-	}
-	if !d.Suppressed(0, now) || d.Suppressions() != 1 {
-		t.Fatalf("want suppressed with 1 suppression, got %v/%d",
-			d.Suppressed(0, now), d.Suppressions())
-	}
-	// The other device is untouched.
-	if d.Suppressed(1, now) || d.Flips(1) != 0 {
-		t.Fatal("flips leaked across devices")
-	}
-
-	// Exponential decay: one half-life halves the penalty.
-	p0 := d.PenaltyOf(0, now)
-	p1 := d.PenaltyOf(0, now.Add(10*time.Second))
-	if ratio := p1 / p0; ratio < 0.49 || ratio > 0.51 {
-		t.Fatalf("penalty decayed to %.2f of start after one half-life, want ~0.5", ratio)
-	}
-
-	// Release needs the penalty below ReuseThreshold (~2950 → <800 is just
-	// under 2 half-lives) — 30s is comfortably past it and past hold-down.
-	if d.Suppressed(0, now.Add(15*time.Second)) != true {
-		t.Fatal("released too early")
-	}
-	if d.Suppressed(0, now.Add(30*time.Second)) {
-		t.Fatal("still suppressed after penalty decayed below reuse threshold")
-	}
-	// Release is sticky until the next suppression.
-	if d.Suppressed(0, now.Add(31*time.Second)) {
-		t.Fatal("re-suppressed without a flip")
-	}
-}
-
-func TestDamperHoldDownFloorsRelease(t *testing.T) {
-	defer testutil.CheckGoroutines(t)
-	// A tiny half-life decays the penalty almost instantly, but the
-	// hold-down still pins the device out for its full duration.
-	d := NewDamper(1, DamperOptions{
-		SuppressThreshold: 2500,
-		ReuseThreshold:    800,
-		HalfLife:          10 * time.Millisecond,
-		HoldDown:          5 * time.Second,
-	})
-	now := time.Unix(0, 0)
-	d.RecordFlip(0, now)
-	d.RecordFlip(0, now)
-	if !d.RecordFlip(0, now) {
-		t.Fatal("not suppressed")
-	}
-	if !d.Suppressed(0, now.Add(time.Second)) {
-		t.Fatal("hold-down ignored: released before HoldDown elapsed")
-	}
-	if d.Suppressed(0, now.Add(5*time.Second)) {
-		t.Fatal("not released once hold-down elapsed and penalty decayed")
-	}
-}
-
-func TestDamperPenaltyCap(t *testing.T) {
-	defer testutil.CheckGoroutines(t)
-	d := NewDamper(1, DamperOptions{HalfLife: time.Hour})
-	now := time.Unix(0, 0)
-	for k := 0; k < 100; k++ {
-		d.RecordFlip(0, now)
-	}
-	if p := d.PenaltyOf(0, now); p > 8*2500 {
-		t.Fatalf("penalty %v exceeds the penalty cap", p)
-	}
-	if d.Flips(0) != 100 {
-		t.Fatalf("Flips = %d, want 100", d.Flips(0))
 	}
 }

@@ -5,10 +5,9 @@
 // tiles 10× slow or failing a third of its exec.block calls. This package closes
 // that gap with a per-device SLI ledger fed from real tile-RPC outcomes, a
 // gray-failure detector that scores each device's window against the fleet
-// median, a four-state health machine (Active → Probation → Quarantined →
+// median, and a four-state health machine (Active → Probation → Quarantined →
 // Reintegrating) whose quarantine excludes a device from placement without
-// tearing down its connections, and a BGP-style flap damper (damper.go) that
-// keeps a membership-flapping device from thrashing the caches and limiters.
+// tearing down its connections.
 //
 // Everything runs on an explicit clock: callers pass now to every mutating
 // method, so unit tests drive the whole machine on a synthetic timeline.

@@ -3,7 +3,6 @@ package runtime
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"murmuration/internal/limit"
 	"murmuration/internal/rpcx"
@@ -67,10 +66,7 @@ type deviceRecord struct {
 	// stalls counts link-stall outcomes since the last quarantine: what pins a
 	// quarantine on the path rather than the device.
 	stalls atomic.Uint64
-	// holdUntil, when set, is the time before which a detector's Up must not
-	// reinstate the device (flap damping, mass-recovery stagger). Under mu.
-	holdUntil time.Time
-	client    *rpcx.Client
+	client *rpcx.Client
 }
 
 // DeviceTable owns per-device state: a record per remote (index i is
@@ -122,8 +118,8 @@ type Change struct {
 }
 
 // Apply performs each change's row, then notifies the subscriber once — K
-// transitions cost one wait-estimate reset and one rewarm. A change naming no
-// remote device is skipped.
+// transitions cost one wait-estimate reset. A change naming no remote device
+// is skipped.
 func (t *DeviceTable) Apply(changes ...Change) {
 	if len(changes) == 0 {
 		return
@@ -146,9 +142,6 @@ func (t *DeviceTable) Apply(changes ...Change) {
 		// The mask moves before the cache: a resolution racing this must not
 		// re-cache a placement on the leaving device.
 		r.out.Store(r.out.Load()&^row.clear | row.set)
-		if row.clear&outDown != 0 {
-			r.holdUntil = time.Time{}
-		}
 		if row.set&outQuarantined != 0 && r.stalls.Swap(0) > 0 {
 			t.asymmetric.Add(1)
 		}
@@ -172,17 +165,6 @@ func (t *DeviceTable) Apply(changes ...Change) {
 // Changed receives after Apply; the serving gateway is the one subscriber.
 func (t *DeviceTable) Changed() <-chan struct{} { return t.changed }
 
-// Hold keeps device dev's reinstatement back until at least until (zero
-// lifts it). The table only keeps the time: whoever placed a hold reads it
-// back from Snapshot and decides what the released device does next.
-func (t *DeviceTable) Hold(dev int, until time.Time) {
-	t.mu.Lock()
-	if r := t.rec(dev); r != nil {
-		r.holdUntil = until
-	}
-	t.mu.Unlock()
-}
-
 // NoteStall records one link-stall outcome against device dev.
 func (t *DeviceTable) NoteStall(dev int) {
 	if r := t.rec(dev); r != nil {
@@ -197,7 +179,6 @@ func (t *DeviceTable) AsymmetricQuarantines() uint64 { return t.asymmetric.Load(
 // DeviceState is a read-only copy of one record, for tests and stats.
 type DeviceState struct {
 	Up, Quarantined bool
-	Hold            time.Time // pending reinstatement hold; zero = none
 	Incarnation     uint64
 }
 
@@ -210,7 +191,7 @@ func (t *DeviceTable) Snapshot() []DeviceState {
 		r := &t.recs[i]
 		bits := r.out.Load()
 		out[i] = DeviceState{Up: bits&outDown == 0, Quarantined: bits&outQuarantined != 0,
-			Hold: r.holdUntil, Incarnation: r.expectedInc.Load()}
+			Incarnation: r.expectedInc.Load()}
 	}
 	return out
 }

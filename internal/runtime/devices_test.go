@@ -91,7 +91,6 @@ func TestApplyPerformsItsRow(t *testing.T) {
 		r.panicStreak.Store(2)
 		r.limiter.Cut()
 		cut := r.limiter.Limit()
-		rt.Devices.Hold(1, time.Unix(1, 0))
 
 		rt.Devices.Apply(Change{Dev: 1, To: tr, Incarnation: 9})
 
@@ -107,9 +106,6 @@ func TestApplyPerformsItsRow(t *testing.T) {
 		}
 		if got := r.limiter.Limit() > cut && r.panicStreak.Load() == 0; got != row.resetAdaptive {
 			t.Errorf("%v: adaptive state reset = %v, want %v", tr, got, row.resetAdaptive)
-		}
-		if got := rt.Devices.Snapshot()[0].Hold.IsZero(); got != (row.clear&outDown != 0) {
-			t.Errorf("%v: hold lifted = %v, want only when the device comes up", tr, got)
 		}
 		select {
 		case <-rt.Devices.Changed():

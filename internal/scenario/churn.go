@@ -281,7 +281,7 @@ func (o *Orchestrator) applyMass(ev Event) error {
 		}
 		// The script just revived these devices, so — unlike organic recovery,
 		// which must wait for heartbeat evidence — the batched Up override is
-		// sound, and it is what lets the consumer stagger reintegration.
+		// sound, and it is what lets the consumer reintegrate them in one step.
 		if mgr != nil && len(killed) > 0 {
 			mgr.MarkUpBatch(killed)
 		}

@@ -81,13 +81,13 @@ const (
 	// correlated-failure scenario (rack power loss, shared-uplink cut). The
 	// victims are the first ceil(Value*N) device indices; they are removed
 	// through the same leave path as EvDeviceLeave but their Down transitions
-	// are delivered to subscribers as one batch, so the gateway's
-	// correlated-loss detector and batched failover handling are exercised
-	// rather than N independent losses. Device is ignored.
+	// are delivered to subscribers as one batch, so the gateway's batched
+	// failover handling is exercised rather than N independent losses.
+	// Device is ignored.
 	EvMassKill
 	// EvMassRecover returns every device a prior EvMassKill removed, all at
-	// once — the recovery-storm scenario that the gateway must smooth with
-	// staggered reintegration. Device and Value are ignored.
+	// once — the recovery-storm scenario, delivered to subscribers as one
+	// batch. Device and Value are ignored.
 	EvMassRecover
 	// EvRestartStorm restarts a fraction Value of all devices simultaneously
 	// (each through the same in-place restart path as EvRestart): fresh

@@ -1,7 +1,7 @@
-// Chaos tests for the correlated-failure immunity plane: a mass device loss
-// and a recovery storm, both scripted as scenario traces whose mass events
-// flow through the cluster manager's batched transitions. External test
-// package for the same reason as chaos_scenario_test.go.
+// Chaos tests for correlated failures: a mass device loss and a recovery
+// storm, both scripted as scenario traces whose mass events flow through the
+// cluster manager's batched transitions. External test package for the same
+// reason as chaos_scenario_test.go.
 package serve_test
 
 import (
@@ -70,14 +70,15 @@ func (d *concurrencyDecider) maxPerKey() int {
 // EvMassKill → one MarkDownBatch → one batched reconfiguration) and asserts
 // the storm-control contract:
 //
-//   - the correlated-loss detector fires and tightens admission one rung;
 //   - speculative attempts (rpcx retries, failovers, hedges) stay inside the
 //     shared retry budget — the combined retry rate is bounded no matter how
 //     many mechanisms want to re-drive work;
 //   - concurrent strategy-cache misses for one key collapse into a single
 //     decider call (ResolveCoalesced > 0, per-key decide concurrency == 1);
 //   - survivors keep serving: >= 90% of post-kill requests complete, nothing
-//     lands in Failed, and the admission ledger stays exact.
+//     lands in Failed, and the admission ledger stays exact;
+//   - nothing is degraded: the 30 s SLO leaves every request slack, so the
+//     loss costs failovers, not accuracy.
 func TestChaosMassDeviceLoss(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	const (
@@ -138,7 +139,6 @@ func TestChaosMassDeviceLoss(t *testing.T) {
 	// exact shape that stampedes a decider without singleflight.
 	g := serve.New(rt, serve.Options{
 		Workers: 4, MaxBatch: 1, MaxLinger: time.Millisecond, QueueDepth: 64,
-		CorrelatedLossHold: 30 * time.Second, // hold the tighten for the whole test
 	})
 	defer g.Close(30 * time.Second)
 	g.AttachCluster(m)
@@ -212,15 +212,6 @@ func TestChaosMassDeviceLoss(t *testing.T) {
 		return m.StateOf(0) == cluster.Down && m.StateOf(1) == cluster.Down
 	})
 
-	// One batched loss of 2 devices inside a 2s window with K=2: the detector
-	// must have fired once and pre-tightened admission by one rung.
-	waitFor("correlated-loss event recorded", func() bool {
-		return g.Stats().CorrelatedLossEvents >= 1
-	})
-	if r := g.Ladder().Rung(); r < 1 {
-		t.Fatalf("ladder rung %d after a correlated loss, want >= 1 (storm floor)", r)
-	}
-
 	// Phase 3 — resolution stampede: bursts of concurrent requests under a
 	// fresh SLO value miss the cache on the same new key at once. The
 	// singleflight must collapse them; retry until coalescing is observed
@@ -242,7 +233,7 @@ func TestChaosMassDeviceLoss(t *testing.T) {
 	}
 
 	// Phase 4 — survivor attainment: sequential requests after the fleet
-	// halved must overwhelmingly serve (degraded is fine; Failed is not).
+	// halved must overwhelmingly serve (a shed is fine; Failed is not).
 	survived := 0
 	for i := 0; i < survivorReqs; i++ {
 		if _, err := g.Submit(chaosInput(int64(300+i)), chaosLatSLO(sloMs)); err == nil {
@@ -299,14 +290,16 @@ func TestChaosMassDeviceLoss(t *testing.T) {
 	if st.Failed != 0 {
 		t.Fatalf("mass loss produced Failed=%d, want 0 (shed/degrade only)", st.Failed)
 	}
+	if st.Degraded != 0 {
+		t.Fatalf("mass loss degraded %d requests with a %d ms SLO, want 0", st.Degraded, sloMs)
+	}
 }
 
 // TestChaosRecoveryStorm kills 3 of 4 devices, then returns them all in one
 // scripted tick (one EvMassRecover → one MarkUpBatch → one batched Up). The
-// gateway must smooth the wave: the reinstatements beyond the first are held
-// and released one stagger apart, rewarms run one at a time, and the fleet
-// fully recovers — every device healthy, placements spread again, and
-// post-recovery traffic serves without the limiter collapsing.
+// fleet must fully recover — every device healthy, placements spread again,
+// and post-recovery traffic serves without the limiter collapsing — and
+// nothing is degraded: the 30 s SLO leaves every request slack.
 func TestChaosRecoveryStorm(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	const (
@@ -348,8 +341,7 @@ func TestChaosRecoveryStorm(t *testing.T) {
 	rt.SetSLO(chaosLatSLO(sloMs))
 
 	// A long heartbeat keeps the scripted MarkUpBatch ahead of any organic
-	// heartbeat recovery, so the batch path (and its staggering) is what the
-	// test exercises.
+	// heartbeat recovery, so the batch path is what the test exercises.
 	hbs := make([]cluster.ProbeFunc, numDevices)
 	for i := range hbs {
 		hb := chaosDial(t, addrs[i], nil)
@@ -365,7 +357,6 @@ func TestChaosRecoveryStorm(t *testing.T) {
 
 	g := serve.New(rt, serve.Options{
 		Workers: 2, MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 32,
-		CorrelatedLossHold: 500 * time.Millisecond,
 	})
 	defer g.Close(30 * time.Second)
 	g.AttachCluster(m)
@@ -421,18 +412,12 @@ func TestChaosRecoveryStorm(t *testing.T) {
 		}
 	}
 
-	// The simultaneous return: one batch of 3 Up transitions. The first
-	// device reinstates immediately; the other two are scheduled one stagger
-	// period apart rather than slamming back at once.
+	// The simultaneous return: one batch of 3 Up transitions, applied as one.
 	if n, err := player.Finish(); err != nil || n != 1 {
 		t.Fatalf("mass recover applied %d events, err=%v; want 1, nil", n, err)
 	}
-	waitFor("staggered reintegrations scheduled", func() bool {
-		return g.Stats().StaggeredReintegrations >= 2
-	})
 
-	// Full recovery: every device Up and placement-eligible again once the
-	// staggered holds are released.
+	// Full recovery: every device Up and placement-eligible again.
 	waitFor("all devices healthy", func() bool {
 		h := rt.Devices.Snapshot()
 		for i := 0; i < numDevices; i++ {
@@ -486,17 +471,14 @@ func TestChaosRecoveryStorm(t *testing.T) {
 
 	st := g.Stats()
 	t.Logf("recovery storm: stats=%+v", st)
-	if st.CorrelatedLossEvents == 0 {
-		t.Fatal("the 3-device kill did not register as a correlated loss")
-	}
-	if st.StaggeredReintegrations < 2 {
-		t.Fatalf("StaggeredReintegrations=%d, want >= 2 (3 devices in one batch)", st.StaggeredReintegrations)
-	}
 	if st.Admitted != st.Served+st.Dropped+st.Failed {
 		t.Fatalf("ledger broken: admitted %d != served %d + dropped %d + failed %d",
 			st.Admitted, st.Served, st.Dropped, st.Failed)
 	}
 	if st.Failed != 0 {
 		t.Fatalf("recovery storm produced Failed=%d, want 0", st.Failed)
+	}
+	if st.Degraded != 0 {
+		t.Fatalf("recovery storm degraded %d requests with a %d ms SLO, want 0", st.Degraded, sloMs)
 	}
 }

@@ -1,6 +1,6 @@
-// Tests for the cluster glue's half of the device table (DESIGN.md §6.1): holds
-// are data on the record, placed and released in one goroutine. External test
-// package like the chaos tests.
+// Tests for the cluster glue's half of the device table (DESIGN.md §6.1): one
+// batch of detector events is one Apply. External test package like the chaos
+// tests.
 package serve_test
 
 import (
@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"murmuration/internal/cluster"
-	"murmuration/internal/health"
 	"murmuration/internal/rpcx"
 	"murmuration/internal/runtime"
 	"murmuration/internal/serve"
@@ -47,12 +46,12 @@ func waitForTable(t *testing.T, rt *runtime.Runtime, desc string, cond func([]ru
 	}
 }
 
-// TestMassChurnLeavesNoHoldBehind: a fleet that is killed and recovered over
-// and over must not accumulate anything. Every staggered reinstatement used
-// to append a timer that nothing removed before Close; holds are now a time on
-// the record, so after each round the table is as it started and the process
-// has the goroutines it had after the first.
-func TestMassChurnLeavesNoHoldBehind(t *testing.T) {
+// TestMassRecoveryIsOneApply: a fleet that is killed and recovered over and
+// over rejoins each time in one step — the first snapshot that shows any
+// victim back shows all of them back, so the eligible set (and with it the
+// strategy-cache key) moves once per recovery — and accumulates nothing: the
+// process has, after every round, the goroutines it had after the first.
+func TestMassRecoveryIsOneApply(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	const remotes, rounds = 4, 4
 	g, rt, m := tableGateway(t, remotes, serve.Options{Workers: 1})
@@ -67,49 +66,38 @@ func TestMassChurnLeavesNoHoldBehind(t *testing.T) {
 			return !ds[0].Up && !ds[1].Up && !ds[2].Up && ds[3].Up
 		})
 		m.MarkUpBatch(victims)
-		// First device at once, the other two one and two staggers later; a
-		// hold lasts until its device is back.
-		waitForTable(t, rt, "every device back, nothing held", func(ds []runtime.DeviceState) bool {
-			for _, d := range ds {
-				if !d.Up || !d.Hold.IsZero() {
-					return false
-				}
-			}
-			return true
+		var first []runtime.DeviceState
+		waitForTable(t, rt, "a victim back", func(ds []runtime.DeviceState) bool {
+			first = ds
+			return ds[0].Up || ds[1].Up || ds[2].Up
 		})
+		for _, v := range victims {
+			if !first[v].Up {
+				t.Fatalf("round %d: the first snapshot with a victim back has device %d still down: %+v",
+					round, v+1, first)
+			}
+		}
 		if round == 0 {
 			goroutines = goruntime.NumGoroutine()
 		}
-	}
-	if st := g.Stats(); st.StaggeredReintegrations != 2*rounds {
-		t.Fatalf("StaggeredReintegrations = %d, want %d (two of three victims per round)",
-			st.StaggeredReintegrations, 2*rounds)
 	}
 	if now := goruntime.NumGoroutine(); now > goroutines {
 		t.Fatalf("%d goroutines after %d rounds, %d after the first", now, rounds, goroutines)
 	}
 }
 
-// TestRestartWhileSuppressedStaysOut: a detected restart is a fenced Down
-// followed by an ordinary Up, so it does not reinstate a device around the
-// flap damper's refusal — the device rejoins when the penalty has decayed,
-// through the same release as any held device. (The restart handler used to
-// flip the mask up unconditionally, and the damper sweep reinstated it again.)
-func TestRestartWhileSuppressedStaysOut(t *testing.T) {
+// TestRestartFencesAndReinstates: a detected restart is a fenced Down followed
+// by an ordinary Up. The fence moves to the new incarnation before the
+// restart hook runs, and the device is back in placement once the batch is
+// applied.
+func TestRestartFencesAndReinstates(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	const incA, incB = uint64(1)<<48 | 0xA, uint64(2)<<48 | 0xB
 	restarted := make(chan uint64, 1)
 	g, rt, m := tableGateway(t, 2, serve.Options{Workers: 1,
 		OnRestart: func(dev int, inc uint64) { restarted <- inc }})
 	defer m.Close()
-	g.AttachHealth(serve.HealthOptions{
-		// One flip suppresses; two flips' penalty takes ~2 half-lives to decay
-		// below the reuse threshold.
-		Damper: health.DamperOptions{SuppressThreshold: 900, ReuseThreshold: 450,
-			HalfLife: 300 * time.Millisecond, HoldDown: 50 * time.Millisecond},
-		ProbeEvery: -1,
-		TickEvery:  time.Hour,
-	})
+	g.AttachHealth(serve.HealthOptions{ProbeEvery: -1, TickEvery: time.Hour})
 	defer g.Close(time.Second)
 
 	m.ReportHeartbeat(0, time.Millisecond, incA) // already Up: only the identity is learned
@@ -126,26 +114,14 @@ func TestRestartWhileSuppressedStaysOut(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("restart never reached the gateway")
 	}
-	waitForTable(t, rt, "the refused reinstatement to be held", func(ds []runtime.DeviceState) bool {
-		return !ds[0].Hold.IsZero()
-	})
+	waitForTable(t, rt, "device 1 back", func(ds []runtime.DeviceState) bool { return ds[0].Up })
 	d := rt.Devices.Snapshot()[0]
-	if d.Up || rt.Devices.Eligible(1) {
-		t.Fatalf("restart reinstated a flap-suppressed device: %+v", d)
-	}
 	if d.Incarnation != incB {
 		t.Fatalf("fence expects incarnation %#x after the restart, want %#x", d.Incarnation, incB)
 	}
-	if st := g.Stats(); st.FlapSuppressed == 0 {
-		t.Fatalf("the damper never engaged: %+v", st)
+	if !rt.Devices.Eligible(1) {
+		t.Fatalf("restarted device not back in placement: %+v", d)
 	}
-	if m.StateOf(0) != cluster.Up {
-		t.Fatalf("detector says %v, want Up: the hold, not the detector, keeps the device out", m.StateOf(0))
-	}
-
-	waitForTable(t, rt, "release once the penalty decayed", func(ds []runtime.DeviceState) bool {
-		return ds[0].Up && ds[0].Hold.IsZero()
-	})
 	if st := g.Stats(); st.Restarts != 1 {
 		t.Fatalf("Restarts = %d, want 1", st.Restarts)
 	}

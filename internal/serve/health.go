@@ -24,15 +24,13 @@ import (
 //     reconfigures is the table's business.
 //   - Time: a tick-loop goroutine rolls the tracker's windows and probes
 //     quarantined devices with synthetic inferences so their ledgers stay
-//     fed. The flap damper created here is consulted by the cluster glue.
+//     fed.
 
 // HealthOptions configures AttachHealth. Zero values select the defaults.
 type HealthOptions struct {
 	// Tracker configures the SLI windows, gray thresholds, and the
 	// quarantine/reintegration machine.
 	Tracker health.Options
-	// Damper configures flap damping on cluster Up/Down transitions.
-	Damper health.DamperOptions
 	// ProbeEvery is the synthetic-probe period per quarantined or
 	// reintegrating device (default 500ms; negative disables probing).
 	ProbeEvery time.Duration
@@ -59,8 +57,8 @@ func (o HealthOptions) withDefaults() HealthOptions {
 	return o
 }
 
-// AttachHealth creates the gray-failure tracker and flap damper, wires them
-// into the scheduler's dispatch path and the cluster glue, and starts the
+// AttachHealth creates the gray-failure tracker, wires it into the
+// scheduler's dispatch path and the cluster glue, and starts the
 // tick loop. Call once, before traffic, and before Close. The returned
 // tracker is the gateway's view of per-device health (for observation; its
 // counters also ride Stats). Idempotent: a second call returns the existing
@@ -76,7 +74,6 @@ func (g *Gateway) AttachHealth(opts HealthOptions) *health.Tracker {
 	n := len(g.rt.Scheduler.Remotes)
 	tr := health.NewTracker(n, opts.Tracker)
 	g.health = tr
-	g.damper = health.NewDamper(n, opts.Damper)
 	g.loops.Add(1)
 	g.mu.Unlock()
 

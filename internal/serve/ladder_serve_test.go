@@ -24,7 +24,14 @@ func TestStatsWireVersionRoundTrip(t *testing.T) {
 	in.QueueDepth = [numClasses]int{19, 20, 21}
 	in.Cache = runtime.CacheStats{Len: 22, Cap: 23, Hits: 24, Misses: 25, Evictions: 26, Invalidations: 27}
 
-	out, err := decodeStats(encodeStats(in))
+	frame := encodeStats(in)
+	if len(frame) != 1+statsFieldCount*8 {
+		t.Fatalf("stats frame is %d bytes, want 1 + %d fields × 8", len(frame), statsFieldCount)
+	}
+	if _, err := decodeStats(frame[:len(frame)-1]); err == nil {
+		t.Fatal("a stats frame one byte short decoded")
+	}
+	out, err := decodeStats(frame)
 	if err != nil {
 		t.Fatal(err)
 	}

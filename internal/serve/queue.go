@@ -87,19 +87,9 @@ type Gateway struct {
 	tap     OutcomeTap
 	adapter AdaptSource
 
-	// health is the gray-failure tracker; damper is the flap damper fed by
-	// cluster transitions. Both are nil until AttachHealth (see health.go)
-	// and guarded by mu.
+	// health is the gray-failure tracker, nil until AttachHealth (see
+	// health.go); guarded by mu.
 	health *health.Tracker
-	damper *health.Damper
-
-	// Storm-control state (storm.go). downTimes is the correlated-loss
-	// detector's sliding window of recent Down transitions; stormTight marks
-	// the pre-emptive admission tighten it raised, cleared by stormClear
-	// after the hold. All guarded by mu.
-	downTimes  []time.Time
-	stormTight bool
-	stormClear *time.Timer
 
 	// stop is closed by Close (once); loops counts the goroutines that watch
 	// it: the device-table subscriber (reconfigure) and the health tick loop.
@@ -286,12 +276,10 @@ func (g *Gateway) deliver(req *request, out Outcome) bool {
 func (g *Gateway) Ladder() *runtime.Ladder { return g.ladder }
 
 // SetBrownout raises or clears the gateway's brownout: on entry the ladder
-// floor rises by BrownoutRung (every batch at least one rung degraded) and
-// admission tightens; on exit the floor drops back and the ladder climbs
-// home through its normal hysteresis. The floor composes with the
-// correlated-loss tighten (storm.go) via applyFloor, so clearing one signal
-// never erases the other. Idempotent per edge. Wired to the watchdog's
-// OnBrownout/OnClear callbacks by the daemons.
+// floor rises to BrownoutRung (every batch at least one rung degraded) and
+// admission tightens; on exit the floor drops back to 0 and the ladder climbs
+// home through its normal hysteresis. Idempotent per edge. Wired to the
+// watchdog's OnBrownout/OnClear callbacks by the daemons.
 func (g *Gateway) SetBrownout(on bool) {
 	g.mu.Lock()
 	changed := g.brownout != on
@@ -300,9 +288,14 @@ func (g *Gateway) SetBrownout(on bool) {
 		g.stats.Brownouts++
 	}
 	g.mu.Unlock()
-	if changed {
-		g.applyFloor()
+	if !changed {
+		return
 	}
+	floor := 0
+	if on {
+		floor = BrownoutRung
+	}
+	g.ladder.SetFloor(floor)
 }
 
 // Brownout reports whether the gateway is currently in brownout.
@@ -330,6 +323,22 @@ func (g *Gateway) ResetWaitEstimates() {
 	defer g.mu.Unlock()
 	for c := range g.emaBatchSec {
 		g.emaBatchSec[c] = 0
+	}
+}
+
+// reconfigure is the device table's one subscriber, a goroutine that lives
+// from New to Close. A notification — one per applied batch of transitions,
+// coalesced while a pass runs — means a placement lost or regained a device,
+// so batch cost changed regime and the wait estimates are reset.
+func (g *Gateway) reconfigure() {
+	defer g.loops.Done()
+	for {
+		select {
+		case <-g.stop:
+			return
+		case <-g.rt.Devices.Changed():
+		}
+		g.ResetWaitEstimates()
 	}
 }
 
@@ -368,9 +377,6 @@ func (g *Gateway) Stats() Stats {
 		s.Quarantines = hc.Quarantines
 		s.Reintegrations = hc.Reintegrations
 	}
-	if g.damper != nil {
-		s.FlapSuppressed = g.damper.Suppressions()
-	}
 	for c := Class(0); c < numClasses; c++ {
 		s.QueueDepth[c] = len(g.queues[c])
 	}
@@ -404,14 +410,10 @@ func (g *Gateway) Stats() Stats {
 func (g *Gateway) Close(grace time.Duration) {
 	g.mu.Lock()
 	g.closing = true
-	sc := g.stormClear
 	g.cond.Broadcast()
 	g.mu.Unlock()
-	if sc != nil {
-		sc.Stop()
-	}
-	// Both loops exit promptly; a rewarm or a probe in flight is waited out,
-	// the probe bounded by its own ProbeTimeout.
+	// Both loops exit promptly; a probe in flight is waited out, bounded by
+	// its own ProbeTimeout.
 	g.stopOnce.Do(func() { close(g.stop) })
 	g.loops.Wait()
 

@@ -136,9 +136,6 @@ type Options struct {
 	// needed before the ladder climbs one rung back toward full quality
 	// (default runtime.DefaultLadderHysteresis).
 	LadderHysteresis int
-	// CorrelatedLossHold is how long the correlated-loss tighten (storm.go)
-	// persists after the last detection (default 5s).
-	CorrelatedLossHold time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -156,9 +153,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
-	}
-	if o.CorrelatedLossHold <= 0 {
-		o.CorrelatedLossHold = 5 * time.Second
 	}
 	return o
 }
@@ -258,15 +252,12 @@ type Stats struct {
 	// device's data-path SLIs breached the fleet-relative thresholds while
 	// its heartbeats stayed Up); Probations, Quarantines, and Reintegrations
 	// count the health machine's transitions into Probation, into
-	// Quarantined, and completed reintegration ramps back to Active.
-	// FlapSuppressed counts devices crossing into flap-damping suppression
-	// (reinstatement refused until the flip penalty decays). All five are
-	// wire v8, zero when no health tracker is attached (AttachHealth).
+	// Quarantined, and completed reintegration ramps back to Active. All four
+	// are wire v8, zero when no health tracker is attached (AttachHealth).
 	GraySuspects   uint64
 	Quarantines    uint64
 	Probations     uint64
 	Reintegrations uint64
-	FlapSuppressed uint64
 	// Restarts counts detected device restarts (incarnation changes) the
 	// gateway reconfigured around: strategy cache invalidated, adaptive state
 	// reset, capabilities re-negotiated. FencedResponses counts tile responses
@@ -287,16 +278,10 @@ type Stats struct {
 	// in-flight decider run instead of a duplicate run (singleflight).
 	// InvalidationEpochs mirrors Cache.InvalidationEpochs on the wire: O(1)
 	// strategy-cache invalidation events (device-loss epoch bumps and policy
-	// clears). CorrelatedLossEvents counts correlated-loss detections (>= K
-	// devices Down inside the window) that pre-emptively tightened admission
-	// one ladder rung. StaggeredReintegrations counts device reinstatements
-	// the recovery-storm smoother delayed so returning capacity ramps instead
-	// of slamming. All five are wire v10.
-	RetryBudgetExhausted    uint64
-	ResolveCoalesced        uint64
-	InvalidationEpochs      uint64
-	CorrelatedLossEvents    uint64
-	StaggeredReintegrations uint64
+	// clears). All three are wire v10.
+	RetryBudgetExhausted uint64
+	ResolveCoalesced     uint64
+	InvalidationEpochs   uint64
 	// ClassMet / ClassMissed are the per-SLO-class attainment ledger: every
 	// admitted request lands in exactly one bucket of its class once it gets
 	// its outcome. Met is served within the SLO (for classes without a

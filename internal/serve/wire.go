@@ -48,14 +48,15 @@ const inferHeaderLen = 1 + 8
 //	    attainment, read by the scenario scorer)
 //	v7: +PolicyVersion, +ShadowScored, +CanaryServed, +Promotions,
 //	    +Rollbacks (online-adaptation rollout attribution)
-//	v8: +GraySuspects, +Quarantines, +Probations, +Reintegrations,
-//	    +FlapSuppressed (gray-failure health machine and flap damping)
+//	v8: +GraySuspects, +Quarantines, +Probations, +Reintegrations, and a
+//	    flap-damping counter (gray-failure health machine and flap damping)
 //	v9: +Restarts, +FencedResponses, +StalledCalls, +AsymmetricQuarantines
 //	    (incarnation fencing and asymmetric-partition detection)
-//	v10: +RetryBudgetExhausted, +ResolveCoalesced, +InvalidationEpochs,
-//	    +CorrelatedLossEvents, +StaggeredReintegrations (storm control:
-//	    retry budgets, resolution singleflight, correlated-loss smoothing)
-const statsWireVersion = 10
+//	v10: +RetryBudgetExhausted, +ResolveCoalesced, +InvalidationEpochs, and
+//	    two correlated-loss counters (storm control: retry budgets,
+//	    resolution singleflight, correlated-loss smoothing)
+//	v11: -the flap-damping and both correlated-loss counters (mechanisms deleted)
+const statsWireVersion = 11
 
 // StatsWireVersion is the exported stats frame version, stamped into load
 // generator reports so offline analysis knows which field set it is reading.
@@ -144,9 +145,12 @@ func decodeSLO(typ byte, value float64) (runtime.SLO, error) {
 }
 
 // statsFieldCount is the number of u64 fields in the stats wire encoding:
-// 48 counters/gauges + 2×3 per-class attainment counters + 3 queue depths +
-// 6 cache fields.
-const statsFieldCount = 63
+// statsFields, then one queue depth per class, then the cache tail.
+var statsFieldCount = len(statsFields(new(Stats))) + int(numClasses) + cacheWireFields
+
+// cacheWireFields is the strategy-cache tail of the stats frame: Len, Cap,
+// Hits, Misses, Evictions, Invalidations.
+const cacheWireFields = 6
 
 // statsFields lists the counter fields in wire order; queue depths and
 // cache stats follow them in encodeStats/decodeStats.
@@ -166,11 +170,10 @@ func statsFields(s *Stats) []*uint64 {
 		&s.PolicyVersion, &s.ShadowScored, &s.CanaryServed,
 		&s.Promotions, &s.Rollbacks,
 		&s.GraySuspects, &s.Quarantines, &s.Probations,
-		&s.Reintegrations, &s.FlapSuppressed,
+		&s.Reintegrations,
 		&s.Restarts, &s.FencedResponses, &s.StalledCalls,
 		&s.AsymmetricQuarantines,
 		&s.RetryBudgetExhausted, &s.ResolveCoalesced, &s.InvalidationEpochs,
-		&s.CorrelatedLossEvents, &s.StaggeredReintegrations,
 	}
 	for c := range s.ClassMet {
 		fields = append(fields, &s.ClassMet[c])
