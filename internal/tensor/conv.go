@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // ConvOpts describes a 2-D convolution: square kernel, symmetric stride and
 // zero padding.
@@ -242,140 +245,99 @@ func Conv1x1Into(dst, x, weight, bias *Tensor, outC int) {
 	conv1x1Into(dst, x, weight.Data, weight.Shape[1], outC, bias)
 }
 
-// conv1x1Block is the number of plane elements one conv1x1 work item covers:
-// four input rows and two output rows of that length sit in L1 together, and
-// a single large plane still splits into enough items to occupy every worker.
+// conv1x1Block is the span of the plane one conv1x1 work item covers. An
+// item stores four output rows of it (16 KB) once each and reads the block's
+// c input rows once; successive items are the next four output rows of the
+// same block, which find those input rows in cache. A single large plane
+// still splits into enough items to occupy every worker.
 const conv1x1Block = 1024
 
+// noBias is what a row without a bias adds in the store: −0, the identity of
+// float32 addition — s + (−0) is s bit for bit for every sum, +0, −0 and NaN
+// payloads included (a sum is an add's result, never a signalling NaN).
+var noBias = math.Float32frombits(1 << 31)
+
+// quad is conv1x1's unit of work: four output rows of one block of one
+// image's plane, each with its weight row (c long) and bias. Rows may repeat:
+// a layer whose output count is not a multiple of four fills its last quad
+// with its last row, which is then computed and stored more than once — the
+// same sum each time, by the same goroutine.
+type quad struct {
+	d, w [4][]float32
+	bias [4]float32
+}
+
 // conv1x1Into is the pointwise kernel: dst[b,oc,i] = Σ_ch wd[oc·wstride+ch] ·
-// x[b,ch,i], channels ascending from zero, bias added last. It is
-// register-blocked two output channels by four input channels: one pass over
-// a block of the plane reads four input rows once and advances two output
-// rows by four terms each, so the inner loop does sixteen flops per eight
-// memory operations with two independent dependency chains. Every output
-// element still receives its terms one at a time in channel order, so the
-// blocking — and the split of the work across workers, which never divides
-// one element's sum — leaves each result bit-identical to the plain loop.
+// x[b,ch,i], channels ascending from zero, bias added last. A work item is an
+// image, a block of its plane and four output rows; the register tile —
+// four rows by 64 elements with AVX-512, by 16 with AVX2 — meets each input
+// register once per channel with all four rows' weights, so four independent
+// accumulators (sixteen, eight) advance per load. Every output element still
+// receives its terms one at a time in channel order into its own
+// accumulator, so the tiling — and the split of the work across workers,
+// which never divides one element's sum — leaves each result bit-identical
+// to the plain loop.
 func conv1x1Into(dst, x *Tensor, wd []float32, wstride, outC int, bias *Tensor) {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	checkDst("Conv1x1", dst, n, outC, h, w)
 	plane := h * w
 	xd, od := x.Data, dst.Data
 	nblk := (plane + conv1x1Block - 1) / conv1x1Block
-	npair := (outC + 1) / 2
-	ParallelByCost(n*nblk*npair, 2*c*min(plane, conv1x1Block), func(rs, re int) {
+	nquad := (outC + 3) / 4
+	ParallelByCost(n*nblk*nquad, 4*c*min(plane, conv1x1Block), func(rs, re int) {
 		for r := rs; r < re; r++ {
-			// Pairs vary fastest: consecutive items reuse one block of input
+			// Quads vary fastest: consecutive items reuse one block of input
 			// rows against successive weight rows.
-			oc := r % npair * 2
-			blk := r / npair % nblk
-			b := r / (npair * nblk)
+			oc := r % nquad * 4
+			blk := r / nquad % nblk
+			b := r / (nquad * nblk)
 			lo := blk * conv1x1Block
 			hi := min(lo+conv1x1Block, plane)
-			src := xd[b*c*plane : (b+1)*c*plane]
-			d0 := od[(b*outC+oc)*plane+lo : (b*outC+oc)*plane+hi]
-			w0 := wd[oc*wstride : oc*wstride+c]
-			// The vector kernel takes a block of at least one register — all
-			// of it — and the portable loop what is left: a block narrower
-			// than a register, or everything without AVX2.
-			if oc+1 == outC {
-				if done := conv1x1RowVec(d0, src, plane, lo, w0); done < len(d0) {
-					conv1x1Row(d0[done:], src, plane, lo+done, w0)
-				}
-			} else {
-				d1 := od[(b*outC+oc+1)*plane+lo : (b*outC+oc+1)*plane+hi]
-				w1 := wd[(oc+1)*wstride : (oc+1)*wstride+c]
-				if done := conv1x1PairVec(d0, d1, src, plane, lo, w0, w1); done < len(d0) {
-					conv1x1Pair(d0[done:], d1[done:], src, plane, lo+done, w0, w1)
-				}
+			var q quad
+			for k := range q.d {
+				o := min(oc+k, outC-1)
+				q.d[k] = od[(b*outC+o)*plane+lo : (b*outC+o)*plane+hi]
+				q.w[k] = wd[o*wstride : o*wstride+c]
+				q.bias[k] = noBias
 				if bias != nil {
-					addScalar(d1, bias.Data[oc+1])
+					q.bias[k] = bias.Data[o]
 				}
 			}
-			if bias != nil {
-				addScalar(d0, bias.Data[oc])
+			src := xd[b*c*plane : (b+1)*c*plane]
+			if !conv1x1QuadVec(&q, src, plane, lo) {
+				conv1x1Quad(&q, src, plane, lo)
 			}
 		}
 	})
 }
 
-// conv1x1Pair computes two output rows over every input channel of one
-// image: it clears them — the sums start from zero whatever the destination
-// held — and accumulates channel by channel. src holds the image's channel
-// planes, each `plane` long; the rows cover plane elements [lo, lo+len(d0)).
-func conv1x1Pair(d0, d1, src []float32, plane, lo int, w0, w1 []float32) {
+// conv1x1Quad is the register tile at one element: for each element i of
+// q's rows, four sums over the channels ascending, each from zero, then the
+// biases, stored once. src holds the image's channel planes, each `plane`
+// long; the rows cover plane elements [lo, lo+len(q.d[0])). It is the whole
+// kernel without the assembly, takes the rows too narrow for it, and is the
+// oracle the assembly is tested against.
+func conv1x1Quad(q *quad, src []float32, plane, lo int) {
+	w0 := q.w[0]
+	c := len(w0)
+	w1, w2, w3 := q.w[1][:c], q.w[2][:c], q.w[3][:c]
+	d0 := q.d[0]
 	n := len(d0)
-	d1 = d1[:n]
-	clear(d0)
-	clear(d1)
-	w1 = w1[:len(w0)]
-	ch := 0
-	for ; ch+4 <= len(w0); ch += 4 {
-		x0 := src[ch*plane+lo:][:n]
-		x1 := src[(ch+1)*plane+lo:][:n]
-		x2 := src[(ch+2)*plane+lo:][:n]
-		x3 := src[(ch+3)*plane+lo:][:n]
-		a0, a1, a2, a3 := w0[ch], w0[ch+1], w0[ch+2], w0[ch+3]
-		b0, b1, b2, b3 := w1[ch], w1[ch+1], w1[ch+2], w1[ch+3]
-		for i := range d0 {
-			v0, v1, v2, v3 := x0[i], x1[i], x2[i], x3[i]
-			s := d0[i]
-			s += a0 * v0
-			s += a1 * v1
-			s += a2 * v2
-			s += a3 * v3
-			d0[i] = s
-			t := d1[i]
-			t += b0 * v0
-			t += b1 * v1
-			t += b2 * v2
-			t += b3 * v3
-			d1[i] = t
+	d1, d2, d3 := q.d[1][:n], q.d[2][:n], q.d[3][:n]
+	for i := range d0 {
+		x := src[lo+i:]
+		var s0, s1, s2, s3 float32
+		for ch, a := range w0 {
+			v := x[ch*plane]
+			s0 += a * v
+			s1 += w1[ch] * v
+			s2 += w2[ch] * v
+			s3 += w3[ch] * v
 		}
-	}
-	for ; ch < len(w0); ch++ {
-		xc := src[ch*plane+lo:][:n]
-		a, b := w0[ch], w1[ch]
-		for i := range d0 {
-			v := xc[i]
-			d0[i] += a * v
-			d1[i] += b * v
-		}
-	}
-}
-
-// conv1x1Row is conv1x1Pair for the last output channel of an odd count.
-func conv1x1Row(d0, src []float32, plane, lo int, w0 []float32) {
-	n := len(d0)
-	clear(d0)
-	ch := 0
-	for ; ch+4 <= len(w0); ch += 4 {
-		x0 := src[ch*plane+lo:][:n]
-		x1 := src[(ch+1)*plane+lo:][:n]
-		x2 := src[(ch+2)*plane+lo:][:n]
-		x3 := src[(ch+3)*plane+lo:][:n]
-		a0, a1, a2, a3 := w0[ch], w0[ch+1], w0[ch+2], w0[ch+3]
-		for i := range d0 {
-			s := d0[i]
-			s += a0 * x0[i]
-			s += a1 * x1[i]
-			s += a2 * x2[i]
-			s += a3 * x3[i]
-			d0[i] = s
-		}
-	}
-	for ; ch < len(w0); ch++ {
-		xc := src[ch*plane+lo:][:n]
-		a := w0[ch]
-		for i := range d0 {
-			d0[i] += a * xc[i]
-		}
-	}
-}
-
-func addScalar(d []float32, v float32) {
-	for i := range d {
-		d[i] += v
+		d0[i] = s0 + q.bias[0]
+		d1[i] = s1 + q.bias[1]
+		d2[i] = s2 + q.bias[2]
+		d3[i] = s3 + q.bias[3]
 	}
 }
 

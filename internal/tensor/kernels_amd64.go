@@ -11,6 +11,11 @@ package tensor
 // (kernels_test.go).
 var useAVX2 = cpuHasAVX2()
 
+// useAVX512 selects the 512-bit width of the 1×1 convolution's register
+// tile, the one kernel that has one. Like useAVX2 it is set once, from
+// CPUID; no flag, environment variable or option touches it.
+var useAVX512 = useAVX2 && cpuHasAVX512()
+
 // HasAVX2 reports whether this process runs the AVX2 kernels. internal/nn
 // asks, so that its one assembly loop follows the same selection; nothing
 // can set it.
@@ -18,11 +23,13 @@ func HasAVX2() bool { return useAVX2 }
 
 func cpuHasAVX2() bool
 
-//go:noescape
-func conv1x1PairAVX2(d0, d1 *float32, n int, x *float32, stride int, w0, w1 *float32, c int)
+func cpuHasAVX512() bool
 
 //go:noescape
-func conv1x1RowAVX2(d0 *float32, n int, x *float32, stride int, w0 *float32, c int)
+func conv1x1QuadAVX512(d, w *[4]*float32, n int, x *float32, xstride, c int, bias *[4]float32)
+
+//go:noescape
+func conv1x1QuadAVX2(d, w *[4]*float32, n int, x *float32, xstride, c int, bias *[4]float32)
 
 //go:noescape
 func dwInteriorS1AVX2(dst *float32, dstStride int, in *float32, inStride int, rows, cols int, ker *float32, kh, kw int, bias float32)
@@ -61,28 +68,26 @@ func fakeQuantAVX2(dst, src *float32, n int, inv, scale, qmax float32)
 // the last element the kernel will: a caller's mistake is an index panic
 // here, not a stray read or write there.
 
-// conv1x1PairVec is conv1x1Pair for rows of at least one register: it returns
-// how many leading elements of d0 and d1 it computed — all of them or none —
-// and leaves the rest to conv1x1Pair.
-func conv1x1PairVec(d0, d1, src []float32, plane, lo int, w0, w1 []float32) int {
-	n, c := len(d0), len(w0)
-	if !useAVX2 || n < 8 || c == 0 {
-		return 0
+// conv1x1QuadVec is conv1x1Quad for a row the register tile takes — any
+// length with AVX-512, at least one register with AVX2 — and at least one
+// channel: it reports whether it computed q, all of it or none.
+func conv1x1QuadVec(q *quad, src []float32, plane, lo int) bool {
+	n, c := len(q.d[0]), len(q.w[0])
+	if c == 0 || n == 0 || !useAVX512 && (!useAVX2 || n < 8) {
+		return false
 	}
-	_, _, _ = d1[n-1], w1[c-1], src[(c-1)*plane+lo+n-1]
-	conv1x1PairAVX2(&d0[0], &d1[0], n, &src[lo], plane, &w0[0], &w1[0], c)
-	return n
-}
-
-// conv1x1RowVec is conv1x1PairVec for the last output row of an odd count.
-func conv1x1RowVec(d0, src []float32, plane, lo int, w0 []float32) int {
-	n, c := len(d0), len(w0)
-	if !useAVX2 || n < 8 || c == 0 {
-		return 0
+	var d, w [4]*float32
+	for k := range d {
+		_, _ = q.d[k][n-1], q.w[k][c-1]
+		d[k], w[k] = &q.d[k][0], &q.w[k][0]
 	}
 	_ = src[(c-1)*plane+lo+n-1]
-	conv1x1RowAVX2(&d0[0], n, &src[lo], plane, &w0[0], c)
-	return n
+	if useAVX512 {
+		conv1x1QuadAVX512(&d, &w, n, &src[lo], plane, c, &q.bias)
+	} else {
+		conv1x1QuadAVX2(&d, &w, n, &src[lo], plane, c, &q.bias)
+	}
+	return true
 }
 
 // dwInteriorVec computes the rows×cols interior rectangle whose first output

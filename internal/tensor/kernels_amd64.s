@@ -2,14 +2,15 @@
 
 #include "textflag.h"
 
-// AVX2 kernels under the summation-order contract (DESIGN.md §4.6). The
-// eight lanes of a register are eight different output elements; each
-// element receives its terms one at a time, in the portable loop's order,
-// through a multiply and a separate add — two roundings, as the Go compiler
-// emits on amd64. No fused multiply-add appears in this file: it would round
-// once and move bits.
+// AVX2 kernels, and the 1×1 convolution's AVX-512 tile, under the
+// summation-order contract (DESIGN.md §4.6). The eight (sixteen) lanes of a
+// register are different output elements; each element receives its terms
+// one at a time, in the portable loop's order, through a multiply and a
+// separate add — two roundings, as the Go compiler emits on amd64. No fused
+// multiply-add appears in this file: it would round once and move bits; nor
+// does embedded rounding or a write to MXCSR.
 //
-// VEX operand order below is Go's: OP src2, src1, dst. VMAXPS/VMINPS return
+// VEX and EVEX operand order below is Go's: OP src2, src1, dst. VMAXPS/VMINPS return
 // src2 when either operand is NaN or both are zero, which is what makes
 // them reproduce Go's `if a > b` branches; the operand order at each use is
 // therefore part of the contract. For a multiply or an add the order decides
@@ -57,34 +58,324 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// One input vector against both rows' weights: acc0 += w0·x, acc1 += w1·x.
-#define PAIRSTEP(x, acc0, acc1) \
-	VMULPS Y8, x, Y14      \
-	VADDPS acc0, Y14, acc0 \
-	VMULPS Y9, x, Y15      \
-	VADDPS acc1, Y15, acc1
-
-// func conv1x1PairAVX2(d0, d1 *float32, n int, x *float32, stride int, w0, w1 *float32, c int)
+// func cpuHasAVX512() bool
 //
-// d0[i] = Σ_ch w0[ch]·x[ch·stride+i] and likewise d1 with w1, ch ascending
-// from a zero accumulator, for i in [0, n), n ≥ 8. 2 rows × 32 elements of
-// accumulators stay in registers across all c channels and are stored once;
-// the destination is never read, which is what lets the last n%8 elements be
-// computed as part of a whole register that overlaps the one before it.
-TEXT ·conv1x1PairAVX2(SB), NOSPLIT, $0-64
-	MOVQ d0+0(FP), DI
-	MOVQ d1+8(FP), SI
-	MOVQ n+16(FP), CX
-	MOVQ x+24(FP), DX
-	MOVQ stride+32(FP), R8
-	SHLQ $2, R8
-	MOVQ w0+40(FP), R9
-	MOVQ w1+48(FP), R10
-	MOVQ c+56(FP), R11
+// AVX-512 is usable when the CPU has AVX512F (CPUID.7:EBX[16]) and the OS
+// saves the opmask and ZMM state besides the YMM state (CPUID.1:ECX OSXSAVE,
+// then XCR0[7:5] and XCR0[2:1] all set). Only AVX512F instructions are used.
+TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7
+	JLT  no512
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x08000000, CX
+	JZ   no512
+	XORL CX, CX
+	XGETBV
+	ANDL $0xE6, AX
+	CMPL AX, $0xE6
+	JNE  no512
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	SHRL $16, BX
+	ANDL $1, BX
+	MOVB BX, ret+0(FP)
+	RET
+no512:
+	MOVB $0, ret+0(FP)
+	RET
 
-pair32:
+// The 1×1 convolution's register tile: four output rows by as many adjacent
+// plane elements as the width allows — 64 with AVX-512, 16 with AVX2. Each
+// element of a row is
+//
+//	d_k[i] = (Σ_ch w_k[ch]·x[ch·xstride+i]) + bias[k]
+//
+// with ch ascending from a zero accumulator: per channel one VMULPS (x·w)
+// and one VADDPS (product + sum) per lane, and the bias added once, in the
+// store. The four rows' weights for a channel are broadcast once and meet
+// every input register of that channel; the accumulators stay in registers
+// across all c channels and are stored once, so the destination is only
+// written. A row may appear more than once in d (and its weight in w): it is
+// computed and stored each time, the same way.
+//
+// Shared register use: R8 the row pointers d, R9–R12 the four weight rows,
+// SI x, DX x's channel pitch in bytes, R13 c, CX elements left, DI the byte
+// offset of the current tile in x and in every row, AX the current
+// channel's input (the row pointer while storing), BX the channel (the bias
+// pointer while the AVX2 tile stores).
+
+// One input register against the four rows' broadcast weights.
+#define QTERM512(x, a0, a1, a2, a3) \
+	VMULPS Z16, x, Z24          \
+	VADDPS a0, Z24, a0          \
+	VMULPS Z17, x, Z25          \
+	VADDPS a1, Z25, a1          \
+	VMULPS Z18, x, Z26          \
+	VADDPS a2, Z26, a2          \
+	VMULPS Z19, x, Z27          \
+	VADDPS a3, Z27, a3
+
+#define QWEIGHTS512 \
+	VBROADCASTSS (R9)(BX*4), Z16  \
+	VBROADCASTSS (R10)(BX*4), Z17 \
+	VBROADCASTSS (R11)(BX*4), Z18 \
+	VBROADCASTSS (R12)(BX*4), Z19
+
+// func conv1x1QuadAVX512(d, w *[4]*float32, n int, x *float32, xstride, c int, bias *[4]float32)
+//
+// The tile for n ≥ 1 elements. The main loop takes 64 elements of four rows
+// (sixteen accumulators); the last n mod 64 go through a 32- and a 16-wide
+// loop whose last register is masked: lanes past the row are loaded as
+// zeros and never stored, so nothing is read or written past the row and
+// no element is computed twice.
+TEXT ·conv1x1QuadAVX512(SB), NOSPLIT, $0-56
+	MOVQ d+0(FP), R8
+	MOVQ w+8(FP), AX
+	MOVQ 0(AX), R9
+	MOVQ 8(AX), R10
+	MOVQ 16(AX), R11
+	MOVQ 24(AX), R12
+	MOVQ n+16(FP), CX
+	MOVQ x+24(FP), SI
+	MOVQ xstride+32(FP), DX
+	SHLQ $2, DX
+	MOVQ c+40(FP), R13
+	MOVQ bias+48(FP), AX
+	VBROADCASTSS 0(AX), Z28
+	VBROADCASTSS 4(AX), Z29
+	VBROADCASTSS 8(AX), Z30
+	VBROADCASTSS 12(AX), Z31
+	XORQ DI, DI
+
+q512w64:
+	CMPQ CX, $64
+	JLT  q512w32
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	VPXORD Z8, Z8, Z8
+	VPXORD Z9, Z9, Z9
+	VPXORD Z10, Z10, Z10
+	VPXORD Z11, Z11, Z11
+	VPXORD Z12, Z12, Z12
+	VPXORD Z13, Z13, Z13
+	VPXORD Z14, Z14, Z14
+	VPXORD Z15, Z15, Z15
+	LEAQ (SI)(DI*1), AX
+	XORQ BX, BX
+q512w64ch:
+	QWEIGHTS512
+	VMOVUPS (AX), Z20
+	VMOVUPS 64(AX), Z21
+	VMOVUPS 128(AX), Z22
+	VMOVUPS 192(AX), Z23
+	QTERM512(Z20, Z0, Z1, Z2, Z3)
+	QTERM512(Z21, Z4, Z5, Z6, Z7)
+	QTERM512(Z22, Z8, Z9, Z10, Z11)
+	QTERM512(Z23, Z12, Z13, Z14, Z15)
+	ADDQ DX, AX
+	INCQ BX
+	CMPQ BX, R13
+	JLT  q512w64ch
+	// Row k holds Z(k), Z(4+k), Z(8+k), Z(12+k); its bias is Z(28+k).
+	MOVQ 0(R8), AX
+	VADDPS Z28, Z0, Z0
+	VADDPS Z28, Z4, Z4
+	VADDPS Z28, Z8, Z8
+	VADDPS Z28, Z12, Z12
+	VMOVUPS Z0, (AX)(DI*1)
+	VMOVUPS Z4, 64(AX)(DI*1)
+	VMOVUPS Z8, 128(AX)(DI*1)
+	VMOVUPS Z12, 192(AX)(DI*1)
+	MOVQ 8(R8), AX
+	VADDPS Z29, Z1, Z1
+	VADDPS Z29, Z5, Z5
+	VADDPS Z29, Z9, Z9
+	VADDPS Z29, Z13, Z13
+	VMOVUPS Z1, (AX)(DI*1)
+	VMOVUPS Z5, 64(AX)(DI*1)
+	VMOVUPS Z9, 128(AX)(DI*1)
+	VMOVUPS Z13, 192(AX)(DI*1)
+	MOVQ 16(R8), AX
+	VADDPS Z30, Z2, Z2
+	VADDPS Z30, Z6, Z6
+	VADDPS Z30, Z10, Z10
+	VADDPS Z30, Z14, Z14
+	VMOVUPS Z2, (AX)(DI*1)
+	VMOVUPS Z6, 64(AX)(DI*1)
+	VMOVUPS Z10, 128(AX)(DI*1)
+	VMOVUPS Z14, 192(AX)(DI*1)
+	MOVQ 24(R8), AX
+	VADDPS Z31, Z3, Z3
+	VADDPS Z31, Z7, Z7
+	VADDPS Z31, Z11, Z11
+	VADDPS Z31, Z15, Z15
+	VMOVUPS Z3, (AX)(DI*1)
+	VMOVUPS Z7, 64(AX)(DI*1)
+	VMOVUPS Z11, 128(AX)(DI*1)
+	VMOVUPS Z15, 192(AX)(DI*1)
+	ADDQ $256, DI
+	SUBQ $64, CX
+	JMP  q512w64
+
+q512w32:
+	// 16 < CX < 64: 32 elements, the second register's lanes in K2.
+	CMPQ CX, $16
+	JLE  q512w16
+	MOVL $0xffff, AX
 	CMPQ CX, $32
-	JLT  pair8
+	JGE  q512w32mask
+	MOVQ CX, BX
+	SUBQ $16, CX
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX
+	MOVQ BX, CX
+q512w32mask:
+	KMOVW AX, K2
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	LEAQ (SI)(DI*1), AX
+	XORQ BX, BX
+q512w32ch:
+	QWEIGHTS512
+	VMOVUPS (AX), Z20
+	VMOVUPS.Z 64(AX), K2, Z21
+	QTERM512(Z20, Z0, Z1, Z2, Z3)
+	QTERM512(Z21, Z4, Z5, Z6, Z7)
+	ADDQ DX, AX
+	INCQ BX
+	CMPQ BX, R13
+	JLT  q512w32ch
+	MOVQ 0(R8), AX
+	VADDPS Z28, Z0, Z0
+	VADDPS Z28, Z4, Z4
+	VMOVUPS Z0, (AX)(DI*1)
+	VMOVUPS Z4, K2, 64(AX)(DI*1)
+	MOVQ 8(R8), AX
+	VADDPS Z29, Z1, Z1
+	VADDPS Z29, Z5, Z5
+	VMOVUPS Z1, (AX)(DI*1)
+	VMOVUPS Z5, K2, 64(AX)(DI*1)
+	MOVQ 16(R8), AX
+	VADDPS Z30, Z2, Z2
+	VADDPS Z30, Z6, Z6
+	VMOVUPS Z2, (AX)(DI*1)
+	VMOVUPS Z6, K2, 64(AX)(DI*1)
+	MOVQ 24(R8), AX
+	VADDPS Z31, Z3, Z3
+	VADDPS Z31, Z7, Z7
+	VMOVUPS Z3, (AX)(DI*1)
+	VMOVUPS Z7, K2, 64(AX)(DI*1)
+	ADDQ $128, DI
+	SUBQ $32, CX
+	JG   q512w32
+	JMP  q512done
+
+q512w16:
+	// 0 ≤ CX ≤ 16: one register, its lanes in K1.
+	TESTQ CX, CX
+	JZ    q512done
+	MOVL  $1, AX
+	SHLL  CX, AX
+	DECL  AX
+	KMOVW AX, K1
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	LEAQ (SI)(DI*1), AX
+	XORQ BX, BX
+q512w16ch:
+	QWEIGHTS512
+	VMOVUPS.Z (AX), K1, Z20
+	QTERM512(Z20, Z0, Z1, Z2, Z3)
+	ADDQ DX, AX
+	INCQ BX
+	CMPQ BX, R13
+	JLT  q512w16ch
+	MOVQ 0(R8), AX
+	VADDPS Z28, Z0, Z0
+	VMOVUPS Z0, K1, (AX)(DI*1)
+	MOVQ 8(R8), AX
+	VADDPS Z29, Z1, Z1
+	VMOVUPS Z1, K1, (AX)(DI*1)
+	MOVQ 16(R8), AX
+	VADDPS Z30, Z2, Z2
+	VMOVUPS Z2, K1, (AX)(DI*1)
+	MOVQ 24(R8), AX
+	VADDPS Z31, Z3, Z3
+	VMOVUPS Z3, K1, (AX)(DI*1)
+
+q512done:
+	VZEROUPPER
+	RET
+
+// One input register against the four rows' broadcast weights (Y8–Y11).
+#define QTERM256(x, a0, a1, a2, a3) \
+	VMULPS Y8, x, Y14           \
+	VADDPS a0, Y14, a0          \
+	VMULPS Y9, x, Y15           \
+	VADDPS a1, Y15, a1          \
+	VMULPS Y10, x, Y14          \
+	VADDPS a2, Y14, a2          \
+	VMULPS Y11, x, Y15          \
+	VADDPS a3, Y15, a3
+
+#define QWEIGHTS256 \
+	VBROADCASTSS (R9)(BX*4), Y8  \
+	VBROADCASTSS (R10)(BX*4), Y9 \
+	VBROADCASTSS (R11)(BX*4), Y10 \
+	VBROADCASTSS (R12)(BX*4), Y11
+
+// The biases, into the weights' registers once the channel loop is done.
+#define QBIAS256(b) \
+	VBROADCASTSS 0(b), Y8  \
+	VBROADCASTSS 4(b), Y9  \
+	VBROADCASTSS 8(b), Y10 \
+	VBROADCASTSS 12(b), Y11
+
+// func conv1x1QuadAVX2(d, w *[4]*float32, n int, x *float32, xstride, c int, bias *[4]float32)
+//
+// The tile for n ≥ 8 elements: 16 elements of four rows (eight accumulators,
+// four weights, two inputs and two products fill the sixteen registers). The
+// last n mod 16 are one more tile, 8 wide when at most eight are left, that
+// ends at the row's end and overlaps the one before — the same elements
+// computed the same way twice, never a load or a store past the end; a row
+// of 8 to 15 elements is two 8-wide tiles.
+TEXT ·conv1x1QuadAVX2(SB), NOSPLIT, $0-56
+	MOVQ d+0(FP), R8
+	MOVQ w+8(FP), AX
+	MOVQ 0(AX), R9
+	MOVQ 8(AX), R10
+	MOVQ 16(AX), R11
+	MOVQ 24(AX), R12
+	MOVQ n+16(FP), CX
+	MOVQ x+24(FP), SI
+	MOVQ xstride+32(FP), DX
+	SHLQ $2, DX
+	MOVQ c+40(FP), R13
+	XORQ DI, DI
+	CMPQ CX, $16
+	JLT  q256w8
+
+q256w16:
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -93,154 +384,95 @@ pair32:
 	VXORPS Y5, Y5, Y5
 	VXORPS Y6, Y6, Y6
 	VXORPS Y7, Y7, Y7
-	MOVQ DX, AX
+	LEAQ (SI)(DI*1), AX
 	XORQ BX, BX
-pair32ch:
-	VBROADCASTSS (R9)(BX*4), Y8
-	VBROADCASTSS (R10)(BX*4), Y9
-	VMOVUPS (AX), Y10
-	VMOVUPS 32(AX), Y11
-	VMOVUPS 64(AX), Y12
-	VMOVUPS 96(AX), Y13
-	PAIRSTEP(Y10, Y0, Y4)
-	PAIRSTEP(Y11, Y1, Y5)
-	PAIRSTEP(Y12, Y2, Y6)
-	PAIRSTEP(Y13, Y3, Y7)
-	ADDQ R8, AX
+q256w16ch:
+	QWEIGHTS256
+	VMOVUPS (AX), Y12
+	VMOVUPS 32(AX), Y13
+	QTERM256(Y12, Y0, Y1, Y2, Y3)
+	QTERM256(Y13, Y4, Y5, Y6, Y7)
+	ADDQ DX, AX
 	INCQ BX
-	CMPQ BX, R11
-	JLT  pair32ch
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, 64(DI)
-	VMOVUPS Y3, 96(DI)
-	VMOVUPS Y4, (SI)
-	VMOVUPS Y5, 32(SI)
-	VMOVUPS Y6, 64(SI)
-	VMOVUPS Y7, 96(SI)
-	ADDQ $128, DI
-	ADDQ $128, SI
-	ADDQ $128, DX
-	SUBQ $32, CX
-	JMP  pair32
-
-pair8:
+	CMPQ BX, R13
+	JLT  q256w16ch
+	MOVQ bias+48(FP), BX
+	QBIAS256(BX)
+	MOVQ 0(R8), AX
+	VADDPS Y8, Y0, Y0
+	VADDPS Y8, Y4, Y4
+	VMOVUPS Y0, (AX)(DI*1)
+	VMOVUPS Y4, 32(AX)(DI*1)
+	MOVQ 8(R8), AX
+	VADDPS Y9, Y1, Y1
+	VADDPS Y9, Y5, Y5
+	VMOVUPS Y1, (AX)(DI*1)
+	VMOVUPS Y5, 32(AX)(DI*1)
+	MOVQ 16(R8), AX
+	VADDPS Y10, Y2, Y2
+	VADDPS Y10, Y6, Y6
+	VMOVUPS Y2, (AX)(DI*1)
+	VMOVUPS Y6, 32(AX)(DI*1)
+	MOVQ 24(R8), AX
+	VADDPS Y11, Y3, Y3
+	VADDPS Y11, Y7, Y7
+	VMOVUPS Y3, (AX)(DI*1)
+	VMOVUPS Y7, 32(AX)(DI*1)
+	ADDQ $64, DI
+	SUBQ $16, CX
+	JZ   q256done
+	CMPQ CX, $16
+	JGE  q256w16
+	// 0 < CX < 16 elements are left: step back to the last eight, or to
+	// the last sixteen when more than eight are left.
 	CMPQ CX, $8
-	JLT  pairtail
-	VXORPS Y0, Y0, Y0
-	VXORPS Y4, Y4, Y4
-	MOVQ DX, AX
-	XORQ BX, BX
-pair8ch:
-	VBROADCASTSS (R9)(BX*4), Y8
-	VBROADCASTSS (R10)(BX*4), Y9
-	VMOVUPS (AX), Y10
-	PAIRSTEP(Y10, Y0, Y4)
-	ADDQ R8, AX
-	INCQ BX
-	CMPQ BX, R11
-	JLT  pair8ch
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y4, (SI)
-	ADDQ $32, DI
-	ADDQ $32, SI
-	ADDQ $32, DX
-	SUBQ $8, CX
-	JMP  pair8
+	JG   q256last16
+	LEAQ -32(DI)(CX*4), DI
+	MOVQ $8, CX
+	JMP  q256w8
+q256last16:
+	LEAQ -64(DI)(CX*4), DI
+	MOVQ $16, CX
+	JMP  q256w16
 
-pairtail:
-	// 0 ≤ CX < 8 elements are left and n ≥ 8: step back to the last eight
-	// and compute them as one more register. Its first 8−CX elements were
-	// just computed, by the same sum; the destination is only written.
-	TESTQ CX, CX
-	JZ    pairdone
-	LEAQ  -32(DI)(CX*4), DI
-	LEAQ  -32(SI)(CX*4), SI
-	LEAQ  -32(DX)(CX*4), DX
-	MOVQ  $8, CX
-	JMP   pair8
-
-pairdone:
-	VZEROUPPER
-	RET
-
-#define ROWSTEP(x, acc) \
-	VMULPS Y8, x, Y14   \
-	VADDPS acc, Y14, acc
-
-// func conv1x1RowAVX2(d0 *float32, n int, x *float32, stride int, w0 *float32, c int)
-//
-// conv1x1PairAVX2 for the last output row of an odd count.
-TEXT ·conv1x1RowAVX2(SB), NOSPLIT, $0-48
-	MOVQ d0+0(FP), DI
-	MOVQ n+8(FP), CX
-	MOVQ x+16(FP), DX
-	MOVQ stride+24(FP), R8
-	SHLQ $2, R8
-	MOVQ w0+32(FP), R9
-	MOVQ c+40(FP), R11
-
-row32:
-	CMPQ CX, $32
-	JLT  row8
+q256w8:
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
-	MOVQ DX, AX
+	LEAQ (SI)(DI*1), AX
 	XORQ BX, BX
-row32ch:
-	VBROADCASTSS (R9)(BX*4), Y8
-	VMOVUPS (AX), Y10
-	VMOVUPS 32(AX), Y11
-	VMOVUPS 64(AX), Y12
-	VMOVUPS 96(AX), Y13
-	ROWSTEP(Y10, Y0)
-	ROWSTEP(Y11, Y1)
-	ROWSTEP(Y12, Y2)
-	ROWSTEP(Y13, Y3)
-	ADDQ R8, AX
+q256w8ch:
+	QWEIGHTS256
+	VMOVUPS (AX), Y12
+	QTERM256(Y12, Y0, Y1, Y2, Y3)
+	ADDQ DX, AX
 	INCQ BX
-	CMPQ BX, R11
-	JLT  row32ch
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, 64(DI)
-	VMOVUPS Y3, 96(DI)
-	ADDQ $128, DI
-	ADDQ $128, DX
-	SUBQ $32, CX
-	JMP  row32
-
-row8:
-	CMPQ CX, $8
-	JLT  rowtail
-	VXORPS Y0, Y0, Y0
-	MOVQ DX, AX
-	XORQ BX, BX
-row8ch:
-	VBROADCASTSS (R9)(BX*4), Y8
-	VMOVUPS (AX), Y10
-	ROWSTEP(Y10, Y0)
-	ADDQ R8, AX
-	INCQ BX
-	CMPQ BX, R11
-	JLT  row8ch
-	VMOVUPS Y0, (DI)
+	CMPQ BX, R13
+	JLT  q256w8ch
+	MOVQ bias+48(FP), BX
+	QBIAS256(BX)
+	MOVQ 0(R8), AX
+	VADDPS Y8, Y0, Y0
+	VMOVUPS Y0, (AX)(DI*1)
+	MOVQ 8(R8), AX
+	VADDPS Y9, Y1, Y1
+	VMOVUPS Y1, (AX)(DI*1)
+	MOVQ 16(R8), AX
+	VADDPS Y10, Y2, Y2
+	VMOVUPS Y2, (AX)(DI*1)
+	MOVQ 24(R8), AX
+	VADDPS Y11, Y3, Y3
+	VMOVUPS Y3, (AX)(DI*1)
 	ADDQ $32, DI
-	ADDQ $32, DX
 	SUBQ $8, CX
-	JMP  row8
+	JLE  q256done
+	// 0 < CX < 8 elements are left: step back to the last eight.
+	LEAQ -32(DI)(CX*4), DI
+	MOVQ $8, CX
+	JMP  q256w8
 
-rowtail:
-	TESTQ CX, CX
-	JZ    rowdone
-	LEAQ  -32(DI)(CX*4), DI
-	LEAQ  -32(DX)(CX*4), DX
-	MOVQ  $8, CX
-	JMP   row8
-
-rowdone:
+q256done:
 	VZEROUPPER
 	RET
 

@@ -8,9 +8,7 @@ package tensor
 // HasAVX2 reports whether this process runs the AVX2 kernels: never, here.
 func HasAVX2() bool { return false }
 
-func conv1x1PairVec(d0, d1, src []float32, plane, lo int, w0, w1 []float32) int { return 0 }
-
-func conv1x1RowVec(d0, src []float32, plane, lo int, w0 []float32) int { return 0 }
+func conv1x1QuadVec(q *quad, src []float32, plane, lo int) bool { return false }
 
 func dwInteriorVec(dst []float32, ow int, in []float32, w, rows, cols int, ker []float32, kh, kw, s int, bv float32) bool {
 	return false

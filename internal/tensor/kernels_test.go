@@ -339,61 +339,102 @@ func sameSlice(tb testing.TB, name string, got, want []float32) {
 	}
 }
 
-// planeSizes hit every tail of the 1×1 kernel: below one register, exactly
-// one, one over, the 32-wide main loop with and without 8-wide leftovers, and
-// one under and over the 1024-element work item.
+// planeSizes are the planes TestKernelsCarrySpecialValues runs its 1×1
+// convolutions on: below one register, exactly one, one over, 5×5 and 10×10,
+// and one under and over the 1024-element work item.
 var planeSizes = []struct{ h, w int }{{1, 1}, {2, 2}, {1, 7}, {2, 4}, {3, 3}, {5, 5}, {10, 10}, {31, 33}, {25, 41}, {40, 40}}
 
-// checkConv1x1Kernels runs the pair and the row kernel over rows [lo, lo+n)
-// of a c-channel image and compares each with its portable loop.
-func checkConv1x1Kernels(tb testing.TB, name string, src []float32, plane, lo, n int, w0, w1 []float32) {
-	tb.Helper()
-	// The destinations go in full of canaries, which are NaNs: neither the
-	// vector kernel nor the portable loop may read what a destination held.
-	buf0, got0 := dest(n)
-	buf1, got1 := dest(n)
-	done := conv1x1PairVec(got0, got1, src, plane, lo, w0, w1)
-	if HasAVX2() && n >= 8 && done != n {
-		tb.Fatalf("%s: pair kernel computed %d of %d elements", name, done, n)
-	}
-	if done < n {
-		conv1x1Pair(got0[done:], got1[done:], src, plane, lo+done, w0, w1)
-	}
-	want0, want1 := make([]float32, n), make([]float32, n)
-	conv1x1Pair(want0, want1, src, plane, lo, w0, w1)
-	sameSlice(tb, name+" pair row 0", got0, want0)
-	sameSlice(tb, name+" pair row 1", got1, want1)
-	checkCanaries(tb, name+" pair row 0", buf0)
-	checkCanaries(tb, name+" pair row 1", buf1)
+// conv1x1Planes hit every loop and tail of the 1×1 tile at each width: one
+// element, one AVX2 register on either side, the AVX2 tile (16) on either
+// side, a 5×5 plane, the 512-bit tile's 32- and 64-wide loops on either side,
+// a 10×10 plane, one work item and one element over (a one-element second
+// block), and 80×80.
+var conv1x1Planes = []int{1, 7, 8, 9, 15, 16, 17, 25, 31, 32, 33, 63, 64, 65, 100, 1024, 1025, 6400}
 
-	buf0, got0 = dest(n)
-	done = conv1x1RowVec(got0, src, plane, lo, w1)
-	if done < n {
-		conv1x1Row(got0[done:], src, plane, lo+done, w1)
-	}
-	want1 = make([]float32, n)
-	conv1x1Row(want1, src, plane, lo, w1)
-	sameSlice(tb, name+" row", got0, want1)
-	checkCanaries(tb, name+" row", buf0)
+// conv1x1Widths runs f once per width of the 1×1 tile — the 512-bit tile,
+// the AVX2 tile, the portable loop — each under its own name; a width the
+// host does not have skips.
+func conv1x1Widths(t *testing.T, f func(t *testing.T)) {
+	t.Run("avx512", func(t *testing.T) {
+		if !hasAVX512() {
+			t.Skip("no AVX-512 on this host or build")
+		}
+		f(t)
+	})
+	t.Run("avx2", func(t *testing.T) {
+		if !HasAVX2() {
+			t.Skip("no AVX2 on this host or build")
+		}
+		withoutAVX512(func() { f(t) })
+	})
+	t.Run("portable", func(t *testing.T) { withoutAssembly(func() { f(t) }) })
 }
 
+// checkConv1x1Quad runs the register tile on rows [lo, lo+n) of a c-channel
+// image, each of q's four rows into a destination between canaries, and
+// compares it with the portable loop. The tile must take every row it is
+// built for: any with AVX-512, at least one register with AVX2.
+func checkConv1x1Quad(tb testing.TB, name string, src []float32, plane, lo, n int, q quad) {
+	tb.Helper()
+	// The destinations go in full of canaries, which are NaNs: neither the
+	// tile nor the portable loop may read what a destination held.
+	var bufs [4][]float32
+	for k := range q.d {
+		bufs[k], q.d[k] = dest(n)
+	}
+	took := conv1x1QuadVec(&q, src, plane, lo)
+	if want := len(q.w[0]) > 0 && (hasAVX512() || HasAVX2() && n >= 8); took != want {
+		tb.Fatalf("%s: the tile took %d elements: %v, want %v", name, n, took, want)
+	}
+	if !took {
+		conv1x1Quad(&q, src, plane, lo)
+	}
+	want := q
+	for k := range want.d {
+		want.d[k] = make([]float32, n)
+	}
+	conv1x1Quad(&want, src, plane, lo)
+	for k := range q.d {
+		sameSlice(tb, fmt.Sprintf("%s row %d", name, k), q.d[k], want.d[k])
+		checkCanaries(tb, fmt.Sprintf("%s row %d", name, k), bufs[k])
+	}
+}
+
+// TestConv1x1KernelsMatchPortable holds the 1×1 convolution to the plain
+// loop at each width of its tile: every output count mod 4 (and below four),
+// every plane tail, a weight whose rows are wider than the image's channels,
+// with and without a bias, sources ending at a guard page and destinations
+// between canaries; and the tile alone on a window strictly inside a plane.
 func TestConv1x1KernelsMatchPortable(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, every := range []int{0, 11} {
-		for _, ps := range planeSizes {
-			plane := ps.h * ps.w
-			for _, c := range []int{1, 3, 4, 5, 13} {
-				src := source(t, rng, c*plane, every)
-				w0, w1 := source(t, rng, c, 2*every), source(t, rng, c, 2*every)
-				// The whole plane, which ends at the end of the source's
-				// allocation, and a window strictly inside it.
-				checkConv1x1Kernels(t, fmt.Sprintf("plane %d c %d specials 1/%d", plane, c, every), src, plane, 0, plane, w0, w1)
-				if plane > 12 {
-					checkConv1x1Kernels(t, fmt.Sprintf("plane %d[3:%d] c %d specials 1/%d", plane, plane-2, c, every), src, plane, 3, plane-5, w0, w1)
+	conv1x1Widths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(41))
+		for _, every := range []int{0, 11} {
+			for _, plane := range conv1x1Planes {
+				for _, c := range []int{1, 6, 13} {
+					x := FromSlice(source(t, rng, c*plane, every), 1, c, 1, plane)
+					for _, outC := range []int{1, 2, 3, 4, 5, 7, 8, 9} {
+						wstride := c + outC%2*5 // wide on odd output counts
+						wd := source(t, rng, (outC-1)*wstride+c, 2*every)
+						for _, bias := range []*Tensor{nil, FromSlice(source(t, rng, outC, every), outC)} {
+							name := fmt.Sprintf("plane %d c %d outC %d wstride %d bias=%v specials 1/%d", plane, c, outC, wstride, bias != nil, every)
+							buf, dst := intoDest(1, outC, 1, plane)
+							conv1x1Into(dst, x, wd, wstride, outC, bias)
+							sameSlice(t, name, dst.Data, conv1x1Ref(x, wd, wstride, outC, bias).Data)
+							checkCanaries(t, name, buf)
+						}
+					}
+					if plane > 12 {
+						wd := source(t, rng, 3*(c+2)+c, 2*every)
+						q := quad{bias: [4]float32{noBias, 1, float32(math.Inf(-1)), -0.5}}
+						for k := range q.w {
+							q.w[k] = wd[k*(c+2):][:c]
+						}
+						checkConv1x1Quad(t, fmt.Sprintf("plane %d[3:%d] c %d specials 1/%d", plane, plane-2, c, every), x.Data, plane, 3, plane-5, q)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // checkDepthwiseInterior runs the interior kernel on one h×w plane and
@@ -1002,9 +1043,17 @@ func FuzzKernelsMatchPortable(f *testing.F) {
 		}
 		switch kernel {
 		case 0:
-			plane, ch := 1+a+256*(b%5), 1+c%9
+			// The 1×1 tile as built and at its AVX2 width, four weight rows a
+			// stride apart.
+			plane, ch, pad := 1+a+256*(b%5), 1+c%9, c/9%3
 			lo := b % min(plane, 7)
-			checkConv1x1Kernels(t, "fuzz", fill(ch*plane), plane, lo, plane-lo, fill(ch), fill(ch))
+			src, wd := fill(ch*plane), fill(3*(ch+pad)+ch)
+			var q quad
+			for k := range q.w {
+				q.w[k], q.bias[k] = wd[k*(ch+pad):][:ch], fill(1)[0]
+			}
+			checkConv1x1Quad(t, "fuzz", src, plane, lo, plane-lo, q)
+			withoutAVX512(func() { checkConv1x1Quad(t, "fuzz at AVX2 width", src, plane, lo, plane-lo, q) })
 		case 1:
 			k, s := 3+2*(c%3), 1+c/3%2
 			h, w := k+b%6, k+a%90
@@ -1053,12 +1102,13 @@ func FuzzKernelsMatchPortable(f *testing.F) {
 	})
 }
 
-// The two benchmarks run bench/layers.go's shapes and report the number it
-// reports (tensor.conv1x1_gflops, tensor.dwconv_gflops), once as built and
-// once with the portable loops doing all the work, so the ratio between the
-// assembly and its fallback is one command.
+// The kernel benchmarks report GFLOP/s — bench/layers.go's shapes under the
+// numbers it reports (tensor.conv1x1_gflops, tensor.dwconv_gflops), and the
+// paper-scale minimum forward's other 1×1 shapes — as built, at the 1×1
+// tile's AVX2 width, and with the portable loops doing all the work, so the
+// ratio between the widths and the fallback is one command.
 
-func benchKernel(b *testing.B, flops float64, f func()) {
+func benchKernel(b *testing.B, flops float64, f func(), avx2 bool) {
 	// go test's -cpu sets GOMAXPROCS per run; the worker count was read at init.
 	defer SetParallelism(Parallelism())
 	SetParallelism(runtime.GOMAXPROCS(0))
@@ -1070,19 +1120,82 @@ func benchKernel(b *testing.B, flops float64, f func()) {
 		b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 	}
 	b.Run("as-built", run)
+	if avx2 {
+		b.Run("avx2", func(b *testing.B) { withoutAVX512(func() { run(b) }) })
+	}
 	b.Run("portable", func(b *testing.B) { withoutAssembly(func() { run(b) }) })
 }
 
+// conv1x1Shapes are bench/layers.go's 1×1 shape first, then the minimum
+// forward's at 5×5, 10×10 and 40×40.
+var conv1x1Shapes = []struct{ c, outC, h, w int }{{16, 48, 80, 80}, {160, 960, 5, 5}, {112, 336, 10, 10}, {24, 72, 40, 40}}
+
 func BenchmarkConv1x1(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := randTensor(rng, 1, 16, 80, 80)
-	w := randTensor(rng, 48, 16, 1, 1)
-	benchKernel(b, 2.0*48*16*80*80, func() { Conv2D(x, w, nil, ConvOpts{Stride: 1}) })
+	for _, s := range conv1x1Shapes {
+		rng := rand.New(rand.NewSource(1))
+		x := randTensor(rng, 1, s.c, s.h, s.w)
+		w := randTensor(rng, s.outC, s.c, 1, 1)
+		b.Run(fmt.Sprintf("%dto%d@%dx%d", s.c, s.outC, s.h, s.w), func(b *testing.B) {
+			benchKernel(b, 2.0*float64(s.outC*s.c*s.h*s.w), func() { Conv2D(x, w, nil, ConvOpts{Stride: 1}) }, true)
+		})
+	}
+}
+
+// BenchmarkConv1x1Panel asks whether packing would pay: the tile over a
+// block's input rows where they lie, a plane apart, against the same tile
+// over a contiguous [c][block] copy of them made outside the timing, one
+// thread, on the shapes whose planes span more than one block (DESIGN.md §4.6
+// records the ratio).
+func BenchmarkConv1x1Panel(b *testing.B) {
+	for _, s := range conv1x1Shapes {
+		plane := s.h * s.w
+		if plane <= conv1x1Block {
+			continue // one block: its rows are contiguous already
+		}
+		rng := rand.New(rand.NewSource(1))
+		x := randTensor(rng, 1, s.c, s.h, s.w)
+		w := randTensor(rng, s.outC, s.c, 1, 1)
+		out := New(1, s.outC, s.h, s.w)
+		packed := make([]float32, s.c*plane)
+		for lo := 0; lo < plane; lo += conv1x1Block {
+			n := min(conv1x1Block, plane-lo)
+			for ch := 0; ch < s.c; ch++ {
+				copy(packed[s.c*lo+ch*n:][:n], x.Data[ch*plane+lo:][:n])
+			}
+		}
+		tile := func(pack bool) {
+			for lo := 0; lo < plane; lo += conv1x1Block {
+				n := min(conv1x1Block, plane-lo)
+				src, stride, at := x.Data, plane, lo
+				if pack {
+					src, stride, at = packed[s.c*lo:][:s.c*n], n, 0
+				}
+				for oc := 0; oc < s.outC; oc += 4 {
+					q := quad{bias: [4]float32{noBias, noBias, noBias, noBias}}
+					for k := range q.d {
+						q.d[k], q.w[k] = out.Data[(oc+k)*plane+lo:][:n], w.Data[(oc+k)*s.c:][:s.c]
+					}
+					if !conv1x1QuadVec(&q, src, stride, at) {
+						conv1x1Quad(&q, src, stride, at)
+					}
+				}
+			}
+		}
+		flops := 2.0 * float64(s.outC*s.c*plane)
+		for _, layout := range []string{"strided", "packed"} {
+			b.Run(fmt.Sprintf("%dto%d@%dx%d/%s", s.c, s.outC, s.h, s.w, layout), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					tile(layout == "packed")
+				}
+				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
 }
 
 func BenchmarkDepthwise(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := randTensor(rng, 1, 48, 80, 80)
 	w := randTensor(rng, 48, 1, 3, 3)
-	benchKernel(b, 2.0*48*9*40*40, func() { DepthwiseConv2D(x, w, nil, ConvOpts{Stride: 2, Padding: 1}) })
+	benchKernel(b, 2.0*48*9*40*40, func() { DepthwiseConv2D(x, w, nil, ConvOpts{Stride: 2, Padding: 1}) }, false)
 }
