@@ -17,17 +17,10 @@ import (
 	"strings"
 	"time"
 
-	"murmuration/internal/device"
-	"murmuration/internal/monitor"
+	"murmuration"
 	"murmuration/internal/nas"
-	"murmuration/internal/netem"
-	"murmuration/internal/nn"
 	"murmuration/internal/rl/env"
 	"murmuration/internal/rl/policy"
-	"murmuration/internal/rpcx"
-	"murmuration/internal/runtime"
-	"murmuration/internal/supernet"
-	"murmuration/internal/tensor"
 )
 
 func main() {
@@ -42,87 +35,70 @@ func main() {
 	n := flag.Int("n", 5, "number of inferences")
 	policyCkpt := flag.String("policy", "", "trained policy checkpoint (default: structured search)")
 	hidden := flag.Int("hidden", 64, "policy LSTM width (must match checkpoint)")
-	hedgeBudget := flag.Float64("hedge-budget", 0, "max hedged attempts as a fraction of primary tile RPCs (0 disables hedging)")
 	flag.Parse()
 
-	var arch *supernet.Arch
+	var arch *murmuration.Arch
 	switch *archName {
 	case "tiny":
-		arch = supernet.TinyArch(*classes)
+		arch = murmuration.TinyArch(*classes)
 	case "default":
-		arch = supernet.DefaultArch()
+		arch = murmuration.DefaultArch()
 	default:
 		log.Fatalf("unknown arch %q", *archName)
 	}
-	net := supernet.New(arch, *seed)
+	net := murmuration.NewSupernet(arch, *seed)
 
-	var addrs []string
+	kinds := []murmuration.DeviceKind{murmuration.RaspberryPi4}
+	var links []murmuration.Link
 	if *devices != "" {
-		addrs = strings.Split(*devices, ",")
-	}
-	kinds := []device.Kind{device.RaspberryPi4}
-	var clients []*rpcx.Client
-	var monitors []*monitor.LinkMonitor
-	for _, addr := range addrs {
-		shaper := netem.NewShaper(*bw, time.Duration(*delay*float64(time.Millisecond)))
-		cl, err := rpcx.Dial(strings.TrimSpace(addr), shaper)
-		if err != nil {
-			log.Fatalf("dial %s: %v", addr, err)
+		for _, addr := range strings.Split(*devices, ",") {
+			links = append(links, murmuration.Link{Addr: strings.TrimSpace(addr), BandwidthMbps: *bw, DelayMs: *delay})
+			kinds = append(kinds, murmuration.RaspberryPi4)
 		}
-		defer cl.Close()
-		clients = append(clients, cl)
-		monitors = append(monitors, monitor.NewLinkMonitor(cl))
-		kinds = append(kinds, device.RaspberryPi4)
 	}
 
-	e := env.New(arch, nas.NewCalibratedPredictor(arch), kinds)
-	var decider runtime.Decider
+	// Without a trained policy the deployment falls back to a structured
+	// search per constraint (slower per decision; the strategy cache
+	// amortizes it).
+	var decider func(murmuration.Constraint) (*murmuration.Decision, error)
 	if *policyCkpt != "" {
-		p := policy.New(e, *hidden, 1)
-		if err := nn.LoadParams(*policyCkpt, p.Params()); err != nil {
+		p := policy.New(env.New(arch, nas.NewCalibratedPredictor(arch), kinds), *hidden, 1)
+		if err := murmuration.LoadPolicy(*policyCkpt, p); err != nil {
 			log.Fatalf("load policy: %v", err)
 		}
-		decider = runtime.DeciderFunc(p.GreedyDecision)
+		decider = p.GreedyDecision
 		fmt.Println("decider: trained RL policy")
 	} else {
-		// Without a trained policy, fall back to a direct search per
-		// constraint (slower per decision; the strategy cache amortizes it).
-		decider = runtime.DeciderFunc(func(c env.Constraint) (*env.Decision, error) {
-			return env.StructuredSearch(e, c)
-		})
 		fmt.Println("decider: structured search (no policy checkpoint given)")
 	}
 
-	sched := runtime.NewScheduler(net, clients)
-	if *hedgeBudget > 0 {
-		sched.Hedge = &runtime.HedgePolicy{BudgetFrac: *hedgeBudget}
+	dep, err := murmuration.NewDeployment(net, kinds, links, decider)
+	if err != nil {
+		log.Fatalf("deploy: %v", err)
 	}
-	rt := runtime.New(sched, decider, runtime.NewStrategyCache(64, 25, 5, 10), monitors)
-	st := env.LatencySLO
+	defer dep.Close()
+	st := murmuration.LatencySLO
 	if *sloType == "accuracy" {
-		st = env.AccuracySLO
+		st = murmuration.AccuracySLO
 	}
-	rt.SetSLO(runtime.SLO{Type: st, Value: *sloValue})
-	for i := range addrs {
-		rt.SetLinkState(i, *bw, *delay)
-		if _, err := monitors[i].Probe(); err != nil {
-			log.Printf("probe device %d: %v (using manual link state)", i+1, err)
-		}
-	}
+	dep.SetSLO(murmuration.SLO{Type: st, Value: *sloValue})
 
 	rng := rand.New(rand.NewSource(1))
 	maxRes := arch.Resolutions[len(arch.Resolutions)-1]
+	hits := 0
 	for i := 0; i < *n; i++ {
-		x := tensor.New(1, arch.InChannels, maxRes, maxRes)
+		x := murmuration.NewInput(1, arch.InChannels, maxRes, maxRes)
 		x.RandNormal(rng, 0.5)
-		res, err := rt.Infer(x)
+		res, err := dep.Infer(x)
 		if err != nil {
 			log.Fatalf("inference %d: %v", i, err)
 		}
+		if res.CacheHit {
+			hits++
+		}
 		fmt.Printf("inference %d: %v total (decide %v, cache=%v), config %s, %d remote / %d local tiles\n",
-			i, res.Report.Elapsed.Round(time.Microsecond), res.DecideTime.Round(time.Microsecond),
-			res.CacheHit, res.Decision.Config, res.Report.RemoteTiles, res.Report.LocalTiles)
+			i, res.Elapsed.Round(time.Microsecond), res.DecideTime.Round(time.Microsecond),
+			res.CacheHit, res.Decision.Config, res.RemoteTiles, res.LocalTiles)
 	}
-	cs := rt.Cache.Stats()
-	fmt.Printf("strategy cache: %d hits, %d misses\n", cs.Hits, cs.Misses)
+	fmt.Printf("strategy cache: %d hits, %d misses\n", hits, *n-hits)
 }

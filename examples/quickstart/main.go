@@ -13,13 +13,7 @@ import (
 	"math/rand"
 	"time"
 
-	"murmuration/internal/device"
-	"murmuration/internal/monitor"
-	"murmuration/internal/nas"
-	"murmuration/internal/netem"
-	"murmuration/internal/rl/env"
-	"murmuration/internal/rpcx"
-	"murmuration/internal/runtime"
+	"murmuration"
 	"murmuration/internal/supernet"
 	"murmuration/internal/tensor"
 )
@@ -28,36 +22,22 @@ func main() {
 	// 1. Every device keeps the full supernet in memory (same seed =>
 	// identical shared weights, standing in for distributing the trained
 	// supernet once).
-	arch := supernet.TinyArch(4)
-	net := supernet.New(arch, 42)
+	arch := murmuration.TinyArch(4)
+	net := murmuration.NewSupernet(arch, 42)
 
 	// 2. Start a "remote device": an executor served over TCP.
-	srv := rpcx.NewServer()
-	runtime.NewExecutor(supernet.New(arch, 42)).Register(srv)
-	monitor.RegisterHandlers(srv)
-	addr, err := srv.Listen("127.0.0.1:0")
+	addr, stop, err := murmuration.ServeDevice(murmuration.NewSupernet(arch, 42), "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer srv.Close()
+	defer stop()
 
-	// 3. Connect through an emulated 100 Mb/s, 5 ms link (the tc
-	// substitute).
-	client, err := rpcx.Dial(addr, netem.NewShaper(100, 5*time.Millisecond))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer client.Close()
-
-	// 4. Assemble the runtime: scheduler + decider + strategy cache.
-	// The environment scores candidate decisions with the cost model +
-	// accuracy predictor; a trained policy would consume it directly.
-	_ = env.New(arch, nas.NewCalibratedPredictor(arch),
-		[]device.Kind{device.RaspberryPi4, device.GPUDesktop})
-	decider := runtime.DeciderFunc(func(c env.Constraint) (*env.Decision, error) {
-		// A real deployment uses the trained SUPREME policy here (see
-		// cmd/train-policy); the quickstart picks a fixed partitioned
-		// strategy: every layer split 1x2, one tile local, one remote.
+	// 3. Deploy across the local device and the remote one, connected
+	// through an emulated 100 Mb/s, 5 ms link (the tc substitute). A real
+	// deployment decides with the trained SUPREME policy (see
+	// cmd/train-policy); the quickstart picks a fixed partitioned strategy:
+	// every layer split 1x2, one tile local, one remote.
+	decider := func(murmuration.Constraint) (*murmuration.Decision, error) {
 		cfg := arch.MaxConfig()
 		for i := range cfg.Layers {
 			cfg.Layers[i].Partition = supernet.Partition{Gy: 1, Gx: 2}
@@ -71,26 +51,30 @@ func main() {
 		for k := range p.Devices {
 			p.Devices[k][1] = 1
 		}
-		return &env.Decision{Config: cfg, Placement: p}, nil
-	})
-	sched := runtime.NewScheduler(net, []*rpcx.Client{client})
-	rt := runtime.New(sched, decider, runtime.NewStrategyCache(16, 25, 5, 10), nil)
+		return &murmuration.Decision{Config: cfg, Placement: p}, nil
+	}
+	dep, err := murmuration.NewDeployment(net,
+		[]murmuration.DeviceKind{murmuration.RaspberryPi4, murmuration.GPUDesktop},
+		[]murmuration.Link{{Addr: addr, BandwidthMbps: 100, DelayMs: 5}}, decider)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer dep.Close()
 
-	// 5. Set the SLO and infer.
-	rt.SetSLO(runtime.SLO{Type: env.LatencySLO, Value: 200})
-	rt.SetLinkState(0, 100, 5)
+	// 4. Set the SLO and infer.
+	slo := murmuration.SLO{Type: murmuration.LatencySLO, Value: 200}
+	dep.SetSLO(slo)
 
-	x := tensor.New(1, 3, 32, 32)
+	x := murmuration.NewInput(1, 3, 32, 32)
 	x.RandNormal(rand.New(rand.NewSource(1)), 0.5)
-	res, err := rt.Infer(x)
+	res, err := dep.Infer(x)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("SLO: latency ≤ %v ms\n", rt.SLO().Value)
+	fmt.Printf("SLO: latency ≤ %v ms\n", slo.Value)
 	fmt.Printf("decision: %s\n", res.Decision.Config)
 	fmt.Printf("executed in %v (%d tiles remote, %d local)\n",
-		res.Report.Elapsed.Round(time.Microsecond),
-		res.Report.RemoteTiles, res.Report.LocalTiles)
-	fmt.Printf("logits: %v\n", res.Report.Logits.Data)
+		res.Elapsed.Round(time.Microsecond), res.RemoteTiles, res.LocalTiles)
+	fmt.Printf("logits: %v\n", res.Logits.Data)
 }

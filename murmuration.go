@@ -212,7 +212,7 @@ type Deployment struct {
 
 // NewDeployment connects the local supernet to remote devices and wires the
 // runtime. decider is typically a trained policy's GreedyDecision; pass nil
-// to use a built-in structured search (slower per cache miss).
+// to use structured search (env.StructuredSearch; slower per cache miss).
 func NewDeployment(local *Supernet, kinds []DeviceKind, links []Link,
 	decider func(Constraint) (*Decision, error)) (*Deployment, error) {
 
@@ -239,22 +239,26 @@ func NewDeployment(local *Supernet, kinds []DeviceKind, links []Link,
 		d = runtime.DeciderFunc(decider)
 	} else {
 		d = runtime.DeciderFunc(func(c Constraint) (*Decision, error) {
-			return structuredSearch(e, c)
+			return env.StructuredSearch(e, c)
 		})
 	}
 	sched := runtime.NewScheduler(local, clients)
 	rt := runtime.New(sched, d, runtime.NewStrategyCache(64, 25, 5, 10), monitors)
-	dep := &Deployment{rt: rt, clients: clients}
+	// Seed each link with its nominal state, then probe it once: a sample
+	// replaces the nominal state, a failed probe keeps it.
 	for i, l := range links {
 		rt.SetLinkState(i, l.BandwidthMbps, l.DelayMs)
+		monitors[i].Probe()
 	}
-	return dep, nil
+	return &Deployment{rt: rt, clients: clients}, nil
 }
 
 // SetSLO sets the active objective.
 func (d *Deployment) SetSLO(s SLO) { d.rt.SetSLO(s) }
 
-// SetLinkState overrides the link estimate for remote device i (0-based).
+// SetLinkState sets the link estimate for remote device i (0-based). It is
+// read only while the link's monitor holds no sample, that is, when the
+// probe NewDeployment made failed.
 func (d *Deployment) SetLinkState(i int, bandwidthMbps, delayMs float64) error {
 	return d.rt.SetLinkState(i, bandwidthMbps, delayMs)
 }
@@ -266,6 +270,9 @@ type InferenceResult struct {
 	Elapsed    time.Duration
 	DecideTime time.Duration
 	CacheHit   bool
+	// RemoteTiles and LocalTiles split the placement's tiles (one per tile
+	// per layer) between remote devices and the local one.
+	RemoteTiles, LocalTiles int
 }
 
 // Infer runs one SLO-aware distributed inference on x (N,C,H,W).
@@ -280,6 +287,9 @@ func (d *Deployment) Infer(x *Tensor) (*InferenceResult, error) {
 		Elapsed:    res.Report.Elapsed,
 		DecideTime: res.DecideTime,
 		CacheHit:   res.CacheHit,
+
+		RemoteTiles: res.Report.RemoteTiles,
+		LocalTiles:  res.Report.LocalTiles,
 	}, nil
 }
 
@@ -292,74 +302,6 @@ func (d *Deployment) Close() error {
 		}
 	}
 	return first
-}
-
-// structuredSearch sweeps the uniform strategy family and returns the best
-// decision by environment reward (the policy-free fallback decider).
-func structuredSearch(e *env.Env, c Constraint) (*Decision, error) {
-	best := (*Decision)(nil)
-	bestReward := -1.0
-	for _, size := range []float64{0, 0.5, 1} {
-		for pIdx := range e.Arch.Partitions {
-			for qIdx := range e.Arch.QuantBits {
-				for pl := -1; pl < e.NumDevices(); pl++ {
-					g := uniformGenome(e, size, pIdx, qIdx, pl)
-					d, err := e.Decode(g)
-					if err != nil {
-						continue
-					}
-					out, err := e.Evaluate(c, d)
-					if err != nil {
-						continue
-					}
-					if out.Reward > bestReward {
-						best, bestReward = d, out.Reward
-					}
-				}
-			}
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("murmuration: no feasible strategy")
-	}
-	return best, nil
-}
-
-// uniformGenome builds a schedule-valid choice sequence with uniform
-// settings. pl == -1 means round-robin tiles; otherwise a fixed device.
-func uniformGenome(e *env.Env, size float64, pIdx, qIdx, pl int) []int {
-	w := e.NewWalker()
-	var g []int
-	for !w.Done() {
-		spec := w.Next()
-		choice := 0
-		switch spec.Type {
-		case env.ActResolution, env.ActDepth, env.ActKernel, env.ActExpand:
-			choice = int(size*float64(spec.NumChoices-1) + 0.5)
-		case env.ActPartition:
-			choice = minInt(pIdx, spec.NumChoices-1)
-		case env.ActQuant:
-			choice = minInt(qIdx, spec.NumChoices-1)
-		case env.ActDevice:
-			if pl < 0 {
-				choice = spec.Tile % spec.NumChoices
-			} else {
-				choice = minInt(pl, spec.NumChoices-1)
-			}
-		}
-		if err := w.Apply(choice); err != nil {
-			panic(err)
-		}
-		g = append(g, choice)
-	}
-	return g
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // NewInput allocates an input tensor (N,C,H,W).

@@ -2,7 +2,9 @@ package murmuration
 
 import (
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -76,6 +78,13 @@ func TestEndToEndPublicAPI(t *testing.T) {
 	if res.Decision == nil || res.Elapsed <= 0 {
 		t.Fatal("missing result fields")
 	}
+	tiles := 0
+	for _, layer := range res.Decision.Placement.Devices {
+		tiles += len(layer)
+	}
+	if res.RemoteTiles+res.LocalTiles != tiles {
+		t.Fatalf("%d remote + %d local tiles, the placement has %d", res.RemoteTiles, res.LocalTiles, tiles)
+	}
 	// Second inference hits the strategy cache.
 	res2, err := dep.Infer(x)
 	if err != nil {
@@ -112,6 +121,34 @@ func TestDeploymentFallbackDecider(t *testing.T) {
 	}
 }
 
+// TestNewDeploymentProbesEachLink: NewDeployment measures every link once,
+// so the constraint reads a monitor sample instead of the nominal state.
+func TestNewDeploymentProbesEachLink(t *testing.T) {
+	arch := TinyArch(4)
+	var links []Link
+	for i := 0; i < 2; i++ {
+		addr, shutdown, err := ServeDevice(NewSupernet(arch, 5), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer shutdown()
+		links = append(links, Link{Addr: addr, BandwidthMbps: 100, DelayMs: 1})
+	}
+	dep, err := NewDeployment(NewSupernet(arch, 5), []DeviceKind{RaspberryPi4, RaspberryPi4, RaspberryPi4}, links, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+	if len(dep.rt.Monitors) != len(links) {
+		t.Fatalf("%d monitors for %d links", len(dep.rt.Monitors), len(links))
+	}
+	for i, m := range dep.rt.Monitors {
+		if n := m.Samples(); n != 1 {
+			t.Fatalf("link %d monitor holds %d samples after NewDeployment, want 1", i, n)
+		}
+	}
+}
+
 func TestNewDeploymentValidation(t *testing.T) {
 	arch := TinyArch(4)
 	local := NewSupernet(arch, 6)
@@ -127,5 +164,30 @@ func TestNewDeploymentValidation(t *testing.T) {
 func TestTrainPolicyValidation(t *testing.T) {
 	if _, err := TrainPolicy(TinyArch(4), TrainPolicyOptions{}); err == nil {
 		t.Fatal("empty device kinds accepted")
+	}
+}
+
+// TestREADMEQuotesExample: the README's library quickstart is the body of
+// ExampleNewDeployment, one tab of indentation removed, so it compiles.
+func TestREADMEQuotesExample(t *testing.T) {
+	src, err := os.ReadFile("example_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, body, ok := strings.Cut(string(src), "func ExampleNewDeployment() {\n")
+	if !ok {
+		t.Fatal("example_test.go has no ExampleNewDeployment")
+	}
+	body = body[:strings.LastIndex(body, "}")]
+	var quote strings.Builder
+	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
+		quote.WriteString(strings.TrimPrefix(line, "\t") + "\n")
+	}
+	if !strings.Contains(string(readme), "```go\n"+quote.String()+"```\n") {
+		t.Fatalf("README.md does not quote ExampleNewDeployment; its go block should read:\n%s", quote.String())
 	}
 }
