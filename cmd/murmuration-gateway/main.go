@@ -41,20 +41,16 @@ import (
 	"murmuration/internal/runtime"
 	"murmuration/internal/serve"
 	"murmuration/internal/supernet"
-	"murmuration/internal/watchdog"
 )
 
-// Self-protection limits, the values bench/system.go also pins: the watchdog
-// browns out past watchdogGoroutines goroutines or watchdogHeapBytes of heap,
-// and the rpcx server evicts a connection idle for connIdleTimeout or stuck
-// draining a response for writeTimeout, and refuses calls past maxInflight
-// with a retryable overload error.
+// Self-protection limits, the values bench/system.go also pins: the rpcx
+// server evicts a connection idle for connIdleTimeout or stuck draining a
+// response for writeTimeout, and refuses calls past maxInflight with a
+// retryable overload error.
 const (
-	watchdogGoroutines = 20000
-	watchdogHeapBytes  = 4 << 30
-	connIdleTimeout    = 5 * time.Minute
-	writeTimeout       = 30 * time.Second
-	maxInflight        = 256
+	connIdleTimeout = 5 * time.Minute
+	writeTimeout    = 30 * time.Second
+	maxInflight     = 256
 )
 
 func main() {
@@ -78,7 +74,6 @@ func main() {
 	retries := flag.Int("retries", 3, "max attempts per idempotent device RPC (1 disables retry; re-dial stays on)")
 	hedgeBudget := flag.Float64("hedge-budget", 0.05, "max hedged attempts as a fraction of primary tile RPCs (0 disables hedging)")
 	minRung := flag.Int("min-rung", runtime.DefaultMaxRung, "deepest degradation rung allowed under deadline pressure (0 pins full quality; see DESIGN.md for the rung table)")
-	watchdogInterval := flag.Duration("watchdog-interval", 250*time.Millisecond, "resource watchdog sample period (0 disables the watchdog)")
 	adaptOn := flag.Bool("adapt", false, "enable online policy adaptation: live outcomes retrain the policy and candidates roll out shadow->canary->full with automatic rollback")
 	adaptDir := flag.String("adapt-dir", "", "directory for versioned policy checkpoints and the rollout manifest (empty = promotions do not survive restarts)")
 	healthWindow := flag.Duration("health-window", time.Second, "SLI window for gray-failure detection (0 disables the health layer)")
@@ -274,37 +269,14 @@ func main() {
 		mgr = cluster.NewManager(probes, cluster.Options{HeartbeatInterval: *heartbeatInterval})
 		gw.AttachCluster(mgr)
 		go func() {
-			for ev := range mgr.Subscribe() {
-				log.Printf("cluster: device %d %v -> %v", ev.Member+1, ev.From, ev.To)
+			for batch := range mgr.Subscribe() {
+				for _, ev := range batch {
+					log.Printf("cluster: device %d %v -> %v", ev.Member+1, ev.From, ev.To)
+				}
 			}
 		}()
 		mgr.Start()
 		log.Printf("failure detector on %d devices (heartbeat %v)", len(probes), *heartbeatInterval)
-	}
-
-	// Resource watchdog: under goroutine or heap pressure the gateway browns
-	// out — best-effort traffic is refused, queues run at half depth, and the
-	// degradation ladder floors at serve.BrownoutRung until the pressure
-	// clears (hysteresis: several consecutive clear samples).
-	var wd *watchdog.Watchdog
-	if *watchdogInterval > 0 {
-		wd = watchdog.New(watchdog.Options{
-			Interval:      *watchdogInterval,
-			MaxGoroutines: watchdogGoroutines,
-			MaxHeapBytes:  watchdogHeapBytes,
-			OnBrownout: func(reason string) {
-				log.Printf("watchdog: brownout (%s)", reason)
-				gw.SetBrownout(true)
-			},
-			OnClear: func() {
-				log.Println("watchdog: pressure cleared, brownout released")
-				gw.SetBrownout(false)
-			},
-		})
-		gw.AttachWatchdog(wd)
-		wd.Start()
-		log.Printf("resource watchdog on (every %v: goroutines > %d or heap > %d MiB)",
-			*watchdogInterval, watchdogGoroutines, watchdogHeapBytes>>20)
 	}
 
 	srv := rpcx.NewServer()
@@ -344,9 +316,6 @@ func main() {
 		ctl.Close()
 		log.Printf("adaptation at shutdown: mode=%v policy=v%d pinned=%v",
 			ctl.Mode(), ctl.PolicyVersion(), ctl.Pinned())
-	}
-	if wd != nil {
-		wd.Close()
 	}
 	if mgr != nil {
 		log.Printf("cluster at shutdown: %s (%+v)", mgr, mgr.CountersSnapshot())

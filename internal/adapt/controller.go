@@ -91,9 +91,6 @@ type Config struct {
 	MaxRollbacks int
 	// FeedCap bounds the outcome feed (default DefaultFeedCap).
 	FeedCap int
-	// Brownout, when set, reports whether the gateway is in brownout;
-	// promotions are deferred while it returns true. AttachGateway wires it.
-	Brownout func() bool
 	// Log receives state-transition lines (default log.Printf).
 	Log func(format string, args ...any)
 }
@@ -321,15 +318,12 @@ func (ctl *Controller) versionCkptPath(v uint64) string {
 // AttachGateway do it).
 func (ctl *Controller) Feed() *Feed { return ctl.feed }
 
-// AttachGateway wires the controller to a gateway: the outcome tap, the
-// stats adapter, and the brownout signal that defers promotions.
+// AttachGateway wires the controller to a gateway: the outcome tap and the
+// stats adapter.
 func (ctl *Controller) AttachGateway(gw *serve.Gateway) {
 	ctl.gw = gw
 	gw.SetOutcomeTap(ctl.feed)
 	gw.AttachAdapter(ctl)
-	if ctl.cfg.Brownout == nil {
-		ctl.cfg.Brownout = gw.Brownout
-	}
 }
 
 // Decide implements runtime.Decider.
@@ -620,13 +614,6 @@ func (ctl *Controller) advance(w window) {
 			ctl.stageCandidateLocked(rs)
 			return
 		}
-		if ctl.cfg.Brownout != nil && ctl.cfg.Brownout() {
-			// Promotion toward canary is deferred under brownout: the gateway
-			// is shedding to survive, and a policy change mid-brownout would
-			// be evaluated against overload noise, not policy quality.
-			ctl.cfg.Log("adapt: candidate v%d passed shadow but gateway in brownout; deferring canary", rs.candidateVer)
-			return
-		}
 		next := &routing{
 			mode:           ModeCanary,
 			incumbent:      rs.incumbent,
@@ -654,10 +641,6 @@ func (ctl *Controller) advance(w window) {
 		}
 		ctl.canarySeen += w.canary
 		if ctl.canarySeen >= ctl.cfg.MinCanary && ctl.badWindows == 0 {
-			if ctl.cfg.Brownout != nil && ctl.cfg.Brownout() {
-				ctl.cfg.Log("adapt: candidate v%d canary complete but gateway in brownout; deferring promotion", rs.candidateVer)
-				return
-			}
 			ctl.promoteLocked(rs)
 		}
 	}

@@ -182,13 +182,12 @@ type Counters struct {
 type Manager struct {
 	opts Options
 
-	mu        sync.Mutex
-	members   []*member
-	subs      []chan Event
-	batchSubs []chan []Event
-	counters  Counters
-	started   bool
-	stopped   bool
+	mu       sync.Mutex
+	members  []*member
+	subs     []chan []Event
+	counters Counters
+	started  bool
+	stopped  bool
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -250,37 +249,22 @@ func (m *Manager) Close() {
 		close(ch)
 	}
 	m.subs = nil
-	for _, ch := range m.batchSubs {
-		close(ch)
-	}
-	m.batchSubs = nil
 	m.mu.Unlock()
 }
 
-// Subscribe returns a channel of state-transition events. The channel is
-// buffered (capacity 256); a subscriber that falls that far behind loses the
-// oldest unread events rather than blocking the detector. It is closed by
-// Close.
-func (m *Manager) Subscribe() <-chan Event {
-	ch := make(chan Event, 256)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.subs = append(m.subs, ch)
-	return ch
-}
-
-// SubscribeBatch returns a channel of state-transition event batches: every
+// Subscribe returns a channel of state-transition event batches: every
 // transition the manager publishes in one call arrives as one slice, so a
 // correlated loss of K members (MarkDownBatch) costs the subscriber one
 // notification and one reconfiguration pass instead of K. Transitions
 // published individually arrive as one-element batches. The channel is
-// buffered (capacity 256) with the same drop-oldest overflow semantics as
-// Subscribe, and is closed by Close.
-func (m *Manager) SubscribeBatch() <-chan []Event {
+// buffered (capacity 256); a subscriber that falls that far behind loses the
+// oldest unread batches rather than blocking the detector. It is closed by
+// Close.
+func (m *Manager) Subscribe() <-chan []Event {
 	ch := make(chan []Event, 256)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.batchSubs = append(m.batchSubs, ch)
+	m.subs = append(m.subs, ch)
 	return ch
 }
 
@@ -420,7 +404,7 @@ func (m *Manager) ReportHeartbeat(i int, rtt time.Duration, incarnation uint64) 
 		}
 		mb.state = Up
 		m.mu.Unlock()
-		m.publish(ev)
+		m.publish([]Event{ev})
 		return
 	}
 	ev, ok := m.transitionLocked(i, Up)
@@ -429,7 +413,7 @@ func (m *Manager) ReportHeartbeat(i int, rtt time.Duration, incarnation uint64) 
 	}
 	m.mu.Unlock()
 	if ok {
-		m.publish(ev)
+		m.publish([]Event{ev})
 	}
 }
 
@@ -478,7 +462,7 @@ func (m *Manager) ReportFailure(i int) {
 	ev, ok := m.transitionLocked(i, next)
 	m.mu.Unlock()
 	if ok {
-		m.publish(ev)
+		m.publish([]Event{ev})
 	}
 }
 
@@ -493,7 +477,7 @@ func (m *Manager) MarkDown(i int) {
 	ev, ok := m.transitionLocked(i, Down)
 	m.mu.Unlock()
 	if ok {
-		m.publish(ev)
+		m.publish([]Event{ev})
 	}
 }
 
@@ -514,13 +498,9 @@ func (m *Manager) MarkDownBatch(members []int) {
 		}
 	}
 	m.mu.Unlock()
-	if len(evs) == 0 {
-		return
+	if len(evs) > 0 {
+		m.publish(evs)
 	}
-	for _, ev := range evs {
-		m.publishSingles(ev)
-	}
-	m.publishBatches(evs)
 }
 
 // MarkUpBatch forces every listed member straight to Up in one pass and
@@ -551,13 +531,9 @@ func (m *Manager) MarkUpBatch(members []int) {
 		}
 	}
 	m.mu.Unlock()
-	if len(evs) == 0 {
-		return
+	if len(evs) > 0 {
+		m.publish(evs)
 	}
-	for _, ev := range evs {
-		m.publishSingles(ev)
-	}
-	m.publishBatches(evs)
 }
 
 // transitionLocked moves member i to state next, updating counters, and
@@ -579,41 +555,12 @@ func (m *Manager) transitionLocked(i int, next State) (Event, bool) {
 	return ev, true
 }
 
-// publish fans an event out to subscribers without blocking the detector: a
-// full channel sheds its oldest event to make room for the newest, so
-// subscribers always converge on the latest state. Batch subscribers see the
-// event as a one-element batch.
-func (m *Manager) publish(ev Event) {
-	m.publishSingles(ev)
-	m.publishBatches([]Event{ev})
-}
-
-// publishSingles delivers one event to the per-event subscribers.
-func (m *Manager) publishSingles(ev Event) {
+// publish fans one batch of same-tick transitions out to subscribers without
+// blocking the detector: a full channel sheds its oldest batch to make room
+// for the newest, so subscribers always converge on the latest state.
+func (m *Manager) publish(evs []Event) {
 	m.mu.Lock()
-	subs := append([]chan Event(nil), m.subs...)
-	m.mu.Unlock()
-	for _, ch := range subs {
-		sent := false
-		for tries := 0; !sent && tries < 4; tries++ {
-			select {
-			case ch <- ev:
-				sent = true
-			default:
-				select {
-				case <-ch: // drop oldest to make room
-				default:
-				}
-			}
-		}
-	}
-}
-
-// publishBatches delivers one batch of same-tick transitions to the batch
-// subscribers, with the same non-blocking drop-oldest overflow handling.
-func (m *Manager) publishBatches(evs []Event) {
-	m.mu.Lock()
-	subs := append([]chan []Event(nil), m.batchSubs...)
+	subs := append([]chan []Event(nil), m.subs...)
 	m.mu.Unlock()
 	for _, ch := range subs {
 		sent := false

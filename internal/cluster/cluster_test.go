@@ -83,8 +83,10 @@ func TestStateMachineFullCycle(t *testing.T) {
 	timeout := time.After(2 * time.Second)
 	for len(seq) < 3 {
 		select {
-		case ev := <-events:
-			seq = append(seq, ev.To)
+		case batch := <-events:
+			for _, ev := range batch {
+				seq = append(seq, ev.To)
+			}
 		case <-timeout:
 			t.Fatalf("event stream incomplete: %v", seq)
 		}
@@ -221,12 +223,14 @@ func TestPingProbeAgainstRealDaemon(t *testing.T) {
 	sawDown, sawUp := false, false
 	for {
 		select {
-		case ev := <-events:
-			if ev.To == Down {
-				sawDown = true
-			}
-			if ev.To == Up && ev.From != Up {
-				sawUp = true
+		case batch := <-events:
+			for _, ev := range batch {
+				if ev.To == Down {
+					sawDown = true
+				}
+				if ev.To == Up && ev.From != Up {
+					sawUp = true
+				}
 			}
 		default:
 			if !sawDown || !sawUp {
@@ -263,23 +267,25 @@ func TestIncarnationChangePublishesRestart(t *testing.T) {
 	timeout := time.After(5 * time.Second)
 	for {
 		select {
-		case ev := <-events:
-			if !ev.Restart {
-				continue // ignore plain liveness transitions
+		case batch := <-events:
+			for _, ev := range batch {
+				if !ev.Restart {
+					continue // ignore plain liveness transitions
+				}
+				if ev.Member != 0 || ev.To != Up || ev.Incarnation != second {
+					t.Fatalf("bad restart event: %+v", ev)
+				}
+				if c := m.CountersSnapshot(); c.Restarts == 0 {
+					t.Fatal("Restarts counter not bumped")
+				}
+				if m.StateOf(0) != Up {
+					t.Fatalf("member should stay Up, got %v", m.StateOf(0))
+				}
+				if m.IncarnationOf(0) != second {
+					t.Fatalf("IncarnationOf = %#x, want %#x", m.IncarnationOf(0), second)
+				}
+				return
 			}
-			if ev.Member != 0 || ev.To != Up || ev.Incarnation != second {
-				t.Fatalf("bad restart event: %+v", ev)
-			}
-			if c := m.CountersSnapshot(); c.Restarts == 0 {
-				t.Fatal("Restarts counter not bumped")
-			}
-			if m.StateOf(0) != Up {
-				t.Fatalf("member should stay Up, got %v", m.StateOf(0))
-			}
-			if m.IncarnationOf(0) != second {
-				t.Fatalf("IncarnationOf = %#x, want %#x", m.IncarnationOf(0), second)
-			}
-			return
 		case <-timeout:
 			t.Fatal("no restart event published")
 		}

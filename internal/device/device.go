@@ -52,9 +52,6 @@ type Profile struct {
 	MemBytesPerSec float64
 	// LayerOverheadSec is fixed per-layer dispatch/launch overhead.
 	LayerOverheadSec float64
-	// WeightLoadBytesPerSec is storage→memory bandwidth for loading model
-	// weights (used for the model-switch experiment, Fig. 19).
-	WeightLoadBytesPerSec float64
 }
 
 // NewProfile returns the calibrated profile for a device kind.
@@ -62,19 +59,17 @@ func NewProfile(kind Kind) Profile {
 	switch kind {
 	case GPUDesktop:
 		return Profile{
-			Kind:                  kind,
-			FlopsPerSec:           1.2e11,
-			MemBytesPerSec:        25e9,
-			LayerOverheadSec:      0.0003,
-			WeightLoadBytesPerSec: 1.5e9, // NVMe → GPU
+			Kind:             kind,
+			FlopsPerSec:      1.2e11,
+			MemBytesPerSec:   25e9,
+			LayerOverheadSec: 0.0003,
 		}
 	default:
 		return Profile{
-			Kind:                  RaspberryPi4,
-			FlopsPerSec:           4e9,
-			MemBytesPerSec:        2.5e9,
-			LayerOverheadSec:      0.0003,
-			WeightLoadBytesPerSec: 45e6, // SD card read
+			Kind:             RaspberryPi4,
+			FlopsPerSec:      4e9,
+			MemBytesPerSec:   2.5e9,
+			LayerOverheadSec: 0.0003,
 		}
 	}
 }
@@ -91,12 +86,6 @@ func (p Profile) LayerTime(flops, memBytes float64) float64 {
 		t = tm
 	}
 	return t + p.LayerOverheadSec
-}
-
-// WeightLoadTime estimates the time to load `bytes` of model weights from
-// storage into memory (Fig. 19's model-switch cost for non-resident models).
-func (p Profile) WeightLoadTime(bytes float64) float64 {
-	return bytes / p.WeightLoadBytesPerSec
 }
 
 // Device is one participant in a deployment: a profile plus its network

@@ -34,9 +34,6 @@ type Table struct {
 	Rows   [][]string
 }
 
-// AddRow appends a row of stringified cells.
-func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
-
 // AddRowF appends a row formatting each value with %v / %.4g for floats.
 func (t *Table) AddRowF(cells ...interface{}) {
 	row := make([]string, len(cells))

@@ -29,8 +29,8 @@ const (
 	// CorruptFrame is a frame that failed its checksum or framing: the bytes
 	// went bad in flight, the peer did nothing wrong.
 	CorruptFrame Class = 3
-	// Load is backpressure: the per-device limiter, a daemon's in-flight cap,
-	// or a gateway brownout declined work. Nothing failed.
+	// Load is backpressure: the per-device limiter or a daemon's in-flight
+	// cap declined work. Nothing failed.
 	Load Class = 4
 	// BudgetExhausted is a request that ran out of deadline budget while
 	// executing — the typed alternative to a silent late reply.

@@ -127,13 +127,6 @@ func (s *Shaper) SetDelay(d time.Duration) {
 	s.eachDir(func(ds *dirState) { ds.delay = d })
 }
 
-// SetDelayDir updates one direction's one-way delay.
-func (s *Shaper) SetDelayDir(dir Dir, d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dirs[dir].delay = d
-}
-
 // Delay returns the currently configured one-way delay (Upstream — the write
 // path of a Conn created with NewConn, and of the rpcx client).
 func (s *Shaper) Delay() time.Duration { return s.DelayDir(Upstream) }
@@ -156,15 +149,6 @@ func (s *Shaper) Blackhole(d time.Duration) {
 	defer s.mu.Unlock()
 	until := windowUntil(d)
 	s.eachDir(func(ds *dirState) { ds.outageUntil = until })
-}
-
-// BlackholeDir opens (or, with d <= 0, clears) an outage window in one
-// direction only — the asymmetric partition where requests still arrive but
-// responses vanish, or vice versa.
-func (s *Shaper) BlackholeDir(dir Dir, d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dirs[dir].outageUntil = windowUntil(d)
 }
 
 func windowUntil(d time.Duration) time.Time {
@@ -198,13 +182,6 @@ func (s *Shaper) SetLoss(rate float64, seed int64) {
 	s.eachDir(func(d *dirState) { d.setLoss(rate, seed) })
 }
 
-// SetLossDir injects random packet loss in one direction only.
-func (s *Shaper) SetLossDir(dir Dir, rate float64, seed int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dirs[dir].setLoss(rate, seed)
-}
-
 func (d *dirState) setLoss(rate float64, seed int64) {
 	d.lossRate = rate
 	if rate > 0 {
@@ -225,13 +202,6 @@ func (s *Shaper) SetCorrupt(rate float64, seed int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.eachDir(func(d *dirState) { d.setCorrupt(rate, seed) })
-}
-
-// SetCorruptDir injects bit-flip corruption in one direction only.
-func (s *Shaper) SetCorruptDir(dir Dir, rate float64, seed int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dirs[dir].setCorrupt(rate, seed)
 }
 
 func (d *dirState) setCorrupt(rate float64, seed int64) {
@@ -435,7 +405,7 @@ func Pipe(bandwidthMbps float64, delay time.Duration) (*Conn, *Conn) {
 
 // PipeShaper is Pipe exposing the single Shaper both endpoints share: the
 // first endpoint writes Upstream, the second Downstream, so the caller can
-// degrade one direction (BlackholeDir, SetStallLarge, ...) while the other
+// degrade one direction (SetStallLarge, SetRateDir, ...) while the other
 // stays healthy — the in-memory form of an asymmetric partition.
 func PipeShaper(bandwidthMbps float64, delay time.Duration) (*Conn, *Conn, *Shaper) {
 	a, b := net.Pipe()

@@ -1,7 +1,5 @@
 package env
 
-import "math"
-
 // Trajectory is one recorded episode: the choice sequence, the constraint it
 // is associated with, and the evaluated outcome under that constraint.
 type Trajectory struct {
@@ -35,36 +33,4 @@ func (e *Env) Relabel(tr Trajectory) (Trajectory, error) {
 		return Trajectory{}, err
 	}
 	return Trajectory{Choices: tr.Choices, Constraint: c, Outcome: out}, nil
-}
-
-// SnapUp returns the smallest grid value ≥ v (or the max grid value).
-func SnapUp(lo, hi float64, points int, v float64) float64 {
-	if points <= 1 {
-		return hi
-	}
-	step := (hi - lo) / float64(points-1)
-	k := math.Ceil((v - lo) / step)
-	if k < 0 {
-		k = 0
-	}
-	if k > float64(points-1) {
-		k = float64(points - 1)
-	}
-	return lo + k*step
-}
-
-// SnapDown returns the largest grid value ≤ v (or the min grid value).
-func SnapDown(lo, hi float64, points int, v float64) float64 {
-	if points <= 1 {
-		return lo
-	}
-	step := (hi - lo) / float64(points-1)
-	k := math.Floor((v - lo) / step)
-	if k < 0 {
-		k = 0
-	}
-	if k > float64(points-1) {
-		k = float64(points - 1)
-	}
-	return lo + k*step
 }

@@ -273,21 +273,6 @@ func (c *StrategyCache) Clear() int {
 	return n
 }
 
-// decisionPlacesOn reports whether a decision assigns any tile to dev.
-func decisionPlacesOn(d *env.Decision, dev int) bool {
-	if d == nil || d.Placement == nil {
-		return false
-	}
-	for _, layer := range d.Placement.Devices {
-		for _, assigned := range layer {
-			if assigned == dev {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Len returns the number of cached strategies still valid under the current
 // epochs. Stranded-but-unreclaimed entries are excluded: they can never be
 // served again, so counting them would overstate occupancy.

@@ -60,10 +60,6 @@ type Ladder struct {
 	// hysteresis is K, the comfortable-completion streak needed to promote.
 	hysteresis int
 	streak     int
-	// floor is the minimum rung the ladder may promote above. Normally 0;
-	// a watchdog brownout raises it so the gateway keeps serving degraded
-	// results while resource pressure drains.
-	floor int
 	// estSec[r] is the EMA of observed batch-execution cost at rung r
 	// (seconds); 0 means no observation yet.
 	estSec       []float64
@@ -106,35 +102,6 @@ func (l *Ladder) MaxRung() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.maxRung
-}
-
-// SetFloor raises or lowers the minimum rung (clamped to [0, maxRung]). A
-// floor above the current rung degrades immediately — the point of a
-// brownout is to get cheaper now — while lowering the floor only re-enables
-// promotion: climbing back still goes through Observe's hysteresis, so
-// releasing a brownout cannot snap the gateway straight back to full cost.
-func (l *Ladder) SetFloor(r int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if r < 0 {
-		r = 0
-	}
-	if r > l.maxRung {
-		r = l.maxRung
-	}
-	l.floor = r
-	if l.rung < r {
-		l.rung = r
-		l.streak = 0
-		l.degradations++
-	}
-}
-
-// Floor returns the current minimum rung.
-func (l *Ladder) Floor() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.floor
 }
 
 // Counters returns a snapshot of ladder activity.
@@ -213,7 +180,7 @@ func (l *Ladder) Observe(rung int, elapsed, budget time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.foldLocked(rung, elapsed.Seconds())
-	if rung != l.rung || l.rung == 0 || l.rung <= l.floor {
+	if rung != l.rung || l.rung == 0 {
 		return
 	}
 	if budget > 0 && elapsed.Seconds() > ladderComfortFrac*budget.Seconds() {

@@ -179,39 +179,3 @@ func TestLimiterCutsOnCongestion(t *testing.T) {
 		t.Fatalf("limiter stats: %+v", st)
 	}
 }
-
-func TestLadderSetFloor(t *testing.T) {
-	l := NewLadder(DefaultMaxRung, 1)
-	l.SetFloor(1)
-	if l.Rung() != 1 || l.Floor() != 1 {
-		t.Fatalf("floor 1: rung=%d floor=%d", l.Rung(), l.Floor())
-	}
-	if c := l.Counters(); c.Degradations != 1 {
-		t.Fatalf("raising the floor above the rung must count a degradation: %+v", c)
-	}
-	// Comfortable completions at the floor must not promote below it.
-	for i := 0; i < 10; i++ {
-		l.Observe(1, time.Millisecond, time.Second)
-	}
-	if l.Rung() != 1 {
-		t.Fatalf("ladder promoted below its floor: rung=%d", l.Rung())
-	}
-	// Clearing the floor re-enables promotion through hysteresis.
-	l.SetFloor(0)
-	if l.Rung() != 1 {
-		t.Fatalf("lowering the floor must not change the rung: rung=%d", l.Rung())
-	}
-	l.Observe(1, time.Millisecond, time.Second)
-	if l.Rung() != 0 {
-		t.Fatalf("promotion blocked after floor cleared: rung=%d", l.Rung())
-	}
-	// Clamped to maxRung.
-	l.SetFloor(99)
-	if l.Floor() != DefaultMaxRung || l.Rung() != DefaultMaxRung {
-		t.Fatalf("floor clamp: floor=%d rung=%d", l.Floor(), l.Rung())
-	}
-	l.SetFloor(-1)
-	if l.Floor() != 0 {
-		t.Fatalf("negative floor accepted: %d", l.Floor())
-	}
-}

@@ -161,7 +161,7 @@ func TestOrchestratorMassEvents(t *testing.T) {
 	}
 	m := cluster.NewManager(probes, cluster.Options{})
 	defer m.Close()
-	batches := m.SubscribeBatch()
+	batches := m.Subscribe()
 	o.AttachCluster(m)
 
 	// 0.5 of 5 devices → ceil = 3 victims, lowest indices first.

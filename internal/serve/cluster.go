@@ -32,15 +32,14 @@ func (g *Gateway) noteDeviceError(de *runtime.DeviceError) {
 // AttachCluster subscribes the gateway to a failure detector whose member i
 // is the scheduler's remote device i+1. The event loop exits when the manager
 // is closed; close the manager before or after the gateway, order does not
-// matter. The subscription is the batch channel: same-tick transitions (a
-// mass kill via MarkDownBatch, a mass recovery via MarkUpBatch, a sweep that
-// expires several members at once) arrive as one slice and are applied as
-// one batch.
+// matter. Same-tick transitions (a mass kill via MarkDownBatch, a mass
+// recovery via MarkUpBatch, a sweep that expires several members at once)
+// arrive as one slice and are applied as one batch.
 func (g *Gateway) AttachCluster(m *cluster.Manager) {
 	g.mu.Lock()
 	g.cluster = m
 	g.mu.Unlock()
-	batches := m.SubscribeBatch()
+	batches := m.Subscribe()
 	go func() {
 		for evs := range batches {
 			g.handleClusterBatch(evs)

@@ -39,8 +39,8 @@ func FuzzDecodeStats(f *testing.F) {
 }
 
 // FuzzDecodeInferRequest hammers the infer-request codec: arbitrary frames
-// must never panic, and every accepted frame must yield a valid SLO and a
-// rank-4 tensor (the invariants the queueing path indexes on).
+// must never panic, and every accepted frame must yield a valid SLO and one
+// rank-4 image (the invariants the queueing path indexes on).
 func FuzzDecodeInferRequest(f *testing.F) {
 	valid := func(sloType byte, value float64, x *tensor.Tensor) []byte {
 		var buf bytes.Buffer
@@ -66,8 +66,8 @@ func FuzzDecodeInferRequest(f *testing.F) {
 		if slo.Type != env.LatencySLO && slo.Type != env.AccuracySLO {
 			t.Fatalf("accepted frame with SLO type %d", slo.Type)
 		}
-		if x == nil || x.Rank() != 4 {
-			t.Fatalf("accepted frame with non-NCHW image: %v", x)
+		if x == nil || x.Rank() != 4 || x.Shape[0] != 1 {
+			t.Fatalf("accepted frame with a non-NCHW or batched image: %v", x)
 		}
 	})
 }

@@ -1,7 +1,12 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -54,6 +59,87 @@ func TestStatsWireVersionMismatchIsTyped(t *testing.T) {
 	if _, err := decodeStats(nil); err == nil {
 		t.Fatal("empty stats payload decoded")
 	}
+}
+
+// TestStatsWireGolden pins the stats frame byte for byte against fixtures.
+// Encode and decode share statsFields, so a reordered or dropped field still
+// round-trips; only a frame written down once catches it. stats_v12.hex is
+// the current encoding of a Stats whose wire fields read 1…n in order;
+// stats_v11.hex is the same frame as the previous build wrote it.
+func TestStatsWireGolden(t *testing.T) {
+	seq := Stats{
+		Admitted: 1, Served: 2, Shed: 3, Dropped: 4, DeadlineMissed: 5,
+		Failed: 6, Batches: 7, BatchedRequests: 8,
+		FailoverAttempts: 9, Failovers: 10,
+		Degraded: 11, DegradedRungs: 12, BudgetExhausted: 13,
+		Hedges: 14, HedgeWins: 15,
+		CorruptFrames: 16, Redials: 17,
+		ClusterUp: 18, ClusterSuspect: 19, ClusterDown: 20,
+		Panics: 21, RemotePanics: 22, Overloads: 23,
+		LimiterCuts: 24, LimiterLimit: 25,
+		PolicyVersion: 26, ShadowScored: 27, CanaryServed: 28,
+		Promotions: 29, Rollbacks: 30,
+		GraySuspects: 31, Quarantines: 32, Probations: 33,
+		Reintegrations: 34,
+		Restarts:       35, FencedResponses: 36, StalledCalls: 37,
+		AsymmetricQuarantines: 38,
+		RetryBudgetExhausted:  39, ResolveCoalesced: 40, InvalidationEpochs: 41,
+		ClassMet:    [numClasses]uint64{42, 43, 44},
+		ClassMissed: [numClasses]uint64{45, 46, 47},
+		QueueDepth:  [numClasses]int{48, 49, 50},
+		Cache: runtime.CacheStats{
+			Len: 51, Cap: 52, Hits: 53, Misses: 54, Evictions: 55, Invalidations: 56,
+		},
+	}
+	for _, tc := range []struct {
+		file string
+		want Stats             // the decoded frame, when it is current
+		err  *WireVersionError // the typed refusal, when it is not
+	}{
+		{file: "stats_v12.hex", want: seq},
+		{file: "stats_v11.hex", err: &WireVersionError{Got: 11, Want: 12}},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			frame := readHexFixture(t, tc.file)
+			got, err := decodeStats(frame)
+			if tc.err != nil {
+				var ve *WireVersionError
+				if !errors.As(err, &ve) || *ve != *tc.err {
+					t.Fatalf("decode: got %v, want %v", err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != tc.want {
+				t.Fatalf("decoded fixture:\n got %+v\nwant %+v", got, tc.want)
+			}
+			if enc := encodeStats(tc.want); !bytes.Equal(enc, frame) {
+				t.Fatalf("encodeStats differs from the fixture:\n got %x\nwant %x", enc, frame)
+			}
+		})
+	}
+}
+
+// readHexFixture reads a testdata frame written as hex, one wire field a
+// line; whitespace and "#" comments are ignored.
+func readHexFixture(t *testing.T, name string) []byte {
+	t.Helper()
+	text, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var digits strings.Builder
+	for _, line := range strings.Split(string(text), "\n") {
+		line, _, _ = strings.Cut(line, "#")
+		digits.WriteString(strings.TrimSpace(line))
+	}
+	b, err := hex.DecodeString(digits.String())
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return b
 }
 
 // TestAdmissionUsesLadderEstimate: a latency request whose deadline is under

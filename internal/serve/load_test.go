@@ -240,9 +240,10 @@ func TestGatewayOverRPCSingle(t *testing.T) {
 	}
 }
 
-// TestGatewayRejectsMalformedTensor sends a non-NCHW image over the wire and
-// checks the gateway answers with an error — rather than panicking in the
-// batching path — and keeps serving well-formed requests afterwards.
+// TestGatewayRejectsMalformedTensor sends malformed images over the wire —
+// not NCHW, a smuggled batch, the wrong channel count — and checks the
+// gateway refuses each before admission, rather than panicking in the
+// batching path or the stem conv, and keeps serving well-formed requests.
 func TestGatewayRejectsMalformedTensor(t *testing.T) {
 	g := New(newTestRuntime(102, nil), Options{Workers: 1})
 	defer g.Close(time.Second)
@@ -261,11 +262,14 @@ func TestGatewayRejectsMalformedTensor(t *testing.T) {
 	defer cl.Close()
 
 	for _, bad := range []*tensor.Tensor{
-		tensor.New(5),         // rank 1
-		tensor.New(3, 32, 32), // rank 3 (missing batch dim)
+		tensor.New(5),             // rank 1
+		tensor.New(3, 32, 32),     // rank 3 (missing batch dim)
+		tensor.New(4096, 3, 1, 1), // a batch in one request
+		tensor.New(1, 4, 32, 32),  // too many channels
+		tensor.New(1, 1, 32, 32),  // too few channels
 	} {
 		if _, err := cl.Infer(bad, latSLO(5000), 30*time.Second); err == nil {
-			t.Fatalf("rank-%d image must be rejected", bad.Rank())
+			t.Fatalf("image of shape %v must be rejected", bad.Shape)
 		}
 	}
 	// The gateway survived and still serves valid traffic on the same conn.

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,13 +13,11 @@ import (
 	"murmuration/internal/supernet"
 	"murmuration/internal/tensor"
 	"murmuration/internal/testutil"
-	"murmuration/internal/watchdog"
 )
 
 // Self-protection at the serving layer: a daemon panic fails one batch and
 // nothing else, a panic streak demotes the device and failover serves the
-// request anyway, worker panics are recovered in-process, and a watchdog
-// brownout tightens admission without touching SLO-bearing traffic.
+// request anyway, and worker panics are recovered in-process.
 
 // TestPanicFailsOnlyBatch: a single handler panic on the remote daemon is a
 // request fault — the batch riding it fails with a typed error, the very next
@@ -225,75 +222,4 @@ func TestKernelPanicFailsOneRequest(t *testing.T) {
 	if st := g.Stats(); st.Panics != 1 || st.Failed != 1 || st.Served != 1 {
 		t.Fatalf("panics=%d failed=%d served=%d, want 1/1/1: %+v", st.Panics, st.Failed, st.Served, st)
 	}
-}
-
-// TestBrownoutTightensAdmission: flipping the brownout sheds best-effort
-// traffic as a typed overload refusal, raises the degradation-ladder floor so
-// SLO-bearing batches execute degraded, and clearing it restores both.
-func TestBrownoutTightensAdmission(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	g := New(newTestRuntime(503, nil), Options{Workers: 1, QueueDepth: 8})
-	defer g.Close(time.Second)
-
-	// Healthy gateway: best-effort is admitted and served.
-	if _, err := g.Submit(testInput(540), runtime.SLO{}); err != nil {
-		t.Fatalf("best-effort before brownout: %v", err)
-	}
-
-	g.SetBrownout(true)
-	if !g.Brownout() {
-		t.Fatal("SetBrownout(true) did not take")
-	}
-	_, err := g.Submit(testInput(541), runtime.SLO{})
-	if !errors.Is(err, ErrOverloaded) || fault.Of(err) != fault.Load {
-		t.Fatalf("brownout best-effort: err = %v, want a typed overload shed", err)
-	}
-	if g.Ladder().Floor() != BrownoutRung || g.Ladder().Rung() < BrownoutRung {
-		t.Fatalf("brownout floor/rung = %d/%d, want >= %d",
-			g.Ladder().Floor(), g.Ladder().Rung(), BrownoutRung)
-	}
-	// SLO-bearing traffic still serves — degraded at the brownout floor.
-	out, err := g.Submit(testInput(542), latSLO(5000))
-	if err != nil {
-		t.Fatalf("latency request under brownout: %v", err)
-	}
-	if out.Rung < BrownoutRung {
-		t.Fatalf("brownout batch ran at rung %d, want >= %d", out.Rung, BrownoutRung)
-	}
-	st := g.Stats()
-	if st.Brownouts != 1 || st.BrownoutActive != 1 {
-		t.Fatalf("brownout counters: %+v", st)
-	}
-	if st.Overloads == 0 || st.Shed == 0 || st.Degraded == 0 {
-		t.Fatalf("brownout effects not counted: %+v", st)
-	}
-
-	// Watchdog gauges ride stats once attached and sampled.
-	w := watchdog.New(watchdog.Options{})
-	g.AttachWatchdog(w)
-	w.Sample()
-	if st := g.Stats(); st.Goroutines == 0 || st.HeapBytes == 0 {
-		t.Fatalf("watchdog gauges missing from stats: %+v", st)
-	}
-
-	// Clearing restores admission and drops the floor; the ladder climbs home
-	// through its normal hysteresis rather than snapping.
-	g.SetBrownout(false)
-	if _, err := g.Submit(testInput(543), runtime.SLO{}); err != nil {
-		t.Fatalf("best-effort after brownout cleared: %v", err)
-	}
-	if st := g.Stats(); st.BrownoutActive != 0 {
-		t.Fatalf("BrownoutActive still set after clear: %+v", st)
-	}
-	if g.Ladder().Floor() != 0 {
-		t.Fatalf("floor not cleared: %d", g.Ladder().Floor())
-	}
-
-	// Edge-triggered: re-asserting the same state does not re-count.
-	g.SetBrownout(true)
-	g.SetBrownout(true)
-	if st := g.Stats(); st.Brownouts != 2 {
-		t.Fatalf("Brownouts=%d after two distinct activations, want 2", st.Brownouts)
-	}
-	g.SetBrownout(false)
 }

@@ -8,7 +8,6 @@ import (
 	"murmuration/internal/health"
 	"murmuration/internal/runtime"
 	"murmuration/internal/tensor"
-	"murmuration/internal/watchdog"
 )
 
 // request is one queued inference.
@@ -74,13 +73,6 @@ type Gateway struct {
 	// Guarded by mu; the Manager itself is internally synchronized.
 	cluster *cluster.Manager
 
-	// brownout marks the watchdog's resource-pressure signal: while set,
-	// admission tightens (best-effort shed, queue depth halved) and the
-	// ladder floor is raised to BrownoutRung. wd is the attached watchdog
-	// (nil until AttachWatchdog), source of the resource gauges in Stats.
-	brownout bool
-	wd       *watchdog.Watchdog
-
 	// tap receives outcome events for the adaptation loop (nil until
 	// SetOutcomeTap); adapter is the adaptation controller whose counters are
 	// folded into Stats (nil until AttachAdapter). Both guarded by mu.
@@ -143,22 +135,7 @@ func (g *Gateway) admit(req *request) error {
 		return ErrShuttingDown
 	}
 	q := req.class
-	depth := g.opts.QueueDepth
-	if g.brownout {
-		// Brownout admission: best-effort traffic is refused outright and
-		// every queue runs at half depth — the fastest way to shrink the
-		// goroutine and heap footprint is to hold less work.
-		if q == ClassBestEffort {
-			g.stats.Shed++
-			g.stats.Overloads++
-			shed()
-			return ErrOverloaded
-		}
-		if depth /= 2; depth < 1 {
-			depth = 1
-		}
-	}
-	if len(g.queues[q]) >= depth {
+	if len(g.queues[q]) >= g.opts.QueueDepth {
 		g.stats.Shed++
 		shed()
 		return ErrQueueFull
@@ -275,45 +252,6 @@ func (g *Gateway) deliver(req *request, out Outcome) bool {
 // rung, degradation/promotion counters).
 func (g *Gateway) Ladder() *runtime.Ladder { return g.ladder }
 
-// SetBrownout raises or clears the gateway's brownout: on entry the ladder
-// floor rises to BrownoutRung (every batch at least one rung degraded) and
-// admission tightens; on exit the floor drops back to 0 and the ladder climbs
-// home through its normal hysteresis. Idempotent per edge. Wired to the
-// watchdog's OnBrownout/OnClear callbacks by the daemons.
-func (g *Gateway) SetBrownout(on bool) {
-	g.mu.Lock()
-	changed := g.brownout != on
-	g.brownout = on
-	if changed && on {
-		g.stats.Brownouts++
-	}
-	g.mu.Unlock()
-	if !changed {
-		return
-	}
-	floor := 0
-	if on {
-		floor = BrownoutRung
-	}
-	g.ladder.SetFloor(floor)
-}
-
-// Brownout reports whether the gateway is currently in brownout.
-func (g *Gateway) Brownout() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.brownout
-}
-
-// AttachWatchdog records the resource watchdog whose gauges ride Stats. The
-// caller remains responsible for the watchdog's lifecycle (Start/Close) and
-// for wiring its callbacks to SetBrownout.
-func (g *Gateway) AttachWatchdog(w *watchdog.Watchdog) {
-	g.mu.Lock()
-	g.wd = w
-	g.mu.Unlock()
-}
-
 // ResetWaitEstimates clears the per-class queue-wait EMAs when batch cost
 // changed regime — the device table changed (reconfigure), the adaptation
 // controller swapped the policy; the next batch of each class re-seeds its
@@ -356,13 +294,6 @@ func (g *Gateway) Stats() Stats {
 	s.RetryBudgetExhausted = ss.RetryBudgetExhausted
 	s.ResolveCoalesced = g.rt.ResolveCoalesced()
 	s.AsymmetricQuarantines = g.rt.Devices.AsymmetricQuarantines()
-	if g.brownout {
-		s.BrownoutActive = 1
-	}
-	if g.wd != nil {
-		s.Goroutines = uint64(g.wd.Goroutines())
-		s.HeapBytes = g.wd.HeapBytes()
-	}
 	if g.adapter != nil {
 		as := g.adapter.AdaptStats()
 		s.PolicyVersion = as.PolicyVersion

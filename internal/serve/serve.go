@@ -18,6 +18,7 @@
 package serve
 
 import (
+	"fmt"
 	"time"
 
 	"murmuration/internal/fault"
@@ -87,16 +88,11 @@ var (
 	ErrDeadlineMissed = fault.New(fault.DeadlineMissed, "serve: deadline missed in queue")
 	// ErrShuttingDown rejects work during/after gateway shutdown.
 	ErrShuttingDown = fault.New(fault.AdmissionShed, "serve: shed: gateway shutting down")
-	// ErrOverloaded sheds a request because the gateway is protecting itself:
-	// a watchdog brownout tightened admission, or dispatch hit a concurrency
-	// limit downstream. Like every shed it is a refusal, not a failure.
+	// ErrOverloaded drops a batch because dispatch hit a concurrency limit
+	// downstream or the retry budget declined a rescue. Like every shed it is
+	// a refusal, not a failure.
 	ErrOverloaded = fault.New(fault.Load, "serve: shed: overloaded")
 )
-
-// BrownoutRung is the degradation-ladder floor a watchdog brownout raises:
-// under resource pressure every batch executes at least one rung degraded,
-// trading quality for headroom until the pressure clears.
-const BrownoutRung = 1
 
 // Options configures a Gateway. Zero values select the defaults.
 type Options struct {
@@ -220,23 +216,15 @@ type Stats struct {
 	// counts typed handler-panic responses received from daemons.
 	Panics       uint64
 	RemotePanics uint64
-	// Overloads counts requests shed or dropped as overload refusals: brownout
-	// admission sheds plus batches refused by a concurrency limit (local AIMD
-	// or a daemon's in-flight cap). Overload is never a fault — these ride
-	// Shed/Dropped in the ledger, never Failed.
+	// Overloads counts requests dropped as overload refusals: batches refused
+	// by a concurrency limit (local AIMD or a daemon's in-flight cap) or by
+	// the retry budget. Overload is never a fault — these ride Dropped in the
+	// ledger, never Failed.
 	Overloads uint64
 	// LimiterCuts counts multiplicative cuts across the scheduler's per-device
 	// AIMD limiters; LimiterLimit is their summed current limit (a gauge).
 	LimiterCuts  uint64
 	LimiterLimit uint64
-	// Brownouts counts watchdog brownout activations; BrownoutActive is 1
-	// while the gateway is currently in brownout (a gauge).
-	Brownouts      uint64
-	BrownoutActive uint64
-	// Goroutines / HeapBytes are the watchdog's last resource samples (0 when
-	// no watchdog is attached). Gauges, not counters.
-	Goroutines uint64
-	HeapBytes  uint64
 	// PolicyVersion is the serving policy's version (a gauge, 0 when no
 	// adaptation controller is attached); ShadowScored, Promotions, and
 	// Rollbacks are the attached controller's rollout counters. CanaryServed
@@ -318,8 +306,16 @@ type Outcome struct {
 
 // Submit enqueues one inference under slo and blocks until its outcome is
 // ready. It is safe for concurrent use; the returned error is also set on
-// Outcome.Err.
+// Outcome.Err. Anything but one NCHW image with the supernet's input channel
+// count is refused before admission: a wrong channel count fails in the stem
+// conv and takes every request sharing its batch down with it, and a batch
+// of images is resized row by row into the workspace (batching is the
+// gateway's job).
 func (g *Gateway) Submit(x *tensor.Tensor, slo runtime.SLO) (Outcome, error) {
+	if want := g.rt.Scheduler.Local.Arch.InChannels; x.Rank() != 4 || x.Shape[0] != 1 || x.Shape[1] != want {
+		err := fmt.Errorf("serve: image has shape %v, want [1 %d H W]", x.Shape, want)
+		return Outcome{Err: err}, err
+	}
 	req := &request{
 		x:        x,
 		slo:      slo,

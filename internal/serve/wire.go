@@ -43,7 +43,7 @@ const inferHeaderLen = 1 + 8
 //	v3: +Degraded, +DegradedRungs, +BudgetExhausted, +Hedges, +HedgeWins
 //	v4: +CorruptFrames, +Redials
 //	v5: +Panics, +RemotePanics, +Overloads, +LimiterCuts, +LimiterLimit,
-//	    +Brownouts, +BrownoutActive, +Goroutines, +HeapBytes
+//	    and four resource-watchdog counters and gauges
 //	v6: +ClassMet[numClasses], +ClassMissed[numClasses] (per-class SLO
 //	    attainment, read by the scenario scorer)
 //	v7: +PolicyVersion, +ShadowScored, +CanaryServed, +Promotions,
@@ -56,7 +56,8 @@ const inferHeaderLen = 1 + 8
 //	    two correlated-loss counters (storm control: retry budgets,
 //	    resolution singleflight, correlated-loss smoothing)
 //	v11: -the flap-damping and both correlated-loss counters (mechanisms deleted)
-const statsWireVersion = 11
+//	v12: -the four resource-watchdog counters and gauges (watchdog deleted)
+const statsWireVersion = 12
 
 // StatsWireVersion is the exported stats frame version, stamped into load
 // generator reports so offline analysis knows which field set it is reading.
@@ -94,9 +95,14 @@ func decodeInferRequest(payload []byte) (runtime.SLO, *tensor.Tensor, error) {
 		return runtime.SLO{}, nil, err
 	}
 	// Reject malformed images at the wire boundary: the batching path indexes
-	// Shape[0] and Shape[1], so a non-NCHW tensor must never reach the queue.
+	// Shape[0] and Shape[1], so a non-NCHW tensor must never reach the queue,
+	// and one request is one image — batching is the gateway's job, and a
+	// smuggled batch would be resized row by row into the workspace.
 	if x.Rank() != 4 {
 		return runtime.SLO{}, nil, fmt.Errorf("serve: infer image has rank %d, want 4 (NCHW)", x.Rank())
+	}
+	if x.Shape[0] != 1 {
+		return runtime.SLO{}, nil, fmt.Errorf("serve: infer image has batch %d, want 1", x.Shape[0])
 	}
 	return slo, x, nil
 }
@@ -165,8 +171,6 @@ func statsFields(s *Stats) []*uint64 {
 		&s.ClusterUp, &s.ClusterSuspect, &s.ClusterDown,
 		&s.Panics, &s.RemotePanics, &s.Overloads,
 		&s.LimiterCuts, &s.LimiterLimit,
-		&s.Brownouts, &s.BrownoutActive,
-		&s.Goroutines, &s.HeapBytes,
 		&s.PolicyVersion, &s.ShadowScored, &s.CanaryServed,
 		&s.Promotions, &s.Rollbacks,
 		&s.GraySuspects, &s.Quarantines, &s.Probations,
