@@ -132,68 +132,73 @@ type StepCache struct{ c stepCache }
 // no loss). Gradients accumulate into the LSTM parameters; the returned
 // slice holds the gradient w.r.t. each step's input.
 func (l *LSTM) Backward(caches []*StepCache, dhs []*tensor.Tensor) []*tensor.Tensor {
+	if len(caches) == 0 {
+		return nil
+	}
+	dxs := make([]*tensor.Tensor, len(caches))
+	l.backward(caches, dhs, dxs)
+	return dxs
+}
+
+// BackwardParams is Backward for a caller whose inputs are not trained: the
+// parameter gradients alone, without the input-gradient product per step
+// that Backward would allocate and the caller drop.
+func (l *LSTM) BackwardParams(caches []*StepCache, dhs []*tensor.Tensor) {
+	l.backward(caches, dhs, nil)
+}
+
+// backward accumulates the parameter gradients of BPTT over caches and, when
+// dxs is not nil, stores each step's input gradient in it.
+func (l *LSTM) backward(caches []*StepCache, dhs, dxs []*tensor.Tensor) {
 	if len(caches) != len(dhs) {
 		panic("lstm: caches/dhs length mismatch")
 	}
 	T := len(caches)
 	if T == 0 {
-		return nil
+		return
 	}
 	n := caches[0].c.x.Shape[0]
 	H := l.HiddenSize
-	dxs := make([]*tensor.Tensor, T)
 
+	// A step's gradients live in buffers reused from step to step; only the
+	// input gradients, which are returned, are allocated per step. Each
+	// element is the expression the per-op tensors computed, in their order.
 	dhNext := tensor.New(n, H)
-	dcNext := tensor.New(n, H)
+	dcNext, dc := tensor.New(n, H), tensor.New(n, H)
+	dGates := tensor.New(n, 4*H) // [input, forget, cell, output] pre-activations
 
 	for t := T - 1; t >= 0; t-- {
 		cc := &caches[t].c
-		dh := dhNext.Clone()
+		var dhOut []float32
 		if dhs[t] != nil {
-			dh.Add(dhs[t])
+			dhOut = dhs[t].Data
 		}
-
-		// h = o · tanh(c)
-		do := tensor.New(n, H)
-		dc := dcNext.Clone()
-		for k := range dh.Data {
-			do.Data[k] = dh.Data[k] * cc.tanhC.Data[k]
-			dc.Data[k] += dh.Data[k] * cc.o.Data[k] * (1 - cc.tanhC.Data[k]*cc.tanhC.Data[k])
-		}
-
-		// c = f·cPrev + i·g
-		di := tensor.New(n, H)
-		df := tensor.New(n, H)
-		dg := tensor.New(n, H)
-		dcPrev := tensor.New(n, H)
-		for k := range dc.Data {
-			di.Data[k] = dc.Data[k] * cc.g.Data[k]
-			df.Data[k] = dc.Data[k] * cc.cPrev.Data[k]
-			dg.Data[k] = dc.Data[k] * cc.i.Data[k]
-			dcPrev.Data[k] = dc.Data[k] * cc.f.Data[k]
-		}
-
-		// Through the gate nonlinearities.
-		diPre := nn.SigmoidBwd(di, cc.i)
-		dfPre := nn.SigmoidBwd(df, cc.f)
-		dgPre := nn.TanhBwd(dg, cc.g)
-		doPre := nn.SigmoidBwd(do, cc.o)
-
-		// Stack to (N, 4H).
-		dGates := tensor.New(n, 4*H)
 		for r := 0; r < n; r++ {
-			base := r * 4 * H
+			gr := dGates.Data[r*4*H : (r+1)*4*H]
 			for j := 0; j < H; j++ {
-				dGates.Data[base+j] = diPre.Data[r*H+j]
-				dGates.Data[base+H+j] = dfPre.Data[r*H+j]
-				dGates.Data[base+2*H+j] = dgPre.Data[r*H+j]
-				dGates.Data[base+3*H+j] = doPre.Data[r*H+j]
+				k := r*H + j
+				dh := dhNext.Data[k]
+				if dhOut != nil {
+					dh += dhOut[k]
+				}
+				// h = o · tanh(c)
+				tc, o := cc.tanhC.Data[k], cc.o.Data[k]
+				do := dh * tc
+				d := dcNext.Data[k] + dh*o*(1-tc*tc)
+				// c = f·cPrev + i·g, then through the gate nonlinearities
+				// (sigmoid: dy·y·(1−y); tanh: dy·(1−y²)).
+				ig, fg, gg := cc.i.Data[k], cc.f.Data[k], cc.g.Data[k]
+				gr[j] = d * gg * ig * (1 - ig)
+				gr[H+j] = d * cc.cPrev.Data[k] * fg * (1 - fg)
+				gr[2*H+j] = d * ig * (1 - gg*gg)
+				gr[3*H+j] = do * o * (1 - o)
+				dc.Data[k] = d * fg
 			}
 		}
 
 		// gates = x·Wxᵀ + hPrev·Whᵀ + b
-		l.Wx.Grad().Add(tensor.MatMulTransA(dGates, cc.x))
-		l.Wh.Grad().Add(tensor.MatMulTransA(dGates, cc.hPrev))
+		tensor.AddMatMulTransA(l.Wx.Grad(), dGates, cc.x)
+		tensor.AddMatMulTransA(l.Wh.Grad(), dGates, cc.hPrev)
 		bg := l.B.Grad().Data
 		for r := 0; r < n; r++ {
 			row := dGates.Data[r*4*H : (r+1)*4*H]
@@ -201,11 +206,12 @@ func (l *LSTM) Backward(caches []*StepCache, dhs []*tensor.Tensor) []*tensor.Ten
 				bg[j] += v
 			}
 		}
-		dxs[t] = tensor.MatMul(dGates, l.Wx.W)
-		dhNext = tensor.MatMul(dGates, l.Wh.W)
-		dcNext = dcPrev
+		if dxs != nil {
+			dxs[t] = tensor.MatMul(dGates, l.Wx.W)
+		}
+		tensor.MatMulInto(dhNext, dGates, l.Wh.W)
+		dcNext, dc = dc, dcNext
 	}
-	return dxs
 }
 
 // Head is a fully connected output head mapping the hidden state to logits

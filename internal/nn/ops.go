@@ -145,8 +145,17 @@ func LinearFwd(x, w, b *tensor.Tensor) (*tensor.Tensor, *LinearCache) {
 // (≥out, ≥in) and the first out entries of b, both read in place: the
 // inference form of LinearFwd over a sliced copy, with no copy and no cache.
 func LinearView(x, w, b *tensor.Tensor, out int) *tensor.Tensor {
-	y := tensor.MatMulTransBView(x, w, out)
+	y := tensor.New(x.Shape[0], out)
+	LinearViewInto(y, x, w, b)
+	return y
+}
+
+// LinearViewInto is LinearView into y, (N, out): out is y's width (see the
+// destination rule at tensor.Conv2DInto).
+func LinearViewInto(y, x, w, b *tensor.Tensor) {
+	tensor.MatMulTransBViewInto(y, x, w)
 	if b != nil {
+		out := y.Shape[1]
 		for r := 0; r < x.Shape[0]; r++ {
 			row := y.Data[r*out : (r+1)*out]
 			for i := range row {
@@ -154,7 +163,6 @@ func LinearView(x, w, b *tensor.Tensor, out int) *tensor.Tensor {
 			}
 		}
 	}
-	return y
 }
 
 // LinearBwd back-propagates dy (N,out) and returns (dx, dw, db).

@@ -313,5 +313,5 @@ func (p *Policy) Backward(fr *ForwardResult, dLogits []*tensor.Tensor, dValues [
 		}
 		dhs[t] = dh
 	}
-	p.lstm.Backward(fr.lstmCaches, dhs)
+	p.lstm.BackwardParams(fr.lstmCaches, dhs)
 }

@@ -291,3 +291,32 @@ func BenchmarkGreedyDecision(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPolicyStep is one teacher-forced training step of the policy at
+// the curve experiments' hidden size: Forward, the cross-entropy gradients,
+// Backward through the heads and the LSTM, and the optimizer step.
+func BenchmarkPolicyStep(b *testing.B) {
+	e := tinyEnv()
+	p := New(e, 64, 1)
+	c := testConstraint()
+	choices, _, err := p.Rollout(c, rand.New(rand.NewSource(1)), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := nn.NewAdam(0.01)
+	params := p.Params()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fr, err := p.Forward(c, choices)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dLogits := make([]*tensor.Tensor, len(choices))
+		for t := range choices {
+			_, dLogits[t], _ = nn.SoftmaxCrossEntropy(fr.Logits[t], []int{choices[t]})
+		}
+		p.Backward(fr, dLogits, nil)
+		opt.Step(params)
+	}
+}

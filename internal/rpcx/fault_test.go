@@ -64,7 +64,7 @@ func TestUnknownStatusIsPlainRemoteError(t *testing.T) {
 	defer srvConn.Close()
 	go func() {
 		r, w := bufio.NewReader(srvConn), bufio.NewWriter(srvConn)
-		if _, _, _, _, err := readRequest(r, DefaultMaxFrameSize); err != nil {
+		if _, _, _, _, err := readRequest(r, DefaultMaxFrameSize, nil); err != nil {
 			return
 		}
 		if writeResponse(w, statusMask, []byte("from the future"), false) == nil {

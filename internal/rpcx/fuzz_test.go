@@ -38,7 +38,7 @@ func seedRequests(f *testing.F) {
 func FuzzReadRequest(f *testing.F) {
 	seedRequests(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		method, budget, payload, checksummed, err := readRequest(bytes.NewReader(data), fuzzFrameCap)
+		method, budget, payload, checksummed, err := readRequest(bytes.NewReader(data), fuzzFrameCap, nil)
 		if err != nil {
 			return
 		}
@@ -55,7 +55,7 @@ func FuzzReadRequest(f *testing.F) {
 		if err := writeRequest(&buf, method, payload, budget, checksummed); err != nil {
 			t.Fatalf("re-encode of accepted frame failed: %v", err)
 		}
-		m2, b2, p2, c2, err := readRequest(bytes.NewReader(buf.Bytes()), fuzzFrameCap)
+		m2, b2, p2, c2, err := readRequest(bytes.NewReader(buf.Bytes()), fuzzFrameCap, nil)
 		if err != nil {
 			t.Fatalf("re-decode of accepted frame failed: %v", err)
 		}

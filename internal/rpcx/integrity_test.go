@@ -59,7 +59,7 @@ func TestRequestFrameRoundTrip(t *testing.T) {
 			if err := writeRequest(&buf, "m.ethod", payload, tc.budget, tc.checksum); err != nil {
 				t.Fatal(err)
 			}
-			method, budget, got, checksummed, err := readRequest(bytes.NewReader(buf.Bytes()), DefaultMaxFrameSize)
+			method, budget, got, checksummed, err := readRequest(bytes.NewReader(buf.Bytes()), DefaultMaxFrameSize, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +94,7 @@ func TestChecksumMismatchIsTyped(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	raw[8] ^= 0x10 // flip a bit inside the method/payload region
-	_, _, _, _, err := readRequest(bytes.NewReader(raw), DefaultMaxFrameSize)
+	_, _, _, _, err := readRequest(bytes.NewReader(raw), DefaultMaxFrameSize, nil)
 	var fe *FrameError
 	if !errors.As(err, &fe) || !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("want typed FrameError matching ErrCorruptFrame, got %v", err)
@@ -117,7 +117,7 @@ func TestFrameCapEnforcedBeforeAllocation(t *testing.T) {
 	// 4 header bytes alone — readBody never sees (or allocates) the body.
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], 0xfffffff0)
-	_, _, _, _, err := readRequest(bytes.NewReader(hdr[:]), 1<<20)
+	_, _, _, _, err := readRequest(bytes.NewReader(hdr[:]), 1<<20, nil)
 	var fe *FrameError
 	if !errors.As(err, &fe) || !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("oversize length prefix: want FrameError, got %v", err)
@@ -194,7 +194,7 @@ func corruptOnceServer(t *testing.T) (addr string, stop func()) {
 				defer conn.Close()
 				r := bufio.NewReader(conn)
 				for {
-					method, _, payload, checksummed, err := readRequest(r, DefaultMaxFrameSize)
+					method, _, payload, checksummed, err := readRequest(r, DefaultMaxFrameSize, nil)
 					_ = method
 					if err != nil {
 						return
@@ -375,7 +375,7 @@ func TestChecksumCoversWholeBody(t *testing.T) {
 	for i := 4; i < len(clean)-4; i++ {
 		raw := append([]byte(nil), clean...)
 		raw[i] ^= 0x80
-		if _, _, _, _, err := readRequest(bytes.NewReader(raw), DefaultMaxFrameSize); !errors.Is(err, ErrCorruptFrame) {
+		if _, _, _, _, err := readRequest(bytes.NewReader(raw), DefaultMaxFrameSize, nil); !errors.Is(err, ErrCorruptFrame) {
 			t.Fatalf("flip at byte %d undetected: %v", i, err)
 		}
 	}

@@ -26,6 +26,12 @@ import (
 )
 
 // Handler processes one request payload and returns a response payload.
+//
+// The payload is lent, not given: it lies in the connection's read buffer,
+// which the server reuses for the next request once the reply is written. A
+// handler may read it, and may return it (or part of it) as the reply, but
+// nothing may keep it past that — a handler that needs the bytes later copies
+// them.
 type Handler func(payload []byte) ([]byte, error)
 
 // TimeoutError is returned by Client.CallTimeout when the per-call deadline
@@ -356,6 +362,23 @@ type Server struct {
 	costSec map[string]float64
 }
 
+// scribble makes every server overwrite a request's payload once its reply
+// is written, so that a handler that kept the payload (see Handler) reads
+// garbage instead of the plausible bytes of a buffer that happens not to have
+// been reused yet.
+var scribble atomic.Bool
+
+// ScribblePayloads turns scribbling on or off. It is a hook for tests: the
+// packages whose handlers run behind a server turn it on for their whole run.
+func ScribblePayloads(on bool) { scribble.Store(on) }
+
+// scribblePayload fills a served payload with a byte no frame field wants.
+func scribblePayload(p []byte) {
+	for i := range p {
+		p[i] = 0xA5
+	}
+}
+
 // NewServer returns an empty server.
 func NewServer() *Server {
 	return &Server{
@@ -584,11 +607,14 @@ func (s *Server) serveConn(conn net.Conn) {
 	r := bufio.NewReaderSize(conn, 64*1024)
 	w := bufio.NewWriterSize(conn, 64*1024)
 	max := frameCap(s.MaxFrameSize)
+	// buf is the connection's request buffer: each frame is read into it when
+	// it fits, and it is free again once the frame's reply is written.
+	var buf []byte
 	for {
 		if s.ConnIdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.ConnIdleTimeout))
 		}
-		method, budget, payload, checksummed, err := readRequest(r, max)
+		method, budget, payload, checksummed, err := readRequest(r, max, &buf)
 		if err != nil {
 			if isTimeout(err) {
 				// Idle eviction: the client held the connection without
@@ -658,6 +684,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		if ok {
 			s.endCall()
+		}
+		if scribble.Load() {
+			scribblePayload(payload)
 		}
 		if err != nil {
 			if isTimeout(err) {
@@ -833,10 +862,18 @@ func frameCap(max int) uint32 {
 	return uint32(max)
 }
 
+// keptFrameMax is the largest request buffer a connection keeps between
+// frames. A tile, an image or a link probe is far smaller; a frame past it is
+// read into memory of its own, so one outsized request cannot pin its size
+// for as long as the connection stays open.
+const keptFrameMax = 1 << 20
+
 // readBody reads one length-prefixed frame body, enforcing the cap before
-// allocating. io errors pass through untyped (a closed peer is not
+// allocating. With buf non-nil the body is read into *buf when it fits, and a
+// body allocated because it did not becomes *buf when it is at most
+// keptFrameMax. io errors pass through untyped (a closed peer is not
 // corruption); impossible lengths come back as *FrameError.
-func readBody(r io.Reader, op string, max uint32) ([]byte, error) {
+func readBody(r io.Reader, op string, max uint32, buf *[]byte) ([]byte, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return nil, err
@@ -848,7 +885,16 @@ func readBody(r io.Reader, op string, max uint32) ([]byte, error) {
 	if total > max {
 		return nil, &FrameError{Op: op, Reason: fmt.Sprintf("frame length %d exceeds cap %d", total, max)}
 	}
-	body := make([]byte, total)
+	var body []byte
+	switch {
+	case buf != nil && int(total) <= cap(*buf):
+		body = (*buf)[:total]
+	default:
+		body = make([]byte, total)
+		if buf != nil && total <= keptFrameMax {
+			*buf = body
+		}
+	}
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, err
 	}
@@ -867,10 +913,11 @@ func verifyChecksum(body []byte, op string) ([]byte, error) {
 	return body[:len(body)-4], nil
 }
 
-// readRequest decodes one request frame. checksummed reports whether the
-// frame carried (and passed) a CRC32C trailer, so the response can echo it.
-func readRequest(r io.Reader, max uint32) (method string, budget time.Duration, payload []byte, checksummed bool, err error) {
-	body, err := readBody(r, "read-request", max)
+// readRequest decodes one request frame, into *buf when it fits (readBody).
+// checksummed reports whether the frame carried (and passed) a CRC32C
+// trailer, so the response can echo it.
+func readRequest(r io.Reader, max uint32, buf *[]byte) (method string, budget time.Duration, payload []byte, checksummed bool, err error) {
+	body, err := readBody(r, "read-request", max, buf)
 	if err != nil {
 		return "", 0, nil, false, err
 	}
@@ -999,7 +1046,7 @@ func writeResponse(w io.Writer, status byte, payload []byte, checksum bool) erro
 }
 
 func readResponse(r io.Reader, max uint32) (byte, []byte, error) {
-	body, err := readBody(r, "read-response", max)
+	body, err := readBody(r, "read-response", max, nil)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -400,3 +400,63 @@ func TestServerCloseUnblocksDial(t *testing.T) {
 		t.Fatal("call to closed server hung")
 	}
 }
+
+// TestPayloadIsLentUntilTheReply: a handler's payload lies in its
+// connection's read buffer. The next request on the connection is read into
+// the same memory, and with ScribblePayloads on the server overwrites it as
+// soon as the reply is written, so a handler that keeps its payload past the
+// call sees the bytes change under it. A reply that is the payload itself is
+// written first, and arrives intact.
+func TestPayloadIsLentUntilTheReply(t *testing.T) {
+	s := NewServer()
+	var kept []byte
+	// Sequential calls share the client's one idle connection, so every
+	// handler below runs on that connection's goroutine, in call order: the
+	// peek is ordered after the reads and the scribbles it reports.
+	s.Handle("keep", func(p []byte) ([]byte, error) {
+		kept = p // what no handler may do
+		return nil, nil
+	})
+	s.Handle("peek", func([]byte) ([]byte, error) { return []byte{kept[len(kept)-1]}, nil })
+	s.Handle("echo", func(p []byte) ([]byte, error) { return p, nil })
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := Dial(addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	peek := func() byte {
+		b, err := c.Call("peek", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b[0]
+	}
+
+	if _, err := c.Call("keep", bytes.Repeat([]byte{0x11}, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Call("echo", bytes.Repeat([]byte{0x22}, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	if b := peek(); b != 0x22 {
+		t.Fatalf("a kept payload reads %#x after the next request, want the next request's %#x", b, 0x22)
+	}
+
+	ScribblePayloads(true)
+	defer ScribblePayloads(false)
+	payload := bytes.Repeat([]byte{0x33}, 1000)
+	if resp, err := c.Call("echo", payload); err != nil || !bytes.Equal(resp, payload) {
+		t.Fatalf("echo under scribbling: %v, reply intact %v", err, bytes.Equal(resp, payload))
+	}
+	if _, err := c.Call("keep", payload); err != nil {
+		t.Fatal(err)
+	}
+	if b := peek(); b != 0xA5 {
+		t.Fatalf("a kept payload still reads %#x after its reply, want the scribble", b)
+	}
+}

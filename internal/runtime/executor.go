@@ -7,7 +7,6 @@
 package runtime
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
@@ -69,30 +68,34 @@ func (e *Executor) ExecBlockHandler() func([]byte) ([]byte, error) {
 	return e.handleExecBlock
 }
 
+// handleExecBlock reads the payload in place and keeps none of it: the codes
+// are decoded straight into the workspace before anything else runs, which
+// is what lets the rpcx server reuse the payload's buffer once the reply is
+// written (rpcx.Handler).
 func (e *Executor) handleExecBlock(payload []byte) ([]byte, error) {
 	run, body, err := decodeRunHeader(payload, e.Net.Arch.MaxDepthTotal())
 	if err != nil {
 		return nil, err
 	}
-	q, err := tensor.DecodeQuantized(bytes.NewReader(body))
+	f, err := tensor.ParseQuantized(body)
 	if err != nil {
 		return nil, err
 	}
-	if len(q.Shape) != 4 {
-		return nil, fmt.Errorf("runtime: exec.block tile of shape %v, want N,C,H,W", q.Shape)
+	if len(f.Shape) != 4 {
+		return nil, fmt.Errorf("runtime: exec.block tile of shape %v, want N,C,H,W", f.Shape)
 	}
 	// The handler's goroutine owns one workspace for the run: the decoded
 	// tile and every activation after it live there, and the reply is encoded
 	// out of it before it goes back.
 	ws := e.Net.AcquireWorkspace()
 	defer ws.Release()
-	x := ws.Out(q.Shape[0], q.Shape[1], q.Shape[2], q.Shape[3])
-	q.DequantizeInto(x)
+	x := ws.Out(f.Shape[0], f.Shape[1], f.Shape[2], f.Shape[3])
+	f.DequantizeInto(x)
 	y, err := execRun(ws, run, x)
 	if err != nil {
 		return nil, err
 	}
-	return encodeQuantized(nil, tensor.Quantize(y, tensor.Bits32)), nil
+	return encodeFrame(nil, y, tensor.Bits32), nil
 }
 
 // execRun runs x through the blocks of run in workspace ws, the one run
@@ -158,12 +161,14 @@ func encodeRunRequest(run []blockRef, tile *tensor.Tensor) ([]byte, error) {
 	for _, b := range run {
 		hdr = append(hdr, byte(b.stage), byte(b.index), byte(b.ls.Kernel), byte(b.ls.Expand), byte(b.ls.Quant))
 	}
-	return encodeQuantized(hdr, tensor.Quantize(tile, run[0].ls.Quant)), nil
+	return encodeFrame(hdr, tile, run[0].ls.Quant), nil
 }
 
-// encodeQuantized returns hdr followed by q's wire form, appended into one
-// frame sized up front.
-func encodeQuantized(hdr []byte, q *tensor.Quantized) []byte {
-	frame := make([]byte, 0, len(hdr)+q.EncodedLen())
-	return tensor.AppendQuantized(append(frame, hdr...), q)
+// encodeFrame returns hdr followed by t's wire form at bits, quantized
+// straight into one frame sized up front. The frame is allocated, not
+// borrowed: it outlives the call that sends it (a hedge's loser may still be
+// writing it) and the handler that returns it.
+func encodeFrame(hdr []byte, t *tensor.Tensor, bits tensor.Bitwidth) []byte {
+	frame := make([]byte, 0, len(hdr)+tensor.QuantizedLen(t.Shape, bits))
+	return tensor.AppendQuantize(append(frame, hdr...), t, bits)
 }

@@ -1,8 +1,11 @@
 package runtime
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
+	goruntime "runtime"
 	"strings"
 	"testing"
 
@@ -128,6 +131,46 @@ func TestExecutorRejectsMalformedRequests(t *testing.T) {
 	} {
 		if _, err := cl.Call(ExecBlockMethod, p); err == nil {
 			t.Fatalf("%s accepted", name)
+		}
+	}
+}
+
+// TestExecBlockChecksClaimsBeforeAllocating: a tile header is a claim. A
+// 30-byte frame that declares a 1×3×8192×5461 tile, one cut short, or one
+// whose codes are another width than its header says, is refused for less
+// than a MiB — not after sizing 512 MiB by the header.
+func TestExecBlockChecksClaimsBeforeAllocating(t *testing.T) {
+	a := supernet.TinyArch(4)
+	handler := NewExecutor(supernet.New(a, 22)).ExecBlockHandler()
+	run := []byte{runTag, 1, 0, 0, 3, 2, byte(tensor.Bits8)}
+	claim := func(bits tensor.Bitwidth, codes int, shape ...int) []byte {
+		p := append(append([]byte(nil), run...), 'Q', byte(len(shape)), byte(bits))
+		for _, d := range shape {
+			p = binary.LittleEndian.AppendUint32(p, uint32(d))
+		}
+		p = binary.LittleEndian.AppendUint32(p, math.Float32bits(1))
+		return append(p, make([]byte, codes)...)
+	}
+	valid, err := encodeRunRequest([]blockRef{{stage: 0, index: 0, ls: a.MaxConfig().Layers[0]}}, supernet.New(a, 22).ExecStem(tensor.New(1, 3, 16, 16)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string][]byte{
+		"30 bytes claiming 512 MiB":  claim(tensor.Bits32, 0, 1, 3, 8192, 5461),
+		"4 KB claiming 128 MiB":      claim(tensor.Bits8, 4096, 1, 3, 8192, 5461),
+		"cut short":                  valid[:len(valid)-1],
+		"16-bit header, 8-bit codes": claim(tensor.Bits16, 8*8*8, 1, 8, 8, 8),
+		"8-bit header, 32-bit codes": claim(tensor.Bits8, 4*8*8*8, 1, 8, 8, 8),
+	} {
+		var m0, m1 goruntime.MemStats
+		goruntime.ReadMemStats(&m0)
+		_, err := handler(p)
+		goruntime.ReadMemStats(&m1)
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if n := m1.TotalAlloc - m0.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s: refusing a %d-byte frame allocated %d bytes", name, len(p), n)
 		}
 	}
 }

@@ -2,10 +2,12 @@ package runtime
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
 	"os"
+	goruntime "runtime"
 	"sync/atomic"
 	"testing"
 
@@ -356,7 +358,7 @@ func TestBadRunResponseIsTyped(t *testing.T) {
 		"wrong batch":  {2, 12, 8, 8},
 		"missing rank": {12, 8, 8},
 	} {
-		replies[name] = encodeQuantized(nil, tensor.Quantize(tensor.New(shape...), tensor.Bits32))
+		replies[name] = encodeFrame(nil, tensor.New(shape...), tensor.Bits32)
 	}
 	for name, reply := range replies {
 		srv := rpcx.NewServer()
@@ -425,9 +427,23 @@ func FuzzExecBlockPayload(f *testing.F) {
 		eight = append(eight, byte(i/2), byte(i%2), 3, 3, 8)
 	}
 	f.Add(eight)
+	// A 30-byte frame that claims a 512 MiB tile.
+	claim := []byte{runTag, 1, 0, 0, 3, 2, byte(tensor.Bits8), 'Q', 4, byte(tensor.Bits32)}
+	for _, d := range []uint32{1, 3, 8192, 5461, 0x3f800000} {
+		claim = binary.LittleEndian.AppendUint32(claim, d)
+	}
+	f.Add(claim)
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
+		// What a run allocates follows the bytes that arrived — the tile, its
+		// activations, the reply — never a size the header only claims.
+		var m0, m1 goruntime.MemStats
+		goruntime.ReadMemStats(&m0)
 		resp, err := handler(payload)
+		goruntime.ReadMemStats(&m1)
+		if n, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(1<<20+64*len(payload)); n > limit {
+			t.Fatalf("a %d-byte payload allocated %d bytes, limit %d", len(payload), n, limit)
+		}
 		if err != nil {
 			return
 		}

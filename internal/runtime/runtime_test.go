@@ -64,9 +64,6 @@ func randInput(rng *rand.Rand, n, c, h, w int) *tensor.Tensor {
 func TestDistributedMatchesMonolithic(t *testing.T) {
 	a := supernet.TinyArch(4)
 	net := supernet.New(a, 1)
-	sched, cleanup := testCluster(t, net, 3, 0, 0)
-	defer cleanup()
-
 	rng := rand.New(rand.NewSource(1))
 	x := randInput(rng, 1, 3, 32, 32)
 
@@ -83,24 +80,43 @@ func TestDistributedMatchesMonolithic(t *testing.T) {
 			p.Devices[k][ti] = (k + ti) % 3
 		}
 	}
-	rep, err := sched.Infer(x, &supernet.Decision{Config: cfg, Placement: p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.RemoteTiles == 0 {
-		t.Fatal("expected remote tiles")
-	}
-
 	want, _, err := net.Forward(x, cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want.Data {
-		// Not "d > 1e-4": a NaN logit (a poisoned workspace read) must fail.
-		if d := math.Abs(float64(rep.Logits.Data[i] - want.Data[i])); !(d <= 1e-4) {
-			t.Fatalf("distributed logits differ from monolithic at %d: %v vs %v",
-				i, rep.Logits.Data[i], want.Data[i])
+
+	// Hedged: every remote call races a second one on the other daemon
+	// almost at once, so both read the one request frame while the loser may
+	// still be writing it, and the winner's reply is decoded while the
+	// loser's is still in flight.
+	for _, hedge := range []*HedgePolicy{nil, {After: time.Microsecond, BudgetFrac: 1}} {
+		sched, cleanup := testCluster(t, net, 3, 0, 0)
+		sched.Hedge = hedge
+		sched.PickAlternate = func(primary int) int { return 3 - primary }
+		for i := 0; i < 3; i++ {
+			rep, err := sched.Infer(x, &supernet.Decision{Config: cfg, Placement: p})
+			if err != nil {
+				cleanup()
+				t.Fatal(err)
+			}
+			if rep.RemoteTiles == 0 {
+				cleanup()
+				t.Fatal("expected remote tiles")
+			}
+			for i := range want.Data {
+				// Not "d > 1e-4": a NaN logit (a poisoned workspace read) must fail.
+				if d := math.Abs(float64(rep.Logits.Data[i] - want.Data[i])); !(d <= 1e-4) {
+					cleanup()
+					t.Fatalf("hedge %+v: distributed logits differ from monolithic at %d: %v vs %v",
+						hedge, i, rep.Logits.Data[i], want.Data[i])
+				}
+			}
 		}
+		if hedge != nil && sched.Stats().Hedges == 0 {
+			cleanup()
+			t.Fatal("forced hedging issued no hedge")
+		}
+		cleanup()
 	}
 }
 

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -483,7 +482,7 @@ func (s *Scheduler) execSegment(ws *supernet.Workspace, x *tensor.Tensor, blocks
 				defer wg.Done()
 				tileWS := s.Local.AcquireWorkspace()
 				defer tileWS.Release()
-				tile := tensor.CropSpatial(x, y0s[t], x0s[t], ths[t], tws[t])
+				tile := tileWS.Tile(x, y0s[t], x0s[t], ths[t], tws[t])
 				r := s.execTile(tileWS, tile, blocks, assign, t, deadline)
 				if r.err == nil {
 					tensor.PasteSpatial(out, r.out, oy0s[t], ox0s[t])
@@ -558,19 +557,19 @@ func (s *Scheduler) remoteRun(ws *supernet.Workspace, dev int, run []blockRef, t
 	if err != nil {
 		return nil, err
 	}
-	q, err := tensor.DecodeQuantized(bytes.NewReader(resp))
+	f, err := tensor.ParseQuantized(resp)
 	if err != nil {
 		return nil, fmt.Errorf("%w: device %d: %v", ErrBadRunResponse, dev, err)
 	}
 	// Strides divide the tile exactly (TileSplit cut it in output space), so
 	// the output rectangle is the input rectangle over the run's total stride.
 	down := s.stride(run)
-	want := []int{tile.Shape[0], s.Local.Arch.Stages[run[len(run)-1].stage].Width, tile.Shape[2] / down, tile.Shape[3] / down}
-	if !slices.Equal(q.Shape, want) {
-		return nil, fmt.Errorf("%w: device %d answered shape %v, want %v", ErrBadRunResponse, dev, q.Shape, want)
+	want := [4]int{tile.Shape[0], s.Local.Arch.Stages[run[len(run)-1].stage].Width, tile.Shape[2] / down, tile.Shape[3] / down}
+	if !slices.Equal(f.Shape, want[:]) {
+		return nil, fmt.Errorf("%w: device %d answered shape %v, want %v", ErrBadRunResponse, dev, f.Shape, want)
 	}
 	y := ws.Out(want[0], want[1], want[2], want[3])
-	q.DequantizeInto(y)
+	f.DequantizeInto(y)
 	return y, nil
 }
 

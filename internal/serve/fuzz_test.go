@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	goruntime "runtime"
 	"testing"
+	"time"
 
 	"murmuration/internal/rl/env"
 	"murmuration/internal/runtime"
@@ -59,7 +61,14 @@ func FuzzDecodeInferRequest(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{byte(env.LatencySLO), 1, 2, 3})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		slo, x, err := decodeInferRequest(b)
+		var slo runtime.SLO
+		var x *tensor.Tensor
+		var err error
+		// What the codec allocates follows the bytes that arrived, never a
+		// size the header only claims.
+		if n, limit := allocatedBy(func() { slo, x, err = decodeInferRequest(b) }), uint64(1<<20+8*len(b)); n > limit {
+			t.Fatalf("decoding a %d-byte frame allocated %d bytes, limit %d", len(b), n, limit)
+		}
 		if err != nil {
 			return
 		}
@@ -70,4 +79,53 @@ func FuzzDecodeInferRequest(f *testing.F) {
 			t.Fatalf("accepted frame with a non-NCHW or batched image: %v", x)
 		}
 	})
+}
+
+// allocatedBy is the heap bytes f allocates.
+func allocatedBy(f func()) uint64 {
+	var m0, m1 goruntime.MemStats
+	goruntime.ReadMemStats(&m0)
+	f()
+	goruntime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
+}
+
+// inferFrame is an infer request for a latency SLO whose image header claims
+// shape and is followed by payload bytes.
+func inferFrame(shape []int, payload int) []byte {
+	b := []byte{byte(env.LatencySLO)}
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(50))
+	b = append(b, 'T', byte(len(shape)))
+	for _, d := range shape {
+		b = binary.LittleEndian.AppendUint32(b, uint32(d))
+	}
+	return append(b, make([]byte, payload)...)
+}
+
+// TestInferChecksClaimsBeforeAllocating: the gateway's public entry point
+// refuses an image whose header claims more than the frame holds — a 27-byte
+// request that declares 1×3×8192×5461 floats, a cut-short image, one coded at
+// two bytes an element — for less than a MiB, before sizing anything by the
+// claim.
+func TestInferChecksClaimsBeforeAllocating(t *testing.T) {
+	g := New(newTestRuntime(1, nil), Options{})
+	defer g.Close(time.Second)
+	huge, small := []int{1, 3, 8192, 5461}, []int{1, 3, 32, 32}
+	for name, p := range map[string][]byte{
+		"27 bytes claiming 512 MiB": inferFrame(huge, 0),
+		"4 KB claiming 512 MiB":     inferFrame(huge, 4096),
+		"cut short":                 inferFrame(small, 4*3*32*32-1),
+		"two bytes an element":      inferFrame(small, 2*3*32*32),
+	} {
+		var err error
+		if n := allocatedBy(func() { _, err = g.handleInfer(p) }); n >= 1<<20 {
+			t.Errorf("%s: refusing a %d-byte request allocated %d bytes", name, len(p), n)
+		}
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := g.handleInfer(inferFrame(small, 4*3*32*32)); err != nil {
+		t.Fatalf("a well-formed request failed: %v", err)
+	}
 }

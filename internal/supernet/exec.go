@@ -157,14 +157,16 @@ func (s *Supernet) ExecHead(x *tensor.Tensor) *tensor.Tensor {
 	return ws.Head(x)
 }
 
-// Head is ExecHead within a run. Only the head's feature map is the
+// Head is ExecHead within a run. The head's feature map and its pool are the
 // workspace's: the logits are allocated, the caller's to keep past the run.
 func (ws *Workspace) Head(x *tensor.Tensor) *tensor.Tensor {
 	s := ws.net
 	y := ws.buf(roleExpand, x.Shape[0], s.Arch.HeadChannels, x.Shape[2], x.Shape[3])
 	tensor.Conv1x1Into(y, x, s.headW.W, s.headB.W, s.Arch.HeadChannels)
 	nn.BatchNormInPlace(y, s.headBN.gamma.W, s.headBN.beta.W, bnEps, true)
-	return nn.LinearView(tensor.AvgPoolGlobal(y), s.clsW.W, s.clsB.W, s.Arch.NumClasses)
+	pool := ws.buf(rolePool, x.Shape[0], s.Arch.HeadChannels)
+	tensor.AvgPoolGlobalInto(pool, y)
+	return nn.LinearView(pool, s.clsW.W, s.clsB.W, s.Arch.NumClasses)
 }
 
 // TileSplit computes the FDSP tile geometry for an input of spatial size

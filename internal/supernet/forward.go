@@ -206,9 +206,9 @@ func (s *Supernet) blockFwd(b *mbBlock, x *tensor.Tensor, ls LayerSetting, ws *W
 		for _, oCols := range outCols {
 			y0, x0 := oy*b.stride, ox*b.stride
 			tileH, tileW := oRows*b.stride, oCols*b.stride
-			xt := tensor.CropSpatial(x, y0, x0, tileH, tileW)
-			var yt *tensor.Tensor
+			var xt, yt *tensor.Tensor
 			if training {
+				xt = tensor.CropSpatial(x, y0, x0, tileH, tileW)
 				var tc *tileCache
 				tc, yt = s.tileFwd(b, xt, ls)
 				bc.tiles = append(bc.tiles, tc)
@@ -217,9 +217,10 @@ func (s *Supernet) blockFwd(b *mbBlock, x *tensor.Tensor, ls LayerSetting, ws *W
 				bc.tileH = append(bc.tileH, tileH)
 				bc.tileW = append(bc.tileW, tileW)
 			} else {
-				// The tile and its result are this loop's own; only the ops
-				// between them run in the workspace.
-				yt = tensor.New(n, b.outC, oRows, oCols)
+				// The tile and its result are dead once pasted, so the next
+				// tile's take their buffers.
+				xt = ws.Tile(x, y0, x0, tileH, tileW)
+				yt = ws.buf(roleTileOut, n, b.outC, oRows, oCols)
 				s.tileInfer(ws, yt, b, xt, ls)
 			}
 			if residual {
@@ -322,9 +323,9 @@ func (s *Supernet) tileFwd(b *mbBlock, xt *tensor.Tensor, ls LayerSetting) (*til
 // tileInfer is tileFwd for inference, into dst (N, outC, H/stride, W/stride).
 // Each op produces the bits tileFwd's does, but nothing is kept: the 1×1
 // convolutions and the SE gates read their block of the shared weights in
-// place, the two hidden maps are the workspace's, batch norm and h-swish
-// overwrite the convolution's output in one pass, and the SE gate scales in
-// place — no weight copy beyond the depthwise kernel's center crop. xt is
+// place, the two hidden maps, the SE vectors and the depthwise kernel's
+// center crop are the workspace's, batch norm and h-swish overwrite the
+// convolution's output in one pass, and the SE gate scales in place. xt is
 // only read, and must not be dst.
 func (s *Supernet) tileInfer(ws *Workspace, dst *tensor.Tensor, b *mbBlock, xt *tensor.Tensor, ls LayerSetting) {
 	hidden := hiddenWidth(b, ls)
@@ -337,15 +338,22 @@ func (s *Supernet) tileInfer(ws *Workspace, dst *tensor.Tensor, b *mbBlock, xt *
 
 	// Depthwise kxk: padding k/2, so the map shrinks by the stride alone.
 	k := ls.Kernel
+	ker := ws.buf(roleKernel, hidden, 1, k, k)
+	sliceDWInto(ker, b.dwW.W)
 	z := ws.buf(roleDW, n, hidden, dst.Shape[2], dst.Shape[3])
-	tensor.DepthwiseConv2DInto(z, y, sliceDW(b.dwW.W, hidden, k), nil, tensor.ConvOpts{Stride: b.stride, Padding: k / 2})
+	tensor.DepthwiseConv2DInto(z, y, ker, nil, tensor.ConvOpts{Stride: b.stride, Padding: k / 2})
 	nn.BatchNormInPlace(z, b.bn2.gamma.W, b.bn2.beta.W, bnEps, true)
 
-	// Squeeze-and-excitation.
+	// Squeeze-and-excitation. The gate takes the pool's buffer: the squeeze
+	// has read the pool by then.
 	if b.se {
-		g := nn.LinearView(tensor.AvgPoolGlobal(z), b.seW1.W, b.seB1.W, seWidth(b))
-		nn.ReLUInPlace(g)
-		g = nn.LinearView(g, b.seW2.W, b.seB2.W, hidden)
+		pool := ws.buf(rolePool, n, hidden)
+		tensor.AvgPoolGlobalInto(pool, z)
+		sq := ws.buf(roleSqueeze, n, seWidth(b))
+		nn.LinearViewInto(sq, pool, b.seW1.W, b.seB1.W)
+		nn.ReLUInPlace(sq)
+		g := ws.buf(rolePool, n, hidden)
+		nn.LinearViewInto(g, sq, b.seW2.W, b.seB2.W)
 		nn.HSigmoidInPlace(g)
 		nn.ScaleChannelsInPlace(z, g)
 	}

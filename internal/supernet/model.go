@@ -27,6 +27,8 @@ type Supernet struct {
 	// wsIdle are the workspaces no run holds (AcquireWorkspace), a stack.
 	wsMu   sync.Mutex
 	wsIdle []*Workspace
+	// hold is Arch.holds: whether workspaces keep their buffers.
+	hold bool
 }
 
 type bnParams struct {
@@ -69,7 +71,7 @@ type mbBlock struct {
 // New builds a randomly initialized supernet for the given search space.
 func New(a *Arch, seed int64) *Supernet {
 	rng := rand.New(rand.NewSource(seed))
-	s := &Supernet{Arch: a}
+	s := &Supernet{Arch: a, hold: a.holds()}
 
 	stemW := tensor.New(a.StemChannels, a.InChannels, 3, 3)
 	stemW.KaimingInit(rng, a.InChannels*9)
@@ -193,16 +195,21 @@ func scatterConv1x1(fullG, g *tensor.Tensor, outC, inC int) {
 
 // sliceDW center-crops the first `ch` depthwise kernels from maxK to k.
 func sliceDW(full *tensor.Tensor, ch, k int) *tensor.Tensor {
-	maxK := full.Shape[2]
-	off := (maxK - k) / 2
 	w := tensor.New(ch, 1, k, k)
+	sliceDWInto(w, full)
+	return w
+}
+
+// sliceDWInto is sliceDW into w, (ch, 1, k, k).
+func sliceDWInto(w, full *tensor.Tensor) {
+	ch, k, maxK := w.Shape[0], w.Shape[2], full.Shape[2]
+	off := (maxK - k) / 2
 	for c := 0; c < ch; c++ {
 		for y := 0; y < k; y++ {
 			srcBase := c*maxK*maxK + (y+off)*maxK + off
 			copy(w.Data[c*k*k+y*k:c*k*k+(y+1)*k], full.Data[srcBase:srcBase+k])
 		}
 	}
-	return w
 }
 
 func scatterDW(fullG, g *tensor.Tensor, ch, k int) {

@@ -16,29 +16,62 @@ import (
 type role int
 
 const (
-	roleImage  role = iota // the input resized to the config's resolution
-	roleCols               // the stem's planar im2col columns
-	roleQuant              // a block's input after its quantization round trip
-	roleExpand             // a block's expand output; the head's conv output
-	roleDW                 // a block's depthwise output
-	roleOutA               // block outputs (the stem's, a segment's, a tile's,
-	roleOutB               // a remote run's reply), alternating
+	roleImage   role = iota // the input resized to the config's resolution
+	roleCols                // the stem's planar im2col columns
+	roleQuant               // a block's input after its quantization round trip
+	roleExpand              // a block's expand output; the head's conv output
+	roleDW                  // a block's depthwise output
+	roleOutA                // block outputs (the stem's, a segment's, a tile's,
+	roleOutB                // a remote run's reply), alternating
+	roleTile                // a tile cut from its segment's input (Tile)
+	roleTileOut             // a tile's block output inside a tiled Forward
+	roleKernel              // a block's depthwise kernel, center-cropped to k×k
+	rolePool                // the SE pool, then the SE gate; the head's pool
+	roleSqueeze             // the SE squeeze vector
 	numRoles
 )
 
-// holdMin is the size in bytes, per image, below which a workspace does not
-// keep a role's buffer: smaller activations are allocated fresh and left to
-// the collector, as everything was before there were workspaces. Every
-// activation of the tiny net is that small (27 KB at most), and holding them
-// costs more than it buys. Measured on local_tiny_open300, three seeds a side:
-// held, p50 2.52–2.65 ms and 0.45 ms CPU a request; not held, 2.56–2.57 ms and
-// 0.46–0.50 — no difference to tell from the spread — while holding kept
-// 4.18–4.75 MB live against the parent's 3.87 (the buffers grow with the
-// largest batch seen, to 0.9 MB in two workspaces) where that metric's bound
-// is +15 %; not holding reads 3.81–3.82. Per image, so that whether a role is
-// held follows from the architecture and not from how requests were batched.
-// On the paper-scale net the early layers' roles run from 150 KB to 1.2 MB.
+// holdMin is the size in bytes, per image, of the largest activation a net
+// must have before its workspaces keep their buffers: a smaller net's are
+// allocated fresh and left to the collector, as everything was before there
+// were workspaces. Every activation of the tiny net is that small (27 KB at
+// most), and holding them costs more than it buys. Measured on
+// local_tiny_open300, three seeds a side: held, p50 2.52–2.65 ms and 0.45 ms
+// CPU a request; not held, 2.56–2.57 ms and 0.46–0.50 — no difference to tell
+// from the spread — while holding kept 4.18–4.75 MB live against the parent's
+// 3.87 (the buffers grow with the largest batch seen, to 0.9 MB in two
+// workspaces) where that metric's bound is +15 %; not holding reads 3.81–3.82.
+// On the paper-scale net the early layers' activations run from 150 KB to
+// 1.2 MB an image, and it holds every role: a tile's, an SE vector and a
+// cropped kernel too, which are smaller than holdMin but reused run after run
+// all the same.
 const holdMin = 64 << 10
+
+// holds reports whether a's workspaces keep their buffers: whether its
+// largest activation for one image at its largest resolution — the image, the
+// stem's columns and output, a block's expanded map, the head's map — reaches
+// holdMin. It is decided once per net, so it follows from the architecture
+// alone, not from how requests were batched or tiled.
+func (a *Arch) holds() bool {
+	res := 0
+	for _, r := range a.Resolutions {
+		res = max(res, r)
+	}
+	h := tensor.ConvOutSize(res, 3, stemOpts.Stride, stemOpts.Padding)
+	largest := max(a.InChannels*res*res, a.InChannels*9*h*h, a.StemChannels*h*h)
+	c := a.StemChannels
+	for _, st := range a.Stages {
+		for i := 0; i < st.MaxDepth; i++ {
+			largest = max(largest, c*a.MaxExpand()*h*h)
+			if i == 0 {
+				h /= st.Stride
+			}
+			c = st.Width
+		}
+	}
+	largest = max(largest, a.HeadChannels*h*h)
+	return 4*largest >= holdMin
+}
 
 // Workspace is the scratch memory of one inference run: a buffer per role,
 // each grown to the largest size its role has needed and kept for the next
@@ -100,14 +133,17 @@ func (ws *Workspace) Release() {
 
 // buf hands out role r's buffer shaped as given. The contents are whatever
 // the role last held: the caller is a kernel's destination.
-func (ws *Workspace) buf(r role, n, c, h, w int) *tensor.Tensor {
-	size := n * c * h * w
+func (ws *Workspace) buf(r role, shape ...int) *tensor.Tensor {
+	size := 1
+	for _, d := range shape {
+		size *= d
+	}
 	t := &ws.view[r]
-	t.Shape = append(t.Shape[:0], n, c, h, w)
+	t.Shape = append(t.Shape[:0], shape...)
 	switch {
 	case cap(ws.held[r]) >= size:
 		t.Data = ws.held[r][:size]
-	case c*h*w*4 < holdMin && !poison.Load():
+	case !ws.net.hold && !poison.Load():
 		t.Data = make([]float32, size)
 	default:
 		ws.held[r] = make([]float32, size)
@@ -133,6 +169,15 @@ func (ws *Workspace) Out(n, c, h, w int) *tensor.Tensor {
 	return ws.buf(r, n, c, h, w)
 }
 
+// Tile crops the h×w window at (y0, x0) out of x (N,C,H,W) into the
+// workspace: a tile's input, for the goroutine that runs the tile. x is only
+// read, and must not be the workspace's own tile.
+func (ws *Workspace) Tile(x *tensor.Tensor, y0, x0, h, w int) *tensor.Tensor {
+	t := ws.buf(roleTile, x.Shape[0], x.Shape[1], h, w)
+	tensor.CropSpatialInto(t, x, y0, x0)
+	return t
+}
+
 // Quantize returns x as a block sees it after crossing a device boundary at
 // the given bitwidth (tensor.FakeQuantize): x itself at 32 bits.
 func (ws *Workspace) Quantize(x *tensor.Tensor, bits tensor.Bitwidth) *tensor.Tensor {
@@ -147,8 +192,8 @@ func (ws *Workspace) Quantize(x *tensor.Tensor, bits tensor.Bitwidth) *tensor.Te
 // poison makes every workspace fill a buffer with NaNs as it hands it out and
 // again when the run ends, so that a kernel that skips part of its
 // destination, or a tensor read after its buffer moved on, puts a NaN in the
-// logits instead of a plausible stale value. It also makes a workspace hold
-// every buffer, however small, so that the tiny net most oracles run on
+// logits instead of a plausible stale value. It also makes every net's
+// workspaces hold their buffers, so that the tiny net most oracles run on
 // reuses its memory the way the paper-scale net does in production.
 var poison atomic.Bool
 

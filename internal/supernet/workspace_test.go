@@ -19,12 +19,16 @@ func (ws *Workspace) heldBytes() int {
 
 // roleNeeds is what each role of a workspace must hold to run cfg on a batch
 // of n images of the given side: the sizes of the activations, from the
-// config's arithmetic alone. A role whose largest activation is under the hold
-// threshold per image needs nothing — it is allocated fresh every time.
+// config's arithmetic alone. A net that does not hold (Arch.holds) needs
+// nothing in any role — everything is allocated fresh every time.
 func roleNeeds(a *Arch, cfg *Config, n, side int) (need [numRoles]int) {
-	take := func(r role, c, h, w int) {
-		if c*h*w*4 >= holdMin {
-			need[r] = max(need[r], 4*n*c*h*w)
+	take := func(r role, shape ...int) {
+		size := 4 * n
+		for _, d := range shape {
+			size *= d
+		}
+		if a.holds() {
+			need[r] = max(need[r], size)
 		}
 	}
 	out := roleOutA
@@ -51,22 +55,44 @@ func roleNeeds(a *Arch, cfg *Config, n, side int) (need [numRoles]int) {
 			if ls.Quant != tensor.Bits32 {
 				take(roleQuant, cin, h, w)
 			}
+			// A tiled block runs its largest tile, the first, through the
+			// hidden roles; a whole map is one tile.
+			oh, ow := h/stride, w/stride
+			th, tw := (oh+ls.Partition.Gy-1)/ls.Partition.Gy, (ow+ls.Partition.Gx-1)/ls.Partition.Gx
+			if ls.Partition != (Partition{1, 1}) {
+				take(roleTile, cin, th*stride, tw*stride)
+				take(roleTileOut, st.Width, th, tw)
+			}
 			hidden := cin * ls.Expand
-			take(roleExpand, hidden, h, w)
-			h, w = h/stride, w/stride
-			take(roleDW, hidden, h, w)
+			take(roleExpand, hidden, th*stride, tw*stride)
+			take(roleKernel, hidden, ls.Kernel, ls.Kernel)
+			take(roleDW, hidden, th, tw)
+			if st.SE {
+				take(rolePool, hidden)
+				take(roleSqueeze, max(cin*a.MaxExpand()/4, 1))
+			}
+			h, w = oh, ow
 			takeOut(st.Width, h, w)
 			cin = st.Width
 		}
 	}
 	take(roleExpand, a.HeadChannels, h, w)
+	take(rolePool, a.HeadChannels)
 	return need
+}
+
+// tiledConfig is cfg with every layer cut 2×2.
+func tiledConfig(cfg *Config) *Config {
+	for i := range cfg.Layers {
+		cfg.Layers[i].Partition = Partition{Gy: 2, Gx: 2}
+	}
+	return cfg
 }
 
 // midArch is a search space between the tiny net, whose activations are all
 // under the hold threshold, and the paper-scale one, whose largest submodel
-// takes seconds under the race detector: large enough maps that every role
-// is held, in a net that runs in milliseconds.
+// takes seconds under the race detector: large enough maps that the net
+// holds, in a net that runs in milliseconds.
 func midArch() *Arch {
 	return &Arch{
 		Name:         "mid-supernet",
@@ -101,7 +127,7 @@ func TestWorkspaceHoldsLargestPerRole(t *testing.T) {
 		side int
 		runs int
 	}{
-		{mid, []*Config{mid.MinConfig(), mid.MaxConfig()}, 160, 50},
+		{mid, []*Config{mid.MinConfig(), mid.MaxConfig(), tiledConfig(mid.MaxConfig())}, 160, 50},
 		{def, []*Config{def.MinConfig()}, 224, 3},
 	} {
 		var want [numRoles]int
@@ -112,7 +138,9 @@ func TestWorkspaceHoldsLargestPerRole(t *testing.T) {
 			}
 		}
 		for r, b := range want {
-			if b == 0 {
+			// The paper-scale net runs untiled here: its tiles' roles stay
+			// empty.
+			if b == 0 && (tc.arch == mid || r != int(roleTile) && r != int(roleTileOut)) {
 				t.Fatalf("%s: role %d would hold nothing: the test is too small to mean anything", tc.arch.Name, r)
 			}
 			total += b
@@ -168,6 +196,47 @@ func TestSmallNetHoldsNothing(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestPoisonFillsEveryRole: under PoisonWorkspaces every role — the tile
+// and its output, the depthwise kernel's crop and the SE vectors as much as
+// the activations — is held, handed out full of NaNs and left full of NaNs
+// when the run ends, so a read of any of them before it is written or after
+// it moved on shows in the logits.
+func TestPoisonFillsEveryRole(t *testing.T) {
+	a := midArch()
+	net := New(a, 4)
+	x := randInput(rand.New(rand.NewSource(4)), 1, 3, 100, 100)
+	quantized := tiledConfig(a.MaxConfig())
+	for i := range quantized.Layers {
+		quantized.Layers[i].Quant = tensor.Bits8
+	}
+	for _, cfg := range []*Config{a.MaxConfig(), quantized} {
+		if _, _, err := net.Forward(x, cfg, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(net.wsIdle) != 1 {
+		t.Fatalf("%d idle workspaces after sequential runs, want 1", len(net.wsIdle))
+	}
+	ws := net.AcquireWorkspace()
+	defer ws.Release()
+	for r := role(0); r < numRoles; r++ {
+		held := ws.held[r][:cap(ws.held[r])]
+		if len(held) == 0 {
+			t.Fatalf("role %d held nothing under poisoning", r)
+		}
+		for i, v := range held {
+			if v == v {
+				t.Fatalf("role %d holds %v at %d after its run ended", r, v, i)
+			}
+		}
+		for i, v := range ws.buf(r, 1, 2, 3).Data {
+			if v == v {
+				t.Fatalf("role %d handed out %v at %d", r, v, i)
+			}
+		}
+	}
 }
 
 // TestConcurrentRunsOwnTheirWorkspaces runs inferences from several

@@ -553,8 +553,18 @@ func dwInterior3(row, in []float32, w int, ker []float32, s int, bv float32) {
 // as eight lanes; the loop below finishes each plane's last elements, and does
 // every plane without AVX2.
 func AvgPoolGlobal(x *Tensor) *Tensor {
+	out := New(x.Shape[0], x.Shape[1])
+	AvgPoolGlobalInto(out, x)
+	return out
+}
+
+// AvgPoolGlobalInto is AvgPoolGlobal into out, (N,C) (see the destination
+// rule at Conv2DInto).
+func AvgPoolGlobalInto(out, x *Tensor) {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	out := New(n, c)
+	if len(out.Shape) != 2 || out.Shape[0] != n || out.Shape[1] != c {
+		panic(fmt.Sprintf("tensor: AvgPoolGlobal destination has shape %v, want [%d %d]", out.Shape, n, c))
+	}
 	plane := h * w
 	hw := float32(plane)
 	ParallelByCost((n*c+7)/8, 8*plane, func(gs, ge int) {
@@ -562,7 +572,10 @@ func AvgPoolGlobal(x *Tensor) *Tensor {
 			sums := out.Data[r0:min(r0+8, n*c)]
 			done := sumRowsVec(sums, x.Data[r0*plane:], plane, plane)
 			for j := range sums {
-				s := sums[j]
+				var s float32
+				if done > 0 {
+					s = sums[j]
+				}
 				for _, v := range x.Data[(r0+j)*plane+done : (r0+j+1)*plane] {
 					s += v
 				}
@@ -570,7 +583,6 @@ func AvgPoolGlobal(x *Tensor) *Tensor {
 			}
 		}
 	})
-	return out
 }
 
 // MaxPool2D applies k×k max pooling with stride s.
@@ -631,28 +643,39 @@ func Pad2D(x *Tensor, p int) *Tensor {
 // (N,C,H,W), returning (N,C,ch,cw). Out-of-range regions read as zero, which
 // lets callers implement FDSP zero-padded tiles directly.
 func CropSpatial(x *Tensor, y0, x0, ch, cw int) *Tensor {
+	out := New(x.Shape[0], x.Shape[1], ch, cw)
+	CropSpatialInto(out, x, y0, x0)
+	return out
+}
+
+// CropSpatialInto is CropSpatial into out, (N,C,ch,cw): the window's size is
+// out's (see the destination rule at Conv2DInto).
+func CropSpatialInto(out, x *Tensor, y0, x0 int) {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	out := New(n, c, ch, cw)
+	if len(out.Shape) != 4 || out.Shape[0] != n || out.Shape[1] != c {
+		panic(fmt.Sprintf("tensor: CropSpatial destination has shape %v, want [%d %d _ _]", out.Shape, n, c))
+	}
+	ch, cw := out.Shape[2], out.Shape[3]
+	// Every row's in-range columns are [lo, hi) of the window.
+	lo := min(max(-x0, 0), cw)
+	hi := max(min(w-x0, cw), lo)
 	ParallelByCost(n*c, ch*cw, func(rs, re int) {
 		for r := rs; r < re; r++ {
 			src := x.Data[r*h*w : (r+1)*h*w]
 			dst := out.Data[r*ch*cw : (r+1)*ch*cw]
 			for y := 0; y < ch; y++ {
+				row := dst[y*cw : (y+1)*cw]
 				iy := y0 + y
-				if iy < 0 || iy >= h {
+				if iy < 0 || iy >= h || lo == hi {
+					clear(row)
 					continue
 				}
-				for xx := 0; xx < cw; xx++ {
-					ix := x0 + xx
-					if ix < 0 || ix >= w {
-						continue
-					}
-					dst[y*cw+xx] = src[iy*w+ix]
-				}
+				clear(row[:lo])
+				copy(row[lo:hi], src[iy*w+x0+lo:])
+				clear(row[hi:])
 			}
 		}
 	})
-	return out
 }
 
 // PasteSpatial writes tile (N,C,th,tw) into dst (N,C,H,W) at offset (y0,x0),

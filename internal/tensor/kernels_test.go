@@ -215,6 +215,13 @@ func TestDepthwiseBitExact(t *testing.T) {
 	})
 }
 
+// matMulTransBView is MatMulTransBViewInto into a fresh n-wide tensor.
+func matMulTransBView(a, b *Tensor, n int) *Tensor {
+	c := New(a.Shape[0], n)
+	MatMulTransBViewInto(c, a, b)
+	return c
+}
+
 func TestMatMulTransBBitExact(t *testing.T) {
 	atParallelism(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(33))
@@ -231,7 +238,31 @@ func TestMatMulTransBBitExact(t *testing.T) {
 			for j := 0; j < d[2]; j++ {
 				copy(view.Data[j*d[1]:(j+1)*d[1]], full.Data[j*(d[1]+5):])
 			}
-			sameBits(t, fmt.Sprint("view ", d), MatMulTransBView(a, full, d[2]), matMulTransBRef(a, view))
+			sameBits(t, fmt.Sprint("view ", d), matMulTransBView(a, full, d[2]), matMulTransBRef(a, view))
+		}
+	})
+}
+
+// TestAddMatMulTransABitExact pins the in-place gradient accumulate to the
+// allocate-then-add pair it replaced, zero factors and negative zeros in dst
+// included.
+func TestAddMatMulTransABitExact(t *testing.T) {
+	atParallelism(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(34))
+		// {k, m, n}: k is the batch (1 on the policy's path), m the 4H rows.
+		for _, d := range [][3]int{{1, 1, 1}, {1, 96, 40}, {1, 256, 64}, {3, 17, 9}, {4, 64, 33}} {
+			a, b := randTensor(rng, d[0], d[1]), randTensor(rng, d[0], d[2])
+			for i := 0; i < len(a.Data); i += 3 {
+				a.Data[i] = 0
+			}
+			want := randTensor(rng, d[1], d[2])
+			for i := 0; i < len(want.Data); i += 5 {
+				want.Data[i] = float32(math.Copysign(0, -1))
+			}
+			got := want.Clone()
+			want.Add(MatMulTransA(a, b))
+			AddMatMulTransA(got, a, b)
+			sameBits(t, fmt.Sprint(d), got, want)
 		}
 	})
 }
@@ -901,7 +932,8 @@ func intoDest(n, c, h, w int) (buf []float32, dst *Tensor) {
 // outside the destination.
 func sameInto(tb testing.TB, name string, want *Tensor, into func(dst *Tensor)) {
 	tb.Helper()
-	buf, dst := intoDest(want.Shape[0], want.Shape[1], want.Shape[2], want.Shape[3])
+	buf, window := dest(len(want.Data))
+	dst := FromSlice(window, want.Shape...)
 	into(dst)
 	sameSlice(tb, name+" into a poisoned destination", dst.Data, want.Data)
 	checkCanaries(tb, name, buf)
@@ -975,11 +1007,17 @@ func TestKernelsCarrySpecialValues(t *testing.T) {
 				for j := 0; j < d[2]; j++ {
 					copy(view.Data[j*d[1]:(j+1)*d[1]], full.Data[j*(d[1]+5):])
 				}
-				sameSlice(t, fmt.Sprintf("MatMulTransBView %v specials 1/%d", d, every), MatMulTransBView(a, full, d[2]).Data, matMulTransBRef(a, view).Data)
+				name := fmt.Sprintf("MatMulTransBViewInto %v specials 1/%d", d, every)
+				got := matMulTransBView(a, full, d[2])
+				sameSlice(t, name, got.Data, matMulTransBRef(a, view).Data)
+				sameInto(t, name, got, func(dst *Tensor) { MatMulTransBViewInto(dst, a, full) })
 			}
 			for _, d := range [][4]int{{1, 3, 1, 1}, {2, 5, 3, 3}, {3, 36, 3, 3}, {1, 37, 5, 7}, {8, 12, 6, 6}, {1, 70, 10, 24}} {
 				x := FromSlice(source(t, rng, d[0]*d[1]*d[2]*d[3], every), d[0], d[1], d[2], d[3])
-				sameSlice(t, fmt.Sprintf("AvgPoolGlobal %v specials 1/%d", d, every), AvgPoolGlobal(x).Data, avgPoolRef(x).Data)
+				name := fmt.Sprintf("AvgPoolGlobal %v specials 1/%d", d, every)
+				got := AvgPoolGlobal(x)
+				sameSlice(t, name, got.Data, avgPoolRef(x).Data)
+				sameInto(t, name, got, func(dst *Tensor) { AvgPoolGlobalInto(dst, x) })
 			}
 			// The copies and the elementwise passes.
 			for _, d := range []struct{ n, c, h, w, oh, ow int }{{1, 3, 9, 11, 5, 7}, {2, 1, 6, 6, 6, 6}, {1, 2, 7, 5, 16, 12}, {8, 3, 24, 24, 32, 32}, {2, 3, 32, 32, 24, 24}, {1, 1, 1, 1, 9, 9}, {1, 2, 33, 70, 21, 37}} {
@@ -989,11 +1027,21 @@ func TestKernelsCarrySpecialValues(t *testing.T) {
 					sameSlice(t, name, BilinearResize(x, d.oh, d.ow).Data, bilinearRef(x, d.oh, d.ow).Data)
 				}
 				sameInto(t, name, BilinearResize(x, d.oh, d.ow), func(dst *Tensor) { BilinearResizeInto(dst, x, nil) })
+				// Windows inside the map, across each border and past it.
+				for _, win := range [][4]int{{0, 0, d.h, d.w}, {1, 2, d.h / 2, d.w / 2}, {-2, -1, d.oh, d.ow}, {d.h - 1, d.w - 2, 4, 5}, {d.h, 0, 2, 3}, {0, d.w + 1, 2, 3}} {
+					name := fmt.Sprintf("CropSpatial %+v at %v specials 1/%d", d, win, every)
+					sameInto(t, name, CropSpatial(x, win[0], win[1], win[2], win[3]), func(dst *Tensor) { CropSpatialInto(dst, x, win[0], win[1]) })
+				}
 				for _, bits := range []Bitwidth{Bits8, Bits16, Bits32} {
 					name := fmt.Sprintf("FakeQuantize %+v at %d bits specials 1/%d", d, bits, every)
 					sameInto(t, name, FakeQuantize(x, bits), func(dst *Tensor) { FakeQuantizeInto(dst, x, bits) })
 					q := Quantize(x, bits)
 					sameInto(t, "De"+name[4:], q.Dequantize(), q.DequantizeInto)
+					f, err := ParseQuantized(AppendQuantize(nil, x, bits))
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameInto(t, "frame De"+name[4:], q.Dequantize(), f.DequantizeInto)
 				}
 			}
 			zeros := New(1, 2, 3, 3) // no magnitude: every code is zero, and must be written

@@ -56,18 +56,21 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 	if a.Shape[1] != b.Shape[1] {
 		panic(fmt.Sprintf("tensor: MatMulTransB inner dims %d != %d", a.Shape[1], b.Shape[1]))
 	}
-	return matMulTransB(a, b.Data, b.Shape[1], b.Shape[0])
+	c := New(a.Shape[0], b.Shape[0])
+	matMulTransB(c, a, b.Data, b.Shape[1])
+	return c
 }
 
-// MatMulTransBView is MatMulTransB against the top-left n×k block of b
-// (≥n, ≥k), k being a's width, read in place through b's row stride: an
-// elastic layer multiplies by a narrower submodel's weight without copying
-// the slice out first.
-func MatMulTransBView(a, b *Tensor, n int) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 || b.Shape[0] < n || b.Shape[1] < a.Shape[1] {
-		panic(fmt.Sprintf("tensor: MatMulTransBView wants a %dx%d block, have %v", n, a.Shape[1], b.Shape))
+// MatMulTransBViewInto is MatMulTransB into c (m×n) against the top-left n×k
+// block of b (≥n, ≥k), k being a's width and n c's, read in place through b's
+// row stride: an elastic layer multiplies by a narrower submodel's weight
+// without copying the slice out first (see the destination rule at
+// Conv2DInto).
+func MatMulTransBViewInto(c, a, b *Tensor) {
+	if a.Rank() != 2 || b.Rank() != 2 || c.Rank() != 2 || c.Shape[0] != a.Shape[0] || b.Shape[0] < c.Shape[1] || b.Shape[1] < a.Shape[1] {
+		panic(fmt.Sprintf("tensor: MatMulTransBViewInto of %v wants a %dx%d block, have %v", a.Shape, c.Shape[1], a.Shape[1], b.Shape))
 	}
-	return matMulTransB(a, b.Data, b.Shape[1], n)
+	matMulTransB(c, a, b.Data, b.Shape[1])
 }
 
 // matMulTransB computes c[i,j] = Σ_p a[i,p]·bd[j·bstride+p], p ascending from
@@ -78,9 +81,9 @@ func MatMulTransBView(a, b *Tensor, n int) *Tensor {
 // each load of a, which is what the single latency-bound chain of the plain
 // loop lacked. Splitting by output column as well as row keeps every worker
 // busy when a is a single row (the classifier, the SE gates).
-func matMulTransB(a *Tensor, bd []float32, bstride, n int) *Tensor {
+func matMulTransB(c, a *Tensor, bd []float32, bstride int) {
 	m, k := a.Shape[0], a.Shape[1]
-	c := New(m, n)
+	n := c.Shape[1]
 	ad, cd := a.Data, c.Data
 	nq := (n + 15) / 16
 	ParallelByCost(m*nq, 16*k, func(rs, re int) {
@@ -94,11 +97,11 @@ func matMulTransB(a *Tensor, bd []float32, bstride, n int) *Tensor {
 			dotRows(ci[cols:], ai, bj[cols*bstride:], bstride, 0)
 		}
 	})
-	return c
 }
 
 // dotRows adds to each c[x] the terms a[p]·b[x·bstride+p] for p from p0 up, in
-// order: c holds the sums of the terms before p0 — zeros when p0 is 0.
+// order: c holds the sums of the terms before p0. At p0 0 there are none, and
+// c is only written: the sums start from zero.
 func dotRows(c, a, b []float32, bstride, p0 int) {
 	k := len(a)
 	a = a[p0:]
@@ -108,7 +111,10 @@ func dotRows(c, a, b []float32, bstride, p0 int) {
 		b1 := b[(x+1)*bstride:][p0:k]
 		b2 := b[(x+2)*bstride:][p0:k]
 		b3 := b[(x+3)*bstride:][p0:k]
-		s0, s1, s2, s3 := c[x], c[x+1], c[x+2], c[x+3]
+		var s0, s1, s2, s3 float32
+		if p0 > 0 {
+			s0, s1, s2, s3 = c[x], c[x+1], c[x+2], c[x+3]
+		}
 		for p, av := range a {
 			s0 += av * b0[p]
 			s1 += av * b1[p]
@@ -119,7 +125,10 @@ func dotRows(c, a, b []float32, bstride, p0 int) {
 	}
 	for ; x < len(c); x++ {
 		bx := b[x*bstride:][p0:k]
-		s := c[x]
+		var s float32
+		if p0 > 0 {
+			s = c[x]
+		}
 		for p, av := range a {
 			s += av * bx[p]
 		}
@@ -156,6 +165,68 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 		}
 	})
 	return c
+}
+
+// AddMatMulTransA adds Aᵀ·B to dst (m×n) for A (k×m) and B (k×n) without
+// materializing the product: each row's k terms are summed from zero in order
+// into a scratch row, as MatMulTransA sums them, and the row is then added to
+// dst once, so the bits are dst.Add(MatMulTransA(a, b))'s at any k. It is the
+// weight-gradient accumulate of a recurrent step, which would otherwise
+// allocate and clear an m×n product per timestep.
+func AddMatMulTransA(dst, a, b *Tensor) {
+	k, m := a.Shape[0], a.Shape[1]
+	n := b.Shape[1]
+	if b.Shape[0] != k || len(dst.Data) != m*n {
+		panic(fmt.Sprintf("tensor: AddMatMulTransA of %v and %v into %v", a.Shape, b.Shape, dst.Shape))
+	}
+	ad, bd, dd := a.Data, b.Data, dst.Data
+	if k == 1 {
+		// One term an element, so the product's sum is 0 + a·b and dst gets
+		// d + (0 + a·b). That is (d + a·b) + 0 bit for bit: the two differ
+		// only in a zero's sign, and adding +0 gives +0 for every zero, as
+		// the sum does. A zero factor adds +0 alone, as MatMulTransA's skip
+		// leaves it, even against an infinite or NaN b.
+		ParallelByCost(m, n, func(rs, re int) {
+			for i := rs; i < re; i++ {
+				av, di := ad[i], dd[i*n:(i+1)*n]
+				if av == 0 {
+					for j := range di {
+						di[j] += 0
+					}
+					continue
+				}
+				for j, bv := range bd[:len(di)] {
+					di[j] = (di[j] + av*bv) + 0
+				}
+			}
+		})
+		return
+	}
+	ParallelByCost(m, k*n, func(rs, re int) {
+		var stack [256]float32
+		row := stack[:0]
+		if n > len(stack) {
+			row = make([]float32, n)
+		}
+		row = row[:n]
+		for i := rs; i < re; i++ {
+			clear(row)
+			for p := 0; p < k; p++ {
+				av := ad[p*m+i]
+				if av == 0 {
+					continue
+				}
+				bp := bd[p*n : (p+1)*n]
+				for j := range bp {
+					row[j] += av * bp[j]
+				}
+			}
+			di := dd[i*n : (i+1)*n]
+			for j, v := range row {
+				di[j] += v
+			}
+		}
+	})
 }
 
 // MatVec computes y = A·x for A (m×n) and x (n), returning m.

@@ -3,8 +3,13 @@ package tensor
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -191,6 +196,125 @@ func TestAppendQuantizedKeepsWireBytes(t *testing.T) {
 			var got bytes.Buffer
 			if err := EncodeQuantized(&got, q); err != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
 				t.Fatalf("shape %v at %d bits: EncodeQuantized differs from the wire form (err %v)", shape, bits, err)
+			}
+		}
+	}
+}
+
+// TestAppendQuantizeKeepsWireBytes: quantizing straight into the frame is
+// Quantize then AppendQuantized, byte for byte — specials, a tensor with no
+// magnitude and an empty one included — and QuantizedLen is its size.
+func TestAppendQuantizeKeepsWireBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, shape := range [][]int{{7}, {3, 5}, {1, 4, 6, 6}, {1, 2, 0, 3}, {2, 3, 17, 9}} {
+		for _, every := range []int{0, 5} {
+			x := FromSlice(source(t, rng, New(shape...).Len(), every), shape...)
+			for _, bits := range []Bitwidth{Bits8, Bits16, Bits32} {
+				want := AppendQuantized([]byte{0xff}, Quantize(x, bits))
+				got := AppendQuantize([]byte{0xff}, x, bits)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("shape %v at %d bits, specials 1/%d: AppendQuantize differs from Quantize + AppendQuantized", shape, bits, every)
+				}
+				if n := QuantizedLen(shape, bits); n != len(want)-1 {
+					t.Fatalf("shape %v at %d bits: QuantizedLen %d, wire form is %d bytes", shape, bits, n, len(want)-1)
+				}
+			}
+		}
+	}
+	zeros := New(1, 2, 3, 3)
+	for _, bits := range []Bitwidth{Bits8, Bits16} {
+		// The tail the frame grows into may hold old bytes: zero codes are written.
+		frame := AppendQuantize(bytes.Repeat([]byte{0xee}, 64)[:1], zeros, bits)
+		if !bytes.Equal(frame[1:], AppendQuantized(nil, Quantize(zeros, bits))) {
+			t.Fatalf("%d bits: a tensor with no magnitude encodes as % x", bits, frame[1:])
+		}
+	}
+}
+
+// TestParseQuantizedIsDecodeQuantized: reading a frame in place gives the
+// shape, scale and values DecodeQuantized gives.
+func TestParseQuantizedIsDecodeQuantized(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	x := randTensor(rng, 2, 3, 5, 7)
+	for _, bits := range []Bitwidth{Bits8, Bits16, Bits32} {
+		frame := AppendQuantize(nil, x, bits)
+		q, err := DecodeQuantized(bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := ParseQuantized(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(f.Shape, q.Shape) || f.Bits != q.Bits || f.Scale != q.Scale {
+			t.Fatalf("%d bits: parsed %v/%d/%v, decoded %v/%d/%v", bits, f.Shape, f.Bits, f.Scale, q.Shape, q.Bits, q.Scale)
+		}
+		got := New(f.Shape...)
+		f.DequantizeInto(got)
+		sameBits(t, fmt.Sprintf("%d bits", bits), got, q.Dequantize())
+	}
+}
+
+// allocatedBy is the heap bytes f allocates.
+func allocatedBy(f func()) uint64 {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	f()
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
+}
+
+// streamOnly hides a reader's Len, as a file or a socket would.
+type streamOnly struct{ r io.Reader }
+
+func (s streamOnly) Read(p []byte) (int, error) { return s.r.Read(p) }
+
+// TestDecodersCheckBytesBeforeAllocating: a header is a claim. A short frame
+// that declares 1×3×8192×5461 elements — 512 MiB of float32 — costs a typed
+// error and less than a MiB, whether its payload is missing, cut short or
+// coded at another width than its header says, and whichever decoder reads
+// it.
+func TestDecodersCheckBytesBeforeAllocating(t *testing.T) {
+	huge := []int{1, 3, 8192, 5461}
+	plain := func(shape []int, payload int) []byte {
+		b := []byte{'T', byte(len(shape))}
+		for _, d := range shape {
+			b = binary.LittleEndian.AppendUint32(b, uint32(d))
+		}
+		return append(b, make([]byte, payload)...)
+	}
+	quant := func(shape []int, bits Bitwidth, codes int) []byte {
+		b := appendQuantHeader(nil, shape, bits, 1)
+		return append(b, make([]byte, codes)...)
+	}
+	small := []int{1, 3, 16, 16}
+	decode := func(b []byte) error { _, err := Decode(bytes.NewReader(b)); return err }
+	decodeStream := func(b []byte) error { _, err := Decode(streamOnly{bytes.NewReader(b)}); return err }
+	decodeQ := func(b []byte) error { _, err := DecodeQuantized(bytes.NewReader(b)); return err }
+	decodeQStream := func(b []byte) error { _, err := DecodeQuantized(streamOnly{bytes.NewReader(b)}); return err }
+	parse := func(b []byte) error { _, err := ParseQuantized(b); return err }
+	for _, c := range []struct {
+		name   string
+		frame  []byte
+		decode []func([]byte) error
+	}{
+		{"plain, no payload", plain(huge, 0), []func([]byte) error{decode, decodeStream}},
+		{"plain, 4 KB of 512 MiB", plain(huge, 4096), []func([]byte) error{decode, decodeStream}},
+		{"plain, cut short", plain(small, 4*768-1), []func([]byte) error{decode, decodeStream}},
+		{"plain, two bytes an element", plain(small, 2*768), []func([]byte) error{decode, decodeStream}},
+		{"quantized, no codes", quant(huge, Bits32, 0), []func([]byte) error{decodeQ, decodeQStream, parse}},
+		{"quantized, header cut", quant(huge, Bits8, 0)[:12], []func([]byte) error{decodeQ, decodeQStream, parse}},
+		{"quantized, cut short", quant(small, Bits8, 767), []func([]byte) error{decodeQ, decodeQStream, parse}},
+		{"16-bit header, 8-bit codes", quant(small, Bits16, 768), []func([]byte) error{decodeQ, decodeQStream, parse}},
+		{"8-bit header, 32-bit codes", quant(small, Bits8, 4*768), []func([]byte) error{parse}},
+	} {
+		for i, dec := range c.decode {
+			var err error
+			if n := allocatedBy(func() { err = dec(c.frame) }); n >= 1<<20 {
+				t.Errorf("%s, decoder %d: %d bytes allocated for a %d-byte frame", c.name, i, n, len(c.frame))
+			}
+			if !errors.Is(err, errBadWire) {
+				t.Errorf("%s, decoder %d: got %v, want a malformed-wire error", c.name, i, err)
 			}
 		}
 	}
