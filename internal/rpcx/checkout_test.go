@@ -444,13 +444,13 @@ func TestCallFromNamesTheAnsweringConnection(t *testing.T) {
 	}
 	zombie := make(chan reply, 1)
 	go func() {
-		resp, inc, err := c.CallFrom("who", nil, 10*time.Second, 0)
+		resp, inc, err := c.CallFrom("who", nil, nil, 10*time.Second, 0)
 		zombie <- reply{resp, inc, err}
 	}()
 	<-entered // the old process holds the first connection
 
 	target.Store(addr2) // "restart": the address now resolves to the replacement
-	resp, inc, err := c.CallFrom("who", nil, 2*time.Second, 0)
+	resp, inc, err := c.CallFrom("who", nil, nil, 2*time.Second, 0)
 	if err != nil || string(resp) != "new" || inc != inc2 {
 		t.Fatalf("second connection: (%q, %#x, %v), want (new, %#x)", resp, inc, err, inc2)
 	}
@@ -476,7 +476,7 @@ func TestCallFromNamesTheAnsweringConnection(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 3; j++ {
-				resp, inc, err := c.CallFrom("who", nil, 2*time.Second, 0)
+				resp, inc, err := c.CallFrom("who", nil, nil, 2*time.Second, 0)
 				if err != nil || string(resp) != "new" || inc != inc2 {
 					t.Errorf("after ForceRedial: (%q, %#x, %v), want (new, %#x)", resp, inc, err, inc2)
 				}
@@ -549,4 +549,63 @@ func TestCloseIsTerminal(t *testing.T) {
 	}
 	h.open(0) // the server drops a connection once its handler returns
 	waitFor(t, "every connection to be closed", func() bool { return cc.open.Load() == 0 })
+}
+
+// TestCallFromReadsIntoItsOwnDst: calls in flight together on one client
+// each read their reply into the dst they brought and nowhere else — a reply
+// that fits lands in dst, a larger one in memory of its own with dst left as
+// it was — so under -race no call's bytes touch another call's buffer.
+func TestCallFromReadsIntoItsOwnDst(t *testing.T) {
+	s := NewServer()
+	// The reply is n bytes of the caller's id, n read from the payload.
+	s.Handle("fill", func(p []byte) ([]byte, error) {
+		return bytes.Repeat(p[:1], int(p[1])|int(p[2])<<8), nil
+	})
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := Dial(addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetChecksum(true) // the trailer is read apart from dst too
+
+	const dstCap = 64
+	var wg sync.WaitGroup
+	for id := byte(1); id <= 8; id++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dst := make([]byte, dstCap)
+			for i := 0; i < 40; i++ {
+				n := []int{0, 1, 40, dstCap, dstCap + 1, 300}[(i+int(id))%6]
+				for j := range dst {
+					dst[j] = 0xEE
+				}
+				resp, _, err := c.CallFrom("fill", []byte{id, byte(n), byte(n >> 8)}, dst[:0], 5*time.Second, 0)
+				if err != nil {
+					t.Errorf("call %d of %d: %v", i, id, err)
+					return
+				}
+				if !bytes.Equal(resp, bytes.Repeat([]byte{id}, n)) {
+					t.Errorf("caller %d asked for %d of its bytes, read %v", id, n, resp)
+					return
+				}
+				inDst := n > 0 && &resp[0] == &dst[0]
+				untouched := bytes.Equal(dst, bytes.Repeat([]byte{0xEE}, dstCap))
+				switch {
+				case n > 0 && n <= dstCap && !inDst:
+					t.Errorf("caller %d: a %d-byte reply was not read into its %d-byte dst", id, n, dstCap)
+					return
+				case n > dstCap && !untouched:
+					t.Errorf("caller %d: a %d-byte reply wrote into its %d-byte dst", id, n, dstCap)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -90,7 +90,7 @@ func FuzzReadResponse(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		status, payload, err := readResponse(bytes.NewReader(data), fuzzFrameCap)
+		status, payload, err := readResponse(bytes.NewReader(data), fuzzFrameCap, nil)
 		if err != nil {
 			return
 		}
@@ -106,7 +106,7 @@ func FuzzReadResponse(f *testing.F) {
 		if err := writeResponse(&buf, status, payload, false); err != nil {
 			t.Fatalf("re-encode of accepted frame failed: %v", err)
 		}
-		s2, p2, err := readResponse(bytes.NewReader(buf.Bytes()), fuzzFrameCap)
+		s2, p2, err := readResponse(bytes.NewReader(buf.Bytes()), fuzzFrameCap, nil)
 		if err != nil || s2 != status || !bytes.Equal(p2, payload) {
 			t.Fatalf("round trip drifted: %d/%v vs %d/%v (%v)", status, payload, s2, p2, err)
 		}

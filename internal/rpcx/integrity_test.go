@@ -77,7 +77,7 @@ func TestResponseFrameRoundTrip(t *testing.T) {
 		if err := writeResponse(&buf, statusBudget, []byte("late"), checksum); err != nil {
 			t.Fatal(err)
 		}
-		status, payload, err := readResponse(bytes.NewReader(buf.Bytes()), DefaultMaxFrameSize)
+		status, payload, err := readResponse(bytes.NewReader(buf.Bytes()), DefaultMaxFrameSize, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestChecksumMismatchIsTyped(t *testing.T) {
 	}
 	raw = buf.Bytes()
 	raw[6] ^= 0x01
-	_, _, err = readResponse(bytes.NewReader(raw), DefaultMaxFrameSize)
+	_, _, err = readResponse(bytes.NewReader(raw), DefaultMaxFrameSize, nil)
 	if !errors.As(err, &fe) || !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("want typed FrameError matching ErrCorruptFrame, got %v", err)
 	}
@@ -124,7 +124,7 @@ func TestFrameCapEnforcedBeforeAllocation(t *testing.T) {
 	}
 	// Zero length is equally impossible (every frame has a head byte).
 	binary.LittleEndian.PutUint32(hdr[:], 0)
-	_, _, err = readResponse(bytes.NewReader(hdr[:]), 1<<20)
+	_, _, err = readResponse(bytes.NewReader(hdr[:]), 1<<20, nil)
 	if !errors.As(err, &fe) {
 		t.Fatalf("zero-length frame: want FrameError, got %v", err)
 	}
@@ -155,7 +155,7 @@ func TestServerRejectsCorruptRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	status, payload, err := readResponse(bufio.NewReader(conn), DefaultMaxFrameSize)
+	status, payload, err := readResponse(bufio.NewReader(conn), DefaultMaxFrameSize, nil)
 	if err != nil {
 		t.Fatalf("corrupt request should earn a typed refusal, got read error %v", err)
 	}

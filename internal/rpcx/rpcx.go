@@ -31,7 +31,10 @@ import (
 // which the server reuses for the next request once the reply is written. A
 // handler may read it, and may return it (or part of it) as the reply, but
 // nothing may keep it past that — a handler that needs the bytes later copies
-// them.
+// them. A handler done reading may also write its reply into the payload's
+// memory, up to cap(payload): the buffer grows to hold the largest reply the
+// connection has sent (up to 1 MiB), so in steady state a reply built there
+// finds room.
 type Handler func(payload []byte) ([]byte, error)
 
 // TimeoutError is returned by Client.CallTimeout when the per-call deadline
@@ -372,8 +375,14 @@ var scribble atomic.Bool
 // packages whose handlers run behind a server turn it on for their whole run.
 func ScribblePayloads(on bool) { scribble.Store(on) }
 
-// scribblePayload fills a served payload with a byte no frame field wants.
-func scribblePayload(p []byte) {
+// Scribble fills p with a byte no frame field wants while scribbling is on.
+// Servers call it on a payload once its reply is written; anything else that
+// lends wire memory and takes it back — a pool of frames — may call it too,
+// so a holder that outlived its loan reads garbage.
+func Scribble(p []byte) {
+	if !scribble.Load() {
+		return
+	}
 	for i := range p {
 		p[i] = 0xA5
 	}
@@ -608,7 +617,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	w := bufio.NewWriterSize(conn, 64*1024)
 	max := frameCap(s.MaxFrameSize)
 	// buf is the connection's request buffer: each frame is read into it when
-	// it fits, and it is free again once the frame's reply is written.
+	// it fits, and it is free again once the frame's reply is written. It also
+	// grows to the largest reply sent, so a handler may answer in the memory
+	// its payload was lent in (Handler).
 	var buf []byte
 	for {
 		if s.ConnIdleTimeout > 0 {
@@ -685,9 +696,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if ok {
 			s.endCall()
 		}
-		if scribble.Load() {
-			scribblePayload(payload)
-		}
+		Scribble(payload)
 		if err != nil {
 			if isTimeout(err) {
 				// Write eviction: the client stopped draining its socket and
@@ -698,6 +707,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		if s.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Time{})
+		}
+		if n := maxRequestHead + len(resp); n > cap(buf) && n <= keptFrameMax {
+			buf = make([]byte, n)
 		}
 	}
 }
@@ -867,6 +879,10 @@ func frameCap(max int) uint32 {
 // read into memory of its own, so one outsized request cannot pin its size
 // for as long as the connection stays open.
 const keptFrameMax = 1 << 20
+
+// maxRequestHead is the most a request frame's body holds before its payload:
+// the head byte, the longest method name and the budget.
+const maxRequestHead = 1 + maxMethodLen + 8
 
 // readBody reads one length-prefixed frame body, enforcing the cap before
 // allocating. With buf non-nil the body is read into *buf when it fits, and a
@@ -1045,17 +1061,53 @@ func writeResponse(w io.Writer, status byte, payload []byte, checksum bool) erro
 	return nil
 }
 
-func readResponse(r io.Reader, max uint32) (byte, []byte, error) {
-	body, err := readBody(r, "read-response", max, nil)
-	if err != nil {
+// readResponse decodes one response frame, enforcing the cap before reading
+// the payload. The payload is read into dst's memory when it fits in cap(dst),
+// and into memory of its own otherwise; the status byte and the checksum
+// trailer are read apart from it, so dst holds the payload alone.
+func readResponse(r io.Reader, max uint32, dst []byte) (byte, []byte, error) {
+	const op = "read-response"
+	var b [4]byte
+	if _, err := io.ReadFull(r, b[:]); err != nil {
 		return 0, nil, err
 	}
-	if body[0]&respChecksumFlag != 0 {
-		if body, err = verifyChecksum(body, "read-response"); err != nil {
+	total := binary.LittleEndian.Uint32(b[:])
+	if total < 1 {
+		return 0, nil, &FrameError{Op: op, Reason: "zero-length frame"}
+	}
+	if total > max {
+		return 0, nil, &FrameError{Op: op, Reason: fmt.Sprintf("frame length %d exceeds cap %d", total, max)}
+	}
+	if _, err := io.ReadFull(r, b[:1]); err != nil {
+		return 0, nil, err
+	}
+	head, n := b[0], int(total)-1
+	checksummed := head&respChecksumFlag != 0
+	if checksummed {
+		if n < 4 {
+			return 0, nil, &FrameError{Op: op, Reason: "checksummed frame too short"}
+		}
+		n -= 4
+	}
+	payload := dst[:0]
+	if n <= cap(payload) {
+		payload = payload[:n]
+	} else {
+		payload = make([]byte, n)
+	}
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return 0, nil, err
+	}
+	if checksummed {
+		crc := crc32.Update(crc32.Update(0, castagnoli, b[:1]), castagnoli, payload)
+		if _, err := io.ReadFull(r, b[:]); err != nil {
 			return 0, nil, err
 		}
+		if want := binary.LittleEndian.Uint32(b[:]); crc != want {
+			return 0, nil, &FrameError{Op: op, Reason: fmt.Sprintf("checksum mismatch (got %08x, want %08x)", crc, want)}
+		}
 	}
-	return body[0] & statusMask, body[1:], nil
+	return head & statusMask, payload, nil
 }
 
 // Client is an RPC client over a small set of TCP connections to one peer.
@@ -1392,7 +1444,7 @@ func (c *Client) hello(cn *clientConn, d time.Duration) error {
 	if err := cn.w.Flush(); err != nil {
 		return c.callErr(cn, HelloMethod, d, err, nil)
 	}
-	status, resp, err := readResponse(cn.r, frameCap(c.maxFrame))
+	status, resp, err := readResponse(cn.r, frameCap(c.maxFrame), nil)
 	if err != nil {
 		return c.callErr(cn, HelloMethod, d, err, nil)
 	}
@@ -1467,16 +1519,25 @@ func (c *Client) CallTimeout(method string, payload []byte, d time.Duration) ([]
 // caps the call as a whole — retry attempts share it rather than each
 // getting a fresh timeout, and dispatch with nothing left fails typed.
 func (c *Client) CallBudget(method string, payload []byte, d, budget time.Duration) ([]byte, error) {
-	resp, _, err := c.CallFrom(method, payload, d, budget)
+	resp, _, err := c.CallFrom(method, payload, nil, d, budget)
 	return resp, err
 }
 
-// CallFrom is CallBudget that also reports who answered: inc is the
-// incarnation the connection that carried the reply handshook with (0 when
-// it never did, or on error). A client's connections may have been opened
-// on either side of a peer restart, so provenance belongs to the reply, not
-// to the client — this is what the scheduler fences on.
-func (c *Client) CallFrom(method string, payload []byte, d, budget time.Duration) (resp []byte, inc uint64, err error) {
+// CallFrom is CallBudget that reads the reply into memory the caller owns and
+// reports who answered.
+//
+// The reply's payload is read into dst's memory when it fits in cap(dst) — the
+// frame's status byte and checksum trailer are not part of it — so resp then
+// aliases dst; a larger reply is read into memory of its own and dst is left
+// as it was. dst is the call's from CallFrom until it returns, and the
+// caller's again after: it may hand dst to another call only once it is done
+// with resp. A nil dst reads every reply into memory of its own.
+//
+// inc is the incarnation the connection that carried the reply handshook with
+// (0 when it never did, or on error). A client's connections may have been
+// opened on either side of a peer restart, so provenance belongs to the
+// reply, not to the client — this is what the scheduler fences on.
+func (c *Client) CallFrom(method string, payload, dst []byte, d, budget time.Duration) (resp []byte, inc uint64, err error) {
 	attempts := 1
 	if c.retrySet && c.retry.MaxAttempts > 1 && c.idempotent[method] {
 		attempts = c.retry.MaxAttempts
@@ -1528,7 +1589,7 @@ func (c *Client) CallFrom(method string, payload []byte, d, budget time.Duration
 			err = aerr // the dial failed; the next attempt dials again
 			continue
 		}
-		resp, err = c.callOnce(cn, method, payload, dAtt, bAtt)
+		resp, err = c.callOnce(cn, method, payload, dst, dAtt, bAtt)
 		inc = cn.inc
 		c.release(cn)
 		if err == nil {
@@ -1556,8 +1617,8 @@ func retryable(err error) bool {
 }
 
 // callOnce performs a single request/response exchange on cn, which the
-// caller has checked out.
-func (c *Client) callOnce(cn *clientConn, method string, payload []byte, d, budget time.Duration) ([]byte, error) {
+// caller has checked out, reading the reply into dst when it fits (CallFrom).
+func (c *Client) callOnce(cn *clientConn, method string, payload, dst []byte, d, budget time.Duration) ([]byte, error) {
 	watching := c.progressSet
 	if d > 0 || watching {
 		if d > 0 {
@@ -1593,7 +1654,7 @@ func (c *Client) callOnce(cn *clientConn, method string, payload []byte, d, budg
 		return nil, c.callErr(cn, method, d, err, sf)
 	}
 	writeDone.Store(true)
-	status, resp, err := readResponse(cn.r, frameCap(c.maxFrame))
+	status, resp, err := readResponse(cn.r, frameCap(c.maxFrame), dst)
 	if err != nil {
 		return nil, c.callErr(cn, method, d, err, sf)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -458,5 +459,46 @@ func TestPayloadIsLentUntilTheReply(t *testing.T) {
 	}
 	if b := peek(); b != 0xA5 {
 		t.Fatalf("a kept payload still reads %#x after its reply, want the scribble", b)
+	}
+}
+
+// TestReplyFindsRoomInItsPayload: a connection's request buffer grows to the
+// largest reply the connection has sent, so from the second call on a
+// handler can write a reply four times its request into the memory the
+// request was lent in, and the reply arrives intact.
+func TestReplyFindsRoomInItsPayload(t *testing.T) {
+	s := NewServer()
+	var inPlace []bool // handler calls run in order on the one connection
+	s.Handle("grow", func(p []byte) ([]byte, error) {
+		n := 4 * len(p)
+		if cap(p) < n {
+			inPlace = append(inPlace, false)
+			return bytes.Repeat(p[:1], n), nil
+		}
+		inPlace = append(inPlace, true)
+		reply := p[:n]
+		for i := range reply {
+			reply[i] = p[0]
+		}
+		return reply, nil
+	})
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := Dial(addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := byte(1); i <= 3; i++ {
+		resp, err := c.CallBudget("grow", bytes.Repeat([]byte{i}, 1000), time.Second, time.Second)
+		if err != nil || !bytes.Equal(resp, bytes.Repeat([]byte{i}, 4000)) {
+			t.Fatalf("call %d: %v, reply intact %v", i, err, bytes.Equal(resp, bytes.Repeat([]byte{i}, 4000)))
+		}
+	}
+	if want := []bool{false, true, true}; !slices.Equal(inPlace, want) {
+		t.Fatalf("replies written in the payload's memory: %v, want %v", inPlace, want)
 	}
 }

@@ -3,9 +3,9 @@
 package runtime
 
 import (
+	"bytes"
 	"math/rand"
 	goruntime "runtime"
-	"sync/atomic"
 	"testing"
 
 	"murmuration/internal/rpcx"
@@ -19,15 +19,18 @@ import (
 // around calls, daemons included, so they run without the race detector,
 // whose instrumentation allocates on its own account.
 
-// Beyond its frames and logits a call allocates small things: a closure per
-// kernel call handed to the worker team (a few dozen bytes each, several
-// hundred calls a request), the cost table and tile geometry of the plan, a
-// tiled segment's goroutines and the run headers. Each guard allows about
-// twice what it measured of them on 2 vCPU; one workspace role that went
-// back to the allocator costs more than the allowance on its own.
+// Beyond its logits a call allocates small things: a closure per kernel call
+// handed to the worker team (a few dozen bytes each, several hundred calls a
+// request), a tiled segment's goroutines, the run headers and the decoded
+// shapes. Frames and plans are not among them: a request's frames live in
+// buffers the scheduler and the daemons' connections reuse, and a decision's
+// plan is compiled once. Each guard allows about one and a half to two times
+// what it measured on 2 vCPU; one request frame or reply that went back to
+// the allocator costs a third of the remote allowance, every frame of a
+// request several times all of it.
 const (
-	handlerSlack = 16 << 10 // measured 10 KB
-	remoteSlack  = 96 << 10 // measured 69 KB, 38 KB of it closures
+	handlerSlack = 16 << 10 // measured 8 KB
+	remoteSlack  = 64 << 10 // measured 45 KB, 37 KB of it closures
 	localSlack   = 32 << 10 // measured 15 KB
 )
 
@@ -68,11 +71,13 @@ func dist2Decision(t *testing.T, a *supernet.Arch) *supernet.Decision {
 	return &supernet.Decision{Config: cfg, Placement: p}
 }
 
-// TestExecBlockAllocatesItsReply: a daemon serving a tile of the paper path
-// — the first segment's blocks on the top-left 2×2 tile — allocates its
-// reply frame and nothing it could have kept: the tile is decoded into its
-// workspace, every activation and weight crop lives there.
-func TestExecBlockAllocatesItsReply(t *testing.T) {
+// TestExecBlockRepliesInItsPayload: a daemon serving a tile of the paper path
+// — the first segment's blocks on the top-left 2×2 tile — allocates neither
+// its reply nor anything it could have kept: the tile is decoded into its
+// workspace, every activation and weight crop lives there, and the reply is
+// written into the memory the payload was lent in, which an rpcx server grows
+// to hold the replies it sends (rpcx.Handler).
+func TestExecBlockRepliesInItsPayload(t *testing.T) {
 	a := supernet.DefaultArch()
 	net := supernet.New(a, 12)
 	handler := NewExecutor(net).ExecBlockHandler()
@@ -88,42 +93,45 @@ func TestExecBlockAllocatesItsReply(t *testing.T) {
 	}
 	stem := net.ExecStem(randInput(rand.New(rand.NewSource(12)), 1, 3, 224, 224))
 	tile := tensor.CropSpatial(stem, 0, 0, stem.Shape[2]/2, stem.Shape[3]/2)
-	payload, err := encodeRunRequest(run, tile)
+	req, err := encodeRunRequest(nil, run, tile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reply int
+	want, err := handler(append([]byte(nil), req...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The connection's buffer as a server holds it once it has sent a reply
+	// this size: each request is read into it, and the handler answers there.
+	buf := make([]byte, 0, max(len(req), len(want)))
 	got := bytesPerCall(t, 20, func() {
+		payload := append(buf[:0], req...)
 		resp, err := handler(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reply = len(resp)
+		if &resp[:1][0] != &payload[:1][0] || !bytes.Equal(resp, want) {
+			t.Fatalf("reply of %d bytes not written in place of the payload, or not the reply", len(resp))
+		}
 	})
-	t.Logf("%d-block run on a %v tile: %.0f bytes per call, reply frame %d", len(run), tile.Shape, got, reply)
-	if limit := float64(reply + handlerSlack); got > limit {
-		t.Fatalf("exec.block allocates %.0f bytes a call, limit %.0f (its %d-byte reply and %d)", got, limit, reply, handlerSlack)
+	t.Logf("%d-block run on a %v tile: %.0f bytes per call, reply %d bytes", len(run), tile.Shape, got, len(want))
+	if got > handlerSlack {
+		t.Fatalf("exec.block allocates %.0f bytes a call, limit %d", got, handlerSlack)
 	}
 }
 
-// TestRemoteInferAllocatesFramesAndLogits: a request on the paper path over
-// two loopback daemons allocates, gateway and daemons together, its frames —
-// each request frame once, each reply frame twice (written by the daemon,
-// read by the client) — its logits, and little else.
-func TestRemoteInferAllocatesFramesAndLogits(t *testing.T) {
+// TestRemoteInferAllocatesLogits: a request on the paper path over two
+// loopback daemons allocates, gateway and daemons together, its logits and
+// little else. Its frames — each request frame, each reply written by a daemon
+// and read by the gateway — live in memory both ends reuse: the scheduler's
+// wire buffers and the daemons' connection buffers.
+func TestRemoteInferAllocatesLogits(t *testing.T) {
 	a := supernet.DefaultArch()
 	net := supernet.New(a, 11)
-	var up, down atomic.Int64
 	var clients []*rpcx.Client
 	for i := 0; i < 2; i++ {
 		srv := rpcx.NewServer()
-		inner := NewExecutor(supernet.New(a, 11)).ExecBlockHandler()
-		srv.Handle(ExecBlockMethod, func(p []byte) ([]byte, error) {
-			resp, err := inner(p)
-			up.Add(int64(len(p)))
-			down.Add(int64(len(resp)))
-			return resp, err
-		})
+		NewExecutor(supernet.New(a, 11)).Register(srv)
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -142,8 +150,6 @@ func TestRemoteInferAllocatesFramesAndLogits(t *testing.T) {
 	var logits int
 	const runs = 20
 	got := bytesPerCall(t, runs, func() {
-		up.Store(0)
-		down.Store(0)
 		rep, err := sched.InferBudget(x, d, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -153,10 +159,9 @@ func TestRemoteInferAllocatesFramesAndLogits(t *testing.T) {
 		}
 		logits = 4 * rep.Logits.Len()
 	})
-	frames := int(up.Load() + 2*down.Load())
-	t.Logf("%.0f bytes per InferBudget: frames %d, logits %d", got, frames, logits)
-	if limit := float64(frames + logits + remoteSlack); got > limit {
-		t.Fatalf("InferBudget allocates %.0f bytes a request, limit %.0f (frames %d, logits %d, %d)", got, limit, frames, logits, remoteSlack)
+	t.Logf("%.0f bytes per InferBudget, logits %d", got, logits)
+	if limit := float64(logits + remoteSlack); got > limit {
+		t.Fatalf("InferBudget allocates %.0f bytes a request, limit %.0f (logits %d and %d)", got, limit, logits, remoteSlack)
 	}
 }
 

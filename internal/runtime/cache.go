@@ -2,8 +2,8 @@ package runtime
 
 import (
 	"container/list"
-	"fmt"
 	"math"
+	"strconv"
 	"sync"
 
 	"murmuration/internal/rl/env"
@@ -119,23 +119,24 @@ func NewStrategyCache(capacity int, bwStepMbps, delayStepMs, sloStep float64) *S
 	}
 }
 
-// Key bucketizes a constraint.
+// Key bucketizes a constraint: "L" or "A" and the SLO bucket, then
+// "|bandwidth,delay" buckets per remote device. The key is built in a stack
+// buffer; only the string returned is allocated.
 func (c *StrategyCache) Key(ct env.Constraint) string {
-	var slo float64
-	kind := "L"
-	if ct.Type == env.LatencySLO {
-		slo = ct.LatencyMs
-	} else {
-		kind = "A"
-		slo = ct.AccuracyPct
+	var buf [64]byte
+	key := append(buf[:0], 'L')
+	slo := ct.LatencyMs
+	if ct.Type != env.LatencySLO {
+		key[0], slo = 'A', ct.AccuracyPct
 	}
-	key := fmt.Sprintf("%s%d", kind, int(math.Round(slo/c.sloStep)))
+	key = strconv.AppendInt(key, int64(int(math.Round(slo/c.sloStep))), 10)
 	for i := range ct.BandwidthMbps {
-		key += fmt.Sprintf("|%d,%d",
-			int(math.Round(ct.BandwidthMbps[i]/c.bwStepMbps)),
-			int(math.Round(ct.DelayMs[i]/c.delayStep)))
+		key = append(key, '|')
+		key = strconv.AppendInt(key, int64(int(math.Round(ct.BandwidthMbps[i]/c.bwStepMbps))), 10)
+		key = append(key, ',')
+		key = strconv.AppendInt(key, int64(int(math.Round(ct.DelayMs[i]/c.delayStep))), 10)
 	}
-	return key
+	return string(key)
 }
 
 // staleLocked reports whether an entry's epoch stamps are behind the current

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -215,5 +216,48 @@ func TestExecBatchMatchesSingles(t *testing.T) {
 					i, j, got, ref)
 			}
 		}
+	}
+}
+
+// TestKeyIsTheFormattedKey: Key builds, byte for byte, the key the cache has
+// always used — cached entries and batch grouping key on it — and allocates
+// only the string it returns.
+func TestKeyIsTheFormattedKey(t *testing.T) {
+	c := NewStrategyCache(8, 25, 5, 10)
+	formatted := func(ct env.Constraint) string {
+		var slo float64
+		kind := "L"
+		if ct.Type == env.LatencySLO {
+			slo = ct.LatencyMs
+		} else {
+			kind = "A"
+			slo = ct.AccuracyPct
+		}
+		key := fmt.Sprintf("%s%d", kind, int(math.Round(slo/c.sloStep)))
+		for i := range ct.BandwidthMbps {
+			key += fmt.Sprintf("|%d,%d",
+				int(math.Round(ct.BandwidthMbps[i]/c.bwStepMbps)),
+				int(math.Round(ct.DelayMs[i]/c.delayStep)))
+		}
+		return key
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 500; i++ {
+		ct := env.Constraint{Type: env.LatencySLO, LatencyMs: rng.Float64() * 3000}
+		if i%2 == 1 {
+			ct = env.Constraint{Type: env.AccuracySLO, AccuracyPct: rng.Float64() * 100}
+		}
+		for d := 0; d < i%12; d++ {
+			ct.BandwidthMbps = append(ct.BandwidthMbps, rng.Float64()*2000-1)
+			ct.DelayMs = append(ct.DelayMs, rng.Float64()*500)
+		}
+		if got, want := c.Key(ct), formatted(ct); got != want {
+			t.Fatalf("Key(%+v) = %q, want %q", ct, got, want)
+		}
+	}
+	dist2 := env.Constraint{Type: env.LatencySLO, LatencyMs: 400,
+		BandwidthMbps: []float64{100, 100}, DelayMs: []float64{5, 5}}
+	if allocs := testing.AllocsPerRun(100, func() { c.Key(dist2) }); allocs != 1 {
+		t.Fatalf("Key allocates %v times a call, want the one string", allocs)
 	}
 }

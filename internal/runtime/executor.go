@@ -71,7 +71,7 @@ func (e *Executor) ExecBlockHandler() func([]byte) ([]byte, error) {
 // handleExecBlock reads the payload in place and keeps none of it: the codes
 // are decoded straight into the workspace before anything else runs, which
 // is what lets the rpcx server reuse the payload's buffer once the reply is
-// written (rpcx.Handler).
+// written (rpcx.Handler) — and what lets the reply be written there.
 func (e *Executor) handleExecBlock(payload []byte) ([]byte, error) {
 	run, body, err := decodeRunHeader(payload, e.Net.Arch.MaxDepthTotal())
 	if err != nil {
@@ -95,7 +95,13 @@ func (e *Executor) handleExecBlock(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return encodeFrame(nil, y, tensor.Bits32), nil
+	// The reply goes into the payload's memory when it has room, which the
+	// server grows it to (rpcx.Handler); the tile was decoded out of it above.
+	reply := payload[:0]
+	if n := tensor.QuantizedLen(y.Shape, tensor.Bits32); cap(reply) < n {
+		reply = make([]byte, 0, n)
+	}
+	return tensor.AppendQuantize(reply, y, tensor.Bits32), nil
 }
 
 // execRun runs x through the blocks of run in workspace ws, the one run
@@ -151,24 +157,21 @@ func decodeRunHeader(payload []byte, maxBlocks int) (run []blockRef, body []byte
 	return run, descs[n*blockDescLen:], nil
 }
 
-// encodeRunRequest builds the exec.block payload for run on tile.
-func encodeRunRequest(run []blockRef, tile *tensor.Tensor) ([]byte, error) {
+// runRequestLen is the size of the exec.block payload for run on tile.
+func runRequestLen(run []blockRef, tile *tensor.Tensor) int {
+	return runHeaderLen + len(run)*blockDescLen + tensor.QuantizedLen(tile.Shape, run[0].ls.Quant)
+}
+
+// encodeRunRequest appends the exec.block payload for run on tile to dst,
+// the tile quantized straight into it; a dst of runRequestLen bytes' capacity
+// takes it without growing.
+func encodeRunRequest(dst []byte, run []blockRef, tile *tensor.Tensor) ([]byte, error) {
 	if len(run) < 1 || len(run) >= runTag {
 		return nil, fmt.Errorf("runtime: cannot encode a run of %d blocks", len(run))
 	}
-	hdr := make([]byte, runHeaderLen, runHeaderLen+len(run)*blockDescLen)
-	hdr[0], hdr[1] = runTag, byte(len(run))
+	dst = append(dst, runTag, byte(len(run)))
 	for _, b := range run {
-		hdr = append(hdr, byte(b.stage), byte(b.index), byte(b.ls.Kernel), byte(b.ls.Expand), byte(b.ls.Quant))
+		dst = append(dst, byte(b.stage), byte(b.index), byte(b.ls.Kernel), byte(b.ls.Expand), byte(b.ls.Quant))
 	}
-	return encodeFrame(hdr, tile, run[0].ls.Quant), nil
-}
-
-// encodeFrame returns hdr followed by t's wire form at bits, quantized
-// straight into one frame sized up front. The frame is allocated, not
-// borrowed: it outlives the call that sends it (a hedge's loser may still be
-// writing it) and the handler that returns it.
-func encodeFrame(hdr []byte, t *tensor.Tensor, bits tensor.Bitwidth) []byte {
-	frame := make([]byte, 0, len(hdr)+tensor.QuantizedLen(t.Shape, bits))
-	return tensor.AppendQuantize(append(frame, hdr...), t, bits)
+	return tensor.AppendQuantize(dst, tile, run[0].ls.Quant), nil
 }

@@ -91,7 +91,7 @@ func TestExecutorRejectsMalformedRequests(t *testing.T) {
 	var good []byte
 	{
 		tile := tensor.New(1, 3, 8, 8)
-		p, err := encodeRunRequest([]blockRef{{stage: 9, index: 0, ls: supernet.LayerSetting{
+		p, err := encodeRunRequest(nil, []blockRef{{stage: 9, index: 0, ls: supernet.LayerSetting{
 			Kernel: 3, Expand: 2, Quant: tensor.Bits32,
 			Partition: supernet.Partition{Gy: 1, Gx: 1},
 		}}}, tile)
@@ -109,7 +109,7 @@ func TestExecutorRejectsMalformedRequests(t *testing.T) {
 	cfg := a.MaxConfig()
 	tile := ex.Net.ExecStem(tensor.New(1, 3, 16, 16))
 	run := []blockRef{{stage: 0, index: 0, ls: cfg.Layers[0]}, {stage: 0, index: 1, ls: cfg.Layers[1]}}
-	valid, err := encodeRunRequest(run, tile)
+	valid, err := encodeRunRequest(nil, run, tile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestExecBlockChecksClaimsBeforeAllocating(t *testing.T) {
 		p = binary.LittleEndian.AppendUint32(p, math.Float32bits(1))
 		return append(p, make([]byte, codes)...)
 	}
-	valid, err := encodeRunRequest([]blockRef{{stage: 0, index: 0, ls: a.MaxConfig().Layers[0]}}, supernet.New(a, 22).ExecStem(tensor.New(1, 3, 16, 16)))
+	valid, err := encodeRunRequest(nil, []blockRef{{stage: 0, index: 0, ls: a.MaxConfig().Layers[0]}}, supernet.New(a, 22).ExecStem(tensor.New(1, 3, 16, 16)))
 	if err != nil {
 		t.Fatal(err)
 	}

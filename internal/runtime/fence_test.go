@@ -64,13 +64,13 @@ func TestFenceFollowsTheAnsweringConnection(t *testing.T) {
 
 	zombie := make(chan error, 1)
 	go func() {
-		_, err := sched.callTile(1, []byte("x"), time.Time{})
+		_, err := callTileCopy(sched, 1, "x")
 		zombie <- err
 	}()
 	<-entered // the old process holds the first connection
 
 	target.Store(replAddr) // the address now resolves to the replacement
-	resp, err := sched.callTile(1, []byte("x"), time.Time{})
+	resp, err := callTileCopy(sched, 1, "x")
 	if err != nil || string(resp) != "new" {
 		t.Fatalf("reply on the replacement's connection: %q, %v; want it served", resp, err)
 	}
@@ -94,7 +94,7 @@ func TestFenceFollowsTheAnsweringConnection(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 3; j++ {
-				if resp, err := sched.callTile(1, []byte("x"), time.Time{}); err != nil || string(resp) != "new" {
+				if resp, err := callTileCopy(sched, 1, "x"); err != nil || string(resp) != "new" {
 					t.Errorf("after the fence: %q, %v", resp, err)
 				}
 			}
@@ -107,4 +107,18 @@ func TestFenceFollowsTheAnsweringConnection(t *testing.T) {
 	if got := sched.Stats().FencedResponses; got != 1 {
 		t.Fatalf("FencedResponses = %d after the fence retired the old connection, want 1", got)
 	}
+}
+
+// callTileCopy sends payload to dev through callTile and returns a copy of
+// the reply, its wire buffers released.
+func callTileCopy(s *Scheduler, dev int, payload string) ([]byte, error) {
+	req := s.wire.get(len(payload))
+	defer req.release()
+	req.b = append(req.b, payload...)
+	resp, reply, err := s.callTile(dev, req, 8, time.Time{})
+	if err != nil {
+		return nil, err
+	}
+	defer reply.release()
+	return append([]byte(nil), resp...), nil
 }

@@ -358,7 +358,7 @@ func TestBadRunResponseIsTyped(t *testing.T) {
 		"wrong batch":  {2, 12, 8, 8},
 		"missing rank": {12, 8, 8},
 	} {
-		replies[name] = encodeFrame(nil, tensor.New(shape...), tensor.Bits32)
+		replies[name] = tensor.AppendQuantize(nil, tensor.New(shape...), tensor.Bits32)
 	}
 	for name, reply := range replies {
 		srv := rpcx.NewServer()
@@ -413,7 +413,7 @@ func FuzzExecBlockPayload(f *testing.F) {
 		run = append(run, blockRef{stage: stage, index: index, ls: ls})
 	}
 	for _, n := range []int{1, len(run)} {
-		p, err := encodeRunRequest(run[:n], tile)
+		p, err := encodeRunRequest(nil, run[:n], tile)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -437,6 +437,9 @@ func FuzzExecBlockPayload(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		// What a run allocates follows the bytes that arrived — the tile, its
 		// activations, the reply — never a size the header only claims.
+		// The handler may answer in its payload's memory (rpcx.Handler); the
+		// fuzzer's input is not the handler's to write.
+		payload = append([]byte(nil), payload...)
 		var m0, m1 goruntime.MemStats
 		goruntime.ReadMemStats(&m0)
 		resp, err := handler(payload)

@@ -97,6 +97,8 @@ type Scheduler struct {
 
 	Devices *DeviceTable // one record per remote (devices.go); shared with the Runtime
 
+	wire wirePool // exec.block frames and reply buffers (wireBuf)
+
 	remoteCalls     atomic.Uint64
 	hedges          atomic.Uint64
 	hedgeWins       atomic.Uint64
@@ -382,47 +384,35 @@ func (s *Scheduler) inferIn(ws *supernet.Workspace, x *tensor.Tensor, d *superne
 	if budget > 0 {
 		deadline = start.Add(budget)
 	}
-	arch := s.Local.Arch
-	cfg := d.Config
-	if err := arch.Validate(cfg); err != nil {
-		return nil, err
-	}
-	costs, err := arch.Costs(cfg)
+	p, err := s.planFor(d)
 	if err != nil {
 		return nil, err
 	}
-	if err := d.Placement.Validate(costs, s.NumDevices()); err != nil {
-		return nil, err
-	}
-
-	y := ws.Stem(x, cfg.Resolution)
+	y := ws.Stem(x, d.Config.Resolution)
 	report := &InferenceReport{}
-
-	blocks := make([]blockRef, cfg.NumLayers())
-	for layer := range blocks {
-		stage, index, _, err := arch.BlockAt(cfg, layer)
-		if err != nil {
+	for i := range p.segs {
+		if y, err = s.execSegment(ws, y, &p.segs[i], deadline, report); err != nil {
 			return nil, err
 		}
-		blocks[layer] = blockRef{stage: stage, index: index, ls: cfg.Layers[layer]}
-	}
-	// A segment is a maximal stretch of blocks whose tiles line up end to
-	// end: it breaks exactly where the cost model charges a gather and
-	// re-scatter (costs[0] is the stem).
-	for first := 0; first < len(blocks); {
-		end := first + 1
-		for end < len(blocks) && !costs[1+end].Regather {
-			end++
-		}
-		y, err = s.execSegment(ws, y, blocks[first:end], d.Placement.Devices[first:end], deadline, report)
-		if err != nil {
-			return nil, err
-		}
-		first = end
 	}
 	report.Logits = ws.Head(y)
 	report.Elapsed = time.Since(start)
 	return report, nil
+}
+
+// planFor returns d's plan on this scheduler's supernet and cluster: the one
+// kept with d, or one compiled now and kept with it.
+func (s *Scheduler) planFor(d *supernet.Decision) (*plan, error) {
+	arch, n := s.Local.Arch, s.NumDevices()
+	if p, _ := d.Compiled().(*plan); p != nil && p.fits(arch, d, n) {
+		return p, nil
+	}
+	p, err := compilePlan(arch, d, n)
+	if err != nil {
+		return nil, err
+	}
+	d.SetCompiled(p)
+	return p, nil
 }
 
 // tileResult is what one tile's pass through a segment produced.
@@ -440,74 +430,63 @@ type tileResult struct {
 
 // execSegment runs a segment's blocks over x in the request's workspace ws: it
 // cuts x into the grid's tiles once, sends every tile through all the blocks
-// concurrently, and pastes the outputs into the segment result. assign[k][t]
-// is the device of tile t at the segment's block k. A 1x1 grid is the whole
-// map: it runs on the calling goroutine, in ws, with nothing to crop or paste.
-// Otherwise each tile's goroutine takes a workspace of its own for the tile's
-// activations and pastes its output into the result — the tiles' rectangles
-// are disjoint and cover it — before handing the workspace back.
-func (s *Scheduler) execSegment(ws *supernet.Workspace, x *tensor.Tensor, blocks []blockRef, assign [][]int,
+// concurrently, and pastes the outputs into the segment result. A 1x1 grid is
+// the whole map: it runs on the calling goroutine, in ws, with nothing to crop
+// or paste. Otherwise each tile's goroutine takes a workspace of its own for
+// the tile's activations and pastes its output into the result — the tiles'
+// rectangles are disjoint and cover it — before handing the workspace back.
+func (s *Scheduler) execSegment(ws *supernet.Workspace, x *tensor.Tensor, seg *segment,
 	deadline time.Time, report *InferenceReport) (*tensor.Tensor, error) {
 
-	grid := blocks[0].ls.Partition
-	h, w := x.Shape[2], x.Shape[3]
-	y0s, x0s, ths, tws, err := supernet.TileSplit(h, w, grid, s.stride(blocks[:1]))
-	if err != nil {
-		return nil, err
+	if len(seg.tiles) == 1 {
+		r := s.execTile(ws, x, seg, 0, deadline)
+		return r.out, s.tally(report, 0, r)
 	}
-	for k := range assign {
-		if len(assign[k]) != len(y0s) {
-			return nil, fmt.Errorf("runtime: %d tiles but %d assignments", len(y0s), len(assign[k]))
-		}
+	out := ws.Out(x.Shape[0], seg.outC, x.Shape[2]/seg.down, x.Shape[3]/seg.down)
+	results := make([]tileResult, len(seg.tiles))
+	var wg sync.WaitGroup
+	for t := range results {
+		wg.Add(1)
+		go func(t int) {
+			defer wg.Done()
+			tileWS := s.Local.AcquireWorkspace()
+			defer tileWS.Release()
+			g := seg.tiles[t]
+			tile := tileWS.Tile(x, g.y0, g.x0, g.h, g.w)
+			r := s.execTile(tileWS, tile, seg, t, deadline)
+			if r.err == nil {
+				tensor.PasteSpatial(out, r.out, g.oy0, g.ox0)
+				r.out = nil // the tile's workspace is about to move on
+			}
+			results[t] = r
+		}(t)
 	}
-
-	results := make([]tileResult, len(y0s))
-	var out *tensor.Tensor
-	if len(results) == 1 {
-		results[0] = s.execTile(ws, x, blocks, assign, 0, deadline)
-		out = results[0].out
-	} else {
-		// The tiles tile the output map the way the last block wrote them.
-		outC := s.Local.Arch.Stages[blocks[len(blocks)-1].stage].Width
-		down := s.stride(blocks)
-		oy0s, ox0s, _, _, err := supernet.TileSplit(h/down, w/down, grid, 1)
-		if err != nil {
+	wg.Wait()
+	for t, r := range results {
+		if err := s.tally(report, t, r); err != nil {
 			return nil, err
 		}
-		out = ws.Out(x.Shape[0], outC, h/down, w/down)
-		var wg sync.WaitGroup
-		for t := range results {
-			wg.Add(1)
-			go func(t int) {
-				defer wg.Done()
-				tileWS := s.Local.AcquireWorkspace()
-				defer tileWS.Release()
-				tile := tileWS.Tile(x, y0s[t], x0s[t], ths[t], tws[t])
-				r := s.execTile(tileWS, tile, blocks, assign, t, deadline)
-				if r.err == nil {
-					tensor.PasteSpatial(out, r.out, oy0s[t], ox0s[t])
-					r.out = nil // the tile's workspace is about to move on
-				}
-				results[t] = r
-			}(t)
-		}
-		wg.Wait()
-	}
-	for t, r := range results {
-		if r.err != nil {
-			return nil, s.tileError(t, r.dev, r.err)
-		}
-		report.LocalTiles += r.local
-		report.RemoteTiles += r.remote
 	}
 	return out, nil
+}
+
+// tally counts tile t's block executions into report, or turns its failure
+// into the error the serving layer acts on.
+func (s *Scheduler) tally(report *InferenceReport, t int, r tileResult) error {
+	if r.err != nil {
+		return s.tileError(t, r.dev, r.err)
+	}
+	report.LocalTiles += r.local
+	report.RemoteTiles += r.remote
+	return nil
 }
 
 // execTile carries tile t through the segment's blocks in workspace ws as a
 // chain of runs: a run is the maximal stretch of consecutive blocks the
 // placement puts on one device, and costs one dispatch.
-func (s *Scheduler) execTile(ws *supernet.Workspace, tile *tensor.Tensor, blocks []blockRef, assign [][]int, t int, deadline time.Time) tileResult {
+func (s *Scheduler) execTile(ws *supernet.Workspace, tile *tensor.Tensor, seg *segment, t int, deadline time.Time) tileResult {
 	var r tileResult
+	blocks, assign := seg.blocks, seg.assign
 	for first := 0; first < len(blocks); {
 		dev := assign[first][t]
 		end := first + 1
@@ -547,42 +526,36 @@ var ErrBadRunResponse = fault.New(fault.CorruptFrame, "runtime: run response doe
 // remoteRun executes run on tile at device dev in one exec.block round trip.
 // The request tile is quantized at the first block's bitwidth (the paper's
 // input quantization); the response returns lossless so the result matches
-// single-device execution bit for bit.
+// single-device execution bit for bit. The frame and the reply's buffer are
+// the scheduler's wire buffers (wireBuf): the tile is encoded into one and
+// decoded out of the other, and neither outlives the round trip.
 func (s *Scheduler) remoteRun(ws *supernet.Workspace, dev int, run []blockRef, tile *tensor.Tensor, deadline time.Time) (*tensor.Tensor, error) {
-	payload, err := encodeRunRequest(run, tile)
+	// Strides divide the tile exactly (TileSplit cut it in output space), so
+	// the output rectangle is the input rectangle over the run's total stride.
+	down := runStride(s.Local.Arch, run)
+	want := [4]int{tile.Shape[0], s.Local.Arch.Stages[run[len(run)-1].stage].Width, tile.Shape[2] / down, tile.Shape[3] / down}
+	req := s.wire.get(runRequestLen(run, tile))
+	defer req.release()
+	frame, err := encodeRunRequest(req.b, run, tile)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := s.callTile(dev, payload, deadline)
+	req.b = frame
+	resp, reply, err := s.callTile(dev, req, tensor.QuantizedLen(want[:], tensor.Bits32), deadline)
 	if err != nil {
 		return nil, err
 	}
+	defer reply.release()
 	f, err := tensor.ParseQuantized(resp)
 	if err != nil {
 		return nil, fmt.Errorf("%w: device %d: %v", ErrBadRunResponse, dev, err)
 	}
-	// Strides divide the tile exactly (TileSplit cut it in output space), so
-	// the output rectangle is the input rectangle over the run's total stride.
-	down := s.stride(run)
-	want := [4]int{tile.Shape[0], s.Local.Arch.Stages[run[len(run)-1].stage].Width, tile.Shape[2] / down, tile.Shape[3] / down}
 	if !slices.Equal(f.Shape, want[:]) {
 		return nil, fmt.Errorf("%w: device %d answered shape %v, want %v", ErrBadRunResponse, dev, f.Shape, want)
 	}
 	y := ws.Out(want[0], want[1], want[2], want[3])
 	f.DequantizeInto(y)
 	return y, nil
-}
-
-// stride is the total spatial downsampling of consecutive blocks: a stage's
-// first block carries the stage stride, the rest have stride 1.
-func (s *Scheduler) stride(blocks []blockRef) int {
-	down := 1
-	for _, b := range blocks {
-		if b.index == 0 {
-			down *= s.Local.Arch.Stages[b.stage].Stride
-		}
-	}
-	return down
 }
 
 // tileError turns tile t's failure on device dev into the error the serving
@@ -678,10 +651,15 @@ func (s *Scheduler) tryHedgeToken(frac float64) bool {
 // supports). Tiles of one device do not wait for each other here: each call
 // checks out its own connection, so the runs a device owns in a segment are
 // in flight together and the link's delay is paid once per segment.
-func (s *Scheduler) callTile(dev int, payload []byte, deadline time.Time) ([]byte, error) {
+//
+// req is the request frame, held by the caller; every attempt holds it too
+// until its call returns. Each attempt reads its reply into a wire buffer of
+// its own, of replyLen bytes; the winner's comes back with the reply in it,
+// for the caller to release once it has decoded the reply.
+func (s *Scheduler) callTile(dev int, req *wireBuf, replyLen int, deadline time.Time) ([]byte, *wireBuf, error) {
 	timeout, budget, err := s.tileBudget(deadline)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Adaptive concurrency limit: dispatch past the device's learned limit is
 	// shed typed instead of queueing as goroutines. The brief wait absorbs
@@ -692,7 +670,7 @@ func (s *Scheduler) callTile(dev int, payload []byte, deadline time.Time) ([]byt
 	}
 	if !s.Limiter(dev).AcquireWait(wait) {
 		s.overloads.Add(1)
-		return nil, fmt.Errorf("runtime: tile dispatch to device %d shed: %w", dev, limit.ErrLimited)
+		return nil, nil, fmt.Errorf("runtime: tile dispatch to device %d shed: %w", dev, limit.ErrLimited)
 	}
 	primary := s.Remotes[dev-1]
 	s.remoteCalls.Add(1)
@@ -716,30 +694,49 @@ func (s *Scheduler) callTile(dev int, payload []byte, deadline time.Time) ([]byt
 		alt = 0
 	}
 	if alt <= 0 || alt == dev || alt > len(s.Remotes) {
+		dst := s.wire.get(replyLen)
 		start := time.Now()
-		resp, inc, err := primary.CallFrom(ExecBlockMethod, payload, timeout, budget)
+		resp, inc, err := primary.CallFrom(ExecBlockMethod, req.b, dst.b, timeout, budget)
 		err = s.fenceCheck(dev, inc, err)
 		s.finishTile(dev, time.Since(start), err)
-		if err == nil {
-			s.observeTileLatency(time.Since(start))
+		if err != nil {
+			dst.release()
+			return nil, nil, classifyTileErr(err, deadline)
 		}
-		return resp, classifyTileErr(err, deadline)
+		s.observeTileLatency(time.Since(start))
+		return resp, dst, nil
 	}
 
 	type attempt struct {
 		resp   []byte
+		dst    *wireBuf
 		err    error
 		hedged bool
 	}
+	// Each attempt sends at most once: a failure, or the one success that
+	// claims won. A success that finds won taken releases its buffer and
+	// sends nothing — nobody reads its reply.
 	results := make(chan attempt, 2)
-	start := time.Now()
-	go func() {
+	var won atomic.Bool
+	try := func(c *rpcx.Client, dev int, timeout, budget time.Duration, hedged bool) {
+		defer req.release()
+		dst := s.wire.get(replyLen)
 		t0 := time.Now()
-		resp, inc, err := primary.CallFrom(ExecBlockMethod, payload, timeout, budget)
+		resp, inc, err := c.CallFrom(ExecBlockMethod, req.b, dst.b, timeout, budget)
 		err = s.fenceCheck(dev, inc, err)
 		s.finishTile(dev, time.Since(t0), err)
-		results <- attempt{resp, err, false}
-	}()
+		if err == nil && won.CompareAndSwap(false, true) {
+			results <- attempt{resp: resp, dst: dst, hedged: hedged}
+			return
+		}
+		dst.release()
+		if err != nil {
+			results <- attempt{err: err, hedged: hedged}
+		}
+	}
+	start := time.Now()
+	req.hold()
+	go try(primary, dev, timeout, budget, false)
 
 	var hedgeC <-chan time.Time
 	if d := s.hedgeDelay(policy); d > 0 {
@@ -758,7 +755,7 @@ func (s *Scheduler) callTile(dev int, payload []byte, deadline time.Time) ([]byt
 					s.hedgeWins.Add(1)
 				}
 				s.observeTileLatency(time.Since(start))
-				return r.resp, nil
+				return r.resp, r.dst, nil
 			}
 			if !r.hedged {
 				primaryErr = r.err
@@ -790,22 +787,20 @@ func (s *Scheduler) callTile(dev int, payload []byte, deadline time.Time) ([]byt
 				continue
 			}
 			outstanding++
+			req.hold()
 			go func() {
 				t2, b2, err := s.tileBudget(deadline)
 				if err != nil {
+					req.release()
 					altLim.Release(limit.Neutral)
-					results <- attempt{nil, err, true}
+					results <- attempt{err: err, hedged: true}
 					return
 				}
-				t0 := time.Now()
-				resp, inc, err := s.Remotes[alt-1].CallFrom(ExecBlockMethod, payload, t2, b2)
-				err = s.fenceCheck(alt, inc, err)
-				s.finishTile(alt, time.Since(t0), err)
-				results <- attempt{resp, err, true}
+				try(s.Remotes[alt-1], alt, t2, b2, true)
 			}()
 		}
 	}
-	return nil, classifyTileErr(primaryErr, deadline)
+	return nil, nil, classifyTileErr(primaryErr, deadline)
 }
 
 // ProbeDevice issues one synthetic exec.block call against placement device
@@ -827,7 +822,7 @@ func (s *Scheduler) ProbeDevice(dev int, timeout time.Duration) (time.Duration, 
 	}
 	// A tiny input through the stem yields a correctly-shaped block tile.
 	tile := s.Local.ExecStem(tensor.New(1, 3, 8, 8))
-	payload, err := encodeRunRequest([]blockRef{{stage: stage, index: index, ls: cfg.Layers[0]}}, tile)
+	payload, err := encodeRunRequest(nil, []blockRef{{stage: stage, index: index, ls: cfg.Layers[0]}}, tile)
 	if err != nil {
 		return 0, err
 	}

@@ -68,6 +68,11 @@ func Max(xs []float64) float64 {
 func Percentile(xs []float64, p float64) float64 {
 	cp := append([]float64(nil), xs...)
 	sort.Float64s(cp)
+	return sortedPercentile(cp, p)
+}
+
+// sortedPercentile is Percentile of cp, which is in ascending order.
+func sortedPercentile(cp []float64, p float64) float64 {
 	if p <= 0 {
 		return cp[0]
 	}
@@ -240,6 +245,9 @@ type Window struct {
 	vals []float64
 	next int
 	full bool
+	// sorted is Quantile's scratch: the values are sorted there, not in a
+	// copy per query.
+	sorted []float64
 }
 
 // NewWindow returns a window keeping the last cap observations (min 1).
@@ -270,5 +278,7 @@ func (w *Window) Quantile(p float64) float64 {
 	if len(w.vals) == 0 {
 		return 0
 	}
-	return Percentile(w.vals, p)
+	w.sorted = append(w.sorted[:0], w.vals...)
+	sort.Float64s(w.sorted)
+	return sortedPercentile(w.sorted, p)
 }

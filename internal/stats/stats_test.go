@@ -207,3 +207,25 @@ func TestEMABoundedProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWindowQuantileIsPercentile: a window's quantile is Percentile of what it
+// holds, bit for bit, and a query allocates nothing once the window is full.
+func TestWindowQuantileIsPercentile(t *testing.T) {
+	w := NewWindow(128)
+	var held []float64
+	for i := 0; i < 300; i++ {
+		v := math.Mod(float64(i)*7.31, 5.0) + float64(i%13)*1e-3
+		w.Add(v)
+		if held = append(held, v); len(held) > 128 {
+			held = held[1:]
+		}
+		for _, p := range []float64{0, 50, 95, 99.5, 100} {
+			if got, want := w.Quantile(p), Percentile(held, p); got != want {
+				t.Fatalf("after %d values: Quantile(%v) = %v, Percentile = %v", i+1, p, got, want)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() { w.Quantile(95) }); allocs != 0 {
+		t.Fatalf("Quantile allocates %v times a query", allocs)
+	}
+}

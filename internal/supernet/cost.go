@@ -2,6 +2,7 @@ package supernet
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"murmuration/internal/device"
 	"murmuration/internal/tensor"
@@ -188,11 +189,23 @@ func TotalWeightBytes(costs []LayerCost) float64 {
 }
 
 // Decision is a joint submodel + placement choice — the unit Murmuration's
-// policy outputs and the runtime executes.
+// policy outputs and the runtime executes. Once executed, a decision is not
+// changed in place: an executor keeps what it compiled the decision to with
+// it (Compiled), as long as the decision lives — a strategy cache entry, a
+// pinned decision — and no longer.
 type Decision struct {
 	Config    *Config
 	Placement *Placement
+
+	compiled atomic.Value
 }
+
+// Compiled returns what an executor last compiled d to (SetCompiled), or nil.
+func (d *Decision) Compiled() any { return d.compiled.Load() }
+
+// SetCompiled keeps an executor's compiled form of d with d, for the next run
+// of d to reuse. Every value stored must be of one type.
+func (d *Decision) SetCompiled(v any) { d.compiled.Store(v) }
 
 // Placement assigns each tile of each partitionable layer to a device index
 // within a cluster. Devices[k] has exactly Partition.NumTiles() entries for

@@ -56,8 +56,12 @@ func (ws *Workspace) Stem(x *tensor.Tensor, res int) *tensor.Tensor {
 }
 
 func stemOutSize(x *tensor.Tensor) (oh, ow int) {
-	return tensor.ConvOutSize(x.Shape[2], 3, stemOpts.Stride, stemOpts.Padding),
-		tensor.ConvOutSize(x.Shape[3], 3, stemOpts.Stride, stemOpts.Padding)
+	return StemOutSize(x.Shape[2]), StemOutSize(x.Shape[3])
+}
+
+// StemOutSize is the side of the stem's output map for an input side of n.
+func StemOutSize(n int) int {
+	return tensor.ConvOutSize(n, 3, stemOpts.Stride, stemOpts.Padding)
 }
 
 func (s *Supernet) stemInto(ws *Workspace, dst, x *tensor.Tensor) {

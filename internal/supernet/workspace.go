@@ -57,7 +57,7 @@ func (a *Arch) holds() bool {
 	for _, r := range a.Resolutions {
 		res = max(res, r)
 	}
-	h := tensor.ConvOutSize(res, 3, stemOpts.Stride, stemOpts.Padding)
+	h := StemOutSize(res)
 	largest := max(a.InChannels*res*res, a.InChannels*9*h*h, a.StemChannels*h*h)
 	c := a.StemChannels
 	for _, st := range a.Stages {
