@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"strings"
 	"time"
 
 	"murmuration"
@@ -37,24 +36,15 @@ func main() {
 	hidden := flag.Int("hidden", 64, "policy LSTM width (must match checkpoint)")
 	flag.Parse()
 
-	var arch *murmuration.Arch
-	switch *archName {
-	case "tiny":
-		arch = murmuration.TinyArch(*classes)
-	case "default":
-		arch = murmuration.DefaultArch()
-	default:
-		log.Fatalf("unknown arch %q", *archName)
+	net, err := murmuration.LoadSupernet(*archName, *classes, *seed, "")
+	if err != nil {
+		log.Fatal(err)
 	}
-	net := murmuration.NewSupernet(arch, *seed)
-
+	arch := net.Arch
+	links := murmuration.Links(*devices, *bw, *delay)
 	kinds := []murmuration.DeviceKind{murmuration.RaspberryPi4}
-	var links []murmuration.Link
-	if *devices != "" {
-		for _, addr := range strings.Split(*devices, ",") {
-			links = append(links, murmuration.Link{Addr: strings.TrimSpace(addr), BandwidthMbps: *bw, DelayMs: *delay})
-			kinds = append(kinds, murmuration.RaspberryPi4)
-		}
+	for range links {
+		kinds = append(kinds, murmuration.RaspberryPi4)
 	}
 
 	// Without a trained policy the deployment falls back to a structured

@@ -14,42 +14,31 @@ import (
 	"log"
 	"math"
 	"math/rand"
+	"strings"
 	"time"
 
-	"murmuration/internal/monitor"
-	"murmuration/internal/netem"
-	"murmuration/internal/rpcx"
-	"murmuration/internal/runtime"
+	"murmuration"
 	"murmuration/internal/supernet"
 	"murmuration/internal/tensor"
 )
 
 func main() {
 	const nDevices = 5
-	arch := supernet.TinyArch(4)
+	arch := murmuration.TinyArch(4)
 
 	// Local device's supernet.
-	local := supernet.New(arch, 7)
+	local := murmuration.NewSupernet(arch, 7)
 
-	// Start 4 remote executors, each holding the same supernet in memory.
-	var clients []*rpcx.Client
+	// Start 4 remote daemons, each holding the same supernet in memory.
+	var addrs []string
 	for i := 1; i < nDevices; i++ {
-		srv := rpcx.NewServer()
-		runtime.NewExecutor(supernet.New(arch, 7)).Register(srv)
-		monitor.RegisterHandlers(srv)
-		addr, err := srv.Listen("127.0.0.1:0")
+		addr, stop, err := murmuration.ServeDevice(murmuration.NewSupernet(arch, 7), "127.0.0.1:0")
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer srv.Close()
-		cl, err := rpcx.Dial(addr, netem.NewShaper(1000, 2*time.Millisecond))
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer cl.Close()
-		clients = append(clients, cl)
+		defer stop()
+		addrs = append(addrs, addr)
 	}
-	sched := runtime.NewScheduler(local, clients)
 
 	// 2x2 FDSP across devices 0-3, 8-bit activations on the wire.
 	cfg := arch.MaxConfig()
@@ -67,14 +56,27 @@ func main() {
 			p.Devices[k][t] = t // tile t on device t, aligned across layers
 		}
 	}
-
-	x := tensor.New(1, 3, 32, 32)
-	x.RandNormal(rand.New(rand.NewSource(2)), 0.5)
-
-	rep, err := sched.Infer(x, &supernet.Decision{Config: cfg, Placement: p})
-	if err != nil {
-		log.Fatal(err)
+	placed := func(murmuration.Constraint) (*murmuration.Decision, error) {
+		return &murmuration.Decision{Config: cfg, Placement: p}, nil
 	}
+	x := murmuration.NewInput(1, 3, 32, 32)
+	x.RandNormal(rand.New(rand.NewSource(2)), 0.5)
+	pi := murmuration.RaspberryPi4
+	kinds := []murmuration.DeviceKind{pi, pi, pi, pi, pi}
+	infer := func(mbps, delayMs float64) *murmuration.InferenceResult {
+		dep, err := murmuration.NewDeployment(local, kinds, murmuration.Links(strings.Join(addrs, ","), mbps, delayMs), placed)
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer dep.Close()
+		res, err := dep.Infer(x)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
+	}
+
+	rep := infer(1000, 2)
 	fmt.Printf("swarm inference: %v (%d tiles remote, %d local)\n",
 		rep.Elapsed.Round(time.Microsecond), rep.RemoteTiles, rep.LocalTiles)
 
@@ -95,13 +97,7 @@ func main() {
 	fmt.Printf("distributed vs single-device max logit diff: %.2g (equal to single-device execution within 1e-4)\n", maxDiff)
 
 	// Same decision over a degraded network.
-	for _, cl := range clients {
-		cl.SetLink(5, 50*time.Millisecond)
-	}
-	rep2, err := sched.Infer(x, &supernet.Decision{Config: cfg, Placement: p})
-	if err != nil {
-		log.Fatal(err)
-	}
+	rep2 := infer(5, 50)
 	fmt.Printf("after degrading links to 5 Mb/s / 50 ms: %v (%.1fx slower)\n",
 		rep2.Elapsed.Round(time.Microsecond),
 		float64(rep2.Elapsed)/float64(rep.Elapsed))

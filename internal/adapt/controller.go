@@ -314,16 +314,11 @@ func (ctl *Controller) versionCkptPath(v uint64) string {
 	return filepath.Join(ctl.cfg.Dir, fmt.Sprintf("policy_v%06d.ckpt", v))
 }
 
-// Feed returns the outcome feed; install it as the gateway's tap (or let
-// AttachGateway do it).
-func (ctl *Controller) Feed() *Feed { return ctl.feed }
-
-// AttachGateway wires the controller to a gateway: the outcome tap and the
-// stats adapter.
+// AttachGateway wires the controller to a gateway's outcome tap. Its
+// counters ride the gateway's Stats while it is the runtime's decider.
 func (ctl *Controller) AttachGateway(gw *serve.Gateway) {
 	ctl.gw = gw
 	gw.SetOutcomeTap(ctl.feed)
-	gw.AttachAdapter(ctl)
 }
 
 // Decide implements runtime.Decider.

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"murmuration"
 	"murmuration/internal/cluster"
 	"murmuration/internal/monitor"
 	"murmuration/internal/netem"
@@ -144,18 +145,14 @@ func TestScenarioFlashCrowd(t *testing.T) {
 	}
 }
 
-// startDaemon brings up one device daemon: executor, monitor, cluster node.
+// startDaemon brings up one murmurationd at its defaults.
 func startDaemon(t *testing.T, net *supernet.Supernet, addr string) (*rpcx.Server, string) {
 	t.Helper()
-	srv := rpcx.NewServer()
-	runtime.NewExecutor(net).Register(srv)
-	monitor.RegisterHandlers(srv)
-	cluster.NewNode().Register(srv)
-	got, err := srv.Listen(addr)
+	d, err := murmuration.NewDaemon(murmuration.DaemonConfig{Net: net, Listen: addr})
 	if err != nil {
-		t.Fatalf("listen %q: %v", addr, err)
+		t.Fatalf("daemon on %q: %v", addr, err)
 	}
-	return srv, got
+	return d.Server, d.Addr
 }
 
 // liveDecider spreads tiles round-robin over every device whose link looks
@@ -208,34 +205,29 @@ func TestScenarioChurn(t *testing.T) {
 	srv2, addr2 := startDaemon(t, net, "127.0.0.1:0")
 	defer srv2.Close()
 
-	data1, data2 := dialData(t, addr1, nil), dialData(t, addr2, nil)
-	defer data1.Close()
-	defer data2.Close()
-
-	sched := runtime.NewScheduler(net, []*rpcx.Client{data1, data2})
-	sched.RemoteTimeout = 10 * time.Second
-	rt := runtime.New(sched, liveDecider(a), runtime.NewStrategyCache(32, 25, 5, 10), nil)
-	rt.SetLinkState(0, 100, 5)
-	rt.SetLinkState(1, 100, 5)
-
-	hb1, hb2 := dialData(t, addr1, nil), dialData(t, addr2, nil)
-	defer hb1.Close()
-	defer hb2.Close()
-	m := cluster.NewManager(
-		[]cluster.ProbeFunc{cluster.PingProbe(hb1), cluster.PingProbe(hb2)},
-		cluster.Options{
+	// Unshaped links, a 10 s remote timeout, two attempts per idempotent
+	// call, a 10 ms heartbeat; hedging, the retry budget, the progress
+	// deadline and the health layer off.
+	gw, err := murmuration.NewGateway(murmuration.GatewayConfig{
+		Net: net, Listen: "127.0.0.1:0",
+		Links:         []murmuration.Link{{Addr: addr1}, {Addr: addr2}},
+		Decider:       liveDecider(a),
+		RemoteTimeout: 10 * time.Second, Retries: 2,
+		Options: serve.Options{Workers: 2, MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 64},
+		Detector: cluster.Options{
 			HeartbeatInterval: 10 * time.Millisecond,
 			SuspectAfter:      50 * time.Millisecond,
 			DownAfter:         120 * time.Millisecond,
-		})
-	defer m.Close()
-
-	g := serve.New(rt, serve.Options{Workers: 2, MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 64})
-	g.AttachCluster(m)
-	m.Start()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close(time.Second)
+	g, m := gw.Serve, gw.Cluster
 
 	// The orchestrator owns the fault timeline: leave kills daemon 1's
-	// process, join restarts it on the same address. AttachCluster marks the
+	// process, join restarts it on the same address. orch.AttachCluster marks the
 	// member Down at the leave so detection does not race the trace clock.
 	var srv1b *rpcx.Server
 	orch := scenario.NewOrchestrator([]scenario.Target{{

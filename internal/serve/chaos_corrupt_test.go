@@ -144,10 +144,9 @@ func TestChaosCorruption(t *testing.T) {
 	// every served response must be bit-identical to the golden logits.
 	g := New(rt, Options{
 		Workers: 1, MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 32,
-		MaxRung: -1,
+		MaxRung: -1, Cluster: m,
 	})
 	defer g.Close(5 * time.Second)
-	g.AttachCluster(m)
 	m.Start()
 
 	input := testInput(7)

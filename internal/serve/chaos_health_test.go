@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"murmuration"
 	"murmuration/internal/cluster"
 	"murmuration/internal/fault"
 	"murmuration/internal/health"
@@ -80,51 +81,31 @@ func TestChaosGrayFailure(t *testing.T) {
 	srv2, addr2 := chaosDaemon(t, net, "127.0.0.1:0")
 	defer srv2.Close()
 
-	data1, data2 := chaosDial(t, addr1, nil), chaosDial(t, addr2, nil)
-	defer data1.Close()
-	defer data2.Close()
-
-	sched := runtime.NewScheduler(net, []*rpcx.Client{data1, data2})
-	sched.RemoteTimeout = 10 * time.Second
-
-	rt := runtime.New(sched, liveSpreadDecider(a), runtime.NewStrategyCache(32, 25, 5, 10), nil)
-	rt.SetLinkState(0, 100, 5)
-	rt.SetLinkState(1, 100, 5)
-	rt.SetSLO(chaosLatSLO(sloMs))
-
-	hb1, hb2 := chaosDial(t, addr1, nil), chaosDial(t, addr2, nil)
-	defer hb1.Close()
-	defer hb2.Close()
-	m := cluster.NewManager(
-		[]cluster.ProbeFunc{cluster.PingProbe(hb1), cluster.PingProbe(hb2)},
-		cluster.Options{
-			HeartbeatInterval: 10 * time.Millisecond,
-			SuspectAfter:      50 * time.Millisecond,
-			DownAfter:         120 * time.Millisecond,
-		})
-	defer m.Close()
-
-	g := serve.New(rt, serve.Options{Workers: 2, MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 64})
-	g.AttachCluster(m)
-	// Aggressive detection so the test converges fast: 60ms SLI windows, gray
-	// at 2.5x the fleet median for 2 consecutive windows, one clean window to
-	// advance, a short quarantine dwell, and a single 50% ramp step.
-	tr := g.AttachHealth(serve.HealthOptions{
-		Tracker: health.Options{
-			Window:           60 * time.Millisecond,
-			MinSamples:       2,
-			LatencyFactor:    2.5,
-			FailureRate:      0.5,
-			GrayWindows:      2,
-			CleanWindows:     1,
-			ReintegrateAfter: 300 * time.Millisecond,
-			RampWeights:      []float64{0.5},
+	gw := chaosGateway(t, net, murmuration.GatewayConfig{
+		Options: serve.Options{Workers: 2, MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 64},
+		// Aggressive detection so the test converges fast: 60ms SLI windows,
+		// gray at 2.5x the fleet median for 2 consecutive windows, one clean
+		// window to advance, a short quarantine dwell, and a single 50% ramp
+		// step.
+		Health: serve.HealthOptions{
+			Tracker: health.Options{
+				Window:           60 * time.Millisecond,
+				MinSamples:       2,
+				LatencyFactor:    2.5,
+				FailureRate:      0.5,
+				GrayWindows:      2,
+				CleanWindows:     1,
+				ReintegrateAfter: 300 * time.Millisecond,
+				RampWeights:      []float64{0.5},
+			},
+			ProbeEvery:   15 * time.Millisecond,
+			ProbeTimeout: 5 * time.Second,
+			TickEvery:    10 * time.Millisecond,
 		},
-		ProbeEvery:   15 * time.Millisecond,
-		ProbeTimeout: 5 * time.Second,
-		TickEvery:    10 * time.Millisecond,
-	})
-	m.Start()
+	}, addr1, addr2)
+	defer gw.Close(time.Second)
+	g, rt, m, tr := gw.Serve, gw.Runtime, gw.Cluster, gw.Serve.Health()
+	rt.SetSLO(chaosLatSLO(sloMs))
 
 	// Background pump: continuous traffic so both devices' SLI ledgers stay
 	// fed. Every submission lands in the gateway ledger checked at the end.
@@ -279,40 +260,19 @@ func TestChaosFlappingDevice(t *testing.T) {
 	srv2, addr2 := chaosDaemon(t, net, "127.0.0.1:0")
 	defer srv2.Close()
 
-	data1, data2 := chaosDial(t, addr1, nil), chaosDial(t, addr2, nil)
-	defer data1.Close()
-	defer data2.Close()
-
-	sched := runtime.NewScheduler(net, []*rpcx.Client{data1, data2})
-	sched.RemoteTimeout = 10 * time.Second
-
-	rt := runtime.New(sched, liveSpreadDecider(a), runtime.NewStrategyCache(32, 25, 5, 10), nil)
-	rt.SetLinkState(0, 100, 5)
-	rt.SetLinkState(1, 100, 5)
+	gw := chaosGateway(t, net, murmuration.GatewayConfig{
+		Options: serve.Options{Workers: 2, MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 32},
+		// The tracker is along for the ride: 10s windows never roll during
+		// the test, and probing is off.
+		Health: serve.HealthOptions{
+			Tracker:    health.Options{Window: 10 * time.Second},
+			ProbeEvery: -1,
+			TickEvery:  10 * time.Millisecond,
+		},
+	}, addr1, addr2)
+	defer gw.Close(time.Second)
+	g, rt, m := gw.Serve, gw.Runtime, gw.Cluster
 	rt.SetSLO(chaosLatSLO(sloMs))
-
-	hb1, hb2 := chaosDial(t, addr1, nil), chaosDial(t, addr2, nil)
-	defer hb1.Close()
-	defer hb2.Close()
-	m := cluster.NewManager(
-		[]cluster.ProbeFunc{cluster.PingProbe(hb1), cluster.PingProbe(hb2)},
-		cluster.Options{
-			HeartbeatInterval: 10 * time.Millisecond,
-			SuspectAfter:      50 * time.Millisecond,
-			DownAfter:         120 * time.Millisecond,
-		})
-	defer m.Close()
-
-	g := serve.New(rt, serve.Options{Workers: 2, MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 32})
-	g.AttachCluster(m)
-	// The tracker is along for the ride: 10s windows never roll during the
-	// test, and probing is off.
-	g.AttachHealth(serve.HealthOptions{
-		Tracker:    health.Options{Window: 10 * time.Second},
-		ProbeEvery: -1,
-		TickEvery:  10 * time.Millisecond,
-	})
-	m.Start()
 
 	// The flap timeline as data: device 0 leaves and rejoins three times.
 	// Each join restarts a daemon on the same address. The test advances each

@@ -136,9 +136,8 @@ func TestChaosPanicStorm(t *testing.T) {
 		})
 	defer m.Close()
 
-	g := New(rt, Options{Workers: 2, MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 32})
+	g := New(rt, Options{Workers: 2, MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 32, Cluster: m})
 	defer g.Close(10 * time.Second)
-	g.AttachCluster(m)
 	m.Start()
 
 	var successes, panicsSeen, otherTyped atomic.Uint64

@@ -113,7 +113,7 @@ func TestChaosDaemonRestart(t *testing.T) {
 	var restartedAt atomic.Value // time.Time: when the replacement took over
 	detected := make(chan uint64, 1)
 	g := serve.New(rt, serve.Options{
-		Workers: 2, MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 64,
+		Workers: 2, MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 64, Cluster: m,
 		OnRestart: func(dev int, incarnation uint64) {
 			if dev == 1 {
 				select {
@@ -135,7 +135,6 @@ func TestChaosDaemonRestart(t *testing.T) {
 		},
 		ProbeEvery: -1,
 	})
-	g.AttachCluster(m)
 	m.Start()
 
 	// The restart as trace data: the replacement starts, the address flips,
@@ -361,7 +360,7 @@ func TestChaosAsymmetricPartition(t *testing.T) {
 
 	var deviceErrors atomic.Uint64
 	g := serve.New(rt, serve.Options{
-		Workers: 1, MaxBatch: 2, MaxLinger: time.Millisecond, QueueDepth: 64,
+		Workers: 1, MaxBatch: 2, MaxLinger: time.Millisecond, QueueDepth: 64, Cluster: m,
 		OnDeviceError: func(dev int, err error) { deviceErrors.Add(1) },
 	})
 	defer g.Close(30 * time.Second)
@@ -373,7 +372,6 @@ func TestChaosAsymmetricPartition(t *testing.T) {
 		},
 		ProbeEvery: -1, // probes through the wedged link would just stall too
 	})
-	g.AttachCluster(m)
 	m.Start()
 
 	orch := scenario.NewOrchestrator([]scenario.Target{{Shaper: sh}, {}})

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"murmuration"
 	"murmuration/internal/cluster"
 	"murmuration/internal/fault"
 	"murmuration/internal/monitor"
@@ -38,17 +39,39 @@ func chaosLatSLO(ms float64) runtime.SLO {
 	return runtime.SLO{Type: env.LatencySLO, Value: ms}
 }
 
+// chaosDaemon starts a murmurationd at its defaults on addr.
 func chaosDaemon(t *testing.T, net *supernet.Supernet, addr string) (*rpcx.Server, string) {
 	t.Helper()
-	srv := rpcx.NewServer()
-	runtime.NewExecutor(net).Register(srv)
-	monitor.RegisterHandlers(srv)
-	cluster.NewNode().Register(srv)
-	got, err := srv.Listen(addr)
+	d, err := murmuration.NewDaemon(murmuration.DaemonConfig{Net: net, Listen: addr})
 	if err != nil {
-		t.Fatalf("listen %q: %v", addr, err)
+		t.Fatalf("daemon on %q: %v", addr, err)
 	}
-	return srv, got
+	return d.Server, d.Addr
+}
+
+// chaosGateway starts a gateway over unshaped links to addrs with the
+// settings the hand-wired chaos tests use: the live-spread decider, a 10 s
+// remote timeout, two attempts per idempotent call, and a 10 ms heartbeat
+// that suspects at 50 ms and gives up at 120 ms. Hedging, the retry budget,
+// the progress deadline and the health layer stay off unless cfg sets them.
+func chaosGateway(t *testing.T, net *supernet.Supernet, cfg murmuration.GatewayConfig, addrs ...string) *murmuration.Gateway {
+	t.Helper()
+	cfg.Net, cfg.Listen = net, "127.0.0.1:0"
+	cfg.Decider = liveSpreadDecider(net.Arch)
+	cfg.RemoteTimeout, cfg.Retries = 10*time.Second, 2
+	cfg.Detector = cluster.Options{
+		HeartbeatInterval: 10 * time.Millisecond,
+		SuspectAfter:      50 * time.Millisecond,
+		DownAfter:         120 * time.Millisecond,
+	}
+	for _, a := range addrs {
+		cfg.Links = append(cfg.Links, murmuration.Link{Addr: a})
+	}
+	gw, err := murmuration.NewGateway(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gw
 }
 
 func chaosDial(t *testing.T, addr string, sh *netem.Shaper) *rpcx.Client {
@@ -161,10 +184,9 @@ func TestChaosLatencySpike(t *testing.T) {
 
 	g := serve.New(rt, serve.Options{
 		Workers: 1, MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 32,
-		MaxRung: 3, LadderHysteresis: 4,
+		MaxRung: 3, LadderHysteresis: 4, Cluster: m,
 	})
 	defer g.Close(5 * time.Second)
-	g.AttachCluster(m)
 	m.Start()
 
 	// The fault timeline as data: spike both links, later restore both.
@@ -322,43 +344,12 @@ func TestChaosDeviceKill(t *testing.T) {
 	srv2, addr2 := chaosDaemon(t, net, "127.0.0.1:0")
 	defer srv2.Close()
 
-	data1, data2 := chaosDial(t, addr1, nil), chaosDial(t, addr2, nil)
-	defer data1.Close()
-	defer data2.Close()
-
-	sched := runtime.NewScheduler(net, []*rpcx.Client{data1, data2})
-	sched.RemoteTimeout = 10 * time.Second
-
-	rt := runtime.New(sched, liveSpreadDecider(a), runtime.NewStrategyCache(32, 25, 5, 10), nil)
-	rt.SetLinkState(0, 100, 5)
-	rt.SetLinkState(1, 100, 5)
+	gw := chaosGateway(t, net, murmuration.GatewayConfig{
+		Options: serve.Options{Workers: 2, MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 32},
+	}, addr1, addr2)
+	defer gw.Close(time.Second)
+	g, rt, m, gwAddr := gw.Serve, gw.Runtime, gw.Cluster, gw.Addr
 	rt.SetSLO(chaosLatSLO(sloMs))
-
-	// Heartbeats ride dedicated clients (a probe through the data client
-	// could wait for a connection behind a slow batch).
-	hb1, hb2 := chaosDial(t, addr1, nil), chaosDial(t, addr2, nil)
-	defer hb1.Close()
-	defer hb2.Close()
-	m := cluster.NewManager(
-		[]cluster.ProbeFunc{cluster.PingProbe(hb1), cluster.PingProbe(hb2)},
-		cluster.Options{
-			HeartbeatInterval: 10 * time.Millisecond,
-			SuspectAfter:      50 * time.Millisecond,
-			DownAfter:         120 * time.Millisecond,
-		})
-	defer m.Close()
-
-	g := serve.New(rt, serve.Options{Workers: 2, MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 32})
-	g.AttachCluster(m)
-	m.Start()
-
-	gwSrv := rpcx.NewServer()
-	g.Register(gwSrv)
-	gwAddr, err := gwSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gwSrv.Close()
 
 	// The fault timeline as data: device 0 (daemon 1) leaves, then rejoins.
 	// Leave kills the live server; join restarts one on the same address.
@@ -438,6 +429,8 @@ func TestChaosDeviceKill(t *testing.T) {
 		t.Fatalf("restart event: applied %d, err=%v; want 1, nil", n, err)
 	}
 	waitFor("member 0 Up again", func() bool { return m.StateOf(0) == cluster.Up })
+	// A restarted daemon is reinstated once its link is re-probed.
+	waitFor("device 1 reinstated", func() bool { return rt.Devices.Eligible(1) })
 
 	wg.Wait()
 	g.Close(30 * time.Second)

@@ -138,10 +138,9 @@ func TestChaosMassDeviceLoss(t *testing.T) {
 	// parallel single-request batches, each resolving independently — the
 	// exact shape that stampedes a decider without singleflight.
 	g := serve.New(rt, serve.Options{
-		Workers: 4, MaxBatch: 1, MaxLinger: time.Millisecond, QueueDepth: 64,
+		Workers: 4, MaxBatch: 1, MaxLinger: time.Millisecond, QueueDepth: 64, Cluster: m,
 	})
 	defer g.Close(30 * time.Second)
-	g.AttachCluster(m)
 	m.Start()
 
 	// The fault timeline as data: one mass-kill event removing devices 0..1.
@@ -356,10 +355,9 @@ func TestChaosRecoveryStorm(t *testing.T) {
 	defer m.Close()
 
 	g := serve.New(rt, serve.Options{
-		Workers: 2, MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 32,
+		Workers: 2, MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 32, Cluster: m,
 	})
 	defer g.Close(30 * time.Second)
-	g.AttachCluster(m)
 	m.Start()
 
 	// Kill devices 0..2 (0.75 of 4); recovery restarts each daemon on its

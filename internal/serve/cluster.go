@@ -9,7 +9,7 @@ import (
 // verdicts into transitions (runtime.DeviceTable.Apply, DESIGN.md §6.1) and
 // reconfigures nothing itself. Detection is two-pronged: the data path
 // reports a runtime.DeviceError the moment a batch fails (noteDeviceError →
-// down), while the heartbeat detector (AttachCluster) catches devices that
+// down), while the heartbeat detector (Options.Cluster) catches devices that
 // die between requests (→ down / restart) and is the only path that brings a
 // device back (→ up).
 
@@ -18,33 +18,12 @@ import (
 // failure detector hears of it so proactive probing converges faster.
 func (g *Gateway) noteDeviceError(de *runtime.DeviceError) {
 	g.rt.Devices.Apply(runtime.Change{Dev: de.Device, To: runtime.DeviceDown})
-	g.mu.Lock()
-	m := g.cluster
-	g.mu.Unlock()
-	if m != nil {
+	if m := g.opts.Cluster; m != nil {
 		m.ReportFailure(de.Device - 1) // placement device d is cluster member d-1
 	}
 	if g.opts.OnDeviceError != nil {
 		g.opts.OnDeviceError(de.Device, de.Err)
 	}
-}
-
-// AttachCluster subscribes the gateway to a failure detector whose member i
-// is the scheduler's remote device i+1. The event loop exits when the manager
-// is closed; close the manager before or after the gateway, order does not
-// matter. Same-tick transitions (a mass kill via MarkDownBatch, a mass
-// recovery via MarkUpBatch, a sweep that expires several members at once)
-// arrive as one slice and are applied as one batch.
-func (g *Gateway) AttachCluster(m *cluster.Manager) {
-	g.mu.Lock()
-	g.cluster = m
-	g.mu.Unlock()
-	batches := m.Subscribe()
-	go func() {
-		for evs := range batches {
-			g.handleClusterBatch(evs)
-		}
-	}()
 }
 
 // handleClusterBatch translates one coalesced batch of cluster events into

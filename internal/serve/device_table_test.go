@@ -30,8 +30,8 @@ func tableGateway(t *testing.T, n int, opts serve.Options) (*serve.Gateway, *run
 		probes[i] = func(time.Duration) (time.Duration, uint64, error) { return time.Millisecond, 0, nil }
 	}
 	m := cluster.NewManager(probes, cluster.Options{})
+	opts.Cluster = m
 	g := serve.New(rt, opts)
-	g.AttachCluster(m)
 	return g, rt, m
 }
 

@@ -114,14 +114,6 @@ func TestAttachClusterFailoverEvents(t *testing.T) {
 	rt.SetLinkState(0, 100, 5)
 	rt.SetSLO(latSLO(5000))
 
-	g := New(rt, Options{Workers: 1})
-	defer g.Close(time.Second)
-
-	// Seed the cache with a strategy that places work on device 1.
-	if _, err := rt.ResolveFor(rt.SLO()); err != nil {
-		t.Fatal(err)
-	}
-
 	ok := atomic.Bool{}
 	ok.Store(true)
 	probe := func(timeout time.Duration) (time.Duration, uint64, error) {
@@ -135,9 +127,15 @@ func TestAttachClusterFailoverEvents(t *testing.T) {
 		SuspectAfter:      25 * time.Millisecond,
 		DownAfter:         60 * time.Millisecond,
 	})
-	g.AttachCluster(m)
-	m.Start()
 	defer m.Close()
+	g := New(rt, Options{Workers: 1, Cluster: m})
+	defer g.Close(time.Second)
+
+	// Seed the cache with a strategy that places work on device 1.
+	if _, err := rt.ResolveFor(rt.SLO()); err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
 
 	waitFor := func(desc string, cond func() bool) {
 		t.Helper()

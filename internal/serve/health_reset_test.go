@@ -34,7 +34,7 @@ func resetGateway(t *testing.T) (*serve.Gateway, *runtime.Runtime, *runtime.Sche
 	// Never Started: the tests drive transitions via MarkDown/ReportSuccess,
 	// which publish events to the gateway's cluster glue directly.
 	m := cluster.NewManager([]cluster.ProbeFunc{probe, probe}, cluster.Options{})
-	g := serve.New(rt, serve.Options{Workers: 1, MaxBatch: 1, MaxLinger: time.Millisecond, QueueDepth: 4})
+	g := serve.New(rt, serve.Options{Workers: 1, MaxBatch: 1, MaxLinger: time.Millisecond, QueueDepth: 4, Cluster: m})
 	return g, rt, sched, m
 }
 
@@ -45,7 +45,6 @@ func TestReinstateResetsLimiter(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	g, rt, sched, m := resetGateway(t)
 	defer m.Close()
-	g.AttachCluster(m)
 	g.AttachHealth(serve.HealthOptions{
 		ProbeEvery: -1,
 		TickEvery:  time.Hour, // the tests below never need the tick loop
@@ -89,7 +88,6 @@ func TestReintegrationResetsLimiter(t *testing.T) {
 	const win = 50 * time.Millisecond
 	g, rt, sched, m := resetGateway(t)
 	defer m.Close()
-	g.AttachCluster(m)
 	tr := g.AttachHealth(serve.HealthOptions{
 		Tracker: health.Options{
 			Window:           win,

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"murmuration/internal/cluster"
 	"murmuration/internal/health"
 	"murmuration/internal/runtime"
 	"murmuration/internal/tensor"
@@ -69,15 +68,9 @@ type Gateway struct {
 	// remaining deadline budget is below the strategy's observed cost.
 	ladder *runtime.Ladder
 
-	// cluster is the attached failure detector, nil until AttachCluster.
-	// Guarded by mu; the Manager itself is internally synchronized.
-	cluster *cluster.Manager
-
 	// tap receives outcome events for the adaptation loop (nil until
-	// SetOutcomeTap); adapter is the adaptation controller whose counters are
-	// folded into Stats (nil until AttachAdapter). Both guarded by mu.
-	tap     OutcomeTap
-	adapter AdaptSource
+	// SetOutcomeTap); guarded by mu.
+	tap OutcomeTap
 
 	// health is the gray-failure tracker, nil until AttachHealth (see
 	// health.go); guarded by mu.
@@ -106,6 +99,18 @@ func New(rt *runtime.Runtime, opts Options) *Gateway {
 		g.mu.Lock()
 		g.cond.Broadcast()
 		g.mu.Unlock()
+	}
+	if m := g.opts.Cluster; m != nil {
+		// The event loop exits when the manager closes, before or after the
+		// gateway. Same-tick transitions (a mass kill, a mass recovery, a
+		// sweep expiring several members) arrive as one slice and are
+		// applied as one batch.
+		batches := m.Subscribe()
+		go func() {
+			for evs := range batches {
+				g.handleClusterBatch(evs)
+			}
+		}()
 	}
 	for i := 0; i < g.opts.Workers; i++ {
 		g.workers.Add(1)
@@ -294,8 +299,8 @@ func (g *Gateway) Stats() Stats {
 	s.RetryBudgetExhausted = ss.RetryBudgetExhausted
 	s.ResolveCoalesced = g.rt.ResolveCoalesced()
 	s.AsymmetricQuarantines = g.rt.Devices.AsymmetricQuarantines()
-	if g.adapter != nil {
-		as := g.adapter.AdaptStats()
+	if a, ok := g.rt.CurrentDecider().(AdaptSource); ok {
+		as := a.AdaptStats()
 		s.PolicyVersion = as.PolicyVersion
 		s.ShadowScored = as.ShadowScored
 		s.Promotions = as.Promotions
@@ -315,8 +320,8 @@ func (g *Gateway) Stats() Stats {
 		s.Cache = g.rt.Cache.Stats()
 		s.InvalidationEpochs = s.Cache.InvalidationEpochs
 	}
-	if g.cluster != nil {
-		up, suspect, down := g.cluster.Counts()
+	if g.opts.Cluster != nil {
+		up, suspect, down := g.opts.Cluster.Counts()
 		s.ClusterUp, s.ClusterSuspect, s.ClusterDown = uint64(up), uint64(suspect), uint64(down)
 	} else {
 		// No detector attached: derive a coarse view from the device table

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"time"
 
+	"murmuration/internal/cluster"
 	"murmuration/internal/fault"
 	"murmuration/internal/rl/env"
 	"murmuration/internal/runtime"
@@ -118,10 +119,8 @@ type Options struct {
 	// OnRestart, when set, is called from the cluster event loop when a
 	// device's incarnation changes (a silent restart was detected), after the
 	// old incarnation is fenced and the device is down with its adaptive
-	// state reset, and before the device is reinstated. The gateway command
-	// wires it to capability re-negotiation: re-probing the link monitor and
-	// refreshing the runtime's link state, because the restarted process may
-	// have different performance than the one the estimates were learned on.
+	// state reset, and before the device is reinstated. murmuration.NewGateway
+	// re-probes the link there: the new process may perform differently.
 	OnRestart func(device int, incarnation uint64)
 	// MaxRung is the deepest degradation-ladder rung workers may descend to
 	// when the remaining deadline budget is below the strategy's observed
@@ -132,6 +131,10 @@ type Options struct {
 	// needed before the ladder climbs one rung back toward full quality
 	// (default runtime.DefaultLadderHysteresis).
 	LadderHysteresis int
+	// Cluster, when set, is the failure detector whose member i is the
+	// scheduler's remote device i+1: its verdicts become device-table
+	// transitions (cluster.go) and its member counts ride Stats.
+	Cluster *cluster.Manager
 }
 
 func (o Options) withDefaults() Options {

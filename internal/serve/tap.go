@@ -86,7 +86,8 @@ type AdaptStats struct {
 	Rollbacks  uint64
 }
 
-// AdaptSource exposes an adaptation controller's counters to the gateway.
+// AdaptSource exposes an adaptation controller's counters to the gateway:
+// when the runtime's decider is one, its counters ride Stats.
 type AdaptSource interface {
 	AdaptStats() AdaptStats
 }
@@ -97,13 +98,6 @@ type AdaptSource interface {
 func (g *Gateway) SetOutcomeTap(t OutcomeTap) {
 	g.mu.Lock()
 	g.tap = t
-	g.mu.Unlock()
-}
-
-// AttachAdapter records the adaptation controller whose counters ride Stats.
-func (g *Gateway) AttachAdapter(a AdaptSource) {
-	g.mu.Lock()
-	g.adapter = a
 	g.mu.Unlock()
 }
 

@@ -10,26 +10,25 @@
 //
 //   - Train: stage 1 (one-shot NAS supernet training) and stage 2 (SUPREME
 //     RL policy training) — see TrainSupernet and TrainPolicy.
-//   - Serve: stage 3 — ServeDevice runs a device daemon; NewDeployment
-//     connects to a set of devices and serves SLO-aware inferences.
+//   - Serve: stage 3 — NewDaemon (or ServeDevice at its defaults) runs a
+//     device daemon; NewGateway serves SLO-tagged requests from a set of
+//     devices over rpcx; NewDeployment connects to them in process.
 //
 // Implementation packages live under internal/; see README.md for the map.
 package murmuration
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"murmuration/internal/dataset"
 	"murmuration/internal/device"
-	"murmuration/internal/monitor"
 	"murmuration/internal/nas"
-	"murmuration/internal/netem"
 	"murmuration/internal/nn"
 	"murmuration/internal/rl/env"
 	"murmuration/internal/rl/policy"
 	"murmuration/internal/rl/supreme"
-	"murmuration/internal/rpcx"
 	"murmuration/internal/runtime"
 	"murmuration/internal/supernet"
 	"murmuration/internal/tensor"
@@ -80,6 +79,28 @@ func DefaultArch() *Arch { return supernet.DefaultArch() }
 // NewSupernet builds a supernet with deterministic weights. All devices of a
 // deployment must use the same arch and seed (or share a checkpoint).
 func NewSupernet(a *Arch, seed int64) *Supernet { return supernet.New(a, seed) }
+
+// LoadSupernet builds the supernet a command names: arch "tiny" (with
+// classes) or "default", weights from seed, then from checkpoint if given.
+func LoadSupernet(arch string, classes int, seed int64, checkpoint string) (*Supernet, error) {
+	var a *Arch
+	switch arch {
+	case "tiny":
+		a = TinyArch(classes)
+	case "default":
+		a = DefaultArch()
+	default:
+		return nil, fmt.Errorf("unknown arch %q (want tiny or default)", arch)
+	}
+	net := NewSupernet(a, seed)
+	if checkpoint != "" {
+		if err := nn.LoadParams(checkpoint, net.Params()); err != nil {
+			return nil, fmt.Errorf("load checkpoint: %w", err)
+		}
+		log.Printf("loaded supernet checkpoint %s", checkpoint)
+	}
+	return net, nil
+}
 
 // TrainSupernetOptions configures stage-1 training on the synthetic dataset.
 type TrainSupernetOptions struct {
@@ -182,18 +203,15 @@ func SavePolicy(path string, p *Policy) error { return nn.SaveParams(path, p.Par
 // LoadPolicy restores a policy trained with the same arch/kinds/hidden.
 func LoadPolicy(path string, p *Policy) error { return nn.LoadParams(path, p.Params()) }
 
-// ServeDevice starts a device daemon (executor + monitoring endpoints) for
-// the given supernet on addr (use ":0" for an ephemeral port). It returns
-// the bound address and a shutdown function.
+// ServeDevice starts a device daemon (NewDaemon at its defaults) for the
+// given supernet on addr (use ":0" for an ephemeral port). It returns the
+// bound address and a shutdown function.
 func ServeDevice(net *Supernet, addr string) (bound string, shutdown func() error, err error) {
-	srv := rpcx.NewServer()
-	runtime.NewExecutor(net).Register(srv)
-	monitor.RegisterHandlers(srv)
-	bound, err = srv.Listen(addr)
+	d, err := NewDaemon(DaemonConfig{Net: net, Listen: addr})
 	if err != nil {
 		return "", nil, err
 	}
-	return bound, srv.Close, nil
+	return d.Addr, d.Server.Close, nil
 }
 
 // Link describes an emulated link to one remote device.
@@ -204,11 +222,9 @@ type Link struct {
 }
 
 // Deployment is a live Murmuration inference service: scheduler + decider +
-// strategy cache + monitors over a set of devices.
-type Deployment struct {
-	rt      *runtime.Runtime
-	clients []*rpcx.Client
-}
+// strategy cache + monitors over a set of devices, dialed as NewGateway
+// dials them.
+type Deployment struct{ stack }
 
 // NewDeployment connects the local supernet to remote devices and wires the
 // runtime. decider is typically a trained policy's GreedyDecision; pass nil
@@ -219,38 +235,13 @@ func NewDeployment(local *Supernet, kinds []DeviceKind, links []Link,
 	if len(kinds) != len(links)+1 {
 		return nil, fmt.Errorf("murmuration: %d kinds for %d links (+1 local)", len(kinds), len(links))
 	}
-	var clients []*rpcx.Client
-	var monitors []*monitor.LinkMonitor
-	for _, l := range links {
-		shaper := netem.NewShaper(l.BandwidthMbps, time.Duration(l.DelayMs*float64(time.Millisecond)))
-		cl, err := rpcx.Dial(l.Addr, shaper)
-		if err != nil {
-			for _, c := range clients {
-				c.Close()
-			}
-			return nil, err
-		}
-		clients = append(clients, cl)
-		monitors = append(monitors, monitor.NewLinkMonitor(cl))
+	cfg := DefaultGatewayConfig()
+	cfg.Net, cfg.Links, cfg.Decider = local, links, decider
+	st, err := newStack(cfg, kinds)
+	if err != nil {
+		return nil, err
 	}
-	e := env.New(local.Arch, nas.NewCalibratedPredictor(local.Arch), kinds)
-	var d runtime.Decider
-	if decider != nil {
-		d = runtime.DeciderFunc(decider)
-	} else {
-		d = runtime.DeciderFunc(func(c Constraint) (*Decision, error) {
-			return env.StructuredSearch(e, c)
-		})
-	}
-	sched := runtime.NewScheduler(local, clients)
-	rt := runtime.New(sched, d, runtime.NewStrategyCache(64, 25, 5, 10), monitors)
-	// Seed each link with its nominal state, then probe it once: a sample
-	// replaces the nominal state, a failed probe keeps it.
-	for i, l := range links {
-		rt.SetLinkState(i, l.BandwidthMbps, l.DelayMs)
-		monitors[i].Probe()
-	}
-	return &Deployment{rt: rt, clients: clients}, nil
+	return &Deployment{*st}, nil
 }
 
 // SetSLO sets the active objective.
@@ -294,15 +285,7 @@ func (d *Deployment) Infer(x *Tensor) (*InferenceResult, error) {
 }
 
 // Close disconnects from all devices.
-func (d *Deployment) Close() error {
-	var first error
-	for _, c := range d.clients {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+func (d *Deployment) Close() error { return d.close() }
 
 // NewInput allocates an input tensor (N,C,H,W).
 func NewInput(n, c, h, w int) *Tensor { return tensor.New(n, c, h, w) }
