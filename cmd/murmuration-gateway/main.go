@@ -54,7 +54,7 @@ func main() {
 	flag.BoolVar(&cfg.Adapt, "adapt", false, "enable online policy adaptation: live outcomes retrain the policy and candidates roll out shadow->canary->full with automatic rollback")
 	flag.StringVar(&cfg.AdaptDir, "adapt-dir", "", "directory for versioned policy checkpoints and the rollout manifest (empty = promotions do not survive restarts)")
 	flag.DurationVar(&cfg.Health.Tracker.Window, "health-window", cfg.Health.Tracker.Window, "SLI window for gray-failure detection (0 disables the health layer)")
-	flag.DurationVar(&cfg.ProgressTick, "progress-tick", cfg.ProgressTick, "in-flight progress deadline: a device RPC's frame I/O must advance every two ticks or the call fails as stalled (0 disables the watchdog)")
+	flag.DurationVar(&cfg.ProgressTick, "progress-tick", cfg.ProgressTick, "in-flight progress deadline: a device RPC's frame I/O must advance every two ticks or the call fails as stalled (0 disables it)")
 	flag.Float64Var(&cfg.RetryBudgetFrac, "retry-budget-frac", cfg.RetryBudgetFrac, "shared retry budget: speculative attempts (retries, failovers, hedges) allowed as a fraction of first attempts (0 disables the budget)")
 	flag.Parse()
 

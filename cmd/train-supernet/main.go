@@ -1,7 +1,6 @@
 // Command train-supernet runs stage 1 of Murmuration: partition-ready
 // one-shot NAS training of the supernet (sandwich rule + in-place
-// distillation) on the synthetic dataset, followed by submodel evaluation
-// and an MLP accuracy-predictor fit.
+// distillation) on the synthetic dataset, followed by submodel evaluation.
 //
 // Usage:
 //
@@ -29,7 +28,6 @@ func main() {
 	perClass := flag.Int("per-class", 60, "samples per class")
 	seed := flag.Int64("seed", 42, "weight + data seed")
 	ckpt := flag.String("ckpt", "", "optional supernet checkpoint output")
-	samples := flag.Int("predictor-samples", 20, "random submodels measured for the MLP predictor")
 	flag.Parse()
 
 	arch := supernet.TinyArch(*classes)
@@ -70,22 +68,6 @@ func main() {
 		}
 		fmt.Printf("%-16s val accuracy %.1f%%  (%s)\n", c.name, acc, c.cfg)
 	}
-
-	fmt.Printf("collecting %d submodel accuracy samples for the MLP predictor...\n", *samples)
-	pairs, err := nas.CollectSamples(net, val, *samples, *seed)
-	if err != nil {
-		log.Fatalf("collect samples: %v", err)
-	}
-	mlp := nas.FitMLP(arch, pairs, 16, 2000, 0.05, *seed)
-	var mae float64
-	for _, p := range pairs {
-		d := mlp.Accuracy(p.Config) - p.Accuracy
-		if d < 0 {
-			d = -d
-		}
-		mae += d
-	}
-	fmt.Printf("MLP predictor fit: MAE %.2f%% on %d samples\n", mae/float64(len(pairs)), len(pairs))
 
 	if *ckpt != "" {
 		if dir := filepath.Dir(*ckpt); dir != "." {

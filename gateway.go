@@ -207,6 +207,11 @@ func NewGateway(cfg GatewayConfig) (_ *Gateway, err error) {
 			probes[i] = cluster.PingProbe(hb)
 		}
 		g.Cluster = cluster.NewManager(probes, cfg.Detector)
+		// The detector starts from what the data clients' handshakes learned,
+		// so a restart before its first heartbeat is still a restart.
+		for i := range cfg.Links {
+			g.Cluster.SeedIncarnation(i, g.clients[i].RemoteIncarnation())
+		}
 	}
 
 	opts := cfg.Options

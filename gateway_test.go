@@ -195,3 +195,39 @@ func TestGatewayAtCommandDefaults(t *testing.T) {
 			st.Admitted, st.Served, st.Dropped, st.Failed)
 	}
 }
+
+// TestGatewaySeesARestartBeforeTheFirstHeartbeat: the detector starts from
+// the incarnation the data client's handshake learned, so a daemon that
+// restarts before the first heartbeat is seen as restarted — fenced,
+// re-probed and back in placement as the new process.
+func TestGatewaySeesARestartBeforeTheFirstHeartbeat(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	arch := TinyArch(4)
+	d, err := NewDaemon(DaemonConfig{Net: NewSupernet(arch, 42), Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { d.Server.Close() }()
+
+	cfg := DefaultGatewayConfig()
+	cfg.Net = NewSupernet(arch, 42)
+	cfg.Listen = "127.0.0.1:0"
+	cfg.Links = Links(d.Addr, 100, 10)
+	cfg.Detector.HeartbeatInterval = 300 * time.Millisecond
+	gw, err := NewGateway(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close(time.Second)
+
+	addr := d.Addr
+	d.Server.Close()
+	if d, err = NewDaemon(DaemonConfig{Net: NewSupernet(arch, 42), Listen: addr}); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "one restart", func() bool { return gw.Serve.Stats().Restarts == 1 })
+	waitUntil(t, "the device back in placement", func() bool {
+		st := gw.Runtime.Devices.Snapshot()[0]
+		return st.Up && st.Incarnation == d.Server.Incarnation()
+	})
+}

@@ -417,6 +417,19 @@ func (m *Manager) ReportHeartbeat(i int, rtt time.Duration, incarnation uint64) 
 	}
 }
 
+// SeedIncarnation records the incarnation of member i that another path
+// learned — a data client's handshake — before the first heartbeat does, so a
+// process that restarts before that heartbeat is still seen as restarted. It
+// folds in no RTT sample and moves no state; an incarnation already learned
+// stays.
+func (m *Manager) SeedIncarnation(i int, inc uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if i >= 0 && i < len(m.members) && m.members[i].incarnation == 0 {
+		m.members[i].incarnation = inc
+	}
+}
+
 // IncarnationOf returns the last incarnation learned for member i (0 when
 // never learned or out of range).
 func (m *Manager) IncarnationOf(i int) uint64 {

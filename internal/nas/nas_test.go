@@ -1,7 +1,6 @@
 package nas
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -91,41 +90,6 @@ func TestPredictorBoundedProperty(t *testing.T) {
 	}
 }
 
-func TestFeaturizeFixedLength(t *testing.T) {
-	a := supernet.DefaultArch()
-	rng := rand.New(rand.NewSource(2))
-	want := len(Featurize(a, a.MaxConfig()))
-	for i := 0; i < 20; i++ {
-		cfg := a.RandomConfig(rng)
-		if got := len(Featurize(a, cfg)); got != want {
-			t.Fatalf("feature length %d varies from %d", got, want)
-		}
-	}
-}
-
-func TestMLPPredictorFitsCalibrated(t *testing.T) {
-	// The MLP should be able to regress the analytic predictor closely.
-	a := supernet.DefaultArch()
-	cal := NewCalibratedPredictor(a)
-	cal.JitterAmp = 0
-	rng := rand.New(rand.NewSource(3))
-	var samples []Sample
-	for i := 0; i < 150; i++ {
-		cfg := a.RandomConfig(rng)
-		samples = append(samples, Sample{Config: cfg, Accuracy: cal.Accuracy(cfg)})
-	}
-	mlp := FitMLP(a, samples, 16, 3000, 0.05, 7)
-	var mae float64
-	for i := 0; i < 50; i++ {
-		cfg := a.RandomConfig(rng)
-		mae += math.Abs(mlp.Accuracy(cfg) - cal.Accuracy(cfg))
-	}
-	mae /= 50
-	if mae > 0.5 {
-		t.Fatalf("MLP predictor MAE %v%% too high", mae)
-	}
-}
-
 func TestDatasetGeneration(t *testing.T) {
 	ds := dataset.Generate(dataset.Config{Classes: 4, PerClass: 10, Size: 16, NoiseStd: 0.1, Seed: 1})
 	if ds.Len() != 40 {
@@ -202,24 +166,6 @@ func TestOneShotTrainingImprovesAccuracy(t *testing.T) {
 	// beyond chance (25%).
 	if afterMin < 35 {
 		t.Fatalf("min submodel accuracy %v%% still at chance", afterMin)
-	}
-}
-
-func TestCollectSamples(t *testing.T) {
-	a := supernet.TinyArch(3)
-	s := supernet.New(a, 1)
-	ds := dataset.Generate(dataset.Config{Classes: 3, PerClass: 4, Size: 32, Seed: 3})
-	samples, err := CollectSamples(s, ds, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 5 { // max + min + 3 random
-		t.Fatalf("got %d samples", len(samples))
-	}
-	for _, sm := range samples {
-		if sm.Accuracy < 0 || sm.Accuracy > 100 {
-			t.Fatalf("accuracy %v out of range", sm.Accuracy)
-		}
 	}
 }
 

@@ -5,24 +5,15 @@
 //
 // The paper trains its supernet on ImageNet and then uses "an accuracy
 // predictor ... for accuracy prediction during RL policy training" (§6.1.1).
-// This package provides both that predictor — an analytic model calibrated to
-// the paper's reported accuracy range (max submodel ≈ 78.5%, min ≈ 72%) —
-// and a trainable MLP predictor that can be fit to measured (config,
-// accuracy) pairs from the in-Go supernet.
+// This package provides both; the predictor is an analytic model calibrated
+// to the paper's reported accuracy range (max submodel ≈ 78.5%, min ≈ 72%).
 package nas
 
 import (
 	"hash/fnv"
-	"math"
 
 	"murmuration/internal/supernet"
-	"murmuration/internal/tensor"
 )
-
-// Predictor estimates the top-1 accuracy (in percent) of a submodel config.
-type Predictor interface {
-	Accuracy(cfg *supernet.Config) float64
-}
 
 // CalibratedPredictor is the analytic accuracy model. Penalty weights are
 // calibrated so that, over the paper-scale search space (DefaultArch):
@@ -66,7 +57,7 @@ func NewCalibratedPredictor(a *supernet.Arch) *CalibratedPredictor {
 	}
 }
 
-// Accuracy implements Predictor.
+// Accuracy returns the predicted top-1 accuracy (%) of a submodel config.
 func (p *CalibratedPredictor) Accuracy(cfg *supernet.Config) float64 {
 	a := p.Arch
 	maxRes := float64(maxOf(a.Resolutions))
@@ -126,139 +117,4 @@ func minOf(xs []int) int {
 		}
 	}
 	return m
-}
-
-// Featurize converts a config into the fixed-length feature vector used by
-// the MLP predictor: [resNorm, per-stage depth norms..., kernel mean,
-// expand mean, quant mean, partition mean].
-func Featurize(a *supernet.Arch, cfg *supernet.Config) []float64 {
-	maxRes := float64(maxOf(a.Resolutions))
-	fs := []float64{float64(cfg.Resolution) / maxRes}
-	for si, d := range cfg.Depths {
-		fs = append(fs, float64(d)/float64(a.Stages[si].MaxDepth))
-	}
-	maxK := float64(maxOf(a.Kernels))
-	maxE := float64(maxOf(a.Expands))
-	var k, e, q, pt float64
-	for _, l := range cfg.Layers {
-		k += float64(l.Kernel) / maxK
-		e += float64(l.Expand) / maxE
-		q += float64(l.Quant) / 32
-		pt += float64(l.Partition.NumTiles()) / 4
-	}
-	n := float64(len(cfg.Layers))
-	return append(fs, k/n, e/n, q/n, pt/n)
-}
-
-// MLPPredictor is a small two-layer perceptron fit to measured accuracies.
-type MLPPredictor struct {
-	Arch   *supernet.Arch
-	w1, b1 *tensor.Tensor
-	w2, b2 *tensor.Tensor
-	hidden int
-}
-
-// Sample is one (config, measured accuracy %) training pair.
-type Sample struct {
-	Config   *supernet.Config
-	Accuracy float64
-}
-
-// FitMLP trains an MLP predictor on samples with plain full-batch gradient
-// descent. epochs≈2000 converges for a few hundred samples.
-func FitMLP(a *supernet.Arch, samples []Sample, hidden, epochs int, lr float64, seed int64) *MLPPredictor {
-	if hidden <= 0 {
-		hidden = 16
-	}
-	dim := len(Featurize(a, a.MaxConfig()))
-	p := &MLPPredictor{Arch: a, hidden: hidden}
-	p.w1 = tensor.New(hidden, dim)
-	p.b1 = tensor.New(hidden)
-	p.w2 = tensor.New(1, hidden)
-	p.b2 = tensor.New(1)
-	// Deterministic init from seed.
-	s := uint64(seed)*2654435761 + 1
-	next := func() float32 {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
-		return float32(s%10000)/5000 - 1
-	}
-	for i := range p.w1.Data {
-		p.w1.Data[i] = next() * 0.5
-	}
-	for i := range p.w2.Data {
-		p.w2.Data[i] = next() * 0.5
-	}
-
-	n := len(samples)
-	if n == 0 {
-		return p
-	}
-	X := make([][]float64, n)
-	Y := make([]float64, n)
-	for i, sm := range samples {
-		X[i] = Featurize(a, sm.Config)
-		Y[i] = sm.Accuracy
-	}
-	for epoch := 0; epoch < epochs; epoch++ {
-		// Accumulate full-batch gradients.
-		gw1 := make([]float64, len(p.w1.Data))
-		gb1 := make([]float64, hidden)
-		gw2 := make([]float64, hidden)
-		gb2 := 0.0
-		for i := 0; i < n; i++ {
-			h, preAct := p.hiddenFwd(X[i])
-			pred := p.outFwd(h)
-			e := (pred - Y[i]) / float64(n)
-			gb2 += e
-			for j := 0; j < hidden; j++ {
-				gw2[j] += e * h[j]
-				// dh through tanh
-				dh := e * float64(p.w2.Data[j]) * (1 - math.Tanh(preAct[j])*math.Tanh(preAct[j]))
-				gb1[j] += dh
-				for d := 0; d < dim; d++ {
-					gw1[j*dim+d] += dh * X[i][d]
-				}
-			}
-		}
-		for i := range p.w1.Data {
-			p.w1.Data[i] -= float32(lr * gw1[i])
-		}
-		for j := 0; j < hidden; j++ {
-			p.b1.Data[j] -= float32(lr * gb1[j])
-			p.w2.Data[j] -= float32(lr * gw2[j])
-		}
-		p.b2.Data[0] -= float32(lr * gb2)
-	}
-	return p
-}
-
-func (p *MLPPredictor) hiddenFwd(x []float64) (h, pre []float64) {
-	dim := len(x)
-	h = make([]float64, p.hidden)
-	pre = make([]float64, p.hidden)
-	for j := 0; j < p.hidden; j++ {
-		s := float64(p.b1.Data[j])
-		for d := 0; d < dim; d++ {
-			s += float64(p.w1.Data[j*dim+d]) * x[d]
-		}
-		pre[j] = s
-		h[j] = math.Tanh(s)
-	}
-	return h, pre
-}
-
-func (p *MLPPredictor) outFwd(h []float64) float64 {
-	s := float64(p.b2.Data[0])
-	for j := 0; j < p.hidden; j++ {
-		s += float64(p.w2.Data[j]) * h[j]
-	}
-	return s
-}
-
-// Accuracy implements Predictor.
-func (p *MLPPredictor) Accuracy(cfg *supernet.Config) float64 {
-	h, _ := p.hiddenFwd(Featurize(p.Arch, cfg))
-	return p.outFwd(h)
 }

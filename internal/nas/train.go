@@ -111,22 +111,3 @@ func Evaluate(s *supernet.Supernet, cfg *supernet.Config, ds *dataset.Dataset) (
 	}
 	return nn.Accuracy(logits, labels) * 100, nil
 }
-
-// CollectSamples measures the accuracy of n random submodels (plus max and
-// min) for fitting an MLP predictor.
-func CollectSamples(s *supernet.Supernet, ds *dataset.Dataset, n int, seed int64) ([]Sample, error) {
-	rng := rand.New(rand.NewSource(seed))
-	cfgs := []*supernet.Config{s.Arch.MaxConfig(), s.Arch.MinConfig()}
-	for i := 0; i < n; i++ {
-		cfgs = append(cfgs, s.Arch.RandomConfig(rng))
-	}
-	var out []Sample
-	for _, cfg := range cfgs {
-		acc, err := Evaluate(s, cfg, ds)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Sample{Config: cfg, Accuracy: acc})
-	}
-	return out, nil
-}

@@ -57,7 +57,7 @@ type Outcome struct {
 // Env evaluates decisions and defines the action schedule.
 type Env struct {
 	Arch      *supernet.Arch
-	Predictor nas.Predictor
+	Predictor *nas.CalibratedPredictor
 	// Kinds are the device types of the cluster (index 0 = local).
 	Kinds []device.Kind
 
@@ -70,7 +70,7 @@ type Env struct {
 }
 
 // New creates an environment over a search space and device set.
-func New(a *supernet.Arch, pred nas.Predictor, kinds []device.Kind) *Env {
+func New(a *supernet.Arch, pred *nas.CalibratedPredictor, kinds []device.Kind) *Env {
 	return &Env{
 		Arch:         a,
 		Predictor:    pred,

@@ -88,7 +88,7 @@ var (
 	// gives the server room) and must never count as a link or device fault.
 	ErrOverloaded = fault.New(fault.Load, "rpcx: server overloaded")
 	// ErrStalled is the target for errors.Is when a call's in-flight progress
-	// watchdog fired (*StallError): the frame transfer stopped advancing for
+	// deadline fired (*StallError): the frame transfer stopped advancing for
 	// the configured window even though the connection is nominally alive —
 	// the half-open-link signature. Like a timeout it poisons the connection
 	// so the next call re-dials; like overload it is a link condition, never
@@ -102,15 +102,15 @@ var (
 	ErrRetryBudget = fault.New(fault.StormShed, "rpcx: retry budget depleted")
 )
 
-// StallError reports that an in-flight call's progress watchdog fired: the
-// connection stopped moving frame bytes for MinBytes-per-Tick purposes while
-// a frame transfer was in flight. It unwraps to ErrStalled. The connection is
+// StallError reports that an in-flight call's progress deadline fired: the
+// connection did not move MinBytes within two Ticks while a frame transfer
+// was in flight. It unwraps to ErrStalled. The connection is
 // poisoned (the frame is torn mid-stream) and the call is retryable on a
 // fresh dial for idempotent methods.
 type StallError struct {
 	Method string
 	// Tick and MinBytes echo the violated policy; After is roughly how long
-	// the call ran before the watchdog fired.
+	// the call ran before the progress deadline fired.
 	Tick     time.Duration
 	MinBytes int64
 	After    time.Duration
@@ -127,15 +127,16 @@ func (e *StallError) Unwrap() error { return ErrStalled }
 
 // ProgressPolicy is a client's per-call in-flight progress deadline: while a
 // frame is being written, and once the first response byte has arrived, the
-// connection must move at least MinBytes every Tick. Two consecutive ticks
-// without progress abort the call with a typed *StallError — a hung transfer
-// fails in ~2×Tick instead of burning the whole request budget. The window
-// between "request flushed" and "first response byte" is exempt: that is
-// server compute time, bounded by the call's own deadline, not a transfer.
+// connection's deadline stands at min(call deadline, now + 2×Tick) from the
+// last time it was armed, and it is re-armed each time MinBytes have moved.
+// A transfer that stops moving fails with a typed *StallError within 2×Tick
+// instead of burning the whole request budget. The window between "request
+// flushed" and "first response byte" is exempt: that is server compute time,
+// bounded by the call's own deadline, not a transfer.
 type ProgressPolicy struct {
-	// Tick is the progress check period (default 100ms).
+	// Tick is half the window a transfer has to move MinBytes (default 100ms).
 	Tick time.Duration
-	// MinBytes is the minimum connection I/O advance per tick (default 1).
+	// MinBytes is the connection I/O that re-arms the deadline (default 1).
 	MinBytes int64
 }
 
@@ -1020,7 +1021,7 @@ type flusher interface{ Flush() error }
 // first. The payload then bypasses the bufio copy entirely (direct write),
 // and — critically for stall detection — the header reaches the client even
 // when a half-open link stalls only large frames, so the client's progress
-// watchdog sees the response start and can fail the call in bounded time.
+// deadline sees the response start and can fail the call in bounded time.
 const largeFlushThreshold = 64 * 1024
 
 func writeResponse(w io.Writer, status byte, payload []byte, checksum bool) error {
@@ -1115,9 +1116,9 @@ func readResponse(r io.Reader, max uint32, dst []byte) (byte, []byte, error) {
 // so calls serialize on a connection, never on the client: one that finds
 // none idle opens another when the client has a dialer (Dial's address, or
 // SetDialer), up to maxConns, past which callers wait for a check-in. A
-// NewClient-wrapped connection without a dialer is the set of one. Deadline,
-// watchdog, checksum and poisoning belong to the connection a call holds, so
-// a timeout costs one call one connection and nobody else notices.
+// NewClient-wrapped connection without a dialer is the set of one. Deadlines,
+// checksum and poisoning belong to the connection a call holds, so a timeout
+// costs one call one connection and nobody else notices.
 type Client struct {
 	shaper *netem.Shaper
 
@@ -1148,9 +1149,8 @@ type Client struct {
 	checksum bool
 	maxFrame int
 
-	// In-flight progress deadline (see SetProgressPolicy).
-	progress    ProgressPolicy
-	progressSet bool
+	// In-flight progress deadline (see SetProgressPolicy; Tick 0 until set).
+	progress ProgressPolicy
 
 	// Incarnation handshake state (see Handshake): once handshaken, every new
 	// connection runs the hello exchange before it carries a call, so each
@@ -1164,7 +1164,7 @@ type Client struct {
 	// connections successfully replaced (growth is not a redial). panics
 	// counts statusPanic responses (the peer's handler panicked); overloads
 	// counts statusOverload refusals (the peer's in-flight cap); stalledCalls
-	// counts calls aborted by the progress watchdog.
+	// counts calls aborted by the progress deadline.
 	corruptFrames atomic.Uint64
 	redials       atomic.Uint64
 	panics        atomic.Uint64
@@ -1180,23 +1180,80 @@ const (
 	maxIdleConns = 4
 )
 
-// progressConn counts bytes crossing a connection, per direction, so the
-// progress watchdog can observe transfer advance — and tell the first
-// response byte from the request's own — without hooking bufio internals.
+// progressConn holds the deadline of the call that has the connection checked
+// out, and under a ProgressPolicy keeps its progress rule: every Read and Write
+// the call makes while a frame is in flight re-arms the deadline once MinBytes
+// have moved since it was last armed. Only the call's own goroutine touches it.
 type progressConn struct {
 	net.Conn
-	read, written atomic.Int64
+	policy ProgressPolicy // Tick 0: no progress rule on this call
+	end    time.Time      // the call's deadline (zero: none)
+	start  time.Time      // when the call's I/O began
+	// flight: a frame is in flight — the request is being written, or the
+	// response has begun to arrive. moved counts the bytes since the deadline
+	// was last armed; short says the armed deadline is the progress one, not
+	// end; stalled says an I/O timed out while it was.
+	flight, short, stalled bool
+	moved                  int64
+}
+
+// begin arms a call's deadline: end alone, or under a progress policy the
+// progress deadline of the request about to be written.
+func (p *progressConn) begin(pol ProgressPolicy, end time.Time) error {
+	p.policy, p.end, p.start, p.stalled, p.flight = pol, end, time.Now(), false, pol.Tick > 0
+	return p.arm()
+}
+
+// arm sets the deadline at end, or at min(end, now + 2×Tick) while a frame is
+// in flight. Only begin reports its error: the connection of a deadline that
+// cannot be set is closed, and the call's next I/O fails on it anyway.
+func (p *progressConn) arm() error {
+	p.moved, p.short = 0, false
+	at := p.end
+	if next := time.Now().Add(2 * p.policy.Tick); p.flight && (at.IsZero() || next.Before(at)) {
+		at, p.short = next, true
+	}
+	return p.Conn.SetDeadline(at)
+}
+
+// flushed ends the request's flight: the wait for the server's compute is
+// bounded by the call's deadline alone.
+func (p *progressConn) flushed() {
+	if p.flight {
+		p.flight = false
+		p.arm()
+	}
+}
+
+// finish clears the call's deadline.
+func (p *progressConn) finish() { p.Conn.SetDeadline(time.Time{}) }
+
+// progress applies the rule to one Read or Write that moved n bytes.
+func (p *progressConn) progress(n int, err error) {
+	switch {
+	case p.policy.Tick == 0:
+	case err != nil:
+		p.stalled = p.stalled || p.short && isTimeout(err)
+	case !p.flight:
+		if p.flight = n > 0; p.flight { // the reply has begun to arrive
+			p.arm()
+		}
+	default:
+		if p.moved += int64(n); p.moved >= p.policy.MinBytes {
+			p.arm()
+		}
+	}
 }
 
 func (p *progressConn) Read(b []byte) (int, error) {
 	n, err := p.Conn.Read(b)
-	p.read.Add(int64(n))
+	p.progress(n, err)
 	return n, err
 }
 
 func (p *progressConn) Write(b []byte) (int, error) {
 	n, err := p.Conn.Write(b)
-	p.written.Add(int64(n))
+	p.progress(n, err)
 	return n, err
 }
 
@@ -1294,7 +1351,6 @@ func (c *Client) SetDialer(dial func() (net.Conn, error)) { c.dialer = dial }
 // concurrently with in-flight calls.
 func (c *Client) SetProgressPolicy(p ProgressPolicy) {
 	c.progress = p.withDefaults()
-	c.progressSet = true
 }
 
 // acquire checks a connection out: the most recently used idle one, else a
@@ -1432,21 +1488,23 @@ func (c *Client) ForceRedial() {
 // hello runs one hello request/response on cn, which the caller holds, and
 // records the peer's incarnation.
 func (c *Client) hello(cn *clientConn, d time.Duration) error {
+	var end time.Time
 	if d > 0 {
-		if err := cn.SetDeadline(time.Now().Add(d)); err != nil {
-			return err
-		}
-		defer cn.SetDeadline(time.Time{})
+		end = time.Now().Add(d)
+	}
+	defer cn.finish()
+	if err := cn.begin(ProgressPolicy{}, end); err != nil {
+		return err
 	}
 	if err := writeRequest(cn.w, HelloMethod, nil, 0, c.checksum); err != nil {
-		return c.callErr(cn, HelloMethod, d, err, nil)
+		return c.callErr(cn, HelloMethod, d, err)
 	}
 	if err := cn.w.Flush(); err != nil {
-		return c.callErr(cn, HelloMethod, d, err, nil)
+		return c.callErr(cn, HelloMethod, d, err)
 	}
 	status, resp, err := readResponse(cn.r, frameCap(c.maxFrame), nil)
 	if err != nil {
-		return c.callErr(cn, HelloMethod, d, err, nil)
+		return c.callErr(cn, HelloMethod, d, err)
 	}
 	if status != statusOK || len(resp) < 8 {
 		return &RemoteError{Msg: fmt.Sprintf("hello failed (status %d, %d bytes)", status, len(resp))}
@@ -1456,7 +1514,7 @@ func (c *Client) hello(cn *clientConn, d time.Duration) error {
 	return nil
 }
 
-// StalledCalls returns how many calls the progress watchdog aborted with a
+// StalledCalls returns how many calls the progress deadline aborted with a
 // typed *StallError.
 func (c *Client) StalledCalls() uint64 { return c.stalledCalls.Load() }
 
@@ -1619,14 +1677,9 @@ func retryable(err error) bool {
 // callOnce performs a single request/response exchange on cn, which the
 // caller has checked out, reading the reply into dst when it fits (CallFrom).
 func (c *Client) callOnce(cn *clientConn, method string, payload, dst []byte, d, budget time.Duration) ([]byte, error) {
-	watching := c.progressSet
-	if d > 0 || watching {
-		if d > 0 {
-			if err := cn.SetDeadline(time.Now().Add(d)); err != nil {
-				return nil, err
-			}
-		}
-		defer cn.SetDeadline(time.Time{})
+	var end time.Time
+	if d > 0 {
+		end = time.Now().Add(d)
 	}
 	if c.shaper != nil {
 		c.shaper.Throttle(len(payload) + len(method) + 5)
@@ -1634,29 +1687,22 @@ func (c *Client) callOnce(cn *clientConn, method string, payload, dst []byte, d,
 			time.Sleep(sd)
 		}
 	}
-	// Progress watchdog: started after the shaper's modelled sleeps so only
-	// real connection I/O is on the clock. The call thread publishes the
-	// write→wait phase edge (writeDone); the watchdog aborts a stalled
-	// transfer by expiring the connection deadline, and the stalled flag
-	// tells the error path to type the failure as a stall, not a timeout.
-	var sf *stallFlag
-	var writeDone atomic.Bool
-	if watching {
-		sf = &stallFlag{start: time.Now()}
-		stop, done := make(chan struct{}), make(chan struct{})
-		go progressWatch(&cn.progressConn, cn.read.Load(), c.progress, sf, &writeDone, stop, done)
-		defer func() { close(stop); <-done }()
+	// The deadline is armed after the shaper's modelled sleeps — no I/O
+	// happens in them — so the progress rule clocks real connection I/O only.
+	defer cn.finish()
+	if err := cn.begin(c.progress, end); err != nil {
+		return nil, err
 	}
 	if err := writeRequest(cn.w, method, payload, budget, c.checksum); err != nil {
-		return nil, c.callErr(cn, method, d, err, sf)
+		return nil, c.callErr(cn, method, d, err)
 	}
 	if err := cn.w.Flush(); err != nil {
-		return nil, c.callErr(cn, method, d, err, sf)
+		return nil, c.callErr(cn, method, d, err)
 	}
-	writeDone.Store(true)
+	cn.flushed()
 	status, resp, err := readResponse(cn.r, frameCap(c.maxFrame), dst)
 	if err != nil {
-		return nil, c.callErr(cn, method, d, err, sf)
+		return nil, c.callErr(cn, method, d, err)
 	}
 	if c.shaper != nil {
 		// Response pays the downlink: serialize + propagate.
@@ -1692,57 +1738,8 @@ func (c *Client) callOnce(cn *clientConn, method string, payload, dst []byte, d,
 	}
 }
 
-// stallFlag is the progress watchdog's verdict channel: the watchdog sets the
-// flag before aborting the connection, so the error path can tell a stall
-// (progress deadline) apart from an ordinary timeout (overall deadline).
-type stallFlag struct {
-	atomic.Bool
-	start time.Time
-}
-
-// progressWatch is the per-call watchdog goroutine: every Tick it requires
-// MinBytes of advance on the call's connection while a frame transfer is in
-// flight (the request is still being written, or the response has started
-// arriving). Two consecutive dead ticks abort the call by expiring the
-// connection deadline. The wait for the server's compute (write done, no
-// response byte yet) is exempt — it is bounded by the call's own deadline.
-// readBase is the connection's read count when the call began, sampled by
-// the call itself: anything read beyond it is the response arriving.
-func progressWatch(pc *progressConn, readBase int64, p ProgressPolicy,
-	sf *stallFlag, writeDone *atomic.Bool, stop, done chan struct{}) {
-	defer close(done)
-	t := time.NewTicker(p.Tick)
-	defer t.Stop()
-	last := pc.read.Load() + pc.written.Load()
-	strikes := 0
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			read := pc.read.Load()
-			cur := read + pc.written.Load()
-			advance := cur - last
-			last = cur
-			enforcing := !writeDone.Load() || read > readBase
-			if !enforcing || advance >= p.MinBytes {
-				strikes = 0
-				continue
-			}
-			if strikes++; strikes < 2 {
-				continue
-			}
-			sf.Store(true)
-			// Abort the in-flight I/O: the blocked read/write returns a
-			// timeout, which callErr re-types as a *StallError via sf.
-			pc.SetDeadline(time.Now().Add(-time.Second))
-			return
-		}
-	}
-}
-
 // callErr converts a transport error into a *TimeoutError when it was caused
-// by the per-call deadline — or a *StallError when the progress watchdog
+// by the per-call deadline — or a *StallError when the progress deadline
 // aborted the call — poisoning the connection so the desynced stream is never
 // reused. A *FrameError (failed checksum or over-cap length) always poisons
 // too — the stream's framing can no longer be trusted — and counts toward
@@ -1750,14 +1747,13 @@ func progressWatch(pc *progressConn, readBase int64, p ProgressPolicy,
 // error also poisons the connection and retires the rest (the peer tore this
 // one down: eviction or a restart took the others idle for longer too) so the
 // next attempt or call dials instead of working through dead streams.
-func (c *Client) callErr(cn *clientConn, method string, d time.Duration, err error, sf *stallFlag) error {
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
+func (c *Client) callErr(cn *clientConn, method string, d time.Duration, err error) error {
+	if isTimeout(err) {
 		cn.poison()
-		if sf != nil && sf.Load() {
+		if cn.stalled {
 			c.stalledCalls.Add(1)
 			return &StallError{Method: method, Tick: c.progress.Tick,
-				MinBytes: c.progress.MinBytes, After: time.Since(sf.start)}
+				MinBytes: c.progress.MinBytes, After: time.Since(cn.start)}
 		}
 		return &TimeoutError{Method: method, After: d}
 	}

@@ -162,7 +162,7 @@ type SchedStats struct {
 	// of them reached a caller or fed adaptive state.
 	FencedResponses uint64
 	// StalledCalls counts remote calls aborted by the per-call progress
-	// watchdog (typed rpcx.ErrStalled) across all remote clients — the
+	// deadline (typed rpcx.ErrStalled) across all remote clients — the
 	// signature of a half-open link that passes small frames but not tensors.
 	StalledCalls uint64
 	// RetryBudgetExhausted counts speculative attempts (rpcx retries,

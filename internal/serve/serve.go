@@ -254,7 +254,7 @@ type Stats struct {
 	// reset, capabilities re-negotiated. FencedResponses counts tile responses
 	// produced by a dead incarnation that were dropped before reaching any
 	// caller or adaptive state. StalledCalls counts remote calls the per-call
-	// progress watchdog aborted (typed rpcx.ErrStalled — a half-open link).
+	// progress deadline aborted (typed rpcx.ErrStalled — a half-open link).
 	// AsymmetricQuarantines counts health quarantines attributed to stall
 	// evidence: the link passed heartbeats while wedging tensor transfers.
 	// All four are wire v9.
