@@ -40,7 +40,6 @@ func main() {
 	bw := flag.Float64("bw", 100, "emulated link bandwidth, Mb/s")
 	delay := flag.Float64("delay", 10, "emulated one-way link delay, ms")
 	flag.StringVar(&cfg.PolicyPath, "policy", "", "trained policy checkpoint (default: structured search)")
-	flag.IntVar(&cfg.Hidden, "hidden", cfg.Hidden, "policy LSTM width (must match checkpoint)")
 	flag.IntVar(&cfg.Workers, "workers", cfg.Workers, "concurrent batch executors")
 	flag.IntVar(&cfg.MaxBatch, "max-batch", cfg.MaxBatch, "max requests coalesced into one inference")
 	flag.IntVar(&cfg.QueueDepth, "queue-depth", cfg.QueueDepth, "per-class queue bound; excess is shed")
@@ -51,8 +50,6 @@ func main() {
 	flag.IntVar(&cfg.Retries, "retries", cfg.Retries, "max attempts per idempotent device RPC (1 disables retry; re-dial stays on)")
 	flag.Float64Var(&cfg.HedgeBudget, "hedge-budget", cfg.HedgeBudget, "max hedged attempts as a fraction of primary tile RPCs (0 disables hedging)")
 	flag.IntVar(&cfg.MaxRung, "min-rung", cfg.MaxRung, "deepest degradation rung allowed under deadline pressure (0 pins full quality; see DESIGN.md for the rung table)")
-	flag.BoolVar(&cfg.Adapt, "adapt", false, "enable online policy adaptation: live outcomes retrain the policy and candidates roll out shadow->canary->full with automatic rollback")
-	flag.StringVar(&cfg.AdaptDir, "adapt-dir", "", "directory for versioned policy checkpoints and the rollout manifest (empty = promotions do not survive restarts)")
 	flag.DurationVar(&cfg.Health.Tracker.Window, "health-window", cfg.Health.Tracker.Window, "SLI window for gray-failure detection (0 disables the health layer)")
 	flag.DurationVar(&cfg.ProgressTick, "progress-tick", cfg.ProgressTick, "in-flight progress deadline: a device RPC's frame I/O must advance every two ticks or the call fails as stalled (0 disables it)")
 	flag.Float64Var(&cfg.RetryBudgetFrac, "retry-budget-frac", cfg.RetryBudgetFrac, "shared retry budget: speculative attempts (retries, failovers, hedges) allowed as a fraction of first attempts (0 disables the budget)")

@@ -2,9 +2,8 @@
 // a running murmuration-gateway.
 //
 // Generate mode (-gen) builds a seeded trace from a composable arrival
-// process plus an optional churn timeline and writes it to -out (JSON when
-// the path ends in .json, binary otherwise). The same seed always produces
-// the byte-identical trace.
+// process plus an optional churn timeline and writes it to -out as JSON.
+// The same seed always produces the byte-identical trace.
 //
 // Replay mode (the default) decodes -trace, drives its request arrivals
 // open-loop at -gateway over rpcx, scores per-class SLO attainment
@@ -26,7 +25,6 @@ import (
 	"log"
 	"math/rand"
 	"os"
-	"strings"
 	"time"
 
 	"murmuration/internal/rl/env"
@@ -39,8 +37,8 @@ func main() {
 	gen := flag.Bool("gen", false, "generate a trace instead of replaying one")
 
 	// Shared.
-	tracePath := flag.String("trace", "", "trace file to replay (JSON or binary, detected by content)")
-	out := flag.String("out", "trace.json", "generate: output path (.json = JSON, else binary)")
+	tracePath := flag.String("trace", "", "JSON trace file to replay")
+	out := flag.String("out", "trace.json", "generate: JSON output path")
 	seed := flag.Int64("seed", 42, "generate: trace seed (same seed, byte-identical trace)")
 	name := flag.String("name", "scenario", "generate: trace name")
 	duration := flag.Duration("duration", 30*time.Second, "generate: workload window")
@@ -203,29 +201,21 @@ func generate(c genConfig) {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	if strings.HasSuffix(c.out, ".json") {
-		err = tr.EncodeJSON(f)
-	} else {
-		err = tr.EncodeBinary(f)
-	}
-	if err != nil {
+	if err := tr.EncodeJSON(f); err != nil {
 		log.Fatalf("encode: %v", err)
 	}
 	log.Printf("wrote %s: %d events (%d requests, %d environment) over %v, seed %d",
 		c.out, len(tr.Events), tr.Requests(), len(tr.Events)-tr.Requests(), tr.Duration(), tr.Seed)
 }
 
-// decodeTrace sniffs the format: binary traces open with the MTRC magic,
-// JSON traces with whitespace or '{'.
+// decodeTrace reads a JSON trace file.
 func decodeTrace(path string) (*scenario.Trace, error) {
-	b, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(b) >= 4 && string(b[:4]) == "MTRC" {
-		return scenario.DecodeBinary(strings.NewReader(string(b)))
-	}
-	return scenario.DecodeJSON(strings.NewReader(string(b)))
+	defer f.Close()
+	return scenario.DecodeJSON(f)
 }
 
 func replay(gateway, tracePath string, speed float64, timeout time.Duration, maxInFlight int, reportPath string) {
@@ -264,21 +254,17 @@ func replay(gateway, tracePath string, speed float64, timeout time.Duration, max
 		res.Requests, res.Elapsed, res.EnvSkipped)
 
 	var gw *scenario.GatewayReport
-	var policyVersion uint64
 	if statsErr == nil {
 		if after, err := cl.Stats(); err != nil {
 			log.Printf("warning: stats unavailable after run: %v", err)
 		} else {
 			gw = scenario.GatewayDelta(before, after)
-			policyVersion = after.PolicyVersion
 		}
 	}
 	rep := sc.Report(tr.Name, gw)
 	if gw != nil {
-		// Report header: which stats frame version the gateway spoke and which
-		// policy version was serving when the run ended.
+		// Report header: which stats frame version the gateway spoke.
 		rep.StatsWireVersion = serve.StatsWireVersion
-		rep.PolicyVersion = policyVersion
 	}
 	js, err := rep.JSON()
 	if err != nil {

@@ -17,9 +17,6 @@ import (
 	"time"
 
 	"murmuration"
-	"murmuration/internal/nas"
-	"murmuration/internal/rl/env"
-	"murmuration/internal/rl/policy"
 )
 
 func main() {
@@ -33,7 +30,6 @@ func main() {
 	delay := flag.Float64("delay", 10, "emulated one-way link delay, ms")
 	n := flag.Int("n", 5, "number of inferences")
 	policyCkpt := flag.String("policy", "", "trained policy checkpoint (default: structured search)")
-	hidden := flag.Int("hidden", 64, "policy LSTM width (must match checkpoint)")
 	flag.Parse()
 
 	net, err := murmuration.LoadSupernet(*archName, *classes, *seed, "")
@@ -52,8 +48,8 @@ func main() {
 	// amortizes it).
 	var decider func(murmuration.Constraint) (*murmuration.Decision, error)
 	if *policyCkpt != "" {
-		p := policy.New(env.New(arch, nas.NewCalibratedPredictor(arch), kinds), *hidden, 1)
-		if err := murmuration.LoadPolicy(*policyCkpt, p); err != nil {
+		p, err := murmuration.LoadPolicy(*policyCkpt, arch, kinds)
+		if err != nil {
 			log.Fatalf("load policy: %v", err)
 		}
 		decider = p.GreedyDecision

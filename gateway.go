@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"murmuration/internal/adapt"
 	"murmuration/internal/cluster"
 	"murmuration/internal/device"
 	"murmuration/internal/health"
@@ -15,7 +14,6 @@ import (
 	"murmuration/internal/monitor"
 	"murmuration/internal/nas"
 	"murmuration/internal/netem"
-	"murmuration/internal/nn"
 	"murmuration/internal/rl/env"
 	"murmuration/internal/rl/policy"
 	"murmuration/internal/rpcx"
@@ -32,12 +30,9 @@ import (
 type GatewayConfig struct {
 	Net             *Supernet // the local device's supernet
 	Listen          string
-	Links           []Link // Links[i] is placement device i+1
-	PolicyPath      string
-	Hidden          int
+	Links           []Link                              // Links[i] is placement device i+1
+	PolicyPath      string                              // its LSTM width is read from the file
 	Decider         func(Constraint) (*Decision, error) // replaces the policy or the search
-	Adapt           bool
-	AdaptDir        string
 	RemoteTimeout   time.Duration
 	Retries         int
 	ProgressTick    time.Duration
@@ -51,7 +46,6 @@ type GatewayConfig struct {
 // DefaultGatewayConfig returns cmd/murmuration-gateway's flag defaults.
 func DefaultGatewayConfig() GatewayConfig {
 	return GatewayConfig{
-		Hidden:        64,
 		RemoteTimeout: 30 * time.Second, Retries: 3, ProgressTick: 100 * time.Millisecond,
 		HedgeBudget: 0.05, RetryBudgetFrac: 0.1,
 		Options:  serve.Options{Workers: 2, MaxBatch: 8, QueueDepth: 64, MaxRung: runtime.DefaultMaxRung},
@@ -76,8 +70,6 @@ func Links(addrs string, bandwidthMbps, delayMs float64) []Link {
 // link, the decider, the scheduler and the runtime.
 type stack struct {
 	rt      *runtime.Runtime
-	env     *env.Env
-	pol     *policy.Policy // loaded from PolicyPath, else nil
 	clients []*rpcx.Client
 }
 
@@ -87,7 +79,7 @@ func newStack(cfg GatewayConfig, kinds []DeviceKind) (_ *stack, err error) {
 	for len(kinds) < len(cfg.Links)+1 {
 		kinds = append(kinds, device.RaspberryPi4)
 	}
-	st := &stack{env: env.New(cfg.Net.Arch, nas.NewCalibratedPredictor(cfg.Net.Arch), kinds)}
+	st := &stack{}
 	defer func() {
 		if err != nil {
 			st.close()
@@ -116,17 +108,18 @@ func newStack(cfg GatewayConfig, kinds []DeviceKind) (_ *stack, err error) {
 		}
 	}
 
+	e := env.New(cfg.Net.Arch, nas.NewCalibratedPredictor(cfg.Net.Arch), kinds)
 	decider := runtime.DeciderFunc(cfg.Decider)
 	switch {
 	case cfg.Decider != nil:
 	case cfg.PolicyPath != "":
-		st.pol = policy.New(st.env, cfg.Hidden, 1)
-		if err := nn.LoadParams(cfg.PolicyPath, st.pol.Params()); err != nil {
+		pol, err := policy.Load(e, cfg.PolicyPath)
+		if err != nil {
 			return nil, fmt.Errorf("load policy: %w", err)
 		}
-		decider = st.pol.GreedyDecision
+		decider = pol.GreedyDecision
 	default:
-		decider = func(c env.Constraint) (*env.Decision, error) { return env.StructuredSearch(st.env, c) }
+		decider = func(c env.Constraint) (*env.Decision, error) { return env.StructuredSearch(e, c) }
 	}
 	sched := runtime.NewScheduler(cfg.Net, st.clients)
 	sched.RemoteTimeout = cfg.RemoteTimeout
@@ -161,9 +154,8 @@ func (st *stack) close() (err error) {
 type Gateway struct {
 	Serve   *serve.Gateway
 	Runtime *runtime.Runtime
-	Cluster *cluster.Manager  // nil without a detector
-	Adapt   *adapt.Controller // nil without Adapt
-	Addr    string            // where the rpcx API listens
+	Cluster *cluster.Manager // nil without a detector
+	Addr    string           // where the rpcx API listens
 
 	stack
 	srv *rpcx.Server
@@ -184,7 +176,7 @@ func NewGateway(cfg GatewayConfig) (_ *Gateway, err error) {
 	}()
 	switch {
 	case cfg.Decider != nil:
-	case g.pol != nil:
+	case cfg.PolicyPath != "":
 		log.Println("decider: trained RL policy")
 	default:
 		log.Println("decider: structured search (no policy checkpoint given)")
@@ -235,29 +227,6 @@ func NewGateway(cfg GatewayConfig) (_ *Gateway, err error) {
 		g.Serve.AttachHealth(cfg.Health)
 		log.Printf("gray-failure health layer on (window %v)", cfg.Health.Tracker.Window)
 	}
-	if cfg.Adapt {
-		// The controller retrains the loaded policy, or a fresh one, from
-		// live outcomes and serves as the runtime's decider.
-		pol := g.pol
-		if pol == nil {
-			pol = policy.New(g.env, cfg.Hidden, 1)
-		}
-		g.Adapt, err = adapt.New(adapt.Config{
-			Runtime: g.Runtime, Incumbent: g.Runtime.CurrentDecider(), Policy: pol, Dir: cfg.AdaptDir,
-			Space: env.ConstraintSpace{
-				Type: env.LatencySLO, SLOMin: 10, SLOMax: 10_000,
-				BwMinMbps: 10, BwMaxMbps: 1000, DelayMin: 1, DelayMax: 200,
-				Points: 8, Remotes: max(len(cfg.Links), 1),
-			},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("adaptation controller: %w", err)
-		}
-		g.Runtime.SwapDecider(g.Adapt)
-		g.Adapt.AttachGateway(g.Serve)
-		g.Adapt.Start()
-		log.Printf("online adaptation on (dir %q, policy v%d)", cfg.AdaptDir, g.Adapt.PolicyVersion())
-	}
 	if g.Cluster != nil {
 		events := g.Cluster.Subscribe()
 		go func() {
@@ -286,11 +255,6 @@ func (g *Gateway) Close(grace time.Duration) {
 	}
 	if g.Serve != nil {
 		g.Serve.Close(grace)
-	}
-	if g.Adapt != nil {
-		g.Adapt.Close()
-		log.Printf("adaptation at shutdown: mode=%v policy=v%d pinned=%v",
-			g.Adapt.Mode(), g.Adapt.PolicyVersion(), g.Adapt.Pinned())
 	}
 	if g.Cluster != nil {
 		log.Printf("cluster at shutdown: %s (%+v)", g.Cluster, g.Cluster.CountersSnapshot())

@@ -3,11 +3,16 @@ package murmuration
 import (
 	"errors"
 	"math/rand"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"murmuration/internal/cluster"
 	"murmuration/internal/monitor"
+	"murmuration/internal/nas"
+	"murmuration/internal/rl/env"
+	"murmuration/internal/rl/policy"
 	"murmuration/internal/rpcx"
 	"murmuration/internal/runtime"
 	"murmuration/internal/serve"
@@ -230,4 +235,38 @@ func TestGatewaySeesARestartBeforeTheFirstHeartbeat(t *testing.T) {
 		st := gw.Runtime.Devices.Snapshot()[0]
 		return st.Up && st.Incarnation == d.Server.Incarnation()
 	})
+}
+
+// TestGatewayReadsPolicyWidthFromCheckpoint: a policy checkpoint of any LSTM
+// width loads through NewGateway, which reads the width from the file, and
+// the gateway then decides as the saved policy does.
+func TestGatewayReadsPolicyWidthFromCheckpoint(t *testing.T) {
+	arch := TinyArch(4)
+	p := policy.New(env.New(arch, nas.NewCalibratedPredictor(arch), []DeviceKind{RaspberryPi4}), 16, 3)
+	path := filepath.Join(t.TempDir(), "policy.ckpt")
+	if err := SavePolicy(path, p); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := DefaultGatewayConfig()
+	cfg.Net = NewSupernet(arch, 42)
+	cfg.Listen = "127.0.0.1:0"
+	cfg.PolicyPath = path
+	gw, err := NewGateway(cfg)
+	if err != nil {
+		t.Fatalf("NewGateway with a width-16 checkpoint: %v", err)
+	}
+	defer gw.Close(time.Second)
+
+	res, err := gw.Runtime.ResolveFor(SLO{Type: LatencySLO, Value: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := p.GreedyDecision(res.Constraint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Decision, want) {
+		t.Fatalf("gateway decided %+v, the saved policy %+v", res.Decision, want)
+	}
 }

@@ -83,7 +83,8 @@ type LinkMonitor struct {
 	BulkBytes int
 	// ProbeTimeout bounds each probe RPC (default DefaultProbeTimeout); a
 	// device that stops answering fails the probe with a *ProbeError instead
-	// of hanging the caller. It covers connection I/O, not emulated shaping.
+	// of hanging the caller. As rpcx.Client.CallTimeout's deadline, it also
+	// covers the emulated link's request-side shaping sleeps.
 	ProbeTimeout time.Duration
 
 	emaBw    *stats.EMA

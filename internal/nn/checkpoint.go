@@ -97,51 +97,71 @@ func WriteParams(w io.Writer, params []*Param) error {
 	return err
 }
 
-// ReadParams deserializes a checkpoint into params, matching by name. Every
-// stored parameter must exist with an identical shape; params not present in
-// the checkpoint are left untouched. When the integrity trailer is present it
-// is verified (mismatch yields ErrCheckpointCorrupt); trailer-less legacy
-// checkpoints are accepted as-is.
+// ReadParams reads a checkpoint (ReadCheckpoint) into params (CopyParams):
+// params not present in the checkpoint are left untouched, and nothing is
+// copied unless the whole checkpoint reads back intact.
 func ReadParams(r io.Reader, params []*Param) error {
-	br := bufio.NewReader(r)
-	cr := &crcReader{r: br}
-	magic := make([]byte, len(ckptMagic))
-	if _, err := io.ReadFull(cr, magic); err != nil {
+	stored, err := ReadCheckpoint(r)
+	if err != nil {
 		return err
 	}
-	if string(magic) != string(ckptMagic) {
-		return fmt.Errorf("nn: bad checkpoint magic %q", magic)
-	}
-	var n4 [4]byte
-	if _, err := io.ReadFull(cr, n4[:]); err != nil {
-		return err
-	}
-	count := int(binary.LittleEndian.Uint32(n4[:]))
+	return CopyParams(params, stored)
+}
+
+// CopyParams copies each stored parameter into the one of params with its
+// name. Every stored parameter must exist there with an identical shape.
+func CopyParams(params, stored []*Param) error {
 	byName := make(map[string]*Param, len(params))
 	for _, p := range params {
 		byName[p.Name] = p
 	}
+	for _, s := range stored {
+		p, ok := byName[s.Name]
+		if !ok {
+			return fmt.Errorf("nn: checkpoint parameter %q not found in model", s.Name)
+		}
+		if !p.W.SameShape(s.W) {
+			return fmt.Errorf("nn: parameter %q shape %v != checkpoint %v", s.Name, p.W.Shape, s.W.Shape)
+		}
+		copy(p.W.Data, s.W.Data)
+	}
+	return nil
+}
+
+// ReadCheckpoint deserializes every parameter a checkpoint stores, in file
+// order, so a caller can size its model from the stored shapes. When the
+// integrity trailer is present it is verified (mismatch yields
+// ErrCheckpointCorrupt); trailer-less legacy checkpoints are accepted as-is.
+func ReadCheckpoint(r io.Reader) ([]*Param, error) {
+	br := bufio.NewReader(r)
+	cr := &crcReader{r: br}
+	magic := make([]byte, len(ckptMagic))
+	if _, err := io.ReadFull(cr, magic); err != nil {
+		return nil, err
+	}
+	if string(magic) != string(ckptMagic) {
+		return nil, fmt.Errorf("nn: bad checkpoint magic %q", magic)
+	}
+	var n4 [4]byte
+	if _, err := io.ReadFull(cr, n4[:]); err != nil {
+		return nil, err
+	}
+	count := int(binary.LittleEndian.Uint32(n4[:]))
+	var stored []*Param
 	for i := 0; i < count; i++ {
 		var l2 [2]byte
 		if _, err := io.ReadFull(cr, l2[:]); err != nil {
-			return err
+			return nil, err
 		}
 		name := make([]byte, binary.LittleEndian.Uint16(l2[:]))
 		if _, err := io.ReadFull(cr, name); err != nil {
-			return err
+			return nil, err
 		}
 		t, err := tensor.Decode(cr)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		p, ok := byName[string(name)]
-		if !ok {
-			return fmt.Errorf("nn: checkpoint parameter %q not found in model", name)
-		}
-		if !p.W.SameShape(t) {
-			return fmt.Errorf("nn: parameter %q shape %v != checkpoint %v", name, p.W.Shape, t.Shape)
-		}
-		copy(p.W.Data, t.Data)
+		stored = append(stored, NewParam(string(name), t))
 	}
 	// Snapshot the CRC before touching the trailer bytes: the trailer must
 	// not fold into the sum it is being checked against.
@@ -149,17 +169,17 @@ func ReadParams(r io.Reader, params []*Param) error {
 	var t8 [8]byte
 	if _, err := io.ReadFull(br, t8[:]); err != nil {
 		if err == io.EOF {
-			return nil // legacy checkpoint, no trailer
+			return stored, nil // legacy checkpoint, no trailer
 		}
-		return fmt.Errorf("%w: truncated trailer: %v", ErrCheckpointCorrupt, err)
+		return nil, fmt.Errorf("%w: truncated trailer: %v", ErrCheckpointCorrupt, err)
 	}
 	if string(t8[:4]) != string(ckptTrailer) {
-		return fmt.Errorf("%w: bad trailer magic %q", ErrCheckpointCorrupt, t8[:4])
+		return nil, fmt.Errorf("%w: bad trailer magic %q", ErrCheckpointCorrupt, t8[:4])
 	}
 	if got := binary.LittleEndian.Uint32(t8[4:]); got != sum {
-		return fmt.Errorf("%w: crc32c %08x != stored %08x", ErrCheckpointCorrupt, sum, got)
+		return nil, fmt.Errorf("%w: crc32c %08x != stored %08x", ErrCheckpointCorrupt, sum, got)
 	}
-	return nil
+	return stored, nil
 }
 
 // Interposition points for SaveParams, swapped by the durability regression
@@ -189,7 +209,7 @@ func fsyncDir(dir string) error {
 // the old checkpoint or the new one — never a truncated hybrid — and once
 // SaveParams returns, the rename itself is on disk: without the directory
 // fsync a power loss after rename could resurrect the old file (or nothing),
-// silently un-promoting a policy snapshot the caller believed durable.
+// silently losing a checkpoint the caller believed durable.
 func SaveParams(path string, params []*Param) (err error) {
 	dir, base := filepath.Split(path)
 	f, err := os.CreateTemp(dir, base+".tmp*")

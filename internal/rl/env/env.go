@@ -116,16 +116,13 @@ func (e *Env) Evaluate(c Constraint, d *Decision) (Outcome, error) {
 	acc := e.Predictor.Accuracy(d.Config)
 
 	out := Outcome{AccuracyPct: acc, LatencyMs: latMs}
-	out.Reward, out.SLOMet = e.RewardFor(c, acc, latMs)
+	out.Reward, out.SLOMet = e.rewardFor(c, acc, latMs)
 	return out, nil
 }
 
-// RewardFor scores an (accuracy, latency) pair under a constraint — the
-// Eq. (2)/(3) reward with the outcome supplied by the caller instead of the
-// cost model. Evaluate feeds it model predictions; the adaptation layer feeds
-// it measured serving latency, so live transitions earn rewards grounded in
-// what actually happened on the wire rather than what the model forecast.
-func (e *Env) RewardFor(c Constraint, accuracyPct, latencyMs float64) (reward float64, sloMet bool) {
+// rewardFor scores an (accuracy, latency) pair under a constraint: the
+// Eq. (2)/(3) reward.
+func (e *Env) rewardFor(c Constraint, accuracyPct, latencyMs float64) (reward float64, sloMet bool) {
 	switch c.Type {
 	case LatencySLO:
 		if latencyMs <= c.LatencyMs {

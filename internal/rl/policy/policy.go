@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 
 	"murmuration/internal/device"
 	"murmuration/internal/lstm"
@@ -53,22 +54,30 @@ func New(e *env.Env, hidden int, seed int64) *Policy {
 	return p
 }
 
-// Clone returns a deep copy of the policy: a freshly constructed network of
-// the same architecture with every parameter value copied over. The clone
-// shares the (immutable) Env but no tensors, so the adaptation trainer can
-// keep optimizing its working policy while a frozen snapshot of it serves
-// traffic.
-func (p *Policy) Clone() *Policy {
-	q := New(p.Env, p.Hidden, 0)
-	src, dst := p.Params(), q.Params()
-	for i := range src {
-		// Same constructor, same order — assert rather than trust.
-		if dst[i].Name != src[i].Name || !dst[i].W.SameShape(src[i].W) {
-			panic(fmt.Sprintf("policy: clone parameter mismatch at %d: %s vs %s", i, dst[i].Name, src[i].Name))
-		}
-		copy(dst[i].W.Data, src[i].W.Data)
+// Load builds the policy a checkpoint file holds for e. The LSTM width is
+// read from the stored recurrent weights, so the caller need not know it.
+func Load(e *env.Env, path string) (*Policy, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
-	return q
+	defer f.Close()
+	stored, err := nn.ReadCheckpoint(f)
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range stored {
+		// lstm.wh is (4·hidden, hidden). Checking both dimensions bounds the
+		// width by what was decoded, so a forged shape cannot size the model.
+		if s.Name == "lstm.wh" {
+			if h := s.W.Shape; s.W.Rank() != 2 || h[1] <= 0 || h[0] != 4*h[1] {
+				return nil, fmt.Errorf("policy: %s: lstm.wh shape %v is not (4h, h)", path, h)
+			}
+			p := New(e, s.W.Shape[1], 1)
+			return p, nn.CopyParams(p.Params(), stored)
+		}
+	}
+	return nil, fmt.Errorf("policy: %s holds no LSTM weights", path)
 }
 
 // Params returns all trainable parameters.

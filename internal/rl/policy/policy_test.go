@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"murmuration/internal/device"
@@ -276,6 +277,22 @@ func TestCheckpointPreservesGreedyDecisions(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("checkpointed policy diverges at step %d", i)
+		}
+	}
+}
+
+// TestLoadRejectsForgedWidth: Load sizes the policy from lstm.wh, so a
+// checkpoint whose lstm.wh is not (4h, h) is refused before anything is
+// built from it — (1, 100000) is 400 KB on disk, and taken as h = 100000 it
+// would ask for 16·h² weights.
+func TestLoadRejectsForgedWidth(t *testing.T) {
+	for _, shape := range [][]int{{1, 100000}, {64, 8}, {0, 0}, {64}} {
+		path := filepath.Join(t.TempDir(), "policy.bin")
+		if err := nn.SaveParams(path, []*nn.Param{nn.NewParam("lstm.wh", tensor.New(shape...))}); err != nil {
+			t.Fatal(err)
+		}
+		if p, err := Load(tinyEnv(), path); err == nil {
+			t.Fatalf("lstm.wh %v: loaded a policy of width %d, want an error", shape, p.Hidden)
 		}
 	}
 }

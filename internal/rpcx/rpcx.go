@@ -1562,8 +1562,11 @@ func (c *Client) Call(method string, payload []byte) ([]byte, error) {
 // retry policy the lost connection is not replaced, and once none is left
 // every later call fails with ErrClientBroken; with one, the next call that
 // finds nothing idle dials a fresh connection (and idempotent-marked methods
-// retry in place, with exponential backoff + jitter). The deadline covers
-// connection I/O, not the emulated link's shaping sleeps.
+// retry in place, with exponential backoff + jitter). Each attempt's
+// deadline starts before the emulated link's request-side shaping sleeps
+// (throttle and one-way delay), so they count against it: a link slower than
+// d times out before the request is written. The response-side sleeps come
+// after the response is read and do not count.
 func (c *Client) CallTimeout(method string, payload []byte, d time.Duration) ([]byte, error) {
 	return c.CallBudget(method, payload, d, 0)
 }
@@ -1687,8 +1690,9 @@ func (c *Client) callOnce(cn *clientConn, method string, payload, dst []byte, d,
 			time.Sleep(sd)
 		}
 	}
-	// The deadline is armed after the shaper's modelled sleeps — no I/O
-	// happens in them — so the progress rule clocks real connection I/O only.
+	// The connection deadline is armed after the shaper's modelled sleeps —
+	// no I/O happens in them — so the progress rule clocks real connection
+	// I/O only; end was fixed before them, so they count against d.
 	defer cn.finish()
 	if err := cn.begin(c.progress, end); err != nil {
 		return nil, err

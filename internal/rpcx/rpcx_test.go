@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -231,6 +232,34 @@ func TestCallTimeoutStalledHandler(t *testing.T) {
 	// deliver the stalled call's late response to the next caller.
 	if _, err := c.Call("stall", nil); !errors.Is(err, ErrClientBroken) {
 		t.Fatalf("post-timeout call should fail with ErrClientBroken, got %v", err)
+	}
+}
+
+// TestCallTimeoutCoversRequestShaping: the deadline starts before the
+// emulated link's request-side delay, so a link whose one-way delay exceeds
+// it times the call out before the request is written, and the handler never
+// runs.
+func TestCallTimeoutCoversRequestShaping(t *testing.T) {
+	var ran atomic.Int32
+	s := NewServer()
+	s.Handle("echo", func(p []byte) ([]byte, error) {
+		ran.Add(1)
+		return p, nil
+	})
+	addr, _ := s.Listen("127.0.0.1:0")
+	defer s.Close()
+	c, err := Dial(addr, netem.NewShaper(0, 150*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	if _, err := c.CallTimeout("echo", []byte("x"), 50*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("call over a 150 ms one-way link with a 50 ms deadline: %v, want ErrTimeout", err)
+	}
+	time.Sleep(100 * time.Millisecond) // room for a request that did leave
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("handler ran %d times, want 0", n)
 	}
 }
 

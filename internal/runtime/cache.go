@@ -256,10 +256,7 @@ func (c *StrategyCache) InvalidateDevice(dev int) {
 
 // Clear strands every cached strategy by bumping the global epoch — O(1)
 // like InvalidateDevice — and returns how many entries were live when it
-// ran. The adaptation layer calls it when the decider changes regime
-// (policy promotion or rollback): every cached decision was produced by the
-// previous policy, so serving it would mis-attribute traffic and dilute the
-// new policy's rollout.
+// ran.
 func (c *StrategyCache) Clear() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -36,41 +36,6 @@ type DeciderFunc func(c env.Constraint) (*env.Decision, error)
 // Decide implements Decider.
 func (f DeciderFunc) Decide(c env.Constraint) (*env.Decision, error) { return f(c) }
 
-// DecisionMeta attributes a decision to its origin: which policy version
-// produced it and whether it is a canary decision (served experimentally by a
-// rollout controller). NoCache marks decisions that must not enter the
-// strategy cache — a canary decision cached under the constraint's bucket
-// would be replayed for every subsequent request in the bucket, silently
-// inflating the canary fraction from "some requests" to "all of them".
-type DecisionMeta struct {
-	PolicyVersion uint64
-	Canary        bool
-	NoCache       bool
-	// Choices is the policy's raw action sequence for the decision, when the
-	// decider exposes it. The serving layer forwards it with the request's
-	// outcome so the adaptation loop can feed measured transitions back into
-	// the replay buffer without re-deriving the episode.
-	Choices []int
-}
-
-// MetaDecider is an optional Decider extension for deciders that attribute
-// their decisions (adaptation controllers). When the installed decider
-// implements it, ResolveFor records the metadata on the Resolution and honors
-// NoCache.
-type MetaDecider interface {
-	Decider
-	DecideMeta(c env.Constraint) (*env.Decision, DecisionMeta, error)
-}
-
-// PolicyVersioner is an optional Decider extension reporting the policy
-// version that cached decisions belong to. Because the adaptation controller
-// invalidates the strategy cache on every promotion and rollback, every live
-// cache entry was produced by the current incumbent — so a cache hit is
-// attributed to the versioner's current answer.
-type PolicyVersioner interface {
-	PolicyVersion() uint64
-}
-
 // SLO is the user-facing service-level objective (paper §5: "The SLO API
 // enables users to specify latency or accuracy SLOs as a scalar value").
 type SLO struct {
@@ -90,10 +55,7 @@ type Runtime struct {
 	Scheduler *Scheduler
 	Cache     *StrategyCache
 	Devices   *DeviceTable // the scheduler's device table (devices.go)
-	// decider is the installed Decider behind an atomic pointer, so an
-	// adaptation controller can hot-swap the serving policy while workers
-	// resolve concurrently, without taking the runtime mutex on the hot path.
-	decider atomic.Pointer[deciderBox]
+	decider   Decider      // fixed when the runtime is built
 	// Monitors[i] tracks the link of remote device i+1. May be nil when
 	// link state is set manually via SetLinkState.
 	Monitors []*monitor.LinkMonitor
@@ -108,21 +70,19 @@ type Runtime struct {
 
 	// Resolution singleflight: concurrent cache misses for the same strategy
 	// key collapse into one decider call whose result every waiter shares.
-	// Under a correlated invalidation (mass Down, policy promotion) every
-	// worker misses at once; without coalescing each would run the decider —
-	// a re-planning stampede on the admission path exactly when capacity is
-	// scarcest.
+	// Under a correlated invalidation (a mass Down) every worker misses at
+	// once; without coalescing each would run the decider — a re-planning
+	// stampede on the admission path exactly when capacity is scarcest.
 	sfMu             sync.Mutex
 	sfCalls          map[string]*sfCall
 	resolveCoalesced atomic.Uint64
 }
 
 // sfCall is one in-flight shared resolution: the leader closes done after
-// publishing the decision, metadata, and error for every coalesced waiter.
+// publishing the decision and error for every coalesced waiter.
 type sfCall struct {
 	done chan struct{}
 	d    *env.Decision
-	meta DecisionMeta
 	err  error
 }
 
@@ -132,11 +92,11 @@ func New(s *Scheduler, d Decider, cache *StrategyCache, monitors []*monitor.Link
 		Scheduler:  s,
 		Cache:      cache,
 		Devices:    s.Devices,
+		decider:    d,
 		Monitors:   monitors,
 		manualLink: make([]monitor.Sample, len(s.Remotes)),
 	}
 	s.Devices.cache = cache // leaving placement invalidates the strategies using the device
-	r.decider.Store(&deciderBox{d: d})
 	// Wire the scheduler's hedged-RPC alternate-device choice to the device
 	// table and link estimates, unless the caller already installed its own
 	// policy.
@@ -146,35 +106,9 @@ func New(s *Scheduler, d Decider, cache *StrategyCache, monitors []*monitor.Link
 	return r
 }
 
-// deciderBox wraps a Decider interface value so it can live behind an
-// atomic.Pointer (interface values are not directly atomically swappable).
-type deciderBox struct{ d Decider }
-
-// SwapDecider atomically installs a new decider and returns the previous one.
-// Resolutions in flight finish on whichever decider they loaded; the caller
-// is responsible for invalidating cached strategies when the swap changes
-// what the decider would answer (see InvalidateStrategies).
-func (r *Runtime) SwapDecider(d Decider) Decider {
-	old := r.decider.Swap(&deciderBox{d: d})
-	if old == nil {
-		return nil
-	}
-	return old.d
-}
-
-// CurrentDecider returns the installed decider.
-func (r *Runtime) CurrentDecider() Decider {
-	if b := r.decider.Load(); b != nil {
-		return b.d
-	}
-	return nil
-}
-
 // InvalidateStrategies strands every cached strategy with an O(1) epoch
 // bump (removal is lazy — see StrategyCache), returning how many entries
-// were live. The adaptation controller calls it on promotion and rollback:
-// the decider just changed regime, so every cached decision is attributable
-// to the wrong policy version and must be re-resolved.
+// were live, so every later resolution runs the decider afresh.
 func (r *Runtime) InvalidateStrategies() int {
 	if r.Cache == nil {
 		return 0
@@ -337,14 +271,6 @@ type Resolution struct {
 	Key        string
 	CacheHit   bool
 	DecideTime time.Duration
-	// PolicyVersion attributes the decision to the policy snapshot that
-	// produced it (0 when the decider does not version itself); Canary marks
-	// a decision routed through a rollout controller's candidate policy.
-	PolicyVersion uint64
-	Canary        bool
-	// Choices is the policy's action sequence behind Decision (nil on cache
-	// hits and for deciders that do not expose one).
-	Choices []int
 }
 
 // StrategyKeyFor returns the bucketized cache key for an SLO under current
@@ -364,21 +290,13 @@ func (r *Runtime) ResolveFor(slo SLO) (*Resolution, error) {
 	c := r.ConstraintFor(slo)
 	start := time.Now()
 	key := ""
-	dec := r.CurrentDecider()
 	var d *env.Decision
-	var meta DecisionMeta
 	hit := false
 	if r.Cache != nil {
 		key = r.Cache.Key(c)
 		if cached, ok := r.Cache.Get(c); ok {
 			d = cached
 			hit = true
-			// A cache hit belongs to the incumbent: canary decisions never
-			// enter the cache, and the cache is cleared on promotion/rollback,
-			// so the versioner's current answer is the entry's producer.
-			if pv, ok := dec.(PolicyVersioner); ok {
-				meta.PolicyVersion = pv.PolicyVersion()
-			}
 		}
 	}
 	if d == nil {
@@ -389,19 +307,16 @@ func (r *Runtime) ResolveFor(slo SLO) (*Resolution, error) {
 			sfKey = fmt.Sprintf("%d|%.0f|%.0f|%v|%v", c.Type, c.LatencyMs, c.AccuracyPct, c.BandwidthMbps, c.DelayMs)
 		}
 		var err error
-		if d, meta, err = r.decideShared(sfKey, c, dec); err != nil {
+		if d, err = r.decideShared(sfKey, c); err != nil {
 			return nil, err
 		}
 	}
 	return &Resolution{
-		Decision:      r.sanitizeDecision(d),
-		Constraint:    c,
-		Key:           key,
-		CacheHit:      hit,
-		DecideTime:    time.Since(start),
-		PolicyVersion: meta.PolicyVersion,
-		Canary:        meta.Canary,
-		Choices:       meta.Choices,
+		Decision:   r.sanitizeDecision(d),
+		Constraint: c,
+		Key:        key,
+		CacheHit:   hit,
+		DecideTime: time.Since(start),
 	}, nil
 }
 
@@ -410,7 +325,7 @@ func (r *Runtime) ResolveFor(slo SLO) (*Resolution, error) {
 // and populates the cache; concurrent callers for the same key block on the
 // leader's result instead of stampeding the decider. Errors are shared too —
 // a failing decider fails the whole flight once, not once per waiter.
-func (r *Runtime) decideShared(key string, c env.Constraint, dec Decider) (*env.Decision, DecisionMeta, error) {
+func (r *Runtime) decideShared(key string, c env.Constraint) (*env.Decision, error) {
 	r.sfMu.Lock()
 	if r.sfCalls == nil {
 		r.sfCalls = make(map[string]*sfCall)
@@ -419,7 +334,7 @@ func (r *Runtime) decideShared(key string, c env.Constraint, dec Decider) (*env.
 		r.sfMu.Unlock()
 		<-call.done
 		r.resolveCoalesced.Add(1)
-		return call.d, call.meta, call.err
+		return call.d, call.err
 	}
 	call := &sfCall{done: make(chan struct{})}
 	r.sfCalls[key] = call
@@ -444,15 +359,11 @@ func (r *Runtime) decideShared(key string, c env.Constraint, dec Decider) (*env.
 		close(call.done)
 	}()
 
-	if md, ok := dec.(MetaDecider); ok {
-		call.d, call.meta, call.err = md.DecideMeta(c)
-	} else {
-		call.d, call.err = dec.Decide(c)
-	}
-	if call.err == nil && r.Cache != nil && !call.meta.NoCache {
+	call.d, call.err = r.decider.Decide(c)
+	if call.err == nil && r.Cache != nil {
 		r.Cache.Put(c, call.d)
 	}
-	return call.d, call.meta, call.err
+	return call.d, call.err
 }
 
 // ResolveCoalesced returns how many resolutions were served by another
@@ -555,20 +466,9 @@ func (r *Runtime) Precompute(ahead time.Duration) error {
 	if _, ok := r.Cache.Get(c); ok {
 		return nil
 	}
-	dec := r.CurrentDecider()
-	var d *env.Decision
-	var meta DecisionMeta
-	var err error
-	if md, ok := dec.(MetaDecider); ok {
-		d, meta, err = md.DecideMeta(c)
-	} else {
-		d, err = dec.Decide(c)
-	}
+	d, err := r.decider.Decide(c)
 	if err != nil {
 		return err
-	}
-	if meta.NoCache {
-		return nil
 	}
 	r.Cache.Put(c, r.sanitizeDecision(d))
 	return nil

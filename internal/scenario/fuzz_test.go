@@ -5,20 +5,19 @@ import (
 	"testing"
 )
 
-// FuzzDecodeTrace hammers the binary trace decoder with arbitrary bytes: it
-// must never panic or over-allocate (the caps reject forged counts before any
-// allocation), and any input it accepts must re-encode canonically — decode →
-// encode → decode → encode yields byte-identical output, even for traces
-// carrying NaN float payloads that defeat direct struct comparison.
+// FuzzDecodeTrace hammers the trace decoder with arbitrary bytes: it must
+// never panic or over-allocate (the reader and the event count are capped),
+// and any input it accepts must re-encode canonically — decode → encode →
+// decode → encode yields byte-identical output.
 func FuzzDecodeTrace(f *testing.F) {
 	seed := sampleTrace()
 	var buf bytes.Buffer
-	if err := seed.EncodeBinary(&buf); err != nil {
+	if err := seed.EncodeJSON(&buf); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
-	f.Add([]byte("MTRC"))
+	f.Add([]byte(`{"version": 1}`))
 	f.Add(buf.Bytes()[:buf.Len()/2])
 
 	// A restart/asym-degrade-only trace seeds the corpus with the newest
@@ -28,7 +27,7 @@ func FuzzDecodeTrace(f *testing.F) {
 		{Kind: EvAsymDegrade, Device: 1, Value: 150, Seed: 4096},
 	}}
 	var rbuf bytes.Buffer
-	if err := robust.EncodeBinary(&rbuf); err != nil {
+	if err := robust.EncodeJSON(&rbuf); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(rbuf.Bytes())
@@ -41,26 +40,26 @@ func FuzzDecodeTrace(f *testing.F) {
 		{Kind: EvMassRecover},
 	}}
 	var sbuf bytes.Buffer
-	if err := storm.EncodeBinary(&sbuf); err != nil {
+	if err := storm.EncodeJSON(&sbuf); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(sbuf.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := DecodeBinary(bytes.NewReader(data))
+		tr, err := DecodeJSON(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		var enc1 bytes.Buffer
-		if err := tr.EncodeBinary(&enc1); err != nil {
+		if err := tr.EncodeJSON(&enc1); err != nil {
 			t.Fatalf("accepted trace failed to re-encode: %v", err)
 		}
-		tr2, err := DecodeBinary(bytes.NewReader(enc1.Bytes()))
+		tr2, err := DecodeJSON(bytes.NewReader(enc1.Bytes()))
 		if err != nil {
 			t.Fatalf("re-encoded trace failed to decode: %v", err)
 		}
 		var enc2 bytes.Buffer
-		if err := tr2.EncodeBinary(&enc2); err != nil {
+		if err := tr2.EncodeJSON(&enc2); err != nil {
 			t.Fatalf("second re-encode failed: %v", err)
 		}
 		if !bytes.Equal(enc1.Bytes(), enc2.Bytes()) {

@@ -30,8 +30,8 @@ func TestSynthesizeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ab := encodeBin(t, a)
-	bb := encodeBin(t, b)
+	ab := encodeJSON(t, a)
+	bb := encodeJSON(t, b)
 	// The acceptance bar: same seed, byte-identical trace.
 	if !bytes.Equal(ab, bb) {
 		t.Fatal("same seed produced different traces")
@@ -43,7 +43,7 @@ func TestSynthesizeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(ab, encodeBin(t, c)) {
+	if bytes.Equal(ab, encodeJSON(t, c)) {
 		t.Fatal("different seeds produced identical traces")
 	}
 }
@@ -213,10 +213,10 @@ func TestChurnRestartAsymWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tr.EncodeBinary(&buf); err != nil {
+	if err := tr.EncodeJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeBinary(&buf); err != nil {
+	if _, err := DecodeJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -117,28 +117,20 @@ type ClassAttainment struct {
 
 // GatewayReport is the gateway-side counter delta over a scenario run.
 type GatewayReport struct {
-	Admitted         uint64 `json:"admitted"`
-	Served           uint64 `json:"served"`
-	Shed             uint64 `json:"shed"`
-	Dropped          uint64 `json:"dropped"`
-	Failed           uint64 `json:"failed"`
-	DeadlineMissed   uint64 `json:"deadline_missed"`
-	Degraded         uint64 `json:"degraded"`
-	BudgetExhausted  uint64 `json:"budget_exhausted"`
-	Overloads        uint64 `json:"overloads"`
-	FailoverAttempts uint64 `json:"failover_attempts"`
-	Failovers        uint64 `json:"failovers"`
-	Batches          uint64 `json:"batches"`
-	BatchedRequests  uint64 `json:"batched_requests"`
-	// PolicyVersion is the serving policy version at the end of the run (a
-	// gauge, not a delta); the four counters below attribute the adaptation
-	// controller's rollout activity during the run (wire v7).
-	PolicyVersion   uint64            `json:"policy_version"`
-	ShadowScored    uint64            `json:"shadow_scored"`
-	CanaryServed    uint64            `json:"canary_served"`
-	Promotions      uint64            `json:"promotions"`
-	Rollbacks       uint64            `json:"rollbacks"`
-	ClassAttainment []ClassAttainment `json:"class_attainment"`
+	Admitted         uint64            `json:"admitted"`
+	Served           uint64            `json:"served"`
+	Shed             uint64            `json:"shed"`
+	Dropped          uint64            `json:"dropped"`
+	Failed           uint64            `json:"failed"`
+	DeadlineMissed   uint64            `json:"deadline_missed"`
+	Degraded         uint64            `json:"degraded"`
+	BudgetExhausted  uint64            `json:"budget_exhausted"`
+	Overloads        uint64            `json:"overloads"`
+	FailoverAttempts uint64            `json:"failover_attempts"`
+	Failovers        uint64            `json:"failovers"`
+	Batches          uint64            `json:"batches"`
+	BatchedRequests  uint64            `json:"batched_requests"`
+	ClassAttainment  []ClassAttainment `json:"class_attainment"`
 }
 
 // GatewayDelta subtracts two stats snapshots (taken before and after a run)
@@ -159,11 +151,6 @@ func GatewayDelta(before, after serve.Stats) *GatewayReport {
 		Failovers:        after.Failovers - before.Failovers,
 		Batches:          after.Batches - before.Batches,
 		BatchedRequests:  after.BatchedRequests - before.BatchedRequests,
-		PolicyVersion:    after.PolicyVersion,
-		ShadowScored:     after.ShadowScored - before.ShadowScored,
-		CanaryServed:     after.CanaryServed - before.CanaryServed,
-		Promotions:       after.Promotions - before.Promotions,
-		Rollbacks:        after.Rollbacks - before.Rollbacks,
 	}
 	for c := 0; c < serve.NumClasses; c++ {
 		met := after.ClassMet[c] - before.ClassMet[c]
@@ -182,12 +169,10 @@ func GatewayDelta(before, after serve.Stats) *GatewayReport {
 // Report is the machine-readable verdict of one scenario run.
 type Report struct {
 	Scenario string `json:"scenario"`
-	// StatsWireVersion / PolicyVersion are the report header: which stats
-	// frame version the gateway spoke and which policy version was serving
-	// when the run ended. Set by clients that read them off the wire (the
-	// load generator); zero when unknown.
+	// StatsWireVersion is the report header: which stats frame version the
+	// gateway spoke. Set by clients that read it off the wire (the load
+	// generator); zero when unknown.
 	StatsWireVersion int            `json:"stats_wire_version,omitempty"`
-	PolicyVersion    uint64         `json:"policy_version,omitempty"`
 	Requests         uint64         `json:"requests"`
 	Classes          []ClassReport  `json:"classes"`
 	Rungs            []RungCount    `json:"rungs"`

@@ -17,12 +17,9 @@
 package scenario
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"murmuration/internal/rl/env"
@@ -34,8 +31,7 @@ import (
 // against live daemons through the netem and cluster hooks.
 type Kind uint8
 
-// Event kinds. The numeric values are part of the binary trace format —
-// append, never reorder.
+// Event kinds; kindNames holds the name each one has in a trace file.
 const (
 	// EvRequest is one inference arrival: SLO, input resolution, model.
 	EvRequest Kind = iota
@@ -175,16 +171,9 @@ func (t *Trace) Duration() time.Duration {
 	return t.Events[len(t.Events)-1].At
 }
 
-// Binary trace format (little endian):
-//
-//	magic "MTRC" | u8 version | u8 nameLen | name | i64 seed | u32 count
-//	per event: u64 atNs | u8 kind | u8 sloType | f64 sloValue
-//	           u32 resolution | u8 modelLen | model | u32 device
-//	           f64 value | i64 seed
-//
-// Decoding is bounded before allocation, mirroring tensor.MaxDecodeElements:
-// the event count is capped at MaxTraceEvents and cross-checked against the
-// bytes actually present, so a forged header cannot force a huge allocation.
+// Trace format: the versioned JSON of jsonTrace. Decoding is bounded: the
+// reader is capped, and validate enforces the caps below on every trace
+// decoded or encoded, so a forged file cannot force a huge trace.
 const (
 	traceWireVersion = 1
 	// MaxTraceEvents bounds how many events a decoder will accept — ~10 M
@@ -197,14 +186,9 @@ const (
 	// spirit of tensor.MaxDecodeElements: a 4096² input is already far past
 	// anything the supernet accepts.
 	MaxTraceResolution = 1 << 12
-	// minEventSize is the smallest encodable event (empty model name), used
-	// to reject impossible event counts before allocating.
-	minEventSize = 8 + 1 + 1 + 8 + 4 + 1 + 4 + 8 + 8
-	maxNameLen   = 255
-	maxModelLen  = 255
+	maxNameLen         = 255
+	maxModelLen        = 255
 )
-
-var traceMagic = [4]byte{'M', 'T', 'R', 'C'}
 
 // TraceVersionError is the typed mismatch a decoder reports for a trace
 // written by a different format version — the same pattern as the serve
@@ -218,8 +202,8 @@ func (e *TraceVersionError) Error() string {
 	return fmt.Sprintf("scenario: trace format version %d, want %d (re-synthesize the trace?)", e.Got, e.Want)
 }
 
-// validate enforces the trace invariants shared by both decoders (and by
-// Synthesize before it hands a trace out): bounded sizes, known kinds, valid
+// validate enforces the trace invariants shared by the decoder, the encoder
+// and Synthesize before it hands a trace out: bounded sizes, known kinds, valid
 // request SLO types, non-decreasing timestamps.
 func (t *Trace) validate() error {
 	if len(t.Name) > maxNameLen {
@@ -263,113 +247,6 @@ func (t *Trace) validate() error {
 		}
 	}
 	return nil
-}
-
-// EncodeBinary writes the trace in its compact binary form. The encoding is
-// canonical: the same trace always produces the same bytes, which is what
-// the determinism test asserts against.
-func (t *Trace) EncodeBinary(w io.Writer) error {
-	if err := t.validate(); err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	buf.Write(traceMagic[:])
-	buf.WriteByte(traceWireVersion)
-	buf.WriteByte(byte(len(t.Name)))
-	buf.WriteString(t.Name)
-	var u8 [8]byte
-	putU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(u8[:], v)
-		buf.Write(u8[:])
-	}
-	putU32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(u8[:4], v)
-		buf.Write(u8[:4])
-	}
-	putU64(uint64(t.Seed))
-	putU32(uint32(len(t.Events)))
-	for _, e := range t.Events {
-		putU64(uint64(e.At))
-		buf.WriteByte(byte(e.Kind))
-		buf.WriteByte(byte(e.SLOType))
-		putU64(math.Float64bits(e.SLOValue))
-		putU32(uint32(e.Resolution))
-		buf.WriteByte(byte(len(e.Model)))
-		buf.WriteString(e.Model)
-		putU32(uint32(e.Device))
-		putU64(math.Float64bits(e.Value))
-		putU64(uint64(e.Seed))
-	}
-	_, err := w.Write(buf.Bytes())
-	return err
-}
-
-// DecodeBinary reads a binary trace, enforcing the format version and the
-// size caps before any allocation proportional to untrusted input.
-func DecodeBinary(r io.Reader) (*Trace, error) {
-	all, err := io.ReadAll(io.LimitReader(r, int64(MaxTraceEvents)*512+4096))
-	if err != nil {
-		return nil, err
-	}
-	b := all
-	if len(b) < len(traceMagic)+2 {
-		return nil, fmt.Errorf("scenario: short trace header")
-	}
-	if !bytes.Equal(b[:4], traceMagic[:]) {
-		return nil, fmt.Errorf("scenario: bad trace magic %q", b[:4])
-	}
-	if b[4] != traceWireVersion {
-		return nil, &TraceVersionError{Got: b[4], Want: traceWireVersion}
-	}
-	nameLen := int(b[5])
-	b = b[6:]
-	if len(b) < nameLen+8+4 {
-		return nil, fmt.Errorf("scenario: short trace header")
-	}
-	t := &Trace{Name: string(b[:nameLen])}
-	b = b[nameLen:]
-	t.Seed = int64(binary.LittleEndian.Uint64(b))
-	count := int(binary.LittleEndian.Uint32(b[8:]))
-	b = b[12:]
-	if count > MaxTraceEvents {
-		return nil, fmt.Errorf("scenario: %d events exceed cap %d", count, MaxTraceEvents)
-	}
-	// A forged count cannot force a large allocation: every event occupies
-	// at least minEventSize bytes, so the count must fit the bytes present.
-	if count > len(b)/minEventSize {
-		return nil, fmt.Errorf("scenario: %d events cannot fit %d remaining bytes", count, len(b))
-	}
-	t.Events = make([]Event, 0, count)
-	for i := 0; i < count; i++ {
-		if len(b) < minEventSize {
-			return nil, fmt.Errorf("scenario: truncated event %d", i)
-		}
-		var e Event
-		e.At = time.Duration(binary.LittleEndian.Uint64(b))
-		e.Kind = Kind(b[8])
-		e.SLOType = env.SLOType(b[9])
-		e.SLOValue = math.Float64frombits(binary.LittleEndian.Uint64(b[10:]))
-		e.Resolution = int(binary.LittleEndian.Uint32(b[18:]))
-		modelLen := int(b[22])
-		b = b[23:]
-		if len(b) < modelLen+4+8+8 {
-			return nil, fmt.Errorf("scenario: truncated event %d", i)
-		}
-		e.Model = string(b[:modelLen])
-		b = b[modelLen:]
-		e.Device = int(binary.LittleEndian.Uint32(b))
-		e.Value = math.Float64frombits(binary.LittleEndian.Uint64(b[4:]))
-		e.Seed = int64(binary.LittleEndian.Uint64(b[12:]))
-		b = b[20:]
-		t.Events = append(t.Events, e)
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("scenario: %d trailing bytes after %d events", len(b), count)
-	}
-	if err := t.validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
 }
 
 // jsonTrace is the versioned JSON form — human-readable and diffable, for
@@ -435,8 +312,7 @@ func (t *Trace) EncodeJSON(w io.Writer) error {
 	return enc.Encode(jt)
 }
 
-// DecodeJSON reads a versioned JSON trace, applying the same validation as
-// the binary decoder.
+// DecodeJSON reads a versioned JSON trace and validates it.
 func DecodeJSON(r io.Reader) (*Trace, error) {
 	var jt jsonTrace
 	dec := json.NewDecoder(io.LimitReader(r, int64(MaxTraceEvents)*1024+1<<20))

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
@@ -11,10 +10,10 @@ import (
 	"murmuration/internal/testutil"
 )
 
-func encodeBin(t *testing.T, tr *Trace) []byte {
+func encodeJSON(t *testing.T, tr *Trace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := tr.EncodeBinary(&buf); err != nil {
+	if err := tr.EncodeJSON(&buf); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 	return buf.Bytes()
@@ -47,11 +46,11 @@ func sampleTrace() *Trace {
 	}
 }
 
-func TestTraceBinaryRoundTrip(t *testing.T) {
+func TestTraceJSONRoundTrip(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	tr := sampleTrace()
-	b := encodeBin(t, tr)
-	got, err := DecodeBinary(bytes.NewReader(b))
+	b := encodeJSON(t, tr)
+	got, err := DecodeJSON(bytes.NewReader(b))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -64,38 +63,16 @@ func TestTraceBinaryRoundTrip(t *testing.T) {
 		}
 	}
 	// Re-encode must be byte-identical: the codec is canonical.
-	if b2 := encodeBin(t, got); !bytes.Equal(b, b2) {
+	if b2 := encodeJSON(t, got); !bytes.Equal(b, b2) {
 		t.Fatal("re-encode is not byte-identical")
-	}
-}
-
-func TestTraceJSONRoundTrip(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	tr := sampleTrace()
-	var buf bytes.Buffer
-	if err := tr.EncodeJSON(&buf); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	got, err := DecodeJSON(&buf)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if got.Name != tr.Name || got.Seed != tr.Seed || len(got.Events) != len(tr.Events) {
-		t.Fatalf("header mismatch: %+v", got)
-	}
-	for i := range tr.Events {
-		if got.Events[i] != tr.Events[i] {
-			t.Fatalf("event %d: got %+v want %+v", i, got.Events[i], tr.Events[i])
-		}
 	}
 }
 
 func TestTraceVersionError(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	tr := &Trace{Name: "v", Events: []Event{{Kind: EvDeviceJoin}}}
-	b := encodeBin(t, tr)
-	b[4] = 99 // version byte follows the 4-byte magic
-	_, err := DecodeBinary(bytes.NewReader(b))
+	j := bytes.Replace(encodeJSON(t, tr), []byte(`"version": 1`), []byte(`"version": 99`), 1)
+	_, err := DecodeJSON(bytes.NewReader(j))
 	var ve *TraceVersionError
 	if !errors.As(err, &ve) {
 		t.Fatalf("want TraceVersionError, got %v", err)
@@ -103,56 +80,6 @@ func TestTraceVersionError(t *testing.T) {
 	if ve.Got != 99 || ve.Want != traceWireVersion {
 		t.Fatalf("bad fields: %+v", ve)
 	}
-
-	var jbuf bytes.Buffer
-	if err := tr.EncodeJSON(&jbuf); err != nil {
-		t.Fatal(err)
-	}
-	j := bytes.Replace(jbuf.Bytes(), []byte(`"version": 1`), []byte(`"version": 9`), 1)
-	_, err = DecodeJSON(bytes.NewReader(j))
-	if !errors.As(err, &ve) {
-		t.Fatalf("want TraceVersionError from JSON decoder, got %v", err)
-	}
-}
-
-func TestDecodeBinaryRejects(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	tr := sampleTrace()
-	good := encodeBin(t, tr)
-
-	t.Run("short", func(t *testing.T) {
-		if _, err := DecodeBinary(bytes.NewReader(good[:3])); err == nil {
-			t.Fatal("want error on truncated input")
-		}
-	})
-	t.Run("magic", func(t *testing.T) {
-		b := append([]byte(nil), good...)
-		b[0] = 'X'
-		if _, err := DecodeBinary(bytes.NewReader(b)); err == nil {
-			t.Fatal("want error on bad magic")
-		}
-	})
-	t.Run("trailing", func(t *testing.T) {
-		b := append(append([]byte(nil), good...), 0)
-		if _, err := DecodeBinary(bytes.NewReader(b)); err == nil {
-			t.Fatal("want error on trailing bytes")
-		}
-	})
-	t.Run("count-overclaim", func(t *testing.T) {
-		// Claim far more events than the buffer could hold: the decoder must
-		// reject before allocating.
-		b := append([]byte(nil), good...)
-		off := 4 + 1 + 1 + len(tr.Name) + 8
-		binary.LittleEndian.PutUint32(b[off:], 1<<19)
-		if _, err := DecodeBinary(bytes.NewReader(b)); err == nil {
-			t.Fatal("want error on count overclaim")
-		}
-	})
-	t.Run("truncated-event", func(t *testing.T) {
-		if _, err := DecodeBinary(bytes.NewReader(good[:len(good)-5])); err == nil {
-			t.Fatal("want error on truncated event")
-		}
-	})
 }
 
 func TestEncodeRejectsInvalid(t *testing.T) {
@@ -161,39 +88,39 @@ func TestEncodeRejectsInvalid(t *testing.T) {
 	t.Run("non-monotonic", func(t *testing.T) {
 		bad := sampleTrace()
 		bad.Events[3].At = 0
-		if err := bad.EncodeBinary(&buf); err == nil {
+		if err := bad.EncodeJSON(&buf); err == nil {
 			t.Fatal("want error on non-monotonic events")
 		}
 	})
 	t.Run("request-without-resolution", func(t *testing.T) {
 		bad := &Trace{Events: []Event{{Kind: EvRequest, SLOType: env.LatencySLO}}}
-		if err := bad.EncodeBinary(&buf); err == nil {
+		if err := bad.EncodeJSON(&buf); err == nil {
 			t.Fatal("want error on request with zero resolution")
 		}
 	})
 	t.Run("device-out-of-range", func(t *testing.T) {
 		bad := &Trace{Events: []Event{{Kind: EvDeviceLeave, Device: MaxTraceDevices}}}
-		if err := bad.EncodeBinary(&buf); err == nil {
+		if err := bad.EncodeJSON(&buf); err == nil {
 			t.Fatal("want error on out-of-range device")
 		}
 	})
 	t.Run("unknown-kind", func(t *testing.T) {
 		bad := &Trace{Events: []Event{{Kind: numKinds}}}
-		if err := bad.EncodeBinary(&buf); err == nil {
+		if err := bad.EncodeJSON(&buf); err == nil {
 			t.Fatal("want error on unknown kind")
 		}
 	})
 	t.Run("mass-kill-bad-fraction", func(t *testing.T) {
 		for _, frac := range []float64{0, -0.5, 1.5} {
 			bad := &Trace{Events: []Event{{Kind: EvMassKill, Value: frac}}}
-			if err := bad.EncodeBinary(&buf); err == nil {
+			if err := bad.EncodeJSON(&buf); err == nil {
 				t.Fatalf("want error on mass-kill fraction %v", frac)
 			}
 		}
 	})
 	t.Run("restart-storm-bad-fraction", func(t *testing.T) {
 		bad := &Trace{Events: []Event{{Kind: EvRestartStorm, Value: 2}}}
-		if err := bad.EncodeBinary(&buf); err == nil {
+		if err := bad.EncodeJSON(&buf); err == nil {
 			t.Fatal("want error on restart-storm fraction 2")
 		}
 	})

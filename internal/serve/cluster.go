@@ -28,11 +28,15 @@ func (g *Gateway) noteDeviceError(de *runtime.DeviceError) {
 
 // handleClusterBatch translates one coalesced batch of cluster events into
 // one Apply: a Down takes the device out of placement, an Up puts it back,
-// and a restart — a fenced Down followed by an Up — does both.
+// and a restart — a fenced Down followed by an Up — does both. With an
+// OnRestart hook, the restart's Up waits for the hook, which runs off the
+// event loop (reinstate), so later batches are not held behind it.
 func (g *Gateway) handleClusterBatch(evs []cluster.Event) {
 	g.mu.Lock()
 	tr := g.health
 	g.mu.Unlock()
+	g.clusterMu.Lock()
+	defer g.clusterMu.Unlock()
 	var changes []runtime.Change
 	for _, ev := range evs {
 		if ev.To == cluster.Suspect {
@@ -50,9 +54,25 @@ func (g *Gateway) handleClusterBatch(evs []cluster.Event) {
 			g.rt.Devices.Apply(runtime.Change{Dev: dev, To: runtime.DeviceRestart, Incarnation: ev.Incarnation})
 			g.mu.Lock()
 			g.stats.Restarts++
+			hook := g.opts.OnRestart != nil && !g.closing
+			if hook {
+				g.loops.Add(1)
+			}
 			g.mu.Unlock()
-			if g.opts.OnRestart != nil {
-				g.opts.OnRestart(dev, ev.Incarnation)
+			if hook {
+				r := g.restarting[dev]
+				if r == nil {
+					r = &restarting{}
+					g.restarting[dev] = r
+				}
+				r.hooks++
+				go g.reinstate(dev, ev.Incarnation)
+			}
+		}
+		if r := g.restarting[dev]; r != nil {
+			// A Down stands at once; an Up waits for the hooks.
+			if r.up = up; up {
+				continue
 			}
 		}
 		to := runtime.DeviceDown
@@ -62,4 +82,29 @@ func (g *Gateway) handleClusterBatch(evs []cluster.Event) {
 		changes = append(changes, runtime.Change{Dev: dev, To: to})
 	}
 	g.rt.Devices.Apply(changes...)
+}
+
+// restarting is a device whose restart hooks are running: how many, and
+// whether the detector's latest verdict on it is Up.
+type restarting struct {
+	hooks int
+	up    bool
+}
+
+// reinstate runs a restarted device's OnRestart hook. The last hook of the
+// device to return puts it back in placement, unless the detector reported
+// it down meanwhile.
+func (g *Gateway) reinstate(dev int, incarnation uint64) {
+	defer g.loops.Done()
+	g.opts.OnRestart(dev, incarnation)
+	g.clusterMu.Lock()
+	defer g.clusterMu.Unlock()
+	r := g.restarting[dev]
+	if r.hooks--; r.hooks > 0 {
+		return
+	}
+	delete(g.restarting, dev)
+	if r.up {
+		g.rt.Devices.Apply(runtime.Change{Dev: dev, To: runtime.DeviceUp})
+	}
 }

@@ -5,6 +5,7 @@ package serve_test
 
 import (
 	goruntime "runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -124,5 +125,85 @@ func TestRestartFencesAndReinstates(t *testing.T) {
 	}
 	if st := g.Stats(); st.Restarts != 1 {
 		t.Fatalf("Restarts = %d, want 1", st.Restarts)
+	}
+}
+
+// blockingRestartHook is an OnRestart hook that reports each call's device
+// on entered and returns once release is called. Release before Close: Close
+// waits for the hooks.
+func blockingRestartHook() (hook func(int, uint64), entered chan int, release func()) {
+	entered, released := make(chan int, 4), make(chan struct{})
+	var once sync.Once
+	return func(dev int, _ uint64) {
+			entered <- dev
+			<-released
+		}, entered, func() {
+			once.Do(func() { close(released) })
+		}
+}
+
+// TestRestartHookRunsOffTheEventLoop: while device 1's restart hook runs
+// (NewGateway's re-probes the link, up to seconds), the detector's next
+// verdict — device 2 down — reaches placement; device 1 returns only after
+// its hook.
+func TestRestartHookRunsOffTheEventLoop(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	hook, entered, release := blockingRestartHook()
+	g, rt, m := tableGateway(t, 2, serve.Options{Workers: 1, OnRestart: hook})
+	defer m.Close()
+	defer g.Close(time.Second)
+	defer release()
+
+	m.ReportHeartbeat(0, time.Millisecond, 1<<48|0xA)
+	m.ReportHeartbeat(0, time.Millisecond, 2<<48|0xB) // device 1 restarted
+	if dev := <-entered; dev != 1 {
+		t.Fatalf("restart hook ran for device %d, want 1", dev)
+	}
+	m.MarkDown(1)
+	waitForTable(t, rt, "device 2 down while device 1's hook runs", func(ds []runtime.DeviceState) bool { return !ds[1].Up })
+	if rt.Devices.Eligible(1) {
+		t.Fatal("device 1 back in placement before its restart hook returned")
+	}
+	release()
+	waitForTable(t, rt, "device 1 back", func(ds []runtime.DeviceState) bool { return ds[0].Up })
+	if rt.Devices.Eligible(2) {
+		t.Fatal("device 2 back in placement without an Up")
+	}
+	if st := g.Stats(); st.Restarts != 1 {
+		t.Fatalf("Restarts = %d, want 1", st.Restarts)
+	}
+}
+
+// TestVerdictsDuringRestartHook: while a device's restart hook runs, an Up
+// for it waits for the hook and a Down stands: a device the detector lost
+// during the hook is not reinstated when the hook returns.
+func TestVerdictsDuringRestartHook(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	hook, entered, release := blockingRestartHook()
+	g, rt, m := tableGateway(t, 2, serve.Options{Workers: 1, OnRestart: hook})
+	defer m.Close()
+	defer g.Close(time.Second)
+	defer release()
+
+	const inc = 2<<48 | 0xB
+	m.ReportHeartbeat(0, time.Millisecond, 1<<48|0xA)
+	m.ReportHeartbeat(0, time.Millisecond, inc) // device 1 restarted
+	<-entered
+	m.MarkDown(0)
+	m.ReportHeartbeat(0, time.Millisecond, inc) // recovered, same process
+	// Batches are handled in order: once device 2's Down shows, device 1's
+	// Up has been handled too.
+	m.MarkDown(1)
+	waitForTable(t, rt, "device 2 down", func(ds []runtime.DeviceState) bool { return !ds[1].Up })
+	if rt.Devices.Eligible(1) {
+		t.Fatal("an Up during device 1's restart hook reinstated it before the hook returned")
+	}
+	m.MarkDown(0)
+	m.ReportHeartbeat(1, time.Millisecond, 0)
+	waitForTable(t, rt, "device 2 back", func(ds []runtime.DeviceState) bool { return ds[1].Up })
+	release()
+	g.Close(time.Second) // waits for the hook and its reinstatement
+	if rt.Devices.Eligible(1) {
+		t.Fatalf("device 1 reinstated by its hook after the detector reported it down: %+v", rt.Devices.Snapshot()[0])
 	}
 }

@@ -63,9 +63,9 @@ func TestStatsWireVersionMismatchIsTyped(t *testing.T) {
 
 // TestStatsWireGolden pins the stats frame byte for byte against fixtures.
 // Encode and decode share statsFields, so a reordered or dropped field still
-// round-trips; only a frame written down once catches it. stats_v12.hex is
+// round-trips; only a frame written down once catches it. stats_v13.hex is
 // the current encoding of a Stats whose wire fields read 1…n in order;
-// stats_v11.hex is the same frame as the previous build wrote it.
+// stats_v12.hex and stats_v11.hex are the same frame as earlier builds wrote it.
 func TestStatsWireGolden(t *testing.T) {
 	seq := Stats{
 		Admitted: 1, Served: 2, Shed: 3, Dropped: 4, DeadlineMissed: 5,
@@ -77,18 +77,16 @@ func TestStatsWireGolden(t *testing.T) {
 		ClusterUp: 18, ClusterSuspect: 19, ClusterDown: 20,
 		Panics: 21, RemotePanics: 22, Overloads: 23,
 		LimiterCuts: 24, LimiterLimit: 25,
-		PolicyVersion: 26, ShadowScored: 27, CanaryServed: 28,
-		Promotions: 29, Rollbacks: 30,
-		GraySuspects: 31, Quarantines: 32, Probations: 33,
-		Reintegrations: 34,
-		Restarts:       35, FencedResponses: 36, StalledCalls: 37,
-		AsymmetricQuarantines: 38,
-		RetryBudgetExhausted:  39, ResolveCoalesced: 40, InvalidationEpochs: 41,
-		ClassMet:    [numClasses]uint64{42, 43, 44},
-		ClassMissed: [numClasses]uint64{45, 46, 47},
-		QueueDepth:  [numClasses]int{48, 49, 50},
+		GraySuspects: 26, Quarantines: 27, Probations: 28,
+		Reintegrations: 29,
+		Restarts:       30, FencedResponses: 31, StalledCalls: 32,
+		AsymmetricQuarantines: 33,
+		RetryBudgetExhausted:  34, ResolveCoalesced: 35, InvalidationEpochs: 36,
+		ClassMet:    [numClasses]uint64{37, 38, 39},
+		ClassMissed: [numClasses]uint64{40, 41, 42},
+		QueueDepth:  [numClasses]int{43, 44, 45},
 		Cache: runtime.CacheStats{
-			Len: 51, Cap: 52, Hits: 53, Misses: 54, Evictions: 55, Invalidations: 56,
+			Len: 46, Cap: 47, Hits: 48, Misses: 49, Evictions: 50, Invalidations: 51,
 		},
 	}
 	for _, tc := range []struct {
@@ -96,8 +94,9 @@ func TestStatsWireGolden(t *testing.T) {
 		want Stats             // the decoded frame, when it is current
 		err  *WireVersionError // the typed refusal, when it is not
 	}{
-		{file: "stats_v12.hex", want: seq},
-		{file: "stats_v11.hex", err: &WireVersionError{Got: 11, Want: 12}},
+		{file: "stats_v13.hex", want: seq},
+		{file: "stats_v12.hex", err: &WireVersionError{Got: 12, Want: 13}},
+		{file: "stats_v11.hex", err: &WireVersionError{Got: 11, Want: 13}},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			frame := readHexFixture(t, tc.file)

@@ -68,19 +68,22 @@ type Gateway struct {
 	// remaining deadline budget is below the strategy's observed cost.
 	ladder *runtime.Ladder
 
-	// tap receives outcome events for the adaptation loop (nil until
-	// SetOutcomeTap); guarded by mu.
-	tap OutcomeTap
-
 	// health is the gray-failure tracker, nil until AttachHealth (see
 	// health.go); guarded by mu.
 	health *health.Tracker
 
-	// stop is closed by Close (once); loops counts the goroutines that watch
-	// it: the device-table subscriber (reconfigure) and the health tick loop.
+	// stop is closed by Close (once); loops counts the goroutines Close waits
+	// for: the device-table subscriber (reconfigure) and the health tick
+	// loop, which watch stop, and the running restart hooks (cluster.go).
 	stop     chan struct{}
 	stopOnce sync.Once
 	loops    sync.WaitGroup
+
+	// clusterMu orders the cluster glue's Applies, the event loop's and the
+	// restart hooks' (cluster.go), and guards restarting: the devices whose
+	// OnRestart hooks are running.
+	clusterMu  sync.Mutex
+	restarting map[int]*restarting
 
 	stats Stats
 
@@ -101,6 +104,7 @@ func New(rt *runtime.Runtime, opts Options) *Gateway {
 		g.mu.Unlock()
 	}
 	if m := g.opts.Cluster; m != nil {
+		g.restarting = make(map[int]*restarting)
 		// The event loop exits when the manager closes, before or after the
 		// gateway. Same-tick transitions (a mass kill, a mass recovery, a
 		// sweep expiring several members) arrive as one slice and are
@@ -128,21 +132,13 @@ func New(rt *runtime.Runtime, opts Options) *Gateway {
 func (g *Gateway) admit(req *request) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	// A shed is still a demand signal: the tap sees it so the adaptation loop
-	// keeps observing the live constraint cells even when admission collapses
-	// and the decide path starves.
-	shed := func() {
-		g.offerLocked(OutcomeEvent{Kind: KindShed, Class: req.class, SLO: req.slo})
-	}
 	if g.closing {
 		g.stats.Shed++
-		shed()
 		return ErrShuttingDown
 	}
 	q := req.class
 	if len(g.queues[q]) >= g.opts.QueueDepth {
 		g.stats.Shed++
-		shed()
 		return ErrQueueFull
 	}
 	if q == ClassLatency && g.emaBatchSec[q] > 0 {
@@ -161,7 +157,6 @@ func (g *Gateway) admit(req *request) error {
 		}
 		if time.Now().Add(wait + exec).After(req.deadline) {
 			g.stats.Shed++
-			shed()
 			return ErrDeadlineUnattainable
 		}
 	}
@@ -234,7 +229,6 @@ func (g *Gateway) failLocked(req *request, err error) {
 	if req.class == ClassLatency {
 		g.stats.DeadlineMissed++
 	}
-	g.offerLocked(OutcomeEvent{Kind: KindDropped, Class: req.class, SLO: req.slo})
 	req.done <- Outcome{Err: err}
 }
 
@@ -257,11 +251,11 @@ func (g *Gateway) deliver(req *request, out Outcome) bool {
 // rung, degradation/promotion counters).
 func (g *Gateway) Ladder() *runtime.Ladder { return g.ladder }
 
-// ResetWaitEstimates clears the per-class queue-wait EMAs when batch cost
-// changed regime — the device table changed (reconfigure), the adaptation
-// controller swapped the policy; the next batch of each class re-seeds its
-// estimate, which would otherwise mis-admit until it decayed.
-func (g *Gateway) ResetWaitEstimates() {
+// resetWaitEstimates clears the per-class queue-wait EMAs when batch cost
+// changed regime (the device table changed; see reconfigure); the next batch
+// of each class re-seeds its estimate, which would otherwise mis-admit until
+// it decayed.
+func (g *Gateway) resetWaitEstimates() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for c := range g.emaBatchSec {
@@ -281,7 +275,7 @@ func (g *Gateway) reconfigure() {
 			return
 		case <-g.rt.Devices.Changed():
 		}
-		g.ResetWaitEstimates()
+		g.resetWaitEstimates()
 	}
 }
 
@@ -299,13 +293,6 @@ func (g *Gateway) Stats() Stats {
 	s.RetryBudgetExhausted = ss.RetryBudgetExhausted
 	s.ResolveCoalesced = g.rt.ResolveCoalesced()
 	s.AsymmetricQuarantines = g.rt.Devices.AsymmetricQuarantines()
-	if a, ok := g.rt.CurrentDecider().(AdaptSource); ok {
-		as := a.AdaptStats()
-		s.PolicyVersion = as.PolicyVersion
-		s.ShadowScored = as.ShadowScored
-		s.Promotions = as.Promotions
-		s.Rollbacks = as.Rollbacks
-	}
 	if g.health != nil {
 		hc := g.health.Counters()
 		s.GraySuspects = hc.GraySuspects
@@ -349,7 +336,8 @@ func (g *Gateway) Close(grace time.Duration) {
 	g.cond.Broadcast()
 	g.mu.Unlock()
 	// Both loops exit promptly; a probe in flight is waited out, bounded by
-	// its own ProbeTimeout.
+	// its own ProbeTimeout, and so is a restart hook (none starts once
+	// closing is set).
 	g.stopOnce.Do(func() { close(g.stop) })
 	g.loops.Wait()
 

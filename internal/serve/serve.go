@@ -116,11 +116,12 @@ type Options struct {
 	// device-attributed error, before the failover retry. Daemons use it to
 	// log which device is dying.
 	OnDeviceError func(device int, err error)
-	// OnRestart, when set, is called from the cluster event loop when a
+	// OnRestart, when set, is called on a goroutine of its own when a
 	// device's incarnation changes (a silent restart was detected), after the
 	// old incarnation is fenced and the device is down with its adaptive
-	// state reset, and before the device is reinstated. murmuration.NewGateway
-	// re-probes the link there: the new process may perform differently.
+	// state reset, and before the device is reinstated; other devices'
+	// transitions do not wait for it. murmuration.NewGateway re-probes the
+	// link there: the new process may perform differently.
 	OnRestart func(device int, incarnation uint64)
 	// MaxRung is the deepest degradation-ladder rung workers may descend to
 	// when the remaining deadline budget is below the strategy's observed
@@ -228,17 +229,6 @@ type Stats struct {
 	// AIMD limiters; LimiterLimit is their summed current limit (a gauge).
 	LimiterCuts  uint64
 	LimiterLimit uint64
-	// PolicyVersion is the serving policy's version (a gauge, 0 when no
-	// adaptation controller is attached); ShadowScored, Promotions, and
-	// Rollbacks are the attached controller's rollout counters. CanaryServed
-	// counts requests served by a canary-routed candidate decision — these
-	// ride the normal Served/ClassMet ledger, the counter only attributes
-	// them. All five are wire v7.
-	PolicyVersion uint64
-	ShadowScored  uint64
-	CanaryServed  uint64
-	Promotions    uint64
-	Rollbacks     uint64
 	// GraySuspects counts gray-window detections by the health tracker (a
 	// device's data-path SLIs breached the fleet-relative thresholds while
 	// its heartbeats stayed Up); Probations, Quarantines, and Reintegrations
@@ -268,7 +258,7 @@ type Stats struct {
 	// ResolveCoalesced counts strategy resolutions served by another caller's
 	// in-flight decider run instead of a duplicate run (singleflight).
 	// InvalidationEpochs mirrors Cache.InvalidationEpochs on the wire: O(1)
-	// strategy-cache invalidation events (device-loss epoch bumps and policy
+	// strategy-cache invalidation events (device-loss epoch bumps and
 	// clears). All three are wire v10.
 	RetryBudgetExhausted uint64
 	ResolveCoalesced     uint64
@@ -300,11 +290,7 @@ type Outcome struct {
 	// Rung is the degradation-ladder rung the batch executed at (0 = the
 	// resolved strategy unchanged).
 	Rung int
-	// PolicyVersion / Canary attribute the serving decision to its policy
-	// snapshot (see runtime.Resolution). Zero when the decider is unversioned.
-	PolicyVersion uint64
-	Canary        bool
-	Err           error
+	Err  error
 }
 
 // Submit enqueues one inference under slo and blocks until its outcome is

@@ -46,8 +46,8 @@ const inferHeaderLen = 1 + 8
 //	    and four resource-watchdog counters and gauges
 //	v6: +ClassMet[numClasses], +ClassMissed[numClasses] (per-class SLO
 //	    attainment, read by the scenario scorer)
-//	v7: +PolicyVersion, +ShadowScored, +CanaryServed, +Promotions,
-//	    +Rollbacks (online-adaptation rollout attribution)
+//	v7: +five online-adaptation rollout counters (policy version, shadow
+//	    scores, canary serves, promotions, rollbacks)
 //	v8: +GraySuspects, +Quarantines, +Probations, +Reintegrations, and a
 //	    flap-damping counter (gray-failure health machine and flap damping)
 //	v9: +Restarts, +FencedResponses, +StalledCalls, +AsymmetricQuarantines
@@ -57,7 +57,8 @@ const inferHeaderLen = 1 + 8
 //	    resolution singleflight, correlated-loss smoothing)
 //	v11: -the flap-damping and both correlated-loss counters (mechanisms deleted)
 //	v12: -the four resource-watchdog counters and gauges (watchdog deleted)
-const statsWireVersion = 12
+//	v13: -the five v7 rollout counters (online adaptation deleted)
+const statsWireVersion = 13
 
 // StatsWireVersion is the exported stats frame version, stamped into load
 // generator reports so offline analysis knows which field set it is reading.
@@ -171,8 +172,6 @@ func statsFields(s *Stats) []*uint64 {
 		&s.ClusterUp, &s.ClusterSuspect, &s.ClusterDown,
 		&s.Panics, &s.RemotePanics, &s.Overloads,
 		&s.LimiterCuts, &s.LimiterLimit,
-		&s.PolicyVersion, &s.ShadowScored, &s.CanaryServed,
-		&s.Promotions, &s.Rollbacks,
 		&s.GraySuspects, &s.Quarantines, &s.Probations,
 		&s.Reintegrations,
 		&s.Restarts, &s.FencedResponses, &s.StalledCalls,

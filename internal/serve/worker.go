@@ -223,54 +223,26 @@ func (g *Gateway) execute(batch []*request) {
 		g.stats.Degraded += uint64(len(batch))
 		g.stats.DegradedRungs += uint64(rung) * uint64(len(batch))
 	}
-	if res.Canary {
-		g.stats.CanaryServed += uint64(len(batch))
-	}
-	met := make([]bool, len(batch))
-	for i, r := range batch {
+	for _, r := range batch {
 		g.stats.Served++
 		if r.class == ClassLatency && now.After(r.deadline) {
 			g.stats.DeadlineMissed++
 			g.stats.ClassMissed[r.class]++
 		} else {
 			g.stats.ClassMet[r.class]++
-			met[i] = true
 		}
 	}
-	tap := g.tap
 	g.mu.Unlock()
 
-	// A degraded batch did not execute the policy's decision, so its measured
-	// latency must not be credited to the policy's choice sequence.
-	choices := res.Choices
-	if rung != 0 {
-		choices = nil
-	}
 	for i, r := range batch {
-		if tap != nil {
-			tap.Offer(OutcomeEvent{
-				Kind:          KindServed,
-				Class:         r.class,
-				SLO:           r.slo,
-				Constraint:    res.Constraint,
-				Rung:          rung,
-				PolicyVersion: res.PolicyVersion,
-				Canary:        res.Canary,
-				LatencyMs:     now.Sub(r.enqueued).Seconds() * 1000,
-				SLOMet:        met[i],
-				Choices:       choices,
-			})
-		}
 		g.deliver(r, Outcome{
-			Logits:        outs[i],
-			QueueWait:     start.Sub(r.enqueued),
-			ExecTime:      execTime,
-			DecideTime:    res.DecideTime,
-			BatchSize:     len(batch),
-			CacheHit:      res.CacheHit,
-			Rung:          rung,
-			PolicyVersion: res.PolicyVersion,
-			Canary:        res.Canary,
+			Logits:     outs[i],
+			QueueWait:  start.Sub(r.enqueued),
+			ExecTime:   execTime,
+			DecideTime: res.DecideTime,
+			BatchSize:  len(batch),
+			CacheHit:   res.CacheHit,
+			Rung:       rung,
 		})
 	}
 }
@@ -368,7 +340,6 @@ func (g *Gateway) finishError(batch []*request, err error) {
 			g.mu.Lock()
 			g.stats.Failed++
 			g.stats.ClassMissed[r.class]++
-			g.offerLocked(OutcomeEvent{Kind: KindFailed, Class: r.class, SLO: r.slo})
 			g.mu.Unlock()
 		}
 	}

@@ -200,8 +200,11 @@ func TrainPolicy(a *Arch, opts TrainPolicyOptions) (*Policy, error) {
 // SavePolicy / LoadPolicy persist trained policies.
 func SavePolicy(path string, p *Policy) error { return nn.SaveParams(path, p.Params()) }
 
-// LoadPolicy restores a policy trained with the same arch/kinds/hidden.
-func LoadPolicy(path string, p *Policy) error { return nn.LoadParams(path, p.Params()) }
+// LoadPolicy restores a policy trained for the same arch and kinds; its LSTM
+// width is read from the checkpoint.
+func LoadPolicy(path string, a *Arch, kinds []DeviceKind) (*Policy, error) {
+	return policy.Load(env.New(a, nas.NewCalibratedPredictor(a), kinds), path)
+}
 
 // ServeDevice starts a device daemon (NewDaemon at its defaults) for the
 // given supernet on addr (use ":0" for an ephemeral port). It returns the

@@ -42,9 +42,14 @@ func TestEndToEndPublicAPI(t *testing.T) {
 	if err := SavePolicy(ckpt, pol); err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadPolicy(ckpt, pol); err != nil {
+	loaded, err := LoadPolicy(ckpt, arch, kinds)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if loaded.Hidden != pol.Hidden {
+		t.Fatalf("loaded policy width %d, want %d", loaded.Hidden, pol.Hidden)
+	}
+	pol = loaded
 
 	// Stage 3: serve a remote device, deploy, infer.
 	remote := NewSupernet(arch, 42) // same seed = same weights
